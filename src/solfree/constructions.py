@@ -4,7 +4,8 @@ the cube-valuation sets that beat the two-interval density at c = b*b.
 
 Every constructor re-verifies its output through the avoidance checker when
 the form corresponds to a two- or three-variable equation (``check=False``
-skips the guard, which is quadratic in the set size).
+skips the guard, which costs about one big-int shift per member over
+max(b, c) * max(A) bits).
 """
 from __future__ import annotations
 

@@ -276,14 +276,37 @@ class AvoidanceCheck(NamedTuple):
     violation: Solution | None
 
 
+def _dilated_mask(members, k: int) -> int:
+    """The integer with bit k*v set for every v in ``members`` (ascending, k >= 1).
+
+    Bits are set in a byte buffer and converted once, so the cost is linear
+    in the set size plus the mask length, not one big-int copy per member.
+    """
+    if not members:
+        return 0
+    buf = bytearray(k * members[-1] // 8 + 1)
+    for v in members:
+        i = k * v
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     """True iff no triple from A solves the equation.
 
     On failure the lexicographically first violating solution is returned.
+
+    Three-variable case: with B the mask of bits b*y and C the mask of bits
+    c*z over A, a*x + b*y = c*z holds for some y, z in A exactly when
+    ``(C >> a*x) & B`` is nonzero.  Taking x in ascending order, the first
+    nonzero test gives the least x; its lowest set bit is b*y for the least
+    such y, and z = (a*x + b*y)/c is then determined, so that triple is the
+    lexicographic first.  Cost: about |A| big-int shifts and ands over
+    max(b, c)*max(A) bits.
     """
     members = A.members
-    mset = A._mset
     if eq.b == 0:
+        mset = A._mset
         a, c = eq.a, eq.c
         for x in members:
             z, r = divmod(a * x, c)
@@ -291,12 +314,13 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
                 return AvoidanceCheck(False, Solution(x, 0, z))
         return AvoidanceCheck(True, None)
     a, b, c = eq.a, eq.b, eq.c
+    bmask = _dilated_mask(members, b)
+    cmask = _dilated_mask(members, c)
     for x in members:
-        base = a * x
-        for y in members:
-            z, r = divmod(base + b * y, c)
-            if r == 0 and z in mset:
-                return AvoidanceCheck(False, Solution(x, y, z))
+        hits = (cmask >> a * x) & bmask
+        if hits:
+            by = (hits & -hits).bit_length() - 1
+            return AvoidanceCheck(False, Solution(x, by // b, (a * x + by) // c))
     return AvoidanceCheck(True, None)
 
 

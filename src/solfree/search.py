@@ -127,19 +127,6 @@ def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def element_cliques(eq: ThreeVarEquation, n: int) -> list[list[int]]:
-    """For each element e in [1, n], bitmasks of the other members of every
-    clique through e.  Bit i stands for element i+1.  Used by greedy builders."""
-    table: list[list[int]] = [[] for _ in range(n + 1)]
-    for cl in cliques_for(eq, n):
-        full = 0
-        for v in cl:
-            full |= 1 << (v - 1)
-        for v in cl:
-            table[v].append(full & ~(1 << (v - 1)))
-    return table
-
-
 class _Core:
     """Branch-and-bound engine over a universe [1, size] with forbidden cliques."""
 
@@ -403,6 +390,15 @@ def _mask_to_set(n: int, mask: int) -> IntSet:
     return IntSet(n, tuple(i + 1 for i in range(n) if mask >> i & 1))
 
 
+def _checked_witness(eq: ThreeVarEquation, n: int, mask: int) -> IntSet:
+    """The witness set of ``mask``, re-verified by the avoidance checker."""
+    witness = _mask_to_set(n, mask)
+    check = avoids(eq, witness)
+    if not check.ok:
+        raise InvariantViolation(f"witness for {eq} at n={n} contains the solution {tuple(check.violation)}")
+    return witness
+
+
 def max_avoiding(
     eq: ThreeVarEquation,
     n: int,
@@ -416,7 +412,9 @@ def max_avoiding(
     When a budget is exceeded the best set found so far is returned with
     ``optimal=False``; the answer is then a lower bound, never wrong.
     With ``canonical`` the witness is re-derived as the lexicographically
-    least maximum set, budget permitting.
+    least maximum set, budget permitting.  Either way the witness is
+    re-verified by :func:`avoids` before it is returned, and a set that
+    contains a solution raises :class:`InvariantViolation`.
     """
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
@@ -434,8 +432,9 @@ def max_avoiding(
         for g in core._seed_masks(n):
             if g.bit_count() > best.bit_count():
                 best = g
+        witness = _checked_witness(eq, n, best)
         millis = int((time.perf_counter() - t0) * 1000)
-        return ExtremalResult(n, best.bit_count(), _mask_to_set(n, best), False, state.nodes, millis)
+        return ExtremalResult(n, best.bit_count(), witness, False, state.nodes, millis)
     size = core.r[n]
     mask = core.wit[n]
     if canonical:
@@ -447,8 +446,9 @@ def max_avoiding(
         except _Exhausted:
             pass  # keep the search incumbent; size is certified either way
         state.nodes += cstate.nodes
+    witness = _checked_witness(eq, n, mask)
     millis = int((time.perf_counter() - t0) * 1000)
-    return ExtremalResult(n, size, _mask_to_set(n, mask), True, state.nodes, millis)
+    return ExtremalResult(n, size, witness, True, state.nodes, millis)
 
 
 def all_extremal(
@@ -537,15 +537,35 @@ def ratio_table(
 
 
 def random_avoiding_set(eq: ThreeVarEquation, n: int, rng: random.Random) -> IntSet:
-    """One randomized-greedy avoiding subset of [1, n] (shuffled element order)."""
-    solver = solver_for(eq)
-    core = solver.core(n)
+    """One randomized-greedy avoiding subset of [1, n] (shuffled element order).
+
+    An element is kept iff it completes no solution with the elements kept so
+    far.  The kept set K is held as four masks: bits a*v, b*v and c*v for v in
+    K, and bits top - a*v, so that each role of the new element e is one
+    shift and one and.  Each test runs with e already in the masks, which
+    catches solutions that repeat e (such as x = y = e).  With b = 0 the
+    b-mask is bit 0 alone, and the same tests cover a*x = c*z.
+    """
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    mask = core.greedy(n, order)
-    if mask >> n:
-        mask &= (1 << n) - 1  # structure may be built for a larger bound
-    return _mask_to_set(n, mask)
+    a, b, c = eq.a, eq.b, eq.c
+    top = max(a, c) * n
+    am = bm = cm = arev = 0
+    kept = []
+    for e in order:
+        am2 = am | 1 << a * e
+        bm2 = bm | 1 << b * e
+        cm2 = cm | 1 << c * e
+        arev2 = arev | 1 << (top - a * e)
+        if (
+            (cm2 >> a * e) & bm2  # e as x: a*e + b*y = c*z
+            or (cm2 >> b * e) & am2  # e as y: a*x + b*e = c*z
+            or (arev2 >> (top - c * e)) & bm2  # e as z: a*x + b*y = c*e
+        ):
+            continue
+        am, bm, cm, arev = am2, bm2, cm2, arev2
+        kept.append(e)
+    return IntSet.of(n, kept)
 
 
 def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0) -> list[IntSet]:

@@ -26,6 +26,23 @@ def brute_solutions(eq: ThreeVarEquation, n: int) -> list[Solution]:
     return out
 
 
+def brute_avoids(eq: ThreeVarEquation, A: IntSet) -> tuple[bool, Solution | None]:
+    """(ok, lexicographically first violation), by a quadratic scan over A x A."""
+    mset = A.member_set
+    if eq.b == 0:
+        for x in A.members:
+            z, r = divmod(eq.a * x, eq.c)
+            if r == 0 and z in mset:
+                return False, Solution(x, 0, z)
+        return True, None
+    for x in A.members:
+        for y in A.members:
+            z, r = divmod(eq.a * x + eq.b * y, eq.c)
+            if r == 0 and z in mset:
+                return False, Solution(x, y, z)
+    return True, None
+
+
 def _clique_masks_by_max(eq: ThreeVarEquation, n: int) -> list[list[int]]:
     by_max: list[list[int]] = [[] for _ in range(n + 1)]
     seen = set()

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 from click.testing import CliRunner
 
+import solfree
 from solfree.cli import main
+
+# the child process imports the same solfree as this one, however it was found
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(solfree.__file__)))
 
 
 def invoke(*args: str):
@@ -15,8 +20,10 @@ def invoke(*args: str):
 
 
 def run_process(*args: str):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "solfree.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,

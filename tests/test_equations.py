@@ -4,7 +4,7 @@ from __future__ import annotations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from solfree.equations import (
     Family,
@@ -20,7 +20,19 @@ from solfree.equations import (
 )
 from solfree.errors import InvariantViolation, MalformedEquation
 
-from oracles import brute_solutions
+from oracles import brute_avoids, brute_solutions
+
+
+@st.composite
+def valid_equations(draw, max_coef: int = 30) -> ThreeVarEquation:
+    """Valid equations with coefficients up to max_coef; about half have b = 0."""
+    a = draw(st.integers(1, max_coef))
+    b = draw(st.one_of(st.just(0), st.integers(1, max_coef)))
+    c = draw(st.integers(1, max_coef))
+    try:
+        return ThreeVarEquation(a, b, c)
+    except InvariantViolation:
+        assume(False)
 
 
 class TestParse:
@@ -124,11 +136,42 @@ class TestAvoids:
         n = data.draw(st.integers(1, 20))
         members = data.draw(st.sets(st.integers(1, n)))
         A = IntSet.of(n, members)
-        expected = not any(
-            {s.x, s.z if eq.b == 0 else s.y, s.z} <= A.member_set
-            for s in enumerate_solutions(eq, n)
-        )
-        assert avoids(eq, A).ok == expected
+        inside = [
+            s for s in enumerate_solutions(eq, n)
+            if {s.x, s.z if eq.b == 0 else s.y, s.z} <= A.member_set
+        ]
+        check = avoids(eq, A)
+        assert check.ok == (not inside)
+        assert check.violation == (inside[0] if inside else None)
+
+    @settings(max_examples=200)
+    @given(eq=valid_equations(), data=st.data())
+    def test_matches_quadratic_oracle(self, eq, data):
+        n = data.draw(st.integers(1, 300))
+        picked = data.draw(st.sets(st.integers(1, n), max_size=40))
+        # sparse sets mostly avoid; their complements are dense and mostly fail
+        members = picked if data.draw(st.booleans()) else set(range(1, n + 1)) - picked
+        A = IntSet.of(n, members)
+        assert avoids(eq, A) == brute_avoids(eq, A)
+
+    @given(eq=valid_equations(), repeat=st.sampled_from(["x=y", "y=z", "x=z"]), k=st.integers(1, 10))
+    def test_solutions_with_a_repeated_value(self, eq, repeat, k):
+        # a two-element set can only hold solutions that repeat a value
+        a, b, c = eq.a, eq.b, eq.c
+        if repeat == "x=y" or b == 0:  # (a+b)*v = c*w: x = y = v, z = w
+            p, q = c, a + b
+        elif repeat == "y=z":  # a*x = (c-b)*y: y = z
+            assume(c > b)
+            p, q = c - b, a
+        else:  # b*y = (c-a)*x: x = z
+            assume(c > a)
+            p, q = b, c - a
+        g = gcd(p, q)
+        v, w = k * p // g, k * q // g
+        A = IntSet.of(max(v, w), [v, w])
+        check = avoids(eq, A)
+        assert not check.ok
+        assert check == brute_avoids(eq, A)
 
 
 coefficient_lists = st.lists(

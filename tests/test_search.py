@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solfree import search
 from solfree.equations import IntSet, ThreeVarEquation, avoids, parse_equation
 from solfree.errors import BudgetExceeded, InvariantViolation
 from solfree.search import (
@@ -19,7 +20,7 @@ from solfree.search import (
     rho_m,
 )
 
-from oracles import brute_rho_numerator, exhaustive_max, mask_to_set
+from oracles import brute_avoids, brute_rho_numerator, exhaustive_max, mask_to_set
 
 EQS = {
     "family1": parse_equation("x+2y=13z"),
@@ -71,6 +72,23 @@ class TestMaxAvoiding:
     def test_rejects_bad_n(self):
         with pytest.raises(InvariantViolation):
             max_avoiding(EQS["square"], 0)
+
+    def test_optimal_witness_is_rechecked(self, monkeypatch):
+        eq = EQS["square"]
+        monkeypatch.setitem(search._SOLVERS, eq, search.ExactSolver(eq))
+        max_avoiding(eq, 5, canonical=False)
+        search._SOLVERS[eq]._core.wit[5] = 0b11111  # [1, 5] holds (2, 1, 1)
+        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+            max_avoiding(eq, 5, canonical=False)
+
+    def test_budget_witness_is_rechecked(self, monkeypatch):
+        eq = EQS["square"]
+        monkeypatch.setitem(search._SOLVERS, eq, search.ExactSolver(eq))
+        max_avoiding(eq, 5, canonical=False)
+        # larger than any greedy seed at n = 6, so the budget path returns it
+        search._SOLVERS[eq]._core.wit[5] = 0b11111
+        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+            max_avoiding(eq, 6, node_cap=0)
 
 
 class TestAllExtremal:
@@ -189,6 +207,49 @@ class TestRandomAvoidingSets:
         a = random_avoiding_sets(eq, 30, 10, seed=1)
         b = random_avoiding_sets(eq, 30, 10, seed=2)
         assert [s.members for s in a] != [t.members for t in b]
+
+    # (equation, n, count, seed) -> outputs of the clique-based greedy this
+    # generator replaced; x+2y=4z and 2x+y=4z have the same solution sets
+    PINNED = [
+        ("x+2y=4z", 30, 2, 1, [
+            (2, 5, 11, 12, 17, 25, 27, 29, 30),
+            (3, 7, 10, 11, 12, 13, 23, 25, 27, 29),
+        ]),
+        ("2x+y=4z", 30, 2, 1, [
+            (2, 5, 11, 12, 17, 25, 27, 29, 30),
+            (3, 7, 10, 11, 12, 13, 23, 25, 27, 29),
+        ]),
+        ("2x+2y=5z", 40, 2, 3, [
+            (2, 6, 11, 14, 15, 17, 19, 23, 25, 26, 27, 28, 30, 31, 32, 36),
+            (2, 4, 13, 18, 20, 21, 23, 31, 33, 34, 35, 36, 38, 39, 40),
+        ]),
+        ("x+3y=9z", 36, 2, 7, [
+            (2, 6, 11, 13, 17, 18, 19, 20, 22, 25, 26, 28, 30, 32, 34, 35),
+            (1, 2, 5, 9, 14, 17, 19, 21, 22, 23, 25, 26, 28, 29, 32, 33, 34, 36),
+        ]),
+        ("3x=2z", 40, 2, 5, [
+            (1, 3, 5, 6, 7, 8, 10, 11, 13, 17, 19, 20, 21, 22, 23, 24, 25, 27, 28, 29, 31,
+             32, 34, 35, 37, 38, 39, 40),
+            (1, 2, 4, 5, 7, 8, 9, 11, 13, 14, 15, 16, 17, 18, 19, 23, 25, 26, 28, 29, 30, 31,
+             32, 33, 34, 35, 36, 37, 38, 40),
+        ]),
+        ("x+y=3z", 25, 2, 11, [
+            (1, 4, 9, 10, 14, 19, 22, 24, 25),
+            (1, 3, 5, 11, 13, 16, 18, 19, 25),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("text,n,count,seed,want", PINNED)
+    def test_pinned_outputs_are_maximal(self, text, n, count, seed, want):
+        eq = parse_equation(text)
+        solvers = dict(search._SOLVERS)
+        got = random_avoiding_sets(eq, n, count, seed)
+        assert search._SOLVERS == solvers
+        assert [s.members for s in got] == want
+        for A in got:
+            for e in set(range(1, n + 1)) - A.member_set:
+                ok, _ = brute_avoids(eq, IntSet.of(n, A.members + (e,)))
+                assert not ok, (A.members, e)
 
 
 class TestRandomEquationBattery:
