@@ -16,7 +16,6 @@ from .equations import (
 )
 from .search import (
     AllExtremal,
-    ExactSolver,
     ExtremalResult,
     ModularDensity,
     RatioRow,

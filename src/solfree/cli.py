@@ -13,8 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -26,19 +24,6 @@ from .errors import BudgetExceeded, SolfreeError
 CSV_COLUMNS = ["equation", "n", "method", "size", "ratio_num", "ratio_den", "optimal", "nodes", "millis"]
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    seed: int = 0
-    timing: bool = False
-    node_budget: int | None = None
-    time_budget: float | None = None
-    jobs: int = 1
-    fmt: str = "json"
-    output: str | None = None
-
-
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -47,14 +32,8 @@ def _emit(obj: dict, out) -> None:
     out.write(json.dumps(obj, separators=(", ", ": ")) + "\n")
 
 
-def _millis(cfg: RunConfig, millis: int) -> int:
-    return millis if cfg.timing else 0
-
-
-def _open_output(cfg: RunConfig):
-    if cfg.output:
-        return open(cfg.output, "w", encoding="utf-8")
-    return None
+def _millis(timing: bool, millis: int) -> int:
+    return millis if timing else 0
 
 
 budget_options = [
@@ -73,12 +52,11 @@ def _add_options(opts):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized runs.")
 @click.option("--timing/--no-timing", default=False, help="Report wall-clock millis (breaks byte-identical output).")
 @click.pass_context
-def main(ctx: click.Context, seed: int, timing: bool) -> None:
+def main(ctx: click.Context, timing: bool) -> None:
     """Exact and constructive search for sets avoiding ax+by=cz."""
-    ctx.obj = RunConfig(seed=seed, timing=timing)
+    ctx.obj = timing  # the subcommands' only shared setting
 
 
 @main.command()
@@ -89,7 +67,7 @@ def main(ctx: click.Context, seed: int, timing: bool) -> None:
 @click.option("--fmt", type=click.Choice(["json", "csv", "text"]), default="json", show_default=True)
 @_add_options(budget_options)
 @click.pass_obj
-def solve(cfg: RunConfig, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str,
+def solve(timing: bool, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str,
           node_budget: int | None, time_budget: float | None) -> None:
     """Exact maximum avoiding subset of [1, n]."""
     eq = parse_equation(eq_text)
@@ -101,7 +79,7 @@ def solve(cfg: RunConfig, eq_text: str, n: int, all_sets: bool, cap: int, fmt: s
         "set": result.witness.to_text(),
         "optimal": result.optimal,
         "nodes": result.nodes,
-        "millis": _millis(cfg, result.millis),
+        "millis": _millis(timing, result.millis),
     }
     if all_sets and result.optimal:
         family = search.all_extremal(eq, n, cap, node_cap=node_budget, time_cap=time_budget)
@@ -121,7 +99,7 @@ def solve(cfg: RunConfig, eq_text: str, n: int, all_sets: bool, cap: int, fmt: s
         writer.writerow(CSV_COLUMNS)
         writer.writerow([str(eq), n, "exact", result.size, ratio.numerator, ratio.denominator,
                          "true" if result.optimal else "false", result.nodes,
-                         _millis(cfg, result.millis)])
+                         _millis(timing, result.millis)])
     if not result.optimal:
         raise BudgetExceeded(f"search budget exceeded at n={n}; best found has size {result.size}")
 
@@ -318,21 +296,6 @@ def conjecture_inject(b: int, n: int, set_text: str) -> None:
     _emit(cert.to_json_dict(), sys.stdout)
 
 
-def _sweep_rows(eq_text: str, ns: list[int],
-                node_budget: int | None, time_budget: float | None) -> list[dict]:
-    eq = parse_equation(eq_text)
-    rows = []
-    for n in ns:
-        result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget)
-        ratio = Fraction(result.size, n)
-        rows.append({
-            "equation": str(eq), "n": n, "method": "exact", "size": result.size,
-            "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
-            "optimal": result.optimal, "nodes": result.nodes, "millis": result.millis,
-        })
-    return rows
-
-
 @main.command()
 @click.option("--eq", "eq_text", required=True)
 @click.option("--n-from", type=int, required=True)
@@ -340,20 +303,15 @@ def _sweep_rows(eq_text: str, ns: list[int],
 @click.option("--step", type=int, default=1, show_default=True)
 @click.option("--fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--output", type=str, default=None, help="Write the report to a file as well.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes; rows are emitted in ascending n regardless.")
 @_add_options(budget_options)
 @click.pass_obj
-def report(cfg: RunConfig, eq_text: str, n_from: int, n_to: int, step: int, fmt: str,
-           output: str | None, jobs: int,
-           node_budget: int | None, time_budget: float | None) -> None:
+def report(timing: bool, eq_text: str, n_from: int, n_to: int, step: int, fmt: str,
+           output: str | None, node_budget: int | None, time_budget: float | None) -> None:
     """Ratio-table sweep r(n)/n over a range of n."""
     if step < 1 or n_from < 1 or n_to < n_from:
         raise click.UsageError("need 1 <= n-from <= n-to and step >= 1")
-    ns = list(range(n_from, n_to + 1, step))
-    cfg.fmt = fmt
-    cfg.output = output
-    sink = _open_output(cfg)
+    eq = parse_equation(eq_text)
+    sink = open(output, "w", encoding="utf-8") if output else None
     writer = None
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
@@ -361,52 +319,36 @@ def report(cfg: RunConfig, eq_text: str, n_from: int, n_to: int, step: int, fmt:
         if sink:
             sink.write(",".join(CSV_COLUMNS) + "\n")
 
-    def flush_row(row: dict) -> None:
-        row = dict(row)
-        row["millis"] = _millis(cfg, row["millis"])
-        if fmt == "csv":
-            line = [("true" if row[col] else "false") if isinstance(row[col], bool) else row[col]
-                    for col in CSV_COLUMNS]
-            writer.writerow(line)
-            if sink:
-                buf = io.StringIO()
-                csv.writer(buf).writerow(line)
-                sink.write(buf.getvalue())
-        else:
-            _emit(row, sys.stdout)
-            if sink:
-                _emit(row, sink)
-
-    hit_budget = False
     try:
-        if jobs <= 1 or len(ns) < 2:
-            eq = parse_equation(eq_text)
-            for n in ns:  # sequential sweep reuses the warm prefix table
-                result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget)
-                ratio = Fraction(result.size, n)
-                flush_row({
-                    "equation": str(eq), "n": n, "method": "exact", "size": result.size,
-                    "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
-                    "optimal": result.optimal, "nodes": result.nodes, "millis": result.millis,
-                })
-                if not result.optimal:
-                    hit_budget = True
-                    break
-        else:
-            chunks = [ns[i::jobs] for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_sweep_rows, eq_text, chunk, node_budget, time_budget)
-                           for chunk in chunks if chunk]
-                rows = [row for fut in futures for row in fut.result()]
-            for row in sorted(rows, key=lambda r: r["n"]):
-                flush_row(row)
-                if not row["optimal"]:
-                    hit_budget = True
+        # the rows print no witness, so no lex-least pass; each row's nodes are
+        # the DFS nodes of the prefixes it solved, the earlier ones being warm
+        for n in range(n_from, n_to + 1, step):
+            result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget,
+                                         canonical=False)
+            ratio = Fraction(result.size, n)
+            row = {
+                "equation": str(eq), "n": n, "method": "exact", "size": result.size,
+                "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
+                "optimal": result.optimal, "nodes": result.nodes,
+                "millis": _millis(timing, result.millis),
+            }
+            if fmt == "csv":
+                line = [("true" if row[col] else "false") if isinstance(row[col], bool) else row[col]
+                        for col in CSV_COLUMNS]
+                writer.writerow(line)
+                if sink:
+                    buf = io.StringIO()
+                    csv.writer(buf).writerow(line)
+                    sink.write(buf.getvalue())
+            else:
+                _emit(row, sys.stdout)
+                if sink:
+                    _emit(row, sink)
+            if not result.optimal:
+                raise BudgetExceeded("sweep stopped at the search budget; completed rows were flushed")
     finally:
         if sink:
             sink.close()
-    if hit_budget:
-        raise BudgetExceeded("sweep stopped at the search budget; completed rows were flushed")
 
 
 def _error_payload(exc: Exception) -> dict:

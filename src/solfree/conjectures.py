@@ -63,7 +63,8 @@ def verify_cube_set_extremal(
     caller decides whether a mismatch is a failure.
     """
     A, _ = ab_set(b, n)
-    result = max_avoiding(counterexample_equation(b), n, node_cap=node_cap, time_cap=time_cap)
+    result = max_avoiding(counterexample_equation(b), n, node_cap=node_cap, time_cap=time_cap,
+                          canonical=False)
     if not result.optimal:
         raise BudgetExceeded(f"exact search for b={b}, n={n} exceeded its budget")
     return CubeSetReport(b, n, A.size, result.size)

@@ -7,6 +7,13 @@ is available; besides being the natural warm start, the prefix table is a
 strong admissible bound, because any avoiding subset of [1, n] restricted to
 [1, m] is an avoiding subset of [1, m].
 
+The engine grows with the sweep.  Before it solves prefix m it takes in the
+cliques (member sets of solutions) whose largest member is m, and that is
+the only way a clique ever enters it: the tables for prefix m are those for
+m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One engine
+per equation lives for the whole process, so a later call resumes from the
+prefixes already solved.
+
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
 triples modulo m (used for the modular densities).
@@ -15,11 +22,10 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equations import IntSet, ThreeVarEquation, avoids, enumerate_solutions
+from .equations import IntSet, ThreeVarEquation, avoids
 from .errors import BudgetExceeded, InvariantViolation
 
 _CANONICAL_NODE_CAP = 250_000  # budget for the optional lex-least witness pass
@@ -85,17 +91,32 @@ class _RunState:
         self.deadline = time.monotonic() + time_cap if time_cap else None
 
 
-def cliques_for(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
-    """Distinct member sets of solutions inside [1, n], each of size 2 or 3."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for sol in enumerate_solutions(eq, n):
-        members = {sol.x, sol.z} if eq.b == 0 else {sol.x, sol.y, sol.z}
-        key = tuple(sorted(members))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
+    """Distinct member sets, of size 2 or 3, of the solutions inside [1, m]
+    whose largest member is m, in ascending order.
+
+    m takes each role in turn and the equation fixes the last variable from
+    the free one, so the cost is O(m).  With b = 0, m is x or z.
+    """
+    a, b, c = eq.a, eq.b, eq.c
+    found: set[tuple[int, ...]] = set()
+    if b == 0:
+        if a * m % c == 0 and a * m // c <= m:  # m as x
+            found.add((a * m // c, m))
+        if c * m % a == 0 and c * m // a <= m:  # m as z
+            found.add((c * m // a, m))
+        return sorted(found)
+    for v in range(1, m + 1):
+        z, r = divmod(a * m + b * v, c)  # m as x, v as y
+        if r == 0 and z <= m:
+            found.add(tuple(sorted({m, v, z})))
+        z, r = divmod(a * v + b * m, c)  # m as y, v as x
+        if r == 0 and z <= m:
+            found.add(tuple(sorted({v, m, z})))
+        y, r = divmod(c * m - a * v, b)  # m as z, v as x
+        if r == 0 and 1 <= y <= m:
+            found.add(tuple(sorted({v, y, m})))
+    return sorted(found)
 
 
 def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
@@ -127,65 +148,75 @@ def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-class _Core:
-    """Branch-and-bound engine over a universe [1, size] with forbidden cliques."""
+def _seed_orders(m: int):
+    """The element orders of the greedy seeds at prefix m."""
+    yield range(m, 0, -1)
+    yield range(1, m + 1)
+    for pass_no in (1, 2):
+        order = list(range(1, m + 1))
+        random.Random(m * 7919 + pass_no).shuffle(order)
+        yield order
 
-    def __init__(self, size: int, cliques: list[tuple[int, ...]]):
-        self.size = size
-        self.cliques = cliques
-        min_others: list[list[int]] = [[] for _ in range(size + 1)]
-        max_others: list[list[int]] = [[] for _ in range(size + 1)]
-        elem_others: list[list[int]] = [[] for _ in range(size + 1)]
+
+class _Core:
+    """Branch-and-bound engine over forbidden cliques, grown one element at a time.
+
+    ``source(m)`` gives the cliques whose largest member is m, ascending; so
+    ``sorted_masks`` is ordered by (largest member, members) and the cliques
+    of prefix m are exactly its first entries.
+    """
+
+    def __init__(self, source):
+        self.source = source
+        self.grown = 0  # elements taken in; may run one past the solved prefix
+        self.min_others: list[list[int]] = [[]]
+        self.max_others: list[list[int]] = [[]]
+        self.elem_others: list[list[int]] = [[]]
         # forced-exclusion triggers: once every member of a clique except the
         # smallest (resp. largest) is included, that last member is dead.
-        force_down: list[list[tuple[int, int]]] = [[] for _ in range(size + 1)]
-        force_up: list[list[tuple[int, int]]] = [[] for _ in range(size + 1)]
-        for cl in cliques:
-            full = 0
-            for v in cl:
-                full |= 1 << (v - 1)
-            for v in cl:
-                elem_others[v].append(full & ~(1 << (v - 1)))
-            lo, hi = cl[0], cl[-1]
-            min_others[lo].append(full & ~(1 << (lo - 1)))
-            max_others[hi].append(full & ~(1 << (hi - 1)))
-            if len(cl) == 1:
-                continue
-            mid = cl[1] if len(cl) == 3 else None
-            if len(cl) == 2:
-                force_down[hi].append((0, 1 << (lo - 1)))
-                force_up[lo].append((0, 1 << (hi - 1)))
-            else:
-                force_down[mid].append((1 << (hi - 1), 1 << (lo - 1)))
-                force_up[mid].append((1 << (lo - 1), 1 << (hi - 1)))
-        self.min_others = min_others
-        self.max_others = max_others
-        self.elem_others = elem_others
-        self.force_down = force_down
-        self.force_up = force_up
-        # residual-bound structures: cliques sorted by max element, plus a
-        # per-element index and a mutable excluded-member counter
-        order = sorted(range(len(cliques)), key=lambda i: (cliques[i][-1], cliques[i]))
+        self.force_down: list[list[tuple[int, int]]] = [[]]
+        self.force_up: list[list[tuple[int, int]]] = [[]]
+        # residual-bound structures: clique masks, a per-element index into
+        # them and a mutable excluded-member counter
         self.sorted_masks: list[int] = []
-        self.sorted_maxes: list[int] = []
-        by_elem_ids: list[list[int]] = [[] for _ in range(size + 1)]
-        for pos, i in enumerate(order):
-            cl = cliques[i]
-            mask = 0
-            for v in cl:
-                mask |= 1 << (v - 1)
-            self.sorted_masks.append(mask)
-            self.sorted_maxes.append(cl[-1])
-            for v in cl:
-                by_elem_ids[v].append(pos)
-        self.by_elem_ids = by_elem_ids
-        self.excl = [0] * len(cliques)
+        self.by_elem_ids: list[list[int]] = [[]]
+        self.excl: list[int] = []
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
 
+    def grow(self) -> None:
+        """Take in the next element m and the cliques whose largest member is m."""
+        m = self.grown + 1
+        tables = (self.min_others, self.max_others, self.elem_others,
+                  self.force_down, self.force_up, self.by_elem_ids)
+        for table in tables:
+            table.append([])
+        top = 1 << (m - 1)
+        for cl in self.source(m):
+            full = 0
+            for v in cl:
+                full |= 1 << (v - 1)
+            pos = len(self.sorted_masks)
+            for v in cl:
+                self.elem_others[v].append(full & ~(1 << (v - 1)))
+                self.by_elem_ids[v].append(pos)
+            self.sorted_masks.append(full)
+            self.excl.append(0)
+            lo = cl[0]
+            low = 1 << (lo - 1)
+            self.min_others[lo].append(full & ~low)
+            self.max_others[m].append(full & ~top)
+            if len(cl) == 2:
+                self.force_down[m].append((0, low))
+                self.force_up[lo].append((0, top))
+            elif len(cl) == 3:
+                self.force_down[cl[1]].append((top, low))
+                self.force_up[cl[1]].append((low, top))
+        self.grown = m
+
     # -- seeding -----------------------------------------------------------
 
-    def greedy(self, m: int, order) -> int:
+    def greedy(self, order) -> int:
         """Greedy avoiding mask over the given element order (any order is legal:
         a clique is caught when its last member comes up)."""
         inc = 0
@@ -201,21 +232,15 @@ class _Core:
                 inc |= bit
         return inc
 
-    def _seed_masks(self, m: int):
-        yield self.greedy(m, range(m, 0, -1))
-        yield self.greedy(m, range(1, m + 1))
-        for pass_no in (1, 2):
-            order = list(range(1, m + 1))
-            random.Random(m * 7919 + pass_no).shuffle(order)
-            yield self.greedy(m, order)
-
     # -- exact solve of the next prefix -------------------------------------
 
     def advance(self, state: _RunState) -> None:
+        """Solve prefix m = len(r); the engine must be grown to m."""
         m = len(self.r)
         best_mask = self.wit[m - 1]
         best_size = best_mask.bit_count()
-        for g in self._seed_masks(m):
+        for order in _seed_orders(m):
+            g = self.greedy(order)
             if g.bit_count() > best_size:
                 best_mask, best_size = g, g.bit_count()
 
@@ -225,7 +250,7 @@ class _Core:
         by_elem_ids = self.by_elem_ids
         excl = self.excl
         sorted_masks = self.sorted_masks
-        limit = bisect_right(self.sorted_maxes, m)  # cliques reaching above m cannot fire
+        limit = len(sorted_masks)
         node_cap = state.node_cap
         deadline = state.deadline
 
@@ -292,16 +317,22 @@ class _Core:
 
         try:
             dfs(m, 0, 0, 0)
-        except _Exhausted:
+        except BaseException as exc:
             # the raise unwinds past the exclusion undos; scrub the counters
-            for i in range(len(excl)):
-                excl[i] = 0
+            excl[:] = [0] * len(excl)
+            if isinstance(exc, RecursionError):
+                raise _Exhausted from exc  # deeper than the interpreter allows
             raise
         self.r.append(best_size)
         self.wit.append(best_mask)
 
     def solve_to(self, n: int, state: _RunState) -> None:
+        """Solve every prefix up to n, checking the deadline before each one."""
         while len(self.r) <= n:
+            if state.deadline is not None and time.monotonic() > state.deadline:
+                raise _Exhausted
+            if self.grown < len(self.r):
+                self.grow()
             self.advance(state)
 
     # -- lexicographic enumeration of maximum sets --------------------------
@@ -338,6 +369,7 @@ class _Core:
                     break
             if legal:
                 f2 = forced
+                # the engine may be grown past m: triggers above m never fire
                 for low, high in force_up[e]:
                     if low & inc == low and high >> m == 0:
                         f2 |= high
@@ -348,42 +380,20 @@ class _Core:
             edfs(1, 0, 0, 0)
         except _CapHit:
             return out[:cap], True
+        except RecursionError as exc:
+            raise _Exhausted from exc  # deeper than the interpreter allows
         return out, False
 
 
-class ExactSolver:
-    """Per-equation solver that caches the prefix table r(1..n) and witnesses."""
-
-    def __init__(self, eq: ThreeVarEquation):
-        self.eq = eq
-        self._core: _Core | None = None
-        self._core_n = 0
-
-    def core(self, n: int) -> _Core:
-        if self._core is None or n > self._core_n:
-            fresh = _Core(n, cliques_for(self.eq, n))
-            if self._core is not None:
-                # prefix results do not depend on the structure bound
-                fresh.r = self._core.r
-                fresh.wit = self._core.wit
-            self._core = fresh
-            self._core_n = n
-        return self._core
-
-    def solve_to(self, n: int, state: _RunState) -> _Core:
-        core = self.core(n)
-        core.solve_to(n, state)
-        return core
+# one engine per integer equation, grown as far as any call has needed
+_SOLVERS: dict[ThreeVarEquation, _Core] = {}
 
 
-_SOLVERS: dict[ThreeVarEquation, ExactSolver] = {}
-
-
-def solver_for(eq: ThreeVarEquation) -> ExactSolver:
-    solver = _SOLVERS.get(eq)
-    if solver is None:
-        solver = _SOLVERS[eq] = ExactSolver(eq)
-    return solver
+def _engine_for(eq: ThreeVarEquation) -> _Core:
+    engine = _SOLVERS.get(eq)
+    if engine is None:
+        engine = _SOLVERS[eq] = _Core(lambda m: cliques_for(eq, m))
+    return engine
 
 
 def _mask_to_set(n: int, mask: int) -> IntSet:
@@ -410,37 +420,37 @@ def max_avoiding(
     """Exact r(n) with a witness.
 
     When a budget is exceeded the best set found so far is returned with
-    ``optimal=False``; the answer is then a lower bound, never wrong.
-    With ``canonical`` the witness is re-derived as the lexicographically
-    least maximum set, budget permitting.  Either way the witness is
+    ``optimal=False``; the answer is then a lower bound, never wrong.  That
+    set is the larger of the last solved prefix's witness and the greedy
+    seeds at n, so no clique above the solved prefix is built.
+    ``time_cap`` bounds the whole call.  With ``canonical`` the witness is
+    re-derived as the lexicographically least maximum set, budget permitting.  Either way the witness is
     re-verified by :func:`avoids` before it is returned, and a set that
     contains a solution raises :class:`InvariantViolation`.
     """
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     t0 = time.perf_counter()
-    solver = solver_for(eq)
+    engine = _engine_for(eq)
     state = _RunState(node_cap, time_cap)
     try:
-        core = solver.solve_to(n, state)
+        engine.solve_to(n, state)
     except _Exhausted:
-        core = solver.core(n)
-        best = 0
-        solved = len(core.r) - 1
-        if solved > 0:
-            best = core.wit[solved]
-        for g in core._seed_masks(n):
+        best = engine.wit[-1]
+        for order in _seed_orders(n):
+            g = _greedy_mask(eq, n, order)
             if g.bit_count() > best.bit_count():
                 best = g
         witness = _checked_witness(eq, n, best)
         millis = int((time.perf_counter() - t0) * 1000)
         return ExtremalResult(n, best.bit_count(), witness, False, state.nodes, millis)
-    size = core.r[n]
-    mask = core.wit[n]
+    size = engine.r[n]
+    mask = engine.wit[n]
     if canonical:
-        cstate = _RunState(_CANONICAL_NODE_CAP, None)
+        cstate = _RunState(_CANONICAL_NODE_CAP)
+        cstate.deadline = state.deadline  # the call's time budget covers this pass too
         try:
-            masks, _ = core.enumerate_at(n, size, 1, cstate)
+            masks, _ = engine.enumerate_at(n, size, 1, cstate)
             if masks:
                 mask = masks[0]
         except _Exhausted:
@@ -462,12 +472,12 @@ def all_extremal(
     """All maximum avoiding subsets of [1, n] in lexicographic order, up to cap."""
     if cap < 1:
         raise InvariantViolation(f"cap must be positive, got {cap}")
-    solver = solver_for(eq)
+    engine = _engine_for(eq)
     state = _RunState(node_cap, time_cap)
     try:
-        core = solver.solve_to(n, state)
-        size = core.r[n]
-        masks, truncated = core.enumerate_at(n, size, cap, state)
+        engine.solve_to(n, state)
+        size = engine.r[n]
+        masks, truncated = engine.enumerate_at(n, size, cap, state)
     except _Exhausted as exc:
         raise BudgetExceeded(f"budget exceeded enumerating extremal sets at n={n}") from exc
     return AllExtremal(n, size, [_mask_to_set(n, mk) for mk in masks], truncated)
@@ -483,15 +493,18 @@ def rho_m(
     """Exact maximum density of a residue set with no solutions modulo m."""
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
-    core = _Core(m, congruence_cliques(eq, m))
+    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
+    for cl in congruence_cliques(eq, m):
+        by_max[cl[-1]].append(cl)
+    engine = _Core(lambda k: sorted(by_max[k]))
     state = _RunState(node_cap, time_cap)
     try:
-        core.solve_to(m, state)
-        masks, _ = core.enumerate_at(m, core.r[m], 1, state)
+        engine.solve_to(m, state)
+        masks, _ = engine.enumerate_at(m, engine.r[m], 1, state)
     except _Exhausted as exc:
         raise BudgetExceeded(f"budget exceeded computing rho_{m}") from exc
     mask = masks[0] if masks else 0
-    return ModularDensity(m, Fraction(core.r[m], m), _mask_to_set(m, mask))
+    return ModularDensity(m, Fraction(engine.r[m], m), _mask_to_set(m, mask))
 
 
 def rho_best(
@@ -536,22 +549,20 @@ def ratio_table(
     return RatioTable(rows, monotone)
 
 
-def random_avoiding_set(eq: ThreeVarEquation, n: int, rng: random.Random) -> IntSet:
-    """One randomized-greedy avoiding subset of [1, n] (shuffled element order).
+def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:
+    """Greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1 for e).
 
     An element is kept iff it completes no solution with the elements kept so
-    far.  The kept set K is held as four masks: bits a*v, b*v and c*v for v in
+    far, the same decision as :meth:`_Core.greedy` makes from the cliques.
+    The kept set K is held as four masks: bits a*v, b*v and c*v for v in
     K, and bits top - a*v, so that each role of the new element e is one
     shift and one and.  Each test runs with e already in the masks, which
     catches solutions that repeat e (such as x = y = e).  With b = 0 the
     b-mask is bit 0 alone, and the same tests cover a*x = c*z.
     """
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
     a, b, c = eq.a, eq.b, eq.c
     top = max(a, c) * n
-    am = bm = cm = arev = 0
-    kept = []
+    am = bm = cm = arev = kept = 0
     for e in order:
         am2 = am | 1 << a * e
         bm2 = bm | 1 << b * e
@@ -564,8 +575,15 @@ def random_avoiding_set(eq: ThreeVarEquation, n: int, rng: random.Random) -> Int
         ):
             continue
         am, bm, cm, arev = am2, bm2, cm2, arev2
-        kept.append(e)
-    return IntSet.of(n, kept)
+        kept |= 1 << (e - 1)
+    return kept
+
+
+def random_avoiding_set(eq: ThreeVarEquation, n: int, rng: random.Random) -> IntSet:
+    """One randomized-greedy avoiding subset of [1, n] (shuffled element order)."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return _mask_to_set(n, _greedy_mask(eq, n, order))
 
 
 def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0) -> list[IntSet]:

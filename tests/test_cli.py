@@ -5,29 +5,37 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 from click.testing import CliRunner
 
 import solfree
+from solfree import search
 from solfree.cli import main
+from solfree.equations import parse_equation
 
 # the child process imports the same solfree as this one, however it was found
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(solfree.__file__)))
+_SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
 def invoke(*args: str):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
-def run_process(*args: str):
+def run_python(*args: str):
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "solfree.cli", *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_process(*args: str):
+    return run_python("-m", "solfree.cli", *args)
 
 
 class TestSolve:
@@ -71,6 +79,13 @@ class TestSolve:
     def test_two_variable_equation(self):
         row = json.loads(invoke("solve", "--eq", "2x=z", "--n", "10").output)
         assert row["size"] == 6  # chains {1,2,4,8}, {3,6}, {5,10}, {7}, {9}
+
+    def test_deep_canonical_pass_exits_0(self):
+        # the lex-least pass needs ~1200 stack frames; it gives up like a budget hit
+        proc = run_process("solve", "--eq", "2x=z", "--n", "1200")
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads(proc.stdout)
+        assert (row["size"], row["optimal"]) == (800, True)
 
     def test_csv_format(self):
         out = invoke("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "csv")
@@ -189,9 +204,32 @@ class TestReport:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_parallel_jobs_match_sequential(self):
-        seq = run_process("report", "--eq", "2x+2y=5z", "--n-from", "1", "--n-to", "16")
-        par = run_process("report", "--eq", "2x+2y=5z", "--n-from", "1", "--n-to", "16", "--jobs", "2")
-        seq_rows = [line.rsplit(",", 2)[0] for line in seq.stdout.splitlines()]
-        par_rows = [line.rsplit(",", 2)[0] for line in par.stdout.splitlines()]
-        assert seq_rows == par_rows  # nodes/millis may differ, the data must not
+    def test_nodes_are_the_rows_own_search(self, monkeypatch):
+        proc = run_process("report", "--eq", "x+y=3z", "--n-from", "4", "--n-to", "22",
+                           "--step", "3", "--fmt", "json")
+        assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        eq = parse_equation("x+y=3z")
+        monkeypatch.setitem(search._SOLVERS, eq, search._Core(partial(search.cliques_for, eq)))
+        want = [search.max_avoiding(eq, n, canonical=False).nodes for n in range(4, 23, 3)]
+        assert [r["nodes"] for r in rows] == want
+
+    def test_removed_options_are_usage_errors(self):
+        jobs = run_process("report", "--eq", "2x+2y=5z", "--n-from", "1", "--n-to", "4", "--jobs", "2")
+        seed = run_process("--seed", "1", "report", "--eq", "2x+2y=5z", "--n-from", "1", "--n-to", "4")
+        assert jobs.returncode == seed.returncode == 2
+        assert jobs.stdout == seed.stdout == ""
+
+
+class TestScripts:
+    def test_density_tables(self):
+        proc = run_python(os.path.join(_SCRIPTS, "density_tables.py"),
+                          "--eq", "2x+2y=5z", "--n-max", "8", "--m-max", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 2 + 8
+
+    def test_cube_set_experiment(self):
+        proc = run_python(os.path.join(_SCRIPTS, "cube_set_experiment.py"),
+                          "--n-max", "10", "--samples", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert "10 values of n checked, 0 mismatches" in proc.stdout

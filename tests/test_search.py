@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import random
+import sys
+from functools import partial
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import solfree
 from solfree import search
-from solfree.equations import IntSet, ThreeVarEquation, avoids, parse_equation
+from solfree.equations import IntSet, ThreeVarEquation, avoids, enumerate_solutions, parse_equation
 from solfree.errors import BudgetExceeded, InvariantViolation
 from solfree.search import (
     all_extremal,
+    cliques_for,
     max_avoiding,
     random_avoiding_sets,
     ratio_table,
@@ -27,6 +31,19 @@ EQS = {
     "family2": parse_equation("2x+2y=5z"),
     "square": parse_equation("x+2y=4z"),
 }
+
+
+def fresh_engine(monkeypatch, eq: ThreeVarEquation) -> search._Core:
+    """A cold engine for eq in the solver cache, the cached one restored afterwards."""
+    engine = search._Core(partial(cliques_for, eq))
+    monkeypatch.setitem(search._SOLVERS, eq, engine)
+    return engine
+
+
+def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
+    """Distinct member sets of the solutions inside [1, n], sorted."""
+    return sorted({tuple(sorted({s.x, s.z} if eq.b == 0 else {s.x, s.y, s.z}))
+                   for s in enumerate_solutions(eq, n)})
 
 
 class TestMaxAvoiding:
@@ -75,20 +92,141 @@ class TestMaxAvoiding:
 
     def test_optimal_witness_is_rechecked(self, monkeypatch):
         eq = EQS["square"]
-        monkeypatch.setitem(search._SOLVERS, eq, search.ExactSolver(eq))
+        engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 5, canonical=False)
-        search._SOLVERS[eq]._core.wit[5] = 0b11111  # [1, 5] holds (2, 1, 1)
+        engine.wit[5] = 0b11111  # [1, 5] holds (2, 1, 1)
         with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
             max_avoiding(eq, 5, canonical=False)
 
     def test_budget_witness_is_rechecked(self, monkeypatch):
         eq = EQS["square"]
-        monkeypatch.setitem(search._SOLVERS, eq, search.ExactSolver(eq))
+        engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 5, canonical=False)
         # larger than any greedy seed at n = 6, so the budget path returns it
-        search._SOLVERS[eq]._core.wit[5] = 0b11111
+        engine.wit[5] = 0b11111
         with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
             max_avoiding(eq, 6, node_cap=0)
+
+    @pytest.mark.parametrize("key", sorted(EQS))
+    def test_cold_solve_matches_sweep(self, monkeypatch, key):
+        eq = EQS[key]
+        cold = fresh_engine(monkeypatch, eq)
+        whole = max_avoiding(eq, 30, canonical=False)
+        swept = fresh_engine(monkeypatch, eq)
+        steps = [max_avoiding(eq, n, canonical=False) for n in range(1, 31)]
+        assert (cold.r, cold.wit) == (swept.r, swept.wit)
+        assert whole.witness == steps[-1].witness
+        assert whole.nodes == sum(res.nodes for res in steps)
+        assert cold.sorted_masks == swept.sorted_masks
+
+
+class TestEngine:
+    def test_exact_solver_is_gone(self):
+        assert not hasattr(search, "ExactSolver")
+        assert "ExactSolver" not in solfree.__all__ and not hasattr(solfree, "ExactSolver")
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_cliques_for_matches_enumeration(self, data):
+        a = data.draw(st.integers(1, 12))
+        b = data.draw(st.integers(0, 12))
+        c = data.draw(st.integers(1, 12))
+        try:
+            eq = ThreeVarEquation(a, b, c)
+        except InvariantViolation:
+            return
+        m = data.draw(st.integers(1, 60))
+        want = [cl for cl in oracle_cliques(eq, m) if cl[-1] == m]
+        assert cliques_for(eq, m) == want
+
+    def test_budget_hit_then_resume(self, monkeypatch):
+        eq = EQS["family2"]
+        cold = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 30, canonical=False)
+        engine = fresh_engine(monkeypatch, eq)
+        hits = 0
+        while not (res := max_avoiding(eq, 30, node_cap=150, canonical=False)).optimal:
+            hits += 1
+            assert engine.grown <= len(engine.r)  # at most one prefix past the solved one
+            assert len(engine.sorted_masks) == len(oracle_cliques(eq, engine.grown))
+        assert hits > 1
+        assert (res.size, res.witness) == (want.size, want.witness)
+        assert (engine.r, engine.wit) == (cold.r, cold.wit)
+        assert engine.sorted_masks == cold.sorted_masks
+        assert len(engine.sorted_masks) == len(oracle_cliques(eq, 30))
+
+    def test_time_budget_covers_the_canonical_pass(self, monkeypatch):
+        eq = EQS["family2"]
+        fresh_engine(monkeypatch, eq)
+        search_witness = max_avoiding(eq, 45, canonical=False).witness
+        assert max_avoiding(eq, 45).nodes > 4096  # the pass checks the clock every 4096 nodes
+        res = max_avoiding(eq, 45, time_cap=1e-9)
+        assert res.optimal and res.nodes == 4096 and res.witness == search_witness
+
+    def test_time_budget_grows_no_further_than_needed(self, monkeypatch):
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        res = max_avoiding(eq, 5000, time_cap=0.2)
+        assert not res.optimal and avoids(eq, res.witness).ok
+        assert engine.grown <= len(engine.r) < 5000
+
+    @pytest.mark.parametrize("exc", [RuntimeError, RecursionError])
+    def test_exception_mid_search_leaves_engine_clean(self, monkeypatch, exc):
+        eq = parse_equation("x+y=3z")  # prefix 9 takes 29 nodes
+        engine = fresh_engine(monkeypatch, eq)
+        dirty = []
+
+        class Failing(search._RunState):
+            """Raises exc at the 21st node, noting whether exclusions were pending."""
+
+            def __init__(self, *args):
+                self.count = 0
+                super().__init__(*args)
+
+            @property
+            def nodes(self):
+                return self.count
+
+            @nodes.setter
+            def nodes(self, value):
+                if value > 20:
+                    dirty.append(any(engine.excl))
+                    raise exc("injected")
+                self.count = value
+
+        max_avoiding(eq, 8, canonical=False)
+        plain = search._RunState
+        monkeypatch.setattr(search, "_RunState", Failing)
+        if exc is RecursionError:  # taken as a budget hit
+            res = max_avoiding(eq, 14, canonical=False)
+            assert not res.optimal and avoids(eq, res.witness).ok
+        else:
+            with pytest.raises(exc):
+                max_avoiding(eq, 14, canonical=False)
+        assert dirty == [True] and len(engine.r) == 9
+        assert not any(engine.excl)
+        monkeypatch.setattr(search, "_RunState", plain)
+        for n in range(1, 15):
+            assert max_avoiding(eq, n).size == exhaustive_max(eq, n)[0]
+
+    def test_deep_canonical_pass_is_a_budget_hit(self, monkeypatch):
+        eq = parse_equation("2x=z")
+        fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 60, canonical=False)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)  # edfs needs about 60 frames at n = 60
+        try:
+            res = max_avoiding(eq, 60)
+            with pytest.raises(BudgetExceeded):
+                all_extremal(eq, 60)
+        finally:
+            sys.setrecursionlimit(limit)
+        # the lex-least pass failed, so the search incumbent is kept
+        assert res.optimal and (res.size, res.witness) == (want.size, want.witness)
+        assert max_avoiding(eq, 60).witness.members < want.witness.members
 
 
 class TestAllExtremal:
