@@ -14,6 +14,17 @@ m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One engine
 per equation lives for the whole process, so a later call resumes from the
 prefixes already solved.
 
+Besides the prefix table the search prunes with a disjoint-residual bound:
+every clique with no excluded member still needs one of its undecided
+members excluded, so a set of such cliques whose undecided parts are
+pairwise disjoint forces that many more exclusions.  At a node deciding e,
+a clique whose largest member is <= e has no decided member at all, so it
+counts whole; the greedy packing of those cliques is the same at every such
+node and is tabulated as the cliques arrive, which leaves only the cliques
+with a member above e to scan.  The tables are appended to when the engine
+grows and only read while it searches, so a search that an exception
+unwinds leaves nothing to repair.
+
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
 triples modulo m (used for the modular densities).
@@ -24,6 +35,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .equations import IntSet, ThreeVarEquation, avoids
 from .errors import BudgetExceeded, InvariantViolation
@@ -33,7 +45,11 @@ _CANONICAL_NODE_CAP = 250_000  # budget for the optional lex-least witness pass
 
 @dataclass
 class ExtremalResult:
-    """Outcome of one exact solve; ``optimal`` is False only when a budget was hit."""
+    """Outcome of one exact solve; ``optimal`` is False only when a budget was hit.
+
+    ``canonical`` is True iff the witness is certified to be the
+    lexicographically least maximum set: the lex-least pass ran and finished.
+    """
 
     n: int
     size: int
@@ -42,6 +58,7 @@ class ExtremalResult:
     nodes: int
     millis: int
     all_witnesses: list[IntSet] | None = None
+    canonical: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,32 +137,30 @@ def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
 
 
 def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
-    """Member sets of solutions modulo m over residues [1, m] (m is the zero class).
+    """Distinct member sets of the solutions modulo m over residues [1, m]
+    (m is the zero class), in ascending order.
 
     Unlike the integer case these can be singletons, which simply ban a residue.
+    For each x (and y) the congruence c*z = a*x + b*y (mod m) is solved for z:
+    with g = gcd(c, m) it has a solution iff g divides the right-hand side,
+    and then exactly g of them, m/g apart.  So the cost is O(g*m^2), or
+    O(g*m) with b = 0.
     """
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    rng = range(1, m + 1)
-    if eq.b == 0:
-        for x in rng:
-            for z in rng:
-                if (eq.a * x - eq.c * z) % m == 0:
-                    key = tuple(sorted({x, z}))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-        return out
-    for x in rng:
-        for y in rng:
-            t = eq.a * x + eq.b * y
-            for z in rng:
-                if (t - eq.c * z) % m == 0:
-                    key = tuple(sorted({x, y, z}))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-    return out
+    a, b, c = eq.a, eq.b, eq.c
+    g = gcd(c, m)
+    step = m // g
+    inv = pow(c // g, -1, step)  # c/g is a unit modulo m/g
+    found: set[tuple[int, ...]] = set()
+    ys = range(1, m + 1) if b else (0,)
+    for x in range(1, m + 1):
+        for y in ys:
+            t = (a * x + b * y) % m
+            if t % g:
+                continue
+            for z in range(t // g * inv % step, m, step):
+                members = {x, y, z or m} if b else {x, z or m}
+                found.add(tuple(sorted(members)))
+    return sorted(found)
 
 
 def _seed_orders(m: int):
@@ -163,7 +178,8 @@ class _Core:
 
     ``source(m)`` gives the cliques whose largest member is m, ascending; so
     ``sorted_masks`` is ordered by (largest member, members) and the cliques
-    of prefix m are exactly its first entries.
+    of prefix m are exactly its first entries.  Only :meth:`grow` writes the
+    tables; a search keeps its state in its own arguments.
     """
 
     def __init__(self, source):
@@ -176,11 +192,14 @@ class _Core:
         # smallest (resp. largest) is included, that last member is dead.
         self.force_down: list[list[tuple[int, int]]] = [[]]
         self.force_up: list[list[tuple[int, int]]] = [[]]
-        # residual-bound structures: clique masks, a per-element index into
-        # them and a mutable excluded-member counter
+        # disjoint-residual bound (see ``advance``): the clique masks and the
+        # greedy disjoint packing of their prefixes.  A node deciding e has
+        # decided no member of the first k_at[e] cliques, so they are all
+        # alive and whole there, and it reads their packing from here.
         self.sorted_masks: list[int] = []
-        self.by_elem_ids: list[list[int]] = [[]]
-        self.excl: list[int] = []
+        self.packed: list[int] = [0]  # packed[k]: cliques the packing keeps among the first k
+        self.k_at: list[int] = [0]  # k_at[e]: cliques whose largest member is <= e
+        self.union_at: list[int] = [0]  # union_at[e]: union of the packing at k_at[e]
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
 
@@ -188,20 +207,23 @@ class _Core:
         """Take in the next element m and the cliques whose largest member is m."""
         m = self.grown + 1
         tables = (self.min_others, self.max_others, self.elem_others,
-                  self.force_down, self.force_up, self.by_elem_ids)
+                  self.force_down, self.force_up)
         for table in tables:
             table.append([])
         top = 1 << (m - 1)
+        union = self.union_at[-1]
+        count = self.packed[-1]
         for cl in self.source(m):
             full = 0
             for v in cl:
                 full |= 1 << (v - 1)
-            pos = len(self.sorted_masks)
             for v in cl:
                 self.elem_others[v].append(full & ~(1 << (v - 1)))
-                self.by_elem_ids[v].append(pos)
             self.sorted_masks.append(full)
-            self.excl.append(0)
+            if full & union == 0:
+                union |= full
+                count += 1
+            self.packed.append(count)
             lo = cl[0]
             low = 1 << (lo - 1)
             self.min_others[lo].append(full & ~low)
@@ -212,6 +234,8 @@ class _Core:
             elif len(cl) == 3:
                 self.force_down[cl[1]].append((top, low))
                 self.force_up[cl[1]].append((low, top))
+        self.k_at.append(len(self.sorted_masks))
+        self.union_at.append(union)
         self.grown = m
 
     # -- seeding -----------------------------------------------------------
@@ -247,9 +271,10 @@ class _Core:
         rt = self.r + [1 << 60]  # index m is the unbounded root
         min_others = self.min_others
         force_down = self.force_down
-        by_elem_ids = self.by_elem_ids
-        excl = self.excl
         sorted_masks = self.sorted_masks
+        packed = self.packed
+        k_at = self.k_at
+        union_at = self.union_at
         limit = len(sorted_masks)
         node_cap = state.node_cap
         deadline = state.deadline
@@ -258,8 +283,14 @@ class _Core:
         #  * prefix table: at most r(e) more elements;
         #  * forced split: charge [1, j] to the table and (j, e] to the count
         #    of slots not yet provably dead, j = lowest forced element;
-        #  * residual scan: every alive clique needs one more exclusion among
-        #    its undecided members, so pairwise-disjoint residuals count.
+        #  * residual scan: every alive clique (no member excluded) needs one
+        #    more exclusion among its undecided members, so pairwise-disjoint
+        #    residuals count.  The scan takes the cliques in ``sorted_masks``
+        #    order and keeps each alive residual disjoint from those kept.  A
+        #    clique whose largest member is <= e has no decided member, so it
+        #    is alive and its residual is the whole clique: the scan over the
+        #    first k_at[e] entries is the packing ``grow`` tabulated, and only
+        #    the entries past it are scanned.
         def dfs(e: int, size: int, inc: int, forced: int) -> None:
             nonlocal best_size, best_mask
             state.nodes += 1
@@ -284,17 +315,26 @@ class _Core:
                 iters = (thresh << 2) + 64
                 if iters > limit:
                     iters = limit
-                region = (1 << e) - 1
-                union = 0
-                need = thresh
-                for i in range(iters):
-                    if not excl[i]:
-                        res = sorted_masks[i] & region
-                        if res and res & union == 0:
-                            union |= res
-                            need -= 1
-                            if need == 0:
-                                return
+                k = k_at[e]
+                if iters <= k:
+                    if packed[iters] >= thresh:
+                        return
+                else:
+                    need = thresh - packed[k]
+                    if need <= 0:
+                        return
+                    region = (1 << e) - 1
+                    out = ~(region | inc)  # the decided elements left out
+                    union = union_at[e]
+                    for i in range(k, iters):
+                        cm = sorted_masks[i]
+                        if not cm & out:
+                            res = cm & region
+                            if res and res & union == 0:
+                                union |= res
+                                need -= 1
+                                if need == 0:
+                                    return
             legal = True
             for om in min_others[e]:
                 if om & inc == om:
@@ -307,22 +347,13 @@ class _Core:
                     if high & inc == high:
                         f2 |= low
                 dfs(e1, size + 1, inc | (1 << e1), f2)
-            ids = by_elem_ids[e]
-            for i in ids:
-                excl[i] += 1
             # drop e's own forced bit: it is decided now, not pending
             dfs(e1, size, inc, forced & ~(1 << e1))
-            for i in ids:
-                excl[i] -= 1
 
         try:
             dfs(m, 0, 0, 0)
-        except BaseException as exc:
-            # the raise unwinds past the exclusion undos; scrub the counters
-            excl[:] = [0] * len(excl)
-            if isinstance(exc, RecursionError):
-                raise _Exhausted from exc  # deeper than the interpreter allows
-            raise
+        except RecursionError as exc:
+            raise _Exhausted from exc  # deeper than the interpreter allows
         self.r.append(best_size)
         self.wit.append(best_mask)
 
@@ -424,7 +455,9 @@ def max_avoiding(
     set is the larger of the last solved prefix's witness and the greedy
     seeds at n, so no clique above the solved prefix is built.
     ``time_cap`` bounds the whole call.  With ``canonical`` the witness is
-    re-derived as the lexicographically least maximum set, budget permitting.  Either way the witness is
+    re-derived as the lexicographically least maximum set, budget permitting
+    (the lex-least pass also stops after ``_CANONICAL_NODE_CAP`` nodes); the
+    result's ``canonical`` says whether it was.  Either way the witness is
     re-verified by :func:`avoids` before it is returned, and a set that
     contains a solution raises :class:`InvariantViolation`.
     """
@@ -446,19 +479,20 @@ def max_avoiding(
         return ExtremalResult(n, best.bit_count(), witness, False, state.nodes, millis)
     size = engine.r[n]
     mask = engine.wit[n]
+    lex_least = False
     if canonical:
         cstate = _RunState(_CANONICAL_NODE_CAP)
         cstate.deadline = state.deadline  # the call's time budget covers this pass too
         try:
             masks, _ = engine.enumerate_at(n, size, 1, cstate)
             if masks:
-                mask = masks[0]
+                mask, lex_least = masks[0], True
         except _Exhausted:
             pass  # keep the search incumbent; size is certified either way
         state.nodes += cstate.nodes
     witness = _checked_witness(eq, n, mask)
     millis = int((time.perf_counter() - t0) * 1000)
-    return ExtremalResult(n, size, witness, True, state.nodes, millis)
+    return ExtremalResult(n, size, witness, True, state.nodes, millis, canonical=lex_least)
 
 
 def all_extremal(
@@ -469,7 +503,11 @@ def all_extremal(
     node_cap: int | None = None,
     time_cap: float | None = None,
 ) -> AllExtremal:
-    """All maximum avoiding subsets of [1, n] in lexicographic order, up to cap."""
+    """All maximum avoiding subsets of [1, n] in lexicographic order, up to cap.
+
+    Every set is re-verified by :func:`avoids`; one that contains a solution
+    raises :class:`InvariantViolation`.
+    """
     if cap < 1:
         raise InvariantViolation(f"cap must be positive, got {cap}")
     engine = _engine_for(eq)
@@ -480,7 +518,7 @@ def all_extremal(
         masks, truncated = engine.enumerate_at(n, size, cap, state)
     except _Exhausted as exc:
         raise BudgetExceeded(f"budget exceeded enumerating extremal sets at n={n}") from exc
-    return AllExtremal(n, size, [_mask_to_set(n, mk) for mk in masks], truncated)
+    return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks], truncated)
 
 
 def rho_m(
@@ -494,9 +532,9 @@ def rho_m(
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
-    for cl in congruence_cliques(eq, m):
+    for cl in congruence_cliques(eq, m):  # ascending, so each group is too
         by_max[cl[-1]].append(cl)
-    engine = _Core(lambda k: sorted(by_max[k]))
+    engine = _Core(lambda k: by_max[k])
     state = _RunState(node_cap, time_cap)
     try:
         engine.solve_to(m, state)

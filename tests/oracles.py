@@ -26,6 +26,16 @@ def brute_solutions(eq: ThreeVarEquation, n: int) -> list[Solution]:
     return out
 
 
+def brute_congruence_cliques(eq: ThreeVarEquation, m: int) -> set[tuple[int, ...]]:
+    """Member sets of the solutions modulo m over residues [1, m], by a loop
+    over every (x, y, z) (or (x, z)); m stands in for the zero class."""
+    rng = range(1, m + 1)
+    if eq.b == 0:
+        return {tuple(sorted({x, z})) for x in rng for z in rng if (eq.a * x - eq.c * z) % m == 0}
+    return {tuple(sorted({x, y, z})) for x in rng for y in rng for z in rng
+            if (eq.a * x + eq.b * y - eq.c * z) % m == 0}
+
+
 def brute_avoids(eq: ThreeVarEquation, A: IntSet) -> tuple[bool, Solution | None]:
     """(ok, lexicographically first violation), by a quadratic scan over A x A."""
     mset = A.member_set

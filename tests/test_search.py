@@ -17,6 +17,7 @@ from solfree.errors import BudgetExceeded, InvariantViolation
 from solfree.search import (
     all_extremal,
     cliques_for,
+    congruence_cliques,
     max_avoiding,
     random_avoiding_sets,
     ratio_table,
@@ -24,7 +25,13 @@ from solfree.search import (
     rho_m,
 )
 
-from oracles import brute_avoids, brute_rho_numerator, exhaustive_max, mask_to_set
+from oracles import (
+    brute_avoids,
+    brute_congruence_cliques,
+    brute_rho_numerator,
+    exhaustive_max,
+    mask_to_set,
+)
 
 EQS = {
     "family1": parse_equation("x+2y=13z"),
@@ -38,6 +45,35 @@ def fresh_engine(monkeypatch, eq: ThreeVarEquation) -> search._Core:
     engine = search._Core(partial(cliques_for, eq))
     monkeypatch.setitem(search._SOLVERS, eq, engine)
     return engine
+
+
+def draw_equation(data, top: int) -> ThreeVarEquation | None:
+    """An equation with coefficients <= top (b = 0 included), or None if invalid."""
+    a = data.draw(st.integers(1, top))
+    b = data.draw(st.integers(0, top))
+    c = data.draw(st.integers(1, top))
+    try:
+        return ThreeVarEquation(a, b, c)
+    except InvariantViolation:
+        return None
+
+
+def recount_packing(engine: search._Core) -> tuple[list[int], list[int], list[int]]:
+    """(packed, k_at, union_at) recounted from ``sorted_masks`` alone: the
+    greedy disjoint packing of each prefix, run from scratch."""
+    masks = engine.sorted_masks
+
+    def greedy(k: int) -> tuple[int, int]:
+        count = union = 0
+        for cm in masks[:k]:
+            if cm & union == 0:
+                union |= cm
+                count += 1
+        return count, union
+
+    packed = [greedy(k)[0] for k in range(len(masks) + 1)]
+    k_at = [sum(1 for cm in masks if cm.bit_length() <= e) for e in range(engine.grown + 1)]
+    return packed, k_at, [greedy(k)[1] for k in k_at]
 
 
 def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
@@ -119,6 +155,41 @@ class TestMaxAvoiding:
         assert whole.nodes == sum(res.nodes for res in steps)
         assert cold.sorted_masks == swept.sorted_masks
 
+    # cold max_avoiding(canonical=False).nodes, pinned from the engine that
+    # scanned the clique list at every node; equal to the sum over a 1..n sweep
+    PINNED_NODES = [
+        ("x+2y=13z", 70, 107652),
+        ("x+y=3z", 50, 39941),
+        ("2x+2y=5z", 60, 18902),
+        ("x+3y=9z", 60, 40904),
+        ("x+2y=4z", 80, 8142),
+        ("2x=z", 200, 200),
+    ]
+
+    @pytest.mark.parametrize("text,n,nodes", PINNED_NODES)
+    def test_pinned_cold_node_counts(self, monkeypatch, text, n, nodes):
+        eq = parse_equation(text)
+        fresh_engine(monkeypatch, eq)
+        res = max_avoiding(eq, n, canonical=False)
+        assert res.optimal and res.nodes == nodes
+
+    def test_canonical_flag(self, monkeypatch):
+        eq = EQS["family2"]
+        fresh_engine(monkeypatch, eq)
+        search_witness = max_avoiding(eq, 45, canonical=False)
+        assert search_witness.optimal and not search_witness.canonical
+        assert max_avoiding(eq, 45).canonical
+        assert not max_avoiding(eq, 46, node_cap=0).canonical  # budget hit
+        # the pass checks the clock every 4096 nodes and needs more than that here
+        late = max_avoiding(eq, 45, time_cap=1e-9)
+        assert late.optimal and not late.canonical and late.witness == search_witness.witness
+        monkeypatch.setattr(search, "_CANONICAL_NODE_CAP", 10)
+        capped = max_avoiding(eq, 45)
+        assert capped.optimal and not capped.canonical and capped.witness == search_witness.witness
+        # a pass that fits under the cap still certifies its witness
+        small = max_avoiding(eq, 3)
+        assert small.canonical and small.nodes <= 10
+
 
 class TestEngine:
     def test_exact_solver_is_gone(self):
@@ -138,6 +209,40 @@ class TestEngine:
         m = data.draw(st.integers(1, 60))
         want = [cl for cl in oracle_cliques(eq, m) if cl[-1] == m]
         assert cliques_for(eq, m) == want
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_packing_tables_match_recount(self, data):
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        engine = search._Core(partial(cliques_for, eq))
+        for _ in range(data.draw(st.integers(0, 40))):
+            engine.grow()
+        assert (engine.packed, engine.k_at, engine.union_at) == recount_packing(engine)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_congruence_packing_tables_match_recount(self, data):
+        eq = draw_equation(data, 9)
+        if eq is None:
+            return
+        engines = []
+
+        class Recording(search._Core):
+            def __init__(self, source):
+                super().__init__(source)
+                engines.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_Core", Recording)
+            rho_m(eq, data.draw(st.integers(1, 16)))
+        (engine,) = engines
+        assert (engine.packed, engine.k_at, engine.union_at) == recount_packing(engine)
+
+    def test_no_mutable_search_state(self):
+        engine = search._Core(partial(cliques_for, EQS["square"]))
+        assert not hasattr(engine, "excl") and not hasattr(engine, "by_elem_ids")
 
     def test_budget_hit_then_resume(self, monkeypatch):
         eq = EQS["family2"]
@@ -174,10 +279,10 @@ class TestEngine:
     def test_exception_mid_search_leaves_engine_clean(self, monkeypatch, exc):
         eq = parse_equation("x+y=3z")  # prefix 9 takes 29 nodes
         engine = fresh_engine(monkeypatch, eq)
-        dirty = []
+        raised = []
 
         class Failing(search._RunState):
-            """Raises exc at the 21st node, noting whether exclusions were pending."""
+            """Raises exc at the 21st node."""
 
             def __init__(self, *args):
                 self.count = 0
@@ -190,7 +295,7 @@ class TestEngine:
             @nodes.setter
             def nodes(self, value):
                 if value > 20:
-                    dirty.append(any(engine.excl))
+                    raised.append(value)
                     raise exc("injected")
                 self.count = value
 
@@ -203,8 +308,7 @@ class TestEngine:
         else:
             with pytest.raises(exc):
                 max_avoiding(eq, 14, canonical=False)
-        assert dirty == [True] and len(engine.r) == 9
-        assert not any(engine.excl)
+        assert raised == [21] and len(engine.r) == 9
         monkeypatch.setattr(search, "_RunState", plain)
         for n in range(1, 15):
             assert max_avoiding(eq, n).size == exhaustive_max(eq, n)[0]
@@ -254,6 +358,13 @@ class TestAllExtremal:
         fam2 = all_extremal(EQS["family2"], 3, cap=1)
         assert fam2.truncated and len(fam2.sets) == 1
 
+    def test_sets_are_rechecked(self, monkeypatch):
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        monkeypatch.setattr(engine, "enumerate_at", lambda *args: ([0b11111], False))
+        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+            all_extremal(eq, 5)
+
     @pytest.mark.parametrize("key", sorted(EQS))
     def test_matches_exhaustive(self, key):
         eq = EQS[key]
@@ -295,6 +406,17 @@ class TestModularDensity:
         eq = EQS[key]
         for m in range(1, 13):
             assert rho_m(eq, m).rho == Fraction(brute_rho_numerator(eq, m), m)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_congruence_cliques_match_triple_loop(self, data):
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        m = data.draw(st.integers(1, 30))
+        got = congruence_cliques(eq, m)
+        assert got == sorted(set(got))  # ascending and distinct, as rho_m relies on
+        assert set(got) == brute_congruence_cliques(eq, m)
 
     @given(data=st.data())
     @settings(max_examples=40)
