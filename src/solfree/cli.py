@@ -10,7 +10,6 @@ reports; pass --timing for wall-clock numbers.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -18,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import constructions, conjectures, family1, family2, search
-from .equations import IntSet, parse_equation
+from .equations import IntSet, ThreeVarEquation, parse_equation
 from .errors import BudgetExceeded, SolfreeError
 
 CSV_COLUMNS = ["equation", "n", "method", "size", "ratio_num", "ratio_den", "optimal", "nodes", "millis"]
@@ -34,6 +33,22 @@ def _emit(obj: dict, out) -> None:
 
 def _millis(timing: bool, millis: int) -> int:
     return millis if timing else 0
+
+
+def _exact_row(eq: ThreeVarEquation, n: int, result: search.ExtremalResult, timing: bool) -> dict:
+    """The CSV_COLUMNS fields of one exact solve."""
+    ratio = Fraction(result.size, n)
+    return {
+        "equation": str(eq), "n": n, "method": "exact", "size": result.size,
+        "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
+        "optimal": result.optimal, "nodes": result.nodes,
+        "millis": _millis(timing, result.millis),
+    }
+
+
+def _csv_line(row: dict) -> list:
+    values = (row[col] for col in CSV_COLUMNS)
+    return [("true" if v else "false") if isinstance(v, bool) else v for v in values]
 
 
 budget_options = [
@@ -83,7 +98,6 @@ def solve(timing: bool, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str
     }
     if all_sets and result.optimal:
         family = search.all_extremal(eq, n, cap, node_cap=node_budget, time_cap=time_budget)
-        result.all_witnesses = family.sets
         row["all_sets"] = [s.to_text() for s in family.sets]
         row["truncated"] = family.truncated
     if fmt == "json":
@@ -94,12 +108,9 @@ def solve(timing: bool, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str
         for extra in row.get("all_sets", []):
             print(f"  maximum set: {{{extra}}}")
     else:
-        ratio = Fraction(result.size, n)
         writer = csv.writer(sys.stdout)
         writer.writerow(CSV_COLUMNS)
-        writer.writerow([str(eq), n, "exact", result.size, ratio.numerator, ratio.denominator,
-                         "true" if result.optimal else "false", result.nodes,
-                         _millis(timing, result.millis)])
+        writer.writerow(_csv_line(_exact_row(eq, n, result, timing)))
     if not result.optimal:
         raise BudgetExceeded(f"search budget exceeded at n={n}; best found has size {result.size}")
 
@@ -311,39 +322,25 @@ def report(timing: bool, eq_text: str, n_from: int, n_to: int, step: int, fmt: s
     if step < 1 or n_from < 1 or n_to < n_from:
         raise click.UsageError("need 1 <= n-from <= n-to and step >= 1")
     eq = parse_equation(eq_text)
-    sink = open(output, "w", encoding="utf-8") if output else None
-    writer = None
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        if sink:
-            sink.write(",".join(CSV_COLUMNS) + "\n")
-
+    # the file gets the same bytes as stdout: csv ends every line in \r\n
+    sink = open(output, "w", encoding="utf-8", newline="") if output else None
+    outs = [sys.stdout] + ([sink] if sink else [])
+    writers = [csv.writer(out) for out in outs]
     try:
+        if fmt == "csv":
+            for writer in writers:
+                writer.writerow(CSV_COLUMNS)
         # the rows print no witness, so no lex-least pass; each row's nodes are
         # the DFS nodes of the prefixes it solved, the earlier ones being warm
         for n in range(n_from, n_to + 1, step):
             result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget,
                                          canonical=False)
-            ratio = Fraction(result.size, n)
-            row = {
-                "equation": str(eq), "n": n, "method": "exact", "size": result.size,
-                "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
-                "optimal": result.optimal, "nodes": result.nodes,
-                "millis": _millis(timing, result.millis),
-            }
-            if fmt == "csv":
-                line = [("true" if row[col] else "false") if isinstance(row[col], bool) else row[col]
-                        for col in CSV_COLUMNS]
-                writer.writerow(line)
-                if sink:
-                    buf = io.StringIO()
-                    csv.writer(buf).writerow(line)
-                    sink.write(buf.getvalue())
-            else:
-                _emit(row, sys.stdout)
-                if sink:
-                    _emit(row, sink)
+            row = _exact_row(eq, n, result, timing)
+            for out, writer in zip(outs, writers):
+                if fmt == "csv":
+                    writer.writerow(_csv_line(row))
+                else:
+                    _emit(row, out)
             if not result.optimal:
                 raise BudgetExceeded("sweep stopped at the search budget; completed rows were flushed")
     finally:

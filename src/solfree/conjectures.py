@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .constructions import ab_set
 from .equations import IntSet, ThreeVarEquation, avoids
-from .errors import CaseRuleUnmatched, InvariantViolation, NotAvoiding
+from .errors import BudgetExceeded, CaseRuleUnmatched, InvariantViolation, NotAvoiding
 from .family1 import interval_density
 from .search import max_avoiding
-from .errors import BudgetExceeded
 
 
 def counterexample_equation(b: int) -> ThreeVarEquation:

@@ -22,7 +22,9 @@ a clique whose largest member is <= e has no decided member at all, so it
 counts whole; the greedy packing of those cliques is the same at every such
 node and is tabulated as the cliques arrive, which leaves only the cliques
 with a member above e to scan.  The tables are appended to when the engine
-grows and only read while it searches, so a search that an exception
+grows and only read while it searches.  Both searches (the DFS and the
+lex-least enumeration) loop over an explicit stack of nodes, so a search n
+elements deep needs no interpreter frames, and one that an exception
 unwinds leaves nothing to repair.
 
 The same engine runs three instance kinds: solution triples of ax+by=cz,
@@ -57,7 +59,6 @@ class ExtremalResult:
     optimal: bool
     nodes: int
     millis: int
-    all_witnesses: list[IntSet] | None = None
     canonical: bool = False
 
 
@@ -92,10 +93,6 @@ class RatioTable:
 
 
 class _Exhausted(Exception):
-    pass
-
-
-class _CapHit(Exception):
     pass
 
 
@@ -179,14 +176,13 @@ class _Core:
     ``source(m)`` gives the cliques whose largest member is m, ascending; so
     ``sorted_masks`` is ordered by (largest member, members) and the cliques
     of prefix m are exactly its first entries.  Only :meth:`grow` writes the
-    tables; a search keeps its state in its own arguments.
+    tables; a search keeps its state on its own stack.
     """
 
     def __init__(self, source):
         self.source = source
         self.grown = 0  # elements taken in; may run one past the solved prefix
         self.min_others: list[list[int]] = [[]]
-        self.max_others: list[list[int]] = [[]]
         self.elem_others: list[list[int]] = [[]]
         # forced-exclusion triggers: once every member of a clique except the
         # smallest (resp. largest) is included, that last member is dead.
@@ -206,9 +202,7 @@ class _Core:
     def grow(self) -> None:
         """Take in the next element m and the cliques whose largest member is m."""
         m = self.grown + 1
-        tables = (self.min_others, self.max_others, self.elem_others,
-                  self.force_down, self.force_up)
-        for table in tables:
+        for table in (self.min_others, self.elem_others, self.force_down, self.force_up):
             table.append([])
         top = 1 << (m - 1)
         union = self.union_at[-1]
@@ -227,7 +221,6 @@ class _Core:
             lo = cl[0]
             low = 1 << (lo - 1)
             self.min_others[lo].append(full & ~low)
-            self.max_others[m].append(full & ~top)
             if len(cl) == 2:
                 self.force_down[m].append((0, low))
                 self.force_up[lo].append((0, top))
@@ -291,8 +284,11 @@ class _Core:
         #    is alive and its residual is the whole clique: the scan over the
         #    first k_at[e] entries is the packing ``grow`` tabulated, and only
         #    the entries past it are scanned.
-        def dfs(e: int, size: int, inc: int, forced: int) -> None:
-            nonlocal best_size, best_mask
+        # An explicit stack of (e, size, inc, forced) nodes: the exclude child is
+        # pushed first, so the include branch is searched first, depth-first.
+        stack = [(m, 0, 0, 0)]
+        while stack:
+            e, size, inc, forced = stack.pop()
             state.nodes += 1
             if node_cap is not None and state.nodes > node_cap:
                 raise _Exhausted
@@ -305,10 +301,10 @@ class _Core:
             else:
                 bound = rt[e] if rt[e] < e else e
             if size + bound <= best_size:
-                return
+                continue
             if e == 0:
                 best_size, best_mask = size, inc
-                return
+                continue
             thresh = e - (best_size - size)  # prune once this many disjoint residuals exist
             if 0 < thresh <= limit:
                 # capped scan: survivors must not pay for the full clique list
@@ -318,42 +314,36 @@ class _Core:
                 k = k_at[e]
                 if iters <= k:
                     if packed[iters] >= thresh:
-                        return
+                        continue
                 else:
                     need = thresh - packed[k]
+                    if need > 0:
+                        region = (1 << e) - 1
+                        out = ~(region | inc)  # the decided elements left out
+                        union = union_at[e]
+                        for i in range(k, iters):
+                            cm = sorted_masks[i]
+                            if not cm & out:
+                                res = cm & region
+                                if res and res & union == 0:
+                                    union |= res
+                                    need -= 1
+                                    if need == 0:
+                                        break
                     if need <= 0:
-                        return
-                    region = (1 << e) - 1
-                    out = ~(region | inc)  # the decided elements left out
-                    union = union_at[e]
-                    for i in range(k, iters):
-                        cm = sorted_masks[i]
-                        if not cm & out:
-                            res = cm & region
-                            if res and res & union == 0:
-                                union |= res
-                                need -= 1
-                                if need == 0:
-                                    return
-            legal = True
+                        continue
+            e1 = e - 1
+            # drop e's own forced bit: it is decided now, not pending
+            stack.append((e1, size, inc, forced & ~(1 << e1)))
             for om in min_others[e]:
                 if om & inc == om:
-                    legal = False
                     break
-            e1 = e - 1
-            if legal:
+            else:
                 f2 = forced
                 for high, low in force_down[e]:
                     if high & inc == high:
                         f2 |= low
-                dfs(e1, size + 1, inc | (1 << e1), f2)
-            # drop e's own forced bit: it is decided now, not pending
-            dfs(e1, size, inc, forced & ~(1 << e1))
-
-        try:
-            dfs(m, 0, 0, 0)
-        except RecursionError as exc:
-            raise _Exhausted from exc  # deeper than the interpreter allows
+                stack.append((e1, size + 1, inc | (1 << e1), f2))
         self.r.append(best_size)
         self.wit.append(best_mask)
 
@@ -375,44 +365,40 @@ class _Core:
         maximum set exists beyond the cap.
         """
         out: list[int] = []
-        max_others = self.max_others
+        sorted_masks = self.sorted_masks
+        k_at = self.k_at
         force_up = self.force_up
         node_cap = state.node_cap
         deadline = state.deadline
-
-        def edfs(e: int, size: int, inc: int, forced: int) -> None:
+        stack = [(1, 0, 0, 0)]  # as in ``advance``: include child searched first
+        while stack:
+            e, size, inc, forced = stack.pop()
             state.nodes += 1
             if node_cap is not None and state.nodes > node_cap:
                 raise _Exhausted
             if deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline:
                 raise _Exhausted
             if size + (m - e + 1) - forced.bit_count() < target:
-                return
+                continue
             if e > m:
                 out.append(inc)
                 if len(out) > cap:
-                    raise _CapHit
-                return
-            legal = True
-            for om in max_others[e]:
-                if om & inc == om:
-                    legal = False
+                    return out[:cap], True
+                continue
+            bit = 1 << (e - 1)
+            stack.append((e + 1, size, inc, forced & ~bit))
+            with_e = inc | bit
+            # e is legal iff it completes none of the cliques whose largest member it is
+            for cm in sorted_masks[k_at[e - 1]:k_at[e]]:
+                if cm & with_e == cm:
                     break
-            if legal:
+            else:
                 f2 = forced
                 # the engine may be grown past m: triggers above m never fire
                 for low, high in force_up[e]:
                     if low & inc == low and high >> m == 0:
                         f2 |= high
-                edfs(e + 1, size + 1, inc | (1 << (e - 1)), f2)
-            edfs(e + 1, size, inc, forced & ~(1 << (e - 1)))
-
-        try:
-            edfs(1, 0, 0, 0)
-        except _CapHit:
-            return out[:cap], True
-        except RecursionError as exc:
-            raise _Exhausted from exc  # deeper than the interpreter allows
+                stack.append((e + 1, size + 1, with_e, f2))
         return out, False
 
 
@@ -437,6 +423,18 @@ def _checked_witness(eq: ThreeVarEquation, n: int, mask: int) -> IntSet:
     check = avoids(eq, witness)
     if not check.ok:
         raise InvariantViolation(f"witness for {eq} at n={n} contains the solution {tuple(check.violation)}")
+    return witness
+
+
+def _checked_residues(eq: ThreeVarEquation, m: int, mask: int) -> IntSet:
+    """The residue set of ``mask``, re-verified on the residues themselves: no
+    x, y, z in it with a*x + b*y = c*z (mod m), taking y = 0 when b = 0."""
+    witness = _mask_to_set(m, mask)
+    zs = {eq.c * z % m: z for z in reversed(witness.members)}  # the least z per class
+    for x in witness.members:
+        for y in witness.members if eq.b else (0,):
+            if z := zs.get((eq.a * x + eq.b * y) % m):
+                raise InvariantViolation(f"residues for {eq} modulo {m} contain the solution {(x, y, z)}")
     return witness
 
 
@@ -528,7 +526,8 @@ def rho_m(
     node_cap: int | None = None,
     time_cap: float | None = None,
 ) -> ModularDensity:
-    """Exact maximum density of a residue set with no solutions modulo m."""
+    """Exact maximum density of a residue set with no solutions modulo m; a
+    witness that contains one raises :class:`InvariantViolation`."""
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
@@ -542,7 +541,7 @@ def rho_m(
     except _Exhausted as exc:
         raise BudgetExceeded(f"budget exceeded computing rho_{m}") from exc
     mask = masks[0] if masks else 0
-    return ModularDensity(m, Fraction(engine.r[m], m), _mask_to_set(m, mask))
+    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, mask))
 
 
 def rho_best(

@@ -147,3 +147,24 @@ def brute_rho_numerator(eq: ThreeVarEquation, m: int) -> int:
         if good:
             best = len(members)
     return best
+
+
+def lex_least_two_var(eq: ThreeVarEquation, n: int) -> tuple[int, ...]:
+    """The lexicographically least maximum subset of [1, n] avoiding
+    a*x = c*z (b = 0), in closed form.
+
+    With p = max(a, c) and q = min(a, c), the solutions join e to p*e/q, so
+    [1, n] splits into increasing paths, and e sits at the position of its
+    path given by how many times p divides it.  A path of L elements holds
+    at most ceil(L/2) of them; taking elements in ascending order and keeping
+    each one a maximum set can still hold keeps exactly the even positions.
+    """
+    p = max(eq.a, eq.c)
+
+    def position(e: int) -> int:
+        j = 0
+        while e % p == 0:
+            e, j = e // p, j + 1
+        return j
+
+    return tuple(e for e in range(1, n + 1) if position(e) % 2 == 0)

@@ -25,7 +25,7 @@ from solfree.constructions import (
     top_interval,
     two_var_extremal,
 )
-from solfree.equations import IntSet, ThreeVarEquation, avoids, parse_equation
+from solfree.equations import ThreeVarEquation, parse_equation
 from solfree.errors import AvoidanceCheckFailed, Infeasible, QDividesS
 from solfree.family1 import eligible, extremal_candidates, interval_compression, min_element_stats
 from solfree.family2 import closed_form_size, family2_extremal

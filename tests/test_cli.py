@@ -14,6 +14,8 @@ from solfree import search
 from solfree.cli import main
 from solfree.equations import parse_equation
 
+from oracles import lex_least_two_var
+
 # the child process imports the same solfree as this one, however it was found
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(solfree.__file__)))
 _SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -23,19 +25,19 @@ def invoke(*args: str):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
-def run_python(*args: str):
+def run_python(*args: str, text: bool = True):
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
-        text=True,
+        text=text,
         timeout=300,
     )
 
 
-def run_process(*args: str):
-    return run_python("-m", "solfree.cli", *args)
+def run_process(*args: str, text: bool = True):
+    return run_python("-m", "solfree.cli", *args, text=text)
 
 
 class TestSolve:
@@ -81,11 +83,13 @@ class TestSolve:
         assert row["size"] == 6  # chains {1,2,4,8}, {3,6}, {5,10}, {7}, {9}
 
     def test_deep_canonical_pass_exits_0(self):
-        # the lex-least pass needs ~1200 stack frames; it gives up like a budget hit
-        proc = run_process("solve", "--eq", "2x=z", "--n", "1200")
+        # both searches go 1200 elements deep, past the default recursion limit
+        eq = parse_equation("2x=z")
+        proc = run_process("solve", "--eq", str(eq), "--n", "1200")
         assert proc.returncode == 0, proc.stderr
         row = json.loads(proc.stdout)
         assert (row["size"], row["optimal"]) == (800, True)
+        assert row["set"] == ",".join(map(str, lex_least_two_var(eq, 1200)))
 
     def test_csv_format(self):
         out = invoke("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "csv")
@@ -192,11 +196,20 @@ class TestReport:
         assert [r["size"] for r in rows] == [3, 4, 5]
 
     def test_output_file(self, tmp_path):
-        target = tmp_path / "rows.csv"
-        invoke("report", "--eq", "2x+2y=5z", "--n-from", "5", "--n-to", "6",
-               "--output", str(target))
-        lines = target.read_text().strip().splitlines()
-        assert len(lines) == 3
+        # the file holds stdout's bytes, csv's \r\n line ends included, also
+        # when the sweep stops at the budget (row n = 28 needs 41 nodes)
+        for fmt, budget, code, rows in [("csv", "1000", 0, 36), ("json", "1000", 0, 36),
+                                        ("csv", "40", 3, 24), ("json", "40", 3, 24)]:
+            target = tmp_path / f"rows-{fmt}-{budget}"
+            proc = run_process("report", "--eq", "2x+2y=5z", "--n-from", "5", "--n-to", "40",
+                               "--fmt", fmt, "--node-budget", budget, "--output", str(target),
+                               text=False)
+            assert proc.returncode == code, proc.stderr
+            assert target.read_bytes() == proc.stdout
+            lines = proc.stdout.splitlines(keepends=True)
+            assert len(lines) == rows + (fmt == "csv")
+            assert all(line.endswith(b"\r\n" if fmt == "csv" else b"}\n") for line in lines)
+            assert (b"false" in lines[-1]) == (code == 3)
 
     def test_byte_identical_runs(self):
         a = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20")

@@ -1,9 +1,7 @@
 """Constructions: residue classes, intervals, chains, cube-valuation sets."""
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -30,6 +30,7 @@ from oracles import (
     brute_congruence_cliques,
     brute_rho_numerator,
     exhaustive_max,
+    lex_least_two_var,
     mask_to_set,
 )
 
@@ -302,35 +303,30 @@ class TestEngine:
         max_avoiding(eq, 8, canonical=False)
         plain = search._RunState
         monkeypatch.setattr(search, "_RunState", Failing)
-        if exc is RecursionError:  # taken as a budget hit
-            res = max_avoiding(eq, 14, canonical=False)
-            assert not res.optimal and avoids(eq, res.witness).ok
-        else:
-            with pytest.raises(exc):
-                max_avoiding(eq, 14, canonical=False)
+        with pytest.raises(exc):  # a RecursionError is not taken for a budget hit
+            max_avoiding(eq, 14, canonical=False)
         assert raised == [21] and len(engine.r) == 9
         monkeypatch.setattr(search, "_RunState", plain)
         for n in range(1, 15):
             assert max_avoiding(eq, n).size == exhaustive_max(eq, n)[0]
 
-    def test_deep_canonical_pass_is_a_budget_hit(self, monkeypatch):
+    def test_deep_canonical_pass_is_lex_least(self, monkeypatch):
         eq = parse_equation("2x=z")
         fresh_engine(monkeypatch, eq)
-        want = max_avoiding(eq, 60, canonical=False)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)  # edfs needs about 60 frames at n = 60
+        sys.setrecursionlimit(depth + 40)  # fewer frames than n = 60 elements
         try:
             res = max_avoiding(eq, 60)
-            with pytest.raises(BudgetExceeded):
-                all_extremal(eq, 60)
+            fam = all_extremal(eq, 60, cap=1)
         finally:
             sys.setrecursionlimit(limit)
-        # the lex-least pass failed, so the search incumbent is kept
-        assert res.optimal and (res.size, res.witness) == (want.size, want.witness)
-        assert max_avoiding(eq, 60).witness.members < want.witness.members
+        assert res.optimal and res.canonical
+        # lex-least: the first of all maximum sets in lexicographic order
+        assert res.size == fam.size and res.witness == fam.sets[0]
+        assert res.witness.members == lex_least_two_var(eq, 60)
 
 
 class TestAllExtremal:
@@ -406,6 +402,13 @@ class TestModularDensity:
         eq = EQS[key]
         for m in range(1, 13):
             assert rho_m(eq, m).rho == Fraction(brute_rho_numerator(eq, m), m)
+
+    @pytest.mark.parametrize("text,mask,solution", [("x+2y=4z", 0b11111, r"\(1, 1, 2\)"),
+                                                     ("3x=2z", 0b110, r"\(2, 0, 3\)")])
+    def test_witness_is_rechecked(self, monkeypatch, text, mask, solution):
+        monkeypatch.setattr(search._Core, "enumerate_at", lambda self, *args: ([mask], False))
+        with pytest.raises(InvariantViolation, match=solution):
+            rho_m(parse_equation(text), 5)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -537,6 +540,16 @@ class TestTwoVarInstances:
         for n in range(1, 13):
             want, _ = exhaustive_max(eq, n)
             assert max_avoiding(eq, n).size == want
+
+    @pytest.mark.parametrize("a,b", [(2, 1), (3, 2), (5, 3)])
+    def test_lex_least_closed_form(self, a, b):
+        eq = ThreeVarEquation(a, 0, b)
+        for n in range(1, 14):
+            _, masks = exhaustive_max(eq, n)
+            assert lex_least_two_var(eq, n) == min(mask_to_set(n, m).members for m in masks)
+        for n in (14, 100, 333):
+            res = max_avoiding(eq, n)
+            assert res.canonical and res.witness.members == lex_least_two_var(eq, n)
 
     def test_solver_dominates_greedy_witness(self):
         rng = random.Random(0)
