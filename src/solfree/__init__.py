@@ -18,11 +18,8 @@ from .search import (
     AllExtremal,
     ExtremalResult,
     ModularDensity,
-    RatioRow,
-    RatioTable,
     all_extremal,
     max_avoiding,
-    ratio_table,
     random_avoiding_sets,
     rho_best,
     rho_m,

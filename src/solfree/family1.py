@@ -99,7 +99,11 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
     """Push an avoiding set into canonical interval form, stage by stage.
 
     Stage i replaces everything in (r_{i+1}, r_i] by the block
-    [max(l_i + 1, s), r_i]; every stage stays avoiding and never shrinks.
+    [max(l_i + 1, s), r_i]; every stage stays avoiding (that is checked).
+    That no stage shrinks is the paper's claim for eligible (b, c) only, and
+    it is not checked: outside that bound a stage can lose elements, as the
+    extremal set of x+2y=4z at n = 20 does, with sizes (11, 7, 7, 7).
+    ``sizes`` reports what each stage holds.
     """
     b, c = _family1_params(eq)
     if c <= b + 1:

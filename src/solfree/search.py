@@ -14,6 +14,13 @@ m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One engine
 per equation lives for the whole process, so a later call resumes from the
 prefixes already solved.
 
+Each search carries a forced mask: the undecided elements that would
+complete a clique whose other members are all included.  Triggers set a
+bit as the other members come in, so deciding whether e may be included is
+one bit test, and the count of forced elements is also a bound (a forced
+element is dead).  Singleton cliques, which ban a residue in the congruence
+instances, form the forced mask at the root.
+
 Besides the prefix table the search prunes with a disjoint-residual bound:
 every clique with no excluded member still needs one of its undecided
 members excluded, so a set of such cliques whose undecided parts are
@@ -77,19 +84,6 @@ class AllExtremal:
     size: int
     sets: list[IntSet]
     truncated: bool
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    n: int
-    size: int
-    ratio: Fraction
-
-
-@dataclass
-class RatioTable:
-    rows: list[RatioRow]
-    monotone: bool  # r nondecreasing and r(n2) <= r(n1) + (n2 - n1) on the sorted rows
 
 
 class _Exhausted(Exception):
@@ -182,12 +176,15 @@ class _Core:
     def __init__(self, source):
         self.source = source
         self.grown = 0  # elements taken in; may run one past the solved prefix
-        self.min_others: list[list[int]] = [[]]
         self.elem_others: list[list[int]] = [[]]
         # forced-exclusion triggers: once every member of a clique except the
-        # smallest (resp. largest) is included, that last member is dead.
+        # smallest (resp. largest) is included, that last member is dead.  The
+        # DFS (resp. lex-least pass) decides elements in descending (resp.
+        # ascending) order, so these set the bit of every element that would
+        # complete a clique: its forced mask is the legality test.
         self.force_down: list[list[tuple[int, int]]] = [[]]
         self.force_up: list[list[tuple[int, int]]] = [[]]
+        self.banned = 0  # singleton cliques: no trigger, forced from the root
         # disjoint-residual bound (see ``advance``): the clique masks and the
         # greedy disjoint packing of their prefixes.  A node deciding e has
         # decided no member of the first k_at[e] cliques, so they are all
@@ -202,7 +199,7 @@ class _Core:
     def grow(self) -> None:
         """Take in the next element m and the cliques whose largest member is m."""
         m = self.grown + 1
-        for table in (self.min_others, self.elem_others, self.force_down, self.force_up):
+        for table in (self.elem_others, self.force_down, self.force_up):
             table.append([])
         top = 1 << (m - 1)
         union = self.union_at[-1]
@@ -218,13 +215,13 @@ class _Core:
                 union |= full
                 count += 1
             self.packed.append(count)
-            lo = cl[0]
-            low = 1 << (lo - 1)
-            self.min_others[lo].append(full & ~low)
-            if len(cl) == 2:
+            low = 1 << (cl[0] - 1)
+            if len(cl) == 1:
+                self.banned |= low
+            elif len(cl) == 2:
                 self.force_down[m].append((0, low))
-                self.force_up[lo].append((0, top))
-            elif len(cl) == 3:
+                self.force_up[cl[0]].append((0, top))
+            else:
                 self.force_down[cl[1]].append((top, low))
                 self.force_up[cl[1]].append((low, top))
         self.k_at.append(len(self.sorted_masks))
@@ -262,7 +259,6 @@ class _Core:
                 best_mask, best_size = g, g.bit_count()
 
         rt = self.r + [1 << 60]  # index m is the unbounded root
-        min_others = self.min_others
         force_down = self.force_down
         sorted_masks = self.sorted_masks
         packed = self.packed
@@ -286,7 +282,7 @@ class _Core:
         #    the entries past it are scanned.
         # An explicit stack of (e, size, inc, forced) nodes: the exclude child is
         # pushed first, so the include branch is searched first, depth-first.
-        stack = [(m, 0, 0, 0)]
+        stack = [(m, 0, 0, self.banned)]
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
@@ -335,10 +331,7 @@ class _Core:
             e1 = e - 1
             # drop e's own forced bit: it is decided now, not pending
             stack.append((e1, size, inc, forced & ~(1 << e1)))
-            for om in min_others[e]:
-                if om & inc == om:
-                    break
-            else:
+            if not forced >> e1 & 1:  # e completes no clique whose smallest member it is
                 f2 = forced
                 for high, low in force_down[e]:
                     if high & inc == high:
@@ -365,12 +358,12 @@ class _Core:
         maximum set exists beyond the cap.
         """
         out: list[int] = []
-        sorted_masks = self.sorted_masks
-        k_at = self.k_at
         force_up = self.force_up
         node_cap = state.node_cap
         deadline = state.deadline
-        stack = [(1, 0, 0, 0)]  # as in ``advance``: include child searched first
+        # as in ``advance``: include child searched first; the engine may be
+        # grown past m, so the root keeps only the banned elements in [1, m]
+        stack = [(1, 0, 0, self.banned & ((1 << m) - 1))]
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
@@ -387,18 +380,13 @@ class _Core:
                 continue
             bit = 1 << (e - 1)
             stack.append((e + 1, size, inc, forced & ~bit))
-            with_e = inc | bit
-            # e is legal iff it completes none of the cliques whose largest member it is
-            for cm in sorted_masks[k_at[e - 1]:k_at[e]]:
-                if cm & with_e == cm:
-                    break
-            else:
+            if not forced & bit:  # e completes no clique whose largest member it is
                 f2 = forced
                 # the engine may be grown past m: triggers above m never fire
                 for low, high in force_up[e]:
                     if low & inc == low and high >> m == 0:
                         f2 |= high
-                stack.append((e + 1, size + 1, with_e, f2))
+                stack.append((e + 1, size + 1, inc | bit, f2))
         return out, False
 
 
@@ -452,10 +440,17 @@ def max_avoiding(
     ``optimal=False``; the answer is then a lower bound, never wrong.  That
     set is the larger of the last solved prefix's witness and the greedy
     seeds at n, so no clique above the solved prefix is built.
-    ``time_cap`` bounds the whole call.  With ``canonical`` the witness is
-    re-derived as the lexicographically least maximum set, budget permitting
-    (the lex-least pass also stops after ``_CANONICAL_NODE_CAP`` nodes); the
-    result's ``canonical`` says whether it was.  Either way the witness is
+    ``time_cap`` bounds the whole call, and ``node_cap`` counts this call's
+    nodes only.  The prefixes solved before a budget hit are kept, but the
+    search of the prefix it stopped in is not: the next call starts that
+    prefix again from its root, so calls with the same ``node_cap`` never
+    get past a prefix that needs more nodes than the cap (x+2y=13z at
+    n = 60 with ``node_cap=500`` stops with prefix 38 solved from the second
+    call on, because prefix 39 alone takes 931 nodes).  With ``canonical``
+    the witness is re-derived as the lexicographically least maximum set,
+    budget permitting (the lex-least pass also stops after
+    ``_CANONICAL_NODE_CAP`` nodes); the result's ``canonical`` says whether
+    it was.  Either way the witness is
     re-verified by :func:`avoids` before it is returned, and a set that
     contains a solution raises :class:`InvariantViolation`.
     """
@@ -561,29 +556,6 @@ def rho_best(
             best = cand
     assert best is not None
     return best
-
-
-def ratio_table(
-    eq: ThreeVarEquation,
-    ns,
-    *,
-    node_cap: int | None = None,
-    time_cap: float | None = None,
-) -> RatioTable:
-    """Rows (n, r(n), r(n)/n) for each requested n, plus monotonicity diagnostics."""
-    rows: list[RatioRow] = []
-    for n in ns:
-        res = max_avoiding(eq, n, node_cap=node_cap, time_cap=time_cap, canonical=False)
-        if not res.optimal:
-            raise BudgetExceeded(f"budget exceeded at n={n}; table would not be exact")
-        rows.append(RatioRow(n, res.size, Fraction(res.size, n)))
-    ordered = sorted(rows, key=lambda r: r.n)
-    monotone = all(
-        ordered[i].size <= ordered[i + 1].size
-        and ordered[i + 1].size <= ordered[i].size + (ordered[i + 1].n - ordered[i].n)
-        for i in range(len(ordered) - 1)
-    )
-    return RatioTable(rows, monotone)
 
 
 def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:

@@ -116,12 +116,13 @@ def mask_to_set(n: int, mask: int) -> IntSet:
     return IntSet(n, tuple(i + 1 for i in range(n) if mask >> i & 1))
 
 
-def brute_rho_numerator(eq: ThreeVarEquation, m: int) -> int:
-    """Max size of R in [1, m] with no solutions mod m, by scanning all 2^m subsets."""
-    best = 0
+def brute_rho_numerator(eq: ThreeVarEquation, m: int) -> tuple[int, tuple[int, ...]]:
+    """(max size of R in [1, m] with no solutions mod m, the lexicographically
+    least such R), by scanning all 2^m subsets."""
+    best, least = 0, ()
     for S in range(1 << m):
-        members = [i + 1 for i in range(m) if S >> i & 1]
-        if len(members) <= best:
+        members = tuple(i + 1 for i in range(m) if S >> i & 1)
+        if len(members) < best or len(members) == best and members >= least:
             continue
         good = True
         if eq.b == 0:
@@ -145,8 +146,8 @@ def brute_rho_numerator(eq: ThreeVarEquation, m: int) -> int:
                 if not good:
                     break
         if good:
-            best = len(members)
-    return best
+            best, least = len(members), members
+    return best, least
 
 
 def lex_least_two_var(eq: ThreeVarEquation, n: int) -> tuple[int, ...]:

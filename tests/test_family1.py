@@ -100,6 +100,13 @@ class TestCompression:
             sizes = interval_compression(eq, A).sizes
             assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
+    def test_ineligible_pair_can_shrink(self):
+        eq = parse_equation("x+2y=4z")
+        assert not eligible(2, 4)
+        witness = max_avoiding(eq, 20).witness
+        assert witness.members == (1, 3, 5, 7, 8, 9, 11, 13, 15, 17, 19)
+        assert interval_compression(eq, witness).sizes == (11, 7, 7, 7)
+
     def test_rejects_empty_and_non_avoiding(self):
         with pytest.raises(EmptyInput):
             interval_compression(EQ, IntSet(10, ()))

@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 import solfree
 from solfree import search
 from solfree.equations import IntSet, ThreeVarEquation, avoids, enumerate_solutions, parse_equation
-from solfree.errors import BudgetExceeded, InvariantViolation
+from solfree.errors import InvariantViolation
 from solfree.search import (
     all_extremal,
     cliques_for,
     congruence_cliques,
     max_avoiding,
     random_avoiding_sets,
-    ratio_table,
     rho_best,
     rho_m,
 )
@@ -89,9 +88,10 @@ class TestMaxAvoiding:
         assert res.size == 1 and res.witness.members == (1,)
 
     def test_family2_closed_form_instance(self):
-        assert max_avoiding(EQS["family2"], 10).size == 6
+        assert [max_avoiding(EQS["family2"], n).size for n in (5, 10)] == [3, 6]
 
     def test_square_regime_example(self):
+        assert max_avoiding(EQS["square"], 7).size == 4
         res = max_avoiding(EQS["square"], 14)
         assert res.size == 8
         assert avoids(EQS["square"], res.witness).ok
@@ -244,6 +244,12 @@ class TestEngine:
     def test_no_mutable_search_state(self):
         engine = search._Core(partial(cliques_for, EQS["square"]))
         assert not hasattr(engine, "excl") and not hasattr(engine, "by_elem_ids")
+
+    def test_enumeration_ignores_banned_elements_past_m(self):
+        engine = search._Core(lambda k: [(k,)] if k == 3 else [])  # 3 is banned
+        for _ in range(3):
+            engine.grow()
+        assert engine.enumerate_at(2, 2, 5, search._RunState()) == ([0b11], False)
 
     def test_budget_hit_then_resume(self, monkeypatch):
         eq = EQS["family2"]
@@ -401,7 +407,10 @@ class TestModularDensity:
     def test_matches_subset_scan(self, key):
         eq = EQS[key]
         for m in range(1, 13):
-            assert rho_m(eq, m).rho == Fraction(brute_rho_numerator(eq, m), m)
+            size, least = brute_rho_numerator(eq, m)
+            got = rho_m(eq, m)
+            assert got.rho == Fraction(size, m)
+            assert got.witness.members == least  # the lex-least maximum residue set
 
     @pytest.mark.parametrize("text,mask,solution", [("x+2y=4z", 0b11111, r"\(1, 1, 2\)"),
                                                      ("3x=2z", 0b110, r"\(2, 0, 3\)")])
@@ -436,25 +445,6 @@ class TestModularDensity:
         residues = density.witness.member_set
         lifted = IntSet.of(n, [x for x in range(1, n + 1) if (x % m or m) in residues])
         assert avoids(eq, lifted).ok
-
-
-class TestRatioTable:
-    def test_family2_ratios(self):
-        table = ratio_table(EQS["family2"], [5, 10])
-        assert [str(r.ratio) for r in table.rows] == ["3/5", "3/5"]
-        assert table.monotone
-
-    def test_trivial_row(self):
-        table = ratio_table(EQS["square"], [1])
-        assert table.rows[0].ratio == 1
-
-    def test_square_regime_ratios(self):
-        table = ratio_table(EQS["square"], [7, 14])
-        assert [r.ratio for r in table.rows] == [Fraction(4, 7), Fraction(4, 7)]
-
-    def test_budget_propagates(self):
-        with pytest.raises(BudgetExceeded):
-            ratio_table(parse_equation("5x+5y=3z"), [34], node_cap=1)
 
 
 class TestRandomAvoidingSets:
