@@ -52,8 +52,10 @@ def _csv_line(row: dict) -> list:
 
 
 budget_options = [
-    click.option("--node-budget", type=int, default=None, help="Node cap for the exact search."),
-    click.option("--time-budget", type=float, default=None, help="Wall-time cap in seconds."),
+    click.option("--node-budget", type=click.IntRange(min=0), default=None,
+                 help="Node cap for the exact search."),
+    click.option("--time-budget", type=click.FloatRange(min=0), default=None,
+                 help="Wall-time cap in seconds."),
 ]
 
 

@@ -21,18 +21,16 @@ one bit test, and the count of forced elements is also a bound (a forced
 element is dead).  Singleton cliques, which ban a residue in the congruence
 instances, form the forced mask at the root.
 
-Besides the prefix table the search prunes with a disjoint-residual bound:
-every clique with no excluded member still needs one of its undecided
-members excluded, so a set of such cliques whose undecided parts are
-pairwise disjoint forces that many more exclusions.  At a node deciding e,
-a clique whose largest member is <= e has no decided member at all, so it
-counts whole; the greedy packing of those cliques is the same at every such
-node and is tabulated as the cliques arrive, which leaves only the cliques
-with a member above e to scan.  The tables are appended to when the engine
-grows and only read while it searches.  Both searches (the DFS and the
-lex-least enumeration) loop over an explicit stack of nodes, so a search n
-elements deep needs no interpreter frames, and one that an exception
-unwinds leaves nothing to repair.
+Below the root the prefix table and the forced count are the only bounds.
+The root of prefix m, whose table entry would otherwise be m, is bounded by
+r(m - 1) + 1 and by a clique packing: k pairwise disjoint cliques in [1, m]
+each need one member left out, so r(m) <= m - k.  The engine keeps one
+greedy disjoint packing of the cliques in the order they arrive, so the
+root bound costs nothing to read.  When a greedy seed reaches either bound
+the prefix costs one node.  Both searches (the DFS and the lex-least
+enumeration) loop over an explicit stack of nodes, so a search n elements
+deep needs no interpreter frames, and one that an exception unwinds leaves
+nothing to repair.
 
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
@@ -96,7 +94,7 @@ class _RunState:
     def __init__(self, node_cap: int | None = None, time_cap: float | None = None):
         self.nodes = 0
         self.node_cap = node_cap
-        self.deadline = time.monotonic() + time_cap if time_cap else None
+        self.deadline = time.monotonic() + time_cap if time_cap is not None else None
 
 
 def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
@@ -167,10 +165,9 @@ def _seed_orders(m: int):
 class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
-    ``source(m)`` gives the cliques whose largest member is m, ascending; so
-    ``sorted_masks`` is ordered by (largest member, members) and the cliques
-    of prefix m are exactly its first entries.  Only :meth:`grow` writes the
-    tables; a search keeps its state on its own stack.
+    ``source(m)`` gives the cliques whose largest member is m, ascending.
+    Only :meth:`grow` writes the tables and the packing; a search keeps its
+    state on its own stack.
     """
 
     def __init__(self, source):
@@ -185,14 +182,10 @@ class _Core:
         self.force_down: list[list[tuple[int, int]]] = [[]]
         self.force_up: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
-        # disjoint-residual bound (see ``advance``): the clique masks and the
-        # greedy disjoint packing of their prefixes.  A node deciding e has
-        # decided no member of the first k_at[e] cliques, so they are all
-        # alive and whole there, and it reads their packing from here.
-        self.sorted_masks: list[int] = []
-        self.packed: list[int] = [0]  # packed[k]: cliques the packing keeps among the first k
-        self.k_at: list[int] = [0]  # k_at[e]: cliques whose largest member is <= e
-        self.union_at: list[int] = [0]  # union_at[e]: union of the packing at k_at[e]
+        # greedy disjoint packing of every clique taken in, in arrival order:
+        # its size bounds the root of the prefix being solved (see ``advance``)
+        self.packed = 0
+        self.union = 0  # the members of the packed cliques
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
 
@@ -202,19 +195,15 @@ class _Core:
         for table in (self.elem_others, self.force_down, self.force_up):
             table.append([])
         top = 1 << (m - 1)
-        union = self.union_at[-1]
-        count = self.packed[-1]
         for cl in self.source(m):
             full = 0
             for v in cl:
                 full |= 1 << (v - 1)
             for v in cl:
                 self.elem_others[v].append(full & ~(1 << (v - 1)))
-            self.sorted_masks.append(full)
-            if full & union == 0:
-                union |= full
-                count += 1
-            self.packed.append(count)
+            if full & self.union == 0:
+                self.union |= full
+                self.packed += 1
             low = 1 << (cl[0] - 1)
             if len(cl) == 1:
                 self.banned |= low
@@ -224,8 +213,6 @@ class _Core:
             else:
                 self.force_down[cl[1]].append((top, low))
                 self.force_up[cl[1]].append((low, top))
-        self.k_at.append(len(self.sorted_masks))
-        self.union_at.append(union)
         self.grown = m
 
     # -- seeding -----------------------------------------------------------
@@ -249,7 +236,8 @@ class _Core:
     # -- exact solve of the next prefix -------------------------------------
 
     def advance(self, state: _RunState) -> None:
-        """Solve prefix m = len(r); the engine must be grown to m."""
+        """Solve prefix m = len(r); the engine must be grown to exactly m, as
+        the root bound reads the packing of the cliques in [1, m]."""
         m = len(self.r)
         best_mask = self.wit[m - 1]
         best_size = best_mask.bit_count()
@@ -258,28 +246,17 @@ class _Core:
             if g.bit_count() > best_size:
                 best_mask, best_size = g, g.bit_count()
 
-        rt = self.r + [1 << 60]  # index m is the unbounded root
+        # index m is the root: r(m) <= r(m - 1) + 1, and the packing of the
+        # cliques in [1, m] leaves at most m - packed elements
+        rt = self.r + [min(self.r[m - 1] + 1, m - self.packed)]
         force_down = self.force_down
-        sorted_masks = self.sorted_masks
-        packed = self.packed
-        k_at = self.k_at
-        union_at = self.union_at
-        limit = len(sorted_masks)
         node_cap = state.node_cap
         deadline = state.deadline
 
         # Bounds at a node deciding e (undecided region [1, e]):
-        #  * prefix table: at most r(e) more elements;
+        #  * prefix table: at most rt[e] more elements;
         #  * forced split: charge [1, j] to the table and (j, e] to the count
-        #    of slots not yet provably dead, j = lowest forced element;
-        #  * residual scan: every alive clique (no member excluded) needs one
-        #    more exclusion among its undecided members, so pairwise-disjoint
-        #    residuals count.  The scan takes the cliques in ``sorted_masks``
-        #    order and keeps each alive residual disjoint from those kept.  A
-        #    clique whose largest member is <= e has no decided member, so it
-        #    is alive and its residual is the whole clique: the scan over the
-        #    first k_at[e] entries is the packing ``grow`` tabulated, and only
-        #    the entries past it are scanned.
+        #    of slots not yet provably dead, j = lowest forced element.
         # An explicit stack of (e, size, inc, forced) nodes: the exclude child is
         # pushed first, so the include branch is searched first, depth-first.
         stack = [(m, 0, 0, self.banned)]
@@ -295,39 +272,12 @@ class _Core:
                 split = rt[j] + (e - j) - forced.bit_count()
                 bound = rt[e] if rt[e] < split else split
             else:
-                bound = rt[e] if rt[e] < e else e
+                bound = rt[e]
             if size + bound <= best_size:
                 continue
             if e == 0:
                 best_size, best_mask = size, inc
                 continue
-            thresh = e - (best_size - size)  # prune once this many disjoint residuals exist
-            if 0 < thresh <= limit:
-                # capped scan: survivors must not pay for the full clique list
-                iters = (thresh << 2) + 64
-                if iters > limit:
-                    iters = limit
-                k = k_at[e]
-                if iters <= k:
-                    if packed[iters] >= thresh:
-                        continue
-                else:
-                    need = thresh - packed[k]
-                    if need > 0:
-                        region = (1 << e) - 1
-                        out = ~(region | inc)  # the decided elements left out
-                        union = union_at[e]
-                        for i in range(k, iters):
-                            cm = sorted_masks[i]
-                            if not cm & out:
-                                res = cm & region
-                                if res and res & union == 0:
-                                    union |= res
-                                    need -= 1
-                                    if need == 0:
-                                        break
-                    if need <= 0:
-                        continue
             e1 = e - 1
             # drop e's own forced bit: it is decided now, not pending
             stack.append((e1, size, inc, forced & ~(1 << e1)))
@@ -588,18 +538,14 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:
     return kept
 
 
-def random_avoiding_set(eq: ThreeVarEquation, n: int, rng: random.Random) -> IntSet:
-    """One randomized-greedy avoiding subset of [1, n] (shuffled element order)."""
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    return _mask_to_set(n, _greedy_mask(eq, n, order))
-
-
 def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0) -> list[IntSet]:
+    """``count`` randomized-greedy avoiding subsets of [1, n] (shuffled element
+    orders).  Each is re-verified by :func:`avoids`, and a set that contains
+    a solution raises :class:`InvariantViolation`."""
     rng = random.Random(seed)
-    out = [random_avoiding_set(eq, n, rng) for _ in range(count)]
-    for A in out:
-        check = avoids(eq, A)
-        if not check.ok:  # pragma: no cover - greedy is avoiding by construction
-            raise AssertionError(f"greedy generator produced a non-avoiding set: {check.violation}")
+    out = []
+    for _ in range(count):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        out.append(_checked_witness(eq, n, _greedy_mask(eq, n, order)))
     return out

@@ -70,6 +70,17 @@ class TestSolve:
         row = json.loads(proc.stdout)  # best-found row still emitted
         assert row["optimal"] is False
 
+    def test_zero_time_budget_exit_3(self):
+        proc = run_process("solve", "--eq", "x+2y=13z", "--n", "60", "--time-budget", "0")
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["optimal"] is False
+
+    def test_negative_budget_exit_2(self):
+        for flag in ("--node-budget", "--time-budget"):
+            proc = run_process("solve", "--eq", "x+2y=13z", "--n", "60", flag, "-1")
+            assert proc.returncode == 2, flag
+            assert proc.stdout == ""
+
     def test_malformed_exit_2(self):
         proc = run_process("solve", "--eq", "nonsense", "--n", "5")
         assert proc.returncode == 2

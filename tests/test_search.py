@@ -58,22 +58,22 @@ def draw_equation(data, top: int) -> ThreeVarEquation | None:
         return None
 
 
-def recount_packing(engine: search._Core) -> tuple[list[int], list[int], list[int]]:
-    """(packed, k_at, union_at) recounted from ``sorted_masks`` alone: the
-    greedy disjoint packing of each prefix, run from scratch."""
-    masks = engine.sorted_masks
+def greedy_packing(cliques) -> tuple[int, int]:
+    """(packed, union) of the greedy disjoint packing of ``cliques``, taken in
+    the given order and counted from scratch."""
+    count = union = 0
+    for cl in cliques:
+        mask = 0
+        for v in cl:
+            mask |= 1 << (v - 1)
+        if mask & union == 0:
+            union |= mask
+            count += 1
+    return count, union
 
-    def greedy(k: int) -> tuple[int, int]:
-        count = union = 0
-        for cm in masks[:k]:
-            if cm & union == 0:
-                union |= cm
-                count += 1
-        return count, union
 
-    packed = [greedy(k)[0] for k in range(len(masks) + 1)]
-    k_at = [sum(1 for cm in masks if cm.bit_length() <= e) for e in range(engine.grown + 1)]
-    return packed, k_at, [greedy(k)[1] for k in k_at]
+def clique_tables(engine: search._Core) -> tuple:
+    return engine.elem_others, engine.force_down, engine.force_up
 
 
 def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
@@ -154,25 +154,39 @@ class TestMaxAvoiding:
         assert (cold.r, cold.wit) == (swept.r, swept.wit)
         assert whole.witness == steps[-1].witness
         assert whole.nodes == sum(res.nodes for res in steps)
-        assert cold.sorted_masks == swept.sorted_masks
+        assert clique_tables(cold) == clique_tables(swept)
 
-    # cold max_avoiding(canonical=False).nodes, pinned from the engine that
-    # scanned the clique list at every node; equal to the sum over a 1..n sweep
+    # cold max_avoiding(canonical=False).nodes with each root bounded by
+    # r(m - 1) + 1 and the clique packing; equal to the sum over a 1..n sweep.
+    # The cap makes a weaker root bound fail fast instead of running for long.
     PINNED_NODES = [
-        ("x+2y=13z", 70, 107652),
+        ("x+2y=13z", 70, 107654),
         ("x+y=3z", 50, 39941),
-        ("2x+2y=5z", 60, 18902),
-        ("x+3y=9z", 60, 40904),
-        ("x+2y=4z", 80, 8142),
-        ("2x=z", 200, 200),
+        ("2x+2y=5z", 60, 18842),
+        ("x+3y=9z", 60, 40998),
+        ("x+2y=4z", 80, 8066),
+        ("2x=z", 200, 200),  # every root is settled by the packing
     ]
 
     @pytest.mark.parametrize("text,n,nodes", PINNED_NODES)
     def test_pinned_cold_node_counts(self, monkeypatch, text, n, nodes):
         eq = parse_equation(text)
         fresh_engine(monkeypatch, eq)
-        res = max_avoiding(eq, n, canonical=False)
+        res = max_avoiding(eq, n, node_cap=4 * nodes, canonical=False)
         assert res.optimal and res.nodes == nodes
+
+    def test_seeded_prefix_costs_one_node(self, monkeypatch):
+        # a greedy seed of size r(m - 1) + 1 meets the root bound at once
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        seeded = 0
+        for m in range(1, 61):
+            res = max_avoiding(eq, m, canonical=False)
+            seed = max(engine.greedy(order).bit_count() for order in search._seed_orders(m))
+            if seed == engine.r[m - 1] + 1:
+                seeded += 1
+                assert res.nodes == 1, m
+        assert seeded > 30
 
     def test_canonical_flag(self, monkeypatch):
         eq = EQS["family2"]
@@ -218,9 +232,11 @@ class TestEngine:
         if eq is None:
             return
         engine = search._Core(partial(cliques_for, eq))
-        for _ in range(data.draw(st.integers(0, 40))):
+        grown = data.draw(st.integers(0, 40))
+        for _ in range(grown):
             engine.grow()
-        assert (engine.packed, engine.k_at, engine.union_at) == recount_packing(engine)
+        arrivals = [cl for m in range(1, grown + 1) for cl in cliques_for(eq, m)]
+        assert (engine.packed, engine.union) == greedy_packing(arrivals)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -237,9 +253,12 @@ class TestEngine:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_Core", Recording)
-            rho_m(eq, data.draw(st.integers(1, 16)))
+            m = data.draw(st.integers(1, 16))
+            rho_m(eq, m)
         (engine,) = engines
-        assert (engine.packed, engine.k_at, engine.union_at) == recount_packing(engine)
+        # the cliques arrive grouped by largest member, each group ascending
+        arrivals = sorted(congruence_cliques(eq, m), key=lambda cl: cl[-1])
+        assert (engine.packed, engine.union) == greedy_packing(arrivals)
 
     def test_no_mutable_search_state(self):
         engine = search._Core(partial(cliques_for, EQS["square"]))
@@ -257,15 +276,17 @@ class TestEngine:
         want = max_avoiding(eq, 30, canonical=False)
         engine = fresh_engine(monkeypatch, eq)
         hits = 0
-        while not (res := max_avoiding(eq, 30, node_cap=150, canonical=False)).optimal:
+        # prefix 30 alone takes 100 nodes: a smaller cap would never get past it
+        while not (res := max_avoiding(eq, 30, node_cap=120, canonical=False)).optimal:
             hits += 1
             assert engine.grown <= len(engine.r)  # at most one prefix past the solved one
-            assert len(engine.sorted_masks) == len(oracle_cliques(eq, engine.grown))
+            # each clique adds one force_down trigger: none was taken in twice
+            assert sum(map(len, engine.force_down)) == len(oracle_cliques(eq, engine.grown))
         assert hits > 1
         assert (res.size, res.witness) == (want.size, want.witness)
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
-        assert engine.sorted_masks == cold.sorted_masks
-        assert len(engine.sorted_masks) == len(oracle_cliques(eq, 30))
+        assert clique_tables(engine) == clique_tables(cold)
+        assert sum(map(len, engine.force_down)) == len(oracle_cliques(eq, 30))
 
     def test_time_budget_covers_the_canonical_pass(self, monkeypatch):
         eq = EQS["family2"]
@@ -274,6 +295,12 @@ class TestEngine:
         assert max_avoiding(eq, 45).nodes > 4096  # the pass checks the clock every 4096 nodes
         res = max_avoiding(eq, 45, time_cap=1e-9)
         assert res.optimal and res.nodes == 4096 and res.witness == search_witness
+
+    def test_zero_time_budget_is_a_budget_hit(self, monkeypatch):
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        res = max_avoiding(eq, 30, time_cap=0)
+        assert not res.optimal and avoids(eq, res.witness).ok
 
     def test_time_budget_grows_no_further_than_needed(self, monkeypatch):
         eq = EQS["square"]
@@ -454,6 +481,11 @@ class TestRandomAvoidingSets:
         second = random_avoiding_sets(eq, 40, 25, seed=9)
         assert [s.members for s in first] == [t.members for t in second]
         assert all(avoids(eq, s).ok for s in first)
+
+    def test_sets_are_rechecked(self, monkeypatch):
+        monkeypatch.setattr(search, "_greedy_mask", lambda eq, n, order: 0b11111)
+        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+            random_avoiding_sets(EQS["square"], 5, 1)
 
     def test_seeds_differ(self):
         eq = EQS["family2"]
