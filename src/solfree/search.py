@@ -26,8 +26,13 @@ The root of prefix m, whose table entry would otherwise be m, is bounded by
 r(m - 1) + 1 and by a clique packing: k pairwise disjoint cliques in [1, m]
 each need one member left out, so r(m) <= m - k.  The engine keeps one
 greedy disjoint packing of the cliques in the order they arrive, so the
-root bound costs nothing to read.  When a greedy seed reaches either bound
-the prefix costs one node.  Both searches (the DFS and the lex-least
+root bound costs nothing to read.  Prefix m starts from the largest of
+wit[m - 1] and three greedy seeds: descending over wit[m - 1] plus m and
+over all of [1, m], and ascending (the lex-first avoiding set, the first
+leaf of the lex-least enumeration).  A greedy decides each clique at the
+member it meets last, which the triggers of its order have forced out if it
+kept the others, so the trigger tables are all it needs.  When a seed
+reaches either bound the prefix costs one node.  Both searches (the DFS and the lex-least
 enumeration) loop over an explicit stack of nodes, so a search n elements
 deep needs no interpreter frames, and one that an exception unwinds leaves
 nothing to repair.
@@ -152,16 +157,6 @@ def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _seed_orders(m: int):
-    """The element orders of the greedy seeds at prefix m."""
-    yield range(m, 0, -1)
-    yield range(1, m + 1)
-    for pass_no in (1, 2):
-        order = list(range(1, m + 1))
-        random.Random(m * 7919 + pass_no).shuffle(order)
-        yield order
-
-
 class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
@@ -173,7 +168,6 @@ class _Core:
     def __init__(self, source):
         self.source = source
         self.grown = 0  # elements taken in; may run one past the solved prefix
-        self.elem_others: list[list[int]] = [[]]
         # forced-exclusion triggers: once every member of a clique except the
         # smallest (resp. largest) is included, that last member is dead.  The
         # DFS (resp. lex-least pass) decides elements in descending (resp.
@@ -192,15 +186,13 @@ class _Core:
     def grow(self) -> None:
         """Take in the next element m and the cliques whose largest member is m."""
         m = self.grown + 1
-        for table in (self.elem_others, self.force_down, self.force_up):
-            table.append([])
+        self.force_down.append([])
+        self.force_up.append([])
         top = 1 << (m - 1)
         for cl in self.source(m):
             full = 0
             for v in cl:
                 full |= 1 << (v - 1)
-            for v in cl:
-                self.elem_others[v].append(full & ~(1 << (v - 1)))
             if full & self.union == 0:
                 self.union |= full
                 self.packed += 1
@@ -217,20 +209,20 @@ class _Core:
 
     # -- seeding -----------------------------------------------------------
 
-    def greedy(self, order) -> int:
-        """Greedy avoiding mask over the given element order (any order is legal:
-        a clique is caught when its last member comes up)."""
+    def greedy(self, cand: int) -> int:
+        """Descending greedy over the mask ``cand`` (grown to its top): keep each
+        element not forced, firing ``force_down`` as the DFS's first dive does."""
         inc = 0
-        eo = self.elem_others
-        for e in order:
+        forced = self.banned
+        while cand:
+            e = cand.bit_length()
             bit = 1 << (e - 1)
-            ok = True
-            for om in eo[e]:
-                if om & inc == om:
-                    ok = False
-                    break
-            if ok:
+            cand ^= bit
+            if not forced & bit:
                 inc |= bit
+                for high, low in self.force_down[e]:
+                    if high & inc == high:
+                        forced |= low
         return inc
 
     # -- exact solve of the next prefix -------------------------------------
@@ -241,8 +233,9 @@ class _Core:
         m = len(self.r)
         best_mask = self.wit[m - 1]
         best_size = best_mask.bit_count()
-        for order in _seed_orders(m):
-            g = self.greedy(order)
+        # the seeds of the module docstring, in order; a tie keeps the earlier
+        for g in (self.greedy(best_mask | 1 << (m - 1)), self.greedy((1 << m) - 1),
+                  self.enumerate_at(m, 0, 1, _RunState())[0][0]):
             if g.bit_count() > best_size:
                 best_mask, best_size = g, g.bit_count()
 
@@ -388,8 +381,8 @@ def max_avoiding(
 
     When a budget is exceeded the best set found so far is returned with
     ``optimal=False``; the answer is then a lower bound, never wrong.  That
-    set is the larger of the last solved prefix's witness and the greedy
-    seeds at n, so no clique above the solved prefix is built.
+    set is the largest of the last solved prefix's witness and the
+    descending and ascending greedy sets of [1, n], built without cliques.
     ``time_cap`` bounds the whole call, and ``node_cap`` counts this call's
     nodes only.  The prefixes solved before a budget hit are kept, but the
     search of the prefix it stopped in is not: the next call starts that
@@ -413,7 +406,7 @@ def max_avoiding(
         engine.solve_to(n, state)
     except _Exhausted:
         best = engine.wit[-1]
-        for order in _seed_orders(n):
+        for order in (range(n, 0, -1), range(1, n + 1)):
             g = _greedy_mask(eq, n, order)
             if g.bit_count() > best.bit_count():
                 best = g
@@ -464,6 +457,20 @@ def all_extremal(
     return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks], truncated)
 
 
+def _rho(eq: ThreeVarEquation, m: int, state: _RunState) -> ModularDensity:
+    """rho_m within the budget of ``state``; a budget hit raises _Exhausted."""
+    if state.deadline is not None and time.monotonic() > state.deadline:
+        raise _Exhausted  # before the O(m^2) clique build
+    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
+    for cl in congruence_cliques(eq, m):  # ascending, so each group is too
+        by_max[cl[-1]].append(cl)
+    engine = _Core(lambda k: by_max[k])
+    engine.solve_to(m, state)
+    masks, _ = engine.enumerate_at(m, engine.r[m], 1, state)
+    mask = masks[0] if masks else 0
+    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, mask))
+
+
 def rho_m(
     eq: ThreeVarEquation,
     m: int,
@@ -475,18 +482,10 @@ def rho_m(
     witness that contains one raises :class:`InvariantViolation`."""
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
-    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
-    for cl in congruence_cliques(eq, m):  # ascending, so each group is too
-        by_max[cl[-1]].append(cl)
-    engine = _Core(lambda k: by_max[k])
-    state = _RunState(node_cap, time_cap)
     try:
-        engine.solve_to(m, state)
-        masks, _ = engine.enumerate_at(m, engine.r[m], 1, state)
+        return _rho(eq, m, _RunState(node_cap, time_cap))
     except _Exhausted as exc:
         raise BudgetExceeded(f"budget exceeded computing rho_{m}") from exc
-    mask = masks[0] if masks else 0
-    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, mask))
 
 
 def rho_best(
@@ -496,23 +495,23 @@ def rho_best(
     node_cap: int | None = None,
     time_cap: float | None = None,
 ) -> ModularDensity:
-    """Best modular density over moduli m <= m_max (a lower bound for rho)."""
+    """Best modular density over moduli m <= m_max (a lower bound for rho);
+    the first modulus wins a tie.  Both budgets cover the whole call."""
     if m_max < 1:
         raise InvariantViolation(f"m_max must be positive, got {m_max}")
-    best: ModularDensity | None = None
-    for m in range(1, m_max + 1):
-        cand = rho_m(eq, m, node_cap=node_cap, time_cap=time_cap)
-        if best is None or cand.rho > best.rho:
-            best = cand
-    assert best is not None
-    return best
+    state = _RunState(node_cap, time_cap)  # shared by every modulus
+    try:
+        return max((_rho(eq, m, state) for m in range(1, m_max + 1)), key=lambda d: d.rho)
+    except _Exhausted as exc:
+        raise BudgetExceeded(f"budget exceeded computing the best density up to m = {m_max}") from exc
 
 
 def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:
     """Greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1 for e).
 
     An element is kept iff it completes no solution with the elements kept so
-    far, the same decision as :meth:`_Core.greedy` makes from the cliques.
+    far: in descending (resp. ascending) order, the engine's greedy over its
+    ``force_down`` (resp. ``force_up``) triggers, but with no clique built.
     The kept set K is held as four masks: bits a*v, b*v and c*v for v in
     K, and bits top - a*v, so that each role of the new element e is one
     shift and one and.  Each test runs with e already in the masks, which

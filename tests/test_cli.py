@@ -179,6 +179,12 @@ class TestRhoAndConjecture:
         num, den = row["rho"].split("/")
         assert int(num) / int(den) >= 0.5
 
+    def test_rho_best_budget_exit_3(self):
+        # every modulus fits in 673 nodes, all twenty together do not
+        proc = run_process("rho", "--eq", "x+y=3z", "--m-max", "20", "--node-budget", "673")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
+
     def test_gap(self):
         row = json.loads(invoke("conjecture", "gap", "--b", "2").output)
         assert row["dAb"] == "4/7" and row["D"] == "13/40"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import solfree
 from solfree import search
 from solfree.equations import IntSet, ThreeVarEquation, avoids, enumerate_solutions, parse_equation
-from solfree.errors import InvariantViolation
+from solfree.errors import BudgetExceeded, InvariantViolation
 from solfree.search import (
     all_extremal,
     cliques_for,
@@ -73,7 +73,33 @@ def greedy_packing(cliques) -> tuple[int, int]:
 
 
 def clique_tables(engine: search._Core) -> tuple:
-    return engine.elem_others, engine.force_down, engine.force_up
+    return engine.force_down, engine.force_up
+
+
+def ascending_seed(engine: search._Core, m: int) -> int:
+    """The engine's ascending greedy seed at m: its lex-first avoiding set."""
+    return engine.enumerate_at(m, 0, 1, search._RunState())[0][0]
+
+
+def congruence_engine(eq: ThreeVarEquation, m: int) -> search._Core:
+    """An engine over the congruence cliques modulo m, grown to m."""
+    by_max = [[] for _ in range(m + 1)]
+    for cl in congruence_cliques(eq, m):
+        by_max[cl[-1]].append(cl)
+    engine = search._Core(lambda k: by_max[k])
+    for _ in range(m):
+        engine.grow()
+    return engine
+
+
+def clique_greedy(cliques, order) -> int:
+    """Greedy over ``order`` as a mask: an element is kept unless it completes
+    a clique of kept elements, so a singleton clique bans its element."""
+    kept: set[int] = set()
+    for e in order:
+        if not any(e in cl and set(cl) - {e} <= kept for cl in cliques):
+            kept.add(e)
+    return sum(1 << (e - 1) for e in kept)
 
 
 def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
@@ -161,14 +187,15 @@ class TestMaxAvoiding:
     # The cap makes a weaker root bound fail fast instead of running for long.
     PINNED_NODES = [
         ("x+2y=13z", 70, 107654),
-        ("x+y=3z", 50, 39941),
+        ("x+y=3z", 50, 8984),
         ("2x+2y=5z", 60, 18842),
         ("x+3y=9z", 60, 40998),
         ("x+2y=4z", 80, 8066),
         ("2x=z", 200, 200),  # every root is settled by the packing
+        ("x+2y=5z", 31, 5154),  # 7002 without the ascending seed
     ]
 
-    @pytest.mark.parametrize("text,n,nodes", PINNED_NODES)
+    @pytest.mark.parametrize("text,n,nodes", PINNED_NODES, ids=[f"{t}@{n}" for t, n, _ in PINNED_NODES])
     def test_pinned_cold_node_counts(self, monkeypatch, text, n, nodes):
         eq = parse_equation(text)
         fresh_engine(monkeypatch, eq)
@@ -176,17 +203,19 @@ class TestMaxAvoiding:
         assert res.optimal and res.nodes == nodes
 
     def test_seeded_prefix_costs_one_node(self, monkeypatch):
-        # a greedy seed of size r(m - 1) + 1 meets the root bound at once
-        eq = EQS["family1"]
-        engine = fresh_engine(monkeypatch, eq)
-        seeded = 0
-        for m in range(1, 61):
-            res = max_avoiding(eq, m, canonical=False)
-            seed = max(engine.greedy(order).bit_count() for order in search._seed_orders(m))
-            if seed == engine.r[m - 1] + 1:
-                seeded += 1
-                assert res.nodes == 1, m
-        assert seeded > 30
+        # a seed of size r(m - 1) + 1 meets the root bound at once; on x+y=3z
+        # it is mostly the extension of wit[m - 1] by m
+        for eq, n, least in ((EQS["family1"], 60, 30), (parse_equation("x+y=3z"), 50, 20)):
+            engine = fresh_engine(monkeypatch, eq)
+            seeded = 0
+            for m in range(1, n + 1):
+                res = max_avoiding(eq, m, canonical=False)
+                seeds = (engine.greedy(engine.wit[m - 1] | 1 << (m - 1)),
+                         engine.greedy((1 << m) - 1), ascending_seed(engine, m))
+                if max(g.bit_count() for g in seeds) == engine.r[m - 1] + 1:
+                    seeded += 1
+                    assert res.nodes == 1, (str(eq), m)
+            assert seeded > least, str(eq)
 
     def test_canonical_flag(self, monkeypatch):
         eq = EQS["family2"]
@@ -237,6 +266,35 @@ class TestEngine:
             engine.grow()
         arrivals = [cl for m in range(1, grown + 1) for cl in cliques_for(eq, m)]
         assert (engine.packed, engine.union) == greedy_packing(arrivals)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_seeds_match_the_integer_greedy(self, data):
+        # two implementations of one greedy: trigger tables and shift-and-mask
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        top = data.draw(st.integers(1, 60))
+        engine = search._Core(partial(cliques_for, eq))
+        for m in range(1, top + 1):
+            engine.grow()
+            assert engine.greedy((1 << m) - 1) == search._greedy_mask(eq, m, range(m, 0, -1))
+            assert ascending_seed(engine, m) == search._greedy_mask(eq, m, range(1, m + 1))
+        cand = data.draw(st.integers(0, (1 << top) - 1))
+        order = [e for e in range(top, 0, -1) if cand >> (e - 1) & 1]
+        assert engine.greedy(cand) == search._greedy_mask(eq, top, order)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_congruence_seeds_match_a_clique_greedy(self, data):
+        eq = draw_equation(data, 9)
+        if eq is None:
+            return
+        m = data.draw(st.integers(1, 16))
+        engine = congruence_engine(eq, m)
+        cliques = brute_congruence_cliques(eq, m)
+        assert engine.greedy((1 << m) - 1) == clique_greedy(cliques, range(m, 0, -1))
+        assert ascending_seed(engine, m) == clique_greedy(cliques, range(1, m + 1))
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -390,6 +448,7 @@ class TestAllExtremal:
     def test_sets_are_rechecked(self, monkeypatch):
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 5, canonical=False)  # solved first: the seeds enumerate too
         monkeypatch.setattr(engine, "enumerate_at", lambda *args: ([0b11111], False))
         with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
             all_extremal(eq, 5)
@@ -426,6 +485,15 @@ class TestModularDensity:
         assert rho_best(EQS["family2"], 1).rho == 0
         assert rho_best(EQS["square"], 8).rho >= Fraction(1, 2)
 
+    def test_rho_best_budget_covers_the_whole_call(self):
+        eq = parse_equation("x+y=3z")
+        for m in range(1, 21):  # each modulus alone fits in 673 nodes
+            rho_m(eq, m, node_cap=673)
+        with pytest.raises(BudgetExceeded):
+            rho_best(eq, 20, node_cap=673)
+        with pytest.raises(BudgetExceeded):
+            rho_best(eq, 20, time_cap=0)
+
     def test_witness_is_integer_fraction(self):
         d = rho_m(EQS["family1"], 7)
         assert d.rho * 7 == d.witness.size
@@ -442,7 +510,13 @@ class TestModularDensity:
     @pytest.mark.parametrize("text,mask,solution", [("x+2y=4z", 0b11111, r"\(1, 1, 2\)"),
                                                      ("3x=2z", 0b110, r"\(2, 0, 3\)")])
     def test_witness_is_rechecked(self, monkeypatch, text, mask, solution):
-        monkeypatch.setattr(search._Core, "enumerate_at", lambda self, *args: ([mask], False))
+        plain = search._Core.enumerate_at
+
+        def planted(self, m, target, cap, state):
+            # the ascending seeds (target 0) stay real; the lex-least pass returns mask
+            return ([mask], False) if target else plain(self, m, target, cap, state)
+
+        monkeypatch.setattr(search._Core, "enumerate_at", planted)
         with pytest.raises(InvariantViolation, match=solution):
             rho_m(parse_equation(text), 5)
 
