@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import ab_set
-from .equations import IntSet, ThreeVarEquation, avoids
+from .equations import IntSet, ThreeVarEquation, require_avoiding
 from .errors import BudgetExceeded, CaseRuleUnmatched, InvariantViolation, NotAvoiding
 from .family1 import interval_density
 from .search import max_avoiding
@@ -129,10 +129,7 @@ def injection_certificate(b: int, B: IntSet, n: int | None = None) -> InjectionC
     bound = n if n is not None else B.n
     if bound < B.n and any(x > bound for x in B.members):
         raise InvariantViolation(f"B escapes [1, {bound}]")
-    eq = counterexample_equation(b)
-    ok, violation = avoids(eq, B)
-    if not ok:
-        raise NotAvoiding(f"B contains the solution {violation}")
+    require_avoiding(counterexample_equation(b), B, NotAvoiding, "B")
     A, _ = ab_set(b, bound)
     a_members = A.member_set
     b_members = B.member_set

@@ -2,10 +2,10 @@
 sets built from the shrinking recurrence, two-variable chain greedy sets, and
 the cube-valuation sets that beat the two-interval density at c = b*b.
 
-Every constructor re-verifies its output through the avoidance checker when
-the form corresponds to a two- or three-variable equation (``check=False``
-skips the guard, which costs about one big-int shift per member over
-max(b, c) * max(A) bits).
+Every constructor returns its set through :func:`~solfree.equations.require_avoiding`
+when the form corresponds to a two- or three-variable equation, so a set that
+contains a solution raises :class:`~solfree.errors.AvoidanceCheckFailed`
+instead of being returned.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .equations import IntSet, LinearForm, ThreeVarEquation, avoids, equation_from_form, normalize
+from .equations import IntSet, LinearForm, ThreeVarEquation, equation_from_form, normalize, require_avoiding
 from .errors import AvoidanceCheckFailed, Infeasible, InvariantViolation, QDividesS
 
 _FIXED_POINT_CAP = 1000  # downward iteration shrinks xi every step, so this is generous
@@ -91,18 +91,13 @@ class StructuredSet:
         }
 
 
-def _guard(form: LinearForm, A: IntSet, label: str, check: bool) -> None:
-    if not check:
-        return
+def _guard(form: LinearForm, A: IntSet, what: str) -> None:
     eq = equation_from_form(form)
-    if eq is None:
-        return  # no checker for forms in more than three variables
-    result = avoids(eq, A)
-    if not result.ok:
-        raise AvoidanceCheckFailed(f"{label} produced {result.violation} for {eq}")
+    if eq is not None:  # no checker for forms in more than three variables
+        require_avoiding(eq, A, AvoidanceCheckFailed, what)
 
 
-def residue_set(form: LinearForm, q: int, n: int, *, check: bool = True) -> IntSet:
+def residue_set(form: LinearForm, q: int, n: int) -> IntSet:
     """The class {x in [1, n] : x = 1 mod q}; avoiding because the coefficient
     sum s is not divisible by q."""
     if q < 2:
@@ -112,18 +107,18 @@ def residue_set(form: LinearForm, q: int, n: int, *, check: bool = True) -> IntS
     if abs(form.s) % q == 0:
         raise QDividesS(f"q={q} divides s={form.s}")
     A = IntSet.of(n, range(1, n + 1, q))
-    _guard(form, A, "residue_set", check)
+    _guard(form, A, f"residue_set(q={q}, n={n})")
     return A
 
 
-def top_interval(form: LinearForm, n: int, *, check: bool = True) -> IntSet:
+def top_interval(form: LinearForm, n: int) -> IntSet:
     """The interval (s_minus/s_plus * n, n], via the integer test s_plus*x > s_minus*n."""
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     form = normalize(form)
     lo = form.s_minus * n // form.s_plus
     A = IntSet.of(n, range(lo + 1, n + 1))
-    _guard(form, A, "top_interval", check)
+    _guard(form, A, f"top_interval(n={n})")
     return A
 
 
@@ -156,12 +151,17 @@ def _canonical_xi(form: LinearForm, n: int, k: int) -> tuple[int, list[int]]:
     raise Infeasible(f"fixed-point iteration did not settle for k={k}")  # pragma: no cover
 
 
-def multi_interval(
-    form: LinearForm, n: int, k: int, xi: int | None = None, *, check: bool = True
-) -> StructuredSet:
+def multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> StructuredSet:
     """Union of k shrinking intervals: (s_minus/s_plus * n_j, n_j] for j < k
     plus the tail [xi, n_k].  With xi omitted, the canonical fixed-point value
     xi = 1 + floor(s_minus * n_k / s_plus) is used."""
+    out = _multi_interval(form, n, k, xi)
+    _guard(form, out.materialize(), f"multi_interval(n={n}, k={k})")
+    return out
+
+
+def _multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> StructuredSet:
+    """:func:`multi_interval` without the avoidance gate."""
     if k < 1:
         raise InvariantViolation(f"k must be positive, got {k}")
     if n < 1:
@@ -178,27 +178,26 @@ def multi_interval(
     intervals = [Interval(xi, nk, closed_lo=True)]
     for nj in reversed(seq[:-1]):
         intervals.append(Interval(sm * nj // sp, nj, closed_lo=False))
-    out = StructuredSet(n, tuple(intervals))
-    _guard(form, out.materialize(), "multi_interval", check)
-    return out
+    return StructuredSet(n, tuple(intervals))
 
 
-def best_multi_interval(
-    form: LinearForm, n: int, k_max: int, *, check: bool = True
-) -> tuple[int, StructuredSet]:
-    """Largest canonical-xi multi-interval set over 1 <= k <= k_max."""
+def best_multi_interval(form: LinearForm, n: int, k_max: int) -> tuple[int, StructuredSet]:
+    """Largest canonical-xi multi-interval set over 1 <= k <= k_max; only that
+    set goes through the avoidance gate."""
     if k_max < 1:
         raise InvariantViolation(f"k_max must be positive, got {k_max}")
     best: tuple[int, StructuredSet] | None = None
     for k in range(1, k_max + 1):
         try:
-            cand = multi_interval(form, n, k, check=check)
+            cand = _multi_interval(form, n, k)
         except Infeasible:
             continue  # larger k only shrinks the tail further; keep scanning anyway
         if best is None or cand.size > best[1].size:
             best = (k, cand)
     if best is None:  # k = 1 is always feasible
         raise Infeasible(f"no feasible k in 1..{k_max}")  # pragma: no cover
+    k, out = best
+    _guard(form, out.materialize(), f"best_multi_interval(n={n}, k={k})")
     return best
 
 
@@ -235,25 +234,22 @@ def two_var_extremal(a: int, b: int, n: int) -> tuple[int, IntSet]:
         raise InvariantViolation(f"gcd({a},{b}) must be 1")
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
-    members: list[int] = []
-    total = 0
-    for chain in _chains(a, b, n):
-        total += (len(chain) + 1) // 2
-        members.extend(chain[::2])
-    A = IntSet.of(n, members)
-    assert A.size == total
-    # pair guard: no member may have its (a/b)-successor in the set
-    for x in A.members:
-        if x % b == 0:
-            y = a * x // b
-            if y <= n and y in A:  # pragma: no cover - construction bug guard
-                raise AvoidanceCheckFailed(f"two_var_extremal kept the pair ({x}, {y})")
-    return total, A
+    members = [x for chain in _chains(a, b, n) for x in chain[::2]]
+    A = require_avoiding(ThreeVarEquation(a, 0, b), IntSet.of(n, members), AvoidanceCheckFailed,
+                         f"two_var_extremal({a}, {b}, {n})")
+    return A.size, A
 
 
-def ab_set(b: int, n: int, *, check: bool = True) -> tuple[IntSet, Fraction]:
+def ab_set(b: int, n: int) -> tuple[IntSet, Fraction]:
     """The set {u * b^(3i) : b does not divide u} inside [1, n], together with
     its asymptotic density b^2 / (b^2 + b + 1).  Avoids x + b y = b^2 z."""
+    A = _ab_members(b, n)
+    require_avoiding(ThreeVarEquation(1, b, b * b), A, AvoidanceCheckFailed, f"ab_set({b}, {n})")
+    return A, Fraction(b * b, b * b + b + 1)
+
+
+def _ab_members(b: int, n: int) -> IntSet:
+    """The set of :func:`ab_set` without the avoidance gate."""
     if b < 2:
         raise InvariantViolation(f"b must be at least 2, got {b}")
     if n < 1:
@@ -264,10 +260,4 @@ def ab_set(b: int, n: int, *, check: bool = True) -> tuple[IntSet, Fraction]:
     while power <= n:
         members.extend(u * power for u in range(1, n // power + 1) if u % b != 0)
         power *= step
-    A = IntSet.of(n, members)
-    density = Fraction(b * b, b * b + b + 1)
-    if check:
-        result = avoids(ThreeVarEquation(1, b, b * b), A)
-        if not result.ok:  # pragma: no cover - construction bug guard
-            raise AvoidanceCheckFailed(f"ab_set({b}, {n}) contains {result.violation}")
-    return A, density
+    return IntSet.of(n, members)

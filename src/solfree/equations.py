@@ -1,7 +1,8 @@
 """Equations ax+by=cz, their solutions inside [1,n], and the avoidance checker.
 
-Every other module funnels its output through :func:`avoids`; this module is
-deliberately small, exact (integer arithmetic only) and free of search logic.
+Every other module funnels its output through :func:`require_avoiding`, the
+one gate in front of :func:`avoids`; this module is deliberately small,
+exact (integer arithmetic only) and free of search logic.
 
 Conventions
 -----------
@@ -322,6 +323,15 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
             by = (hits & -hits).bit_length() - 1
             return AvoidanceCheck(False, Solution(x, by // b, (a * x + by) // c))
     return AvoidanceCheck(True, None)
+
+
+def require_avoiding(eq: ThreeVarEquation, A: IntSet, error: type[Exception], what: str) -> IntSet:
+    """``A`` itself if it avoids ``eq``; otherwise raise ``error``, naming ``what``,
+    the equation and the lexicographically first solution inside ``A``."""
+    result = avoids(eq, A)
+    if not result.ok:
+        raise error(f"{what} contains the solution {tuple(result.violation)} of {eq}")
+    return A
 
 
 def equation_from_form(form: LinearForm) -> ThreeVarEquation | None:

@@ -25,7 +25,9 @@ class Infeasible(SolfreeError):
 class AvoidanceCheckFailed(SolfreeError):
     """A construction produced a set that fails the avoidance checker.
 
-    This is a bug guard: it must never fire in release tests.
+    Raised by the gate on the output of ``constructions``, ``family2`` and
+    the interval-compression stages of ``family1``.  This is a bug guard: it
+    must never fire in release tests.
     """
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equations import Family, IntSet, ThreeVarEquation, avoids
+from .equations import Family, IntSet, ThreeVarEquation, avoids, require_avoiding
 from .errors import (
+    AvoidanceCheckFailed,
     DegenerateDenominator,
     EmptyInput,
     IntervalOutOfRange,
@@ -99,7 +100,9 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
     """Push an avoiding set into canonical interval form, stage by stage.
 
     Stage i replaces everything in (r_{i+1}, r_i] by the block
-    [max(l_i + 1, s), r_i]; every stage stays avoiding (that is checked).
+    [max(l_i + 1, s), r_i]; every stage stays avoiding (that is checked: an
+    input that does not avoid the equation raises :class:`NotAvoiding`, a
+    stage that does not raises :class:`AvoidanceCheckFailed`).
     That no stage shrinks is the paper's claim for eligible (b, c) only, and
     it is not checked: outside that bound a stage can lose elements, as the
     extremal set of x+2y=4z at n = 20 does, with sizes (11, 7, 7, 7).
@@ -110,9 +113,7 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
         raise InvariantViolation(f"compression needs c > b+1, got b={b}, c={c}")
     if A.size == 0:
         raise EmptyInput("the transform needs a nonempty set")
-    ok, violation = avoids(eq, A)
-    if not ok:
-        raise NotAvoiding(f"input contains the solution {violation}")
+    require_avoiding(eq, A, NotAvoiding, "input")
     n = A.n
     s = A.min()
     r_seq = [n]
@@ -135,10 +136,8 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
             break
         if t > n + 1:  # pragma: no cover - cannot happen for c > b+1
             raise ScanFailed("compression failed to terminate")
-    for stage in stages[1:]:
-        ok, violation = avoids(eq, stage)
-        if not ok:  # pragma: no cover - transform bug guard
-            raise NotAvoiding(f"compression stage lost avoidance at {violation}")
+    for i, stage in enumerate(stages[1:], 1):
+        require_avoiding(eq, stage, AvoidanceCheckFailed, f"compression stage {i}")
     alpha = max(l_seq[-1] + 1, s)
     return CompressionTrace(n, s, tuple(r_seq), tuple(l_seq), t, tuple(stages), alpha)
 
@@ -266,9 +265,7 @@ def solution_window_deficiency(eq: ThreeVarEquation, A: IntSet, z: int, d: int) 
         raise InvariantViolation(f"d must be nonnegative, got {d}")
     if z not in A:
         raise InvariantViolation(f"z={z} is not a member of the set")
-    ok, violation = avoids(eq, A)
-    if not ok:
-        raise NotAvoiding(f"input contains the solution {violation}")
+    require_avoiding(eq, A, NotAvoiding, "input")
     y_d = c * z // (b + 1) + 1 + d
     x_d = c * z - b * y_d
     if not (1 <= x_d <= y_d <= A.n):

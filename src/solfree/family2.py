@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .constructions import Interval, StructuredSet
-from .equations import ThreeVarEquation, avoids
+from .equations import ThreeVarEquation, require_avoiding
 from .errors import AvoidanceCheckFailed, InvariantViolation
 
 
@@ -80,7 +80,6 @@ def family2_extremal(b: int, c: int, n: int) -> Family2Extremal:
         raise AvoidanceCheckFailed(
             f"size {result.size} disagrees with the closed form {expected} for (b={b}, c={c}, n={n})"
         )
-    check = avoids(result.equation(), structured.materialize())
-    if not check.ok:  # pragma: no cover - construction bug guard
-        raise AvoidanceCheckFailed(f"family2_extremal({b},{c},{n}) contains {check.violation}")
+    require_avoiding(result.equation(), structured.materialize(), AvoidanceCheckFailed,
+                     f"family2_extremal({b}, {c}, {n})")
     return result

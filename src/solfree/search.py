@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .equations import IntSet, ThreeVarEquation, avoids
+from .equations import IntSet, ThreeVarEquation, require_avoiding
 from .errors import BudgetExceeded, InvariantViolation
 
 _CANONICAL_NODE_CAP = 250_000  # budget for the optional lex-least witness pass
@@ -89,10 +89,6 @@ class AllExtremal:
     truncated: bool
 
 
-class _Exhausted(Exception):
-    pass
-
-
 class _RunState:
     __slots__ = ("nodes", "node_cap", "deadline")
 
@@ -100,6 +96,13 @@ class _RunState:
         self.nodes = 0
         self.node_cap = node_cap
         self.deadline = time.monotonic() + time_cap if time_cap is not None else None
+
+    def exceeded(self, where: str) -> BudgetExceeded:
+        """The error for a budget hit at ``where``: the node budget if it is
+        spent, the time budget otherwise."""
+        if self.node_cap is not None and self.nodes > self.node_cap:
+            return BudgetExceeded(f"node budget {self.node_cap} exceeded at {where}")
+        return BudgetExceeded(f"time budget exceeded at {where}")
 
 
 def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
@@ -164,6 +167,8 @@ class _Core:
     Only :meth:`grow` writes the tables and the packing; a search keeps its
     state on its own stack.
     """
+
+    where = ""  # what a budget-hit message names before the prefix
 
     def __init__(self, source):
         self.source = source
@@ -256,10 +261,9 @@ class _Core:
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
-            if node_cap is not None and state.nodes > node_cap:
-                raise _Exhausted
-            if deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline:
-                raise _Exhausted
+            if (node_cap is not None and state.nodes > node_cap
+                    or deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline):
+                raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
                 j = (forced & -forced).bit_length() - 1
                 split = rt[j] + (e - j) - forced.bit_count()
@@ -287,7 +291,7 @@ class _Core:
         """Solve every prefix up to n, checking the deadline before each one."""
         while len(self.r) <= n:
             if state.deadline is not None and time.monotonic() > state.deadline:
-                raise _Exhausted
+                raise state.exceeded(f"{self.where}prefix {len(self.r)}")
             if self.grown < len(self.r):
                 self.grow()
             self.advance(state)
@@ -310,10 +314,9 @@ class _Core:
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
-            if node_cap is not None and state.nodes > node_cap:
-                raise _Exhausted
-            if deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline:
-                raise _Exhausted
+            if (node_cap is not None and state.nodes > node_cap
+                    or deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline):
+                raise state.exceeded(f"{self.where}prefix {m}")
             if size + (m - e + 1) - forced.bit_count() < target:
                 continue
             if e > m:
@@ -350,11 +353,7 @@ def _mask_to_set(n: int, mask: int) -> IntSet:
 
 def _checked_witness(eq: ThreeVarEquation, n: int, mask: int) -> IntSet:
     """The witness set of ``mask``, re-verified by the avoidance checker."""
-    witness = _mask_to_set(n, mask)
-    check = avoids(eq, witness)
-    if not check.ok:
-        raise InvariantViolation(f"witness for {eq} at n={n} contains the solution {tuple(check.violation)}")
-    return witness
+    return require_avoiding(eq, _mask_to_set(n, mask), InvariantViolation, f"the witness at n={n}")
 
 
 def _checked_residues(eq: ThreeVarEquation, m: int, mask: int) -> IntSet:
@@ -393,9 +392,9 @@ def max_avoiding(
     the witness is re-derived as the lexicographically least maximum set,
     budget permitting (the lex-least pass also stops after
     ``_CANONICAL_NODE_CAP`` nodes); the result's ``canonical`` says whether
-    it was.  Either way the witness is
-    re-verified by :func:`avoids` before it is returned, and a set that
-    contains a solution raises :class:`InvariantViolation`.
+    it was.  Either way the witness is re-verified by the avoidance checker
+    before it is returned, and a set that contains a solution raises
+    :class:`InvariantViolation`.
     """
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
@@ -404,7 +403,7 @@ def max_avoiding(
     state = _RunState(node_cap, time_cap)
     try:
         engine.solve_to(n, state)
-    except _Exhausted:
+    except BudgetExceeded:
         best = engine.wit[-1]
         for order in (range(n, 0, -1), range(1, n + 1)):
             g = _greedy_mask(eq, n, order)
@@ -423,7 +422,7 @@ def max_avoiding(
             masks, _ = engine.enumerate_at(n, size, 1, cstate)
             if masks:
                 mask, lex_least = masks[0], True
-        except _Exhausted:
+        except BudgetExceeded:
             pass  # keep the search incumbent; size is certified either way
         state.nodes += cstate.nodes
     witness = _checked_witness(eq, n, mask)
@@ -441,30 +440,29 @@ def all_extremal(
 ) -> AllExtremal:
     """All maximum avoiding subsets of [1, n] in lexicographic order, up to cap.
 
-    Every set is re-verified by :func:`avoids`; one that contains a solution
-    raises :class:`InvariantViolation`.
+    Every set is re-verified by the avoidance checker; one that contains a
+    solution raises :class:`InvariantViolation`.  A budget hit raises
+    :class:`BudgetExceeded`.
     """
     if cap < 1:
         raise InvariantViolation(f"cap must be positive, got {cap}")
     engine = _engine_for(eq)
     state = _RunState(node_cap, time_cap)
-    try:
-        engine.solve_to(n, state)
-        size = engine.r[n]
-        masks, truncated = engine.enumerate_at(n, size, cap, state)
-    except _Exhausted as exc:
-        raise BudgetExceeded(f"budget exceeded enumerating extremal sets at n={n}") from exc
+    engine.solve_to(n, state)
+    size = engine.r[n]
+    masks, truncated = engine.enumerate_at(n, size, cap, state)
     return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks], truncated)
 
 
 def _rho(eq: ThreeVarEquation, m: int, state: _RunState) -> ModularDensity:
-    """rho_m within the budget of ``state``; a budget hit raises _Exhausted."""
+    """rho_m within the budget of ``state``; a budget hit raises BudgetExceeded."""
     if state.deadline is not None and time.monotonic() > state.deadline:
-        raise _Exhausted  # before the O(m^2) clique build
+        raise state.exceeded(f"modulus {m}")  # before the O(m^2) clique build
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
     for cl in congruence_cliques(eq, m):  # ascending, so each group is too
         by_max[cl[-1]].append(cl)
     engine = _Core(lambda k: by_max[k])
+    engine.where = f"modulus {m}, "
     engine.solve_to(m, state)
     masks, _ = engine.enumerate_at(m, engine.r[m], 1, state)
     mask = masks[0] if masks else 0
@@ -482,10 +480,7 @@ def rho_m(
     witness that contains one raises :class:`InvariantViolation`."""
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
-    try:
-        return _rho(eq, m, _RunState(node_cap, time_cap))
-    except _Exhausted as exc:
-        raise BudgetExceeded(f"budget exceeded computing rho_{m}") from exc
+    return _rho(eq, m, _RunState(node_cap, time_cap))
 
 
 def rho_best(
@@ -500,10 +495,7 @@ def rho_best(
     if m_max < 1:
         raise InvariantViolation(f"m_max must be positive, got {m_max}")
     state = _RunState(node_cap, time_cap)  # shared by every modulus
-    try:
-        return max((_rho(eq, m, state) for m in range(1, m_max + 1)), key=lambda d: d.rho)
-    except _Exhausted as exc:
-        raise BudgetExceeded(f"budget exceeded computing the best density up to m = {m_max}") from exc
+    return max((_rho(eq, m, state) for m in range(1, m_max + 1)), key=lambda d: d.rho)
 
 
 def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import partial
 
 from click.testing import CliRunner
@@ -57,6 +58,25 @@ class TestSolve:
         row = json.loads(out.output)
         assert row["all_sets"] == ["1,2", "1,3"]
         assert row["truncated"] is False
+
+    def test_all_sets_share_the_time_budget(self, monkeypatch):
+        # --time-budget bounds the whole command: all_extremal gets what the
+        # exact solve left of it, not a fresh budget
+        solve, enumerate_all, caps = search.max_avoiding, search.all_extremal, []
+
+        def slow_solve(*args, **kwargs):
+            time.sleep(0.05)
+            return solve(*args, **kwargs)
+
+        def recording(*args, time_cap=None, **kwargs):
+            caps.append(time_cap)
+            return enumerate_all(*args, time_cap=time_cap, **kwargs)
+
+        monkeypatch.setattr(search, "max_avoiding", slow_solve)
+        monkeypatch.setattr(search, "all_extremal", recording)
+        out = invoke("solve", "--eq", "2x+2y=5z", "--n", "3", "--all-sets", "--time-budget", "100")
+        assert out.exit_code == 0
+        assert len(caps) == 1 and 0 < caps[0] <= 100 - 0.05
 
     def test_invariant_equation_exit_2(self):
         proc = run_process("solve", "--eq", "x+y=2z", "--n", "5")

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from solfree.constructions import (
     Interval,
+    _ab_members,
     StructuredSet,
     ab_set,
     best_multi_interval,
@@ -16,8 +18,11 @@ from solfree.constructions import (
     top_interval,
     two_var_extremal,
 )
-from solfree.equations import IntSet, ThreeVarEquation, avoids, parse_equation
-from solfree.errors import InvariantViolation, QDividesS
+from solfree import equations
+from solfree.equations import AvoidanceCheck, IntSet, Solution, ThreeVarEquation, avoids, parse_equation
+from solfree.errors import AvoidanceCheckFailed, InvariantViolation, QDividesS
+from solfree.family1 import interval_compression
+from solfree.family2 import family2_extremal
 from solfree.search import max_avoiding
 
 from oracles import exhaustive_max
@@ -171,7 +176,8 @@ class TestAbSet:
         # counting identity: |A_b ^ [1,n]| = sum_i floor(n/b^{3i}) - floor(n/b^{3i+1})
         n = 10 ** 6
         for b in (2, 3):
-            A, d = ab_set(b, n, check=False)
+            # the unchecked builder: a checked ab_set cannot finish at this n
+            A, d = _ab_members(b, n), ab_set(b, 1)[1]
             expected = 0
             p = 1
             while p <= n:
@@ -203,7 +209,8 @@ class TestFuzzGuards:
         form = FORMS[name]
         eq = parse_equation(name)
         n = data.draw(st.integers(1, 300))
-        which = data.draw(st.sampled_from(["residue", "top", "multi"]))
+        which = data.draw(st.sampled_from(
+            ["residue", "top", "multi", "best_multi", "ab", "two_var", "family2"]))
         if which == "residue":
             q = data.draw(st.integers(2, 20))
             if abs(form.s) % q == 0:
@@ -211,10 +218,67 @@ class TestFuzzGuards:
             A = residue_set(form, q, n)
         elif which == "top":
             A = top_interval(form, n)
-        else:
+        elif which == "multi":
             k = data.draw(st.integers(1, 6))
             try:
                 A = multi_interval(form, n, k).materialize()
             except Exception:
                 return
+        elif which == "best_multi":
+            A = best_multi_interval(form, n, data.draw(st.integers(1, 6)))[1].materialize()
+        elif which == "ab":
+            b = data.draw(st.integers(2, 5))
+            eq, (A, _) = ThreeVarEquation(1, b, b * b), ab_set(b, n)
+        elif which == "two_var":
+            a = data.draw(st.integers(2, 9))
+            b = data.draw(st.integers(1, a - 1))
+            if gcd(a, b) != 1:
+                return
+            eq, (_, A) = ThreeVarEquation(a, 0, b), two_var_extremal(a, b, n)
+        else:
+            b = data.draw(st.integers(2, 5))
+            c = data.draw(st.integers(1, 3 * b + 4))
+            if gcd(b, c) != 1:
+                return
+            res = family2_extremal(b, c, n)
+            eq, A = res.equation(), res.structured.materialize()
         assert avoids(eq, A).ok
+
+
+COMPRESSION_INPUT = IntSet.of(20, range(16, 21))
+
+# every gated constructor, and the compression stages past their input check
+GATED = {
+    "residue_set": lambda: residue_set(FORMS["x+2y=13z"], 3, 20),
+    "top_interval": lambda: top_interval(FORMS["2x+2y=5z"], 20),
+    "multi_interval": lambda: multi_interval(FORMS["x+y=4z"], 100, 3),
+    "best_multi_interval": lambda: best_multi_interval(FORMS["2x+2y=5z"], 100, 6),
+    "ab_set": lambda: ab_set(2, 20),
+    "two_var_extremal": lambda: two_var_extremal(3, 2, 20),
+    "family2_extremal": lambda: family2_extremal(2, 5, 20),
+    "interval_compression": lambda: interval_compression(parse_equation("x+2y=13z"), COMPRESSION_INPUT),
+}
+
+
+class TestAvoidanceGate:
+    @pytest.mark.parametrize("name", sorted(GATED))
+    def test_guard_fires(self, monkeypatch, name):
+        def planted(eq, A):  # the checker finds a solution in every set but the compression input
+            if A is COMPRESSION_INPUT:
+                return AvoidanceCheck(True, None)
+            return AvoidanceCheck(False, Solution(1, 1, 1))
+
+        monkeypatch.setattr(equations, "avoids", planted)
+        with pytest.raises(AvoidanceCheckFailed, match=r"\(1, 1, 1\)"):
+            GATED[name]()
+
+    def test_best_multi_gates_only_the_winner(self, monkeypatch):
+        checker, seen = equations.avoids, []
+
+        def recording(eq, A):
+            seen.append(A)
+            return checker(eq, A)
+
+        monkeypatch.setattr(equations, "avoids", recording)
+        _, S = best_multi_interval(FORMS["2x+2y=5z"], 100, 6)
+        assert seen == [S.materialize()]
