@@ -10,8 +10,6 @@ from .equations import (
     ThreeVarEquation,
     avoids,
     enumerate_solutions,
-    equation_from_form,
-    normalize,
     parse_equation,
 )
 from .search import (

@@ -328,7 +328,10 @@ def report(timing: bool, eq_text: str, n_from: int, n_to: int, step: int, fmt: s
         raise click.UsageError("need 1 <= n-from <= n-to and step >= 1")
     eq = parse_equation(eq_text)
     # the file gets the same bytes as stdout: csv ends every line in \r\n
-    sink = open(output, "w", encoding="utf-8", newline="") if output else None
+    try:
+        sink = open(output, "w", encoding="utf-8", newline="") if output else None
+    except OSError as exc:
+        raise click.UsageError(f"cannot open --output {output}: {exc.strerror}") from None
     outs = [sys.stdout] + ([sink] if sink else [])
     writers = [csv.writer(out) for out in outs]
     try:

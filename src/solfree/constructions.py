@@ -2,9 +2,8 @@
 sets built from the shrinking recurrence, two-variable chain greedy sets, and
 the cube-valuation sets that beat the two-interval density at c = b*b.
 
-Every constructor returns its set through :func:`~solfree.equations.require_avoiding`
-when the form corresponds to a two- or three-variable equation, so a set that
-contains a solution raises :class:`~solfree.errors.AvoidanceCheckFailed`
+Every constructor returns its set through :func:`~solfree.equations.require_avoiding`,
+so a set that contains a solution raises :class:`~solfree.errors.AvoidanceCheckFailed`
 instead of being returned.
 """
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .equations import IntSet, LinearForm, ThreeVarEquation, equation_from_form, normalize, require_avoiding
+from .equations import IntSet, LinearForm, ThreeVarEquation, require_avoiding
 from .errors import AvoidanceCheckFailed, Infeasible, InvariantViolation, QDividesS
 
 _FIXED_POINT_CAP = 1000  # downward iteration shrinks xi every step, so this is generous
@@ -91,12 +90,6 @@ class StructuredSet:
         }
 
 
-def _guard(form: LinearForm, A: IntSet, what: str) -> None:
-    eq = equation_from_form(form)
-    if eq is not None:  # no checker for forms in more than three variables
-        require_avoiding(eq, A, AvoidanceCheckFailed, what)
-
-
 def residue_set(form: LinearForm, q: int, n: int) -> IntSet:
     """The class {x in [1, n] : x = 1 mod q}; avoiding because the coefficient
     sum s is not divisible by q."""
@@ -104,22 +97,19 @@ def residue_set(form: LinearForm, q: int, n: int) -> IntSet:
         raise InvariantViolation(f"q must be at least 2, got {q}")
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
-    if abs(form.s) % q == 0:
+    if form.s % q == 0:
         raise QDividesS(f"q={q} divides s={form.s}")
-    A = IntSet.of(n, range(1, n + 1, q))
-    _guard(form, A, f"residue_set(q={q}, n={n})")
-    return A
+    return require_avoiding(form.eq, IntSet.of(n, range(1, n + 1, q)), AvoidanceCheckFailed,
+                            f"residue_set(q={q}, n={n})")
 
 
 def top_interval(form: LinearForm, n: int) -> IntSet:
     """The interval (s_minus/s_plus * n, n], via the integer test s_plus*x > s_minus*n."""
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
-    form = normalize(form)
     lo = form.s_minus * n // form.s_plus
-    A = IntSet.of(n, range(lo + 1, n + 1))
-    _guard(form, A, f"top_interval(n={n})")
-    return A
+    return require_avoiding(form.eq, IntSet.of(n, range(lo + 1, n + 1)), AvoidanceCheckFailed,
+                            f"top_interval(n={n})")
 
 
 def _interval_sequence(form: LinearForm, n: int, k: int, xi: int) -> list[int]:
@@ -156,7 +146,7 @@ def multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> S
     plus the tail [xi, n_k].  With xi omitted, the canonical fixed-point value
     xi = 1 + floor(s_minus * n_k / s_plus) is used."""
     out = _multi_interval(form, n, k, xi)
-    _guard(form, out.materialize(), f"multi_interval(n={n}, k={k})")
+    require_avoiding(form.eq, out.materialize(), AvoidanceCheckFailed, f"multi_interval(n={n}, k={k})")
     return out
 
 
@@ -166,7 +156,6 @@ def _multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> 
         raise InvariantViolation(f"k must be positive, got {k}")
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
-    form = normalize(form)
     sp, sm = form.s_plus, form.s_minus
     if xi is None:
         xi, seq = _canonical_xi(form, n, k)
@@ -197,7 +186,7 @@ def best_multi_interval(form: LinearForm, n: int, k_max: int) -> tuple[int, Stru
     if best is None:  # k = 1 is always feasible
         raise Infeasible(f"no feasible k in 1..{k_max}")  # pragma: no cover
     k, out = best
-    _guard(form, out.materialize(), f"best_multi_interval(n={n}, k={k})")
+    require_avoiding(form.eq, out.materialize(), AvoidanceCheckFailed, f"best_multi_interval(n={n}, k={k})")
     return best
 
 

@@ -6,9 +6,10 @@ exact (integer arithmetic only) and free of search logic.
 
 Conventions
 -----------
-* An equation is stored with positive a, b, c.  Its linear-form view is the
-  coefficient vector (a, b, -c), which :func:`normalize` orients so that the
-  positive coefficients outweigh the negative ones.
+* An equation is stored with positive a, b, c.  Its linear-form view,
+  :class:`LinearForm`, reads the coefficient vector (a, b, -c), the zero
+  dropped when b = 0, oriented so that the positive coefficients outweigh
+  the negative ones.
 * Solutions are ordered triples (x, y, z) with the variables ranging
   independently over the set, so repeated values are allowed.  The constant
   triple x = y = z never solves a valid equation because a + b != c.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -45,29 +47,20 @@ class Solution(NamedTuple):
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A homogeneous linear form sum(a_i * x_i) = 0 with nonzero integer coefficients.
+    """The linear-form view of an equation, built by :meth:`ThreeVarEquation.linear_form`.
 
-    Mixed signs are mandatory (otherwise there are no positive solutions) and
-    the gcd of the absolute values must be one.  ``s`` may be negative until
-    the form is passed through :func:`normalize`.
+    ``coeffs`` is (a, b, -c), the zero dropped when b = 0, negated if need be
+    so that the positive coefficients outweigh the negative ones; so ``s`` is
+    |a + b - c| > 0.
     """
 
-    coeffs: tuple[int, ...]
+    eq: ThreeVarEquation
 
-    def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", cs)
-        if not cs or any(c == 0 for c in cs):
-            raise InvariantViolation(f"coefficients must be nonzero: {cs!r}")
-        g = 0
-        for c in cs:
-            g = gcd(g, abs(c))
-        if g != 1:
-            raise InvariantViolation(f"gcd of |coefficients| must be 1, got {g}")
-        if all(c > 0 for c in cs) or all(c < 0 for c in cs):
-            raise InvariantViolation("need at least one positive and one negative coefficient")
-        if sum(cs) == 0:
-            raise InvariantViolation("translation-invariant form (sum of coefficients is 0)")
+    @cached_property
+    def coeffs(self) -> tuple[int, ...]:
+        a, b, c = self.eq.a, self.eq.b, self.eq.c
+        cs = (a, -c) if b == 0 else (a, b, -c)
+        return cs if a + b > c else tuple(-v for v in cs)
 
     @property
     def s_plus(self) -> int:
@@ -85,16 +78,6 @@ class LinearForm:
     def a_min(self) -> int:
         """Smallest absolute value among the negative coefficients."""
         return min(-c for c in self.coeffs if c < 0)
-
-    def negated(self) -> "LinearForm":
-        return LinearForm(tuple(-c for c in self.coeffs))
-
-
-def normalize(form: LinearForm) -> LinearForm:
-    """Orient a form so that s_plus > s_minus.  Idempotent."""
-    if form.s_plus > form.s_minus:
-        return form
-    return form.negated()
 
 
 @dataclass(frozen=True)
@@ -122,8 +105,12 @@ class IntSet:
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "IntSet":
-        text = text.strip()
-        items = [int(tok) for tok in text.split(",") if tok.strip()] if text else []
+        items = []
+        for tok in filter(str.strip, text.split(",")):
+            try:
+                items.append(int(tok))
+            except ValueError:
+                raise InvariantViolation(f"set member {tok.strip()!r} is not an integer") from None
         bound = n if n is not None else (max(items) if items else 1)
         return cls.of(bound, items)
 
@@ -187,10 +174,8 @@ class ThreeVarEquation:
         return Family.OTHER
 
     def linear_form(self) -> LinearForm:
-        """Normalized linear-form view; zero coefficients are dropped."""
-        if self.b == 0:
-            return normalize(LinearForm((self.a, -self.c)))
-        return normalize(LinearForm((self.a, self.b, -self.c)))
+        """The oriented linear-form view of this equation."""
+        return LinearForm(self)
 
     def __str__(self) -> str:
         def coef(v: int) -> str:
@@ -332,19 +317,3 @@ def require_avoiding(eq: ThreeVarEquation, A: IntSet, error: type[Exception], wh
     if not result.ok:
         raise error(f"{what} contains the solution {tuple(result.violation)} of {eq}")
     return A
-
-
-def equation_from_form(form: LinearForm) -> ThreeVarEquation | None:
-    """Reconstruct the equation behind a 2- or 3-coefficient form, if any.
-
-    Forms with more coefficients have no checker; callers skip the guard.
-    """
-    pos = [c for c in form.coeffs if c > 0]
-    neg = [-c for c in form.coeffs if c < 0]
-    if len(form.coeffs) == 2:
-        return ThreeVarEquation(pos[0], 0, neg[0])
-    if len(form.coeffs) != 3:
-        return None
-    if len(pos) == 2:
-        return ThreeVarEquation(pos[0], pos[1], neg[0])
-    return ThreeVarEquation(neg[0], neg[1], pos[0])

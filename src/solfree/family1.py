@@ -194,6 +194,8 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
     stats = min_element_stats(n, b, c)
     eq = ThreeVarEquation(1, b, c)
     l1 = (b + 1) * n // c
+    xi2 = (b + 1) * n - c * l1  # the closed high interval drops n - xi2; free of s
+    high_closes = l1 >= 1 and 0 <= xi2 <= n and l1 < n - xi2 <= n
     out: list[TwoIntervalCandidate] = []
     for s in range(max(1, stats.predicted - c), stats.predicted + 3):
         if s > n:
@@ -214,18 +216,16 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
             high_variants: list[tuple[str, tuple[int, int], tuple[int, ...], dict[str, int]]] = []
             if not has_top:
                 high_variants.append(("open", (l1 + 1, n), (), {}))
-                xi2 = (b + 1) * n - c * l1
-                if l1 >= 1 and 0 <= xi2 <= n and l1 < n - xi2 <= n:
+                if high_closes:
                     high_variants.append(("closed", (l1, n), (n - xi2,), {"xi2": xi2}))
             else:
                 xi3 = c * (r2 + 1) - b * s - l1
                 if 1 <= xi3 <= n and l1 + xi3 <= n:
                     high_variants.append(("open-punctured", (l1 + 1, n), (l1 + xi3,), {"xi3": xi3}))
-                xi4 = c * (r2 + 1) - b * s - l1
-                xi5 = (b + 1) * n - c * l1
-                if l1 >= 1 and 1 <= xi4 <= b - 1 and 0 <= xi5 <= n and l1 < n - xi5 <= n:
+                # labelled xi4 and xi5 in the output, these are the values of xi3 and xi2
+                if high_closes and 1 <= xi3 <= b - 1:
                     high_variants.append(
-                        ("closed-punctured", (l1, n), (l1 + xi4, n - xi5), {"xi4": xi4, "xi5": xi5})
+                        ("closed-punctured", (l1, n), (l1 + xi3, n - xi2), {"xi4": xi3, "xi5": xi2})
                     )
             for high_variant, high, high_removed, high_xi in high_variants:
                 members = _materialize_candidate(low, low_removed, high, high_removed)

@@ -257,12 +257,14 @@ class _Core:
         #    of slots not yet provably dead, j = lowest forced element.
         # An explicit stack of (e, size, inc, forced) nodes: the exclude child is
         # pushed first, so the include branch is searched first, depth-first.
+        # The clock is read on a call's first node and every 4096th after it;
+        # the first read lets a spent budget stop a short search on a warm engine.
         stack = [(m, 0, 0, self.banned)]
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
             if (node_cap is not None and state.nodes > node_cap
-                    or deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline):
+                    or deadline is not None and state.nodes & 4095 == 1 and time.monotonic() > deadline):
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
                 j = (forced & -forced).bit_length() - 1
@@ -315,7 +317,7 @@ class _Core:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
             if (node_cap is not None and state.nodes > node_cap
-                    or deadline is not None and state.nodes & 4095 == 0 and time.monotonic() > deadline):
+                    or deadline is not None and state.nodes & 4095 == 1 and time.monotonic() > deadline):
                 raise state.exceeded(f"{self.where}prefix {m}")
             if size + (m - e + 1) - forced.bit_count() < target:
                 continue

@@ -184,6 +184,12 @@ class TestFamilyCommands:
                      "--set", "10", "--z", "10", "--d", "0")
         assert json.loads(out.output)["missing"] >= 1
 
+    def test_bad_set_member_exit_2(self):
+        proc = run_process("family1", "def1", "--eq", "x+2y=13z", "--n", "20", "--set", "16,a")
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvariantViolation" and "'a'" in err["message"]
+
     def test_family2(self):
         row = json.loads(invoke("family2", "--b", "2", "--c", "5", "--n", "10").output)
         assert row["case"] == "i" and row["set"] == "1,3,5,7,9,10"
@@ -247,6 +253,13 @@ class TestReport:
             assert len(lines) == rows + (fmt == "csv")
             assert all(line.endswith(b"\r\n" if fmt == "csv" else b"}\n") for line in lines)
             assert (b"false" in lines[-1]) == (code == 3)
+
+    def test_unwritable_output_exit_2(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        proc = run_process("report", "--eq", "x+y=3z", "--n-from", "1", "--n-to", "3",
+                           "--output", str(target))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "cannot open --output" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_byte_identical_runs(self):
         a = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20")

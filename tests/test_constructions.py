@@ -67,7 +67,7 @@ class TestResidueSet:
         assert residue_set(FORMS["2x+2y=5z"], 2, 4).members == (1, 3)
 
     def test_q_dividing_s_rejected(self):
-        # x+y=4z has s = 2 after normalization
+        # x+y=4z has s = |1 + 1 - 4| = 2
         with pytest.raises(QDividesS):
             residue_set(FORMS["x+y=4z"], 2, 10)
 
@@ -247,12 +247,20 @@ class TestFuzzGuards:
 
 COMPRESSION_INPUT = IntSet.of(20, range(16, 21))
 
+# the form each form constructor is called with below
+GATED_FORMS = {
+    "residue_set": FORMS["x+2y=13z"],
+    "top_interval": FORMS["2x+2y=5z"],
+    "multi_interval": FORMS["x+y=4z"],
+    "best_multi_interval": FORMS["2x+2y=5z"],
+}
+
 # every gated constructor, and the compression stages past their input check
 GATED = {
-    "residue_set": lambda: residue_set(FORMS["x+2y=13z"], 3, 20),
-    "top_interval": lambda: top_interval(FORMS["2x+2y=5z"], 20),
-    "multi_interval": lambda: multi_interval(FORMS["x+y=4z"], 100, 3),
-    "best_multi_interval": lambda: best_multi_interval(FORMS["2x+2y=5z"], 100, 6),
+    "residue_set": lambda: residue_set(GATED_FORMS["residue_set"], 3, 20),
+    "top_interval": lambda: top_interval(GATED_FORMS["top_interval"], 20),
+    "multi_interval": lambda: multi_interval(GATED_FORMS["multi_interval"], 100, 3),
+    "best_multi_interval": lambda: best_multi_interval(GATED_FORMS["best_multi_interval"], 100, 6),
     "ab_set": lambda: ab_set(2, 20),
     "two_var_extremal": lambda: two_var_extremal(3, 2, 20),
     "family2_extremal": lambda: family2_extremal(2, 5, 20),
@@ -263,14 +271,19 @@ GATED = {
 class TestAvoidanceGate:
     @pytest.mark.parametrize("name", sorted(GATED))
     def test_guard_fires(self, monkeypatch, name):
+        gated = []
+
         def planted(eq, A):  # the checker finds a solution in every set but the compression input
             if A is COMPRESSION_INPUT:
                 return AvoidanceCheck(True, None)
+            gated.append(eq)
             return AvoidanceCheck(False, Solution(1, 1, 1))
 
         monkeypatch.setattr(equations, "avoids", planted)
         with pytest.raises(AvoidanceCheckFailed, match=r"\(1, 1, 1\)"):
             GATED[name]()
+        if name in GATED_FORMS:  # a form constructor gates on the form's own equation
+            assert len(gated) == 1 and gated[0] is GATED_FORMS[name].eq
 
     def test_best_multi_gates_only_the_winner(self, monkeypatch):
         checker, seen = equations.avoids, []

@@ -9,13 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 from solfree.equations import (
     Family,
     IntSet,
-    LinearForm,
     Solution,
     ThreeVarEquation,
     avoids,
     enumerate_solutions,
-    equation_from_form,
-    normalize,
     parse_equation,
 )
 from solfree.errors import InvariantViolation, MalformedEquation
@@ -174,52 +171,27 @@ class TestAvoids:
         assert check == brute_avoids(eq, A)
 
 
-coefficient_lists = st.lists(
-    st.integers(-9, 9).filter(lambda v: v != 0), min_size=2, max_size=4
-).filter(
-    lambda cs: any(v > 0 for v in cs)
-    and any(v < 0 for v in cs)
-    and sum(cs) != 0
-)
-
-
-def _primitive(cs):
-    g = 0
-    for v in cs:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in cs)
-
-
-class TestNormalize:
+class TestLinearForm:
     def test_examples(self):
-        f = normalize(LinearForm(_primitive((2, 2, -5))))
-        assert f.coeffs == (-2, -2, 5)
-        assert (f.s_plus, f.s_minus, f.a_min) == (5, 4, 2)
-        f = normalize(LinearForm((1, 2, -13)))
-        assert f.coeffs == (-1, -2, 13)
-        assert (f.s_plus, f.s_minus, f.a_min) == (13, 3, 1)
-        f = normalize(LinearForm((1, 1, -1)))
-        assert f.coeffs == (1, 1, -1)
-        assert (f.s_plus, f.s_minus, f.a_min) == (2, 1, 1)
+        for text, coeffs, s_plus, s_minus, a_min in [
+            ("2x+2y=5z", (-2, -2, 5), 5, 4, 2),
+            ("x+2y=13z", (-1, -2, 13), 13, 3, 1),
+            ("x+y=z", (1, 1, -1), 2, 1, 1),
+            ("3x=2z", (3, -2), 3, 2, 2),
+            ("2x=3z", (-2, 3), 3, 2, 2),
+        ]:
+            f = parse_equation(text).linear_form()
+            assert f.coeffs == coeffs, text
+            assert (f.s_plus, f.s_minus, f.a_min) == (s_plus, s_minus, a_min), text
 
-    @given(coefficient_lists)
-    def test_idempotent(self, cs):
-        form = LinearForm(_primitive(cs))
-        once = normalize(form)
-        assert once.s_plus > once.s_minus
-        assert normalize(once) == once
-
-    def test_rejects_single_signed(self):
-        with pytest.raises(InvariantViolation):
-            LinearForm((1, 2, 3))
-
-    def test_rejects_invariant(self):
-        with pytest.raises(InvariantViolation):
-            LinearForm((2, 1, -3))
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(InvariantViolation):
-            LinearForm((2, 4, -8))
+    @given(valid_equations())
+    def test_oriented(self, eq):
+        f = eq.linear_form()
+        assert f.s_plus > f.s_minus
+        assert f.s == abs(eq.a + eq.b - eq.c)
+        assert sorted(abs(v) for v in f.coeffs) == sorted(v for v in (eq.a, eq.b, eq.c) if v)
+        negative = [eq.c] if eq.a + eq.b > eq.c else [v for v in (eq.a, eq.b) if v]
+        assert f.a_min == min(negative)
 
 
 class TestIntSet:
@@ -239,12 +211,13 @@ class TestIntSet:
     def test_empty(self):
         assert IntSet.from_text("", n=4).size == 0
 
+    def test_from_text_names_a_bad_member(self):
+        with pytest.raises(InvariantViolation, match="'a'"):
+            IntSet.from_text("16, a", n=20)
+
 
 class TestEquationFromForm:
     @pytest.mark.parametrize("text", ["x+2y=4z", "2x+2y=5z", "x+2y=13z", "3x=2z", "x+y=5z"])
     def test_roundtrip_through_form(self, text):
         eq = parse_equation(text)
-        assert equation_from_form(eq.linear_form()) == eq
-
-    def test_wide_forms_have_no_checker(self):
-        assert equation_from_form(LinearForm((1, 1, 1, -2))) is None
+        assert eq.linear_form().eq is eq

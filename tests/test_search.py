@@ -224,7 +224,7 @@ class TestMaxAvoiding:
         assert search_witness.optimal and not search_witness.canonical
         assert max_avoiding(eq, 45).canonical
         assert not max_avoiding(eq, 46, node_cap=0).canonical  # budget hit
-        # the pass checks the clock every 4096 nodes and needs more than that here
+        # the pass checks the clock on its first node, so a spent budget stops it there
         late = max_avoiding(eq, 45, time_cap=1e-9)
         assert late.optimal and not late.canonical and late.witness == search_witness.witness
         monkeypatch.setattr(search, "_CANONICAL_NODE_CAP", 10)
@@ -350,9 +350,23 @@ class TestEngine:
         eq = EQS["family2"]
         fresh_engine(monkeypatch, eq)
         search_witness = max_avoiding(eq, 45, canonical=False).witness
-        assert max_avoiding(eq, 45).nodes > 4096  # the pass checks the clock every 4096 nodes
+        assert max_avoiding(eq, 45).witness != search_witness  # the pass would change it
         res = max_avoiding(eq, 45, time_cap=1e-9)
-        assert res.optimal and res.nodes == 4096 and res.witness == search_witness
+        assert res.optimal and res.nodes == 1 and res.witness == search_witness
+
+    def test_zero_time_budget_stops_the_canonical_pass_on_a_warm_engine(self, monkeypatch):
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 30)
+        res = max_avoiding(eq, 30, time_cap=0)
+        assert res.optimal and not res.canonical and res.size == 17
+
+    def test_zero_time_budget_stops_all_extremal_on_a_warm_engine(self, monkeypatch):
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 30)
+        with pytest.raises(BudgetExceeded):
+            all_extremal(eq, 30, cap=5, time_cap=0)
 
     def test_zero_time_budget_is_a_budget_hit(self, monkeypatch):
         eq = EQS["square"]
