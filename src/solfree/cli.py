@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import constructions, conjectures, family1, family2, search
-from .equations import IntSet, ThreeVarEquation, parse_equation
+from .equations import Family, IntSet, ThreeVarEquation, parse_equation
 from .errors import BudgetExceeded, SolfreeError
 
 CSV_COLUMNS = ["equation", "n", "method", "size", "ratio_num", "ratio_den", "optimal", "nodes", "millis"]
@@ -45,6 +45,27 @@ def _exact_row(eq: ThreeVarEquation, n: int, result: search.ExtremalResult, timi
         "optimal": result.optimal, "nodes": result.nodes,
         "millis": _millis(timing, result.millis),
     }
+
+
+def _construction_sizes(eq: ThreeVarEquation, n: int) -> dict:
+    """Sizes of the parameter-free constructions that apply to eq at n, each a
+    lower bound on r(n); only the JSON rows of ``report`` carry them."""
+    form = eq.linear_form()
+    q = next(q for q in range(2, form.s + 2) if form.s % q)  # s + 1 never divides s
+    sizes = {
+        "top": constructions.top_interval(form, n).size,
+        "multi": constructions.best_multi_interval(form, n, 6)[1].size,
+        "residue": constructions.residue_set(form, q, n).size,
+    }
+    if eq.family is Family.FAMILY_I and family1.eligible(eq.b, eq.c):
+        best = family1.best_candidate(n, eq.b, eq.c)
+        if best is not None:
+            sizes["family1"] = best.size
+    if eq.family is Family.FAMILY_II and eq.a > 1:
+        sizes["family2"] = family2.family2_extremal(eq.a, eq.c, n).size
+    if eq.family is Family.FAMILY_I and eq.c == eq.b * eq.b:
+        sizes["ab"] = constructions.ab_set(eq.b, n)[0].size
+    return sizes
 
 
 def _csv_line(row: dict) -> list:
@@ -344,6 +365,8 @@ def report(timing: bool, eq_text: str, n_from: int, n_to: int, step: int, fmt: s
             result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget,
                                          canonical=False)
             row = _exact_row(eq, n, result, timing)
+            if fmt == "json":
+                row["constructions"] = _construction_sizes(eq, n)
             for out, writer in zip(outs, writers):
                 if fmt == "csv":
                     writer.writerow(_csv_line(row))

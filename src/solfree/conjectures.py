@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .constructions import ab_set
 from .equations import IntSet, ThreeVarEquation, require_avoiding
-from .errors import BudgetExceeded, CaseRuleUnmatched, InvariantViolation, NotAvoiding
+from .errors import BudgetExceeded, InvariantViolation, NotAvoiding
 from .family1 import interval_density
 from .search import max_avoiding
 
@@ -33,7 +33,8 @@ def counterexample_gap(b: int) -> tuple[Fraction, Fraction]:
         raise InvariantViolation(f"b must be at least 2, got {b}")
     d_ab = Fraction(b * b, b * b + b + 1)
     d_intervals = interval_density(b, b * b)
-    assert d_ab > d_intervals
+    if d_ab <= d_intervals:
+        raise InvariantViolation(f"the cube-valuation density {d_ab} does not beat {d_intervals} at b={b}")
     return d_ab, d_intervals
 
 
@@ -122,7 +123,8 @@ def injection_certificate(b: int, B: IntSet, n: int | None = None) -> InjectionC
 
     The mapping follows the case rules for b = 2 and b = 3 exactly; totality,
     injectivity and the codomain are then checked, and any divergence raises
-    :class:`CaseRuleUnmatched` (which release tests treat as a bug signal).
+    :class:`InvariantViolation` naming the check that failed (release tests
+    treat it as a bug signal).
     """
     if b not in (2, 3):
         raise InvariantViolation(f"certificates exist for b in {{2, 3}}, got {b}")
@@ -144,10 +146,10 @@ def injection_certificate(b: int, B: IntSet, n: int | None = None) -> InjectionC
     # verification pass: the certificate is evidence, not an assumption
     targets = [t for _, t in mapping]
     if len(set(targets)) != len(targets):
-        raise CaseRuleUnmatched(f"mapping is not injective for b={b}, B={B.to_text()!r}")
+        raise InvariantViolation(f"mapping is not injective for b={b}, B={B.to_text()!r}")
     for src, tgt in mapping:
         if tgt not in a_members or tgt in b_members:
-            raise CaseRuleUnmatched(
+            raise InvariantViolation(
                 f"target {tgt} of {src} is outside A\\B for b={b}, B={B.to_text()!r}"
             )
     return InjectionCertificate(b, bound, B, A, tuple(mapping))

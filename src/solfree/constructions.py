@@ -144,7 +144,8 @@ def _canonical_xi(form: LinearForm, n: int, k: int) -> tuple[int, list[int]]:
 def multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> StructuredSet:
     """Union of k shrinking intervals: (s_minus/s_plus * n_j, n_j] for j < k
     plus the tail [xi, n_k].  With xi omitted, the canonical fixed-point value
-    xi = 1 + floor(s_minus * n_k / s_plus) is used."""
+    xi = 1 + floor(s_minus * n_k / s_plus) is used.  A form with two positive
+    coefficients (c < a + b) has only k = 1."""
     out = _multi_interval(form, n, k, xi)
     require_avoiding(form.eq, out.materialize(), AvoidanceCheckFailed, f"multi_interval(n={n}, k={k})")
     return out
@@ -156,6 +157,11 @@ def _multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> 
         raise InvariantViolation(f"k must be positive, got {k}")
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
+    # the recurrence rules out solutions across the intervals only when one
+    # coefficient is positive; with two, the positive side can take members of
+    # two intervals, as (1, 5, 10) of 5x+5y=3z does at n = 12, k = 2
+    if k > 1 and sum(v > 0 for v in form.coeffs) > 1:
+        raise Infeasible(f"k={k} needs one positive coefficient, {form.eq} has two")
     sp, sm = form.s_plus, form.s_minus
     if xi is None:
         xi, seq = _canonical_xi(form, n, k)

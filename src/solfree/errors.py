@@ -11,7 +11,10 @@ class MalformedEquation(SolfreeError):
 
 class InvariantViolation(SolfreeError):
     """A domain invariant failed: gcd != 1, translation-invariant equation,
-    nonpositive coefficient, or a precondition of the same flavour."""
+    nonpositive coefficient, empty input, or a precondition of the same
+    flavour.  Also raised by the guards on states that cannot happen (a scan
+    that finds nothing, a vanishing denominator, injection rules that diverge
+    from their case analysis): those signal an implementation bug."""
 
 
 class QDividesS(SolfreeError):
@@ -19,7 +22,8 @@ class QDividesS(SolfreeError):
 
 
 class Infeasible(SolfreeError):
-    """No interval sequence satisfies the recurrence for the requested k, xi."""
+    """No interval sequence satisfies the recurrence for the requested k, xi,
+    or k > 1 on a form with two positive coefficients."""
 
 
 class AvoidanceCheckFailed(SolfreeError):
@@ -35,29 +39,9 @@ class BudgetExceeded(SolfreeError):
     """A node or wall-time cap was hit before the search finished."""
 
 
-class EmptyInput(SolfreeError):
-    """An operation that needs a nonempty set received an empty one."""
-
-
 class NotAvoiding(SolfreeError):
     """An input set was required to avoid the equation but does not."""
 
 
-class ScanFailed(SolfreeError):
-    """An upward scan did not find the element it was guaranteed to find."""
-
-
 class IntervalOutOfRange(SolfreeError):
     """A solution window does not lie inside [1, n]."""
-
-
-class CaseRuleUnmatched(SolfreeError):
-    """The injection rules diverged from their case analysis.
-
-    This signals an implementation bug, never a property of the inputs;
-    it is kept as a distinct type so the tests can use it as an oracle.
-    """
-
-
-class DegenerateDenominator(SolfreeError):
-    """A density formula was evaluated where its denominator vanishes."""

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import Family, IntSet, ThreeVarEquation, avoids, require_avoiding
-from .errors import (
-    AvoidanceCheckFailed,
-    DegenerateDenominator,
-    EmptyInput,
-    IntervalOutOfRange,
-    InvariantViolation,
-    NotAvoiding,
-    ScanFailed,
-)
+from .errors import AvoidanceCheckFailed, IntervalOutOfRange, InvariantViolation, NotAvoiding
 
 
 def eligible(b: int, c: int) -> bool:
@@ -41,7 +33,7 @@ def interval_density(b: int, c: int) -> Fraction:
     """Density (c-b-1)(c^2-b^2+1) / (c (c^2 - b(b+1))) of the two-interval family."""
     den = c * (c * c - b * (b + 1))
     if den == 0:
-        raise DegenerateDenominator(f"denominator vanishes for b={b}, c={c}")
+        raise InvariantViolation(f"denominator vanishes for b={b}, c={c}")
     return Fraction((c - b - 1) * (c * c - b * b + 1), den)
 
 
@@ -72,7 +64,7 @@ def min_element_stats(n: int, b: int, c: int) -> MinElementStats:
         l2 = (b + 1) * r2 // c
         if l2 < s:
             return MinElementStats(predicted, s)
-    raise ScanFailed(f"no crossover for n={n}, b={b}, c={c}")
+    raise InvariantViolation(f"no crossover for n={n}, b={b}, c={c}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
     if c <= b + 1:
         raise InvariantViolation(f"compression needs c > b+1, got b={b}, c={c}")
     if A.size == 0:
-        raise EmptyInput("the transform needs a nonempty set")
+        raise InvariantViolation("the transform needs a nonempty set")
     require_avoiding(eq, A, NotAvoiding, "input")
     n = A.n
     s = A.min()
@@ -135,7 +127,7 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
         if r_next < s:
             break
         if t > n + 1:  # pragma: no cover - cannot happen for c > b+1
-            raise ScanFailed("compression failed to terminate")
+            raise InvariantViolation("compression failed to terminate")
     for i, stage in enumerate(stages[1:], 1):
         require_avoiding(eq, stage, AvoidanceCheckFailed, f"compression stage {i}")
     alpha = max(l_seq[-1] + 1, s)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON/CSV schemas, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import time
 from functools import partial
 
+import pytest
 from click.testing import CliRunner
 
 import solfree
@@ -19,26 +21,21 @@ from oracles import lex_least_two_var
 
 # the child process imports the same solfree as this one, however it was found
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(solfree.__file__)))
-_SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
 def invoke(*args: str):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
-def run_python(*args: str, text: bool = True):
+def run_process(*args: str, text: bool = True):
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-m", "solfree.cli", *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=text,
         timeout=300,
     )
-
-
-def run_process(*args: str, text: bool = True):
-    return run_python("-m", "solfree.cli", *args, text=text)
 
 
 class TestSolve:
@@ -262,10 +259,36 @@ class TestReport:
         assert "cannot open --output" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_byte_identical_runs(self):
-        a = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20")
-        b = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20")
+        a = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20", text=False)
+        b = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20", text=False)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+        # the CSV rows carry no construction sizes, so these bytes stay pinned
+        assert hashlib.sha256(a.stdout).hexdigest() == (
+            "e2196944ab1ccce5618795d1173ebe0ca1547cc1af73ca292ff0220b6f289bbc")
+
+    @pytest.mark.parametrize("text,size,sizes", [
+        ("x+2y=4z", 34, {"top": 15, "multi": 20, "residue": 30, "ab": 34}),
+        ("2x+2y=5z", 36, {"top": 12, "multi": 20, "residue": 30, "family2": 36}),
+        ("x+2y=13z", 48, {"top": 47, "multi": 48, "residue": 20, "family1": 48}),
+        ("x+y=3z", 30, {"top": 20, "multi": 27, "residue": 30}),
+    ])
+    def test_json_rows_carry_the_constructions(self, text, size, sizes):
+        out = invoke("report", "--eq", text, "--n-from", "60", "--n-to", "60", "--fmt", "json")
+        row = json.loads(out.output)
+        assert (row["size"], row["optimal"]) == (size, True)
+        assert row["constructions"] == sizes
+        assert list(row["constructions"]) == list(sizes)  # top, multi, residue, then the rest
+
+    @pytest.mark.parametrize("text", ["x+2y=4z", "2x+2y=5z", "x+2y=13z", "x+y=3z", "5x+5y=3z",
+                                      "3x+y=2z", "2x=z"])
+    def test_constructions_never_beat_an_optimal_row(self, text):
+        out = invoke("report", "--eq", text, "--n-from", "1", "--n-to", "40", "--fmt", "json")
+        assert out.exit_code == 0
+        rows = [json.loads(line) for line in out.output.splitlines()]
+        assert len(rows) == 40 and all(r["optimal"] for r in rows)
+        for r in rows:
+            assert all(v <= r["size"] for v in r["constructions"].values()), r
 
     def test_nodes_are_the_rows_own_search(self, monkeypatch):
         proc = run_process("report", "--eq", "x+y=3z", "--n-from", "4", "--n-to", "22",
@@ -283,16 +306,3 @@ class TestReport:
         assert jobs.returncode == seed.returncode == 2
         assert jobs.stdout == seed.stdout == ""
 
-
-class TestScripts:
-    def test_density_tables(self):
-        proc = run_python(os.path.join(_SCRIPTS, "density_tables.py"),
-                          "--eq", "2x+2y=5z", "--n-max", "8", "--m-max", "4")
-        assert proc.returncode == 0, proc.stderr
-        assert len(proc.stdout.splitlines()) == 2 + 8
-
-    def test_cube_set_experiment(self):
-        proc = run_python(os.path.join(_SCRIPTS, "cube_set_experiment.py"),
-                          "--n-max", "10", "--samples", "5")
-        assert proc.returncode == 0, proc.stderr
-        assert "10 values of n checked, 0 mismatches" in proc.stdout

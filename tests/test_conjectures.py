@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from solfree import conjectures
 from solfree.conjectures import (
     counterexample_equation,
     counterexample_gap,
@@ -29,6 +30,12 @@ class TestGap:
             d_ab, d_int = counterexample_gap(b)
             assert d_ab == Fraction(b * b, b * b + b + 1)
             assert d_ab > d_int
+
+    def test_lost_gap_raises(self, monkeypatch):
+        # the guard is a raise, not an assert, so it holds under python -O too
+        monkeypatch.setattr(conjectures, "interval_density", lambda b, c: Fraction(1))
+        with pytest.raises(InvariantViolation, match="does not beat"):
+            counterexample_gap(2)
 
 
 class TestVerifyCubeSet:

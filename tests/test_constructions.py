@@ -20,7 +20,7 @@ from solfree.constructions import (
 )
 from solfree import equations
 from solfree.equations import AvoidanceCheck, IntSet, Solution, ThreeVarEquation, avoids, parse_equation
-from solfree.errors import AvoidanceCheckFailed, InvariantViolation, QDividesS
+from solfree.errors import AvoidanceCheckFailed, Infeasible, InvariantViolation, QDividesS
 from solfree.family1 import interval_compression
 from solfree.family2 import family2_extremal
 from solfree.search import max_avoiding
@@ -32,6 +32,9 @@ FORMS = {
     "x+y=3z": parse_equation("x+y=3z").linear_form(),
     "2x+2y=5z": parse_equation("2x+2y=5z").linear_form(),
     "x+y=4z": parse_equation("x+y=4z").linear_form(),
+    # c < a + b: two positive coefficients
+    "5x+5y=3z": parse_equation("5x+5y=3z").linear_form(),
+    "3x+y=2z": parse_equation("3x+y=2z").linear_form(),
 }
 
 
@@ -122,6 +125,32 @@ class TestMultiInterval:
         k3, s3 = best_multi_interval(FORMS["2x+2y=5z"], 1, 3)
         assert s3.materialize().members == (1,)
 
+    def test_two_positive_coefficients_keep_one_interval(self):
+        # k = 2 would hold the solution (1, 5, 10) of 5x+5y=3z
+        form = FORMS["5x+5y=3z"]
+        with pytest.raises(Infeasible, match="one positive coefficient"):
+            multi_interval(form, 12, 2)
+        k, s = best_multi_interval(form, 12, 6)
+        assert k == 1 and s.materialize() == top_interval(form, 12)
+        assert s.materialize().members == tuple(range(4, 13))
+
+    @given(data=st.data())
+    def test_any_valid_equation(self, data):
+        a, c = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 20))
+        b = data.draw(st.integers(0, 9))
+        try:
+            eq = ThreeVarEquation(a, b, c)
+        except InvariantViolation:
+            return
+        form, n, k = eq.linear_form(), data.draw(st.integers(1, 150)), data.draw(st.integers(1, 6))
+        best = best_multi_interval(form, n, k)[1].materialize()
+        assert avoids(eq, best).ok
+        xi = data.draw(st.none() | st.integers(-2, n + 2))
+        try:
+            multi_interval(form, n, k, xi)
+        except (Infeasible, InvariantViolation):
+            pass
+
 
 class TestTwoVar:
     def test_example(self):
@@ -203,7 +232,7 @@ class TestSolverDominates:
 
 class TestFuzzGuards:
     @given(data=st.data())
-    @settings(max_examples=80)
+    @settings(max_examples=200)
     def test_every_construction_avoids(self, data):
         name = data.draw(st.sampled_from(sorted(FORMS)))
         form = FORMS[name]
@@ -222,7 +251,7 @@ class TestFuzzGuards:
             k = data.draw(st.integers(1, 6))
             try:
                 A = multi_interval(form, n, k).materialize()
-            except Exception:
+            except Infeasible:
                 return
         elif which == "best_multi":
             A = best_multi_interval(form, n, data.draw(st.integers(1, 6)))[1].materialize()

@@ -6,12 +6,7 @@ from fractions import Fraction
 import pytest
 
 from solfree.equations import IntSet, parse_equation
-from solfree.errors import (
-    EmptyInput,
-    IntervalOutOfRange,
-    InvariantViolation,
-    NotAvoiding,
-)
+from solfree.errors import IntervalOutOfRange, InvariantViolation, NotAvoiding
 from solfree.family1 import (
     best_candidate,
     eligible,
@@ -108,7 +103,7 @@ class TestCompression:
         assert interval_compression(eq, witness).sizes == (11, 7, 7, 7)
 
     def test_rejects_empty_and_non_avoiding(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="nonempty"):
             interval_compression(EQ, IntSet(10, ()))
         with pytest.raises(NotAvoiding):
             # (2, 1, 1) solves x+2y=13z? 2+2=4 != 13; use a genuine solution: (9, 2, 1)
