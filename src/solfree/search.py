@@ -32,10 +32,18 @@ over all of [1, m], and ascending (the lex-first avoiding set, the first
 leaf of the lex-least enumeration).  A greedy decides each clique at the
 member it meets last, which the triggers of its order have forced out if it
 kept the others, so the trigger tables are all it needs.  When a seed
-reaches either bound the prefix costs one node.  Both searches (the DFS and the lex-least
-enumeration) loop over an explicit stack of nodes, so a search n elements
-deep needs no interpreter frames, and one that an exception unwinds leaves
-nothing to repair.
+reaches either bound the prefix costs one node.  When none does, a second,
+stronger packing can settle the prefix: one greedy pass over every clique in
+[1, m] in ascending order of its members' occurrence counts.  It costs a
+sort of all cliques, so it is built at most once per prefix, and only after
+the search of that prefix has spent one node per clique; if it leaves no
+more than the incumbent's size, the incumbent is a maximum and the search
+stops.  That settles most stall prefixes (r(m) = r(m - 1)) in the paper's
+Family I regime, where m - r(m) disjoint solutions exist.
+
+Both searches (the DFS and the lex-least enumeration) loop over an explicit
+stack of nodes, so a search n elements deep needs no interpreter frames,
+and one that an exception unwinds leaves nothing to repair.
 
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
@@ -44,9 +52,11 @@ triples modulo m (used for the modular densities).
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd
 
 from .equations import IntSet, ThreeVarEquation, require_avoiding
@@ -164,8 +174,8 @@ class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
     ``source(m)`` gives the cliques whose largest member is m, ascending.
-    Only :meth:`grow` writes the tables and the packing; a search keeps its
-    state on its own stack.
+    Only :meth:`grow` writes the tables, the clique list and the running
+    packing; a search keeps its state on its own stack.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -185,6 +195,9 @@ class _Core:
         # its size bounds the root of the prefix being solved (see ``advance``)
         self.packed = 0
         self.union = 0  # the members of the packed cliques
+        # every clique taken in, in arrival order: the degree packing sorts
+        # them when a prefix's search runs long (see ``advance``)
+        self.cliques: list[tuple[int, ...]] = []
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
 
@@ -195,6 +208,7 @@ class _Core:
         self.force_up.append([])
         top = 1 << (m - 1)
         for cl in self.source(m):
+            self.cliques.append(cl)
             full = 0
             for v in cl:
                 full |= 1 << (v - 1)
@@ -230,6 +244,24 @@ class _Core:
                         forced |= low
         return inc
 
+    def degree_packing(self) -> list[tuple[int, ...]]:
+        """Pairwise disjoint cliques from every clique taken in: one greedy
+        pass over them in ascending order of the sum of their members'
+        occurrence counts (arrival order breaks ties), so cliques of rarely
+        used elements, which block few others, come first."""
+        count = [0] * (self.grown + 1)
+        for cl in self.cliques:
+            for v in cl:
+                count[v] += 1
+        weight = count.__getitem__
+        packing = []
+        used: set[int] = set()
+        for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
+            if used.isdisjoint(cl):
+                used.update(cl)
+                packing.append(cl)
+        return packing
+
     # -- exact solve of the next prefix -------------------------------------
 
     def advance(self, state: _RunState) -> None:
@@ -248,8 +280,17 @@ class _Core:
         # cliques in [1, m] leaves at most m - packed elements
         rt = self.r + [min(self.r[m - 1] + 1, m - self.packed)]
         force_down = self.force_down
-        node_cap = state.node_cap
+        node_cap = state.node_cap if state.node_cap is not None else sys.maxsize
         deadline = state.deadline
+        # The degree packing sorts every clique, so a prefix tries it at most
+        # once: on the node that brings its search to one node per clique,
+        # and only if the seeds fell short of the root bound (a seed that
+        # meets it ends the search at its first node).  k disjoint cliques
+        # with m - k <= best_size prove the incumbent a maximum, and the DFS
+        # stops; it only ever replaces the incumbent with a larger set, so
+        # stopping changes no answer.  The first node count above ``limit``
+        # is that trigger or the one past the node budget, whichever is first.
+        limit = node_cap if best_size >= rt[m] else min(node_cap, state.nodes + len(self.cliques) - 1)
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -263,8 +304,13 @@ class _Core:
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
-            if (node_cap is not None and state.nodes > node_cap
-                    or deadline is not None and state.nodes & 4095 == 1 and time.monotonic() > deadline):
+            if state.nodes > limit:
+                if state.nodes > node_cap:
+                    raise state.exceeded(f"{self.where}prefix {m}")
+                limit = node_cap
+                if m - len(self.degree_packing()) <= best_size:
+                    break
+            if deadline is not None and state.nodes & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
                 j = (forced & -forced).bit_length() - 1
@@ -383,14 +429,15 @@ def max_avoiding(
     When a budget is exceeded the best set found so far is returned with
     ``optimal=False``; the answer is then a lower bound, never wrong.  That
     set is the largest of the last solved prefix's witness and the
-    descending and ascending greedy sets of [1, n], built without cliques.
+    descending and ascending greedy sets of [1, n], built without cliques;
+    past the deadline a greedy stops and offers the elements it has kept.
     ``time_cap`` bounds the whole call, and ``node_cap`` counts this call's
     nodes only.  The prefixes solved before a budget hit are kept, but the
     search of the prefix it stopped in is not: the next call starts that
     prefix again from its root, so calls with the same ``node_cap`` never
-    get past a prefix that needs more nodes than the cap (x+2y=13z at
-    n = 60 with ``node_cap=500`` stops with prefix 38 solved from the second
-    call on, because prefix 39 alone takes 931 nodes).  With ``canonical``
+    get past a prefix that needs more nodes than the cap (x+y=3z at n = 50
+    with ``node_cap=1500`` stops with prefix 45 solved from the third call
+    on, because prefix 46 alone takes 1673 nodes).  With ``canonical``
     the witness is re-derived as the lexicographically least maximum set,
     budget permitting (the lex-least pass also stops after
     ``_CANONICAL_NODE_CAP`` nodes); the result's ``canonical`` says whether
@@ -408,7 +455,7 @@ def max_avoiding(
     except BudgetExceeded:
         best = engine.wit[-1]
         for order in (range(n, 0, -1), range(1, n + 1)):
-            g = _greedy_mask(eq, n, order)
+            g = _greedy_mask(eq, n, order, state.deadline)
             if g.bit_count() > best.bit_count():
                 best = g
         witness = _checked_witness(eq, n, best)
@@ -500,7 +547,7 @@ def rho_best(
     return max((_rho(eq, m, state) for m in range(1, m_max + 1)), key=lambda d: d.rho)
 
 
-def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:
+def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = None) -> int:
     """Greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1 for e).
 
     An element is kept iff it completes no solution with the elements kept so
@@ -511,10 +558,17 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order) -> int:
     shift and one and.  Each test runs with e already in the masks, which
     catches solutions that repeat e (such as x = y = e).  With b = 0 the
     b-mask is bit 0 alone, and the same tests cover a*x = c*z.
+
+    Past ``deadline`` (a ``time.monotonic()`` value) it stops and returns the
+    elements kept so far, which avoid the equation too.  The clock is read
+    before each element: the pass is quadratic in n, so one element already
+    costs ~0.1 ms at n = 50 000.
     """
     a, b, c = eq.a, eq.b, eq.c
     top = max(a, c) * n
     am = bm = cm = arev = kept = 0
+    if deadline is not None:
+        order = takewhile(lambda _: time.monotonic() <= deadline, order)
     for e in order:
         am2 = am | 1 << a * e
         bm2 = bm | 1 << b * e

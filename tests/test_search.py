@@ -108,6 +108,13 @@ def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
                    for s in enumerate_solutions(eq, n)})
 
 
+def assert_disjoint_real_cliques(packing, real) -> None:
+    """Every clique of ``packing`` is in ``real`` and no two share a member."""
+    assert set(packing) <= set(real)
+    members = [v for cl in packing for v in cl]
+    assert len(members) == len(set(members))
+
+
 class TestMaxAvoiding:
     def test_singleton(self):
         res = max_avoiding(EQS["square"], 1)
@@ -149,6 +156,29 @@ class TestMaxAvoiding:
         assert avoids(eq, res.witness).ok
         assert res.size <= max_avoiding(eq, 30).size
 
+    def test_repeated_node_budget_stalls_below_a_costly_prefix(self, monkeypatch):
+        # the example of the max_avoiding docstring and the README: no
+        # packing settles prefix 46 of x+y=3z, which alone takes 1673 nodes
+        eq = parse_equation("x+y=3z")
+        engine = fresh_engine(monkeypatch, eq)
+        solved = []
+        for _ in range(4):
+            assert not max_avoiding(eq, 50, node_cap=1500, canonical=False).optimal
+            solved.append(len(engine.r) - 1)
+        assert solved == [37, 41, 45, 45]
+        assert max_avoiding(eq, 46, canonical=False).nodes == 1673
+
+    def test_spent_budget_stops_the_fallback_greedy(self, monkeypatch):
+        # both greedy passes over [1, 50 000] would take seconds; a spent
+        # budget stops each before its first element, so the last solved
+        # prefix's witness is the answer
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 30, canonical=False)
+        res = max_avoiding(eq, 50_000, time_cap=0)
+        assert not res.optimal and len(engine.r) == 31
+        assert res.witness == mask_to_set(50_000, engine.wit[30])
+
     def test_rejects_bad_n(self):
         with pytest.raises(InvariantViolation):
             max_avoiding(EQS["square"], 0)
@@ -183,16 +213,18 @@ class TestMaxAvoiding:
         assert clique_tables(cold) == clique_tables(swept)
 
     # cold max_avoiding(canonical=False).nodes with each root bounded by
-    # r(m - 1) + 1 and the clique packing; equal to the sum over a 1..n sweep.
-    # The cap makes a weaker root bound fail fast instead of running for long.
+    # r(m - 1) + 1 and the arrival-order packing, and long prefixes settled by
+    # the degree packing; equal to the sum over a 1..n sweep.  The cap makes a
+    # weaker bound or a lost certificate fail fast instead of running for long.
     PINNED_NODES = [
-        ("x+2y=13z", 70, 107654),
-        ("x+y=3z", 50, 8984),
-        ("2x+2y=5z", 60, 18842),
-        ("x+3y=9z", 60, 40998),
+        ("x+2y=13z", 70, 2054),
+        ("x+2y=13z", 95, 4712),  # 9 033 273 without the degree packing
+        ("x+y=3z", 50, 8984),  # no degree packing settles a prefix
+        ("2x+2y=5z", 60, 16173),
+        ("x+3y=9z", 60, 27166),
         ("x+2y=4z", 80, 8066),
-        ("2x=z", 200, 200),  # every root is settled by the packing
-        ("x+2y=5z", 31, 5154),  # 7002 without the ascending seed
+        ("2x=z", 200, 200),  # every root is settled by the arrival-order packing
+        ("x+2y=5z", 31, 5153),  # 7001 without the ascending seed
     ]
 
     @pytest.mark.parametrize("text,n,nodes", PINNED_NODES, ids=[f"{t}@{n}" for t, n, _ in PINNED_NODES])
@@ -201,6 +233,15 @@ class TestMaxAvoiding:
         fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, n, node_cap=4 * nodes, canonical=False)
         assert res.optimal and res.nodes == nodes
+
+    def test_pinned_family1_prefix_table(self, monkeypatch):
+        # r(m) of x+2y=13z for m <= 95, as the search found it before the
+        # degree packing could stop a prefix: r(m) = r(m - 1) exactly at these m
+        stalls = {5, 9, 13, 18, 22, 26, 31, 35, 39, 44, 52, 57, 61, 65, 70, 74, 78, 83, 87, 91}
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 95, canonical=False)
+        assert engine.r == [m - sum(s <= m for s in stalls) for m in range(96)]
 
     def test_seeded_prefix_costs_one_node(self, monkeypatch):
         # a seed of size r(m - 1) + 1 meets the root bound at once; on x+y=3z
@@ -269,6 +310,33 @@ class TestEngine:
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
+    def test_degree_packing_is_disjoint_real_solutions(self, data):
+        # checked against the solution enumeration, not the engine's tables;
+        # so m - k bounds r(m) at every solved prefix
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        engine = search._Core(partial(cliques_for, eq))
+        for m in range(1, data.draw(st.integers(1, 40)) + 1):
+            engine.grow()
+            packing = engine.degree_packing()
+            assert_disjoint_real_cliques(packing, oracle_cliques(eq, m))
+            engine.advance(search._RunState())
+            assert engine.r[m] <= m - len(packing)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_congruence_degree_packing_is_disjoint_real_solutions(self, data):
+        eq = draw_equation(data, 9)
+        if eq is None:
+            return
+        m = data.draw(st.integers(1, 12))
+        packing = congruence_engine(eq, m).degree_packing()
+        assert_disjoint_real_cliques(packing, brute_congruence_cliques(eq, m))
+        assert brute_rho_numerator(eq, m)[0] <= m - len(packing)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
     def test_seeds_match_the_integer_greedy(self, data):
         # two implementations of one greedy: trigger tables and shift-and-mask
         eq = draw_equation(data, 12)
@@ -334,7 +402,7 @@ class TestEngine:
         want = max_avoiding(eq, 30, canonical=False)
         engine = fresh_engine(monkeypatch, eq)
         hits = 0
-        # prefix 30 alone takes 100 nodes: a smaller cap would never get past it
+        # prefix 30 alone takes 93 nodes: a smaller cap would never get past it
         while not (res := max_avoiding(eq, 30, node_cap=120, canonical=False)).optimal:
             hits += 1
             assert engine.grown <= len(engine.r)  # at most one prefix past the solved one
