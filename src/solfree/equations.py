@@ -18,7 +18,9 @@ Conventions
 """
 from __future__ import annotations
 
+import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -92,16 +94,16 @@ class IntSet:
         if self.n < 1:
             raise InvariantViolation(f"bound must be positive, got {self.n}")
         ms = tuple(self.members)
-        if any(not (1 <= x <= self.n) for x in ms):
+        if ms and (min(ms) < 1 or max(ms) > self.n):
             raise InvariantViolation(f"members must lie in [1, {self.n}]")
-        if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
+        if not all(map(operator.lt, ms, ms[1:])):
             raise InvariantViolation("members must be strictly ascending")
         object.__setattr__(self, "members", ms)
         object.__setattr__(self, "_mset", frozenset(ms))
 
     @classmethod
     def of(cls, n: int, items) -> "IntSet":
-        return cls(n, tuple(sorted(set(int(x) for x in items))))
+        return cls(n, tuple(sorted(set(map(int, items)))))
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "IntSet":
@@ -287,8 +289,11 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     ``(C >> a*x) & B`` is nonzero.  Taking x in ascending order, the first
     nonzero test gives the least x; its lowest set bit is b*y for the least
     such y, and z = (a*x + b*y)/c is then determined, so that triple is the
-    lexicographic first.  Cost: about |A| big-int shifts and ands over
-    max(b, c)*max(A) bits.
+    lexicographic first.  Every solution has c*z = a*x + b*y <= (a+b)*max(A),
+    so C holds only the members z that meet that bound: each test then
+    costs about (a+b)*max(A) bits however large c is.  The top interval of
+    x+2y=13z at n = 30 000 (23 077 members) passes in ~7 ms, against
+    ~460 ms with C over all of A.
     """
     members = A.members
     if eq.b == 0:
@@ -301,7 +306,8 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
         return AvoidanceCheck(True, None)
     a, b, c = eq.a, eq.b, eq.c
     bmask = _dilated_mask(members, b)
-    cmask = _dilated_mask(members, c)
+    reach = (a + b) * members[-1] // c if members else 0  # the largest z any solution can use
+    cmask = _dilated_mask(members[:bisect_right(members, reach)], c)
     for x in members:
         hits = (cmask >> a * x) & bmask
         if hits:

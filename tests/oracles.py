@@ -53,6 +53,17 @@ def brute_avoids(eq: ThreeVarEquation, A: IntSet) -> tuple[bool, Solution | None
     return True, None
 
 
+def brute_greedy(eq: ThreeVarEquation, n: int, order) -> int:
+    """The greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1
+    for e): e is kept iff the kept elements together with e pass
+    :func:`brute_avoids`."""
+    kept: list[int] = []
+    for e in order:
+        if brute_avoids(eq, IntSet.of(n, kept + [e]))[0]:
+            kept.append(e)
+    return sum(1 << (e - 1) for e in kept)
+
+
 def _clique_masks_by_max(eq: ThreeVarEquation, n: int) -> list[list[int]]:
     by_max: list[list[int]] = [[] for _ in range(n + 1)]
     seen = set()

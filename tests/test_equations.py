@@ -21,11 +21,14 @@ from oracles import brute_avoids, brute_solutions
 
 
 @st.composite
-def valid_equations(draw, max_coef: int = 30) -> ThreeVarEquation:
-    """Valid equations with coefficients up to max_coef; about half have b = 0."""
+def valid_equations(draw, max_coef: int = 30, wide: bool = False) -> ThreeVarEquation:
+    """Valid equations with coefficients up to max_coef; about half have b = 0.
+
+    With ``wide``, c > a + b, and c may reach a + b + max_coef.
+    """
     a = draw(st.integers(1, max_coef))
     b = draw(st.one_of(st.just(0), st.integers(1, max_coef)))
-    c = draw(st.integers(1, max_coef))
+    c = draw(st.integers(a + b + 1, a + b + max_coef) if wide else st.integers(1, max_coef))
     try:
         return ThreeVarEquation(a, b, c)
     except InvariantViolation:
@@ -142,14 +145,25 @@ class TestAvoids:
         assert check.violation == (inside[0] if inside else None)
 
     @settings(max_examples=200)
-    @given(eq=valid_equations(), data=st.data())
-    def test_matches_quadratic_oracle(self, eq, data):
+    @given(eq=valid_equations(), wide=valid_equations(wide=True), data=st.data())
+    def test_matches_quadratic_oracle(self, eq, wide, data):
         n = data.draw(st.integers(1, 300))
         picked = data.draw(st.sets(st.integers(1, n), max_size=40))
         # sparse sets mostly avoid; their complements are dense and mostly fail
         members = picked if data.draw(st.booleans()) else set(range(1, n + 1)) - picked
         A = IntSet.of(n, members)
         assert avoids(eq, A) == brute_avoids(eq, A)
+        # c > a + b: the members z with c*z > (a+b)*max(A) are left out of the c-mask
+        assert avoids(wide, A) == brute_avoids(wide, A)
+
+    @pytest.mark.parametrize("members,violation", [
+        ((3, 13), (13, 13, 3)),  # c*z = 39 = (a+b)*max(A): the window's last bit
+        ((6, 18, 30), (18, 30, 6)),  # z = 6 = (a+b)*max(A) // c, below the last bit
+    ])
+    def test_window_keeps_the_largest_reachable_z(self, members, violation):
+        eq = parse_equation("x+2y=13z")
+        A = IntSet(max(members), members)
+        assert avoids(eq, A) == (False, violation) == brute_avoids(eq, A)
 
     @given(eq=valid_equations(), repeat=st.sampled_from(["x=y", "y=z", "x=z"]), k=st.integers(1, 10))
     def test_solutions_with_a_repeated_value(self, eq, repeat, k):
@@ -205,8 +219,20 @@ class TestIntSet:
             IntSet(3, (1, 4))
 
     def test_rejects_unsorted(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="strictly ascending"):
             IntSet(5, (3, 1))
+
+    def test_rejects_a_duplicate(self):
+        with pytest.raises(InvariantViolation, match="strictly ascending"):
+            IntSet(5, (2, 2))
+
+    def test_rejects_zero(self):
+        with pytest.raises(InvariantViolation, match=r"members must lie in \[1, 5\]"):
+            IntSet(5, (0, 2))
+
+    def test_range_is_checked_before_order(self):
+        with pytest.raises(InvariantViolation, match=r"members must lie in \[1, 3\]"):
+            IntSet(3, (4, 1))
 
     def test_empty(self):
         assert IntSet.from_text("", n=4).size == 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import solfree
 from solfree import search
@@ -27,11 +27,13 @@ from solfree.search import (
 from oracles import (
     brute_avoids,
     brute_congruence_cliques,
+    brute_greedy,
     brute_rho_numerator,
     exhaustive_max,
     lex_least_two_var,
     mask_to_set,
 )
+from test_equations import valid_equations
 
 EQS = {
     "family1": parse_equation("x+2y=13z"),
@@ -351,6 +353,23 @@ class TestEngine:
         cand = data.draw(st.integers(0, (1 << top) - 1))
         order = [e for e in range(top, 0, -1) if cand >> (e - 1) & 1]
         assert engine.greedy(cand) == search._greedy_mask(eq, top, order)
+
+    @given(
+        eq=st.one_of(valid_equations(), valid_equations(wide=True)),
+        n=st.integers(1, 60),
+        order=st.sampled_from(["descending", "ascending", "shuffled"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 3 is kept before 13, which as both x and y completes 13 + 2*13 = 13*3:
+    # z = 3 sits at the last bit of the c-mask window, c*z = (a+b)*n
+    @example(eq=ThreeVarEquation(1, 2, 13), n=13, order="ascending", seed=0)
+    def test_greedy_matches_the_brute_greedy(self, eq, n, order, seed):
+        elements = list(range(1, n + 1))
+        if order == "descending":
+            elements.reverse()
+        elif order == "shuffled":
+            random.Random(seed).shuffle(elements)
+        assert search._greedy_mask(eq, n, elements) == brute_greedy(eq, n, elements)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
