@@ -8,8 +8,10 @@ instead of being returned.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, filterfalse
 from math import gcd
 
 from .equations import IntSet, LinearForm, ThreeVarEquation, require_avoiding
@@ -43,49 +45,42 @@ class Interval:
 
 @dataclass(frozen=True)
 class StructuredSet:
-    """Symbolic union of disjoint intervals plus removed/added singletons."""
+    """Symbolic union of disjoint intervals minus removed singletons."""
 
     n: int
     intervals: tuple[Interval, ...]
     removed: tuple[int, ...] = ()
-    added: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.intervals, key=lambda iv: iv.first))
         object.__setattr__(self, "intervals", ordered)
-        object.__setattr__(self, "removed", tuple(sorted(self.removed)))
-        object.__setattr__(self, "added", tuple(sorted(self.added)))
-        covered: set[int] = set()
-        for iv in ordered:
-            if iv.length and not (1 <= iv.first and iv.hi <= self.n):
+        object.__setattr__(self, "removed", tuple(sorted(set(self.removed))))
+        spans = [iv for iv in ordered if iv.length]
+        end = 0  # the largest member of the intervals checked so far
+        for iv in spans:
+            if iv.first < 1 or iv.hi > self.n:
                 raise InvariantViolation(f"interval {iv} escapes [1, {self.n}]")
-            mem = set(iv.members())
-            if covered & mem:
+            if iv.first <= end:
                 raise InvariantViolation("intervals must be pairwise disjoint")
-            covered |= mem
-        if not set(self.removed) <= covered:
+            end = iv.hi
+        inside = sum(bisect_right(self.removed, iv.hi) - bisect_left(self.removed, iv.first) for iv in spans)
+        if inside != len(self.removed):
             raise InvariantViolation("removed singletons must lie inside the intervals")
-        if set(self.added) & covered:
-            raise InvariantViolation("added singletons must lie outside the intervals")
-        if any(not (1 <= x <= self.n) for x in self.added):
-            raise InvariantViolation(f"added singletons escape [1, {self.n}]")
 
     def materialize(self) -> IntSet:
-        out: set[int] = set(self.added)
-        for iv in self.intervals:
-            out.update(iv.members())
-        out.difference_update(self.removed)
-        return IntSet.of(self.n, out)
+        members = chain.from_iterable(iv.members() for iv in self.intervals)
+        if self.removed:
+            members = filterfalse(set(self.removed).__contains__, members)
+        return IntSet(self.n, tuple(members))
 
     @property
     def size(self) -> int:
-        return sum(iv.length for iv in self.intervals) - len(self.removed) + len(self.added)
+        return sum(iv.length for iv in self.intervals) - len(self.removed)
 
     def to_json_dict(self) -> dict:
         return {
             "intervals": [iv.to_json_dict() for iv in self.intervals],
             "removed": list(self.removed),
-            "added": list(self.added),
             "size": self.size,
         }
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd
@@ -88,7 +88,6 @@ class IntSet:
 
     n: int
     members: tuple[int, ...]
-    _mset: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -99,7 +98,6 @@ class IntSet:
         if not all(map(operator.lt, ms, ms[1:])):
             raise InvariantViolation("members must be strictly ascending")
         object.__setattr__(self, "members", ms)
-        object.__setattr__(self, "_mset", frozenset(ms))
 
     @classmethod
     def of(cls, n: int, items) -> "IntSet":
@@ -123,12 +121,12 @@ class IntSet:
     def size(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def member_set(self) -> frozenset:
-        return self._mset
+        return frozenset(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._mset
+        return x in self.member_set
 
     def __iter__(self):
         return iter(self.members)
@@ -196,7 +194,7 @@ _TRIPLE_RE = re.compile(r"^\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*$")
 
 
 def _coef(tok: str) -> int:
-    if tok in ("", "+"):
+    if tok == "":
         return 1
     if tok == "-":
         return -1
@@ -297,7 +295,7 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     """
     members = A.members
     if eq.b == 0:
-        mset = A._mset
+        mset = A.member_set
         a, c = eq.a, eq.c
         for x in members:
             z, r = divmod(a * x, c)

@@ -40,9 +40,8 @@ FORMS = {
 
 class TestStructuredSet:
     def test_materialize_and_size(self):
-        s = StructuredSet(10, (Interval(1, 4), Interval(6, 10, closed_lo=False)),
-                          removed=(2,), added=(5,))
-        assert s.materialize().members == (1, 3, 4, 5, 7, 8, 9, 10)
+        s = StructuredSet(10, (Interval(1, 4), Interval(6, 10, closed_lo=False)), removed=(2,))
+        assert s.materialize().members == (1, 3, 4, 7, 8, 9, 10)
         assert s.size == s.materialize().size
 
     def test_rejects_overlap(self):
@@ -53,13 +52,50 @@ class TestStructuredSet:
         with pytest.raises(InvariantViolation):
             StructuredSet(10, (Interval(1, 3),), removed=(7,))
 
+    def test_rejects_escape(self):
+        for iv in (Interval(0, 3), Interval(8, 11), Interval(-1, 3, closed_lo=False)):
+            with pytest.raises(InvariantViolation):
+                StructuredSet(10, (iv,))
+        # an empty interval holds no member, so it cannot escape or overlap
+        s = StructuredSet(10, (Interval(12, 11), Interval(0, 0, closed_lo=False), Interval(1, 10)))
+        assert s.size == 10
+
+    def test_shared_end(self):
+        # (3, 5] starts after [1, 3] ends, while [3, 5] holds 3 as well
+        s = StructuredSet(5, (Interval(3, 5, closed_lo=False), Interval(1, 3)))
+        assert s.materialize().members == (1, 2, 3, 4, 5)
+        with pytest.raises(InvariantViolation):
+            StructuredSet(5, (Interval(1, 3), Interval(3, 5)))
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_matches_naive_union(self, data):
+        # consecutive cut points give intervals that share an end, are empty
+        # (lo = hi, open) or overlap (a shared end closed on both sides)
+        n = data.draw(st.integers(1, 20), label="n")
+        cuts = sorted(data.draw(st.lists(st.integers(-1, n + 1), min_size=2, max_size=7), label="cuts"))
+        intervals = [Interval(lo, hi, data.draw(st.booleans())) for lo, hi in zip(cuts, cuts[1:])
+                     if data.draw(st.booleans())]
+        intervals = data.draw(st.permutations(intervals), label="order")
+        removed = data.draw(st.lists(st.integers(-1, n + 1), max_size=4), label="removed")
+        blocks = [set(iv.members()) for iv in intervals]
+        union = set().union(*blocks)
+        valid = (sum(map(len, blocks)) == len(union) and union <= set(range(1, n + 1))
+                 and set(removed) <= union)
+        if not valid:
+            with pytest.raises(InvariantViolation):
+                StructuredSet(n, tuple(intervals), tuple(removed))
+            return
+        s = StructuredSet(n, tuple(intervals), tuple(removed))
+        assert s.materialize() == IntSet(n, tuple(sorted(union - set(removed))))
+        assert s.size == s.materialize().size
+
     def test_json_schema(self):
-        s = StructuredSet(10, (Interval(6, 10, closed_lo=False),))
+        s = StructuredSet(10, (Interval(6, 10, closed_lo=False),), removed=(9,))
         assert s.to_json_dict() == {
             "intervals": [{"lo": 6, "hi": 10, "closed_lo": False}],
-            "removed": [],
-            "added": [],
-            "size": 4,
+            "removed": [9],
+            "size": 3,
         }
 
 

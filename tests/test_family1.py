@@ -1,6 +1,8 @@
 """Eligibility, density, compression transform, candidates, solution windows."""
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -131,6 +133,7 @@ class TestCandidates:
         for n in (40, 60, 200):
             for cand in extremal_candidates(n, 2, 13):
                 assert cand.members.min() == cand.s
+                assert cand.blocks.materialize() == cand.members
                 from solfree.equations import avoids
 
                 assert avoids(EQ, cand.members).ok
@@ -148,6 +151,21 @@ class TestCandidates:
         payload = cand.to_json_dict()
         assert set(payload) == {"s", "I2", "I1", "xi", "size", "avoids"}
         assert payload["avoids"] is True
+
+    def test_pinned_candidates(self):
+        # every JSON line and member list for the bench's Family I pairs at
+        # n = 1..120 and n = 1000, as the (lo, hi)-tuple implementation gave
+        # them; below n = 20 some low blocks are empty
+        digest = hashlib.sha256()
+        count = 0
+        for b, c in ((2, 13), (2, 15), (2, 17), (3, 19), (3, 22)):
+            for n in [*range(1, 121), 1000]:
+                for cand in extremal_candidates(n, b, c):
+                    line = json.dumps(cand.to_json_dict(), sort_keys=True)
+                    digest.update(f"{b},{c},{n} {line} {cand.members.to_text()}\n".encode())
+                    count += 1
+        assert count == 796
+        assert digest.hexdigest() == "00992416eaed326035ae5bf4a6d6c3321d40a81cb5f8922b28aa36bdb2d2be1a"
 
     def test_best_candidate_is_compression_fixed_point(self):
         cand = best_candidate(60, 2, 13)
