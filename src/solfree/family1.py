@@ -4,8 +4,9 @@ For c large enough (the eligibility bound), the extremal avoiding subsets of
 [1, n] collapse onto two intervals.  This module provides:
 
 * the eligibility test and the exact two-interval density,
-* the interval-compression transform that pushes any avoiding set into
-  canonical interval form without losing size,
+* the interval-compression transform that pushes an avoiding set into
+  canonical interval form, every stage still avoiding; that no stage
+  shrinks is the paper's claim for eligible (b, c) only, and is not checked,
 * location estimates for the smallest element of an extremal set,
 * the finite list of two-interval extremal candidates for a given n,
 * the solution-window deficiency count around any member of an avoiding set.

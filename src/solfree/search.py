@@ -23,23 +23,23 @@ instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
 The root of prefix m, whose table entry would otherwise be m, is bounded by
-r(m - 1) + 1 and by a clique packing: k pairwise disjoint cliques in [1, m]
-each need one member left out, so r(m) <= m - k.  The engine keeps one
-greedy disjoint packing of the cliques in the order they arrive, so the
-root bound costs nothing to read.  Prefix m starts from the largest of
-wit[m - 1] and three greedy seeds: descending over wit[m - 1] plus m and
-over all of [1, m], and ascending (the lex-first avoiding set, the first
-leaf of the lex-least enumeration).  A greedy decides each clique at the
-member it meets last, which the triggers of its order have forced out if it
-kept the others, so the trigger tables are all it needs.  When a seed
-reaches either bound the prefix costs one node.  When none does, a second,
-stronger packing can settle the prefix: one greedy pass over every clique in
-[1, m] in ascending order of its members' occurrence counts.  It costs a
-sort of all cliques, so it is built at most once per prefix, and only after
-the search of that prefix has spent one node per clique; if it leaves no
-more than the incumbent's size, the incumbent is a maximum and the search
-stops.  That settles most stall prefixes (r(m) = r(m - 1)) in the paper's
-Family I regime, where m - r(m) disjoint solutions exist.
+r(m - 1) + 1.  Prefix m starts from the largest of wit[m - 1] and three
+greedy seeds: descending over wit[m - 1] plus m and over all of [1, m], and
+ascending over [1, m] (the lex-first avoiding set, the first leaf of the
+lex-least enumeration).  A greedy decides each clique at the member it meets
+last, which the triggers of its order have forced out if it kept the
+others, so the trigger tables are all it needs.  When a seed reaches the
+root bound the prefix costs one node.  When none does, a clique packing can
+settle the prefix: k pairwise disjoint cliques in [1, m] each need one
+member left out, so r(m) <= m - k.  The packing is one greedy pass over
+every clique in [1, m] in ascending order of its members' occurrence
+counts; if it leaves no more than the incumbent's size, the incumbent is a
+maximum and the search stops.  It costs a sort of all cliques, so it is
+built at most once per prefix, and only once the seeds' m steps and the
+search's nodes make one per clique: at the root when there are no more
+cliques than elements, as with every two-variable equation.  It settles
+most stall prefixes (r(m) = r(m - 1)) in the paper's Family I regime, where
+m - r(m) disjoint solutions exist.
 
 Both searches (the DFS and the lex-least enumeration) loop over an explicit
 stack of nodes, so a search n elements deep needs no interpreter frames,
@@ -174,8 +174,9 @@ class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
     ``source(m)`` gives the cliques whose largest member is m, ascending.
-    Only :meth:`grow` writes the tables, the clique list and the running
-    packing; a search keeps its state on its own stack.
+    Only :meth:`grow` writes the trigger tables and the clique list; a
+    search keeps its state on its own stack, and the seeds and the degree
+    packing only read them.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -191,12 +192,8 @@ class _Core:
         self.force_down: list[list[tuple[int, int]]] = [[]]
         self.force_up: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
-        # greedy disjoint packing of every clique taken in, in arrival order:
-        # its size bounds the root of the prefix being solved (see ``advance``)
-        self.packed = 0
-        self.union = 0  # the members of the packed cliques
         # every clique taken in, in arrival order: the degree packing sorts
-        # them when a prefix's search runs long (see ``advance``)
+        # them when a prefix's seeds miss its root bound (see ``advance``)
         self.cliques: list[tuple[int, ...]] = []
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
@@ -209,12 +206,6 @@ class _Core:
         top = 1 << (m - 1)
         for cl in self.source(m):
             self.cliques.append(cl)
-            full = 0
-            for v in cl:
-                full |= 1 << (v - 1)
-            if full & self.union == 0:
-                self.union |= full
-                self.packed += 1
             low = 1 << (cl[0] - 1)
             if len(cl) == 1:
                 self.banned |= low
@@ -228,20 +219,21 @@ class _Core:
 
     # -- seeding -----------------------------------------------------------
 
-    def greedy(self, cand: int) -> int:
-        """Descending greedy over the mask ``cand`` (grown to its top): keep each
-        element not forced, firing ``force_down`` as the DFS's first dive does."""
+    def greedy(self, cand: int, up: bool = False) -> int:
+        """Greedy over the mask ``cand`` (grown to its top), descending or, with
+        ``up``, ascending: keep each element not forced, firing ``force_down``
+        (resp. ``force_up``) as the first dive of the DFS (resp. lex-least pass) does."""
+        triggers = self.force_up if up else self.force_down
         inc = 0
         forced = self.banned
         while cand:
-            e = cand.bit_length()
-            bit = 1 << (e - 1)
+            bit = cand & -cand if up else 1 << (cand.bit_length() - 1)
             cand ^= bit
             if not forced & bit:
                 inc |= bit
-                for high, low in self.force_down[e]:
-                    if high & inc == high:
-                        forced |= low
+                for need, dead in triggers[bit.bit_length()]:
+                    if need & inc == need:
+                        forced |= dead
         return inc
 
     def degree_packing(self) -> list[tuple[int, ...]]:
@@ -266,31 +258,32 @@ class _Core:
 
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r); the engine must be grown to exactly m, as
-        the root bound reads the packing of the cliques in [1, m]."""
+        the degree packing and the seeds read the cliques in [1, m]."""
         m = len(self.r)
         best_mask = self.wit[m - 1]
         best_size = best_mask.bit_count()
         # the seeds of the module docstring, in order; a tie keeps the earlier
         for g in (self.greedy(best_mask | 1 << (m - 1)), self.greedy((1 << m) - 1),
-                  self.enumerate_at(m, 0, 1, _RunState())[0][0]):
+                  self.greedy((1 << m) - 1, up=True)):
             if g.bit_count() > best_size:
                 best_mask, best_size = g, g.bit_count()
 
-        # index m is the root: r(m) <= r(m - 1) + 1, and the packing of the
-        # cliques in [1, m] leaves at most m - packed elements
-        rt = self.r + [min(self.r[m - 1] + 1, m - self.packed)]
+        # index m is the root: r(m) <= r(m - 1) + 1
+        rt = self.r + [self.r[m - 1] + 1]
         force_down = self.force_down
         node_cap = state.node_cap if state.node_cap is not None else sys.maxsize
         deadline = state.deadline
         # The degree packing sorts every clique, so a prefix tries it at most
-        # once: on the node that brings its search to one node per clique,
-        # and only if the seeds fell short of the root bound (a seed that
-        # meets it ends the search at its first node).  k disjoint cliques
-        # with m - k <= best_size prove the incumbent a maximum, and the DFS
+        # once, and only if the seeds fell short of the root bound (a seed
+        # that meets it ends the search at its first node).  The seeds took m
+        # steps, so the try comes once the search has spent len(cliques) - m
+        # nodes, on its first node when there are no more cliques than
+        # elements.  The incumbent then has r(m - 1) elements, so k disjoint
+        # cliques with m - k <= best_size prove it a maximum, and the DFS
         # stops; it only ever replaces the incumbent with a larger set, so
-        # stopping changes no answer.  The first node count above ``limit``
-        # is that trigger or the one past the node budget, whichever is first.
-        limit = node_cap if best_size >= rt[m] else min(node_cap, state.nodes + len(self.cliques) - 1)
+        # stopping changes no answer.  The first node count above ``limit`` is
+        # that trigger or the one past the node budget, whichever is first.
+        limit = node_cap if best_size >= rt[m] else min(node_cap, state.nodes + len(self.cliques) - m)
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -442,10 +435,12 @@ def max_avoiding(
     with ``node_cap=1500`` stops with prefix 45 solved from the third call
     on, because prefix 46 alone takes 1673 nodes).  With ``canonical``
     the witness is re-derived as the lexicographically least maximum set,
-    budget permitting (the lex-least pass also stops after
-    ``_CANONICAL_NODE_CAP`` nodes); the result's ``canonical`` says whether
-    it was.  Either way the witness is re-verified by the avoidance checker
-    before it is returned, and a set that contains a solution raises
+    budget permitting: the lex-least pass gets the nodes the search left of
+    ``node_cap``, at most ``_CANONICAL_NODE_CAP``, and the time left of
+    ``time_cap``.  The result's ``canonical`` says whether it was; if not,
+    the witness is the search's, and it is still a maximum set.  Either way
+    the witness is re-verified by the avoidance checker before it is
+    returned, and a set that contains a solution raises
     :class:`InvariantViolation`.
     """
     if n < 1:
@@ -468,8 +463,10 @@ def max_avoiding(
     mask = engine.wit[n]
     lex_least = False
     if canonical:
-        cstate = _RunState(_CANONICAL_NODE_CAP)
-        cstate.deadline = state.deadline  # the call's time budget covers this pass too
+        # the call's budgets cover this pass too: it gets the nodes the search left
+        cap = _CANONICAL_NODE_CAP if node_cap is None else min(_CANONICAL_NODE_CAP, node_cap - state.nodes)
+        cstate = _RunState(cap)
+        cstate.deadline = state.deadline
         try:
             masks, _ = engine.enumerate_at(n, size, 1, cstate)
             if masks:

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, JSON/CSV schemas, exit codes, determinism."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ from click.testing import CliRunner
 
 import solfree
 from solfree import search
-from solfree.cli import main
+from solfree.cli import CSV_COLUMNS, main
 from solfree.equations import parse_equation
 
 from oracles import lex_least_two_var
@@ -27,7 +29,7 @@ def invoke(*args: str):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
-def run_process(*args: str, text: bool = True):
+def run_process(*args: str, text: bool = True, cwd=None):
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "solfree.cli", *args],
@@ -35,7 +37,17 @@ def run_process(*args: str, text: bool = True):
         capture_output=True,
         text=text,
         timeout=300,
+        cwd=cwd,
     )
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argument lists of the ``solfree ...`` lines in the README's CLI block."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("solfree ")]
 
 
 class TestSolve:
@@ -263,9 +275,10 @@ class TestReport:
         b = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20", text=False)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
-        # the CSV rows carry no construction sizes, so these bytes stay pinned
+        # the CSV rows carry no construction sizes, but they do carry each
+        # row's search nodes: a change to the engine's node counts re-pins this
         assert hashlib.sha256(a.stdout).hexdigest() == (
-            "e2196944ab1ccce5618795d1173ebe0ca1547cc1af73ca292ff0220b6f289bbc")
+            "0905a9c02c800a68bdadc0005a9ad33bfd6cce99e91a4736a864744e209c6b06")
 
     @pytest.mark.parametrize("text,size,sizes", [
         ("x+2y=4z", 34, {"top": 15, "multi": 20, "residue": 30, "ab": 34}),
@@ -306,3 +319,24 @@ class TestReport:
         assert jobs.returncode == seed.returncode == 2
         assert jobs.stdout == seed.stdout == ""
 
+
+class TestReadme:
+    EXAMPLES = readme_cli_examples()
+
+    def test_examples_are_found(self):
+        assert len(self.EXAMPLES) == 19
+
+    @pytest.mark.parametrize("args", EXAMPLES, ids=[" ".join(args) for args in EXAMPLES])
+    def test_cli_example_runs(self, tmp_path, args):
+        proc = run_process(*args, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines
+        if "csv" in args:
+            rows = list(csv.reader(lines))
+            assert rows[0] == CSV_COLUMNS and all(len(row) == len(CSV_COLUMNS) for row in rows)
+        else:
+            assert all(isinstance(json.loads(line), dict) for line in lines)
+        if "--output" in args:
+            target = tmp_path / args[args.index("--output") + 1]
+            assert target.read_text() == proc.stdout

@@ -60,27 +60,13 @@ def draw_equation(data, top: int) -> ThreeVarEquation | None:
         return None
 
 
-def greedy_packing(cliques) -> tuple[int, int]:
-    """(packed, union) of the greedy disjoint packing of ``cliques``, taken in
-    the given order and counted from scratch."""
-    count = union = 0
-    for cl in cliques:
-        mask = 0
-        for v in cl:
-            mask |= 1 << (v - 1)
-        if mask & union == 0:
-            union |= mask
-            count += 1
-    return count, union
-
-
 def clique_tables(engine: search._Core) -> tuple:
     return engine.force_down, engine.force_up
 
 
 def ascending_seed(engine: search._Core, m: int) -> int:
     """The engine's ascending greedy seed at m: its lex-first avoiding set."""
-    return engine.enumerate_at(m, 0, 1, search._RunState())[0][0]
+    return engine.greedy((1 << m) - 1, up=True)
 
 
 def congruence_engine(eq: ThreeVarEquation, m: int) -> search._Core:
@@ -215,17 +201,17 @@ class TestMaxAvoiding:
         assert clique_tables(cold) == clique_tables(swept)
 
     # cold max_avoiding(canonical=False).nodes with each root bounded by
-    # r(m - 1) + 1 and the arrival-order packing, and long prefixes settled by
-    # the degree packing; equal to the sum over a 1..n sweep.  The cap makes a
-    # weaker bound or a lost certificate fail fast instead of running for long.
+    # r(m - 1) + 1 and stall prefixes settled by the degree packing; equal to
+    # the sum over a 1..n sweep.  The cap makes a weaker bound or a lost
+    # certificate fail fast instead of running for long.
     PINNED_NODES = [
-        ("x+2y=13z", 70, 2054),
-        ("x+2y=13z", 95, 4712),  # 9 033 273 without the degree packing
-        ("x+y=3z", 50, 8984),  # no degree packing settles a prefix
-        ("2x+2y=5z", 60, 16173),
-        ("x+3y=9z", 60, 27166),
-        ("x+2y=4z", 80, 8066),
-        ("2x=z", 200, 200),  # every root is settled by the arrival-order packing
+        ("x+2y=13z", 70, 1544),
+        ("x+2y=13z", 95, 3794),  # 9 033 273 without the degree packing
+        ("x+y=3z", 50, 8984),  # the packing settles no prefix past m = 5
+        ("2x+2y=5z", 60, 15890),
+        ("x+3y=9z", 60, 27018),
+        ("x+2y=4z", 80, 8068),
+        ("2x=z", 200, 200),  # every root the seeds miss is settled by the degree packing
         ("x+2y=5z", 31, 5153),  # 7001 without the ascending seed
     ]
 
@@ -259,6 +245,33 @@ class TestMaxAvoiding:
                     seeded += 1
                     assert res.nodes == 1, (str(eq), m)
             assert seeded > least, str(eq)
+
+    def test_two_variable_prefixes_cost_one_node(self, monkeypatch):
+        # a seed meets r(m - 1) + 1 or the degree packing, tried at the root
+        # (a two-variable equation has fewer cliques than elements), settles
+        # every prefix of ax = cz
+        for a in range(1, 10):
+            for c in range(1, 10):
+                if a != c and gcd(a, c) == 1:
+                    eq = ThreeVarEquation(a, 0, c)
+                    fresh_engine(monkeypatch, eq)
+                    assert max_avoiding(eq, 150, canonical=False).nodes == 150, str(eq)
+
+    def test_node_budget_covers_the_canonical_pass(self, monkeypatch):
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        search_nodes = max_avoiding(eq, 60, canonical=False).nodes
+        # warm: the solve costs nothing, so a zero budget stops the pass at once
+        warm = max_avoiding(eq, 60, node_cap=0)
+        assert warm.optimal and not warm.canonical and warm.nodes == 1
+        fresh_engine(monkeypatch, eq)
+        full = max_avoiding(eq, 60)
+        assert full.canonical and full.nodes > search_nodes + 5
+        fresh_engine(monkeypatch, eq)
+        # cold: the pass gets what the search left of the budget, no more
+        cold = max_avoiding(eq, 60, node_cap=search_nodes + 5)
+        assert cold.optimal and not cold.canonical and cold.nodes == search_nodes + 6
+        assert cold.size == full.size
 
     def test_canonical_flag(self, monkeypatch):
         eq = EQS["family2"]
@@ -296,19 +309,6 @@ class TestEngine:
         m = data.draw(st.integers(1, 60))
         want = [cl for cl in oracle_cliques(eq, m) if cl[-1] == m]
         assert cliques_for(eq, m) == want
-
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_packing_tables_match_recount(self, data):
-        eq = draw_equation(data, 12)
-        if eq is None:
-            return
-        engine = search._Core(partial(cliques_for, eq))
-        grown = data.draw(st.integers(0, 40))
-        for _ in range(grown):
-            engine.grow()
-        arrivals = [cl for m in range(1, grown + 1) for cl in cliques_for(eq, m)]
-        assert (engine.packed, engine.union) == greedy_packing(arrivals)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -350,9 +350,12 @@ class TestEngine:
             engine.grow()
             assert engine.greedy((1 << m) - 1) == search._greedy_mask(eq, m, range(m, 0, -1))
             assert ascending_seed(engine, m) == search._greedy_mask(eq, m, range(1, m + 1))
+            # the ascending greedy is the first leaf of the lex-least enumeration
+            assert ascending_seed(engine, m) == engine.enumerate_at(m, 0, 1, search._RunState())[0][0]
         cand = data.draw(st.integers(0, (1 << top) - 1))
         order = [e for e in range(top, 0, -1) if cand >> (e - 1) & 1]
         assert engine.greedy(cand) == search._greedy_mask(eq, top, order)
+        assert engine.greedy(cand, up=True) == search._greedy_mask(eq, top, order[::-1])
 
     @given(
         eq=st.one_of(valid_equations(), valid_equations(wide=True)),
@@ -382,28 +385,6 @@ class TestEngine:
         cliques = brute_congruence_cliques(eq, m)
         assert engine.greedy((1 << m) - 1) == clique_greedy(cliques, range(m, 0, -1))
         assert ascending_seed(engine, m) == clique_greedy(cliques, range(1, m + 1))
-
-    @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_congruence_packing_tables_match_recount(self, data):
-        eq = draw_equation(data, 9)
-        if eq is None:
-            return
-        engines = []
-
-        class Recording(search._Core):
-            def __init__(self, source):
-                super().__init__(source)
-                engines.append(self)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_Core", Recording)
-            m = data.draw(st.integers(1, 16))
-            rho_m(eq, m)
-        (engine,) = engines
-        # the cliques arrive grouped by largest member, each group ascending
-        arrivals = sorted(congruence_cliques(eq, m), key=lambda cl: cl[-1])
-        assert (engine.packed, engine.union) == greedy_packing(arrivals)
 
     def test_no_mutable_search_state(self):
         engine = search._Core(partial(cliques_for, EQS["square"]))
@@ -549,7 +530,6 @@ class TestAllExtremal:
     def test_sets_are_rechecked(self, monkeypatch):
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
-        max_avoiding(eq, 5, canonical=False)  # solved first: the seeds enumerate too
         monkeypatch.setattr(engine, "enumerate_at", lambda *args: ([0b11111], False))
         with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
             all_extremal(eq, 5)
@@ -611,13 +591,8 @@ class TestModularDensity:
     @pytest.mark.parametrize("text,mask,solution", [("x+2y=4z", 0b11111, r"\(1, 1, 2\)"),
                                                      ("3x=2z", 0b110, r"\(2, 0, 3\)")])
     def test_witness_is_rechecked(self, monkeypatch, text, mask, solution):
-        plain = search._Core.enumerate_at
-
-        def planted(self, m, target, cap, state):
-            # the ascending seeds (target 0) stay real; the lex-least pass returns mask
-            return ([mask], False) if target else plain(self, m, target, cap, state)
-
-        monkeypatch.setattr(search._Core, "enumerate_at", planted)
+        # the lex-least pass returns mask
+        monkeypatch.setattr(search._Core, "enumerate_at", lambda *args: ([mask], False))
         with pytest.raises(InvariantViolation, match=solution):
             rho_m(parse_equation(text), 5)
 
