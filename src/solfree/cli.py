@@ -109,7 +109,7 @@ def main(ctx: click.Context, timing: bool) -> None:
 def solve(timing: bool, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str,
           node_budget: int | None, time_budget: float | None) -> None:
     """Exact maximum avoiding subset of [1, n]."""
-    start = time.monotonic()  # --time-budget covers both library calls
+    start = time.monotonic()  # both budgets cover both library calls
     eq = parse_equation(eq_text)
     result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget)
     row = {
@@ -123,7 +123,8 @@ def solve(timing: bool, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str
     }
     if all_sets and result.optimal:
         left = None if time_budget is None else max(0.0, time_budget - (time.monotonic() - start))
-        family = search.all_extremal(eq, n, cap, node_cap=node_budget, time_cap=left)
+        spare = None if node_budget is None else node_budget - result.nodes
+        family = search.all_extremal(eq, n, cap, node_cap=spare, time_cap=left)
         row["all_sets"] = [s.to_text() for s in family.sets]
         row["truncated"] = family.truncated
     if fmt == "json":

@@ -23,23 +23,24 @@ instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
 The root of prefix m, whose table entry would otherwise be m, is bounded by
-r(m - 1) + 1.  Prefix m starts from the largest of wit[m - 1] and three
-greedy seeds: descending over wit[m - 1] plus m and over all of [1, m], and
-ascending over [1, m] (the lex-first avoiding set, the first leaf of the
-lex-least enumeration).  A greedy decides each clique at the member it meets
-last, which the triggers of its order have forced out if it kept the
-others, so the trigger tables are all it needs.  When a seed reaches the
-root bound the prefix costs one node.  When none does, a clique packing can
-settle the prefix: k pairwise disjoint cliques in [1, m] each need one
-member left out, so r(m) <= m - k.  The packing is one greedy pass over
-every clique in [1, m] in ascending order of its members' occurrence
-counts; if it leaves no more than the incumbent's size, the incumbent is a
-maximum and the search stops.  It costs a sort of all cliques, so it is
-built at most once per prefix, and only once the seeds' m steps and the
-search's nodes make one per clique: at the root when there are no more
-cliques than elements, as with every two-variable equation.  It settles
-most stall prefixes (r(m) = r(m - 1)) in the paper's Family I regime, where
-m - r(m) disjoint solutions exist.
+r(m - 1) + 1.  Prefix m starts from the largest of wit[m - 1] and up to
+three greedy seeds, built in this order until one reaches that root bound,
+which no later seed could beat: descending over wit[m - 1] plus m and over
+all of [1, m], and ascending over [1, m] (the lex-first avoiding set, the
+first leaf of the lex-least enumeration).  A greedy decides each clique at
+the member it meets last, which the triggers of its order have forced out if
+it kept the others, so the trigger tables are all it needs.  When a seed
+reaches the root bound the prefix costs one node.  When none does, a clique
+packing can settle the prefix: k pairwise disjoint cliques in [1, m] each
+need one member left out, so r(m) <= m - k.  The packing is one greedy
+pass over every clique in [1, m] in ascending order of its members'
+occurrence counts; if it leaves no more than the incumbent's size, the
+incumbent is a maximum and the search stops.  It costs a sort of all
+cliques, so it is built at most once per prefix, and only once the seeds'
+m steps and the search's nodes make one per clique: at the root when there
+are no more cliques than elements, as with every two-variable equation.  It
+settles most stall prefixes (r(m) = r(m - 1)) in the paper's Family I
+regime, where m - r(m) disjoint solutions exist.
 
 Both searches (the DFS and the lex-least enumeration) loop over an explicit
 stack of nodes, so a search n elements deep needs no interpreter frames,
@@ -262,11 +263,14 @@ class _Core:
         m = len(self.r)
         best_mask = self.wit[m - 1]
         best_size = best_mask.bit_count()
-        # the seeds of the module docstring, in order; a tie keeps the earlier
-        for g in (self.greedy(best_mask | 1 << (m - 1)), self.greedy((1 << m) - 1),
-                  self.greedy((1 << m) - 1, up=True)):
+        # the seeds of the module docstring, in order, until one meets the root
+        # bound r(m - 1) + 1, which no later seed can beat; a tie keeps the earlier
+        for cand, up in ((best_mask | 1 << (m - 1), False), ((1 << m) - 1, False), ((1 << m) - 1, True)):
+            g = self.greedy(cand, up)
             if g.bit_count() > best_size:
                 best_mask, best_size = g, g.bit_count()
+                if best_size > self.r[m - 1]:
+                    break
 
         # index m is the root: r(m) <= r(m - 1) + 1
         rt = self.r + [self.r[m - 1] + 1]
@@ -349,6 +353,7 @@ class _Core:
         force_up = self.force_up
         node_cap = state.node_cap
         deadline = state.deadline
+        start = state.nodes  # the clock is read on this pass's first node and every 4096th after it
         # as in ``advance``: include child searched first; the engine may be
         # grown past m, so the root keeps only the banned elements in [1, m]
         stack = [(1, 0, 0, self.banned & ((1 << m) - 1))]
@@ -356,7 +361,7 @@ class _Core:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
             if (node_cap is not None and state.nodes > node_cap
-                    or deadline is not None and state.nodes & 4095 == 1 and time.monotonic() > deadline):
+                    or deadline is not None and (state.nodes - start) & 4095 == 1 and time.monotonic() > deadline):
                 raise state.exceeded(f"{self.where}prefix {m}")
             if size + (m - e + 1) - forced.bit_count() < target:
                 continue
@@ -448,35 +453,31 @@ def max_avoiding(
     t0 = time.perf_counter()
     engine = _engine_for(eq)
     state = _RunState(node_cap, time_cap)
+    optimal = lex_least = False
     try:
         engine.solve_to(n, state)
     except BudgetExceeded:
-        best = engine.wit[-1]
+        mask = engine.wit[-1]
         for order in (range(n, 0, -1), range(1, n + 1)):
             g = _greedy_mask(eq, n, order, state.deadline)
-            if g.bit_count() > best.bit_count():
-                best = g
-        witness = _checked_witness(eq, n, best)
-        millis = int((time.perf_counter() - t0) * 1000)
-        return ExtremalResult(n, best.bit_count(), witness, False, state.nodes, millis)
-    size = engine.r[n]
-    mask = engine.wit[n]
-    lex_least = False
-    if canonical:
-        # the call's budgets cover this pass too: it gets the nodes the search left
-        cap = _CANONICAL_NODE_CAP if node_cap is None else min(_CANONICAL_NODE_CAP, node_cap - state.nodes)
-        cstate = _RunState(cap)
-        cstate.deadline = state.deadline
-        try:
-            masks, _ = engine.enumerate_at(n, size, 1, cstate)
-            if masks:
-                mask, lex_least = masks[0], True
-        except BudgetExceeded:
-            pass  # keep the search incumbent; size is certified either way
-        state.nodes += cstate.nodes
+            if g.bit_count() > mask.bit_count():
+                mask = g
+    else:
+        optimal, mask = True, engine.wit[n]
+        if canonical:
+            # the call's budgets cover this pass too, and it gets at most
+            # _CANONICAL_NODE_CAP nodes more than the search spent
+            cap = state.nodes + _CANONICAL_NODE_CAP
+            state.node_cap = cap if node_cap is None else min(cap, node_cap)
+            try:
+                masks, _ = engine.enumerate_at(n, engine.r[n], 1, state)
+                if masks:
+                    mask, lex_least = masks[0], True
+            except BudgetExceeded:
+                pass  # keep the search incumbent; size is certified either way
     witness = _checked_witness(eq, n, mask)
     millis = int((time.perf_counter() - t0) * 1000)
-    return ExtremalResult(n, size, witness, True, state.nodes, millis, canonical=lex_least)
+    return ExtremalResult(n, witness.size, witness, optimal, state.nodes, millis, canonical=lex_least)
 
 
 def all_extremal(
@@ -503,8 +504,9 @@ def all_extremal(
     return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks], truncated)
 
 
-def _rho(eq: ThreeVarEquation, m: int, state: _RunState) -> ModularDensity:
-    """rho_m within the budget of ``state``; a budget hit raises BudgetExceeded."""
+def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState) -> _Core:
+    """The engine over the congruence cliques modulo m, solved to m within the
+    budget of ``state``; a budget hit raises BudgetExceeded."""
     if state.deadline is not None and time.monotonic() > state.deadline:
         raise state.exceeded(f"modulus {m}")  # before the O(m^2) clique build
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
@@ -513,6 +515,13 @@ def _rho(eq: ThreeVarEquation, m: int, state: _RunState) -> ModularDensity:
     engine = _Core(lambda k: by_max[k])
     engine.where = f"modulus {m}, "
     engine.solve_to(m, state)
+    return engine
+
+
+def _density(eq: ThreeVarEquation, engine: _Core, state: _RunState) -> ModularDensity:
+    """rho_m of a solved congruence engine, with its lex-least residue set as
+    the witness, within the budget of ``state``."""
+    m = len(engine.r) - 1
     masks, _ = engine.enumerate_at(m, engine.r[m], 1, state)
     mask = masks[0] if masks else 0
     return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, mask))
@@ -529,7 +538,8 @@ def rho_m(
     witness that contains one raises :class:`InvariantViolation`."""
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
-    return _rho(eq, m, _RunState(node_cap, time_cap))
+    state = _RunState(node_cap, time_cap)
+    return _density(eq, _congruence_engine(eq, m, state), state)
 
 
 def rho_best(
@@ -540,11 +550,14 @@ def rho_best(
     time_cap: float | None = None,
 ) -> ModularDensity:
     """Best modular density over moduli m <= m_max (a lower bound for rho);
-    the first modulus wins a tie.  Both budgets cover the whole call."""
+    the first modulus wins a tie.  Only the modulus returned gets a witness,
+    its lex-least residue set.  Both budgets cover the whole call."""
     if m_max < 1:
         raise InvariantViolation(f"m_max must be positive, got {m_max}")
     state = _RunState(node_cap, time_cap)  # shared by every modulus
-    return max((_rho(eq, m, state) for m in range(1, m_max + 1)), key=lambda d: d.rho)
+    best = max((_congruence_engine(eq, m, state) for m in range(1, m_max + 1)),
+               key=lambda engine: Fraction(engine.r[-1], len(engine.r) - 1))
+    return _density(eq, best, state)
 
 
 def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = None) -> int:

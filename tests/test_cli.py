@@ -41,12 +41,17 @@ def run_process(*args: str, text: bool = True, cwd=None):
     )
 
 
-def readme_cli_examples() -> list[list[str]]:
-    """The argument lists of the ``solfree ...`` lines in the README's CLI block."""
+def readme_block(heading: str) -> str:
+    """The first fenced block after ``heading`` in the README, without its info string."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return text.split(heading, 1)[1].split("```", 2)[1].split("\n", 1)[1]
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argument lists of the ``solfree ...`` lines in the README's CLI block."""
+    block = readme_block("## CLI")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("solfree ")]
 
 
@@ -86,6 +91,15 @@ class TestSolve:
         out = invoke("solve", "--eq", "2x+2y=5z", "--n", "3", "--all-sets", "--time-budget", "100")
         assert out.exit_code == 0
         assert len(caps) == 1 and 0 < caps[0] <= 100 - 0.05
+
+    def test_all_sets_share_the_node_budget(self):
+        # the exact solve spends 1 728 nodes and all_extremal 1 574 more: the
+        # command fits in their sum and not in one node less
+        args = ("solve", "--eq", "x+2y=4z", "--n", "30", "--all-sets", "--cap", "8", "--node-budget")
+        assert run_process(*args, "3302").returncode == 0
+        proc = run_process(*args, "3301")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 
     def test_invariant_equation_exit_2(self):
         proc = run_process("solve", "--eq", "x+y=2z", "--n", "5")
@@ -325,6 +339,12 @@ class TestReadme:
 
     def test_examples_are_found(self):
         assert len(self.EXAMPLES) == 19
+
+    def test_library_tour_runs(self, monkeypatch):
+        # the block's own asserts check it; a cold solver cache keeps it from
+        # warming the engines of later tests
+        monkeypatch.setattr(search, "_SOLVERS", {})
+        exec(compile(readme_block("## Library quick tour"), "README.md", "exec"), {})
 
     @pytest.mark.parametrize("args", EXAMPLES, ids=[" ".join(args) for args in EXAMPLES])
     def test_cli_example_runs(self, tmp_path, args):

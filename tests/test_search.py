@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from functools import partial
 from fractions import Fraction
 from math import gcd
@@ -246,6 +247,22 @@ class TestMaxAvoiding:
                     assert res.nodes == 1, (str(eq), m)
             assert seeded > least, str(eq)
 
+    def test_seeding_stops_at_the_root_bound(self, monkeypatch):
+        # no seed beats r(m - 1) + 1, so the first seed to reach it is the last one built
+        eq = parse_equation("x+y=3z")
+        engine = fresh_engine(monkeypatch, eq)
+        greedy, calls = partial(search._Core.greedy, engine), []
+        monkeypatch.setattr(engine, "greedy", lambda *args: calls.append(args) or greedy(*args))
+        first_meets = 0
+        for m in range(1, 51):
+            calls.clear()
+            max_avoiding(eq, m, canonical=False)
+            seeds = (greedy(engine.wit[m - 1] | 1 << (m - 1)), greedy((1 << m) - 1), greedy((1 << m) - 1, True))
+            meets = [g.bit_count() > engine.r[m - 1] for g in seeds] + [True]
+            assert len(calls) == min(3, meets.index(True) + 1), m
+            first_meets += meets[0]
+        assert first_meets > 20
+
     def test_two_variable_prefixes_cost_one_node(self, monkeypatch):
         # a seed meets r(m - 1) + 1 or the degree packing, tried at the root
         # (a two-variable equation has fewer cliques than elements), settles
@@ -422,6 +439,25 @@ class TestEngine:
         res = max_avoiding(eq, 45, time_cap=1e-9)
         assert res.optimal and res.nodes == 1 and res.witness == search_witness
 
+    def test_deadline_passed_in_the_search_stops_the_canonical_pass(self, monkeypatch):
+        # the pass reads the clock on its own first node, not only on every
+        # 4096th node of the call, so a deadline that passes between the
+        # search and the pass stops the pass there
+        eq = EQS["family2"]
+        fresh_engine(monkeypatch, eq)
+        search_nodes = max_avoiding(eq, 45, canonical=False).nodes
+        assert search_nodes & 4095
+        fresh_engine(monkeypatch, eq)
+        enumerate_at = search._Core.enumerate_at
+
+        def late(self, m, target, cap, state):
+            state.deadline = time.monotonic() - 1
+            return enumerate_at(self, m, target, cap, state)
+
+        monkeypatch.setattr(search._Core, "enumerate_at", late)
+        res = max_avoiding(eq, 45, time_cap=60)
+        assert res.optimal and not res.canonical and res.nodes == search_nodes + 1
+
     def test_zero_time_budget_stops_the_canonical_pass_on_a_warm_engine(self, monkeypatch):
         eq = EQS["square"]
         fresh_engine(monkeypatch, eq)
@@ -448,6 +484,17 @@ class TestEngine:
         res = max_avoiding(eq, 5000, time_cap=0.2)
         assert not res.optimal and avoids(eq, res.witness).ok
         assert engine.grown <= len(engine.r) < 5000
+
+    def test_time_budget_stops_a_prefix_mid_search(self, monkeypatch):
+        # prefix 96 of x+2y=13z alone takes ~12 M nodes: only the clock read
+        # every 4096 nodes inside the search stops it near the deadline
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 95, canonical=False)
+        t0 = time.monotonic()
+        res = max_avoiding(eq, 96, time_cap=0.2)
+        assert time.monotonic() - t0 < 2
+        assert not res.optimal and len(engine.r) == 96
 
     @pytest.mark.parametrize("exc", [RuntimeError, RecursionError])
     def test_exception_mid_search_leaves_engine_clean(self, monkeypatch, exc):
@@ -574,6 +621,17 @@ class TestModularDensity:
             rho_best(eq, 20, node_cap=673)
         with pytest.raises(BudgetExceeded):
             rho_best(eq, 20, time_cap=0)
+
+    def test_rho_best_builds_one_witness(self, monkeypatch):
+        eq = EQS["square"]
+        want = rho_m(eq, 2)
+        calls = []
+        enumerate_at, checked = search._Core.enumerate_at, search._checked_residues
+        monkeypatch.setattr(search._Core, "enumerate_at",
+                            lambda *args: calls.append("enumerate_at") or enumerate_at(*args))
+        monkeypatch.setattr(search, "_checked_residues", lambda *args: calls.append("check") or checked(*args))
+        assert rho_best(eq, 12) == want  # 1/2 at every even m <= 12: a tie goes to the first
+        assert calls == ["enumerate_at", "check"]
 
     def test_witness_is_integer_fraction(self):
         d = rho_m(EQS["family1"], 7)
