@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .constructions import ab_set
 from .equations import IntSet, ThreeVarEquation, require_avoiding
-from .errors import BudgetExceeded, InvariantViolation, NotAvoiding
+from .errors import BudgetExceeded, InvariantViolation
 from .family1 import interval_density
 from .search import max_avoiding
 
@@ -121,6 +121,8 @@ def _map_b3(x: int, v: int, b_members: frozenset) -> int:
 def injection_certificate(b: int, B: IntSet, n: int | None = None) -> InjectionCertificate:
     """Build and verify the injection certificate for an avoiding set B.
 
+    B must avoid the equation: one that contains a solution raises
+    :class:`~solfree.errors.AvoidanceCheckFailed` naming B and the solution.
     The mapping follows the case rules for b = 2 and b = 3 exactly; totality,
     injectivity and the codomain are then checked, and any divergence raises
     :class:`InvariantViolation` naming the check that failed (release tests
@@ -131,7 +133,7 @@ def injection_certificate(b: int, B: IntSet, n: int | None = None) -> InjectionC
     bound = n if n is not None else B.n
     if bound < B.n and any(x > bound for x in B.members):
         raise InvariantViolation(f"B escapes [1, {bound}]")
-    require_avoiding(counterexample_equation(b), B, NotAvoiding, "B")
+    require_avoiding(counterexample_equation(b), B, "B")
     A, _ = ab_set(b, bound)
     a_members = A.member_set
     b_members = B.member_set

@@ -4,7 +4,8 @@ the cube-valuation sets that beat the two-interval density at c = b*b.
 
 Every constructor returns its set through :func:`~solfree.equations.require_avoiding`,
 so a set that contains a solution raises :class:`~solfree.errors.AvoidanceCheckFailed`
-instead of being returned.
+instead of being returned; a broken precondition, such as a modulus q that
+divides s, raises :class:`~solfree.errors.InvariantViolation`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from itertools import chain, filterfalse
 from math import gcd
 
 from .equations import IntSet, LinearForm, ThreeVarEquation, require_avoiding
-from .errors import AvoidanceCheckFailed, Infeasible, InvariantViolation, QDividesS
+from .errors import Infeasible, InvariantViolation
 
 _FIXED_POINT_CAP = 1000  # downward iteration shrinks xi every step, so this is generous
 
@@ -93,9 +94,8 @@ def residue_set(form: LinearForm, q: int, n: int) -> IntSet:
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     if form.s % q == 0:
-        raise QDividesS(f"q={q} divides s={form.s}")
-    return require_avoiding(form.eq, IntSet.of(n, range(1, n + 1, q)), AvoidanceCheckFailed,
-                            f"residue_set(q={q}, n={n})")
+        raise InvariantViolation(f"q={q} divides s={form.s}")
+    return require_avoiding(form.eq, IntSet.of(n, range(1, n + 1, q)), f"residue_set(q={q}, n={n})")
 
 
 def top_interval(form: LinearForm, n: int) -> IntSet:
@@ -103,8 +103,7 @@ def top_interval(form: LinearForm, n: int) -> IntSet:
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     lo = form.s_minus * n // form.s_plus
-    return require_avoiding(form.eq, IntSet.of(n, range(lo + 1, n + 1)), AvoidanceCheckFailed,
-                            f"top_interval(n={n})")
+    return require_avoiding(form.eq, IntSet.of(n, range(lo + 1, n + 1)), f"top_interval(n={n})")
 
 
 def _interval_sequence(form: LinearForm, n: int, k: int, xi: int) -> list[int]:
@@ -142,7 +141,7 @@ def multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> S
     xi = 1 + floor(s_minus * n_k / s_plus) is used.  A form with two positive
     coefficients (c < a + b) has only k = 1."""
     out = _multi_interval(form, n, k, xi)
-    require_avoiding(form.eq, out.materialize(), AvoidanceCheckFailed, f"multi_interval(n={n}, k={k})")
+    require_avoiding(form.eq, out.materialize(), f"multi_interval(n={n}, k={k})")
     return out
 
 
@@ -187,7 +186,7 @@ def best_multi_interval(form: LinearForm, n: int, k_max: int) -> tuple[int, Stru
     if best is None:  # k = 1 is always feasible
         raise Infeasible(f"no feasible k in 1..{k_max}")  # pragma: no cover
     k, out = best
-    require_avoiding(form.eq, out.materialize(), AvoidanceCheckFailed, f"best_multi_interval(n={n}, k={k})")
+    require_avoiding(form.eq, out.materialize(), f"best_multi_interval(n={n}, k={k})")
     return best
 
 
@@ -225,8 +224,7 @@ def two_var_extremal(a: int, b: int, n: int) -> tuple[int, IntSet]:
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     members = [x for chain in _chains(a, b, n) for x in chain[::2]]
-    A = require_avoiding(ThreeVarEquation(a, 0, b), IntSet.of(n, members), AvoidanceCheckFailed,
-                         f"two_var_extremal({a}, {b}, {n})")
+    A = require_avoiding(ThreeVarEquation(a, 0, b), IntSet.of(n, members), f"two_var_extremal({a}, {b}, {n})")
     return A.size, A
 
 
@@ -234,7 +232,7 @@ def ab_set(b: int, n: int) -> tuple[IntSet, Fraction]:
     """The set {u * b^(3i) : b does not divide u} inside [1, n], together with
     its asymptotic density b^2 / (b^2 + b + 1).  Avoids x + b y = b^2 z."""
     A = _ab_members(b, n)
-    require_avoiding(ThreeVarEquation(1, b, b * b), A, AvoidanceCheckFailed, f"ab_set({b}, {n})")
+    require_avoiding(ThreeVarEquation(1, b, b * b), A, f"ab_set({b}, {n})")
     return A, Fraction(b * b, b * b + b + 1)
 
 

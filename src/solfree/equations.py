@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InvariantViolation, MalformedEquation
+from .errors import AvoidanceCheckFailed, InvariantViolation, MalformedEquation
 
 
 class Family(Enum):
@@ -314,10 +314,10 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     return AvoidanceCheck(True, None)
 
 
-def require_avoiding(eq: ThreeVarEquation, A: IntSet, error: type[Exception], what: str) -> IntSet:
-    """``A`` itself if it avoids ``eq``; otherwise raise ``error``, naming ``what``,
-    the equation and the lexicographically first solution inside ``A``."""
+def require_avoiding(eq: ThreeVarEquation, A: IntSet, what: str) -> IntSet:
+    """``A`` itself if it avoids ``eq``; otherwise raise :class:`AvoidanceCheckFailed`,
+    naming ``what``, the equation and the lexicographically first solution inside ``A``."""
     result = avoids(eq, A)
     if not result.ok:
-        raise error(f"{what} contains the solution {tuple(result.violation)} of {eq}")
+        raise AvoidanceCheckFailed(f"{what} contains the solution {tuple(result.violation)} of {eq}")
     return A

@@ -10,15 +10,13 @@ class MalformedEquation(SolfreeError):
 
 
 class InvariantViolation(SolfreeError):
-    """A domain invariant failed: gcd != 1, translation-invariant equation,
-    nonpositive coefficient, empty input, or a precondition of the same
-    flavour.  Also raised by the guards on states that cannot happen (a scan
-    that finds nothing, a vanishing denominator, injection rules that diverge
-    from their case analysis): those signal an implementation bug."""
-
-
-class QDividesS(SolfreeError):
-    """The residue construction needs a modulus q that does not divide s."""
+    """A precondition failed: gcd != 1, translation-invariant equation,
+    nonpositive coefficient, empty input, a residue modulus q that divides
+    s, a solution window that escapes [1, n], or one of the same flavour.
+    Also raised by the guards on states that cannot happen (a scan that
+    finds nothing, a vanishing denominator, a closed-form size that
+    disagrees with the set built, injection rules that diverge from their
+    case analysis): those signal an implementation bug."""
 
 
 class Infeasible(SolfreeError):
@@ -27,21 +25,17 @@ class Infeasible(SolfreeError):
 
 
 class AvoidanceCheckFailed(SolfreeError):
-    """A construction produced a set that fails the avoidance checker.
+    """A set that must avoid the equation contains a solution.
 
-    Raised by the gate on the output of ``constructions``, ``family2`` and
-    the interval-compression stages of ``family1``.  This is a bug guard: it
-    must never fire in release tests.
+    Raised by the one gate, :func:`~solfree.equations.require_avoiding`,
+    whatever the set: an input (``interval_compression``,
+    ``solution_window_deficiency``, ``injection_certificate``), a
+    construction, a compression stage, a search witness or a residue set of
+    ``rho_m``.  The message names the set and the first solution in it.  On
+    an input it is the caller's error; on anything the package built it is
+    a bug, and it must never fire in release tests.
     """
 
 
 class BudgetExceeded(SolfreeError):
     """A node or wall-time cap was hit before the search finished."""
-
-
-class NotAvoiding(SolfreeError):
-    """An input set was required to avoid the equation but does not."""
-
-
-class IntervalOutOfRange(SolfreeError):
-    """A solution window does not lie inside [1, n]."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .constructions import Interval, StructuredSet
 from .equations import Family, IntSet, ThreeVarEquation, avoids, require_avoiding
-from .errors import AvoidanceCheckFailed, IntervalOutOfRange, InvariantViolation, NotAvoiding
+from .errors import InvariantViolation
 
 
 def eligible(b: int, c: int) -> bool:
@@ -94,9 +94,10 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
     """Push an avoiding set into canonical interval form, stage by stage.
 
     Stage i replaces everything in (r_{i+1}, r_i] by the block
-    [max(l_i + 1, s), r_i]; every stage stays avoiding (that is checked: an
-    input that does not avoid the equation raises :class:`NotAvoiding`, a
-    stage that does not raises :class:`AvoidanceCheckFailed`).
+    [max(l_i + 1, s), r_i]; every stage stays avoiding.  That is checked:
+    the input and each stage pass the avoidance gate, and one that contains
+    a solution raises :class:`~solfree.errors.AvoidanceCheckFailed` naming
+    it ("input" or "compression stage i") and the solution.
     That no stage shrinks is the paper's claim for eligible (b, c) only, and
     it is not checked: outside that bound a stage can lose elements, as the
     extremal set of x+2y=4z at n = 20 does, with sizes (11, 7, 7, 7).
@@ -107,7 +108,7 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
         raise InvariantViolation(f"compression needs c > b+1, got b={b}, c={c}")
     if A.size == 0:
         raise InvariantViolation("the transform needs a nonempty set")
-    require_avoiding(eq, A, NotAvoiding, "input")
+    require_avoiding(eq, A, "input")
     n = A.n
     s = A.min()
     r_seq = [n]
@@ -131,7 +132,7 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
         if t > n + 1:  # pragma: no cover - cannot happen for c > b+1
             raise InvariantViolation("compression failed to terminate")
     for i, stage in enumerate(stages[1:], 1):
-        require_avoiding(eq, stage, AvoidanceCheckFailed, f"compression stage {i}")
+        require_avoiding(eq, stage, f"compression stage {i}")
     alpha = max(l_seq[-1] + 1, s)
     return CompressionTrace(n, s, tuple(r_seq), tuple(l_seq), t, tuple(stages), alpha)
 
@@ -241,17 +242,19 @@ def solution_window_deficiency(eq: ThreeVarEquation, A: IntSet, z: int, d: int) 
     """Count the elements missing from A in the solution window around c*z/(b+1).
 
     The window [x_d, y_d] packs d+1 disjoint solution pairs through z, so an
-    avoiding set containing z must miss at least d+1 of its elements.
+    avoiding set containing z must miss at least d+1 of its elements.  An A
+    that contains a solution raises :class:`~solfree.errors.AvoidanceCheckFailed`;
+    a window that escapes [1, n] raises :class:`InvariantViolation`.
     """
     b, c = _family1_params(eq)
     if d < 0:
         raise InvariantViolation(f"d must be nonnegative, got {d}")
     if z not in A:
         raise InvariantViolation(f"z={z} is not a member of the set")
-    require_avoiding(eq, A, NotAvoiding, "input")
+    require_avoiding(eq, A, "input")
     y_d = c * z // (b + 1) + 1 + d
     x_d = c * z - b * y_d
     if not (1 <= x_d <= y_d <= A.n):
-        raise IntervalOutOfRange(f"window [{x_d}, {y_d}] escapes [1, {A.n}]")
+        raise InvariantViolation(f"window [{x_d}, {y_d}] escapes [1, {A.n}]")
     window = range(x_d, y_d + 1)
     return sum(1 for v in window if v not in A)

@@ -14,7 +14,7 @@ from math import gcd
 
 from .constructions import Interval, StructuredSet
 from .equations import ThreeVarEquation, require_avoiding
-from .errors import AvoidanceCheckFailed, InvariantViolation
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,8 @@ def family2_extremal(b: int, c: int, n: int) -> Family2Extremal:
     result = Family2Extremal(b, c, n, case, structured)
     expected = closed_form_size(b, c, n)
     if result.size != expected:  # pragma: no cover - formula bug guard
-        raise AvoidanceCheckFailed(
+        raise InvariantViolation(
             f"size {result.size} disagrees with the closed form {expected} for (b={b}, c={c}, n={n})"
         )
-    require_avoiding(result.equation(), structured.materialize(), AvoidanceCheckFailed,
-                     f"family2_extremal({b}, {c}, {n})")
+    require_avoiding(result.equation(), structured.materialize(), f"family2_extremal({b}, {c}, {n})")
     return result

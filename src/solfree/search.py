@@ -61,7 +61,7 @@ from itertools import takewhile
 from math import gcd
 
 from .equations import IntSet, ThreeVarEquation, require_avoiding
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import AvoidanceCheckFailed, BudgetExceeded, InvariantViolation
 
 _CANONICAL_NODE_CAP = 250_000  # budget for the optional lex-least witness pass
 
@@ -402,7 +402,7 @@ def _mask_to_set(n: int, mask: int) -> IntSet:
 
 def _checked_witness(eq: ThreeVarEquation, n: int, mask: int) -> IntSet:
     """The witness set of ``mask``, re-verified by the avoidance checker."""
-    return require_avoiding(eq, _mask_to_set(n, mask), InvariantViolation, f"the witness at n={n}")
+    return require_avoiding(eq, _mask_to_set(n, mask), f"the witness at n={n}")
 
 
 def _checked_residues(eq: ThreeVarEquation, m: int, mask: int) -> IntSet:
@@ -413,7 +413,7 @@ def _checked_residues(eq: ThreeVarEquation, m: int, mask: int) -> IntSet:
     for x in witness.members:
         for y in witness.members if eq.b else (0,):
             if z := zs.get((eq.a * x + eq.b * y) % m):
-                raise InvariantViolation(f"residues for {eq} modulo {m} contain the solution {(x, y, z)}")
+                raise AvoidanceCheckFailed(f"residues for {eq} modulo {m} contain the solution {(x, y, z)}")
     return witness
 
 
@@ -446,7 +446,7 @@ def max_avoiding(
     the witness is the search's, and it is still a maximum set.  Either way
     the witness is re-verified by the avoidance checker before it is
     returned, and a set that contains a solution raises
-    :class:`InvariantViolation`.
+    :class:`AvoidanceCheckFailed`.
     """
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
@@ -491,7 +491,7 @@ def all_extremal(
     """All maximum avoiding subsets of [1, n] in lexicographic order, up to cap.
 
     Every set is re-verified by the avoidance checker; one that contains a
-    solution raises :class:`InvariantViolation`.  A budget hit raises
+    solution raises :class:`AvoidanceCheckFailed`.  A budget hit raises
     :class:`BudgetExceeded`.
     """
     if cap < 1:
@@ -535,7 +535,7 @@ def rho_m(
     time_cap: float | None = None,
 ) -> ModularDensity:
     """Exact maximum density of a residue set with no solutions modulo m; a
-    witness that contains one raises :class:`InvariantViolation`."""
+    witness that contains one raises :class:`AvoidanceCheckFailed`."""
     if m < 1:
         raise InvariantViolation(f"m must be positive, got {m}")
     state = _RunState(node_cap, time_cap)
@@ -605,8 +605,8 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
 
 def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0) -> list[IntSet]:
     """``count`` randomized-greedy avoiding subsets of [1, n] (shuffled element
-    orders).  Each is re-verified by :func:`avoids`, and a set that contains
-    a solution raises :class:`InvariantViolation`."""
+    orders).  Each is re-verified by the avoidance checker, and a set that
+    contains a solution raises :class:`AvoidanceCheckFailed`."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -7,6 +7,7 @@ is deferred to later calibration.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -26,7 +27,7 @@ from solfree.constructions import (
     two_var_extremal,
 )
 from solfree.equations import ThreeVarEquation, parse_equation
-from solfree.errors import AvoidanceCheckFailed, Infeasible, QDividesS
+from solfree.errors import AvoidanceCheckFailed, Infeasible, InvariantViolation
 from solfree.family1 import eligible, extremal_candidates, interval_compression, min_element_stats
 from solfree.family2 import closed_form_size, family2_extremal
 from solfree.search import max_avoiding, random_avoiding_sets, rho_best
@@ -184,8 +185,12 @@ def test_criterion_08_construction_fuzz():
                     continue
                 family2_extremal(b, c, rng.randint(1, 200))
             produced += 1
-        except (QDividesS, Infeasible):
+        except Infeasible:
             continue  # invalid parameter draw, not a soundness failure
+        except InvariantViolation as exc:
+            if not re.fullmatch(r"q=\d+ divides s=\d+", str(exc)):
+                raise
+            continue  # a residue modulus that divides s: an invalid draw too
         except AvoidanceCheckFailed:
             guard_failures += 1
     report(8, guard_failures == 0,

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import solfree
-from solfree import search
+from solfree import errors, search
 from solfree.cli import CSV_COLUMNS, main
 from solfree.equations import parse_equation
 
@@ -41,12 +42,17 @@ def run_process(*args: str, text: bool = True, cwd=None):
     )
 
 
-def readme_block(heading: str) -> str:
-    """The first fenced block after ``heading`` in the README, without its info string."""
+def readme_section(heading: str) -> str:
+    """The README text from ``heading`` to the next heading of the same level."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
-    return text.split(heading, 1)[1].split("```", 2)[1].split("\n", 1)[1]
+    return text.split(heading + "\n", 1)[1].split("\n" + heading.split()[0] + " ", 1)[0]
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced block after ``heading`` in the README, without its info string."""
+    return readme_section(heading).split("```", 2)[1].split("\n", 1)[1]
 
 
 def readme_cli_examples() -> list[list[str]]:
@@ -132,6 +138,11 @@ class TestSolve:
         out = invoke("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "text")
         assert out.output.startswith("r(2x+2y=5z, 10) = 6")
 
+    def test_text_format_lists_all_sets(self):
+        out = invoke("solve", "--eq", "2x+2y=5z", "--n", "3", "--fmt", "text", "--all-sets")
+        assert out.exit_code == 0
+        assert out.output == "r(2x+2y=5z, 3) = 2  {1,2}\n  maximum set: {1,2}\n  maximum set: {1,3}\n"
+
     def test_two_variable_equation(self):
         row = json.loads(invoke("solve", "--eq", "2x=z", "--n", "10").output)
         assert row["size"] == 6  # chains {1,2,4,8}, {3,6}, {5,10}, {7}, {9}
@@ -181,7 +192,8 @@ class TestConstruct:
 
     def test_q_divides_s_exit_2(self):
         proc = run_process("construct", "residue", "--eq", "x+y=4z", "--q", "2", "--n", "10")
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": "InvariantViolation", "message": "q=2 divides s=2"}
 
 
 class TestFamilyCommands:
@@ -227,6 +239,12 @@ class TestRhoAndConjecture:
         row = json.loads(invoke("rho", "--eq", "x+2y=4z", "--m-max", "8").output)
         num, den = row["rho"].split("/")
         assert int(num) / int(den) >= 0.5
+
+    @pytest.mark.parametrize("moduli", [(), ("--m", "3", "--m-max", "3")], ids=["neither", "both"])
+    def test_rho_needs_exactly_one_modulus_option(self, moduli):
+        proc = run_process("rho", "--eq", "x+y=3z", *moduli)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "pass exactly one of --m / --m-max" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_rho_best_budget_exit_3(self):
         # every modulus fits in 673 nodes, all twenty together do not
@@ -283,6 +301,13 @@ class TestReport:
                            "--output", str(target))
         assert proc.returncode == 2 and proc.stdout == ""
         assert "cannot open --output" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sweep", [("--n-from", "1", "--n-to", "4", "--step", "0"),
+                                       ("--n-from", "5", "--n-to", "4")], ids=["step-0", "to-below-from"])
+    def test_bad_sweep_is_a_usage_error(self, sweep):
+        proc = run_process("report", "--eq", "x+y=3z", *sweep)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "need 1 <= n-from <= n-to and step >= 1" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_byte_identical_runs(self):
         a = run_process("report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20", text=False)
@@ -345,6 +370,16 @@ class TestReadme:
         # warming the engines of later tests
         monkeypatch.setattr(search, "_SOLVERS", {})
         exec(compile(readme_block("## Library quick tour"), "README.md", "exec"), {})
+
+    def test_error_list_matches_the_errors_module(self):
+        # the "Guarantees and limits" list of the errors the CLI prints, after
+        # the sentence that names their base class
+        section = readme_section("## Guarantees and limits")
+        listing = section.split("Every package error derives from", 1)[1].split("\n* ", 1)[0]
+        named = re.findall(r"`solfree\.errors\.(\w+)`", listing) + re.findall(r"^  \* `(\w+)`:", listing, re.M)
+        defined = [name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and obj.__module__ == errors.__name__]
+        assert sorted(named) == sorted(defined)
 
     @pytest.mark.parametrize("args", EXAMPLES, ids=[" ".join(args) for args in EXAMPLES])
     def test_cli_example_runs(self, tmp_path, args):

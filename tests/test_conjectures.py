@@ -14,7 +14,7 @@ from solfree.conjectures import (
 )
 from solfree.constructions import ab_set
 from solfree.equations import IntSet, avoids
-from solfree.errors import InvariantViolation, NotAvoiding
+from solfree.errors import AvoidanceCheckFailed, InvariantViolation
 from solfree.search import random_avoiding_sets
 
 from oracles import all_avoiding_sets
@@ -64,7 +64,7 @@ class TestCertificates:
 
     def test_rejects_non_avoiding(self):
         # (2, 1, 1) solves x+2y=4z
-        with pytest.raises(NotAvoiding):
+        with pytest.raises(AvoidanceCheckFailed, match=r"^B contains the solution \(2, 1, 1\) of x\+2y=4z$"):
             injection_certificate(2, IntSet.of(8, [1, 2]), 8)
 
     def test_rejects_other_b(self):

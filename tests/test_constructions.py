@@ -20,7 +20,7 @@ from solfree.constructions import (
 )
 from solfree import equations
 from solfree.equations import AvoidanceCheck, IntSet, Solution, ThreeVarEquation, avoids, parse_equation
-from solfree.errors import AvoidanceCheckFailed, Infeasible, InvariantViolation, QDividesS
+from solfree.errors import AvoidanceCheckFailed, Infeasible, InvariantViolation
 from solfree.family1 import interval_compression
 from solfree.family2 import family2_extremal
 from solfree.search import max_avoiding
@@ -107,7 +107,7 @@ class TestResidueSet:
 
     def test_q_dividing_s_rejected(self):
         # x+y=4z has s = |1 + 1 - 4| = 2
-        with pytest.raises(QDividesS):
+        with pytest.raises(InvariantViolation, match=r"^q=2 divides s=2$"):
             residue_set(FORMS["x+y=4z"], 2, 10)
 
     def test_size_lower_bound(self):

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from solfree.equations import IntSet, parse_equation
-from solfree.errors import IntervalOutOfRange, InvariantViolation, NotAvoiding
+from solfree.errors import AvoidanceCheckFailed, InvariantViolation
 from solfree.family1 import (
     best_candidate,
     eligible,
@@ -107,8 +108,7 @@ class TestCompression:
     def test_rejects_empty_and_non_avoiding(self):
         with pytest.raises(InvariantViolation, match="nonempty"):
             interval_compression(EQ, IntSet(10, ()))
-        with pytest.raises(NotAvoiding):
-            # (2, 1, 1) solves x+2y=13z? 2+2=4 != 13; use a genuine solution: (9, 2, 1)
+        with pytest.raises(AvoidanceCheckFailed, match=r"^input contains the solution \(9, 2, 1\) of x\+2y=13z$"):
             interval_compression(EQ, IntSet.of(10, [9, 2, 1]))
 
     def test_requires_family1(self):
@@ -184,14 +184,23 @@ class TestCandidates:
         assert observed == 0
 
 
+def window_deficiency(A, z, d):
+    """The deficiency of A at z, or None when its window escapes [1, n]."""
+    try:
+        return solution_window_deficiency(EQ, A, z, d)
+    except InvariantViolation as exc:
+        if not re.fullmatch(r"window \[-?\d+, \d+\] escapes \[1, \d+\]", str(exc)):
+            raise
+        return None
+
+
 class TestSolutionWindow:
     def test_extremal_interior_points(self):
         res = max_avoiding(EQ, 60)
         checked = 0
         for z in res.witness.members:
-            try:
-                count = solution_window_deficiency(EQ, res.witness, z, 0)
-            except IntervalOutOfRange:
+            count = window_deficiency(res.witness, z, 0)
+            if count is None:
                 continue
             checked += 1
             assert count >= 1
@@ -205,14 +214,12 @@ class TestSolutionWindow:
     def test_fuzzed_depth_two(self):
         for A in random_avoiding_sets(EQ, 60, 60, seed=5):
             for z in A.members:
-                try:
-                    count = solution_window_deficiency(EQ, A, z, 2)
-                except IntervalOutOfRange:
-                    continue
-                assert count >= 3
+                count = window_deficiency(A, z, 2)
+                if count is not None:
+                    assert count >= 3
 
     def test_out_of_range_raises(self):
-        with pytest.raises(IntervalOutOfRange):
+        with pytest.raises(InvariantViolation, match=r"^window \[128, 131\] escapes \[1, 60\]$"):
             solution_window_deficiency(EQ, IntSet.of(60, [30]), 30, 0)
 
     def test_z_must_belong(self):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import time
 from functools import partial
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import solfree
 from solfree import search
 from solfree.equations import IntSet, ThreeVarEquation, avoids, enumerate_solutions, parse_equation
-from solfree.errors import BudgetExceeded, InvariantViolation
+from solfree.errors import AvoidanceCheckFailed, BudgetExceeded, InvariantViolation
 from solfree.search import (
     all_extremal,
     cliques_for,
@@ -177,7 +178,7 @@ class TestMaxAvoiding:
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 5, canonical=False)
         engine.wit[5] = 0b11111  # [1, 5] holds (2, 1, 1)
-        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+        with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=5 contains the solution \(2, 1, 1\)"):
             max_avoiding(eq, 5, canonical=False)
 
     def test_budget_witness_is_rechecked(self, monkeypatch):
@@ -186,7 +187,7 @@ class TestMaxAvoiding:
         max_avoiding(eq, 5, canonical=False)
         # larger than any greedy seed at n = 6, so the budget path returns it
         engine.wit[5] = 0b11111
-        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+        with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=6 contains the solution \(2, 1, 1\)"):
             max_avoiding(eq, 6, node_cap=0)
 
     @pytest.mark.parametrize("key", sorted(EQS))
@@ -578,7 +579,7 @@ class TestAllExtremal:
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         monkeypatch.setattr(engine, "enumerate_at", lambda *args: ([0b11111], False))
-        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+        with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=5 contains the solution \(2, 1, 1\)"):
             all_extremal(eq, 5)
 
     @pytest.mark.parametrize("key", sorted(EQS))
@@ -651,7 +652,8 @@ class TestModularDensity:
     def test_witness_is_rechecked(self, monkeypatch, text, mask, solution):
         # the lex-least pass returns mask
         monkeypatch.setattr(search._Core, "enumerate_at", lambda *args: ([mask], False))
-        with pytest.raises(InvariantViolation, match=solution):
+        message = rf"^residues for {re.escape(text)} modulo 5 contain the solution {solution}$"
+        with pytest.raises(AvoidanceCheckFailed, match=message):
             rho_m(parse_equation(text), 5)
 
     @given(data=st.data())
@@ -692,7 +694,7 @@ class TestRandomAvoidingSets:
 
     def test_sets_are_rechecked(self, monkeypatch):
         monkeypatch.setattr(search, "_greedy_mask", lambda eq, n, order: 0b11111)
-        with pytest.raises(InvariantViolation, match=r"\(2, 1, 1\)"):
+        with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=5 contains the solution \(2, 1, 1\)"):
             random_avoiding_sets(EQS["square"], 5, 1)
 
     def test_seeds_differ(self):
