@@ -22,25 +22,22 @@ element is dead).  Singleton cliques, which ban a residue in the congruence
 instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
-The root of prefix m, whose table entry would otherwise be m, is bounded by
-r(m - 1) + 1.  Prefix m starts from the largest of wit[m - 1] and up to
-three greedy seeds, built in this order until one reaches that root bound,
-which no later seed could beat: descending over wit[m - 1] plus m and over
-all of [1, m], and ascending over [1, m] (the lex-first avoiding set, the
-first leaf of the lex-least enumeration).  A greedy decides each clique at
-the member it meets last, which the triggers of its order have forced out if
-it kept the others, so the trigger tables are all it needs.  When a seed
-reaches the root bound the prefix costs one node.  When none does, a clique
-packing can settle the prefix: k pairwise disjoint cliques in [1, m] each
-need one member left out, so r(m) <= m - k.  The packing is one greedy
-pass over every clique in [1, m] in ascending order of its members'
-occurrence counts; if it leaves no more than the incumbent's size, the
-incumbent is a maximum and the search stops.  It costs a sort of all
-cliques, so it is built at most once per prefix, and only once the seeds'
-m steps and the search's nodes make one per clique: at the root when there
-are no more cliques than elements, as with every two-variable equation.  It
-settles most stall prefixes (r(m) = r(m - 1)) in the paper's Family I
-regime, where m - r(m) disjoint solutions exist.
+Prefix m keeps one upper bound ub on r(m), first r(m - 1) + 1, which also
+bounds its root, and the search ends as soon as the incumbent meets it: a
+larger set cannot exist.  The incumbent starts as the larger of wit[m - 1]
+and one greedy seed, descending over wit[m - 1] plus m.  A greedy decides
+each clique at the member it meets last, which the triggers of its order
+have forced out if it kept the others, so the trigger tables are all it
+needs.  When the seed meets ub the prefix costs one node; otherwise the DFS
+stops at the first leaf that meets ub, and a clique packing can lower ub on
+the way: k pairwise disjoint cliques in [1, m] each need one member left
+out, so r(m) <= m - k.  The packing is one greedy pass over every clique
+in [1, m] in ascending order of its members' occurrence counts.  It costs a
+sort of all cliques, so it is built at most once per prefix, and only once
+the m steps of growing to m and the search's nodes make one per clique: at
+the root when there are no more cliques than elements, as with every
+two-variable equation.  It settles most stall prefixes (r(m) = r(m - 1))
+in the paper's Family I regime, where m - r(m) disjoint solutions exist.
 
 Both searches (the DFS and the lex-least enumeration) loop over an explicit
 stack of nodes, so a search n elements deep needs no interpreter frames,
@@ -52,6 +49,7 @@ triples modulo m (used for the modular densities).
 """
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
@@ -105,13 +103,13 @@ class _RunState:
 
     def __init__(self, node_cap: int | None = None, time_cap: float | None = None):
         self.nodes = 0
-        self.node_cap = node_cap
-        self.deadline = time.monotonic() + time_cap if time_cap is not None else None
+        self.node_cap = sys.maxsize if node_cap is None else node_cap
+        self.deadline = math.inf if time_cap is None else time.monotonic() + time_cap
 
     def exceeded(self, where: str) -> BudgetExceeded:
         """The error for a budget hit at ``where``: the node budget if it is
         spent, the time budget otherwise."""
-        if self.node_cap is not None and self.nodes > self.node_cap:
+        if self.nodes > self.node_cap:
             return BudgetExceeded(f"node budget {self.node_cap} exceeded at {where}")
         return BudgetExceeded(f"time budget exceeded at {where}")
 
@@ -176,7 +174,7 @@ class _Core:
 
     ``source(m)`` gives the cliques whose largest member is m, ascending.
     Only :meth:`grow` writes the trigger tables and the clique list; a
-    search keeps its state on its own stack, and the seeds and the degree
+    search keeps its state on its own stack, and the seed and the degree
     packing only read them.
     """
 
@@ -194,7 +192,7 @@ class _Core:
         self.force_up: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
         # every clique taken in, in arrival order: the degree packing sorts
-        # them when a prefix's seeds miss its root bound (see ``advance``)
+        # them when a prefix's seed misses its upper bound (see ``advance``)
         self.cliques: list[tuple[int, ...]] = []
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
@@ -220,19 +218,17 @@ class _Core:
 
     # -- seeding -----------------------------------------------------------
 
-    def greedy(self, cand: int, up: bool = False) -> int:
-        """Greedy over the mask ``cand`` (grown to its top), descending or, with
-        ``up``, ascending: keep each element not forced, firing ``force_down``
-        (resp. ``force_up``) as the first dive of the DFS (resp. lex-least pass) does."""
-        triggers = self.force_up if up else self.force_down
+    def greedy(self, cand: int) -> int:
+        """Descending greedy over the mask ``cand`` (grown to its top): keep each
+        element not forced, firing ``force_down`` as the first dive of the DFS does."""
         inc = 0
         forced = self.banned
         while cand:
-            bit = cand & -cand if up else 1 << (cand.bit_length() - 1)
+            bit = 1 << (cand.bit_length() - 1)
             cand ^= bit
             if not forced & bit:
                 inc |= bit
-                for need, dead in triggers[bit.bit_length()]:
+                for need, dead in self.force_down[bit.bit_length()]:
                     if need & inc == need:
                         forced |= dead
         return inc
@@ -259,35 +255,28 @@ class _Core:
 
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r); the engine must be grown to exactly m, as
-        the degree packing and the seeds read the cliques in [1, m]."""
+        the degree packing and the seed read the cliques in [1, m]."""
         m = len(self.r)
-        best_mask = self.wit[m - 1]
+        # the incumbent: the seed if it is larger than wit[m - 1]
+        best_mask = max(self.wit[m - 1], self.greedy(self.wit[m - 1] | 1 << (m - 1)), key=int.bit_count)
         best_size = best_mask.bit_count()
-        # the seeds of the module docstring, in order, until one meets the root
-        # bound r(m - 1) + 1, which no later seed can beat; a tie keeps the earlier
-        for cand, up in ((best_mask | 1 << (m - 1), False), ((1 << m) - 1, False), ((1 << m) - 1, True)):
-            g = self.greedy(cand, up)
-            if g.bit_count() > best_size:
-                best_mask, best_size = g, g.bit_count()
-                if best_size > self.r[m - 1]:
-                    break
 
-        # index m is the root: r(m) <= r(m - 1) + 1
-        rt = self.r + [self.r[m - 1] + 1]
+        ub = self.r[m - 1] + 1  # r(m) <= ub
+        rt = self.r + [ub]  # index m is the root
         force_down = self.force_down
-        node_cap = state.node_cap if state.node_cap is not None else sys.maxsize
+        node_cap = state.node_cap
         deadline = state.deadline
-        # The degree packing sorts every clique, so a prefix tries it at most
-        # once, and only if the seeds fell short of the root bound (a seed
-        # that meets it ends the search at its first node).  The seeds took m
-        # steps, so the try comes once the search has spent len(cliques) - m
-        # nodes, on its first node when there are no more cliques than
-        # elements.  The incumbent then has r(m - 1) elements, so k disjoint
-        # cliques with m - k <= best_size prove it a maximum, and the DFS
-        # stops; it only ever replaces the incumbent with a larger set, so
-        # stopping changes no answer.  The first node count above ``limit`` is
-        # that trigger or the one past the node budget, whichever is first.
-        limit = node_cap if best_size >= rt[m] else min(node_cap, state.nodes + len(self.cliques) - m)
+        # The search ends on one test, best_size >= ub: at its first node
+        # after the seed (the root's bound is ub), at each leaf, and right after
+        # the packing.  The DFS only ever replaces the incumbent with a larger
+        # set, so stopping there changes no answer.  The degree packing sorts
+        # every clique, so a prefix tries it at most once, and only if the seed
+        # fell short of ub.  Growing the engine to m took m steps, so the try
+        # comes once the search has spent len(cliques) - m nodes, on its first
+        # node when there are no more cliques than elements; k disjoint cliques
+        # lower ub to m - k.  The first node count above ``limit`` is that
+        # trigger or the one past the node budget, whichever is first.
+        limit = node_cap if best_size >= ub else min(node_cap, state.nodes + len(self.cliques) - m)
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -305,9 +294,10 @@ class _Core:
                 if state.nodes > node_cap:
                     raise state.exceeded(f"{self.where}prefix {m}")
                 limit = node_cap
-                if m - len(self.degree_packing()) <= best_size:
+                ub = min(ub, m - len(self.degree_packing()))
+                if best_size >= ub:
                     break
-            if deadline is not None and state.nodes & 4095 == 1 and time.monotonic() > deadline:
+            if state.nodes & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
                 j = (forced & -forced).bit_length() - 1
@@ -319,6 +309,8 @@ class _Core:
                 continue
             if e == 0:
                 best_size, best_mask = size, inc
+                if best_size >= ub:
+                    break
                 continue
             e1 = e - 1
             # drop e's own forced bit: it is decided now, not pending
@@ -335,7 +327,7 @@ class _Core:
     def solve_to(self, n: int, state: _RunState) -> None:
         """Solve every prefix up to n, checking the deadline before each one."""
         while len(self.r) <= n:
-            if state.deadline is not None and time.monotonic() > state.deadline:
+            if time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {len(self.r)}")
             if self.grown < len(self.r):
                 self.grow()
@@ -360,8 +352,7 @@ class _Core:
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
-            if (node_cap is not None and state.nodes > node_cap
-                    or deadline is not None and (state.nodes - start) & 4095 == 1 and time.monotonic() > deadline):
+            if state.nodes > node_cap or (state.nodes - start) & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if size + (m - e + 1) - forced.bit_count() < target:
                 continue
@@ -467,8 +458,7 @@ def max_avoiding(
         if canonical:
             # the call's budgets cover this pass too, and it gets at most
             # _CANONICAL_NODE_CAP nodes more than the search spent
-            cap = state.nodes + _CANONICAL_NODE_CAP
-            state.node_cap = cap if node_cap is None else min(cap, node_cap)
+            state.node_cap = min(state.node_cap, state.nodes + _CANONICAL_NODE_CAP)
             try:
                 masks, _ = engine.enumerate_at(n, engine.r[n], 1, state)
                 if masks:
@@ -507,7 +497,7 @@ def all_extremal(
 def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState) -> _Core:
     """The engine over the congruence cliques modulo m, solved to m within the
     budget of ``state``; a budget hit raises BudgetExceeded."""
-    if state.deadline is not None and time.monotonic() > state.deadline:
+    if time.monotonic() > state.deadline:
         raise state.exceeded(f"modulus {m}")  # before the O(m^2) clique build
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
     for cl in congruence_cliques(eq, m):  # ascending, so each group is too
@@ -564,8 +554,9 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
     """Greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1 for e).
 
     An element is kept iff it completes no solution with the elements kept so
-    far: in descending (resp. ascending) order, the engine's greedy over its
-    ``force_down`` (resp. ``force_up``) triggers, but with no clique built.
+    far: in descending order, the engine's greedy over its ``force_down``
+    triggers, and in ascending order, the first leaf of its lex-least pass,
+    but with no clique built.
     The kept set K is held as four masks: bits a*v, b*v and c*v and bits
     b*n - b*v for v in K, so that each role of the new element e is one shift
     and one and; as z, with d = b*n - c*e, a*x + b*y = c*e reads

@@ -247,8 +247,8 @@ class TestRhoAndConjecture:
         assert "pass exactly one of --m / --m-max" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_rho_best_budget_exit_3(self):
-        # every modulus fits in 673 nodes, all twenty together do not
-        proc = run_process("rho", "--eq", "x+y=3z", "--m-max", "20", "--node-budget", "673")
+        # every modulus fits in 680 nodes, all twenty together do not
+        proc = run_process("rho", "--eq", "x+y=3z", "--m-max", "20", "--node-budget", "680")
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 
@@ -281,7 +281,7 @@ class TestReport:
 
     def test_output_file(self, tmp_path):
         # the file holds stdout's bytes, csv's \r\n line ends included, also
-        # when the sweep stops at the budget (row n = 28 needs 41 nodes)
+        # when the sweep stops at the budget (row n = 28 needs 44 nodes)
         for fmt, budget, code, rows in [("csv", "1000", 0, 36), ("json", "1000", 0, 36),
                                         ("csv", "40", 3, 24), ("json", "40", 3, 24)]:
             target = tmp_path / f"rows-{fmt}-{budget}"
