@@ -39,9 +39,12 @@ the root when there are no more cliques than elements, as with every
 two-variable equation.  It settles most stall prefixes (r(m) = r(m - 1))
 in the paper's Family I regime, where m - r(m) disjoint solutions exist.
 
-Both searches (the DFS and the lex-least enumeration) loop over an explicit
-stack of nodes, so a search n elements deep needs no interpreter frames,
-and one that an exception unwinds leaves nothing to repair.
+The lex-least pass decides elements in ascending order, include first, so
+its first leaf of size r(m) is the lexicographically least maximum set and
+the pass ends there; only ``all_extremal`` goes on to later leaves.  Both
+searches (the DFS and the lex-least pass) loop over an explicit stack of
+nodes, so a search n elements deep needs no interpreter frames, and one
+that an exception unwinds or a caller stops leaves nothing to repair.
 
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
@@ -55,7 +58,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import gcd
 
 from .equations import IntSet, ThreeVarEquation, require_avoiding
@@ -174,8 +177,8 @@ class _Core:
 
     ``source(m)`` gives the cliques whose largest member is m, ascending.
     Only :meth:`grow` writes the trigger tables and the clique list; a
-    search keeps its state on its own stack, and the seed and the degree
-    packing only read them.
+    search keeps its state on its own stack, and the seed, the degree
+    packing and the lex-least pass only read them.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -335,13 +338,15 @@ class _Core:
 
     # -- lexicographic enumeration of maximum sets --------------------------
 
-    def enumerate_at(self, m: int, target: int, cap: int, state: _RunState):
-        """Maximum sets of [1, m] in ascending lexicographic order, up to cap.
+    def enumerate_at(self, m: int, target: int, state: _RunState):
+        """Yield each avoiding set of at least ``target`` elements of [1, m], as
+        a mask, deciding elements in ascending order, include first; with
+        ``target`` = r(m) these are the maximum sets in lexicographic order.
 
-        Returns (masks, truncated).  Truncated means at least one more
-        maximum set exists beyond the cap.
+        Each mask is yielded at its leaf, so a caller that takes the first one
+        ends the search there; a generator dropped early leaves nothing to
+        repair, as the pass only reads the trigger tables.
         """
-        out: list[int] = []
         force_up = self.force_up
         node_cap = state.node_cap
         deadline = state.deadline
@@ -357,9 +362,7 @@ class _Core:
             if size + (m - e + 1) - forced.bit_count() < target:
                 continue
             if e > m:
-                out.append(inc)
-                if len(out) > cap:
-                    return out[:cap], True
+                yield inc
                 continue
             bit = 1 << (e - 1)
             stack.append((e + 1, size, inc, forced & ~bit))
@@ -370,7 +373,16 @@ class _Core:
                     if low & inc == low and high >> m == 0:
                         f2 |= high
                 stack.append((e + 1, size + 1, inc | bit, f2))
-        return out, False
+
+    def lex_least(self, m: int, state: _RunState) -> int:
+        """The lexicographically least maximum set of the solved prefix [1, m],
+        as a mask: the first leaf of the lex-least pass, within the budget of
+        ``state``.  A prefix with no set of size r(m) raises
+        :class:`InvariantViolation`, as its r(m) is wrong."""
+        mask = next(self.enumerate_at(m, self.r[m], state), None)
+        if mask is None:
+            raise InvariantViolation(f"{self.where}no avoiding set of size r({m}) = {self.r[m]} in [1, {m}]")
+        return mask
 
 
 # one engine per integer equation, grown as far as any call has needed
@@ -431,9 +443,10 @@ def max_avoiding(
     with ``node_cap=1500`` stops with prefix 45 solved from the third call
     on, because prefix 46 alone takes 1673 nodes).  With ``canonical``
     the witness is re-derived as the lexicographically least maximum set,
-    budget permitting: the lex-least pass gets the nodes the search left of
-    ``node_cap``, at most ``_CANONICAL_NODE_CAP``, and the time left of
-    ``time_cap``.  The result's ``canonical`` says whether it was; if not,
+    budget permitting: the lex-least pass ends at its first leaf of size
+    r(n), and it gets the nodes the search left of ``node_cap``, at most
+    ``_CANONICAL_NODE_CAP``, and the time left of ``time_cap``.  The
+    result's ``canonical`` says whether it reached that leaf; if not,
     the witness is the search's, and it is still a maximum set.  Either way
     the witness is re-verified by the avoidance checker before it is
     returned, and a set that contains a solution raises
@@ -460,9 +473,7 @@ def max_avoiding(
             # _CANONICAL_NODE_CAP nodes more than the search spent
             state.node_cap = min(state.node_cap, state.nodes + _CANONICAL_NODE_CAP)
             try:
-                masks, _ = engine.enumerate_at(n, engine.r[n], 1, state)
-                if masks:
-                    mask, lex_least = masks[0], True
+                mask, lex_least = engine.lex_least(n, state), True
             except BudgetExceeded:
                 pass  # keep the search incumbent; size is certified either way
     witness = _checked_witness(eq, n, mask)
@@ -480,6 +491,8 @@ def all_extremal(
 ) -> AllExtremal:
     """All maximum avoiding subsets of [1, n] in lexicographic order, up to cap.
 
+    The lex-least pass runs to its (cap + 1)-th leaf, or to its end if there
+    are fewer, so ``truncated`` says whether a set past the cap exists.
     Every set is re-verified by the avoidance checker; one that contains a
     solution raises :class:`AvoidanceCheckFailed`.  A budget hit raises
     :class:`BudgetExceeded`.
@@ -490,8 +503,8 @@ def all_extremal(
     state = _RunState(node_cap, time_cap)
     engine.solve_to(n, state)
     size = engine.r[n]
-    masks, truncated = engine.enumerate_at(n, size, cap, state)
-    return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks], truncated)
+    masks = list(islice(engine.enumerate_at(n, size, state), cap + 1))
+    return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks[:cap]], len(masks) > cap)
 
 
 def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState) -> _Core:
@@ -509,12 +522,11 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState) -> _Core:
 
 
 def _density(eq: ThreeVarEquation, engine: _Core, state: _RunState) -> ModularDensity:
-    """rho_m of a solved congruence engine, with its lex-least residue set as
-    the witness, within the budget of ``state``."""
+    """rho_m of a solved congruence engine, with its lex-least residue set,
+    the first leaf of the lex-least pass, as the witness, within the budget
+    of ``state``."""
     m = len(engine.r) - 1
-    masks, _ = engine.enumerate_at(m, engine.r[m], 1, state)
-    mask = masks[0] if masks else 0
-    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, mask))
+    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, engine.lex_least(m, state)))
 
 
 def rho_m(

@@ -99,11 +99,11 @@ class TestSolve:
         assert len(caps) == 1 and 0 < caps[0] <= 100 - 0.05
 
     def test_all_sets_share_the_node_budget(self):
-        # the exact solve spends 1 728 nodes and all_extremal 1 574 more: the
+        # the exact solve spends 185 nodes and all_extremal 1 574 more: the
         # command fits in their sum and not in one node less
         args = ("solve", "--eq", "x+2y=4z", "--n", "30", "--all-sets", "--cap", "8", "--node-budget")
-        assert run_process(*args, "3302").returncode == 0
-        proc = run_process(*args, "3301")
+        assert run_process(*args, "1759").returncode == 0
+        proc = run_process(*args, "1758")
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 

@@ -285,6 +285,26 @@ class TestMaxAvoiding:
         assert cold.optimal and not cold.canonical and cold.nodes == search_nodes + 6
         assert cold.size == full.size
 
+    def test_canonical_pass_ends_at_its_first_leaf(self, monkeypatch):
+        # x+2y=4z at 80 has its lex-least maximum set 81 nodes into the pass;
+        # a pass that looked on for a second set would spend the whole budget
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        search_nodes = max_avoiding(eq, 80, canonical=False).nodes
+        fresh_engine(monkeypatch, eq)
+        res = max_avoiding(eq, 80, node_cap=search_nodes + 81)
+        assert res.optimal and res.canonical and res.nodes == search_nodes + 81
+
+    def test_pass_without_a_leaf_raises(self, monkeypatch):
+        # a set of size r(n) exists once r(n) is solved; with r(n) one too
+        # large the pass finds none, and the search witness is not kept
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 12, canonical=False)
+        engine.r[12] += 1
+        with pytest.raises(InvariantViolation, match=r"^no avoiding set of size r\(12\) = 8 in \[1, 12\]$"):
+            max_avoiding(eq, 12)
+
     def test_canonical_flag(self, monkeypatch):
         eq = EQS["family2"]
         fresh_engine(monkeypatch, eq)
@@ -362,7 +382,7 @@ class TestEngine:
             engine.grow()
             assert engine.greedy((1 << m) - 1) == search._greedy_mask(eq, m, range(m, 0, -1))
             # the ascending greedy is the first leaf of the lex-least enumeration
-            assert search._greedy_mask(eq, m, range(1, m + 1)) == engine.enumerate_at(m, 0, 1, search._RunState())[0][0]
+            assert search._greedy_mask(eq, m, range(1, m + 1)) == next(engine.enumerate_at(m, 0, search._RunState()))
         cand = data.draw(st.integers(0, (1 << top) - 1))
         order = [e for e in range(top, 0, -1) if cand >> (e - 1) & 1]
         assert engine.greedy(cand) == search._greedy_mask(eq, top, order)
@@ -403,7 +423,7 @@ class TestEngine:
         engine = search._Core(lambda k: [(k,)] if k == 3 else [])  # 3 is banned
         for _ in range(3):
             engine.grow()
-        assert engine.enumerate_at(2, 2, 5, search._RunState()) == ([0b11], False)
+        assert list(engine.enumerate_at(2, 2, search._RunState())) == [0b11]
 
     def test_budget_hit_then_resume(self, monkeypatch):
         eq = EQS["family2"]
@@ -442,9 +462,9 @@ class TestEngine:
         fresh_engine(monkeypatch, eq)
         enumerate_at = search._Core.enumerate_at
 
-        def late(self, m, target, cap, state):
+        def late(self, m, target, state):
             state.deadline = time.monotonic() - 1
-            return enumerate_at(self, m, target, cap, state)
+            return enumerate_at(self, m, target, state)
 
         monkeypatch.setattr(search._Core, "enumerate_at", late)
         res = max_avoiding(eq, 45, time_cap=60)
@@ -569,9 +589,18 @@ class TestAllExtremal:
     def test_sets_are_rechecked(self, monkeypatch):
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
-        monkeypatch.setattr(engine, "enumerate_at", lambda *args: ([0b11111], False))
+        monkeypatch.setattr(engine, "enumerate_at", lambda *args: iter([0b11111]))
         with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=5 contains the solution \(2, 1, 1\)"):
             all_extremal(eq, 5)
+
+    @given(eq=valid_equations(max_coef=8), n=st.integers(1, 24), k=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_first_set_is_the_canonical_witness(self, eq, n, k):
+        res = max_avoiding(eq, n)
+        assert res.canonical and res.witness == all_extremal(eq, n, cap=1).sets[0]
+        every = all_extremal(eq, n, cap=10_000).sets
+        fam = all_extremal(eq, n, cap=k)
+        assert fam.sets == every[:k] and fam.truncated == (len(every) > k)
 
     @pytest.mark.parametrize("key", sorted(EQS))
     def test_matches_exhaustive(self, key):
@@ -642,10 +671,20 @@ class TestModularDensity:
                                                      ("3x=2z", 0b110, r"\(2, 0, 3\)")])
     def test_witness_is_rechecked(self, monkeypatch, text, mask, solution):
         # the lex-least pass returns mask
-        monkeypatch.setattr(search._Core, "enumerate_at", lambda *args: ([mask], False))
+        monkeypatch.setattr(search._Core, "enumerate_at", lambda *args: iter([mask]))
         message = rf"^residues for {re.escape(text)} modulo 5 contain the solution {solution}$"
         with pytest.raises(AvoidanceCheckFailed, match=message):
             rho_m(parse_equation(text), 5)
+
+    def test_pass_without_a_leaf_raises(self):
+        # with r(m) one too large the pass finds no residue set of that size,
+        # and rho_m does not return an empty witness beside a nonzero rho
+        eq = EQS["square"]
+        state = search._RunState()
+        engine = search._congruence_engine(eq, 8, state)
+        engine.r[8] += 1
+        with pytest.raises(InvariantViolation, match=r"^modulus 8, no avoiding set of size r\(8\) = \d+ in \[1, 8\]$"):
+            search._density(eq, engine, state)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
