@@ -109,9 +109,12 @@ def main(ctx: click.Context, timing: bool) -> None:
 def solve(timing: bool, eq_text: str, n: int, all_sets: bool, cap: int, fmt: str,
           node_budget: int | None, time_budget: float | None) -> None:
     """Exact maximum avoiding subset of [1, n]."""
+    if all_sets and fmt == "csv":
+        raise click.UsageError("--all-sets needs --fmt json or text: the CSV row has no column for the sets")
     start = time.monotonic()  # both budgets cover both library calls
     eq = parse_equation(eq_text)
-    result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget)
+    # the CSV row prints no witness, so it gets no lex-least pass
+    result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget, canonical=fmt != "csv")
     row = {
         "equation": str(eq),
         "n": n,

@@ -22,22 +22,21 @@ element is dead).  Singleton cliques, which ban a residue in the congruence
 instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
-Prefix m keeps one upper bound ub on r(m), first r(m - 1) + 1, which also
-bounds its root, and the search ends as soon as the incumbent meets it: a
-larger set cannot exist.  The incumbent starts as the larger of wit[m - 1]
-and one greedy seed, descending over wit[m - 1] plus m.  A greedy decides
-each clique at the member it meets last, which the triggers of its order
-have forced out if it kept the others, so the trigger tables are all it
-needs.  When the seed meets ub the prefix costs one node; otherwise the DFS
-stops at the first leaf that meets ub, and a clique packing can lower ub on
-the way: k pairwise disjoint cliques in [1, m] each need one member left
-out, so r(m) <= m - k.  The packing is one greedy pass over every clique
-in [1, m] in ascending order of its members' occurrence counts.  It costs a
-sort of all cliques, so it is built at most once per prefix, and only once
-the m steps of growing to m and the search's nodes make one per clique: at
-the root when there are no more cliques than elements, as with every
-two-variable equation.  It settles most stall prefixes (r(m) = r(m - 1))
-in the paper's Family I regime, where m - r(m) disjoint solutions exist.
+One more element raises the maximum by at most one, so prefix m asks one
+yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
+The answer is yes at once when wit[m - 1] plus m avoids the equation, that
+is when no clique whose largest member is m has its other members in
+wit[m - 1], and the prefix costs one node.  Otherwise the DFS looks for
+such a set and ends at its first leaf, and a clique packing can answer no
+on the way: k pairwise disjoint cliques in [1, m] each need one member left
+out, so r(m) <= m - k, and m - k <= r(m - 1) settles the prefix.  The
+packing is one greedy pass over every clique in [1, m] in ascending order
+of its members' occurrence counts.  It costs a sort of all cliques, so it
+is built at most once per prefix, and only once the m steps of growing to m
+and the search's nodes make one per clique: at the root when there are no
+more cliques than elements, as with every two-variable equation.  It
+settles most stall prefixes (r(m) = r(m - 1)) in the paper's Family I
+regime, where m - r(m) disjoint solutions exist.
 
 The lex-least pass decides elements in ascending order, include first, so
 its first leaf of size r(m) is the lexicographically least maximum set and
@@ -176,9 +175,9 @@ class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
     ``source(m)`` gives the cliques whose largest member is m, ascending.
-    Only :meth:`grow` writes the trigger tables and the clique list; a
-    search keeps its state on its own stack, and the seed, the degree
-    packing and the lex-least pass only read them.
+    Only :meth:`grow` writes the trigger tables and the clique lists; a
+    search keeps its state on its own stack, and the degree packing and the
+    lex-least pass only read them.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -195,8 +194,12 @@ class _Core:
         self.force_up: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
         # every clique taken in, in arrival order: the degree packing sorts
-        # them when a prefix's seed misses its upper bound (see ``advance``)
+        # them when a prefix is not settled at its root (see ``advance``)
         self.cliques: list[tuple[int, ...]] = []
+        # the other members of each clique whose largest member is the element
+        # taken in last, as masks (0 for a singleton): that element extends an
+        # avoiding set of smaller elements iff none of them lies inside it
+        self.partners: list[int] = []
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
 
@@ -205,36 +208,23 @@ class _Core:
         m = self.grown + 1
         self.force_down.append([])
         self.force_up.append([])
+        partners = self.partners = []
         top = 1 << (m - 1)
         for cl in self.source(m):
             self.cliques.append(cl)
             low = 1 << (cl[0] - 1)
             if len(cl) == 1:
                 self.banned |= low
+                partners.append(0)
             elif len(cl) == 2:
                 self.force_down[m].append((0, low))
                 self.force_up[cl[0]].append((0, top))
+                partners.append(low)
             else:
                 self.force_down[cl[1]].append((top, low))
                 self.force_up[cl[1]].append((low, top))
+                partners.append(low | 1 << (cl[1] - 1))
         self.grown = m
-
-    # -- seeding -----------------------------------------------------------
-
-    def greedy(self, cand: int) -> int:
-        """Descending greedy over the mask ``cand`` (grown to its top): keep each
-        element not forced, firing ``force_down`` as the first dive of the DFS does."""
-        inc = 0
-        forced = self.banned
-        while cand:
-            bit = 1 << (cand.bit_length() - 1)
-            cand ^= bit
-            if not forced & bit:
-                inc |= bit
-                for need, dead in self.force_down[bit.bit_length()]:
-                    if need & inc == need:
-                        forced |= dead
-        return inc
 
     def degree_packing(self) -> list[tuple[int, ...]]:
         """Pairwise disjoint cliques from every clique taken in: one greedy
@@ -257,29 +247,31 @@ class _Core:
     # -- exact solve of the next prefix -------------------------------------
 
     def advance(self, state: _RunState) -> None:
-        """Solve prefix m = len(r); the engine must be grown to exactly m, as
-        the degree packing and the seed read the cliques in [1, m]."""
+        """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
+        avoiding set that large, and r(m - 1) otherwise.  The engine must be
+        grown to exactly m, as ``partners`` and the degree packing read the
+        cliques in [1, m]."""
         m = len(self.r)
-        # the incumbent: the seed if it is larger than wit[m - 1]
-        best_mask = max(self.wit[m - 1], self.greedy(self.wit[m - 1] | 1 << (m - 1)), key=int.bit_count)
-        best_size = best_mask.bit_count()
+        prev = self.r[m - 1]
+        best = self.wit[m - 1]
+        if all(p & best != p for p in self.partners):  # wit[m - 1] plus m avoids
+            best |= 1 << (m - 1)
+        best_size = best.bit_count()
 
-        ub = self.r[m - 1] + 1  # r(m) <= ub
-        rt = self.r + [ub]  # index m is the root
+        rt = self.r + [prev + 1]  # index m is the root
         force_down = self.force_down
         node_cap = state.node_cap
         deadline = state.deadline
-        # The search ends on one test, best_size >= ub: at its first node
-        # after the seed (the root's bound is ub), at each leaf, and right after
-        # the packing.  The DFS only ever replaces the incumbent with a larger
-        # set, so stopping there changes no answer.  The degree packing sorts
-        # every clique, so a prefix tries it at most once, and only if the seed
-        # fell short of ub.  Growing the engine to m took m steps, so the try
-        # comes once the search has spent len(cliques) - m nodes, on its first
-        # node when there are no more cliques than elements; k disjoint cliques
-        # lower ub to m - k.  The first node count above ``limit`` is that
-        # trigger or the one past the node budget, whichever is first.
-        limit = node_cap if best_size >= ub else min(node_cap, state.nodes + len(self.cliques) - m)
+        # A prefix settled above costs one node: its root's bound is its size.
+        # Otherwise the search looks for prev + 1 elements and ends at its first
+        # leaf, or right after the degree packing when k disjoint cliques give
+        # r(m) <= m - k <= prev.  The packing sorts every clique, so a prefix
+        # tries it at most once.  Growing the engine to m took m steps, so the
+        # try comes once the search has spent len(cliques) - m nodes, on its
+        # first node when there are no more cliques than elements.  The first
+        # node count above ``limit`` is that trigger or the one past the node
+        # budget, whichever is first.
+        limit = node_cap if best_size > prev else min(node_cap, state.nodes + len(self.cliques) - m)
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -297,8 +289,7 @@ class _Core:
                 if state.nodes > node_cap:
                     raise state.exceeded(f"{self.where}prefix {m}")
                 limit = node_cap
-                ub = min(ub, m - len(self.degree_packing()))
-                if best_size >= ub:
+                if m - len(self.degree_packing()) <= prev:
                     break
             if state.nodes & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
@@ -310,11 +301,9 @@ class _Core:
                 bound = rt[e]
             if size + bound <= best_size:
                 continue
-            if e == 0:
-                best_size, best_mask = size, inc
-                if best_size >= ub:
-                    break
-                continue
+            if e == 0:  # a set of prev + 1 elements
+                best = inc
+                break
             e1 = e - 1
             # drop e's own forced bit: it is decided now, not pending
             stack.append((e1, size, inc, forced & ~(1 << e1)))
@@ -324,8 +313,8 @@ class _Core:
                     if high & inc == high:
                         f2 |= low
                 stack.append((e1, size + 1, inc | (1 << e1), f2))
-        self.r.append(best_size)
-        self.wit.append(best_mask)
+        self.r.append(best.bit_count())
+        self.wit.append(best)
 
     def solve_to(self, n: int, state: _RunState) -> None:
         """Solve every prefix up to n, checking the deadline before each one."""
@@ -475,7 +464,7 @@ def max_avoiding(
             try:
                 mask, lex_least = engine.lex_least(n, state), True
             except BudgetExceeded:
-                pass  # keep the search incumbent; size is certified either way
+                pass  # keep the search's witness; size is certified either way
     witness = _checked_witness(eq, n, mask)
     millis = int((time.perf_counter() - t0) * 1000)
     return ExtremalResult(n, witness.size, witness, optimal, state.nodes, millis, canonical=lex_least)
@@ -566,9 +555,8 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
     """Greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1 for e).
 
     An element is kept iff it completes no solution with the elements kept so
-    far: in descending order, the engine's greedy over its ``force_down``
-    triggers, and in ascending order, the first leaf of its lex-least pass,
-    but with no clique built.
+    far; in ascending order that is the first leaf of the engine's lex-least
+    pass, but with no clique built.
     The kept set K is held as four masks: bits a*v, b*v and c*v and bits
     b*n - b*v for v in K, so that each role of the new element e is one shift
     and one and; as z, with d = b*n - c*e, a*x + b*y = c*e reads

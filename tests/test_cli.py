@@ -162,6 +162,18 @@ class TestSolve:
         assert header == "equation,n,method,size,ratio_num,ratio_den,optimal,nodes,millis"
         assert row.startswith("2x+2y=5z,10,exact,6,3,5,true,")
 
+    @pytest.mark.parametrize("text,n", [("x+2y=4z", 30), ("x+y=3z", 50)])
+    def test_csv_row_is_the_report_row(self, text, n):
+        # the CSV row prints no witness, so it runs no lex-least pass and
+        # counts the search's nodes alone, as a one-row report does
+        proc = run_process("solve", "--eq", text, "--n", str(n), "--fmt", "csv", text=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_process("report", "--eq", text, "--n-from", str(n), "--n-to", str(n), text=False).stdout
+
+    def test_all_sets_in_csv_is_a_usage_error(self):
+        proc = run_process("solve", "--eq", "x+2y=4z", "--n", "14", "--all-sets", "--fmt", "csv")
+        assert proc.returncode == 2 and proc.stdout == ""
+
 
 class TestConstruct:
     def test_residue(self):

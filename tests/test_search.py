@@ -66,25 +66,15 @@ def clique_tables(engine: search._Core) -> tuple:
     return engine.force_down, engine.force_up
 
 
-def congruence_engine(eq: ThreeVarEquation, m: int) -> search._Core:
-    """An engine over the congruence cliques modulo m, grown to m."""
+def congruence_engine(eq: ThreeVarEquation, m: int, top: int | None = None) -> search._Core:
+    """An engine over the congruence cliques modulo m, grown to ``top`` (m by default)."""
     by_max = [[] for _ in range(m + 1)]
     for cl in congruence_cliques(eq, m):
         by_max[cl[-1]].append(cl)
     engine = search._Core(lambda k: by_max[k])
-    for _ in range(m):
+    for _ in range(m if top is None else top):
         engine.grow()
     return engine
-
-
-def clique_greedy(cliques, order) -> int:
-    """Greedy over ``order`` as a mask: an element is kept unless it completes
-    a clique of kept elements, so a singleton clique bans its element."""
-    kept: set[int] = set()
-    for e in order:
-        if not any(e in cl and set(cl) - {e} <= kept for cl in cliques):
-            kept.add(e)
-    return sum(1 << (e - 1) for e in kept)
 
 
 def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
@@ -198,8 +188,9 @@ class TestMaxAvoiding:
         assert clique_tables(cold) == clique_tables(swept)
 
     # cold max_avoiding(canonical=False).nodes with each prefix's search
-    # ending once the incumbent meets r(m - 1) + 1, or m - k once the degree
-    # packing finds k disjoint cliques; equal to the sum over a 1..n sweep.
+    # ending at its first leaf, of size r(m - 1) + 1, or once the degree
+    # packing finds k disjoint cliques with m - k <= r(m - 1); equal to the
+    # sum over a 1..n sweep.
     # The cap makes a weaker bound or a lost certificate fail fast instead of
     # running for long.
     PINNED_NODES = [
@@ -231,37 +222,37 @@ class TestMaxAvoiding:
         assert engine.r == [m - sum(s <= m for s in stalls) for m in range(96)]
 
     def test_seeded_prefix_costs_one_node(self, monkeypatch):
-        # a seed of size r(m - 1) + 1 meets the upper bound at once, and the
-        # seed of prefix m, the extension of wit[m - 1] by m, mostly does
+        # a prefix m where wit[m - 1] plus m avoids the equation, as the
+        # oracle decides, is settled at its root, and most prefixes are
         for eq, n, least in ((EQS["family1"], 60, 34), (parse_equation("x+y=3z"), 50, 23)):
             engine = fresh_engine(monkeypatch, eq)
             seeded = 0
             for m in range(1, n + 1):
                 res = max_avoiding(eq, m, canonical=False)
-                if engine.greedy(engine.wit[m - 1] | 1 << (m - 1)).bit_count() == engine.r[m - 1] + 1:
+                if brute_avoids(eq, mask_to_set(m, engine.wit[m - 1] | 1 << (m - 1)))[0]:
                     seeded += 1
                     assert res.nodes == 1, (str(eq), m)
             assert seeded > least, str(eq)
 
     def test_seeding_stops_at_the_root_bound(self, monkeypatch):
-        # each prefix builds one seed, the descending greedy over wit[m - 1]
-        # plus m, whether or not it meets r(m - 1) + 1
+        # prefix m keeps wit[m - 1] plus m exactly when that set avoids the
+        # equation; otherwise its witness comes from the search
         eq = parse_equation("x+y=3z")
         engine = fresh_engine(monkeypatch, eq)
-        greedy, calls = partial(search._Core.greedy, engine), []
-        monkeypatch.setattr(engine, "greedy", lambda *args: calls.append(args) or greedy(*args))
-        meets = 0
+        max_avoiding(eq, 50, canonical=False)
+        kept = 0
         for m in range(1, 51):
-            calls.clear()
-            max_avoiding(eq, m, canonical=False)
-            assert calls == [(engine.wit[m - 1] | 1 << (m - 1),)], m
-            meets += greedy(*calls[0]).bit_count() > engine.r[m - 1]
-        assert 0 < meets < 50
+            extended = engine.wit[m - 1] | 1 << (m - 1)
+            ok = brute_avoids(eq, mask_to_set(m, extended))[0]
+            assert (engine.wit[m] == extended) == ok, m
+            kept += ok
+        assert 0 < kept < 50
 
     def test_two_variable_prefixes_cost_one_node(self, monkeypatch):
-        # the seed meets r(m - 1) + 1 or the degree packing, tried at the root
-        # (a two-variable equation has fewer cliques than elements), settles
-        # every prefix of ax = cz; the cap makes a lost certificate fail fast
+        # every prefix of ax = cz is settled at its root: wit[m - 1] plus m
+        # avoids the equation, or the degree packing, tried at the root (a
+        # two-variable equation has fewer cliques than elements), gives
+        # m - k <= r(m - 1); the cap makes a lost certificate fail fast
         for a in range(1, 10):
             for c in range(1, 10):
                 if a != c and gcd(a, c) == 1:
@@ -372,7 +363,8 @@ class TestEngine:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_seeds_match_the_integer_greedy(self, data):
-        # two implementations of one greedy: trigger tables and shift-and-mask
+        # two implementations of one greedy: the ascending shift-and-mask
+        # greedy is the first leaf of the lex-least enumeration
         eq = draw_equation(data, 12)
         if eq is None:
             return
@@ -380,12 +372,7 @@ class TestEngine:
         engine = search._Core(partial(cliques_for, eq))
         for m in range(1, top + 1):
             engine.grow()
-            assert engine.greedy((1 << m) - 1) == search._greedy_mask(eq, m, range(m, 0, -1))
-            # the ascending greedy is the first leaf of the lex-least enumeration
             assert search._greedy_mask(eq, m, range(1, m + 1)) == next(engine.enumerate_at(m, 0, search._RunState()))
-        cand = data.draw(st.integers(0, (1 << top) - 1))
-        order = [e for e in range(top, 0, -1) if cand >> (e - 1) & 1]
-        assert engine.greedy(cand) == search._greedy_mask(eq, top, order)
 
     @given(
         eq=st.one_of(valid_equations(), valid_equations(wide=True)),
@@ -406,14 +393,24 @@ class TestEngine:
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_congruence_seeds_match_a_clique_greedy(self, data):
+    def test_congruence_seed_matches_the_cliques(self, data):
+        # modulo q, prefix m extends a set W in [1, m - 1] exactly when no
+        # clique whose largest member is m, the singleton {m} included, lies
+        # inside W plus m; the table given to advance has W at prefix m - 1
         eq = draw_equation(data, 9)
         if eq is None:
             return
-        m = data.draw(st.integers(1, 16))
-        engine = congruence_engine(eq, m)
-        cliques = brute_congruence_cliques(eq, m)
-        assert engine.greedy((1 << m) - 1) == clique_greedy(cliques, range(m, 0, -1))
+        q = data.draw(st.integers(1, 16))
+        m = data.draw(st.integers(1, q))
+        W = data.draw(st.integers(0, (1 << (m - 1)) - 1))
+        members = set(mask_to_set(m, W).members) | {m}
+        closed = any(cl[-1] == m and set(cl) <= members for cl in brute_congruence_cliques(eq, q))
+        engine = congruence_engine(eq, q, m)
+        engine.r, engine.wit = list(range(m - 1)) + [W.bit_count()], [0] * (m - 1) + [W]
+        state = search._RunState()
+        engine.advance(state)
+        assert (engine.wit[m] == W | 1 << (m - 1)) != closed
+        assert closed or state.nodes == 1
 
     def test_no_mutable_search_state(self):
         engine = search._Core(partial(cliques_for, EQS["square"]))
