@@ -47,7 +47,13 @@ that an exception unwinds or a caller stops leaves nothing to repair.
 
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
-triples modulo m (used for the modular densities).
+triples modulo m (used for the modular densities).  ``rho_best`` asks each
+modulus only whether it beats the best density so far, so a modulus's
+sweep can stop early: a second greedy packing of its cliques, taken in
+descending order of smallest member, packs every suffix (k, m] at once,
+and r(m) <= r(k) + (m - k) - rest[k] at each solved prefix k, with rest[k]
+the packed cliques inside (k, m].  Once that falls below the residues the
+modulus needs, its sweep ends.
 """
 from __future__ import annotations
 
@@ -58,7 +64,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import gcd
 
 from .equations import IntSet, ThreeVarEquation, require_avoiding
 from .errors import AvoidanceCheckFailed, BudgetExceeded, InvariantViolation
@@ -149,26 +154,45 @@ def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     (m is the zero class), in ascending order.
 
     Unlike the integer case these can be singletons, which simply ban a residue.
-    For each x (and y) the congruence c*z = a*x + b*y (mod m) is solved for z:
-    with g = gcd(c, m) it has a solution iff g divides the right-hand side,
-    and then exactly g of them, m/g apart.  So the cost is O(g*m^2), or
-    O(g*m) with b = 0.
+    A table gives, for each residue t, the z in [1, m] with c*z = t (mod m),
+    so each x (and y) reads its z from the entry of t = a*x + b*y.  With
+    a == b the roles of x and y are symmetric and only y >= x is looped over.
+    The cost is O(g*m^2) with g = gcd(c, m), or O(g*m) with b = 0.
     """
     a, b, c = eq.a, eq.b, eq.c
-    g = gcd(c, m)
-    step = m // g
-    inv = pow(c // g, -1, step)  # c/g is a unit modulo m/g
+    zs: list[list[int]] = [[] for _ in range(m)]
+    for z in range(1, m + 1):
+        zs[c * z % m].append(z)
     found: set[tuple[int, ...]] = set()
-    ys = range(1, m + 1) if b else (0,)
     for x in range(1, m + 1):
-        for y in ys:
-            t = (a * x + b * y) % m
-            if t % g:
-                continue
-            for z in range(t // g * inv % step, m, step):
-                members = {x, y, z or m} if b else {x, z or m}
-                found.add(tuple(sorted(members)))
+        if not b:
+            found.update(tuple(sorted({x, z})) for z in zs[a * x % m])
+            continue
+        for y in range(x if a == b else 1, m + 1):
+            for z in zs[(a * x + b * y) % m]:
+                found.add(tuple(sorted({x, y, z})))
     return sorted(found)
+
+
+def _greedy_disjoint(cliques) -> list[tuple[int, ...]]:
+    """The cliques, taken in the order given, that share no member with one
+    taken before them."""
+    packing = []
+    used: set[int] = set()
+    for cl in cliques:
+        if used.isdisjoint(cl):
+            used.update(cl)
+            packing.append(cl)
+    return packing
+
+
+def _suffix_packing(cliques) -> list[tuple[int, ...]]:
+    """Pairwise disjoint cliques, singletons included, from one greedy pass in
+    descending order of smallest member.  The packings are nested: for every
+    k, those whose smallest member is above k were taken before any other,
+    so they are a greedy packing of the cliques inside (k, m] on their own,
+    and an avoiding subset of (k, m] leaves out a member of each."""
+    return _greedy_disjoint(sorted(cliques, key=lambda cl: cl[0], reverse=True))
 
 
 class _Core:
@@ -236,13 +260,7 @@ class _Core:
             for v in cl:
                 count[v] += 1
         weight = count.__getitem__
-        packing = []
-        used: set[int] = set()
-        for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
-            if used.isdisjoint(cl):
-                used.update(cl)
-                packing.append(cl)
-        return packing
+        return _greedy_disjoint(sorted(self.cliques, key=lambda cl: sum(map(weight, cl))))
 
     # -- exact solve of the next prefix -------------------------------------
 
@@ -316,14 +334,21 @@ class _Core:
         self.r.append(best.bit_count())
         self.wit.append(best)
 
-    def solve_to(self, n: int, state: _RunState) -> None:
-        """Solve every prefix up to n, checking the deadline before each one."""
-        while len(self.r) <= n:
+    def solve_to(self, n: int, state: _RunState, low: list[int] | None = None) -> bool:
+        """Solve every prefix up to n, checking the deadline before each one.
+
+        ``low[k]`` is the least r(k) that leaves r(n) >= low[n] possible: the
+        sweep stops at the first solved prefix k (0 included) with
+        r(k) < low[k] and returns False.  Otherwise it returns True."""
+        while low is None or self.r[-1] >= low[len(self.r) - 1]:
+            if len(self.r) > n:
+                return True
             if time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {len(self.r)}")
             if self.grown < len(self.r):
                 self.grow()
             self.advance(state)
+        return False
 
     # -- lexicographic enumeration of maximum sets --------------------------
 
@@ -496,18 +521,31 @@ def all_extremal(
     return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks[:cap]], len(masks) > cap)
 
 
-def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState) -> _Core:
+def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int = 0) -> _Core | None:
     """The engine over the congruence cliques modulo m, solved to m within the
-    budget of ``state``; a budget hit raises BudgetExceeded."""
+    budget of ``state``, if r(m) >= ``need``; None once that is ruled out.
+    A budget hit raises BudgetExceeded.
+
+    The cliques are built once, and one suffix packing of them bounds
+    r(m) <= r(k) + (m - k) - rest[k] at every solved prefix k, with rest[k]
+    the packed cliques inside (k, m].  So the sweep stops, before any
+    search when m - rest[0] < need, as soon as that bound is below need."""
     if time.monotonic() > state.deadline:
         raise state.exceeded(f"modulus {m}")  # before the O(m^2) clique build
+    cliques = congruence_cliques(eq, m)
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
-    for cl in congruence_cliques(eq, m):  # ascending, so each group is too
+    for cl in cliques:  # ascending, so each group is too
         by_max[cl[-1]].append(cl)
+    rest = [0] * (m + 1)
+    for cl in _suffix_packing(cliques):
+        rest[cl[0] - 1] += 1
+    for k in range(m - 1, -1, -1):  # rest[k]: packed cliques with smallest member above k
+        rest[k] += rest[k + 1]
     engine = _Core(lambda k: by_max[k])
     engine.where = f"modulus {m}, "
-    engine.solve_to(m, state)
-    return engine
+    if engine.solve_to(m, state, [need - (m - k) + rest[k] for k in range(m + 1)]):
+        return engine
+    return None
 
 
 def _density(eq: ThreeVarEquation, engine: _Core, state: _RunState) -> ModularDensity:
@@ -541,13 +579,17 @@ def rho_best(
     time_cap: float | None = None,
 ) -> ModularDensity:
     """Best modular density over moduli m <= m_max (a lower bound for rho);
-    the first modulus wins a tie.  Only the modulus returned gets a witness,
+    the first modulus wins a tie.  Each modulus is solved only as far as it
+    can still beat the best density so far, that is reach
+    floor(rho * m) + 1 residues.  Only the modulus returned gets a witness,
     its lex-least residue set.  Both budgets cover the whole call."""
     if m_max < 1:
         raise InvariantViolation(f"m_max must be positive, got {m_max}")
     state = _RunState(node_cap, time_cap)  # shared by every modulus
-    best = max((_congruence_engine(eq, m, state) for m in range(1, m_max + 1)),
-               key=lambda engine: Fraction(engine.r[-1], len(engine.r) - 1))
+    best = _congruence_engine(eq, 1, state)
+    for m in range(2, m_max + 1):
+        need = best.r[-1] * m // (len(best.r) - 1) + 1
+        best = _congruence_engine(eq, m, state, need) or best
     return _density(eq, best, state)
 
 

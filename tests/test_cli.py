@@ -259,8 +259,8 @@ class TestRhoAndConjecture:
         assert "pass exactly one of --m / --m-max" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_rho_best_budget_exit_3(self):
-        # every modulus fits in 680 nodes, all twenty together do not
-        proc = run_process("rho", "--eq", "x+y=3z", "--m-max", "20", "--node-budget", "680")
+        # each modulus's share of the call fits in 200 nodes, all twenty together do not
+        proc = run_process("rho", "--eq", "x+y=3z", "--m-max", "20", "--node-budget", "200")
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 

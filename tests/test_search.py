@@ -631,14 +631,60 @@ class TestModularDensity:
         assert rho_best(EQS["family2"], 1).rho == 0
         assert rho_best(EQS["square"], 8).rho >= Fraction(1, 2)
 
-    def test_rho_best_budget_covers_the_whole_call(self):
+    def test_rho_best_budget_covers_the_whole_call(self, monkeypatch):
         eq = parse_equation("x+y=3z")
-        for m in range(1, 21):  # each modulus alone fits in 680 nodes
-            rho_m(eq, m, node_cap=680)
+        shares = []
+        congruence_engine = search._congruence_engine
+
+        def counted(eq, m, state, need=0):
+            before = state.nodes
+            engine = congruence_engine(eq, m, state, need)
+            shares.append(state.nodes - before)
+            return engine
+
+        monkeypatch.setattr(search, "_congruence_engine", counted)
+        rho_best(eq, 20)
+        # each modulus's share of the call fits in 200 nodes, all twenty together do not
+        assert len(shares) == 20 and max(shares) <= 200 < sum(shares)
+        monkeypatch.setattr(search, "_congruence_engine", congruence_engine)
         with pytest.raises(BudgetExceeded):
-            rho_best(eq, 20, node_cap=680)
+            rho_best(eq, 20, node_cap=200)
         with pytest.raises(BudgetExceeded):
             rho_best(eq, 20, time_cap=0)
+
+    @pytest.mark.parametrize("a,b,c", [(a, b, c) for a in range(1, 4) for b in range(3) for c in range(1, 6)
+                                       if gcd(gcd(a, b), c) == 1 and a + b != c])
+    def test_rho_best_is_the_first_best_rho_m(self, a, b, c):
+        eq = ThreeVarEquation(a, b, c)
+        want = max((rho_m(eq, m) for m in range(1, 25)), key=lambda d: d.rho)  # max keeps the first
+        assert rho_best(eq, 24) == want
+
+    def test_rho_best_stops_moduli_that_cannot_win(self, monkeypatch):
+        calls = []
+        advance = search._Core.advance
+        monkeypatch.setattr(search._Core, "advance", lambda *args: calls.append(1) or advance(*args))
+        assert rho_best(parse_equation("x+y=3z"), 40).rho == Fraction(1, 2)
+        assert len(calls) == 524  # 820 = 1 + 2 + ... + 40 with every modulus solved in full
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_suffix_packing_bounds_every_prefix(self, data):
+        # r(m) <= r(k) + (m - k) - rest[k], where rest[k] counts the packed
+        # cliques inside (k, m]: they are disjoint real cliques, and every
+        # clique inside (k, m] meets one of them, singletons included
+        eq = draw_equation(data, 9)
+        if eq is None:
+            return
+        m = data.draw(st.integers(1, 16))
+        real = brute_congruence_cliques(eq, m)
+        packing = search._suffix_packing(congruence_cliques(eq, m))
+        assert_disjoint_real_cliques(packing, real)
+        r = search._congruence_engine(eq, m, search._RunState()).r
+        for k in range(m + 1):
+            inside = [cl for cl in packing if cl[0] > k]
+            covered = {v for cl in inside for v in cl}
+            assert all(not covered.isdisjoint(cl) for cl in real if cl[0] > k)
+            assert r[m] <= r[k] + (m - k) - len(inside)
 
     def test_rho_best_builds_one_witness(self, monkeypatch):
         eq = EQS["square"]
