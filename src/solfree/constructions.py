@@ -99,11 +99,8 @@ def residue_set(form: LinearForm, q: int, n: int) -> IntSet:
 
 
 def top_interval(form: LinearForm, n: int) -> IntSet:
-    """The interval (s_minus/s_plus * n, n], via the integer test s_plus*x > s_minus*n."""
-    if n < 1:
-        raise InvariantViolation(f"n must be positive, got {n}")
-    lo = form.s_minus * n // form.s_plus
-    return require_avoiding(form.eq, IntSet.of(n, range(lo + 1, n + 1)), f"top_interval(n={n})")
+    """The interval (s_minus/s_plus * n, n]: the k = 1 multi-interval set."""
+    return require_avoiding(form.eq, _multi_interval(form, n, 1).materialize(), f"top_interval(n={n})")
 
 
 def _interval_sequence(form: LinearForm, n: int, k: int, xi: int) -> list[int]:

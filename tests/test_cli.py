@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -155,24 +157,6 @@ class TestSolve:
         row = json.loads(proc.stdout)
         assert (row["size"], row["optimal"]) == (800, True)
         assert row["set"] == ",".join(map(str, lex_least_two_var(eq, 1200)))
-
-    def test_csv_format(self):
-        out = invoke("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "csv")
-        header, row = out.output.strip().splitlines()
-        assert header == "equation,n,method,size,ratio_num,ratio_den,optimal,nodes,millis"
-        assert row.startswith("2x+2y=5z,10,exact,6,3,5,true,")
-
-    @pytest.mark.parametrize("text,n", [("x+2y=4z", 30), ("x+y=3z", 50)])
-    def test_csv_row_is_the_report_row(self, text, n):
-        # the CSV row prints no witness, so it runs no lex-least pass and
-        # counts the search's nodes alone, as a one-row report does
-        proc = run_process("solve", "--eq", text, "--n", str(n), "--fmt", "csv", text=False)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == run_process("report", "--eq", text, "--n-from", str(n), "--n-to", str(n), text=False).stdout
-
-    def test_all_sets_in_csv_is_a_usage_error(self):
-        proc = run_process("solve", "--eq", "x+2y=4z", "--n", "14", "--all-sets", "--fmt", "csv")
-        assert proc.returncode == 2 and proc.stdout == ""
 
 
 class TestConstruct:
@@ -365,10 +349,46 @@ class TestReport:
         assert [r["nodes"] for r in rows] == want
 
     def test_removed_options_are_usage_errors(self):
+        # report --n-from N --n-to N prints the CSV row that solve --fmt csv used to
         jobs = run_process("report", "--eq", "2x+2y=5z", "--n-from", "1", "--n-to", "4", "--jobs", "2")
         seed = run_process("--seed", "1", "report", "--eq", "2x+2y=5z", "--n-from", "1", "--n-to", "4")
-        assert jobs.returncode == seed.returncode == 2
-        assert jobs.stdout == seed.stdout == ""
+        csv_row = run_process("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "csv")
+        assert jobs.returncode == seed.returncode == csv_row.returncode == 2
+        assert jobs.stdout == seed.stdout == csv_row.stdout == ""
+
+    @pytest.mark.parametrize("fmt,header", [("csv", 1), ("json", 0)])
+    def test_rows_go_out_as_they_are_solved(self, monkeypatch, fmt, header):
+        # row n is on the sys.stdout of the call before row n + 1's solve
+        # starts, so a sweep stopped by a budget or by hand keeps its rows
+        out, lines_at_solve = io.StringIO(), []
+        solve = search.max_avoiding
+
+        def recording(*args, **kwargs):
+            lines_at_solve.append(out.getvalue().count("\n"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(search, "max_avoiding", recording)
+        monkeypatch.setattr(sys, "stdout", out)
+        main(["report", "--eq", "x+y=3z", "--n-from", "3", "--n-to", "12", "--step", "3", "--fmt", fmt],
+             standalone_mode=False)
+        assert lines_at_solve == [header + i for i in range(4)]
+        assert out.getvalue().count("\n") == header + 4
+
+
+class TestTiming:
+    @pytest.mark.parametrize("flags,millis", [((), 0), (("--timing",), 4321)])
+    def test_millis_is_the_solves_only_with_timing(self, monkeypatch, flags, millis):
+        solve = search.max_avoiding
+        monkeypatch.setattr(search, "max_avoiding",
+                            lambda *args, **kwargs: dataclasses.replace(solve(*args, **kwargs), millis=4321))
+        row = json.loads(invoke(*flags, "solve", "--eq", "2x+2y=5z", "--n", "10").output)
+        assert row["millis"] == millis
+        sweep = ("report", "--eq", "2x+2y=5z", "--n-from", "5", "--n-to", "8")
+        rows = list(csv.DictReader(invoke(*flags, *sweep).output.splitlines()))
+        assert [r["n"] for r in rows] == ["5", "6", "7", "8"]
+        assert all(r["millis"] == str(millis) for r in rows)
+        rows = [json.loads(line) for line in invoke(*flags, *sweep, "--fmt", "json").output.splitlines()]
+        assert len(rows) == 4 and all(r["millis"] == millis for r in rows)
 
 
 class TestReadme:
