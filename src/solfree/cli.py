@@ -89,7 +89,7 @@ def main(ctx: click.Context, timing: bool) -> None:
 @_eq
 @click.option("--n", type=int, required=True)
 @click.option("--all-sets", is_flag=True, help="Enumerate every maximum set (up to --cap).")
-@click.option("--cap", type=int, default=64, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option("--fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
 @_budgets
 @click.pass_obj

@@ -6,10 +6,10 @@ exact (integer arithmetic only) and free of search logic.
 
 Conventions
 -----------
-* An equation is stored with positive a, b, c.  Its linear-form view,
-  :class:`LinearForm`, reads the coefficient vector (a, b, -c), the zero
-  dropped when b = 0, oriented so that the positive coefficients outweigh
-  the negative ones.
+* An equation is stored with positive a, c and nonnegative b.  Its
+  linear-form view, :class:`LinearForm`, reads the coefficient vector
+  (a, b, -c), the zero dropped when b = 0, oriented so that the positive
+  coefficients outweigh the negative ones.
 * Solutions are ordered triples (x, y, z) with the variables ranging
   independently over the set, so repeated values are allowed.  The constant
   triple x = y = z never solves a valid equation because a + b != c.
@@ -128,16 +128,13 @@ class IntSet:
     def __contains__(self, x: int) -> bool:
         return x in self.member_set
 
-    def __iter__(self):
-        return iter(self.members)
-
     def min(self) -> int:
         return self.members[0]
 
 
 @dataclass(frozen=True)
 class ThreeVarEquation:
-    """The equation a*x + b*y = c*z with positive coefficients.
+    """The equation a*x + b*y = c*z with positive a, c and nonnegative b.
 
     b = 0 encodes the degenerate two-variable equation a*x = c*z.
     """
@@ -148,20 +145,12 @@ class ThreeVarEquation:
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
-        if self.b == 0:
-            if a < 1 or c < 1:
-                raise InvariantViolation("coefficients must be positive")
-            if gcd(a, c) != 1:
-                raise InvariantViolation(f"gcd({a},{c}) must be 1")
-            if a == c:
-                raise InvariantViolation("a*x = c*z with a = c is translation-invariant")
-            return
-        if a < 1 or b < 1 or c < 1:
+        if a < 1 or b < 0 or c < 1:
             raise InvariantViolation("coefficients must be positive")
         if gcd(gcd(a, b), c) != 1:
             raise InvariantViolation(f"gcd({a},{b},{c}) must be 1")
         if a + b == c:
-            raise InvariantViolation(f"{a}x+{b}y={c}z is translation-invariant (a+b=c)")
+            raise InvariantViolation(f"{self} is translation-invariant (a+b=c)")
 
     @property
     def family(self) -> Family:
@@ -190,7 +179,6 @@ _TERM = r"(-?\d*)\s*([xyz])"
 _EQ_RE = re.compile(
     rf"^\s*{_TERM}\s*(?:\+\s*{_TERM}\s*)?=\s*{_TERM}\s*$"
 )
-_TRIPLE_RE = re.compile(r"^\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*$")
 
 
 def _coef(tok: str) -> int:
@@ -202,55 +190,37 @@ def _coef(tok: str) -> int:
 
 
 def parse_equation(text: str) -> ThreeVarEquation:
-    """Parse ``[k]x + [k]y = [k]z`` (coefficients default to 1) or a triple "a,b,c".
+    """Parse ``[k]x + [k]y = [k]z``, each coefficient defaulting to 1.
 
     A missing middle term, as in ``3x=2z``, yields the degenerate
-    two-variable equation.  Syntax errors raise :class:`MalformedEquation`;
-    structurally valid text with bad coefficients raises
-    :class:`InvariantViolation`.
+    two-variable equation (b = 0).  Syntax errors raise
+    :class:`MalformedEquation`; structurally valid text with a coefficient
+    below 1 raises :class:`InvariantViolation`.
     """
-    m = _TRIPLE_RE.match(text)
-    if m:
-        a, b, c = (int(m.group(i)) for i in (1, 2, 3))
-        if a <= 0 or b < 0 or c <= 0:
-            raise InvariantViolation(f"nonpositive coefficient in {text!r}")
-        return ThreeVarEquation(a, b, c)
     m = _EQ_RE.match(text)
     if not m:
         raise MalformedEquation(f"cannot parse equation {text!r}")
     c1, v1, c2, v2, c3, v3 = m.groups()
     if v2 is None:
-        # two terms only: a pair constraint
         if v1 == v3:
             raise MalformedEquation(f"repeated variable in {text!r}")
-        a, c = _coef(c1), _coef(c3)
-        if a <= 0 or c <= 0:
-            raise InvariantViolation(f"nonpositive coefficient in {text!r}")
-        return ThreeVarEquation(a, 0, c)
-    if (v1, v2, v3) != ("x", "y", "z"):
+    elif (v1, v2, v3) != ("x", "y", "z"):
         raise MalformedEquation(f"expected variables in x, y, z order in {text!r}")
-    a, b, c = _coef(c1), _coef(c2), _coef(c3)
-    if a <= 0 or b <= 0 or c <= 0:
+    a, *b, c = (_coef(tok) for tok in (c1, c2, c3) if tok is not None)  # b == [] without a y term
+    if min(a, *b, c) < 1:
         raise InvariantViolation(f"nonpositive coefficient in {text!r}")
-    return ThreeVarEquation(a, b, c)
+    return ThreeVarEquation(a, b[0] if b else 0, c)
 
 
 def enumerate_solutions(eq: ThreeVarEquation, n: int) -> list[Solution]:
     """All solutions with variables in [1, n], in lexicographic (x, y, z) order."""
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
-    out: list[Solution] = []
-    if eq.b == 0:
-        a, c = eq.a, eq.c
-        for x in range(1, n + 1):
-            z, r = divmod(a * x, c)
-            if r == 0 and 1 <= z <= n:
-                out.append(Solution(x, 0, z))
-        return out
     a, b, c = eq.a, eq.b, eq.c
+    out: list[Solution] = []
     for x in range(1, n + 1):
         base = a * x
-        for y in range(1, n + 1):
+        for y in range(1, n + 1) if b else (0,):
             z, r = divmod(base + b * y, c)
             if r == 0 and 1 <= z <= n:
                 out.append(Solution(x, y, z))

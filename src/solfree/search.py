@@ -109,6 +109,8 @@ class _RunState:
     __slots__ = ("nodes", "node_cap", "deadline")
 
     def __init__(self, node_cap: int | None = None, time_cap: float | None = None):
+        if time_cap is not None and math.isnan(time_cap):  # no clock reading is ever past a NaN deadline
+            raise InvariantViolation(f"time budget must be a number, got {time_cap}")
         self.nodes = 0
         self.node_cap = sys.maxsize if node_cap is None else node_cap
         self.deadline = math.inf if time_cap is None else time.monotonic() + time_cap

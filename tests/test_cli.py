@@ -14,6 +14,7 @@ import sys
 import time
 from functools import partial
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -131,6 +132,23 @@ class TestSolve:
             proc = run_process("solve", "--eq", "x+2y=13z", "--n", "60", flag, "-1")
             assert proc.returncode == 2, flag
             assert proc.stdout == ""
+
+    def test_nan_time_budget_exit_2(self):
+        # a NaN deadline is never reached, so it would let the solve run to the end
+        proc = run_process("solve", "--eq", "x+2y=13z", "--n", "60", "--time-budget", "nan")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "InvariantViolation"
+
+    @pytest.mark.parametrize("extra", [(), ("--all-sets",)])
+    def test_bad_cap_rejected_before_the_solve(self, monkeypatch, capsys, extra):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --cap was checked")
+
+        monkeypatch.setattr(search, "max_avoiding", no_solve)
+        with pytest.raises(click.BadParameter) as info:
+            main(["solve", "--eq", "x+2y=4z", "--n", "10", "--cap", "0", *extra], standalone_mode=False)
+        assert info.value.exit_code == 2
+        assert capsys.readouterr().out == ""
 
     def test_malformed_exit_2(self):
         proc = run_process("solve", "--eq", "nonsense", "--n", "5")

@@ -1,6 +1,8 @@
 """Every precondition guard raises its documented class and message."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from solfree import search
@@ -22,7 +24,7 @@ from solfree.equations import IntSet, ThreeVarEquation, enumerate_solutions, par
 from solfree.errors import BudgetExceeded, InvariantViolation, MalformedEquation
 from solfree.family1 import eligible, interval_compression, min_element_stats, solution_window_deficiency
 from solfree.family2 import family2_extremal
-from solfree.search import all_extremal, rho_best, rho_m
+from solfree.search import all_extremal, max_avoiding, rho_best, rho_m
 
 EQ = parse_equation("x+2y=13z")
 FORM = EQ.linear_form()
@@ -42,6 +44,13 @@ GUARDS = {
     "ThreeVarEquation two-var a": (lambda: ThreeVarEquation(0, 0, 3), InvariantViolation,
                                    "coefficients must be positive"),
     "ThreeVarEquation a": (lambda: ThreeVarEquation(0, 1, 3), InvariantViolation, "coefficients must be positive"),
+    "ThreeVarEquation two-var gcd": (lambda: ThreeVarEquation(2, 0, 4), InvariantViolation, "gcd(2,0,4) must be 1"),
+    "ThreeVarEquation two-var invariant": (lambda: ThreeVarEquation(1, 0, 1), InvariantViolation,
+                                           "x=z is translation-invariant (a+b=c)"),
+    "parse_equation invariant": (lambda: parse_equation("x+y=2z"), InvariantViolation,
+                                 "x+y=2z is translation-invariant (a+b=c)"),
+    "parse_equation zero": (lambda: parse_equation("x+0y=4z"), InvariantViolation,
+                            "nonpositive coefficient in 'x+0y=4z'"),
     "parse_equation repeated": (lambda: parse_equation("2x=3x"), MalformedEquation,
                                 "repeated variable in '2x=3x'"),
     "parse_equation negative": (lambda: parse_equation("-x=2z"), InvariantViolation,
@@ -65,6 +74,8 @@ GUARDS = {
     "verify_cube_set_extremal budget": (lambda: verify_cube_set_extremal(2, 30, node_cap=0), BudgetExceeded,
                                         "exact search for b=2, n=30 exceeded its budget"),
     "all_extremal cap": (lambda: all_extremal(EQ, 5, 0), InvariantViolation, "cap must be positive, got 0"),
+    "max_avoiding time_cap": (lambda: max_avoiding(EQ, 10, time_cap=math.nan), InvariantViolation,
+                              "time budget must be a number, got nan"),
     "rho_m m": (lambda: rho_m(EQ, 0), InvariantViolation, "m must be positive, got 0"),
     "rho_best m_max": (lambda: rho_best(EQ, 0), InvariantViolation, "m_max must be positive, got 0"),
 }
