@@ -261,7 +261,10 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     so C holds only the members z that meet that bound: each test then
     costs about (a+b)*max(A) bits however large c is.  The top interval of
     x+2y=13z at n = 30 000 (23 077 members) passes in ~7 ms, against
-    ~460 ms with C over all of A.
+    ~460 ms with C over all of A.  Likewise b*y <= c*z - a for the largest
+    such z, so B holds only the members y that meet that bound, and a huge b
+    builds no mask wider than C (x+100000000y=3z over [1, 5]: no bit at all,
+    where B over all of A took 62 MB).
     """
     members = A.members
     if eq.b == 0:
@@ -273,9 +276,11 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
                 return AvoidanceCheck(False, Solution(x, 0, z))
         return AvoidanceCheck(True, None)
     a, b, c = eq.a, eq.b, eq.c
-    bmask = _dilated_mask(members, b)
     reach = (a + b) * members[-1] // c if members else 0  # the largest z any solution can use
-    cmask = _dilated_mask(members[:bisect_right(members, reach)], c)
+    zs = members[:bisect_right(members, reach)]
+    cmask = _dilated_mask(zs, c)
+    # b*y = c*z - a*x <= c*max(zs) - a: no larger y is in any solution
+    bmask = _dilated_mask(members[:bisect_right(members, (c * zs[-1] - a) // b)] if zs else (), b)
     for x in members:
         hits = (cmask >> a * x) & bmask
         if hits:

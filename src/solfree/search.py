@@ -48,12 +48,16 @@ that an exception unwinds or a caller stops leaves nothing to repair.
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
 triples modulo m (used for the modular densities).  ``rho_best`` asks each
-modulus only whether it beats the best density so far, so a modulus's
-sweep can stop early: a second greedy packing of its cliques, taken in
-descending order of smallest member, packs every suffix (k, m] at once,
-and r(m) <= r(k) + (m - k) - rest[k] at each solved prefix k, with rest[k]
-the packed cliques inside (k, m].  Once that falls below the residues the
-modulus needs, its sweep ends.
+modulus only whether it beats the best density so far.  A prime modulus
+that divides no coefficient holds at most (m + 1) // 3 residues by
+Cauchy-Davenport, so it is skipped before any set-up when that is too few.
+Otherwise the sweep can stop early: a second greedy packing, one clique
+per smallest member in descending order, packs every suffix (k, m] at
+once, and r(m) <= r(k) + (m - k) - rest[k] at each solved prefix k, with
+rest[k] the packed cliques inside (k, m].  Once that falls below the
+residues the modulus needs, its sweep ends.  A modulus builds no clique
+list: from residue tables the packing is built top-down, and the engine
+reads the cliques of each prefix the sweep reaches, as for integers.
 """
 from __future__ import annotations
 
@@ -123,12 +127,23 @@ class _RunState:
         return BudgetExceeded(f"time budget exceeded at {where}")
 
 
+def _progression(coef: int, rhs: int, mod: int, top: int) -> range:
+    """The v in [1, top] with coef * v = rhs (mod ``mod``): one arithmetic
+    progression of step mod / gcd(coef, mod), or none."""
+    g = math.gcd(coef, mod)
+    if rhs % g:
+        return range(0)
+    step = mod // g
+    return range(rhs // g * pow(coef // g, -1, step) % step or step, top + 1, step)
+
+
 def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     """Distinct member sets, of size 2 or 3, of the solutions inside [1, m]
     whose largest member is m, in ascending order.
 
     m takes each role in turn and the equation fixes the last variable from
-    the free one, so the cost is O(m).  With b = 0, m is x or z.
+    the free one v, so the cost is O(m).  v steps along the progression
+    that makes that division exact.  With b = 0, m is x or z.
     """
     a, b, c = eq.a, eq.b, eq.c
     found: set[tuple[int, ...]] = set()
@@ -138,42 +153,70 @@ def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
         if c * m % a == 0 and c * m // a <= m:  # m as z
             found.add((c * m // a, m))
         return sorted(found)
-    for v in range(1, m + 1):
-        z, r = divmod(a * m + b * v, c)  # m as x, v as y
-        if r == 0 and z <= m:
+    for v in _progression(b, -a * m, c, m):  # m as x, v as y
+        z = (a * m + b * v) // c
+        if z <= m:
             found.add(tuple(sorted({m, v, z})))
-        z, r = divmod(a * v + b * m, c)  # m as y, v as x
-        if r == 0 and z <= m:
+    for v in _progression(a, -b * m, c, m):  # m as y, v as x
+        z = (a * v + b * m) // c
+        if z <= m:
             found.add(tuple(sorted({v, m, z})))
-        y, r = divmod(c * m - a * v, b)  # m as z, v as x
-        if r == 0 and 1 <= y <= m:
+    for v in _progression(a, c * m, b, m):  # m as z, v as x
+        y = (c * m - a * v) // b
+        if 1 <= y <= m:
             found.add(tuple(sorted({v, y, m})))
+    return sorted(found)
+
+
+def _residue_tables(eq: ThreeVarEquation, m: int) -> tuple[list[list[int]], ...]:
+    """For each residue t modulo m, the x, the y and the z in [1, m] with
+    a*x, b*y and c*z = t (mod m), each list ascending (m is the zero class)."""
+    tables = tuple([[] for _ in range(m)] for _ in range(3))
+    for coef, table in zip((eq.a, eq.b, eq.c), tables):
+        for v in range(1, m + 1):
+            table[coef * v % m].append(v)
+    return tables
+
+
+def _congruence_cliques_at(eq: ThreeVarEquation, m: int, k: int, tables) -> list[tuple[int, ...]]:
+    """Distinct member sets of the solutions modulo m over residues [1, k]
+    whose largest member is k, in ascending order: the congruence version of
+    :func:`cliques_for`, read from ``_residue_tables(eq, m)``.
+
+    Unlike the integer case these can be singletons, which simply ban a
+    residue.  k takes each role in turn and the table of the last variable
+    gives its values from the free one v, so the cost is O(g*k) with g the
+    gcd of that variable's coefficient and m.  With a == b the roles of x
+    and y give the same sets and only x is taken; with b = 0, k is x or z.
+    """
+    a, b, c = eq.a, eq.b, eq.c
+    xs, ys, zs = tables
+    found: set[tuple[int, ...]] = set()
+    if not b:
+        found.update(tuple(sorted({k, z})) for z in zs[a * k % m] if z <= k)  # k as x
+        found.update(tuple(sorted({x, k})) for x in xs[c * k % m] if x <= k)  # k as z
+        return sorted(found)
+    for v in range(1, k + 1):
+        for z in zs[(a * k + b * v) % m]:  # k as x, v as y
+            if z <= k:
+                found.add(tuple(sorted({k, v, z})))
+        if a != b:
+            for z in zs[(a * v + b * k) % m]:  # k as y, v as x
+                if z <= k:
+                    found.add(tuple(sorted({v, k, z})))
+        for y in ys[(c * k - a * v) % m]:  # k as z, v as x
+            if y <= k:
+                found.add(tuple(sorted({v, y, k})))
     return sorted(found)
 
 
 def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     """Distinct member sets of the solutions modulo m over residues [1, m]
-    (m is the zero class), in ascending order.
-
-    Unlike the integer case these can be singletons, which simply ban a residue.
-    A table gives, for each residue t, the z in [1, m] with c*z = t (mod m),
-    so each x (and y) reads its z from the entry of t = a*x + b*y.  With
-    a == b the roles of x and y are symmetric and only y >= x is looped over.
-    The cost is O(g*m^2) with g = gcd(c, m), or O(g*m) with b = 0.
-    """
-    a, b, c = eq.a, eq.b, eq.c
-    zs: list[list[int]] = [[] for _ in range(m)]
-    for z in range(1, m + 1):
-        zs[c * z % m].append(z)
-    found: set[tuple[int, ...]] = set()
-    for x in range(1, m + 1):
-        if not b:
-            found.update(tuple(sorted({x, z})) for z in zs[a * x % m])
-            continue
-        for y in range(x if a == b else 1, m + 1):
-            for z in zs[(a * x + b * y) % m]:
-                found.add(tuple(sorted({x, y, z})))
-    return sorted(found)
+    (m is the zero class), in ascending order: the union over k of the
+    cliques whose largest member is k.  The cost is O(g*m^2) with g the
+    largest gcd of m and a coefficient, or O(g*m) with b = 0."""
+    tables = _residue_tables(eq, m)
+    return sorted(cl for k in range(1, m + 1) for cl in _congruence_cliques_at(eq, m, k, tables))
 
 
 def _greedy_disjoint(cliques) -> list[tuple[int, ...]]:
@@ -188,13 +231,54 @@ def _greedy_disjoint(cliques) -> list[tuple[int, ...]]:
     return packing
 
 
-def _suffix_packing(cliques) -> list[tuple[int, ...]]:
-    """Pairwise disjoint cliques, singletons included, from one greedy pass in
-    descending order of smallest member.  The packings are nested: for every
-    k, those whose smallest member is above k were taken before any other,
-    so they are a greedy packing of the cliques inside (k, m] on their own,
-    and an avoiding subset of (k, m] leaves out a member of each."""
-    return _greedy_disjoint(sorted(cliques, key=lambda cl: cl[0], reverse=True))
+def _suffix_packing(eq: ThreeVarEquation, m: int, tables) -> list[tuple[int, ...]]:
+    """Pairwise disjoint congruence cliques modulo m, singletons included,
+    built top-down: for s = m, ..., 1, the least clique (in tuple order)
+    whose smallest member is s and none of whose members is used.
+
+    That is the greedy pass over all the cliques in descending order of
+    smallest member, ascending within one, but no clique list is built.  s
+    itself is never used, as every clique taken so far lies above it.  With
+    b = 0 the partners of s are read from ``tables`` in O(g) time.
+    Otherwise the other members u < w are found by trying each unused u > s
+    in ascending order: the solutions with values s and u in two of the
+    roles give w from the third role's table, and {s, u} is a clique when
+    some w is s or u.  The first u with a clique ends the scan.
+
+    The packings are nested: for every k, those whose smallest member is
+    above k were taken before any other, so they are a greedy packing of
+    the cliques inside (k, m] on their own, and an avoiding subset of
+    (k, m] leaves out a member of each."""
+    a, b, c = eq.a, eq.b, eq.c
+    xs, ys, zs = tables
+    used = bytearray(m + 1)
+    packing = []
+    for s in range(m, 0, -1):
+        if (a + b - c) * s % m == 0:  # x = y = z = s
+            clique: tuple[int, ...] | None = (s,)
+        elif not b:
+            partners = [u for u in zs[a * s % m] + xs[c * s % m] if u > s and not used[u]]
+            clique = (s, min(partners)) if partners else None
+        else:
+            clique = None
+            for u in range(s + 1, m + 1):
+                if used[u]:
+                    continue
+                thirds = (zs[(a * s + b * u) % m] + zs[(a * u + b * s) % m]  # w as z
+                          + xs[(c * u - b * s) % m] + xs[(c * s - b * u) % m]  # w as x
+                          + ys[(c * u - a * s) % m] + ys[(c * s - a * u) % m])  # w as y
+                if s in thirds or u in thirds:
+                    clique = (s, u)
+                    break
+                w = min((w for w in thirds if w > u and not used[w]), default=0)
+                if w:
+                    clique = (s, u, w)
+                    break
+        if clique:
+            for v in clique:
+                used[v] = 1
+            packing.append(clique)
+    return packing
 
 
 class _Core:
@@ -528,26 +612,38 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
     budget of ``state``, if r(m) >= ``need``; None once that is ruled out.
     A budget hit raises BudgetExceeded.
 
-    The cliques are built once, and one suffix packing of them bounds
+    The set-up is the residue tables and one suffix packing, which bounds
     r(m) <= r(k) + (m - k) - rest[k] at every solved prefix k, with rest[k]
     the packed cliques inside (k, m].  So the sweep stops, before any
-    search when m - rest[0] < need, as soon as that bound is below need."""
+    search when m - rest[0] < need, as soon as that bound is below need.
+    The engine reads the cliques whose largest member is k from the tables
+    only when the sweep reaches prefix k."""
     if time.monotonic() > state.deadline:
-        raise state.exceeded(f"modulus {m}")  # before the O(m^2) clique build
-    cliques = congruence_cliques(eq, m)
-    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
-    for cl in cliques:  # ascending, so each group is too
-        by_max[cl[-1]].append(cl)
+        raise state.exceeded(f"modulus {m}")  # before the set-up
+    tables = _residue_tables(eq, m)
     rest = [0] * (m + 1)
-    for cl in _suffix_packing(cliques):
+    for cl in _suffix_packing(eq, m, tables):
         rest[cl[0] - 1] += 1
     for k in range(m - 1, -1, -1):  # rest[k]: packed cliques with smallest member above k
         rest[k] += rest[k + 1]
-    engine = _Core(lambda k: by_max[k])
+    engine = _Core(lambda k: _congruence_cliques_at(eq, m, k, tables))
     engine.where = f"modulus {m}, "
     if engine.solve_to(m, state, [need - (m - k) + rest[k] for k in range(m + 1)]):
         return engine
     return None
+
+
+def _residue_cap(eq: ThreeVarEquation, m: int) -> int:
+    """An upper bound on r(m) modulo m: (m + 1) // 3 when m is a prime that
+    divides none of a, b, c and b >= 1, m otherwise.
+
+    For such m, a residue set S gives |aS| = |bS| = |cS| = |S|, and
+    Cauchy-Davenport gives |aS + bS| >= min(m, 2|S| - 1).  cS must miss
+    aS + bS, so |S| + 2|S| - 1 <= m."""
+    prime = m > 1 and all(m % p for p in range(2, math.isqrt(m) + 1))
+    if prime and eq.b and all(v % m for v in (eq.a, eq.b, eq.c)):
+        return (m + 1) // 3
+    return m
 
 
 def _density(eq: ThreeVarEquation, engine: _Core, state: _RunState) -> ModularDensity:
@@ -583,15 +679,18 @@ def rho_best(
     """Best modular density over moduli m <= m_max (a lower bound for rho);
     the first modulus wins a tie.  Each modulus is solved only as far as it
     can still beat the best density so far, that is reach
-    floor(rho * m) + 1 residues.  Only the modulus returned gets a witness,
-    its lex-least residue set.  Both budgets cover the whole call."""
+    floor(rho * m) + 1 residues; a prime modulus that Cauchy-Davenport
+    already rules out (see ``_residue_cap``) gets no set-up at all.  Only
+    the modulus returned gets a witness, its lex-least residue set.  Both
+    budgets cover the whole call."""
     if m_max < 1:
         raise InvariantViolation(f"m_max must be positive, got {m_max}")
     state = _RunState(node_cap, time_cap)  # shared by every modulus
     best = _congruence_engine(eq, 1, state)
     for m in range(2, m_max + 1):
         need = best.r[-1] * m // (len(best.r) - 1) + 1
-        best = _congruence_engine(eq, m, state, need) or best
+        if _residue_cap(eq, m) >= need:
+            best = _congruence_engine(eq, m, state, need) or best
     return _density(eq, best, state)
 
 
@@ -602,13 +701,17 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
     far; in ascending order that is the first leaf of the engine's lex-least
     pass, but with no clique built.
     The kept set K is held as four masks: bits a*v, b*v and c*v and bits
-    b*n - b*v for v in K, so that each role of the new element e is one shift
-    and one and; as z, with d = b*n - c*e, a*x + b*y = c*e reads
-    a*x + d = b*n - b*y.  Each test runs with e already in the masks, which
+    b*Y - b*v for v in K, so that each role of the new element e is one shift
+    and one and; as z, with d = b*Y - c*e, a*x + b*y = c*e reads
+    a*x + d = b*Y - b*y.  Each test runs with e already in the masks, which
     catches solutions that repeat e (such as x = y = e).  Every solution has
-    c*z = a*x + b*y <= (a+b)*n, so the c-mask keeps only the v that meet that
-    bound and no mask is wider than (a+b)*n bits, however large c is.  With
-    b = 0 the b-masks are bit 0 alone, and the same tests cover a*x = c*z.
+    c*z = a*x + b*y <= (a+b)*n, so the c-mask keeps only the v up to the
+    largest such z, Z.  Then a*x <= c*Z - b and b*y <= c*Z - a, so the a-
+    and b-masks keep only the v up to the largest such x and up to Y, the
+    largest such y but at most n.  No mask is then wider than
+    c*Z <= min(c, a+b)*n bits, so one huge coefficient alone widens none.
+    With b = 0 the b-masks are bit 0 alone, and the same tests cover
+    a*x = c*z.
 
     Past ``deadline`` (a ``time.monotonic()`` value) it stops and returns the
     elements kept so far, which avoid the equation too.  The clock is read
@@ -617,16 +720,18 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
     descending, 0.7 s ascending).
     """
     a, b, c = eq.a, eq.b, eq.c
-    reach = (a + b) * n // c  # the largest z any solution can use
+    reach = min(n, (a + b) * n // c)  # the largest z any solution can use
+    # a*x + b*y = c*z <= c*reach bounds the x and the y of every solution
+    xr = (c * reach - b) // a
+    yr = min(n, (c * reach - a) // b) if b else n
     am = bm = cm = brev = kept = 0
     if deadline is not None:
         order = takewhile(lambda _: time.monotonic() <= deadline, order)
     for e in order:
-        am2 = am | 1 << a * e
-        bm2 = bm | 1 << b * e
+        am2 = am | 1 << a * e if e <= xr else am
+        bm2, brev2 = (bm | 1 << b * e, brev | 1 << b * (yr - e)) if e <= yr else (bm, brev)
         cm2 = cm | 1 << c * e if e <= reach else cm
-        brev2 = brev | 1 << b * (n - e)
-        d = b * n - c * e
+        d = b * yr - c * e
         if (
             (cm2 >> a * e) & bm2  # e as x: a*e + b*y = c*z
             or (cm2 >> b * e) & am2  # e as y: a*x + b*e = c*z

@@ -36,6 +36,18 @@ def brute_congruence_cliques(eq: ThreeVarEquation, m: int) -> set[tuple[int, ...
             if (eq.a * x + eq.b * y - eq.c * z) % m == 0}
 
 
+def greedy_suffix_packing(cliques) -> list[tuple[int, ...]]:
+    """Pairwise disjoint cliques from one greedy pass over ``cliques`` in
+    descending order of smallest member, ascending tuple order within one:
+    a clique is taken iff it shares no member with one taken before it."""
+    packing, used = [], set()
+    for cl in sorted(sorted(cliques), key=lambda cl: cl[0], reverse=True):
+        if used.isdisjoint(cl):
+            used.update(cl)
+            packing.append(cl)
+    return packing
+
+
 def brute_avoids(eq: ThreeVarEquation, A: IntSet) -> tuple[bool, Solution | None]:
     """(ok, lexicographically first violation), by a quadratic scan over A x A."""
     mset = A.member_set

@@ -1,6 +1,7 @@
 """Equation parsing, solution enumeration, and the avoidance checker."""
 from __future__ import annotations
 
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -154,11 +155,24 @@ class TestAvoids:
     @pytest.mark.parametrize("members,violation", [
         ((3, 13), (13, 13, 3)),  # c*z = 39 = (a+b)*max(A): the window's last bit
         ((6, 18, 30), (18, 30, 6)),  # z = 6 = (a+b)*max(A) // c, below the last bit
+        ((1, 6), (1, 6, 1)),  # b*y = 12 = c*max(z) - a: the b-mask's last member
     ])
     def test_window_keeps_the_largest_reachable_z(self, members, violation):
         eq = parse_equation("x+2y=13z")
         A = IntSet(max(members), members)
         assert avoids(eq, A) == (False, violation) == brute_avoids(eq, A)
+
+    def test_huge_b_builds_no_wide_mask(self):
+        # no y in [1, 5] has b*y <= c*5 - a, so the b-mask holds no member:
+        # over all of A it took 62 MB
+        eq = ThreeVarEquation(1, 10**8, 3)
+        tracemalloc.start()
+        try:
+            assert avoids(eq, IntSet.of(5, range(1, 6))).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(eq=valid_equations(), repeat=st.sampled_from(["x=y", "y=z", "x=z"]), k=st.integers(1, 10))
     def test_solutions_with_a_repeated_value(self, eq, repeat, k):
