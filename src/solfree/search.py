@@ -15,28 +15,39 @@ per equation lives for the whole process, so a later call resumes from the
 prefixes already solved.
 
 Each search carries a forced mask: the undecided elements that would
-complete a clique whose other members are all included.  Triggers set a
-bit as the other members come in, so deciding whether e may be included is
-one bit test, and the count of forced elements is also a bound (a forced
-element is dead).  Singleton cliques, which ban a residue in the congruence
-instances, form the forced mask at the root.
+complete a clique whose other members are all included.  Triggers set
+bits as the other members come in: a pair forces its partner by one mask
+per element, and a triple forces its third member by one bit test.  So
+deciding whether e may be included is one bit test, and the count of
+forced elements is also a bound (a forced element is dead).  Singleton
+cliques, which ban a residue in the congruence instances, form the forced
+mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-The answer is yes at once when wit[m - 1] plus m avoids the equation, that
-is when no clique whose largest member is m has its other members in
-wit[m - 1], and the prefix costs one node.  Otherwise the DFS looks for
-such a set and ends at its first leaf, and a clique packing can answer no
-on the way: k pairwise disjoint cliques in [1, m] each need one member left
-out, so r(m) <= m - k, and m - k <= r(m - 1) settles the prefix.  The
-packing is one greedy pass over every clique in [1, m] in ascending order
-of its members' occurrence counts.  It costs a sort of all cliques, so it
-is built at most once per prefix, and only once the m steps of growing to m
-and the search's nodes make one per clique: at the root when there are no
-more cliques than elements, as with every two-variable equation.  It
-settles most stall prefixes (r(m) = r(m - 1)) in the paper's Family I
-regime, where m - r(m) disjoint solutions exist.
+Three tests can answer at the root, where the prefix costs one node:
+  * the cheap yes: wit[m - 1] plus m avoids the equation, that is no clique
+    whose largest member is m has its other members in wit[m - 1];
+  * P, the cheap no of the integer engines: the cliques of two members
+    (solutions with two equal variables) form the pair graph, whose
+    components are small and multiplicative, and r(m) <= P(m), the sum of
+    the components' exact independence numbers.  P(m) <= r(m - 1) makes m
+    a stall (r(m) = r(m - 1)).  A component is solved again only after a
+    merge has touched it, and as P never falls, the test does no work while
+    the last P computed is above r(m - 1).  It settles every stall of
+    x+2y=4z up to m = 2000, and with b = 0, where every clique is a pair,
+    P(m) is r(m) itself;
+  * the degree packing: k pairwise disjoint cliques in [1, m] each need one
+    member left out, so r(m) <= m - k, and m - k <= r(m - 1) settles the
+    prefix.  The packing is one greedy pass over every clique in [1, m] in
+    ascending order of its members' occurrence counts.  It costs a sort of
+    all cliques, so it is built at most once per prefix, and only once the
+    m steps of growing to m and the search's nodes make one per clique: at
+    the root when there are no more cliques than elements.  It settles most
+    stall prefixes in the paper's Family I regime, where m - r(m) disjoint
+    solutions exist.
+Otherwise the DFS looks for such a set and ends at its first leaf.
 
 The lex-least pass decides elements in ascending order, include first, so
 its first leaf of size r(m) is the lexicographically least maximum set and
@@ -110,12 +121,13 @@ class AllExtremal:
 
 
 class _RunState:
-    __slots__ = ("nodes", "node_cap", "deadline")
+    __slots__ = ("nodes", "steps", "node_cap", "deadline")
 
     def __init__(self, node_cap: int | None = None, time_cap: float | None = None):
         if time_cap is not None and math.isnan(time_cap):  # no clock reading is ever past a NaN deadline
             raise InvariantViolation(f"time budget must be a number, got {time_cap}")
         self.nodes = 0
+        self.steps = 0  # steps of the pair test's independence-number search
         self.node_cap = sys.maxsize if node_cap is None else node_cap
         self.deadline = math.inf if time_cap is None else time.monotonic() + time_cap
 
@@ -286,20 +298,29 @@ class _Core:
 
     ``source(m)`` gives the cliques whose largest member is m, ascending.
     Only :meth:`grow` writes the trigger tables and the clique lists; a
-    search keeps its state on its own stack, and the degree packing and the
-    lex-least pass only read them.
+    search keeps its state on its own stack, and the degree packing, the
+    pair test and the lex-least pass only read them.  With ``pair_test``
+    the engine settles a prefix by the pair graph's independence number
+    (see :meth:`pair_alpha`); the congruence engines run without it.
     """
 
     where = ""  # what a budget-hit message names before the prefix
 
-    def __init__(self, source):
+    def __init__(self, source, pair_test: bool = False):
         self.source = source
         self.grown = 0  # elements taken in; may run one past the solved prefix
         # forced-exclusion triggers: once every member of a clique except the
         # smallest (resp. largest) is included, that last member is dead.  The
         # DFS (resp. lex-least pass) decides elements in descending (resp.
         # ascending) order, so these set the bit of every element that would
-        # complete a clique: its forced mask is the legality test.
+        # complete a clique: its forced mask is the legality test.  A pair
+        # {u, v} fires as soon as its other member is included, so pair_down[v]
+        # (resp. pair_up[u]) is the mask of the partners it forces.  A triple
+        # u < v < w fires at v when its third member is in: force_down[v] holds
+        # (bit of w, bit of u) and force_up[v] (bit of u, bit of w).  Both
+        # pair masks together are the adjacency of the pair graph.
+        self.pair_down: list[int] = [0]
+        self.pair_up: list[int] = [0]
         self.force_down: list[list[tuple[int, int]]] = [[]]
         self.force_up: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
@@ -312,12 +333,26 @@ class _Core:
         self.partners: list[int] = []
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
+        # the pair graph's components over [1, joined], kept by pair_alpha:
+        # comp[v] is the root of v's component, members[root] its mask and
+        # alpha[root] its independence number, absent while a merge has left
+        # it to recompute (the roots in dirty); known sums the alpha values
+        self.pair_test = pair_test
+        self.joined = 0
+        self.comp: list[int] = [0]
+        self.members: dict[int, int] = {}
+        self.alpha: dict[int, int] = {}
+        self.dirty: set[int] = set()
+        self.known = 0
+        self.pair_bound = 0  # the last P computed: a lower bound on every later P
 
     def grow(self) -> None:
         """Take in the next element m and the cliques whose largest member is m."""
         m = self.grown + 1
         self.force_down.append([])
         self.force_up.append([])
+        self.pair_up.append(0)
+        pairs = 0
         partners = self.partners = []
         top = 1 << (m - 1)
         for cl in self.source(m):
@@ -327,14 +362,103 @@ class _Core:
                 self.banned |= low
                 partners.append(0)
             elif len(cl) == 2:
-                self.force_down[m].append((0, low))
-                self.force_up[cl[0]].append((0, top))
+                pairs |= low
+                self.pair_up[cl[0]] |= top
                 partners.append(low)
             else:
                 self.force_down[cl[1]].append((top, low))
                 self.force_up[cl[1]].append((low, top))
                 partners.append(low | 1 << (cl[1] - 1))
+        self.pair_down.append(pairs)
         self.grown = m
+
+    # -- the pair graph ------------------------------------------------------
+
+    def _join(self, v: int) -> None:
+        """Take element v into the components: it merges every component of
+        one of its smaller pair partners, and the merged one is dirty."""
+        roots = set()
+        rest = self.pair_down[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            roots.add(self.comp[bit.bit_length()])
+        merged = 1 << (v - 1)
+        for root in roots:
+            merged |= self.members[root]
+        self.comp.append(v)
+        rest = merged
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            self.comp[bit.bit_length()] = v
+        for root in roots:
+            del self.members[root]
+            self.known -= self.alpha.pop(root, 0)
+            self.dirty.discard(root)
+        self.members[v] = merged
+        self.dirty.add(v)
+        self.joined = v
+
+    def _mis(self, comp: int, state: _RunState) -> int:
+        """The independence number of the pair graph on the mask ``comp``, by
+        branch and bound on an explicit stack.  At each node a vertex with at
+        most one neighbour left is taken (some maximum set holds it), and the
+        search branches on a vertex of most neighbours, taking it first.  A
+        node's bound is its size plus the vertices left.  The clock is read
+        on a call's first step and every 4096th after it, as in the DFS."""
+        down, up = self.pair_down, self.pair_up
+        best = 0
+        stack = [(comp, 0)]
+        while stack:
+            left, size = stack.pop()
+            state.steps += 1
+            if state.steps & 4095 == 1 and time.monotonic() > state.deadline:
+                raise state.exceeded(f"{self.where}prefix {self.grown}")
+            pick = most = 0
+            rest = left
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length()
+                nb = (down[v] | up[v]) & left
+                if not nb & (nb - 1):  # at most one neighbour: take v
+                    left &= ~(bit | nb)
+                    rest &= ~nb
+                    size += 1
+                elif nb.bit_count() > most:
+                    pick, most = bit, nb.bit_count()
+            if size + left.bit_count() <= best:
+                continue
+            if not left:
+                best = size
+                continue
+            if not pick & left:  # the pick lost a neighbour taken after it
+                pick = left & -left
+            v = pick.bit_length()
+            stack.append((left & ~pick, size))
+            stack.append((left & ~(pick | down[v] | up[v]), size + 1))
+        return best
+
+    def pair_alpha(self, state: _RunState) -> int:
+        """P = the pair graph's independence number on [1, grown]: the sum of
+        its components' exact independence numbers.
+
+        The pair graph joins u and v when {u, v} is a clique, the members of
+        a solution with two equal variables, so r(m) <= P on [1, m].  Only the
+        elements joined since the last call enter, and only the components
+        they merged are solved again.  An exception leaves those dirty, to
+        be solved by the next call."""
+        for v in range(self.joined + 1, self.grown + 1):
+            self._join(v)
+        while self.dirty:
+            root = next(iter(self.dirty))
+            value = self._mis(self.members[root], state)
+            self.dirty.discard(root)
+            self.alpha[root] = value
+            self.known += value
+        self.pair_bound = self.known
+        return self.known
 
     def degree_packing(self) -> list[tuple[int, ...]]:
         """Pairwise disjoint cliques from every clique taken in: one greedy
@@ -353,16 +477,23 @@ class _Core:
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
         avoiding set that large, and r(m - 1) otherwise.  The engine must be
-        grown to exactly m, as ``partners`` and the degree packing read the
-        cliques in [1, m]."""
+        grown to exactly m, as ``partners``, the pair test and the degree
+        packing read the cliques in [1, m]."""
         m = len(self.r)
         prev = self.r[m - 1]
         best = self.wit[m - 1]
         if all(p & best != p for p in self.partners):  # wit[m - 1] plus m avoids
             best |= 1 << (m - 1)
         best_size = best.bit_count()
+        # The root's bound is prev + 1, or prev when the pair graph's
+        # independence number P says so.  Adding an element never lowers P,
+        # so the test is skipped while the last P computed is above prev.
+        root = prev + 1
+        if best_size == prev and self.pair_test and self.pair_bound <= prev and self.pair_alpha(state) <= prev:
+            root = prev
 
-        rt = self.r + [prev + 1]  # index m is the root
+        rt = self.r + [root]  # index m is the root
+        pair_down = self.pair_down
         force_down = self.force_down
         node_cap = state.node_cap
         deadline = state.deadline
@@ -375,19 +506,21 @@ class _Core:
         # first node when there are no more cliques than elements.  The first
         # node count above ``limit`` is that trigger or the one past the node
         # budget, whichever is first.
-        limit = node_cap if best_size > prev else min(node_cap, state.nodes + len(self.cliques) - m)
+        limit = node_cap if root == best_size else min(node_cap, state.nodes + len(self.cliques) - m)
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
         #  * forced split: charge [1, j] to the table and (j, e] to the count
         #    of slots not yet provably dead, j = lowest forced element.
-        # An explicit stack of (e, size, inc, forced) nodes: the exclude child is
-        # pushed first, so the include branch is searched first, depth-first.
+        # A node (e, size, inc, forced) goes straight on to its include child
+        # and leaves its exclude child on an explicit stack, so the include
+        # branch is searched first, depth-first; a node whose element is
+        # forced goes straight on to its exclude child.
         # The clock is read on a call's first node and every 4096th after it;
         # the first read lets a spent budget stop a short search on a warm engine.
-        stack = [(m, 0, 0, self.banned)]
-        while stack:
-            e, size, inc, forced = stack.pop()
+        stack = []
+        e, size, inc, forced = m, 0, 0, self.banned
+        while True:
             state.nodes += 1
             if state.nodes > limit:
                 if state.nodes > node_cap:
@@ -403,20 +536,25 @@ class _Core:
                 bound = rt[e] if rt[e] < split else split
             else:
                 bound = rt[e]
-            if size + bound <= best_size:
-                continue
-            if e == 0:  # a set of prev + 1 elements
-                best = inc
-                break
-            e1 = e - 1
-            # drop e's own forced bit: it is decided now, not pending
-            stack.append((e1, size, inc, forced & ~(1 << e1)))
-            if not forced >> e1 & 1:  # e completes no clique whose smallest member it is
-                f2 = forced
+            if size + bound > best_size:
+                if e == 0:  # a set of prev + 1 elements
+                    best = inc
+                    break
+                bit = 1 << (e - 1)
+                if forced & bit:  # e completes a clique whose smallest member it is
+                    forced ^= bit  # decided now, not pending
+                    e -= 1
+                    continue
+                stack.append((e - 1, size, inc, forced))
+                f2 = forced | pair_down[e]
                 for high, low in force_down[e]:
-                    if high & inc == high:
+                    if high & inc:
                         f2 |= low
-                stack.append((e1, size + 1, inc | (1 << e1), f2))
+                e, size, inc, forced = e - 1, size + 1, inc | bit, f2
+            elif stack:
+                e, size, inc, forced = stack.pop()
+            else:
+                break
         self.r.append(best.bit_count())
         self.wit.append(best)
 
@@ -447,13 +585,15 @@ class _Core:
         ends the search there; a generator dropped early leaves nothing to
         repair, as the pass only reads the trigger tables.
         """
+        pair_up = self.pair_up
         force_up = self.force_up
+        inside = (1 << m) - 1  # the engine may be grown past m: triggers above m never fire
         node_cap = state.node_cap
         deadline = state.deadline
         start = state.nodes  # the clock is read on this pass's first node and every 4096th after it
         # as in ``advance``: include child searched first; the engine may be
         # grown past m, so the root keeps only the banned elements in [1, m]
-        stack = [(1, 0, 0, self.banned & ((1 << m) - 1))]
+        stack = [(1, 0, 0, self.banned & inside)]
         while stack:
             e, size, inc, forced = stack.pop()
             state.nodes += 1
@@ -467,12 +607,11 @@ class _Core:
             bit = 1 << (e - 1)
             stack.append((e + 1, size, inc, forced & ~bit))
             if not forced & bit:  # e completes no clique whose largest member it is
-                f2 = forced
-                # the engine may be grown past m: triggers above m never fire
+                f2 = forced | pair_up[e]
                 for low, high in force_up[e]:
-                    if low & inc == low and high >> m == 0:
+                    if low & inc:
                         f2 |= high
-                stack.append((e + 1, size + 1, inc | bit, f2))
+                stack.append((e + 1, size + 1, inc | bit, f2 & inside))
 
     def lex_least(self, m: int, state: _RunState) -> int:
         """The lexicographically least maximum set of the solved prefix [1, m],
@@ -489,10 +628,15 @@ class _Core:
 _SOLVERS: dict[ThreeVarEquation, _Core] = {}
 
 
+def _integer_engine(eq: ThreeVarEquation) -> _Core:
+    """A cold engine over the integer cliques of eq, with the pair test."""
+    return _Core(lambda m: cliques_for(eq, m), pair_test=True)
+
+
 def _engine_for(eq: ThreeVarEquation) -> _Core:
     engine = _SOLVERS.get(eq)
     if engine is None:
-        engine = _SOLVERS[eq] = _Core(lambda m: cliques_for(eq, m))
+        engine = _SOLVERS[eq] = _integer_engine(eq)
     return engine
 
 

@@ -48,6 +48,28 @@ def greedy_suffix_packing(cliques) -> list[tuple[int, ...]]:
     return packing
 
 
+def brute_pair_alpha(eq: ThreeVarEquation, n: int) -> int:
+    """The independence number of the pair graph on [1, n], whose edges are
+    the 2-member sets of the solutions (those with two equal variables), by
+    a scan over all 2^n subsets: S is independent iff S minus its largest
+    element is and that element has no smaller neighbour in S."""
+    lower = [0] * (n + 1)  # lower[v]: the smaller neighbours of v, as a mask
+    for sol in brute_solutions(eq, n):
+        members = sorted({sol.x, sol.z} if eq.b == 0 else {sol.x, sol.y, sol.z})
+        if len(members) == 2:
+            lower[members[1]] |= 1 << (members[0] - 1)
+    ok = bytearray(1 << n)
+    ok[0] = 1
+    best = 0
+    for S in range(1, 1 << n):
+        h = S.bit_length()
+        rest = S & ~(1 << (h - 1))
+        if ok[rest] and not lower[h] & rest:
+            ok[S] = 1
+            best = max(best, S.bit_count())
+    return best
+
+
 def brute_avoids(eq: ThreeVarEquation, A: IntSet) -> tuple[bool, Solution | None]:
     """(ok, lexicographically first violation), by a quadratic scan over A x A."""
     mset = A.member_set

@@ -31,6 +31,7 @@ from oracles import (
     brute_avoids,
     brute_congruence_cliques,
     brute_greedy,
+    brute_pair_alpha,
     brute_rho_numerator,
     exhaustive_max,
     greedy_suffix_packing,
@@ -47,8 +48,9 @@ EQS = {
 
 
 def fresh_engine(monkeypatch, eq: ThreeVarEquation) -> search._Core:
-    """A cold engine for eq in the solver cache, the cached one restored afterwards."""
-    engine = search._Core(partial(cliques_for, eq))
+    """A cold engine for eq in the solver cache, built as the solver builds
+    it, the cached one restored afterwards."""
+    engine = search._integer_engine(eq)
     monkeypatch.setitem(search._SOLVERS, eq, engine)
     return engine
 
@@ -77,7 +79,12 @@ def draw_congruence_equation(data, shape: str) -> ThreeVarEquation | None:
 
 
 def clique_tables(engine: search._Core) -> tuple:
-    return engine.force_down, engine.force_up
+    return engine.pair_down, engine.pair_up, engine.force_down, engine.force_up
+
+
+def trigger_count(engine: search._Core) -> int:
+    """Descending triggers: one per triple, one bit per pair."""
+    return sum(map(len, engine.force_down)) + sum(mask.bit_count() for mask in engine.pair_down)
 
 
 def congruence_engine(eq: ThreeVarEquation, m: int, top: int | None = None) -> search._Core:
@@ -203,20 +210,23 @@ class TestMaxAvoiding:
 
     # cold max_avoiding(canonical=False).nodes with each prefix's search
     # ending at its first leaf, of size r(m - 1) + 1, or once the degree
-    # packing finds k disjoint cliques with m - k <= r(m - 1); equal to the
-    # sum over a 1..n sweep.
+    # packing finds k disjoint cliques with m - k <= r(m - 1); a prefix
+    # whose pair graph has no independent set above r(m - 1) costs one node.
+    # Equal to the sum over a 1..n sweep.
     # The cap makes a weaker bound or a lost certificate fail fast instead of
     # running for long.
     PINNED_NODES = [
         ("x+2y=13z", 70, 2083),
         ("x+2y=13z", 95, 4822),  # 9 034 313 without the degree packing
         ("x+y=3z", 50, 8979),  # the packing settles no prefix past m = 5
-        ("2x+2y=5z", 60, 16609),
-        ("x+3y=9z", 60, 27018),
-        ("x+2y=4z", 80, 8068),
-        ("2x=z", 200, 200),  # every root the seed misses is settled by the degree packing
+        ("2x+2y=5z", 60, 16608),
+        ("x+3y=9z", 60, 27014),
+        ("x+2y=4z", 80, 80),  # 8 068 without the pair test
+        ("x+2y=4z", 300, 300),  # every prefix settled at its root
+        ("2x+y=4z", 300, 300),
+        ("2x=z", 200, 200),  # every root the seed misses is settled by P, exact with b = 0
         ("x+2y=5z", 31, 4460),  # 4913 without the leaf stop
-        ("x+y=4z", 54, 70122),  # 72 422 without the leaf stop
+        ("x+y=4z", 54, 69738),  # 70 122 without the pair test, 72 422 without the leaf stop
     ]
 
     @pytest.mark.parametrize("text,n,nodes", PINNED_NODES, ids=[f"{t}@{n}" for t, n, _ in PINNED_NODES])
@@ -264,9 +274,8 @@ class TestMaxAvoiding:
 
     def test_two_variable_prefixes_cost_one_node(self, monkeypatch):
         # every prefix of ax = cz is settled at its root: wit[m - 1] plus m
-        # avoids the equation, or the degree packing, tried at the root (a
-        # two-variable equation has fewer cliques than elements), gives
-        # m - k <= r(m - 1); the cap makes a lost certificate fail fast
+        # avoids the equation, or P, exact when every clique is a pair, gives
+        # r(m) <= r(m - 1); the cap makes a lost certificate fail fast
         for a in range(1, 10):
             for c in range(1, 10):
                 if a != c and gcd(a, c) == 1:
@@ -446,13 +455,13 @@ class TestEngine:
         while not (res := max_avoiding(eq, 30, node_cap=120, canonical=False)).optimal:
             hits += 1
             assert engine.grown <= len(engine.r)  # at most one prefix past the solved one
-            # each clique adds one force_down trigger: none was taken in twice
-            assert sum(map(len, engine.force_down)) == len(oracle_cliques(eq, engine.grown))
+            # each clique adds one descending trigger: none was taken in twice
+            assert trigger_count(engine) == len(oracle_cliques(eq, engine.grown))
         assert hits > 1
         assert (res.size, res.witness) == (want.size, want.witness)
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
         assert clique_tables(engine) == clique_tables(cold)
-        assert sum(map(len, engine.force_down)) == len(oracle_cliques(eq, 30))
+        assert trigger_count(engine) == len(oracle_cliques(eq, 30))
 
     def test_time_budget_covers_the_canonical_pass(self, monkeypatch):
         eq = EQS["family2"]
@@ -570,6 +579,125 @@ class TestEngine:
         # lex-least: the first of all maximum sets in lexicographic order
         assert res.size == fam.size and res.witness == fam.sets[0]
         assert res.witness.members == lex_least_two_var(eq, 60)
+
+
+class TestPairTest:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pair_alpha_matches_the_oracle(self, data):
+        # P(m) at every prefix from an engine asked each time, and at some
+        # prefixes from one that joins several elements per call; both equal
+        # the subset scan over the pair graph and bound r(m) from above
+        eq = draw_equation(data, 9)  # b = 0 included
+        if eq is None:
+            return
+        n = data.draw(st.integers(1, 16))
+        asked = data.draw(st.sets(st.integers(1, n))) | {n}
+        every, some = search._integer_engine(eq), search._integer_engine(eq)
+        state = search._RunState()
+        for m in range(1, n + 1):
+            every.grow()
+            some.grow()
+            p = every.pair_alpha(state)
+            assert p == brute_pair_alpha(eq, m), (str(eq), m)
+            assert p >= exhaustive_max(eq, m)[0], (str(eq), m)
+            if m in asked:
+                assert some.pair_alpha(state) == p, (str(eq), m)
+        assert every.known == sum(every.alpha.values()) and not every.dirty
+
+    @pytest.mark.parametrize("text", ["x+2y=4z", "2x+2y=5z", "x+2y=13z", "x+y=3z", "2x=z", "3x=2z"])
+    def test_pair_alpha_in_each_regime(self, text):
+        eq = parse_equation(text)
+        engine = search._integer_engine(eq)
+        for m in range(1, 15):
+            engine.grow()
+            assert engine.pair_alpha(search._RunState()) == brute_pair_alpha(eq, m), m
+
+    def test_pair_test_runs_on_integer_engines_only(self, monkeypatch):
+        # the congruence engines of rho_m and rho_best never ask for P
+        monkeypatch.setattr(search._Core, "pair_alpha", lambda *args: pytest.fail("pair test ran"))
+        rho_best(EQS["square"], 24)
+        rho_m(EQS["family2"], 20)
+        assert search._engine_for(EQS["square"]).pair_test
+
+    def test_gate_skips_the_test_while_the_last_p_is_above_prev(self, monkeypatch):
+        # P never falls, so once it is above r(m - 1) no work is done until
+        # r(m - 1) reaches it; every call the gate lets through is recorded
+        eq = parse_equation("x+y=3z")
+        engine = fresh_engine(monkeypatch, eq)
+        asked = []
+        pair_alpha = search._Core.pair_alpha
+
+        def recorded(self, state):
+            asked.append((len(self.r), self.r[-1], self.pair_bound))
+            return pair_alpha(self, state)
+
+        monkeypatch.setattr(search._Core, "pair_alpha", recorded)
+        max_avoiding(eq, 50, canonical=False)
+        assert asked and all(bound <= prev for _, prev, bound in asked)
+        assert len(asked) < sum(engine.r[m] == engine.r[m - 1] for m in range(1, 51))
+
+    def test_settled_prefix_costs_one_node(self, monkeypatch):
+        # x+2y=4z: P(m) = r(m) at every m <= 300, so every stall is settled
+        # at its root with the witness of m - 1
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        for m in range(1, 121):
+            assert max_avoiding(eq, m, canonical=False).nodes == 1, m
+            if engine.r[m] == engine.r[m - 1]:
+                assert engine.wit[m] == engine.wit[m - 1]
+        assert engine.pair_bound <= engine.pair_alpha(search._RunState()) == engine.r[120]
+
+    def test_spent_deadline_stops_the_pair_test(self, monkeypatch):
+        # the independence-number search reads the clock on its first step;
+        # the components it has not solved stay dirty for the next call
+        eq = EQS["square"]
+        engine = search._integer_engine(eq)
+        for _ in range(200):
+            engine.grow()
+        late = search._RunState(time_cap=-1)
+        with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 200$"):
+            engine.pair_alpha(late)
+        assert late.steps == 1 and engine.dirty and engine.pair_bound == 0
+        assert engine.pair_alpha(search._RunState()) == 115 == engine.known
+        assert engine.known == sum(engine.alpha.values()) and not engine.dirty
+
+    def test_time_budget_bounds_a_large_solve(self, monkeypatch):
+        # the pair test settles every prefix of x+2y=4z at its root, so the
+        # deadline is met between prefixes, in the DFS and in the pair test
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        t0 = time.monotonic()
+        res = max_avoiding(eq, 20_000, time_cap=0.3)
+        assert time.monotonic() - t0 < 1.5
+        assert not res.optimal and avoids(eq, res.witness).ok
+        assert engine.grown <= len(engine.r) < 20_000
+
+    @pytest.mark.parametrize("fail_at", [1, 7, 40])
+    def test_exception_in_the_pair_test_leaves_the_cache_consistent(self, monkeypatch, fail_at):
+        # an exception between two component solves leaves the rest dirty;
+        # the next call solves them, and the tables equal a cold engine's
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        mis, calls = search._Core._mis, []
+
+        def failing(self, comp, state):
+            calls.append(comp)
+            if len(calls) == fail_at:
+                raise RuntimeError("injected")
+            return mis(self, comp, state)
+
+        monkeypatch.setattr(search._Core, "_mis", failing)
+        with pytest.raises(RuntimeError):
+            max_avoiding(eq, 80, canonical=False)
+        monkeypatch.setattr(search._Core, "_mis", mis)
+        assert engine.dirty
+        again = max_avoiding(eq, 80, canonical=False)
+        cold = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 80, canonical=False)
+        assert (engine.r, engine.wit) == (cold.r, cold.wit) and again.witness == want.witness
+        assert engine.pair_alpha(search._RunState()) == cold.pair_alpha(search._RunState())
+        assert (engine.members, engine.alpha, engine.known) == (cold.members, cold.alpha, cold.known)
 
 
 class TestAllExtremal:
