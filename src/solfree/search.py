@@ -59,9 +59,13 @@ that an exception unwinds or a caller stops leaves nothing to repair.
 The same engine runs three instance kinds: solution triples of ax+by=cz,
 pair constraints of a degenerate two-variable equation, and congruence
 triples modulo m (used for the modular densities).  ``rho_best`` asks each
-modulus only whether it beats the best density so far.  A prime modulus
-that divides no coefficient holds at most (m + 1) // 3 residues by
-Cauchy-Davenport, so it is skipped before any set-up when that is too few.
+modulus only whether it beats the best density so far.  With g_u the gcd
+of u and m, Kneser's theorem caps an avoiding residue set at
+(m + 1) * g_a*g_b*g_c / (g_b*g_c + g_a*g_c + g_a*g_b) residues (b >= 1),
+unless its aS + bS has a nontrivial period, and then it lifts from a
+proper divisor of m, whose density is at most the best by the time m
+comes up.  So a modulus whose cap is too low is skipped before any
+set-up; with b = 0 the cap m * g_a*g_c / (g_a + g_c) holds on its own.
 Otherwise the sweep can stop early: a second greedy packing, one clique
 per smallest member in descending order, packs every suffix (k, m] at
 once, and r(m) <= r(k) + (m - k) - rest[k] at each solved prefix k, with
@@ -778,16 +782,23 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
 
 
 def _residue_cap(eq: ThreeVarEquation, m: int) -> int:
-    """An upper bound on r(m) modulo m: (m + 1) // 3 when m is a prime that
-    divides none of a, b, c and b >= 1, m otherwise.
+    """The Kneser cap on the residues modulo m, with g_u = gcd(u, m):
+    floor((m + 1) * g_a*g_b*g_c / (g_b*g_c + g_a*g_c + g_a*g_b)) for b >= 1,
+    and floor(m * g_a*g_c / (g_a + g_c)) for b = 0.
 
-    For such m, a residue set S gives |aS| = |bS| = |cS| = |S|, and
-    Cauchy-Davenport gives |aS + bS| >= min(m, 2|S| - 1).  cS must miss
-    aS + bS, so |S| + 2|S| - 1 <= m."""
-    prime = m > 1 and all(m % p for p in range(2, math.isqrt(m) + 1))
-    if prime and eq.b and all(v % m for v in (eq.a, eq.b, eq.c)):
-        return (m + 1) // 3
-    return m
+    A residue set S avoids the congruence iff cS misses aS + bS, and
+    |uS| >= |S| / g_u.  With b = 0 that gives |S| / g_a + |S| / g_c <= m,
+    so the cap bounds r(m) on its own.  With b >= 1, let H be the
+    stabiliser of aS + bS.  If H is trivial, Kneser's theorem gives
+    |aS + bS| >= |aS| + |bS| - 1, and so |S| is at most the cap.  If not,
+    S + H avoids the congruence too and its image modulo d = m / |H|
+    avoids it there, so |S| <= (m / d) * r(d) for a proper divisor d of m.
+    So r(m) <= max(cap, (m / d) * r(d) over the divisors d < m), and the
+    cap alone bounds r(m) only when no divisor term is above it."""
+    ga, gb, gc = math.gcd(eq.a, m), math.gcd(eq.b, m), math.gcd(eq.c, m)
+    if not eq.b:
+        return m * ga * gc // (ga + gc)
+    return (m + 1) * ga * gb * gc // (gb * gc + ga * gc + ga * gb)
 
 
 def _density(eq: ThreeVarEquation, engine: _Core, state: _RunState) -> ModularDensity:
@@ -823,8 +834,10 @@ def rho_best(
     """Best modular density over moduli m <= m_max (a lower bound for rho);
     the first modulus wins a tie.  Each modulus is solved only as far as it
     can still beat the best density so far, that is reach
-    floor(rho * m) + 1 residues; a prime modulus that Cauchy-Davenport
-    already rules out (see ``_residue_cap``) gets no set-up at all.  Only
+    floor(rho * m) + 1 residues.  A modulus whose Kneser cap (see
+    ``_residue_cap``) is below that need gets no set-up at all: each
+    modulus d < m was solved or ruled out before it, so r(d) / d <= rho,
+    and the divisor term of the cap's bound is below the need too.  Only
     the modulus returned gets a witness, its lex-least residue set.  Both
     budgets cover the whole call."""
     if m_max < 1:

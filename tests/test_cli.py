@@ -261,8 +261,8 @@ class TestRhoAndConjecture:
         assert "pass exactly one of --m / --m-max" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_rho_best_budget_exit_3(self):
-        # each modulus's share of the call fits in 200 nodes, all twenty together do not
-        proc = run_process("rho", "--eq", "x+y=3z", "--m-max", "20", "--node-budget", "200")
+        # each modulus's share of the call fits in 200 nodes, all ten it solves together do not
+        proc = run_process("rho", "--eq", "x+y=4z", "--m-max", "20", "--node-budget", "200")
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 

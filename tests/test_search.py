@@ -774,7 +774,7 @@ class TestModularDensity:
         assert rho_best(EQS["square"], 8).rho >= Fraction(1, 2)
 
     def test_rho_best_budget_covers_the_whole_call(self, monkeypatch):
-        eq = parse_equation("x+y=3z")
+        eq = parse_equation("x+y=4z")
         shares = []
         congruence_engine = search._congruence_engine
 
@@ -786,9 +786,9 @@ class TestModularDensity:
 
         monkeypatch.setattr(search, "_congruence_engine", counted)
         rho_best(eq, 20)
-        # each modulus's share of the call fits in 200 nodes, all fourteen
-        # together (215) do not; primes 5, 7, 11, 13, 17 and 19 get no set-up
-        assert len(shares) == 14 and max(shares) <= 200 < sum(shares)
+        # each modulus's share of the call fits in 200 nodes, all ten
+        # together (229) do not; the Kneser cap rules out the other ten moduli
+        assert len(shares) == 10 and max(shares) <= 200 < sum(shares)
         monkeypatch.setattr(search, "_congruence_engine", congruence_engine)
         with pytest.raises(BudgetExceeded):
             rho_best(eq, 20, node_cap=200)
@@ -803,11 +803,15 @@ class TestModularDensity:
         assert rho_best(eq, 24) == want
 
     def test_rho_best_stops_moduli_that_cannot_win(self, monkeypatch):
+        # 820 = 1 + 2 + ... + 40 advance calls with every modulus solved in full
         calls = []
         advance = search._Core.advance
         monkeypatch.setattr(search._Core, "advance", lambda *args: calls.append(1) or advance(*args))
         assert rho_best(parse_equation("x+y=3z"), 40).rho == Fraction(1, 2)
-        assert len(calls) == 425  # 820 = 1 + 2 + ... + 40 with every modulus solved in full
+        assert len(calls) == 3  # the Kneser cap rules out every m > 2
+        calls.clear()
+        assert rho_best(parse_equation("x+y=4z"), 40).rho == Fraction(2, 5)
+        assert len(calls) == 233
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -856,23 +860,34 @@ class TestModularDensity:
         for k in range(1, m + 1):
             assert search._congruence_cliques_at(eq, m, k, tables) == sorted(cl for cl in real if cl[-1] == k)
 
-    def test_prime_moduli_obey_cauchy_davenport(self):
-        # r(p) <= (p + 1) // 3 for a prime p dividing none of a, b, c with
-        # b >= 1; rho_best skips such a modulus when that is below its need.
-        # The bound is checked through the cap rho_best uses: it fails when
-        # p divides a coefficient (x+y=7z has r(7) = 3) or b = 0.
-        cut = 0
-        for a in range(1, 4):
-            for b in range(4):
-                for c in range(1, 10):
-                    if gcd(gcd(a, b), c) != 1 or a + b == c:
-                        continue
-                    eq = ThreeVarEquation(a, b, c)
-                    for p in (2, 3, 5, 7, 11, 13):
-                        cap = search._residue_cap(eq, p)
-                        assert rho_m(eq, p).rho * p <= cap
-                        cut += cap == (p + 1) // 3
-        assert cut == 290  # every b >= 1 and prime p dividing none of a, b, c
+    def test_moduli_obey_the_kneser_cap(self):
+        # b >= 1: r(m) <= max(cap, (m / d) * r(d) over the divisors d < m),
+        # as a set with a nontrivial period lifts from m / |period|; b = 0:
+        # r(m) <= cap.  rho_best skips m when the cap is below its need, as
+        # every divisor's density is at most the best by then.
+        tight = 0
+        for a, b, c, m_max in ([(a, b, c, 24) for a in range(1, 5) for b in range(1, 5) for c in range(1, 10)]
+                               + [(a, 0, c, 30) for a in range(1, 8) for c in range(1, 10)]):
+            if gcd(gcd(a, b), c) != 1 or a + b == c:
+                continue
+            eq = ThreeVarEquation(a, b, c)
+            r = [0] * (m_max + 1)
+            for m in range(1, m_max + 1):
+                r[m] = rho_m(eq, m).rho * m
+                lifted = [m // d * r[d] for d in range(1, m) if m % d == 0] if b else []
+                bound = max([search._residue_cap(eq, m)] + lifted)
+                assert r[m] <= bound, (str(eq), m)
+                tight += r[m] == bound
+        assert tight == 1221 + 644  # b >= 1 over 2736 (equation, m) pairs, b = 0 over 1290
+
+    @pytest.mark.parametrize("text,m,r,cap", [
+        ("x+y=7z", 7, 3, 3),  # gcd(7, 7) in the cap; without it the cap is 2
+        ("3x=2z", 27, 20, 20),
+        ("x+y=4z", 25, 10, 8),  # the set lifted from m = 5 beats the cap
+    ])
+    def test_kneser_cap_cases(self, text, m, r, cap):
+        eq = parse_equation(text)
+        assert rho_m(eq, m).rho * m == r and search._residue_cap(eq, m) == cap
 
     def test_rho_best_builds_one_witness(self, monkeypatch):
         eq = EQS["square"]
