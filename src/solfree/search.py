@@ -14,44 +14,65 @@ m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One engine
 per equation lives for the whole process, so a later call resumes from the
 prefixes already solved.
 
+Element m comes in as records, not clique tuples: whether {m} is a clique
+(a banned residue), the mask of its pair partners, and a map from each
+middle member v of a triple {u, v, m} to the mask of its smallest members
+u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
+tuples.  An integer engine takes in only the pairs, O(1) per element, until
+a prefix first needs a search (the DFS or the degree packing) or a lex-least
+pass runs; then it takes in every triple up to there, in arrival order, and
+from then on each element's triples with it.  The switch is one-way.  While
+an engine holds no triples its cheap yes (below) reads four shift masks of
+wit[m - 1], as ``_greedy_mask`` does, instead of the records.  x+2y=4z never
+needs its triples.
+
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
 bits as the other members come in: a pair forces its partner by one mask
-per element, and a triple forces its third member by one bit test.  So
-deciding whether e may be included is one bit test, and the count of
-forced elements is also a bound (a forced element is dead).  Singleton
-cliques, which ban a residue in the congruence instances, form the forced
-mask at the root.
+per element, and the triples of a middle member v and a top w force the
+mask of their smallest members by one bit test.  So deciding whether e may
+be included is one bit test, and the count of forced elements is also a
+bound (a forced element is dead).  Singleton cliques, which ban a residue
+in the congruence instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-Three tests can answer at the root, where the prefix costs one node:
+Four tests, in this order, can answer at the root, where the prefix costs
+one node:
   * the cheap yes: wit[m - 1] plus m avoids the equation, that is no clique
     whose largest member is m has its other members in wit[m - 1];
+  * the warm packing: k pairwise disjoint cliques in [1, m] each need one
+    member left out, so r(m) <= m - k, and m - k <= r(m - 1) makes m a stall
+    (r(m) = r(m - 1)), whose witness is wit[m - 1].  The engine keeps one
+    such packing for ever (a clique inside [1, m'] stays inside [1, m]):
+    each element adds the first of its cliques, in arrival order, that
+    misses the packing's members, and a larger degree packing (below)
+    replaces it;
   * P, the cheap no of the integer engines: the cliques of two members
     (solutions with two equal variables) form the pair graph, whose
     components are small and multiplicative, and r(m) <= P(m), the sum of
-    the components' exact independence numbers.  P(m) <= r(m - 1) makes m
-    a stall (r(m) = r(m - 1)).  A component is solved again only after a
-    merge has touched it, and as P never falls, the test does no work while
-    the last P computed is above r(m - 1).  It settles every stall of
-    x+2y=4z up to m = 2000, and with b = 0, where every clique is a pair,
-    P(m) is r(m) itself;
-  * the degree packing: k pairwise disjoint cliques in [1, m] each need one
-    member left out, so r(m) <= m - k, and m - k <= r(m - 1) settles the
-    prefix.  The packing is one greedy pass over every clique in [1, m] in
-    ascending order of its members' occurrence counts.  It costs a sort of
-    all cliques, so it is built at most once per prefix, and only once the
-    m steps of growing to m and the search's nodes make one per clique: at
-    the root when there are no more cliques than elements.  It settles most
-    stall prefixes in the paper's Family I regime, where m - r(m) disjoint
-    solutions exist.
+    the components' exact independence numbers, so P(m) <= r(m - 1) makes
+    m a stall.  A component is solved again only after a merge has touched
+    it, and as P never falls, the test does no work while the last P
+    computed is above r(m - 1).  With the warm packing it settles every
+    stall of x+2y=4z up to m = 20 000, and with b = 0, where every clique is
+    a pair, P(m) is r(m) itself;
+  * the degree packing: one greedy pass over every clique in [1, m] in
+    ascending order of its members' occurrence counts, tried against
+    m - k <= r(m - 1) as the warm packing is.  It costs a sort of all
+    cliques, so it is built at most once per prefix, and only once the m
+    steps of growing to m and the search's nodes make one per clique: at
+    the root when there are no more cliques than elements.  The two
+    packings settle most stall prefixes in the paper's Family I regime,
+    where m - r(m) disjoint solutions exist.
 Otherwise the DFS looks for such a set and ends at its first leaf.
 
 The lex-least pass decides elements in ascending order, include first, so
 its first leaf of size r(m) is the lexicographically least maximum set and
-the pass ends there; only ``all_extremal`` goes on to later leaves.  Both
+the pass ends there; only ``all_extremal`` goes on to later leaves.  With no
+bound pruning its path, that leaf is the ascending greedy set, so
+``max_avoiding`` runs no pass when that set has r(n) elements.  Both
 searches (the DFS and the lex-least pass) loop over an explicit stack of
 nodes, so a search n elements deep needs no interpreter frames, and one
 that an exception unwinds or a caller stops leaves nothing to repair.
@@ -82,6 +103,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, takewhile
 
 from .equations import IntSet, ThreeVarEquation, require_avoiding
@@ -95,7 +117,8 @@ class ExtremalResult:
     """Outcome of one exact solve; ``optimal`` is False only when a budget was hit.
 
     ``canonical`` is True iff the witness is certified to be the
-    lexicographically least maximum set: the lex-least pass ran and finished.
+    lexicographically least maximum set: the ascending greedy set has r(n)
+    elements, or the lex-least pass ran and finished.
     """
 
     n: int
@@ -153,35 +176,74 @@ def _progression(coef: int, rhs: int, mod: int, top: int) -> range:
     return range(rhs // g * pow(coef // g, -1, step) % step or step, top + 1, step)
 
 
+def _members(mask: int) -> list[int]:
+    """The e with bit e - 1 of ``mask`` set, ascending, read from one binary string."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1], 1) if bit == "1"]
+
+
+def _records(k: int, others) -> tuple[bool, int, dict[int, int]]:
+    """The records of the cliques whose largest member is k, from the other
+    two values (p, q), both in [1, k], of each solution whose largest value
+    is k: whether {k} is a clique (k is banned), the mask of k's pair
+    partners, and a map from the middle member of each triple to the mask
+    of its smallest members.  A solution found twice sets its bits again."""
+    banned, pairs, triples = False, 0, {}
+    for p, q in others:
+        if p > q:
+            p, q = q, p
+        if p < q < k:
+            triples[q] = triples.get(q, 0) | 1 << (p - 1)
+        elif p < k:
+            pairs |= 1 << (p - 1)
+        else:
+            banned = True
+    return banned, pairs, triples
+
+
+def _cliques_of(k: int, banned: bool, pairs: int, triples: dict[int, int]) -> list[tuple[int, ...]]:
+    """The cliques of one element's records, as ascending tuples in ascending order."""
+    out = [(u, mid, k) for mid, lows in triples.items() for u in _members(lows)]
+    out += [(u, k) for u in _members(pairs)]
+    out.sort()
+    if banned:
+        out.append((k,))
+    return out
+
+
+def _pair_partners(eq: ThreeVarEquation, m: int) -> int:
+    """The mask of m's pair partners: the u < m with {u, m} the members of a
+    solution, which then has two equal variables.  Each such solution reads
+    p*v = q*w with {v, w} = {u, m}: ax = cz with b = 0, and otherwise
+    (a+b)x = cz, ax = (c-b)y and by = (c-a)x.  So u = min(p, q)*m/max(p, q)
+    when that divides, and the cost is O(1)."""
+    a, b, c = eq.a, eq.b, eq.c
+    mask = 0
+    for p, q in ((a, c),) if b == 0 else ((a + b, c), (a, c - b), (b, c - a)):
+        if q > 0 and min(p, q) * m % max(p, q) == 0:
+            mask |= 1 << (min(p, q) * m // max(p, q) - 1)
+    return mask
+
+
+def _integer_records(eq: ThreeVarEquation, m: int) -> tuple[bool, int, dict[int, int]]:
+    """The records (see ``_records``) of the integer cliques whose largest
+    member is m.  m takes each role in turn and the equation fixes the last
+    variable from the free one v, so the cost is O(m).  v steps along the
+    progression that makes that division exact.  With b = 0 every clique is
+    a pair, read from ``_pair_partners``."""
+    a, b, c = eq.a, eq.b, eq.c
+    if b == 0:
+        return False, _pair_partners(eq, m), {}
+    others = [(v, z) for v in _progression(b, -a * m, c, m) if (z := (a * m + b * v) // c) <= m]  # m as x, v as y
+    others += [(v, z) for v in _progression(a, -b * m, c, m) if (z := (a * v + b * m) // c) <= m]  # m as y, v as x
+    others += [(v, y) for v in _progression(a, c * m, b, m) if 1 <= (y := (c * m - a * v) // b) <= m]  # m as z
+    return _records(m, others)
+
+
 def cliques_for(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     """Distinct member sets, of size 2 or 3, of the solutions inside [1, m]
-    whose largest member is m, in ascending order.
-
-    m takes each role in turn and the equation fixes the last variable from
-    the free one v, so the cost is O(m).  v steps along the progression
-    that makes that division exact.  With b = 0, m is x or z.
-    """
-    a, b, c = eq.a, eq.b, eq.c
-    found: set[tuple[int, ...]] = set()
-    if b == 0:
-        if a * m % c == 0 and a * m // c <= m:  # m as x
-            found.add((a * m // c, m))
-        if c * m % a == 0 and c * m // a <= m:  # m as z
-            found.add((c * m // a, m))
-        return sorted(found)
-    for v in _progression(b, -a * m, c, m):  # m as x, v as y
-        z = (a * m + b * v) // c
-        if z <= m:
-            found.add(tuple(sorted({m, v, z})))
-    for v in _progression(a, -b * m, c, m):  # m as y, v as x
-        z = (a * v + b * m) // c
-        if z <= m:
-            found.add(tuple(sorted({v, m, z})))
-    for v in _progression(a, c * m, b, m):  # m as z, v as x
-        y = (c * m - a * v) // b
-        if 1 <= y <= m:
-            found.add(tuple(sorted({v, y, m})))
-    return sorted(found)
+    whose largest member is m, in ascending order, read from the records
+    the engine takes in (``_integer_records``)."""
+    return _cliques_of(m, *_integer_records(eq, m))
 
 
 def _residue_tables(eq: ThreeVarEquation, m: int) -> tuple[list[list[int]], ...]:
@@ -194,36 +256,29 @@ def _residue_tables(eq: ThreeVarEquation, m: int) -> tuple[list[list[int]], ...]
     return tables
 
 
-def _congruence_cliques_at(eq: ThreeVarEquation, m: int, k: int, tables) -> list[tuple[int, ...]]:
-    """Distinct member sets of the solutions modulo m over residues [1, k]
-    whose largest member is k, in ascending order: the congruence version of
-    :func:`cliques_for`, read from ``_residue_tables(eq, m)``.
+def _congruence_records(eq: ThreeVarEquation, m: int, k: int, tables) -> tuple[bool, int, dict[int, int]]:
+    """The records (see ``_records``) of the solutions modulo m over residues
+    [1, k] whose largest member is k, read from ``_residue_tables(eq, m)``:
+    the congruence version of ``_integer_records``.
 
-    Unlike the integer case these can be singletons, which simply ban a
-    residue.  k takes each role in turn and the table of the last variable
-    gives its values from the free one v, so the cost is O(g*k) with g the
-    gcd of that variable's coefficient and m.  With a == b the roles of x
-    and y give the same sets and only x is taken; with b = 0, k is x or z.
+    Unlike the integer case a clique can be the singleton {k}, which bans
+    k.  k takes each role in turn and the table of the last variable gives
+    its values from the free one v, so the cost is O(g*k) with g the gcd of
+    that variable's coefficient and m.  With a == b the roles of x and y
+    give the same sets and only x is taken; with b = 0, k is x or z.
     """
     a, b, c = eq.a, eq.b, eq.c
     xs, ys, zs = tables
-    found: set[tuple[int, ...]] = set()
     if not b:
-        found.update(tuple(sorted({k, z})) for z in zs[a * k % m] if z <= k)  # k as x
-        found.update(tuple(sorted({x, k})) for x in xs[c * k % m] if x <= k)  # k as z
-        return sorted(found)
-    for v in range(1, k + 1):
-        for z in zs[(a * k + b * v) % m]:  # k as x, v as y
-            if z <= k:
-                found.add(tuple(sorted({k, v, z})))
-        if a != b:
-            for z in zs[(a * v + b * k) % m]:  # k as y, v as x
-                if z <= k:
-                    found.add(tuple(sorted({v, k, z})))
-        for y in ys[(c * k - a * v) % m]:  # k as z, v as x
-            if y <= k:
-                found.add(tuple(sorted({v, y, k})))
-    return sorted(found)
+        others = [(z, k) for z in zs[a * k % m] if z <= k]  # k as x
+        others += [(x, k) for x in xs[c * k % m] if x <= k]  # k as z
+        return _records(k, others)
+    vs = range(1, k + 1)
+    others = [(v, z) for v in vs for z in zs[(a * k + b * v) % m] if z <= k]  # k as x, v as y
+    if a != b:
+        others += [(v, z) for v in vs for z in zs[(a * v + b * k) % m] if z <= k]  # k as y, v as x
+    others += [(v, y) for v in vs for y in ys[(c * k - a * v) % m] if y <= k]  # k as z, v as x
+    return _records(k, others)
 
 
 def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
@@ -232,7 +287,7 @@ def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     cliques whose largest member is k.  The cost is O(g*m^2) with g the
     largest gcd of m and a coefficient, or O(g*m) with b = 0."""
     tables = _residue_tables(eq, m)
-    return sorted(cl for k in range(1, m + 1) for cl in _congruence_cliques_at(eq, m, k, tables))
+    return sorted(cl for k in range(1, m + 1) for cl in _cliques_of(k, *_congruence_records(eq, m, k, tables)))
 
 
 def _greedy_disjoint(cliques) -> list[tuple[int, ...]]:
@@ -300,48 +355,63 @@ def _suffix_packing(eq: ThreeVarEquation, m: int, tables) -> list[tuple[int, ...
 class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
-    ``source(m)`` gives the cliques whose largest member is m, ascending.
-    Only :meth:`grow` writes the trigger tables and the clique lists; a
-    search keeps its state on its own stack, and the degree packing, the
-    pair test and the lex-least pass only read them.  With ``pair_test``
-    the engine settles a prefix by the pair graph's independence number
-    (see :meth:`pair_alpha`); the congruence engines run without it.
+    ``source(m)`` gives the records of the cliques whose largest member is
+    m (see ``_records``).  Only :meth:`grow` and :meth:`need_triples` write
+    the trigger tables; a search keeps its state on its own stack, and the
+    root tests and the lex-least pass only read them.  With ``eq`` the
+    engine is an integer engine over eq: it settles a prefix by the pair
+    graph's independence number (see :meth:`pair_alpha`), and while the
+    masks of ``_Kept`` stay narrow it takes in only pairs until a search
+    first needs the triples.  The congruence engines run without either.
     """
 
     where = ""  # what a budget-hit message names before the prefix
 
-    def __init__(self, source, pair_test: bool = False):
+    def __init__(self, source, eq: ThreeVarEquation | None = None):
         self.source = source
+        self.eq = eq
         self.grown = 0  # elements taken in; may run one past the solved prefix
+        self.tripled = 0  # elements whose triples are taken in
         # forced-exclusion triggers: once every member of a clique except the
         # smallest (resp. largest) is included, that last member is dead.  The
         # DFS (resp. lex-least pass) decides elements in descending (resp.
         # ascending) order, so these set the bit of every element that would
         # complete a clique: its forced mask is the legality test.  A pair
         # {u, v} fires as soon as its other member is included, so pair_down[v]
-        # (resp. pair_up[u]) is the mask of the partners it forces.  A triple
-        # u < v < w fires at v when its third member is in: force_down[v] holds
-        # (bit of w, bit of u) and force_up[v] (bit of u, bit of w).  Both
-        # pair masks together are the adjacency of the pair graph.
+        # (resp. pair_up[u]) is the mask of the partners it forces.  The
+        # triples u < v < w of one v and w fire at v: force_down[v] holds
+        # (bit of w, mask of their u) and force_up[v] (mask of their u, bit of
+        # w).  Both pair masks together are the adjacency of the pair graph.
         self.pair_down: list[int] = [0]
         self.pair_up: list[int] = [0]
         self.force_down: list[list[tuple[int, int]]] = [[]]
         self.force_up: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
-        # every clique taken in, in arrival order: the degree packing sorts
-        # them when a prefix is not settled at its root (see ``advance``)
+        # the records of the element whose triples came in last: it extends
+        # an avoiding set W of smaller elements iff it is not banned, no pair
+        # partner is in W, and no middle member in W has a smallest member in W
+        self.partners: tuple[bool, int, dict[int, int]] = (False, 0, {})
+        self.clique_count = 0  # cliques whose triples are taken in, pairs and singletons included
+        # every such clique in arrival order, by largest member and then
+        # tuple, with its members' occurrence counts: the degree packing
+        # fills them from the records in pending when it runs (see ``advance``)
         self.cliques: list[tuple[int, ...]] = []
-        # the other members of each clique whose largest member is the element
-        # taken in last, as masks (0 for a singleton): that element extends an
-        # avoiding set of smaller elements iff none of them lies inside it
-        self.partners: list[int] = []
+        self.count: list[int] = [0]
+        self.pending: list[tuple] = []
+        # the warm packing: pairwise disjoint cliques inside [1, grown], and
+        # the mask of their members
+        self.packing: list[tuple[int, ...]] = []
+        self.packed = 0
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
+        # while only pairs are taken in, the cheap yes reads wit[m - 1] as the
+        # masks of a _Kept over [1, kept.n]; None once the triples are in
+        self.kept = _Kept(eq, 0) if eq is not None and _narrow(eq) else None
         # the pair graph's components over [1, joined], kept by pair_alpha:
         # comp[v] is the root of v's component, members[root] its mask and
         # alpha[root] its independence number, absent while a merge has left
         # it to recompute (the roots in dirty); known sums the alpha values
-        self.pair_test = pair_test
+        self.pair_test = eq is not None
         self.joined = 0
         self.comp: list[int] = [0]
         self.members: dict[int, int] = {}
@@ -351,30 +421,72 @@ class _Core:
         self.pair_bound = 0  # the last P computed: a lower bound on every later P
 
     def grow(self) -> None:
-        """Take in the next element m and the cliques whose largest member is m."""
+        """Take in the next element m: its pairs, and its triples too once the
+        engine takes them in and has those of every earlier element.  The
+        warm packing gains the first clique of m, in arrival order, that
+        misses it; every clique whose largest member is m holds m, so at
+        most one can be added."""
         m = self.grown + 1
+        top = 1 << (m - 1)
+        eager = self.kept is None and self.tripled == self.grown
+        banned, pairs, triples = self.source(m) if eager else (False, _pair_partners(self.eq, m), {})
         self.force_down.append([])
         self.force_up.append([])
         self.pair_up.append(0)
-        pairs = 0
-        partners = self.partners = []
-        top = 1 << (m - 1)
-        for cl in self.source(m):
-            self.cliques.append(cl)
-            low = 1 << (cl[0] - 1)
-            if len(cl) == 1:
-                self.banned |= low
-                partners.append(0)
-            elif len(cl) == 2:
-                pairs |= low
-                self.pair_up[cl[0]] |= top
-                partners.append(low)
-            else:
-                self.force_down[cl[1]].append((top, low))
-                self.force_up[cl[1]].append((low, top))
-                partners.append(low | 1 << (cl[1] - 1))
         self.pair_down.append(pairs)
+        rest = pairs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            self.pair_up[bit.bit_length()] |= top
+        if eager:
+            self._take_triples(m, banned, pairs, triples)
+        # the first clique is the least (u, second member) over the free
+        # pairs (u, m) and the free triples (u, mid, m), and {m} after them
+        free = ~self.packed
+        rest = pairs & free
+        first = ((rest & -rest).bit_length(), m) if rest else None
+        for mid, lows in triples.items():
+            lows &= free
+            if lows and free >> (mid - 1) & 1:
+                low = ((lows & -lows).bit_length(), mid)
+                if first is None or low < first:
+                    first = low
+        if first:
+            u, v = first
+            self.packing.append((u, m) if v == m else (u, v, m))
+            self.packed |= top | 1 << (u - 1) | 1 << (v - 1)
+        elif banned:
+            self.packing.append((m,))
+            self.packed |= top
         self.grown = m
+
+    def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
+        """Take in element k's triples, from its records, after those of
+        every element below k; its pairs are in already."""
+        top = 1 << (k - 1)
+        for mid, lows in triples.items():
+            self.force_down[mid].append((top, lows))
+            self.force_up[mid].append((lows, top))
+        if banned:
+            self.banned |= top
+        self.partners = (banned, pairs, triples)
+        if banned or pairs or triples:
+            self.clique_count += banned + pairs.bit_count() + sum(map(int.bit_count, triples.values()))
+            self.pending.append((k, banned, pairs, triples))
+        self.tripled = k
+
+    def need_triples(self, state: _RunState) -> None:
+        """Take in the triples of every element up to ``grown`` not yet taken
+        in, in arrival order, reading the clock before each element.  From
+        then on ``grow`` takes each element's triples in with its pairs, and
+        the cheap yes reads ``partners``: the switch is one-way.  An
+        exception leaves the elements not yet done for the next call."""
+        self.kept = None
+        for k in range(self.tripled + 1, self.grown + 1):
+            if time.monotonic() > state.deadline:
+                raise state.exceeded(f"{self.where}prefix {self.grown}")
+            self._take_triples(k, *self.source(k))
 
     # -- the pair graph ------------------------------------------------------
 
@@ -465,36 +577,62 @@ class _Core:
         return self.known
 
     def degree_packing(self) -> list[tuple[int, ...]]:
-        """Pairwise disjoint cliques from every clique taken in: one greedy
-        pass over them in ascending order of the sum of their members'
-        occurrence counts (arrival order breaks ties), so cliques of rarely
-        used elements, which block few others, come first."""
-        count = [0] * (self.grown + 1)
-        for cl in self.cliques:
-            for v in cl:
-                count[v] += 1
+        """Pairwise disjoint cliques from every clique whose triples are
+        taken in: one greedy pass over them in ascending order of the sum of
+        their members' occurrence counts (arrival order breaks ties), so
+        cliques of rarely used elements, which block few others, come first.
+        The clique list and the counts take in the pending records first.  A
+        packing larger than the warm one replaces it."""
+        count = self.count
+        count += [0] * (self.tripled + 1 - len(count))
+        for record in self.pending:
+            for cl in _cliques_of(*record):
+                self.cliques.append(cl)
+                for v in cl:
+                    count[v] += 1
+        self.pending.clear()
         weight = count.__getitem__
-        return _greedy_disjoint(sorted(self.cliques, key=lambda cl: sum(map(weight, cl))))
+        packing = _greedy_disjoint(sorted(self.cliques, key=lambda cl: sum(map(weight, cl))))
+        if len(packing) > len(self.packing):
+            self.packing = packing
+            self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
+        return packing
 
     # -- exact solve of the next prefix -------------------------------------
 
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
         avoiding set that large, and r(m - 1) otherwise.  The engine must be
-        grown to exactly m, as ``partners``, the pair test and the degree
-        packing read the cliques in [1, m]."""
+        grown to exactly m, as the root tests and the degree packing read
+        the cliques in [1, m]."""
         m = len(self.r)
         prev = self.r[m - 1]
         best = self.wit[m - 1]
-        if all(p & best != p for p in self.partners):  # wit[m - 1] plus m avoids
+        kept = self.kept
+        if kept is None:
+            if self.tripled < self.grown:  # a catch-up that an exception cut short
+                self.need_triples(state)
+            banned, pairs, triples = self.partners
+            extends = not (banned or pairs & best
+                           or any(lows & best and best >> (mid - 1) & 1 for mid, lows in triples.items()))
+        else:
+            if m > kept.n:  # the masks' widths are bounded for [1, kept.n]
+                kept = self.kept = _Kept(self.eq, 2 * m)
+                kept.extend(_members(best))
+            extends = kept.extend((m,))  # m stays in the masks iff wit[m] will be wit[m - 1] plus m
+        if extends:  # the cheap yes: wit[m - 1] plus m avoids
             best |= 1 << (m - 1)
         best_size = best.bit_count()
-        # The root's bound is prev + 1, or prev when the pair graph's
-        # independence number P says so.  Adding an element never lowers P,
-        # so the test is skipped while the last P computed is above prev.
+        # The root's bound is prev + 1, or prev when the warm packing or the
+        # pair graph's independence number P says so.  Adding an element
+        # never lowers P, so P is skipped while the last one computed is
+        # above prev.
         root = prev + 1
-        if best_size == prev and self.pair_test and self.pair_bound <= prev and self.pair_alpha(state) <= prev:
+        if best_size == prev and (m - len(self.packing) <= prev or self.pair_test and self.pair_bound <= prev
+                                  and self.pair_alpha(state) <= prev):
             root = prev
+        if root > best_size and kept is not None:  # the search needs the triples
+            self.need_triples(state)
 
         rt = self.r + [root]  # index m is the root
         pair_down = self.pair_down
@@ -506,11 +644,11 @@ class _Core:
         # leaf, or right after the degree packing when k disjoint cliques give
         # r(m) <= m - k <= prev.  The packing sorts every clique, so a prefix
         # tries it at most once.  Growing the engine to m took m steps, so the
-        # try comes once the search has spent len(cliques) - m nodes, on its
+        # try comes once the search has spent clique_count - m nodes, on its
         # first node when there are no more cliques than elements.  The first
         # node count above ``limit`` is that trigger or the one past the node
         # budget, whichever is first.
-        limit = node_cap if root == best_size else min(node_cap, state.nodes + len(self.cliques) - m)
+        limit = node_cap if root == best_size else min(node_cap, state.nodes + self.clique_count - m)
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -589,6 +727,7 @@ class _Core:
         ends the search there; a generator dropped early leaves nothing to
         repair, as the pass only reads the trigger tables.
         """
+        self.need_triples(state)
         pair_up = self.pair_up
         force_up = self.force_up
         inside = (1 << m) - 1  # the engine may be grown past m: triggers above m never fire
@@ -634,7 +773,7 @@ _SOLVERS: dict[ThreeVarEquation, _Core] = {}
 
 def _integer_engine(eq: ThreeVarEquation) -> _Core:
     """A cold engine over the integer cliques of eq, with the pair test."""
-    return _Core(lambda m: cliques_for(eq, m), pair_test=True)
+    return _Core(partial(_integer_records, eq), eq)
 
 
 def _engine_for(eq: ThreeVarEquation) -> _Core:
@@ -691,10 +830,12 @@ def max_avoiding(
     with ``node_cap=1500`` stops with prefix 45 solved from the third call
     on, because prefix 46 alone takes 1673 nodes).  With ``canonical``
     the witness is re-derived as the lexicographically least maximum set,
-    budget permitting: the lex-least pass ends at its first leaf of size
+    budget permitting.  That is the ascending greedy set, run within
+    ``time_cap``, if it has r(n) elements, as nothing prunes the lex-least
+    pass's path to it.  Otherwise the pass ends at its first leaf of size
     r(n), and it gets the nodes the search left of ``node_cap``, at most
     ``_CANONICAL_NODE_CAP``, and the time left of ``time_cap``.  The
-    result's ``canonical`` says whether it reached that leaf; if not,
+    result's ``canonical`` says whether either reached that set; if not,
     the witness is the search's, and it is still a maximum set.  Either way
     the witness is re-verified by the avoidance checker before it is
     returned, and a set that contains a solution raises
@@ -716,7 +857,13 @@ def max_avoiding(
                 mask = g
     else:
         optimal, mask = True, engine.wit[n]
-        if canonical:
+    if optimal and canonical:
+        # the ascending greedy is the pass's first leaf if no bound prunes
+        # its path, that is if it has r(n) elements
+        greedy = _greedy_mask(eq, n, range(1, n + 1), state.deadline) if _narrow(eq) else 0
+        if greedy.bit_count() == engine.r[n]:
+            mask, lex_least = greedy, True
+        else:
             # the call's budgets cover this pass too, and it gets at most
             # _CANONICAL_NODE_CAP nodes more than the search spent
             state.node_cap = min(state.node_cap, state.nodes + _CANONICAL_NODE_CAP)
@@ -774,7 +921,7 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
         rest[cl[0] - 1] += 1
     for k in range(m - 1, -1, -1):  # rest[k]: packed cliques with smallest member above k
         rest[k] += rest[k + 1]
-    engine = _Core(lambda k: _congruence_cliques_at(eq, m, k, tables))
+    engine = _Core(partial(_congruence_records, eq, m, tables=tables))
     engine.where = f"modulus {m}, "
     if engine.solve_to(m, state, [need - (m - k) + rest[k] for k in range(m + 1)]):
         return engine
@@ -851,24 +998,76 @@ def rho_best(
     return _density(eq, best, state)
 
 
+class _Kept:
+    """An avoiding set K in [1, n], kept as four masks so that whether K plus
+    a new element e avoids the equation is a few shifts and ands.
+
+    The masks hold bits a*v, b*v and c*v and bits b*Y - b*v for v in K, so
+    that each role of e is one shift and one and; as z, with
+    d = b*Y - c*e, a*x + b*y = c*e reads a*x + d = b*Y - b*y.  Each test
+    runs with e already in the masks, which catches solutions that repeat e
+    (such as x = y = e), so testing an element already in K gives the same
+    answer again.  Every solution has c*z = a*x + b*y <= (a+b)*n, so the
+    c-mask keeps only the v up to the largest such z, Z.  Then
+    a*x <= c*Z - b and b*y <= c*Z - a, so the a- and b-masks keep only the v
+    up to the largest such x and up to Y, the largest such y but at most n.
+    No mask is then wider than c*Z <= min(c, a+b)*n bits, so one huge
+    coefficient alone widens none (see ``_narrow``).  With b = 0 the
+    b-masks are bit 0 alone, and the same tests cover a*x = c*z.
+    """
+
+    __slots__ = ("eq", "n", "reach", "xr", "yr", "am", "bm", "cm", "brev")
+
+    def __init__(self, eq: ThreeVarEquation, n: int):
+        a, b, c = eq.a, eq.b, eq.c
+        self.eq, self.n = eq, n
+        self.reach = min(n, (a + b) * n // c)  # the largest z any solution can use
+        # a*x + b*y = c*z <= c*reach bounds the x and the y of every solution
+        self.xr = (c * self.reach - b) // a
+        self.yr = min(n, (c * self.reach - a) // b) if b else n
+        self.am = self.bm = self.cm = self.brev = 0
+
+    def extend(self, order) -> int:
+        """Keep each element of ``order`` in turn iff it completes no solution
+        with K and itself; the mask of the elements kept (bit e - 1 for e)."""
+        a, b, c = self.eq.a, self.eq.b, self.eq.c
+        reach, xr, yr = self.reach, self.xr, self.yr
+        am, bm, cm, brev = self.am, self.bm, self.cm, self.brev
+        kept = 0
+        for e in order:
+            am2 = am | 1 << a * e if e <= xr else am
+            bm2, brev2 = (bm | 1 << b * e, brev | 1 << b * (yr - e)) if e <= yr else (bm, brev)
+            cm2 = cm | 1 << c * e if e <= reach else cm
+            d = b * yr - c * e
+            if (
+                (cm2 >> a * e) & bm2  # e as x: a*e + b*y = c*z
+                or (cm2 >> b * e) & am2  # e as y: a*x + b*e = c*z
+                or ((brev2 >> d) & am2 if d >= 0 else (am2 >> -d) & brev2)  # e as z: a*x + b*y = c*e
+            ):
+                continue
+            am, bm, cm, brev = am2, bm2, cm2, brev2
+            kept |= 1 << (e - 1)
+        self.am, self.bm, self.cm, self.brev = am, bm, cm, brev
+        return kept
+
+
+_MASK_BITS = 1024  # the widest coefficient a _Kept is built for on the engine's own initiative
+
+
+def _narrow(eq: ThreeVarEquation) -> bool:
+    """Whether a ``_Kept`` over [1, n] takes at most ``_MASK_BITS * n`` bits a
+    mask.  The engine's masks and the canonical shortcut need no _Kept, so
+    they build one only then: a huge c together with a huge a + b would
+    make every mask huge."""
+    return min(eq.c, eq.a + eq.b) <= _MASK_BITS
+
+
 def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = None) -> int:
     """Greedy avoiding subset of [1, n] over ``order``, as a mask (bit e - 1 for e).
 
     An element is kept iff it completes no solution with the elements kept so
-    far; in ascending order that is the first leaf of the engine's lex-least
-    pass, but with no clique built.
-    The kept set K is held as four masks: bits a*v, b*v and c*v and bits
-    b*Y - b*v for v in K, so that each role of the new element e is one shift
-    and one and; as z, with d = b*Y - c*e, a*x + b*y = c*e reads
-    a*x + d = b*Y - b*y.  Each test runs with e already in the masks, which
-    catches solutions that repeat e (such as x = y = e).  Every solution has
-    c*z = a*x + b*y <= (a+b)*n, so the c-mask keeps only the v up to the
-    largest such z, Z.  Then a*x <= c*Z - b and b*y <= c*Z - a, so the a-
-    and b-masks keep only the v up to the largest such x and up to Y, the
-    largest such y but at most n.  No mask is then wider than
-    c*Z <= min(c, a+b)*n bits, so one huge coefficient alone widens none.
-    With b = 0 the b-masks are bit 0 alone, and the same tests cover
-    a*x = c*z.
+    far (see ``_Kept``); in ascending order that is the first leaf of the
+    engine's lex-least pass, but with no clique built.
 
     Past ``deadline`` (a ``time.monotonic()`` value) it stops and returns the
     elements kept so far, which avoid the equation too.  The clock is read
@@ -876,28 +1075,9 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
     costs 6-15 us at n = 50 000 (a pass over x+2y=13z takes 0.3 s
     descending, 0.7 s ascending).
     """
-    a, b, c = eq.a, eq.b, eq.c
-    reach = min(n, (a + b) * n // c)  # the largest z any solution can use
-    # a*x + b*y = c*z <= c*reach bounds the x and the y of every solution
-    xr = (c * reach - b) // a
-    yr = min(n, (c * reach - a) // b) if b else n
-    am = bm = cm = brev = kept = 0
     if deadline is not None:
         order = takewhile(lambda _: time.monotonic() <= deadline, order)
-    for e in order:
-        am2 = am | 1 << a * e if e <= xr else am
-        bm2, brev2 = (bm | 1 << b * e, brev | 1 << b * (yr - e)) if e <= yr else (bm, brev)
-        cm2 = cm | 1 << c * e if e <= reach else cm
-        d = b * yr - c * e
-        if (
-            (cm2 >> a * e) & bm2  # e as x: a*e + b*y = c*z
-            or (cm2 >> b * e) & am2  # e as y: a*x + b*e = c*z
-            or ((brev2 >> d) & am2 if d >= 0 else (am2 >> -d) & brev2)  # e as z: a*x + b*y = c*e
-        ):
-            continue
-        am, bm, cm, brev = am2, bm2, cm2, brev2
-        kept |= 1 << (e - 1)
-    return kept
+    return _Kept(eq, n).extend(order)
 
 
 def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0) -> list[IntSet]:

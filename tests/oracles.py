@@ -113,6 +113,24 @@ def _clique_masks_by_max(eq: ThreeVarEquation, n: int) -> list[list[int]]:
     return by_max
 
 
+def brute_clique_free_max(cliques, m: int) -> int:
+    """The most elements of [1, m] that hold none of ``cliques`` (ascending
+    member tuples), by the subset-DP of :func:`avoiding_mask_table`."""
+    by_max: list[list[int]] = [[] for _ in range(m + 1)]
+    for cl in cliques:
+        if cl[-1] <= m:
+            by_max[cl[-1]].append(sum(1 << (v - 1) for v in cl))
+    ok = bytearray(1 << m)
+    ok[0] = 1
+    best = 0
+    for S in range(1, 1 << m):
+        h = S.bit_length()
+        if ok[S & ~(1 << (h - 1))] and all(full & S != full for full in by_max[h]):
+            ok[S] = 1
+            best = max(best, S.bit_count())
+    return best
+
+
 def avoiding_mask_table(eq: ThreeVarEquation, n: int) -> bytearray:
     """ok[S] = 1 iff the subset encoded by bitmask S avoids the equation.
 

@@ -29,6 +29,7 @@ from solfree.search import (
 
 from oracles import (
     brute_avoids,
+    brute_clique_free_max,
     brute_congruence_cliques,
     brute_greedy,
     brute_pair_alpha,
@@ -78,21 +79,32 @@ def draw_congruence_equation(data, shape: str) -> ThreeVarEquation | None:
         return None
 
 
+def grid_equations(a_max: int, b_max: int, c_max: int) -> list[ThreeVarEquation]:
+    """Every valid equation with a <= a_max, 0 <= b <= b_max and c <= c_max."""
+    out = []
+    for a in range(1, a_max + 1):
+        for b in range(b_max + 1):
+            for c in range(1, c_max + 1):
+                try:
+                    out.append(ThreeVarEquation(a, b, c))
+                except InvariantViolation:
+                    pass
+    return out
+
+
 def clique_tables(engine: search._Core) -> tuple:
     return engine.pair_down, engine.pair_up, engine.force_down, engine.force_up
 
 
 def trigger_count(engine: search._Core) -> int:
-    """Descending triggers: one per triple, one bit per pair."""
-    return sum(map(len, engine.force_down)) + sum(mask.bit_count() for mask in engine.pair_down)
+    """Descending triggers: one bit per triple's smallest member, one bit per pair."""
+    return (sum(lows.bit_count() for entries in engine.force_down for _, lows in entries)
+            + sum(mask.bit_count() for mask in engine.pair_down))
 
 
 def congruence_engine(eq: ThreeVarEquation, m: int, top: int | None = None) -> search._Core:
     """An engine over the congruence cliques modulo m, grown to ``top`` (m by default)."""
-    by_max = [[] for _ in range(m + 1)]
-    for cl in congruence_cliques(eq, m):
-        by_max[cl[-1]].append(cl)
-    engine = search._Core(lambda k: by_max[k])
+    engine = search._Core(partial(search._congruence_records, eq, m, tables=search._residue_tables(eq, m)))
     for _ in range(m if top is None else top):
         engine.grow()
     return engine
@@ -211,21 +223,24 @@ class TestMaxAvoiding:
     # cold max_avoiding(canonical=False).nodes with each prefix's search
     # ending at its first leaf, of size r(m - 1) + 1, or once the degree
     # packing finds k disjoint cliques with m - k <= r(m - 1); a prefix
-    # whose pair graph has no independent set above r(m - 1) costs one node.
+    # whose warm packing of k cliques has m - k <= r(m - 1), or whose pair
+    # graph has no independent set above r(m - 1), costs one node.
     # Equal to the sum over a 1..n sweep.
     # The cap makes a weaker bound or a lost certificate fail fast instead of
     # running for long.
     PINNED_NODES = [
-        ("x+2y=13z", 70, 2083),
-        ("x+2y=13z", 95, 4822),  # 9 034 313 without the degree packing
+        ("x+2y=13z", 70, 984),  # 2 083 without the warm packing
+        ("x+2y=13z", 75, 1135),  # 2 581 without the warm packing
+        ("x+2y=13z", 95, 1498),  # 4 822 without the warm packing, 9 034 313 without either packing
         ("x+y=3z", 50, 8979),  # the packing settles no prefix past m = 5
-        ("2x+2y=5z", 60, 16608),
-        ("x+3y=9z", 60, 27014),
+        ("2x+2y=5z", 60, 16484),  # 16 608 without the warm packing
+        ("x+3y=9z", 60, 26675),  # 27 014 without the warm packing
+        ("x+4y=16z", 80, 441),  # 1 497 875 without the warm packing
         ("x+2y=4z", 80, 80),  # 8 068 without the pair test
         ("x+2y=4z", 300, 300),  # every prefix settled at its root
         ("2x+y=4z", 300, 300),
         ("2x=z", 200, 200),  # every root the seed misses is settled by P, exact with b = 0
-        ("x+2y=5z", 31, 4460),  # 4913 without the leaf stop
+        ("x+2y=5z", 31, 4457),  # 4 460 without the warm packing, 4913 without the leaf stop
         ("x+y=4z", 54, 69738),  # 70 122 without the pair test, 72 422 without the leaf stop
     ]
 
@@ -284,30 +299,35 @@ class TestMaxAvoiding:
                     assert max_avoiding(eq, 150, node_cap=600, canonical=False).nodes == 150, str(eq)
 
     def test_node_budget_covers_the_canonical_pass(self, monkeypatch):
-        eq = EQS["square"]
+        eq = parse_equation("x+y=3z")  # its ascending greedy set at 40 is below r(40), so the pass runs
         fresh_engine(monkeypatch, eq)
-        search_nodes = max_avoiding(eq, 60, canonical=False).nodes
+        search_nodes = max_avoiding(eq, 40, canonical=False).nodes
         # warm: the solve costs nothing, so a zero budget stops the pass at once
-        warm = max_avoiding(eq, 60, node_cap=0)
+        warm = max_avoiding(eq, 40, node_cap=0)
         assert warm.optimal and not warm.canonical and warm.nodes == 1
         fresh_engine(monkeypatch, eq)
-        full = max_avoiding(eq, 60)
+        full = max_avoiding(eq, 40)
         assert full.canonical and full.nodes > search_nodes + 5
         fresh_engine(monkeypatch, eq)
         # cold: the pass gets what the search left of the budget, no more
-        cold = max_avoiding(eq, 60, node_cap=search_nodes + 5)
+        cold = max_avoiding(eq, 40, node_cap=search_nodes + 5)
         assert cold.optimal and not cold.canonical and cold.nodes == search_nodes + 6
         assert cold.size == full.size
 
     def test_canonical_pass_ends_at_its_first_leaf(self, monkeypatch):
         # x+2y=4z at 80 has its lex-least maximum set 81 nodes into the pass;
-        # a pass that looked on for a second set would spend the whole budget
+        # a pass that looked on for a second set would spend the whole budget.
+        # That set is the ascending greedy set, so max_avoiding runs no pass.
         eq = EQS["square"]
-        fresh_engine(monkeypatch, eq)
+        engine = fresh_engine(monkeypatch, eq)
         search_nodes = max_avoiding(eq, 80, canonical=False).nodes
+        state = search._RunState(node_cap=81)
+        mask = engine.lex_least(80, state)
+        assert state.nodes == 81 and mask == search._greedy_mask(eq, 80, range(1, 81))
         fresh_engine(monkeypatch, eq)
-        res = max_avoiding(eq, 80, node_cap=search_nodes + 81)
-        assert res.optimal and res.canonical and res.nodes == search_nodes + 81
+        res = max_avoiding(eq, 80, node_cap=search_nodes)
+        assert res.optimal and res.canonical and res.nodes == search_nodes
+        assert res.witness == search._mask_to_set(80, mask)
 
     def test_pass_without_a_leaf_raises(self, monkeypatch):
         # a set of size r(n) exists once r(n) is solved; with r(n) one too
@@ -364,7 +384,7 @@ class TestEngine:
         eq = draw_equation(data, 12)
         if eq is None:
             return
-        engine = search._Core(partial(cliques_for, eq))
+        engine = search._Core(partial(search._integer_records, eq))
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
             engine.grow()
             packing = engine.degree_packing()
@@ -392,7 +412,7 @@ class TestEngine:
         if eq is None:
             return
         top = data.draw(st.integers(1, 60))
-        engine = search._Core(partial(cliques_for, eq))
+        engine = search._Core(partial(search._integer_records, eq))
         for m in range(1, top + 1):
             engine.grow()
             assert search._greedy_mask(eq, m, range(1, m + 1)) == next(engine.enumerate_at(m, 0, search._RunState()))
@@ -436,11 +456,11 @@ class TestEngine:
         assert closed or state.nodes == 1
 
     def test_no_mutable_search_state(self):
-        engine = search._Core(partial(cliques_for, EQS["square"]))
+        engine = search._Core(partial(search._integer_records, EQS["square"]))
         assert not hasattr(engine, "excl") and not hasattr(engine, "by_elem_ids")
 
     def test_enumeration_ignores_banned_elements_past_m(self):
-        engine = search._Core(lambda k: [(k,)] if k == 3 else [])  # 3 is banned
+        engine = search._Core(lambda k: (k == 3, 0, {}))  # 3 is banned
         for _ in range(3):
             engine.grow()
         assert list(engine.enumerate_at(2, 2, search._RunState())) == [0b11]
@@ -700,6 +720,150 @@ class TestPairTest:
         assert (engine.members, engine.alpha, engine.known) == (cold.members, cold.alpha, cold.known)
 
 
+class TestPrefixRoots:
+    """The cheap root work: the warm packing, the records and the pairs-only phase."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_warm_packing_is_disjoint_real_cliques(self, data):
+        # at every prefix m of an integer engine (b = 0 included) or of a
+        # congruence engine, the warm packing is k pairwise disjoint real
+        # cliques inside [1, m], its mask is their union, and m - k bounds
+        # the largest clique-free subset of [1, m] from above
+        eq = draw_equation(data, 9)
+        if eq is None:
+            return
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(1, 14))
+            engine, real = search._integer_engine(eq), oracle_cliques(eq, n)
+        else:
+            q = data.draw(st.integers(1, 12))
+            n = data.draw(st.integers(1, q))
+            engine, real = congruence_engine(eq, q, 0), sorted(brute_congruence_cliques(eq, q))
+        state = search._RunState()
+        for m in range(1, n + 1):
+            engine.grow()
+            engine.advance(state)
+            inside = [cl for cl in real if cl[-1] <= m]
+            assert_disjoint_real_cliques(engine.packing, inside)
+            assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
+            assert m - len(engine.packing) >= brute_clique_free_max(inside, m) == engine.r[m], (str(eq), m)
+
+    def test_pair_partners_are_the_two_member_cliques(self):
+        # the O(1) formula against the solution enumeration, on the 290
+        # equations a <= 6, 0 <= b <= 6, c <= 9, for m < 120
+        for eq in grid_equations(6, 6, 9):
+            want = [0] * 120
+            for cl in oracle_cliques(eq, 119):
+                if len(cl) == 2:
+                    want[cl[1]] |= 1 << (cl[0] - 1)
+            assert [search._pair_partners(eq, m) for m in range(1, 120)] == want[1:], str(eq)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mask_cheap_yes_matches_the_records(self, data):
+        # at every prefix m, the masks of wit[m - 1] say m extends it exactly
+        # when the records of m do, and so does the engine, lazy or not
+        eq = draw_equation(data, 12)  # b = 0 included
+        if eq is None:
+            return
+        engine = search._integer_engine(eq)
+        state = search._RunState()
+        for m in range(1, data.draw(st.integers(1, 60)) + 1):
+            engine.grow()
+            W = engine.wit[m - 1]
+            banned, pairs, triples = search._integer_records(eq, m)
+            closed = banned or pairs & W or any(W >> (mid - 1) & 1 and lows & W for mid, lows in triples.items())
+            kept = search._Kept(eq, m)
+            assert kept.extend(search._members(W)) == W
+            assert bool(kept.extend((m,))) != bool(closed), (str(eq), m)
+            engine.advance(state)
+            assert (engine.wit[m] == W | 1 << (m - 1)) != bool(closed), (str(eq), m)
+
+    def test_square_takes_in_pairs_only(self, monkeypatch):
+        # every prefix of x+2y=4z is settled at its root, and its ascending
+        # greedy set is its lex-least maximum set: r(5000) = |A_2 in [1, 5000]|
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        res = max_avoiding(eq, 5000)
+        assert res.optimal and res.canonical and (res.size, res.nodes) == (2858, 5000)
+        assert engine.tripled == 0 and not any(engine.force_down) and engine.kept is not None
+
+    def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
+        # every prefix's root tests run, the masks taking m in when it extends
+        # wit[m - 1], before its first node spends a zero budget; m is tested
+        # again on the retry with the same answer, so the tables equal a cold
+        # engine's, across the masks' rebuilds at m = 1, 3, 7, 15, 31
+        eq = EQS["square"]
+        engine = search._integer_engine(eq)
+        for _ in range(60):
+            engine.grow()
+            with pytest.raises(BudgetExceeded):
+                engine.advance(search._RunState(node_cap=0))
+            engine.advance(search._RunState())
+        cold = search._integer_engine(eq)
+        cold.solve_to(60, search._RunState())
+        assert engine.kept is not None and engine.kept.n == 62
+        assert (engine.r, engine.wit) == (cold.r, cold.wit)
+
+    @pytest.mark.parametrize("text", ["x+2y=13z", "x+2y=4z"])
+    def test_clique_list_is_in_arrival_order(self, monkeypatch, text):
+        # the degree packing reads the cliques in arrival order, by largest
+        # member and then tuple, whether they came in with their
+        # element (x+2y=13z, eager from m = 5) or in one catch-up (x+2y=4z)
+        eq = parse_equation(text)
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 40, canonical=False)
+        engine.need_triples(search._RunState())
+        engine.degree_packing()
+        want = sorted(oracle_cliques(eq, 40), key=lambda cl: (cl[-1], cl))
+        assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
+        assert engine.count == [sum(v in cl for cl in want) for v in range(41)]
+
+    @pytest.mark.parametrize("fail_at", [1, 25, 40])
+    def test_exception_in_the_catch_up_leaves_the_cache_consistent(self, monkeypatch, fail_at):
+        # x+2y=4z takes in no triple while it solves; all_extremal needs them
+        # all, and an exception cuts the catch-up after fail_at - 1 elements.
+        # The elements left are taken in by the next call that needs them.
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 40, canonical=False)
+        source, calls = engine.source, []
+
+        def failing(k):
+            calls.append(k)
+            if len(calls) == fail_at:
+                raise RuntimeError("injected")
+            return source(k)
+
+        engine.source = failing
+        with pytest.raises(RuntimeError):
+            all_extremal(eq, 40, cap=3)
+        assert engine.tripled == fail_at - 1 and engine.kept is None
+        engine.source = source
+        again = max_avoiding(eq, 50, canonical=False)
+        sets = all_extremal(eq, 50, cap=3)
+        cold = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 50, canonical=False)
+        assert all_extremal(eq, 50, cap=3) == sets and cold.tripled == 50
+        assert (engine.r, engine.wit) == (cold.r, cold.wit) and again.witness == want.witness
+        assert clique_tables(engine) == clique_tables(cold)
+        assert trigger_count(engine) == len(oracle_cliques(eq, 50))
+
+    @pytest.mark.parametrize("n", [7, 19, 33])
+    def test_canonical_shortcut_is_the_pass_witness(self, monkeypatch, n):
+        # on the 86 equations a <= 3, 0 <= b <= 3, c <= 9: where the
+        # ascending greedy set has r(n) elements max_avoiding returns it as
+        # canonical, and the lex-least pass finds that same set
+        shortcuts = 0
+        for eq in grid_equations(3, 3, 9):
+            engine = fresh_engine(monkeypatch, eq)
+            res = max_avoiding(eq, n)
+            assert res.canonical and res.witness == search._mask_to_set(n, engine.lex_least(n, search._RunState()))
+            shortcuts += search._greedy_mask(eq, n, range(1, n + 1)).bit_count() == res.size
+        assert shortcuts == {7: 62, 19: 44, 33: 44}[n]
+
+
 class TestAllExtremal:
     def test_singleton(self):
         fam = all_extremal(EQS["square"], 1)
@@ -858,7 +1022,8 @@ class TestModularDensity:
         real = brute_congruence_cliques(eq, m)
         tables = search._residue_tables(eq, m)
         for k in range(1, m + 1):
-            assert search._congruence_cliques_at(eq, m, k, tables) == sorted(cl for cl in real if cl[-1] == k)
+            records = search._congruence_records(eq, m, k, tables)
+            assert search._cliques_of(k, *records) == sorted(cl for cl in real if cl[-1] == k)
 
     def test_moduli_obey_the_kneser_cap(self):
         # b >= 1: r(m) <= max(cap, (m / d) * r(d) over the divisors d < m),
