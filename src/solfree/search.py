@@ -148,13 +148,12 @@ class AllExtremal:
 
 
 class _RunState:
-    __slots__ = ("nodes", "steps", "node_cap", "deadline")
+    __slots__ = ("nodes", "node_cap", "deadline")
 
     def __init__(self, node_cap: int | None = None, time_cap: float | None = None):
         if time_cap is not None and math.isnan(time_cap):  # no clock reading is ever past a NaN deadline
             raise InvariantViolation(f"time budget must be a number, got {time_cap}")
         self.nodes = 0
-        self.steps = 0  # steps of the pair test's independence-number search
         self.node_cap = sys.maxsize if node_cap is None else node_cap
         self.deadline = math.inf if time_cap is None else time.monotonic() + time_cap
 
@@ -290,18 +289,6 @@ def congruence_cliques(eq: ThreeVarEquation, m: int) -> list[tuple[int, ...]]:
     return sorted(cl for k in range(1, m + 1) for cl in _cliques_of(k, *_congruence_records(eq, m, k, tables)))
 
 
-def _greedy_disjoint(cliques) -> list[tuple[int, ...]]:
-    """The cliques, taken in the order given, that share no member with one
-    taken before them."""
-    packing = []
-    used: set[int] = set()
-    for cl in cliques:
-        if used.isdisjoint(cl):
-            used.update(cl)
-            packing.append(cl)
-    return packing
-
-
 def _suffix_packing(eq: ThreeVarEquation, m: int, tables) -> list[tuple[int, ...]]:
     """Pairwise disjoint congruence cliques modulo m, singletons included,
     built top-down: for s = m, ..., 1, the least clique (in tuple order)
@@ -379,13 +366,13 @@ class _Core:
         # complete a clique: its forced mask is the legality test.  A pair
         # {u, v} fires as soon as its other member is included, so pair_down[v]
         # (resp. pair_up[u]) is the mask of the partners it forces.  The
-        # triples u < v < w of one v and w fire at v: force_down[v] holds
-        # (bit of w, mask of their u) and force_up[v] (mask of their u, bit of
-        # w).  Both pair masks together are the adjacency of the pair graph.
+        # triples u < v < w of one v and w fire at v, and force[v] holds one
+        # (bit of w, mask of their u) entry for them: the DFS tests the bit
+        # and forces the mask, the lex-least pass tests the mask and forces
+        # the bit.  Both pair masks together are the adjacency of the pair graph.
         self.pair_down: list[int] = [0]
         self.pair_up: list[int] = [0]
-        self.force_down: list[list[tuple[int, int]]] = [[]]
-        self.force_up: list[list[tuple[int, int]]] = [[]]
+        self.force: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
         # the records of the element whose triples came in last: it extends
         # an avoiding set W of smaller elements iff it is not banned, no pair
@@ -404,15 +391,15 @@ class _Core:
         self.packed = 0
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
-        # while only pairs are taken in, the cheap yes reads wit[m - 1] as the
-        # masks of a _Kept over [1, kept.n]; None once the triples are in
+        # while the engine takes in only pairs, the cheap yes reads wit[m - 1]
+        # as the masks of a _Kept over [1, kept.n]; None once every triple up
+        # to grown is in, and from then on grow takes each element's triples
         self.kept = _Kept(eq, 0) if eq is not None and _narrow(eq) else None
-        # the pair graph's components over [1, joined], kept by pair_alpha:
-        # comp[v] is the root of v's component, members[root] its mask and
-        # alpha[root] its independence number, absent while a merge has left
-        # it to recompute (the roots in dirty); known sums the alpha values
-        self.pair_test = eq is not None
-        self.joined = 0
+        # the pair graph's components over [1, len(comp) - 1], kept by
+        # pair_alpha: comp[v] is the root of v's component, members[root] its
+        # mask and alpha[root] its independence number, absent while a merge
+        # has left it to recompute (the roots in dirty); known sums the alpha
+        # values.  Only integer engines run the pair test.
         self.comp: list[int] = [0]
         self.members: dict[int, int] = {}
         self.alpha: dict[int, int] = {}
@@ -422,16 +409,14 @@ class _Core:
 
     def grow(self) -> None:
         """Take in the next element m: its pairs, and its triples too once the
-        engine takes them in and has those of every earlier element.  The
-        warm packing gains the first clique of m, in arrival order, that
-        misses it; every clique whose largest member is m holds m, so at
-        most one can be added."""
+        engine has those of every earlier element.  The warm packing gains
+        the first clique of m, in arrival order, that misses it; every clique
+        whose largest member is m holds m, so at most one can be added."""
         m = self.grown + 1
         top = 1 << (m - 1)
-        eager = self.kept is None and self.tripled == self.grown
+        eager = self.kept is None
         banned, pairs, triples = self.source(m) if eager else (False, _pair_partners(self.eq, m), {})
-        self.force_down.append([])
-        self.force_up.append([])
+        self.force.append([])
         self.pair_up.append(0)
         self.pair_down.append(pairs)
         rest = pairs
@@ -466,8 +451,7 @@ class _Core:
         every element below k; its pairs are in already."""
         top = 1 << (k - 1)
         for mid, lows in triples.items():
-            self.force_down[mid].append((top, lows))
-            self.force_up[mid].append((lows, top))
+            self.force[mid].append((top, lows))
         if banned:
             self.banned |= top
         self.partners = (banned, pairs, triples)
@@ -478,15 +462,17 @@ class _Core:
 
     def need_triples(self, state: _RunState) -> None:
         """Take in the triples of every element up to ``grown`` not yet taken
-        in, in arrival order, reading the clock before each element.  From
-        then on ``grow`` takes each element's triples in with its pairs, and
-        the cheap yes reads ``partners``: the switch is one-way.  An
-        exception leaves the elements not yet done for the next call."""
-        self.kept = None
+        in, in arrival order, reading the clock before each element; with
+        none pending it does nothing.  Once the last is in, ``kept`` is None:
+        from then on ``grow`` takes each element's triples in with its pairs,
+        and the cheap yes reads ``partners``, so the switch is one-way.  An
+        exception leaves ``kept`` live, as its masks track ``wit`` and not the
+        triples, and the elements not yet done for the next call."""
         for k in range(self.tripled + 1, self.grown + 1):
             if time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {self.grown}")
             self._take_triples(k, *self.source(k))
+        self.kept = None
 
     # -- the pair graph ------------------------------------------------------
 
@@ -514,7 +500,6 @@ class _Core:
             self.dirty.discard(root)
         self.members[v] = merged
         self.dirty.add(v)
-        self.joined = v
 
     def _mis(self, comp: int, state: _RunState) -> int:
         """The independence number of the pair graph on the mask ``comp``, by
@@ -522,14 +507,14 @@ class _Core:
         most one neighbour left is taken (some maximum set holds it), and the
         search branches on a vertex of most neighbours, taking it first.  A
         node's bound is its size plus the vertices left.  The clock is read
-        on a call's first step and every 4096th after it, as in the DFS."""
+        on each call's first step and every 4096th after it."""
         down, up = self.pair_down, self.pair_up
-        best = 0
+        best = steps = 0
         stack = [(comp, 0)]
         while stack:
             left, size = stack.pop()
-            state.steps += 1
-            if state.steps & 4095 == 1 and time.monotonic() > state.deadline:
+            steps += 1
+            if steps & 4095 == 1 and time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {self.grown}")
             pick = most = 0
             rest = left
@@ -565,7 +550,7 @@ class _Core:
         elements joined since the last call enter, and only the components
         they merged are solved again.  An exception leaves those dirty, to
         be solved by the next call."""
-        for v in range(self.joined + 1, self.grown + 1):
+        for v in range(len(self.comp), self.grown + 1):
             self._join(v)
         while self.dirty:
             root = next(iter(self.dirty))
@@ -592,7 +577,12 @@ class _Core:
                     count[v] += 1
         self.pending.clear()
         weight = count.__getitem__
-        packing = _greedy_disjoint(sorted(self.cliques, key=lambda cl: sum(map(weight, cl))))
+        packing = []
+        used: set[int] = set()
+        for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
+            if used.isdisjoint(cl):
+                used.update(cl)
+                packing.append(cl)
         if len(packing) > len(self.packing):
             self.packing = packing
             self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
@@ -610,8 +600,6 @@ class _Core:
         best = self.wit[m - 1]
         kept = self.kept
         if kept is None:
-            if self.tripled < self.grown:  # a catch-up that an exception cut short
-                self.need_triples(state)
             banned, pairs, triples = self.partners
             extends = not (banned or pairs & best
                            or any(lows & best and best >> (mid - 1) & 1 for mid, lows in triples.items()))
@@ -628,15 +616,15 @@ class _Core:
         # never lowers P, so P is skipped while the last one computed is
         # above prev.
         root = prev + 1
-        if best_size == prev and (m - len(self.packing) <= prev or self.pair_test and self.pair_bound <= prev
+        if best_size == prev and (m - len(self.packing) <= prev or self.eq is not None and self.pair_bound <= prev
                                   and self.pair_alpha(state) <= prev):
             root = prev
-        if root > best_size and kept is not None:  # the search needs the triples
+        if root > best_size:  # the search needs the triples
             self.need_triples(state)
 
         rt = self.r + [root]  # index m is the root
         pair_down = self.pair_down
-        force_down = self.force_down
+        force = self.force
         node_cap = state.node_cap
         deadline = state.deadline
         # A prefix settled above costs one node: its root's bound is its size.
@@ -689,9 +677,9 @@ class _Core:
                     continue
                 stack.append((e - 1, size, inc, forced))
                 f2 = forced | pair_down[e]
-                for high, low in force_down[e]:
-                    if high & inc:
-                        f2 |= low
+                for top, lows in force[e]:
+                    if top & inc:
+                        f2 |= lows
                 e, size, inc, forced = e - 1, size + 1, inc | bit, f2
             elif stack:
                 e, size, inc, forced = stack.pop()
@@ -729,7 +717,7 @@ class _Core:
         """
         self.need_triples(state)
         pair_up = self.pair_up
-        force_up = self.force_up
+        force = self.force
         inside = (1 << m) - 1  # the engine may be grown past m: triggers above m never fire
         node_cap = state.node_cap
         deadline = state.deadline
@@ -751,9 +739,9 @@ class _Core:
             stack.append((e + 1, size, inc, forced & ~bit))
             if not forced & bit:  # e completes no clique whose largest member it is
                 f2 = forced | pair_up[e]
-                for low, high in force_up[e]:
-                    if low & inc:
-                        f2 |= high
+                for top, lows in force[e]:
+                    if lows & inc:
+                        f2 |= top
                 stack.append((e + 1, size + 1, inc | bit, f2 & inside))
 
     def lex_least(self, m: int, state: _RunState) -> int:
@@ -784,10 +772,8 @@ def _engine_for(eq: ThreeVarEquation) -> _Core:
 
 
 def _mask_to_set(n: int, mask: int) -> IntSet:
-    """The set of e in [1, n] with bit e - 1 of ``mask`` set, read from one
-    binary string; higher bits are ignored."""
-    bits = bin(mask)[:1:-1][:n]  # bit i at index i
-    return IntSet(n, tuple(i for i, bit in enumerate(bits, 1) if bit == "1"))
+    """The set of e in [1, n] with bit e - 1 of ``mask`` set; higher bits are ignored."""
+    return IntSet(n, tuple(_members(mask & ((1 << n) - 1))))
 
 
 def _checked_witness(eq: ThreeVarEquation, n: int, mask: int) -> IntSet:

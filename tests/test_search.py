@@ -93,12 +93,12 @@ def grid_equations(a_max: int, b_max: int, c_max: int) -> list[ThreeVarEquation]
 
 
 def clique_tables(engine: search._Core) -> tuple:
-    return engine.pair_down, engine.pair_up, engine.force_down, engine.force_up
+    return engine.pair_down, engine.pair_up, engine.force
 
 
 def trigger_count(engine: search._Core) -> int:
-    """Descending triggers: one bit per triple's smallest member, one bit per pair."""
-    return (sum(lows.bit_count() for entries in engine.force_down for _, lows in entries)
+    """Triggers: one bit per triple's smallest member, one bit per pair."""
+    return (sum(lows.bit_count() for entries in engine.force for _, lows in entries)
             + sum(mask.bit_count() for mask in engine.pair_down))
 
 
@@ -638,7 +638,7 @@ class TestPairTest:
         monkeypatch.setattr(search._Core, "pair_alpha", lambda *args: pytest.fail("pair test ran"))
         rho_best(EQS["square"], 24)
         rho_m(EQS["family2"], 20)
-        assert search._engine_for(EQS["square"]).pair_test
+        assert search._engine_for(EQS["square"]).eq is not None
 
     def test_gate_skips_the_test_while_the_last_p_is_above_prev(self, monkeypatch):
         # P never falls, so once it is above r(m - 1) no work is done until
@@ -669,8 +669,8 @@ class TestPairTest:
         assert engine.pair_bound <= engine.pair_alpha(search._RunState()) == engine.r[120]
 
     def test_spent_deadline_stops_the_pair_test(self, monkeypatch):
-        # the independence-number search reads the clock on its first step;
-        # the components it has not solved stay dirty for the next call
+        # the independence-number search reads the clock on each call's first
+        # step; the components it has not solved stay dirty for the next call
         eq = EQS["square"]
         engine = search._integer_engine(eq)
         for _ in range(200):
@@ -678,7 +678,7 @@ class TestPairTest:
         late = search._RunState(time_cap=-1)
         with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 200$"):
             engine.pair_alpha(late)
-        assert late.steps == 1 and engine.dirty and engine.pair_bound == 0
+        assert engine.dirty and engine.pair_bound == 0
         assert engine.pair_alpha(search._RunState()) == 115 == engine.known
         assert engine.known == sum(engine.alpha.values()) and not engine.dirty
 
@@ -787,7 +787,7 @@ class TestPrefixRoots:
         engine = fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 5000)
         assert res.optimal and res.canonical and (res.size, res.nodes) == (2858, 5000)
-        assert engine.tripled == 0 and not any(engine.force_down) and engine.kept is not None
+        assert engine.tripled == 0 and not any(engine.force) and engine.kept is not None
 
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends
@@ -820,11 +820,46 @@ class TestPrefixRoots:
         assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
         assert engine.count == [sum(v in cl for cl in want) for v in range(41)]
 
+    @pytest.mark.parametrize("fail_at", [1, 3, 5])
+    def test_search_resumes_a_cut_catch_up(self, monkeypatch, fail_at):
+        # x+2y=13z first needs a search at prefix 5, whose catch-up takes in
+        # the triples of elements 1..5; an exception cuts it after fail_at - 1
+        # of them, even after the last, and leaves the masks live.  The retry
+        # of prefix 5 resumes the catch-up, and every later prefix costs the
+        # nodes it costs on a cold engine.
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 4, canonical=False)
+        source, calls = engine.source, []
+
+        def failing(k):
+            calls.append(k)
+            if len(calls) == fail_at:
+                raise RuntimeError("injected")
+            return source(k)
+
+        engine.source = failing
+        with pytest.raises(RuntimeError):
+            max_avoiding(eq, 30, canonical=False)
+        assert calls == list(range(1, fail_at + 1)) and len(engine.r) == 5
+        assert engine.tripled == fail_at - 1 and engine.kept is not None
+        engine.source = source
+        again = max_avoiding(eq, 30, canonical=False)
+        assert engine.tripled == engine.grown == 30 and engine.kept is None
+        cold = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 4, canonical=False)
+        want = max_avoiding(eq, 30, canonical=False)
+        assert (again.nodes, again.witness) == (want.nodes, want.witness)
+        assert (engine.r, engine.wit) == (cold.r, cold.wit)
+        assert clique_tables(engine) == clique_tables(cold)
+        assert trigger_count(engine) == len(oracle_cliques(eq, 30))
+
     @pytest.mark.parametrize("fail_at", [1, 25, 40])
     def test_exception_in_the_catch_up_leaves_the_cache_consistent(self, monkeypatch, fail_at):
         # x+2y=4z takes in no triple while it solves; all_extremal needs them
         # all, and an exception cuts the catch-up after fail_at - 1 elements.
-        # The elements left are taken in by the next call that needs them.
+        # The masks stay live and answer the prefixes that need no search;
+        # the elements left are taken in by the next call that needs them.
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
@@ -839,10 +874,12 @@ class TestPrefixRoots:
         engine.source = failing
         with pytest.raises(RuntimeError):
             all_extremal(eq, 40, cap=3)
-        assert engine.tripled == fail_at - 1 and engine.kept is None
+        assert engine.tripled == fail_at - 1 and engine.kept is not None
         engine.source = source
         again = max_avoiding(eq, 50, canonical=False)
+        assert engine.tripled == fail_at - 1 and engine.kept is not None
         sets = all_extremal(eq, 50, cap=3)
+        assert engine.tripled == engine.grown == 50 and engine.kept is None
         cold = fresh_engine(monkeypatch, eq)
         want = max_avoiding(eq, 50, canonical=False)
         assert all_extremal(eq, 50, cap=3) == sets and cold.tripled == 50
