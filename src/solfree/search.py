@@ -23,8 +23,8 @@ a prefix first needs a search (the DFS or the degree packing) or a lex-least
 pass runs; then it takes in every triple up to there, in arrival order, and
 from then on each element's triples with it.  The switch is one-way.  While
 an engine holds no triples its cheap yes (below) reads four shift masks of
-wit[m - 1], as ``_greedy_mask`` does, instead of the records.  x+2y=4z never
-needs its triples.
+wit[m - 1], as ``_greedy_mask`` does, instead of the trigger tables.
+x+2y=4z never needs its triples.
 
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
@@ -374,10 +374,11 @@ class _Core:
         self.pair_up: list[int] = [0]
         self.force: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
-        # the records of the element whose triples came in last: it extends
-        # an avoiding set W of smaller elements iff it is not banned, no pair
-        # partner is in W, and no middle member in W has a smallest member in W
-        self.partners: tuple[bool, int, dict[int, int]] = (False, 0, {})
+        # the middle -> lows map of element tripled, the last whose triples
+        # came in: it extends an avoiding set W of smaller elements iff its
+        # banned bit is clear, W misses pair_down[tripled], and no middle
+        # member in W has a smallest member in W
+        self.last_triples: dict[int, int] = {}
         self.clique_count = 0  # cliques whose triples are taken in, pairs and singletons included
         # every such clique in arrival order, by largest member and then
         # tuple, with its members' occurrence counts: the degree packing
@@ -399,13 +400,14 @@ class _Core:
         # pair_alpha: comp[v] is the root of v's component, members[root] its
         # mask and alpha[root] its independence number, absent while a merge
         # has left it to recompute (the roots in dirty); known sums the alpha
-        # values.  Only integer engines run the pair test.
+        # values.  So known is P once a call finishes, and never above the
+        # current P when one is cut short.  Only integer engines run the pair
+        # test.
         self.comp: list[int] = [0]
         self.members: dict[int, int] = {}
         self.alpha: dict[int, int] = {}
         self.dirty: set[int] = set()
         self.known = 0
-        self.pair_bound = 0  # the last P computed: a lower bound on every later P
 
     def grow(self) -> None:
         """Take in the next element m: its pairs, and its triples too once the
@@ -454,7 +456,7 @@ class _Core:
             self.force[mid].append((top, lows))
         if banned:
             self.banned |= top
-        self.partners = (banned, pairs, triples)
+        self.last_triples = triples
         if banned or pairs or triples:
             self.clique_count += banned + pairs.bit_count() + sum(map(int.bit_count, triples.values()))
             self.pending.append((k, banned, pairs, triples))
@@ -465,7 +467,7 @@ class _Core:
         in, in arrival order, reading the clock before each element; with
         none pending it does nothing.  Once the last is in, ``kept`` is None:
         from then on ``grow`` takes each element's triples in with its pairs,
-        and the cheap yes reads ``partners``, so the switch is one-way.  An
+        and the cheap yes reads ``last_triples``, so the switch is one-way.  An
         exception leaves ``kept`` live, as its masks track ``wit`` and not the
         triples, and the elements not yet done for the next call."""
         for k in range(self.tripled + 1, self.grown + 1):
@@ -487,17 +489,15 @@ class _Core:
             roots.add(self.comp[bit.bit_length()])
         merged = 1 << (v - 1)
         for root in roots:
-            merged |= self.members[root]
+            merged |= self.members.pop(root)
+            self.known -= self.alpha.pop(root, 0)
+            self.dirty.discard(root)
         self.comp.append(v)
         rest = merged
         while rest:
             bit = rest & -rest
             rest ^= bit
             self.comp[bit.bit_length()] = v
-        for root in roots:
-            del self.members[root]
-            self.known -= self.alpha.pop(root, 0)
-            self.dirty.discard(root)
         self.members[v] = merged
         self.dirty.add(v)
 
@@ -558,7 +558,6 @@ class _Core:
             self.dirty.discard(root)
             self.alpha[root] = value
             self.known += value
-        self.pair_bound = self.known
         return self.known
 
     def degree_packing(self) -> list[tuple[int, ...]]:
@@ -599,10 +598,9 @@ class _Core:
         prev = self.r[m - 1]
         best = self.wit[m - 1]
         kept = self.kept
-        if kept is None:
-            banned, pairs, triples = self.partners
-            extends = not (banned or pairs & best
-                           or any(lows & best and best >> (mid - 1) & 1 for mid, lows in triples.items()))
+        if kept is None:  # tripled == grown == m: the tables hold m's cliques
+            extends = not (self.banned >> (m - 1) & 1 or self.pair_down[m] & best
+                           or any(lows & best and best >> (mid - 1) & 1 for mid, lows in self.last_triples.items()))
         else:
             if m > kept.n:  # the masks' widths are bounded for [1, kept.n]
                 kept = self.kept = _Kept(self.eq, 2 * m)
@@ -613,10 +611,10 @@ class _Core:
         best_size = best.bit_count()
         # The root's bound is prev + 1, or prev when the warm packing or the
         # pair graph's independence number P says so.  Adding an element
-        # never lowers P, so P is skipped while the last one computed is
-        # above prev.
+        # never lowers P, and known is never above it, so P is skipped while
+        # known is above prev.
         root = prev + 1
-        if best_size == prev and (m - len(self.packing) <= prev or self.eq is not None and self.pair_bound <= prev
+        if best_size == prev and (m - len(self.packing) <= prev or self.eq is not None and self.known <= prev
                                   and self.pair_alpha(state) <= prev):
             root = prev
         if root > best_size:  # the search needs the triples
@@ -642,14 +640,15 @@ class _Core:
         #  * prefix table: at most rt[e] more elements;
         #  * forced split: charge [1, j] to the table and (j, e] to the count
         #    of slots not yet provably dead, j = lowest forced element.
-        # A node (e, size, inc, forced) goes straight on to its include child
-        # and leaves its exclude child on an explicit stack, so the include
-        # branch is searched first, depth-first; a node whose element is
-        # forced goes straight on to its exclude child.
+        # A node (e, inc, forced) has inc.bit_count() elements taken.  It goes
+        # straight on to its include child and leaves its exclude child on an
+        # explicit stack, so the include branch is searched first,
+        # depth-first; a node whose element is forced goes straight on to its
+        # exclude child.
         # The clock is read on a call's first node and every 4096th after it;
         # the first read lets a spent budget stop a short search on a warm engine.
         stack = []
-        e, size, inc, forced = m, 0, 0, self.banned
+        e, inc, forced = m, 0, self.banned
         while True:
             state.nodes += 1
             if state.nodes > limit:
@@ -666,7 +665,7 @@ class _Core:
                 bound = rt[e] if rt[e] < split else split
             else:
                 bound = rt[e]
-            if size + bound > best_size:
+            if inc.bit_count() + bound > best_size:
                 if e == 0:  # a set of prev + 1 elements
                     best = inc
                     break
@@ -675,14 +674,14 @@ class _Core:
                     forced ^= bit  # decided now, not pending
                     e -= 1
                     continue
-                stack.append((e - 1, size, inc, forced))
+                stack.append((e - 1, inc, forced))
                 f2 = forced | pair_down[e]
                 for top, lows in force[e]:
                     if top & inc:
                         f2 |= lows
-                e, size, inc, forced = e - 1, size + 1, inc | bit, f2
+                e, inc, forced = e - 1, inc | bit, f2
             elif stack:
-                e, size, inc, forced = stack.pop()
+                e, inc, forced = stack.pop()
             else:
                 break
         self.r.append(best.bit_count())
@@ -724,25 +723,25 @@ class _Core:
         start = state.nodes  # the clock is read on this pass's first node and every 4096th after it
         # as in ``advance``: include child searched first; the engine may be
         # grown past m, so the root keeps only the banned elements in [1, m]
-        stack = [(1, 0, 0, self.banned & inside)]
+        stack = [(1, 0, self.banned & inside)]
         while stack:
-            e, size, inc, forced = stack.pop()
+            e, inc, forced = stack.pop()
             state.nodes += 1
             if state.nodes > node_cap or (state.nodes - start) & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
-            if size + (m - e + 1) - forced.bit_count() < target:
+            if inc.bit_count() + (m - e + 1) - forced.bit_count() < target:
                 continue
             if e > m:
                 yield inc
                 continue
             bit = 1 << (e - 1)
-            stack.append((e + 1, size, inc, forced & ~bit))
+            stack.append((e + 1, inc, forced & ~bit))
             if not forced & bit:  # e completes no clique whose largest member it is
                 f2 = forced | pair_up[e]
                 for top, lows in force[e]:
                     if lows & inc:
                         f2 |= top
-                stack.append((e + 1, size + 1, inc | bit, f2 & inside))
+                stack.append((e + 1, inc | bit, f2 & inside))
 
     def lex_least(self, m: int, state: _RunState) -> int:
         """The lexicographically least maximum set of the solved prefix [1, m],
@@ -772,8 +771,9 @@ def _engine_for(eq: ThreeVarEquation) -> _Core:
 
 
 def _mask_to_set(n: int, mask: int) -> IntSet:
-    """The set of e in [1, n] with bit e - 1 of ``mask`` set; higher bits are ignored."""
-    return IntSet(n, tuple(_members(mask & ((1 << n) - 1))))
+    """The set of e with bit e - 1 of ``mask`` set, as a subset of [1, n]; a
+    bit above n raises :class:`InvariantViolation`."""
+    return IntSet(n, tuple(_members(mask)))
 
 
 def _checked_witness(eq: ThreeVarEquation, n: int, mask: int) -> IntSet:

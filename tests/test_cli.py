@@ -254,6 +254,23 @@ class TestRhoAndConjecture:
         num, den = row["rho"].split("/")
         assert int(num) / int(den) >= 0.5
 
+    # the six rho lines the CI workflow compares byte for byte.  rho_best
+    # stops the moduli that cannot win and skips those the Kneser cap rules
+    # out; these are the answers of solving every modulus in full
+    CI_RHO = [
+        ("x+y=3z", "30", '{"equation": "x+y=3z", "m": 2, "rho": "1/2", "witness": "1"}'),
+        ("3x=2z", "30", '{"equation": "3x=2z", "m": 27, "rho": "20/27", '
+                        '"witness": "1,2,4,5,7,8,9,10,11,13,14,16,17,18,19,20,22,23,25,26"}'),
+        ("x+2y=13z", "40", '{"equation": "x+2y=13z", "m": 13, "rho": "6/13", "witness": "1,3,4,9,10,12"}'),
+        ("x+2y=4z", "40", '{"equation": "x+2y=4z", "m": 16, "rho": "9/16", "witness": "1,3,5,7,8,9,11,13,15"}'),
+        ("x+y=4z", "40", '{"equation": "x+y=4z", "m": 5, "rho": "2/5", "witness": "1,4"}'),
+        ("2x+2y=5z", "40", '{"equation": "2x+2y=5z", "m": 2, "rho": "1/2", "witness": "1"}'),
+    ]
+
+    @pytest.mark.parametrize("eq,m_max,line", CI_RHO, ids=[f"{eq}@{m}" for eq, m, _ in CI_RHO])
+    def test_rho_best_matches_ci(self, eq, m_max, line):
+        assert invoke("rho", "--eq", eq, "--m-max", m_max).output == line + "\n"
+
     @pytest.mark.parametrize("moduli", [(), ("--m", "3", "--m-max", "3")], ids=["neither", "both"])
     def test_rho_needs_exactly_one_modulus_option(self, moduli):
         proc = run_process("rho", "--eq", "x+y=3z", *moduli)

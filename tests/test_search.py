@@ -156,9 +156,9 @@ class TestMaxAvoiding:
         for a, b in zip(sizes, sizes[1:]):
             assert a <= b <= a + 1
 
-    def test_budget_gives_lower_bound(self):
-        # an equation no other test touches, so the prefix cache is cold
+    def test_budget_gives_lower_bound(self, monkeypatch):
         eq = parse_equation("4x+4y=5z")
+        fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 30, node_cap=1)
         assert not res.optimal
         assert avoids(eq, res.witness).ok
@@ -207,6 +207,11 @@ class TestMaxAvoiding:
         engine.wit[5] = 0b11111
         with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=6 contains the solution \(2, 1, 1\)"):
             max_avoiding(eq, 6, node_cap=0)
+
+    def test_mask_bit_above_n_raises(self):
+        # a witness mask with a member past n is a fault to report, not a bit to drop
+        with pytest.raises(InvariantViolation, match=r"^members must lie in \[1, 3\]$"):
+            search._mask_to_set(3, 0b1000)
 
     @pytest.mark.parametrize("key", sorted(EQS))
     def test_cold_solve_matches_sweep(self, monkeypatch, key):
@@ -649,7 +654,7 @@ class TestPairTest:
         pair_alpha = search._Core.pair_alpha
 
         def recorded(self, state):
-            asked.append((len(self.r), self.r[-1], self.pair_bound))
+            asked.append((len(self.r), self.r[-1], self.known))
             return pair_alpha(self, state)
 
         monkeypatch.setattr(search._Core, "pair_alpha", recorded)
@@ -666,7 +671,7 @@ class TestPairTest:
             assert max_avoiding(eq, m, canonical=False).nodes == 1, m
             if engine.r[m] == engine.r[m - 1]:
                 assert engine.wit[m] == engine.wit[m - 1]
-        assert engine.pair_bound <= engine.pair_alpha(search._RunState()) == engine.r[120]
+        assert engine.known <= engine.pair_alpha(search._RunState()) == engine.r[120]
 
     def test_spent_deadline_stops_the_pair_test(self, monkeypatch):
         # the independence-number search reads the clock on each call's first
@@ -678,7 +683,7 @@ class TestPairTest:
         late = search._RunState(time_cap=-1)
         with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 200$"):
             engine.pair_alpha(late)
-        assert engine.dirty and engine.pair_bound == 0
+        assert engine.dirty and engine.known == 0
         assert engine.pair_alpha(search._RunState()) == 115 == engine.known
         assert engine.known == sum(engine.alpha.values()) and not engine.dirty
 
