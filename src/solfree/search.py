@@ -19,10 +19,11 @@ Element m comes in as records, not clique tuples: whether {m} is a clique
 middle member v of a triple {u, v, m} to the mask of its smallest members
 u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
 tuples.  An integer engine takes in only the pairs, O(1) per element, until
-a prefix first needs a search (the DFS or the degree packing) or a lex-least
-pass runs; then it takes in every triple up to there, in arrival order, and
-from then on each element's triples with it.  The switch is one-way.  While
-an engine holds no triples its cheap yes (below) reads four shift masks of
+a prefix first needs a search (the DFS or the degree packing); then it takes
+in every triple up to there, in arrival order, and from then on each
+element's triples with it.  A lex-least pass over [1, m] takes in the
+triples up to m only and leaves the engine taking in pairs.  While an
+engine takes in pairs only its cheap yes (below) reads four shift masks of
 wit[m - 1], as ``_greedy_mask`` does, instead of the trigger tables.
 x+2y=4z never needs its triples.
 
@@ -32,7 +33,8 @@ bits as the other members come in: a pair forces its partner by one mask
 per element, and the triples of a middle member v and a top w force the
 mask of their smallest members by one bit test.  So deciding whether e may
 be included is one bit test, and the count of forced elements is also a
-bound (a forced element is dead).  Singleton cliques, which ban a residue
+bound (a forced element is dead; the lex-least pass counts them in one mask
+with the elements it has left out).  Singleton cliques, which ban a residue
 in the congruence instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
@@ -349,7 +351,8 @@ class _Core:
     engine is an integer engine over eq: it settles a prefix by the pair
     graph's independence number (see :meth:`pair_alpha`), and while the
     masks of ``_Kept`` stay narrow it takes in only pairs until a search
-    first needs the triples.  The congruence engines run without either.
+    first needs the triples (see :meth:`advance`).  The congruence engines
+    run without either.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -393,8 +396,8 @@ class _Core:
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
         # while the engine takes in only pairs, the cheap yes reads wit[m - 1]
-        # as the masks of a _Kept over [1, kept.n]; None once every triple up
-        # to grown is in, and from then on grow takes each element's triples
+        # as the masks of a _Kept over [1, kept.n], and tripled <= grown; None
+        # once a search has needed the triples, and then tripled == grown
         self.kept = _Kept(eq, 0) if eq is not None and _narrow(eq) else None
         # the pair graph's components over [1, len(comp) - 1], kept by
         # pair_alpha: comp[v] is the root of v's component, members[root] its
@@ -410,10 +413,11 @@ class _Core:
         self.known = 0
 
     def grow(self) -> None:
-        """Take in the next element m: its pairs, and its triples too once the
-        engine has those of every earlier element.  The warm packing gains
-        the first clique of m, in arrival order, that misses it; every clique
-        whose largest member is m holds m, so at most one can be added."""
+        """Take in the next element m: its pairs, and its triples too once a
+        search has ended the pair-only phase (see :meth:`advance`).  The
+        warm packing gains the first clique of m, in arrival order, that
+        misses it; every clique whose largest member is m holds m, so at
+        most one can be added."""
         m = self.grown + 1
         top = 1 << (m - 1)
         eager = self.kept is None
@@ -462,19 +466,14 @@ class _Core:
             self.pending.append((k, banned, pairs, triples))
         self.tripled = k
 
-    def need_triples(self, state: _RunState) -> None:
-        """Take in the triples of every element up to ``grown`` not yet taken
-        in, in arrival order, reading the clock before each element; with
-        none pending it does nothing.  Once the last is in, ``kept`` is None:
-        from then on ``grow`` takes each element's triples in with its pairs,
-        and the cheap yes reads ``last_triples``, so the switch is one-way.  An
-        exception leaves ``kept`` live, as its masks track ``wit`` and not the
-        triples, and the elements not yet done for the next call."""
-        for k in range(self.tripled + 1, self.grown + 1):
+    def need_triples(self, m: int, state: _RunState) -> None:
+        """Take in the triples of the elements in (tripled, m], m <= grown, in
+        arrival order, reading the clock before each element.  An exception
+        leaves the elements not yet done for the next call."""
+        for k in range(self.tripled + 1, m + 1):
             if time.monotonic() > state.deadline:
-                raise state.exceeded(f"{self.where}prefix {self.grown}")
+                raise state.exceeded(f"{self.where}prefix {m}")
             self._take_triples(k, *self.source(k))
-        self.kept = None
 
     # -- the pair graph ------------------------------------------------------
 
@@ -593,7 +592,14 @@ class _Core:
         """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
         avoiding set that large, and r(m - 1) otherwise.  The engine must be
         grown to exactly m, as the root tests and the degree packing read
-        the cliques in [1, m]."""
+        the cliques in [1, m].
+
+        The first search an integer engine needs ends its pair-only phase:
+        the catch-up takes in every triple up to m, and then ``kept`` is
+        None, so from then on ``grow`` takes each element's triples in with
+        its pairs and the cheap yes reads ``last_triples``.  The switch is
+        one-way, and only here.  An exception in the catch-up leaves
+        ``kept`` live, as its masks track ``wit`` and not the triples."""
         m = len(self.r)
         prev = self.r[m - 1]
         best = self.wit[m - 1]
@@ -618,7 +624,8 @@ class _Core:
                                   and self.pair_alpha(state) <= prev):
             root = prev
         if root > best_size:  # the search needs the triples
-            self.need_triples(state)
+            self.need_triples(m, state)
+            self.kept = None
 
         rt = self.r + [root]  # index m is the root
         pair_down = self.pair_down
@@ -712,46 +719,56 @@ class _Core:
 
         Each mask is yielded at its leaf, so a caller that takes the first one
         ends the search there; a generator dropped early leaves nothing to
-        repair, as the pass only reads the trigger tables.
+        repair, as the pass only reads the trigger tables.  It reads the
+        triggers of [1, m] only, so it takes in the triples up to m and no
+        further.
         """
-        self.need_triples(state)
+        self.need_triples(m, state)
         pair_up = self.pair_up
         force = self.force
         inside = (1 << m) - 1  # the engine may be grown past m: triggers above m never fire
+        slack = m - target  # the most elements of [1, m] a leaf of target elements leaves out
         node_cap = state.node_cap
         deadline = state.deadline
         start = state.nodes  # the clock is read on this pass's first node and every 4096th after it
-        # as in ``advance``: include child searched first; the engine may be
-        # grown past m, so the root keeps only the banned elements in [1, m]
+        # A node (e, inc, dead) has decided [1, e - 1]; dead holds the elements
+        # of [1, m] left out so far and the undecided ones that are forced.  As
+        # in ``advance``, the include child is searched first.  The engine may
+        # be grown past m, so the root keeps only the banned elements in [1, m].
         stack = [(1, 0, self.banned & inside)]
         while stack:
-            e, inc, forced = stack.pop()
+            e, inc, dead = stack.pop()
             state.nodes += 1
             if state.nodes > node_cap or (state.nodes - start) & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
-            if inc.bit_count() + (m - e + 1) - forced.bit_count() < target:
+            if dead.bit_count() > slack:
                 continue
             if e > m:
                 yield inc
                 continue
             bit = 1 << (e - 1)
-            stack.append((e + 1, inc, forced & ~bit))
-            if not forced & bit:  # e completes no clique whose largest member it is
-                f2 = forced | pair_up[e]
+            stack.append((e + 1, inc, dead | bit))
+            if not dead & bit:  # e completes no clique whose largest member it is
+                d2 = dead | pair_up[e]
                 for top, lows in force[e]:
                     if lows & inc:
-                        f2 |= top
-                stack.append((e + 1, inc | bit, f2 & inside))
+                        d2 |= top
+                stack.append((e + 1, inc | bit, d2 & inside))
+
+    def maximum_sets(self, m: int, cap: int, state: _RunState) -> list[int]:
+        """The first ``cap`` maximum sets of the solved prefix [1, m] in
+        lexicographic order, as masks: the first leaves of the lex-least pass,
+        within the budget of ``state``.  A prefix with no set of size r(m)
+        raises :class:`InvariantViolation`, as its r(m) is wrong."""
+        masks = list(islice(self.enumerate_at(m, self.r[m], state), cap))
+        if not masks:
+            raise InvariantViolation(f"{self.where}no avoiding set of size r({m}) = {self.r[m]} in [1, {m}]")
+        return masks
 
     def lex_least(self, m: int, state: _RunState) -> int:
         """The lexicographically least maximum set of the solved prefix [1, m],
-        as a mask: the first leaf of the lex-least pass, within the budget of
-        ``state``.  A prefix with no set of size r(m) raises
-        :class:`InvariantViolation`, as its r(m) is wrong."""
-        mask = next(self.enumerate_at(m, self.r[m], state), None)
-        if mask is None:
-            raise InvariantViolation(f"{self.where}no avoiding set of size r({m}) = {self.r[m]} in [1, {m}]")
-        return mask
+        as a mask (see :meth:`maximum_sets`)."""
+        return self.maximum_sets(m, 1, state)[0]
 
 
 # one engine per integer equation, grown as far as any call has needed
@@ -883,9 +900,8 @@ def all_extremal(
     engine = _engine_for(eq)
     state = _RunState(node_cap, time_cap)
     engine.solve_to(n, state)
-    size = engine.r[n]
-    masks = list(islice(engine.enumerate_at(n, size, state), cap + 1))
-    return AllExtremal(n, size, [_checked_witness(eq, n, mk) for mk in masks[:cap]], len(masks) > cap)
+    masks = engine.maximum_sets(n, cap + 1, state)
+    return AllExtremal(n, engine.r[n], [_checked_witness(eq, n, mk) for mk in masks[:cap]], len(masks) > cap)
 
 
 def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int = 0) -> _Core | None:

@@ -1,7 +1,8 @@
 """Pinned search work per prefix: for each instance of
 ``TestMaxAvoiding.PINNED_NODES``, and the x/y mirror of each asymmetric one,
 the nodes and r(m) of every prefix m of a cold 1..n sweep, and the nodes and
-witness of the lex-least pass at every m <= 33 of the solved engine.
+witness of the lex-least pass at every m <= 33 and at m = n of the solved
+engine.
 
 ``PINNED_NODES`` pins each instance's total; this file pins where the nodes
 go, so an engine change that must keep the search's path shows the prefix
@@ -42,7 +43,7 @@ def record(text: str, n: int) -> dict:
     sweep = [max_avoiding(eq, m, canonical=False) for m in range(1, n + 1)]
     assert all(res.optimal for res in sweep), f"{text}: a prefix up to {n} hit a budget"
     lex = []
-    for m in range(1, min(n, LEX_TOP) + 1):
+    for m in [*range(1, min(n, LEX_TOP) + 1), n]:
         state = search._RunState()
         mask = engine.lex_least(m, state)
         lex.append([state.nodes, search._mask_to_set(m, mask).to_text()])
@@ -51,7 +52,8 @@ def record(text: str, n: int) -> dict:
         "n": n,
         "nodes": [res.nodes for res in sweep],
         "r": [res.size for res in sweep],
-        "lex": lex,
+        "lex": lex[:-1],
+        "deep": lex[-1],
     }
 
 

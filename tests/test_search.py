@@ -819,7 +819,7 @@ class TestPrefixRoots:
         eq = parse_equation(text)
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
-        engine.need_triples(search._RunState())
+        engine.need_triples(engine.grown, search._RunState())
         engine.degree_packing()
         want = sorted(oracle_cliques(eq, 40), key=lambda cl: (cl[-1], cl))
         assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
@@ -862,9 +862,10 @@ class TestPrefixRoots:
     @pytest.mark.parametrize("fail_at", [1, 25, 40])
     def test_exception_in_the_catch_up_leaves_the_cache_consistent(self, monkeypatch, fail_at):
         # x+2y=4z takes in no triple while it solves; all_extremal needs them
-        # all, and an exception cuts the catch-up after fail_at - 1 elements.
-        # The masks stay live and answer the prefixes that need no search;
-        # the elements left are taken in by the next call that needs them.
+        # all up to its n, and an exception cuts the catch-up after
+        # fail_at - 1 elements.  The masks stay live and answer the prefixes
+        # that need no search; the elements left are taken in by the next
+        # call that needs them, which leaves the masks live too.
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
@@ -884,13 +885,39 @@ class TestPrefixRoots:
         again = max_avoiding(eq, 50, canonical=False)
         assert engine.tripled == fail_at - 1 and engine.kept is not None
         sets = all_extremal(eq, 50, cap=3)
-        assert engine.tripled == engine.grown == 50 and engine.kept is None
+        assert engine.tripled == engine.grown == 50 and engine.kept is not None
         cold = fresh_engine(monkeypatch, eq)
         want = max_avoiding(eq, 50, canonical=False)
         assert all_extremal(eq, 50, cap=3) == sets and cold.tripled == 50
         assert (engine.r, engine.wit) == (cold.r, cold.wit) and again.witness == want.witness
         assert clique_tables(engine) == clique_tables(cold)
         assert trigger_count(engine) == len(oracle_cliques(eq, 50))
+
+    def test_pass_before_a_solve_leaves_it_pair_only(self, monkeypatch):
+        # a lex-least pass over [1, 20] takes in the triples up to 20 and no
+        # further: the solve to 600 after it takes in pairs only, and its
+        # tables and nodes per prefix are a cold engine's
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        all_extremal(eq, 20, cap=1)
+        assert engine.tripled == 20 and engine.kept is not None
+        nodes = [max_avoiding(eq, m, canonical=False).nodes for m in range(21, 601)]
+        assert engine.tripled == 20 and engine.kept is not None
+        cold = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 20, canonical=False)
+        assert nodes == [max_avoiding(eq, m, canonical=False).nodes for m in range(21, 601)]
+        assert (engine.r, engine.wit) == (cold.r, cold.wit)
+
+    def test_pass_after_a_solve_takes_in_triples_up_to_its_m(self, monkeypatch):
+        # after a solve to 600, all_extremal at 20 takes in the triples of
+        # [1, 20] only, and the engine still takes in pairs only
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 600, canonical=False)
+        sets = all_extremal(eq, 20)
+        assert engine.tripled == 20 and engine.kept is not None
+        fresh_engine(monkeypatch, eq)
+        assert all_extremal(eq, 20) == sets
 
     @pytest.mark.parametrize("n", [7, 19, 33])
     def test_canonical_shortcut_is_the_pass_witness(self, monkeypatch, n):
@@ -937,6 +964,15 @@ class TestAllExtremal:
         monkeypatch.setattr(engine, "enumerate_at", lambda *args: iter([0b11111]))
         with pytest.raises(AvoidanceCheckFailed, match=r"^the witness at n=5 contains the solution \(2, 1, 1\)"):
             all_extremal(eq, 5)
+
+    def test_empty_pass_raises(self, monkeypatch):
+        # as the lex-least pass does: a solved prefix with no set of size
+        # r(n) has a wrong r(n)
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        monkeypatch.setattr(engine, "enumerate_at", lambda *args: iter([]))
+        with pytest.raises(InvariantViolation, match=r"^no avoiding set of size r\(20\) = 16 in \[1, 20\]$"):
+            all_extremal(eq, 20)
 
     @given(eq=valid_equations(max_coef=8), n=st.integers(1, 24), k=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
