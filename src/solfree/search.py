@@ -52,14 +52,18 @@ one node:
     misses the packing's members, and a larger degree packing (below)
     replaces it;
   * P, the cheap no of the integer engines: the cliques of two members
-    (solutions with two equal variables) form the pair graph, whose
-    components are small and multiplicative, and r(m) <= P(m), the sum of
-    the components' exact independence numbers, so P(m) <= r(m - 1) makes
-    m a stall.  A component is solved again only after a merge has touched
-    it, and as P never falls, the test does no work while the last P
-    computed is above r(m - 1).  With the warm packing it settles every
-    stall of x+2y=4z up to m = 20 000, and with b = 0, where every clique is
-    a pair, P(m) is r(m) itself;
+    (solutions with two equal variables) form the pair graph, and r(m) <=
+    P(m), its independence number on [1, m], so P(m) <= r(m - 1) makes m a
+    stall.  Each pair edge multiplies v by a ratio p/q of the equation, so
+    with R the product of those p and q, the pair graph on [1, m] is the
+    disjoint union, over the t <= m coprime to R, of t times the graph G
+    on the R-smooth numbers up to m / t.  So P(m) = P(m - 1) + delta(s),
+    with s the R-smooth part of m and delta(s), 0 or 1, the rise of G's
+    independence number at s, solved once per smooth s by an engine of
+    this kind over s's component of G.  As P never falls, the test does no
+    work while the last P computed is above r(m - 1).  With the warm
+    packing it settles every stall of x+2y=4z up to m = 20 000, and with
+    b = 0, where every clique is a pair, P(m) is r(m) itself;
   * the degree packing: one greedy pass over every clique in [1, m] in
     ascending order of its members' occurrence counts, tried against
     m - k <= r(m - 1) as the warm packing is.  It costs a sort of all
@@ -103,6 +107,7 @@ import math
 import random
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -211,18 +216,32 @@ def _cliques_of(k: int, banned: bool, pairs: int, triples: dict[int, int]) -> li
     return out
 
 
+def _ratios(eq: ThreeVarEquation) -> list[tuple[int, int]]:
+    """The (p, q), q > 0, such that each solution with two equal variables
+    reads p*v = q*w for its two values v, w: ax = cz with b = 0, and
+    otherwise (a+b)x = cz, ax = (c-b)y and by = (c-a)x."""
+    a, b, c = eq.a, eq.b, eq.c
+    return [(p, q) for p, q in (((a, c),) if b == 0 else ((a + b, c), (a, c - b), (b, c - a))) if q > 0]
+
+
 def _pair_partners(eq: ThreeVarEquation, m: int) -> int:
     """The mask of m's pair partners: the u < m with {u, m} the members of a
-    solution, which then has two equal variables.  Each such solution reads
-    p*v = q*w with {v, w} = {u, m}: ax = cz with b = 0, and otherwise
-    (a+b)x = cz, ax = (c-b)y and by = (c-a)x.  So u = min(p, q)*m/max(p, q)
-    when that divides, and the cost is O(1)."""
-    a, b, c = eq.a, eq.b, eq.c
+    solution, which then has two equal variables.  With (p, q) from
+    ``_ratios``, u = min(p, q)*m/max(p, q) when that divides, and the cost
+    is O(1)."""
     mask = 0
-    for p, q in ((a, c),) if b == 0 else ((a + b, c), (a, c - b), (b, c - a)):
-        if q > 0 and min(p, q) * m % max(p, q) == 0:
+    for p, q in _ratios(eq):
+        if min(p, q) * m % max(p, q) == 0:
             mask |= 1 << (min(p, q) * m // max(p, q) - 1)
     return mask
+
+
+def _part_records(eq: ThreeVarEquation, members: list[int], k: int) -> tuple[bool, int, dict[int, int]]:
+    """The records (see ``_records``) of element k of an engine over the
+    pair graph on ``members``, ascending and holding every smaller pair
+    partner of each member: element k stands for members[k - 1], and its
+    only cliques are its pairs, with the partners' ranks."""
+    return False, sum(1 << bisect_left(members, u) for u in _members(_pair_partners(eq, members[k - 1]))), {}
 
 
 def _integer_records(eq: ThreeVarEquation, m: int) -> tuple[bool, int, dict[int, int]]:
@@ -352,10 +371,13 @@ class _Core:
     graph's independence number (see :meth:`pair_alpha`), and while the
     masks of ``_Kept`` stay narrow it takes in only pairs until a search
     first needs the triples (see :meth:`advance`).  The congruence engines
-    run without either.
+    run without either, and so do the parts: the engines that
+    :meth:`pair_alpha` keeps, one per component of the pair graph on the
+    R-smooth numbers, each over its component's members by rank.
     """
 
     where = ""  # what a budget-hit message names before the prefix
+    members: list[int]  # a part's values, ascending: its element k is members[k - 1]
 
     def __init__(self, source, eq: ThreeVarEquation | None = None):
         self.source = source
@@ -399,18 +421,12 @@ class _Core:
         # as the masks of a _Kept over [1, kept.n], and tripled <= grown; None
         # once a search has needed the triples, and then tripled == grown
         self.kept = _Kept(eq, 0) if eq is not None and _narrow(eq) else None
-        # the pair graph's components over [1, len(comp) - 1], kept by
-        # pair_alpha: comp[v] is the root of v's component, members[root] its
-        # mask and alpha[root] its independence number, absent while a merge
-        # has left it to recompute (the roots in dirty); known sums the alpha
-        # values.  So known is P once a call finishes, and never above the
-        # current P when one is cut short.  Only integer engines run the pair
-        # test.
-        self.comp: list[int] = [0]
-        self.members: dict[int, int] = {}
-        self.alpha: dict[int, int] = {}
-        self.dirty: set[int] = set()
-        self.known = 0
+        # the pair graph's independence number, kept by pair_alpha: P[m] up
+        # to m = len(P) - 1, and comp[s] for each R-smooth s up to there, the
+        # part (see the class docstring) of s's component of the pair graph
+        # on those s.  Only integer engines run the pair test.
+        self.P: list[int] = [0]
+        self.comp: dict[int, _Core] = {}
 
     def grow(self) -> None:
         """Take in the next element m: its pairs, and its triples too once a
@@ -477,87 +493,47 @@ class _Core:
 
     # -- the pair graph ------------------------------------------------------
 
-    def _join(self, v: int) -> None:
-        """Take element v into the components: it merges every component of
-        one of its smaller pair partners, and the merged one is dirty."""
-        roots = set()
-        rest = self.pair_down[v]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            roots.add(self.comp[bit.bit_length()])
-        merged = 1 << (v - 1)
-        for root in roots:
-            merged |= self.members.pop(root)
-            self.known -= self.alpha.pop(root, 0)
-            self.dirty.discard(root)
-        self.comp.append(v)
-        rest = merged
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            self.comp[bit.bit_length()] = v
-        self.members[v] = merged
-        self.dirty.add(v)
+    def pair_alpha(self, m: int, state: _RunState) -> int:
+        """P(m), the pair graph's independence number on [1, m], so that
+        r(m) <= P(m): P(k) = P(k - 1) + delta(s(k)) for k up to m, with s(k)
+        the R-smooth part of k (see the module docstring).
 
-    def _mis(self, comp: int, state: _RunState) -> int:
-        """The independence number of the pair graph on the mask ``comp``, by
-        branch and bound on an explicit stack.  At each node a vertex with at
-        most one neighbour left is taken (some maximum set holds it), and the
-        search branches on a vertex of most neighbours, taking it first.  A
-        node's bound is its size plus the vertices left.  The clock is read
-        on each call's first step and every 4096th after it."""
-        down, up = self.pair_down, self.pair_up
-        best = steps = 0
-        stack = [(comp, 0)]
-        while stack:
-            left, size = stack.pop()
-            steps += 1
-            if steps & 4095 == 1 and time.monotonic() > state.deadline:
-                raise state.exceeded(f"{self.where}prefix {self.grown}")
-            pick = most = 0
-            rest = left
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length()
-                nb = (down[v] | up[v]) & left
-                if not nb & (nb - 1):  # at most one neighbour: take v
-                    left &= ~(bit | nb)
-                    rest &= ~nb
-                    size += 1
-                elif nb.bit_count() > most:
-                    pick, most = bit, nb.bit_count()
-            if size + left.bit_count() <= best:
-                continue
-            if not left:
-                best = size
-                continue
-            if not pick & left:  # the pick lost a neighbour taken after it
-                pick = left & -left
-            v = pick.bit_length()
-            stack.append((left & ~pick, size))
-            stack.append((left & ~(pick | down[v] | up[v]), size + 1))
-        return best
-
-    def pair_alpha(self, state: _RunState) -> int:
-        """P = the pair graph's independence number on [1, grown]: the sum of
-        its components' exact independence numbers.
-
-        The pair graph joins u and v when {u, v} is a clique, the members of
-        a solution with two equal variables, so r(m) <= P on [1, m].  Only the
-        elements joined since the last call enter, and only the components
-        they merged are solved again.  An exception leaves those dirty, to
-        be solved by the next call."""
-        for v in range(len(self.comp), self.grown + 1):
-            self._join(v)
-        while self.dirty:
-            root = next(iter(self.dirty))
-            value = self._mis(self.members[root], state)
-            self.dirty.discard(root)
-            self.alpha[root] = value
-            self.known += value
-        return self.known
+        delta(s) is solved once, when k = s, by the part of s's component
+        in the pair graph G on the smooth numbers up to s, and read later as
+        P(s) - P(s - 1).  s extends one component: that part grows by s, its
+        largest member.  Or s joins several components, or none: a cold part
+        over their union and s.  Either way delta(s) is that part's
+        r[-1] - r[-2], and only then do comp and P take it in, so an
+        exception leaves them as they were (a part stopped while growing by
+        s keeps s in its members, for the retry).  The parts' solves add no
+        nodes to ``state`` but stop at its deadline."""
+        R = math.prod(p * q for p, q in _ratios(self.eq))  # its primes are those of the pair edges' ratios
+        nested = _RunState()
+        nested.deadline = state.deadline
+        P = self.P
+        try:
+            for k in range(len(P), m + 1):
+                s = 1  # the R-smooth part of k
+                while (g := math.gcd(k // s, R)) > 1:
+                    s *= g
+                if s < k:  # delta(s) was solved at k = s
+                    P.append(P[-1] + P[s] - P[s - 1])
+                    continue
+                near = {self.comp[u] for u in _members(_pair_partners(self.eq, k))}
+                if len(near) == 1:
+                    part = near.pop()
+                    if part.members[-1] < k:  # else a solve cut short has taken k in
+                        part.members.append(k)
+                else:
+                    members = sorted(u for other in near for u in other.members) + [k]
+                    part = _Core(partial(_part_records, self.eq, members))
+                    part.members = members
+                part.solve_to(len(part.members), nested)
+                self.comp.update(dict.fromkeys(part.members, part))
+                P.append(P[-1] + part.r[-1] - part.r[-2])
+        except BudgetExceeded:
+            raise state.exceeded(f"{self.where}prefix {m}") from None
+        return P[m]
 
     def degree_packing(self) -> list[tuple[int, ...]]:
         """Pairwise disjoint cliques from every clique whose triples are
@@ -616,12 +592,11 @@ class _Core:
             best |= 1 << (m - 1)
         best_size = best.bit_count()
         # The root's bound is prev + 1, or prev when the warm packing or the
-        # pair graph's independence number P says so.  Adding an element
-        # never lowers P, and known is never above it, so P is skipped while
-        # known is above prev.
+        # pair graph's independence number P says so.  P never falls, so P(m)
+        # is not computed while the last P computed is above prev.
         root = prev + 1
-        if best_size == prev and (m - len(self.packing) <= prev or self.eq is not None and self.known <= prev
-                                  and self.pair_alpha(state) <= prev):
+        if best_size == prev and (m - len(self.packing) <= prev or self.eq is not None and self.P[-1] <= prev
+                                  and self.pair_alpha(m, state) <= prev):
             root = prev
         if root > best_size:  # the search needs the triples
             self.need_triples(m, state)

@@ -50,24 +50,36 @@ def greedy_suffix_packing(cliques) -> list[tuple[int, ...]]:
 
 def brute_pair_alpha(eq: ThreeVarEquation, n: int) -> int:
     """The independence number of the pair graph on [1, n], whose edges are
-    the 2-member sets of the solutions (those with two equal variables), by
-    a scan over all 2^n subsets: S is independent iff S minus its largest
-    element is and that element has no smaller neighbour in S."""
+    the 2-member sets of the solutions (those with two equal variables): the
+    sum over its connected components of the largest independent set, found
+    by a scan of every independent set of the component.  A set of
+    ascending elements is independent iff it is without its largest
+    element and that element has no smaller neighbour in it."""
     lower = [0] * (n + 1)  # lower[v]: the smaller neighbours of v, as a mask
+    upper = [0] * (n + 1)  # upper[v]: the larger ones
     for sol in brute_solutions(eq, n):
         members = sorted({sol.x, sol.z} if eq.b == 0 else {sol.x, sol.y, sol.z})
         if len(members) == 2:
-            lower[members[1]] |= 1 << (members[0] - 1)
-    ok = bytearray(1 << n)
-    ok[0] = 1
-    best = 0
-    for S in range(1, 1 << n):
-        h = S.bit_length()
-        rest = S & ~(1 << (h - 1))
-        if ok[rest] and not lower[h] & rest:
-            ok[S] = 1
-            best = max(best, S.bit_count())
-    return best
+            u, v = members
+            lower[v] |= 1 << (u - 1)
+            upper[u] |= 1 << (v - 1)
+    seen = total = 0
+    for v in range(1, n + 1):
+        if seen >> (v - 1) & 1:
+            continue
+        comp, frontier = 0, [v]  # the component of v, by a graph search
+        while frontier:
+            u = frontier.pop()
+            if not comp >> (u - 1) & 1:
+                comp |= 1 << (u - 1)
+                frontier += [w for w in range(1, n + 1) if (lower[u] | upper[u]) >> (w - 1) & 1]
+        seen |= comp
+        independent = [0]
+        for u in range(1, n + 1):
+            if comp >> (u - 1) & 1:
+                independent += [S | 1 << (u - 1) for S in independent if not lower[u] & S]
+        total += max(S.bit_count() for S in independent)
+    return total
 
 
 def brute_avoids(eq: ThreeVarEquation, A: IntSet) -> tuple[bool, Solution | None]:

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 from functools import partial
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -94,6 +94,12 @@ def grid_equations(a_max: int, b_max: int, c_max: int) -> list[ThreeVarEquation]
 
 def clique_tables(engine: search._Core) -> tuple:
     return engine.pair_down, engine.pair_up, engine.force
+
+
+def pair_tables(engine: search._Core) -> tuple:
+    """The pair test's tables: P, and each smooth number's part as the
+    members that part is solved over and its r."""
+    return engine.P, {v: (part.members[:len(part.r) - 1], part.r) for v, part in engine.comp.items()}
 
 
 def trigger_count(engine: search._Core) -> int:
@@ -536,11 +542,12 @@ class TestEngine:
         assert not res.optimal and avoids(eq, res.witness).ok
 
     def test_time_budget_grows_no_further_than_needed(self, monkeypatch):
+        # x+2y=4z solves n = 5 000 inside the cap; 50 000 takes seconds
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
-        res = max_avoiding(eq, 5000, time_cap=0.2)
+        res = max_avoiding(eq, 50_000, time_cap=0.2)
         assert not res.optimal and avoids(eq, res.witness).ok
-        assert engine.grown <= len(engine.r) < 5000
+        assert engine.grown <= len(engine.r) < 50_000
 
     def test_time_budget_stops_a_prefix_mid_search(self, monkeypatch):
         # prefix 96 of x+2y=13z alone takes ~12 M nodes: only the clock read
@@ -611,32 +618,34 @@ class TestPairTest:
     @settings(max_examples=100, deadline=None)
     def test_pair_alpha_matches_the_oracle(self, data):
         # P(m) at every prefix from an engine asked each time, and at some
-        # prefixes from one that joins several elements per call; both equal
-        # the subset scan over the pair graph and bound r(m) from above
+        # prefixes from one that catches up over several; both equal the
+        # scan of the pair graph's components, bound r(m) from above, and
+        # end with the same tables
         eq = draw_equation(data, 9)  # b = 0 included
         if eq is None:
             return
-        n = data.draw(st.integers(1, 16))
+        n = data.draw(st.integers(1, 40))
         asked = data.draw(st.sets(st.integers(1, n))) | {n}
         every, some = search._integer_engine(eq), search._integer_engine(eq)
         state = search._RunState()
         for m in range(1, n + 1):
-            every.grow()
-            some.grow()
-            p = every.pair_alpha(state)
+            p = every.pair_alpha(m, state)
             assert p == brute_pair_alpha(eq, m), (str(eq), m)
-            assert p >= exhaustive_max(eq, m)[0], (str(eq), m)
+            if m <= 16:  # the subset scan of exhaustive_max is 2^m
+                assert p >= exhaustive_max(eq, m)[0], (str(eq), m)
             if m in asked:
-                assert some.pair_alpha(state) == p, (str(eq), m)
-        assert every.known == sum(every.alpha.values()) and not every.dirty
+                assert some.pair_alpha(m, state) == p, (str(eq), m)
+        assert pair_tables(every) == pair_tables(some) and state.nodes == 0
 
-    @pytest.mark.parametrize("text", ["x+2y=4z", "2x+2y=5z", "x+2y=13z", "x+y=3z", "2x=z", "3x=2z"])
+    # a prime in one term of R alone: 13 in c and 11 in c - b (x+2y=13z),
+    # 5 in b and 7 in c - a (x+5y=8z), 5 in a (5x+y=7z), 5 in a + b (2x+3y=4z)
+    @pytest.mark.parametrize("text", ["x+2y=4z", "2x+2y=5z", "x+2y=13z", "x+y=3z", "2x=z", "3x=2z",
+                                      "x+5y=8z", "5x+y=7z", "2x+3y=4z"])
     def test_pair_alpha_in_each_regime(self, text):
         eq = parse_equation(text)
         engine = search._integer_engine(eq)
-        for m in range(1, 15):
-            engine.grow()
-            assert engine.pair_alpha(search._RunState()) == brute_pair_alpha(eq, m), m
+        for m in range(1, 41):
+            assert engine.pair_alpha(m, search._RunState()) == brute_pair_alpha(eq, m), m
 
     def test_pair_test_runs_on_integer_engines_only(self, monkeypatch):
         # the congruence engines of rho_m and rho_best never ask for P
@@ -653,9 +662,9 @@ class TestPairTest:
         asked = []
         pair_alpha = search._Core.pair_alpha
 
-        def recorded(self, state):
-            asked.append((len(self.r), self.r[-1], self.known))
-            return pair_alpha(self, state)
+        def recorded(self, m, state):
+            asked.append((len(self.r), self.r[-1], self.P[-1]))
+            return pair_alpha(self, m, state)
 
         monkeypatch.setattr(search._Core, "pair_alpha", recorded)
         max_avoiding(eq, 50, canonical=False)
@@ -664,28 +673,26 @@ class TestPairTest:
 
     def test_settled_prefix_costs_one_node(self, monkeypatch):
         # x+2y=4z: P(m) = r(m) at every m <= 300, so every stall is settled
-        # at its root with the witness of m - 1
+        # at its root with the witness of m - 1, and the parts' solves count
+        # no node
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         for m in range(1, 121):
             assert max_avoiding(eq, m, canonical=False).nodes == 1, m
             if engine.r[m] == engine.r[m - 1]:
                 assert engine.wit[m] == engine.wit[m - 1]
-        assert engine.known <= engine.pair_alpha(search._RunState()) == engine.r[120]
+        assert engine.P[-1] <= engine.pair_alpha(120, search._RunState()) == engine.r[120]
 
     def test_spent_deadline_stops_the_pair_test(self, monkeypatch):
-        # the independence-number search reads the clock on each call's first
-        # step; the components it has not solved stay dirty for the next call
+        # the parts' solves read the caller's deadline, and the budget hit
+        # names the caller's prefix; nothing is taken in, for the next call
         eq = EQS["square"]
         engine = search._integer_engine(eq)
-        for _ in range(200):
-            engine.grow()
         late = search._RunState(time_cap=-1)
         with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 200$"):
-            engine.pair_alpha(late)
-        assert engine.dirty and engine.known == 0
-        assert engine.pair_alpha(search._RunState()) == 115 == engine.known
-        assert engine.known == sum(engine.alpha.values()) and not engine.dirty
+            engine.pair_alpha(200, late)
+        assert engine.P == [0] and not engine.comp and late.nodes == 0
+        assert engine.pair_alpha(200, search._RunState()) == 115
 
     def test_time_budget_bounds_a_large_solve(self, monkeypatch):
         # the pair test settles every prefix of x+2y=4z at its root, so the
@@ -698,31 +705,56 @@ class TestPairTest:
         assert not res.optimal and avoids(eq, res.witness).ok
         assert engine.grown <= len(engine.r) < 20_000
 
+    def test_cube_set_law_at_20000(self, monkeypatch):
+        # r(n) = |A_2 in [1, n]| for x+2y=4z, the proved cube-set law for
+        # b = 2: every prefix is settled at its root, well inside the cap
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        res = max_avoiding(eq, 20_000, canonical=False, time_cap=8)
+        assert res.optimal and res.size == 11_428 and res.nodes == 20_000
+
     @pytest.mark.parametrize("fail_at", [1, 7, 40])
     def test_exception_in_the_pair_test_leaves_the_cache_consistent(self, monkeypatch, fail_at):
-        # an exception between two component solves leaves the rest dirty;
-        # the next call solves them, and the tables equal a cold engine's
-        eq = EQS["square"]
-        engine = fresh_engine(monkeypatch, eq)
-        mis, calls = search._Core._mis, []
+        # an exception in the fail_at-th advance of a part leaves P and the
+        # components as they were: comp holds the smooth numbers below
+        # len(P), those whose primes all divide R, and each part is solved
+        # over exactly the ones comp gives it.  After a retry the tables
+        # equal a cold engine's.  x+2y=4z's parts grow one smooth number at
+        # a time, in a solve; 2x+2y=5z's also merge, in the pair test alone.
+        advance = search._Core.advance
 
-        def failing(self, comp, state):
-            calls.append(comp)
-            if len(calls) == fail_at:
-                raise RuntimeError("injected")
-            return mis(self, comp, state)
+        def run(eq):
+            if eq == EQS["square"]:
+                max_avoiding(eq, 2000, canonical=False)
+            else:
+                search._engine_for(eq).pair_alpha(200, search._RunState())
 
-        monkeypatch.setattr(search._Core, "_mis", failing)
-        with pytest.raises(RuntimeError):
-            max_avoiding(eq, 80, canonical=False)
-        monkeypatch.setattr(search._Core, "_mis", mis)
-        assert engine.dirty
-        again = max_avoiding(eq, 80, canonical=False)
-        cold = fresh_engine(monkeypatch, eq)
-        want = max_avoiding(eq, 80, canonical=False)
-        assert (engine.r, engine.wit) == (cold.r, cold.wit) and again.witness == want.witness
-        assert engine.pair_alpha(search._RunState()) == cold.pair_alpha(search._RunState())
-        assert (engine.members, engine.alpha, engine.known) == (cold.members, cold.alpha, cold.known)
+        for eq in (EQS["square"], EQS["family2"]):
+            engine = fresh_engine(monkeypatch, eq)
+            calls = []
+
+            def failing(self, state):
+                if self.eq is None:  # a part
+                    calls.append(self)
+                    if len(calls) == fail_at:
+                        raise RuntimeError("injected")
+                return advance(self, state)
+
+            monkeypatch.setattr(search._Core, "advance", failing)
+            with pytest.raises(RuntimeError):
+                run(eq)
+            monkeypatch.setattr(search._Core, "advance", advance)
+            assert len(calls) == fail_at
+            R = prod(p * q for p, q in search._ratios(eq))
+            # k divides R^k iff every prime of k divides R
+            assert sorted(engine.comp) == [k for k in range(1, len(engine.P)) if pow(R, k, k) == 0]
+            for part in engine.comp.values():
+                assert part.members[:len(part.r) - 1] == [v for v, other in engine.comp.items() if other is part]
+            run(eq)
+            cold = fresh_engine(monkeypatch, eq)
+            run(eq)
+            assert (engine.r, engine.wit) == (cold.r, cold.wit)
+            assert pair_tables(engine) == pair_tables(cold)
 
 
 class TestPrefixRoots:
