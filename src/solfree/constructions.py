@@ -68,6 +68,9 @@ class StructuredSet:
         if inside != len(self.removed):
             raise InvariantViolation("removed singletons must lie inside the intervals")
 
+    def __contains__(self, x: int) -> bool:
+        return x not in self.removed and any(iv.first <= x <= iv.hi for iv in self.intervals)
+
     def materialize(self) -> IntSet:
         members = chain.from_iterable(iv.members() for iv in self.intervals)
         if self.removed:

@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -93,9 +94,12 @@ class IntSet:
         if self.n < 1:
             raise InvariantViolation(f"bound must be positive, got {self.n}")
         ms = tuple(self.members)
-        if ms and (min(ms) < 1 or max(ms) > self.n):
+        ascending = all(map(operator.lt, ms, islice(ms, 1, None)))
+        # the range is checked first: a sorted set has its bounds at its ends,
+        # and an unsorted one, which raises either way, is scanned for them
+        if ms and ((ms[0] if ascending else min(ms)) < 1 or (ms[-1] if ascending else max(ms)) > self.n):
             raise InvariantViolation(f"members must lie in [1, {self.n}]")
-        if not all(map(operator.lt, ms, ms[1:])):
+        if not ascending:
             raise InvariantViolation("members must be strictly ascending")
         object.__setattr__(self, "members", ms)
 

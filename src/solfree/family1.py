@@ -218,12 +218,14 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
                     continue
                 if low.length and low.hi >= high.first:
                     continue  # the blocks overlap
+                # the labels are read from the blocks, so a candidate they
+                # reject is never materialised
                 blocks = StructuredSet(n, (low, high), low_removed + high_removed)
+                if ((r2 + 1) in blocks) != has_top:
+                    continue
+                if (l1 in blocks) != (high_variant in ("closed", "closed-punctured")):
+                    continue
                 A = blocks.materialize()
-                if ((r2 + 1) in A) != has_top:
-                    continue
-                if (l1 in A) != (high_variant in ("closed", "closed-punctured")):
-                    continue
                 if not avoids(eq, A).ok:
                     continue
                 xi = tuple(sorted({**low_xi, **high_xi}.items()))

@@ -40,7 +40,7 @@ in the congruence instances, form the forced mask at the root.
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-Four tests, in this order, can answer at the root, where the prefix costs
+Five tests, in this order, can answer at the root, where the prefix costs
 one node:
   * the cheap yes: wit[m - 1] plus m avoids the equation, that is no clique
     whose largest member is m has its other members in wit[m - 1];
@@ -49,8 +49,8 @@ one node:
     (r(m) = r(m - 1)), whose witness is wit[m - 1].  The engine keeps one
     such packing for ever (a clique inside [1, m'] stays inside [1, m]):
     each element adds the first of its cliques, in arrival order, that
-    misses the packing's members, and a larger degree packing (below)
-    replaces it;
+    misses the packing's members, and a larger packing from a trade or the
+    degree packing (below) replaces it;
   * P, the cheap no of the integer engines: the cliques of two members
     (solutions with two equal variables) form the pair graph, and r(m) <=
     P(m), its independence number on [1, m], so P(m) <= r(m - 1) makes m a
@@ -64,15 +64,33 @@ one node:
     work while the last P computed is above r(m - 1).  With the warm
     packing it settles every stall of x+2y=4z up to m = 20 000, and with
     b = 0, where every clique is a pair, P(m) is r(m) itself;
+  * the one-short root of the integer engines, when the warm packing is
+    one clique short (m - k = r(m - 1) + 1): the search's first path, the
+    descending greedy set over the trigger tables, is walked outside the
+    search.  If it reaches r(m - 1) + 1 elements it is the search's first
+    leaf, as no bound prunes a path to a leaf that large, and m is a rise
+    with that witness.  Otherwise one trade (below) may make the warm
+    packing large enough, and then m is a stall.  The walk keeps the trade
+    off most rises, where it can only fail;
   * the degree packing: one greedy pass over every clique in [1, m] in
     ascending order of its members' occurrence counts, tried against
-    m - k <= r(m - 1) as the warm packing is.  It costs a sort of all
+    m - k <= r(m - 1) as the warm packing is, with one trade in the
+    integer engines when it is one clique short.  It costs a sort of all
     cliques, so it is built at most once per prefix, and only once the m
     steps of growing to m and the search's nodes make one per clique: at
-    the root when there are no more cliques than elements.  The two
-    packings settle most stall prefixes in the paper's Family I regime,
-    where m - r(m) disjoint solutions exist.
+    the root when there are no more cliques than elements.  The packings
+    settle most stall prefixes in the paper's Family I regime, where
+    m - r(m) disjoint solutions exist.
 Otherwise the DFS looks for such a set and ends at its first leaf.
+
+A trade is one step of t-for-(t + 1) local search for set packing
+(Hurkens and Schrijver, SIAM J. Discrete Math. 2, 1989): it gives up one
+packing clique for two disjoint cliques that meet only it, or, failing
+that, two for three that meet only those two.  It is one pass over the
+flat clique list and a search on int masks (see ``_trade``).  The
+congruence engines run no trades: trades in their degree packings slowed
+``rho_best(x+y=4z, 40)`` from 11.2 to 13.8 ms (best of 15 calls, Python
+3.11.7).
 
 The lex-least pass decides elements in ascending order, include first, so
 its first leaf of size r(m) is the lexicographically least maximum set and
@@ -360,6 +378,49 @@ def _suffix_packing(eq: ThreeVarEquation, m: int, tables) -> list[tuple[int, ...
     return packing
 
 
+def _trade(groups: dict[int, list[int]]) -> tuple[int, tuple[int, ...]] | None:
+    """One trade that makes a clique packing larger, from ``groups``: the
+    masks of the cliques, none of the packing's own, by the packing
+    cliques each meets, as bit i for packing clique i; every key with one
+    bit is present.  It is (the bits of the packing cliques given up, the
+    masks of the cliques taken), or None.
+
+    A 1-for-2 trade gives up packing clique i for two disjoint cliques that
+    meet only i.  Once none exists, any two cliques that meet only i meet
+    each other, so three disjoint cliques that meet only i and j hold at
+    most one meeting only i and one meeting only j, and so at least one
+    meeting both: the 2-for-3 trade gives up i and j for each of those in
+    turn and two disjoint cliques that miss it, from the group of i, the
+    group of j and the later cliques of its own group, never two from the
+    group of i or two from that of j.  A packing that is not maximal has
+    cliques that meet none of it, under key 0, and two disjoint ones are a
+    trade that gives up nothing."""
+    for hit, group in groups.items():
+        if hit & (hit - 1) == 0:
+            for k, x in enumerate(group):
+                for y in group[k + 1:]:
+                    if not x & y:
+                        return hit, (x, y)
+    for hit, group in groups.items():
+        if hit & (hit - 1):
+            low = hit & -hit
+            for k, x in enumerate(group):
+                # the cliques that miss x; two that meet only i, or only j,
+                # meet each other, so no such two are tried together
+                alone_i = [y for y in groups[low] if not x & y]
+                alone_j = [z for z in groups[hit ^ low] if not x & z]
+                later = [z for z in group[k + 1:] if not x & z]
+                for y in alone_i:
+                    for z in alone_j + later:
+                        if not y & z:
+                            return hit, (x, y, z)
+                for t, y in enumerate(later):
+                    for z in alone_j + later[t + 1:]:
+                        if not y & z:
+                            return hit, (x, y, z)
+    return None
+
+
 class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
@@ -535,13 +596,27 @@ class _Core:
             raise state.exceeded(f"{self.where}prefix {m}") from None
         return P[m]
 
-    def degree_packing(self) -> list[tuple[int, ...]]:
-        """Pairwise disjoint cliques from every clique whose triples are
-        taken in: one greedy pass over them in ascending order of the sum of
-        their members' occurrence counts (arrival order breaks ties), so
-        cliques of rarely used elements, which block few others, come first.
-        The clique list and the counts take in the pending records first.  A
-        packing larger than the warm one replaces it."""
+    def _dive(self, m: int) -> int:
+        """The descending greedy set of [1, m] over the trigger tables, as a
+        mask: each element in turn is kept unless it is forced.  That is the
+        search's first path (see :meth:`advance`), and with r(m - 1) + 1
+        elements its first leaf, as no bound prunes a path to a leaf that
+        large."""
+        inc, forced = 0, self.banned
+        pair_down, force = self.pair_down, self.force
+        for e in range(m, 0, -1):
+            bit = 1 << (e - 1)
+            if forced & bit:
+                continue
+            inc |= bit
+            forced |= pair_down[e]
+            for top, lows in force[e]:
+                if top & inc:
+                    forced |= lows
+        return inc
+
+    def _list_cliques(self) -> None:
+        """Take the pending records into the flat clique list and the counts."""
         count = self.count
         count += [0] * (self.tripled + 1 - len(count))
         for record in self.pending:
@@ -550,17 +625,62 @@ class _Core:
                 for v in cl:
                     count[v] += 1
         self.pending.clear()
-        weight = count.__getitem__
+
+    def degree_packing(self, need: int) -> list[tuple[int, ...]]:
+        """Pairwise disjoint cliques from every clique whose triples are
+        taken in: one greedy pass over them in ascending order of the sum of
+        their members' occurrence counts (arrival order breaks ties), so
+        cliques of rarely used elements, which block few others, come first.
+        The clique list and the counts take in the pending records first.
+        In an integer engine a pass one clique short of ``need`` tries one
+        trade (see :meth:`_swap`).  A packing larger than the warm one
+        replaces it."""
+        self._list_cliques()
+        weight = self.count.__getitem__
         packing = []
         used: set[int] = set()
         for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
             if used.isdisjoint(cl):
                 used.update(cl)
                 packing.append(cl)
+        if len(packing) == need - 1 and self.eq is not None:
+            packing = self._swap(packing) or packing
+        self._keep(packing)
+        return packing
+
+    def _keep(self, packing: list[tuple[int, ...]]) -> None:
+        """Make ``packing`` the warm packing if it is larger."""
         if len(packing) > len(self.packing):
             self.packing = packing
             self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
-        return packing
+
+    def _swap(self, packing: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+        """A larger packing than ``packing``, whose cliques must be in the
+        clique list, by one trade (see ``_trade``), or None.  The cliques
+        go to ``_trade`` as masks, grouped by the mask of the packing
+        cliques they meet (bit i for packing clique i): a clique that meets
+        three is of no use, and those of ``packing`` are left out, as each
+        meets every other clique of its group."""
+        own = [0] * (self.tripled + 1)  # bit i if v is in packing clique i
+        for i, cl in enumerate(packing):
+            for v in cl:
+                own[v] = 1 << i
+        groups: dict[int, list[int]] = {}
+        for cl in self.cliques:
+            u, v, w = cl if len(cl) == 3 else (cl[0], cl[-1], cl[-1])
+            hit = own[u] | own[v] | own[w]
+            if hit.bit_count() < 3:
+                group = groups.get(hit)
+                if group is None:  # no empty list built for each clique
+                    group = groups[hit] = []
+                group.append(1 << (u - 1) | 1 << (v - 1) | 1 << (w - 1))
+        for i, cl in enumerate(packing):
+            groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
+        trade = _trade(groups)
+        if trade is None:
+            return None
+        hit, new = trade
+        return [cl for i, cl in enumerate(packing) if not hit >> i & 1] + [tuple(_members(x)) for x in new]
 
     # -- exact solve of the next prefix -------------------------------------
 
@@ -601,6 +721,18 @@ class _Core:
         if root > best_size:  # the search needs the triples
             self.need_triples(m, state)
             self.kept = None
+            if self.eq is not None and m - len(self.packing) == root:
+                # the one-short root (see the module docstring): the search's
+                # first path shows most rises, and a trade may settle a stall
+                dive = self._dive(m)
+                if dive.bit_count() == root:
+                    best, best_size = dive, root
+                else:
+                    self._list_cliques()
+                    swapped = self._swap(self.packing)
+                    if swapped:
+                        self._keep(swapped)
+                        root = prev
 
         rt = self.r + [root]  # index m is the root
         pair_down = self.pair_down
@@ -629,17 +761,21 @@ class _Core:
         # exclude child.
         # The clock is read on a call's first node and every 4096th after it;
         # the first read lets a spent budget stop a short search on a warm engine.
+        # The node count lives in a local and is stored to ``state`` on every
+        # node, so ``state`` holds it whenever a node raises.
         stack = []
         e, inc, forced = m, 0, self.banned
+        nodes = state.nodes
         while True:
-            state.nodes += 1
-            if state.nodes > limit:
-                if state.nodes > node_cap:
+            nodes += 1
+            state.nodes = nodes
+            if nodes > limit:
+                if nodes > node_cap:
                     raise state.exceeded(f"{self.where}prefix {m}")
                 limit = node_cap
-                if m - len(self.degree_packing()) <= prev:
+                if m - len(self.degree_packing(m - prev)) <= prev:
                     break
-            if state.nodes & 4095 == 1 and time.monotonic() > deadline:
+            if nodes & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
                 j = (forced & -forced).bit_length() - 1

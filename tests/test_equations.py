@@ -243,6 +243,13 @@ class TestIntSet:
         with pytest.raises(InvariantViolation, match=r"members must lie in \[1, 3\]"):
             IntSet(3, (4, 1))
 
+    @pytest.mark.parametrize("members", [(1, 9, 2), (2, 0, 3), (3, 4, 1)])
+    def test_unsorted_set_is_range_checked_past_its_ends(self, members):
+        # unsorted and out of range inside: the range message, though the
+        # tuple's ends lie in [1, 3]
+        with pytest.raises(InvariantViolation, match=r"members must lie in \[1, 3\]"):
+            IntSet(3, members)
+
     def test_empty(self):
         assert IntSet.from_text("", n=4).size == 0
 

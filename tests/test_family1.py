@@ -167,6 +167,25 @@ class TestCandidates:
         assert count == 796
         assert digest.hexdigest() == "00992416eaed326035ae5bf4a6d6c3321d40a81cb5f8922b28aa36bdb2d2be1a"
 
+    def test_pinned_candidates_at_bench_sizes(self):
+        # the same record at n = 100, 643 and 2048, as materialising every
+        # candidate before its membership labels gave it
+        digest = hashlib.sha256()
+        count = 0
+        for b, c in ((2, 13), (2, 15), (2, 17), (3, 19), (3, 22)):
+            for n in (100, 643, 2048):
+                for cand in extremal_candidates(n, b, c):
+                    line = json.dumps(cand.to_json_dict(), sort_keys=True)
+                    digest.update(f"{b},{c},{n} {line} {cand.members.to_text()}\n".encode())
+                    count += 1
+        assert count == 44
+        assert digest.hexdigest() == "8e1ba754e228aaf61dfe729c3cf4ec18984dc4b2ec38ad3d5f000a83f6d3621f"
+
+    def test_structured_set_membership_matches_its_members(self):
+        for n in (40, 643):
+            for cand in extremal_candidates(n, 2, 17):
+                assert [x for x in range(n + 2) if x in cand.blocks] == list(cand.members.members)
+
     def test_best_candidate_is_compression_fixed_point(self):
         cand = best_candidate(60, 2, 13)
         trace = interval_compression(EQ, cand.members)

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from functools import partial
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
 
 import pytest
@@ -28,12 +29,14 @@ from solfree.search import (
 )
 
 from oracles import (
+    avoiding_mask_table,
     brute_avoids,
     brute_clique_free_max,
     brute_congruence_cliques,
     brute_greedy,
     brute_pair_alpha,
     brute_rho_numerator,
+    brute_solutions,
     exhaustive_max,
     greedy_suffix_packing,
     lex_least_two_var,
@@ -120,6 +123,11 @@ def oracle_cliques(eq: ThreeVarEquation, n: int) -> list[tuple[int, ...]]:
     """Distinct member sets of the solutions inside [1, n], sorted."""
     return sorted({tuple(sorted({s.x, s.z} if eq.b == 0 else {s.x, s.y, s.z}))
                    for s in enumerate_solutions(eq, n)})
+
+
+def bits(*members: int) -> int:
+    """The mask of ``members``: bit v - 1 for each v."""
+    return sum(1 << (v - 1) for v in members)
 
 
 def assert_disjoint_real_cliques(packing, real) -> None:
@@ -233,26 +241,29 @@ class TestMaxAvoiding:
 
     # cold max_avoiding(canonical=False).nodes with each prefix's search
     # ending at its first leaf, of size r(m - 1) + 1, or once the degree
-    # packing finds k disjoint cliques with m - k <= r(m - 1); a prefix
-    # whose warm packing of k cliques has m - k <= r(m - 1), or whose pair
-    # graph has no independent set above r(m - 1), costs one node.
+    # packing, or one trade from it, finds k disjoint cliques with
+    # m - k <= r(m - 1); a prefix whose warm packing of k cliques has
+    # m - k <= r(m - 1), or whose pair graph has no independent set above
+    # r(m - 1), costs one node, and so does one whose warm packing is one
+    # clique short (m - k = r(m - 1) + 1) when the search's first path has
+    # r(m - 1) + 1 elements or one trade makes the packing large enough.
     # Equal to the sum over a 1..n sweep.
     # The cap makes a weaker bound or a lost certificate fail fast instead of
     # running for long.
     PINNED_NODES = [
-        ("x+2y=13z", 70, 984),  # 2 083 without the warm packing
-        ("x+2y=13z", 75, 1135),  # 2 581 without the warm packing
-        ("x+2y=13z", 95, 1498),  # 4 822 without the warm packing, 9 034 313 without either packing
+        ("x+2y=13z", 70, 84),  # 984 without the one-short root, 2 083 without the warm packing too
+        ("x+2y=13z", 75, 89),  # 1 135 without the one-short root, 2 581 without the warm packing too
+        ("x+2y=13z", 95, 109),  # 1 498 without the one-short root, 4 822 without the warm packing too
         ("x+y=3z", 50, 8979),  # the packing settles no prefix past m = 5
-        ("2x+2y=5z", 60, 16484),  # 16 608 without the warm packing
-        ("x+3y=9z", 60, 26675),  # 27 014 without the warm packing
-        ("x+4y=16z", 80, 441),  # 1 497 875 without the warm packing
+        ("2x+2y=5z", 60, 632),  # 16 484 without trades, 3 107 with trades in the degree packing only
+        ("x+3y=9z", 60, 374),  # 26 675 without trades, 7 395 with trades in the degree packing only
+        ("x+4y=16z", 80, 80),  # 441 without the one-short root, 1 497 875 without the warm packing too
         ("x+2y=4z", 80, 80),  # 8 068 without the pair test
         ("x+2y=4z", 300, 300),  # every prefix settled at its root
         ("2x+y=4z", 300, 300),
         ("2x=z", 200, 200),  # every root the seed misses is settled by P, exact with b = 0
-        ("x+2y=5z", 31, 4457),  # 4 460 without the warm packing, 4913 without the leaf stop
-        ("x+y=4z", 54, 69738),  # 70 122 without the pair test, 72 422 without the leaf stop
+        ("x+2y=5z", 31, 4437),  # 4 457 without the one-short root, 4 460 without the warm packing too
+        ("x+y=4z", 54, 69427),  # 69 738 without trades and the dive, 70 122 without the pair test too
     ]
 
     @pytest.mark.parametrize("text,n,nodes", PINNED_NODES, ids=[f"{t}@{n}" for t, n, _ in PINNED_NODES])
@@ -398,7 +409,7 @@ class TestEngine:
         engine = search._Core(partial(search._integer_records, eq))
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
             engine.grow()
-            packing = engine.degree_packing()
+            packing = engine.degree_packing(m - engine.r[m - 1])
             assert_disjoint_real_cliques(packing, oracle_cliques(eq, m))
             engine.advance(search._RunState())
             assert engine.r[m] <= m - len(packing)
@@ -410,7 +421,7 @@ class TestEngine:
         if eq is None:
             return
         m = data.draw(st.integers(1, 12))
-        packing = congruence_engine(eq, m).degree_packing()
+        packing = congruence_engine(eq, m).degree_packing(m)
         assert_disjoint_real_cliques(packing, brute_congruence_cliques(eq, m))
         assert brute_rho_numerator(eq, m)[0] <= m - len(packing)
 
@@ -786,6 +797,56 @@ class TestPrefixRoots:
             assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
             assert m - len(engine.packing) >= brute_clique_free_max(inside, m) == engine.r[m], (str(eq), m)
 
+    @given(a=st.integers(1, 12), b=st.integers(0, 12), c=st.integers(1, 12), n=st.integers(1, 14))
+    @settings(max_examples=50, deadline=None)
+    @example(a=1, b=5, c=4, n=8)  # the degree packing of prefix 8 trades (3, 5) for (1, 2, 3) and (5, 7, 8)
+    @example(a=3, b=8, c=4, n=12)  # root trades: one for two at prefix 8, two for three at 12
+    @example(a=1, b=10, c=3, n=15)  # root trades: one for two at prefix 8, two for three at 15
+    def test_packing_after_advance_is_disjoint_brute_cliques(self, a, b, c, n):
+        # after each advance of an integer engine, its packing, a traded one
+        # included, is pairwise disjoint member sets of solutions in [1, m],
+        # re-derived by brute force, and m - k bounds the exhaustive r(m)
+        try:
+            eq = ThreeVarEquation(a, b, c)
+        except InvariantViolation:
+            return
+        ok = avoiding_mask_table(eq, n)
+        top = [0] * (n + 1)  # the largest avoiding subset by its largest element
+        for S in range(1 << n):
+            if ok[S]:
+                top[S.bit_length()] = max(top[S.bit_length()], S.bit_count())
+        r = list(accumulate(top, max))
+        real = {tuple(sorted({s.x, s.y, s.z} - {0})) for s in brute_solutions(eq, n)}
+        engine = search._integer_engine(eq)
+        state = search._RunState()
+        for m in range(1, n + 1):
+            engine.grow()
+            engine.advance(state)
+            members = [v for cl in engine.packing for v in cl]
+            assert len(members) == len(set(members)), (str(eq), m)
+            assert all(cl in real and cl[-1] <= m for cl in engine.packing), (str(eq), m)
+            assert m - len(engine.packing) >= r[m] == engine.r[m], (str(eq), m)
+
+    @pytest.mark.parametrize("groups,want", [
+        # packing clique 0 is {1, 2}: {1, 7} and {2, 8} meet only it
+        ({1: [bits(1, 7), bits(2, 8)]}, (1, (bits(1, 7), bits(2, 8)))),
+        # packing cliques {1, 2, 3} and {4, 5, 6}: the two cliques that meet
+        # only the first meet each other, so no 1-for-2 trade exists, but
+        # {1, 4} and {2, 5}, which meet both, and {3, 7} are disjoint
+        ({1: [bits(3, 7), bits(3, 8)], 2: [], 3: [bits(1, 4), bits(2, 5)]},
+         (3, (bits(1, 4), bits(3, 7), bits(2, 5)))),
+        # the same with {2, 5} gone: three disjoint cliques need it
+        ({1: [bits(3, 7), bits(3, 8)], 2: [], 3: [bits(1, 4)]}, None),
+        # packing cliques {1, 2} and {3, 4}: {2, 5} meets {4, 5}, not {4, 6}
+        ({1: [bits(2, 5)], 2: [bits(4, 5), bits(4, 6)], 3: [bits(1, 3)]},
+         (3, (bits(1, 3), bits(2, 5), bits(4, 6)))),
+        # four cliques meet both {1, 2, 3} and {4, 5, 6}: {2, 5} meets {2, 6}
+        ({1: [], 2: [], 3: [bits(1, 4), bits(2, 5), bits(2, 6), bits(3, 6)]},
+         (3, (bits(1, 4), bits(2, 5), bits(3, 6)))),
+    ])
+    def test_trade(self, groups, want):
+        assert search._trade(groups) == want
+
     def test_pair_partners_are_the_two_member_cliques(self):
         # the O(1) formula against the solution enumeration, on the 290
         # equations a <= 6, 0 <= b <= 6, c <= 9, for m < 120
@@ -852,7 +913,7 @@ class TestPrefixRoots:
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
         engine.need_triples(engine.grown, search._RunState())
-        engine.degree_packing()
+        engine.degree_packing(40 - engine.r[39])
         want = sorted(oracle_cliques(eq, 40), key=lambda cl: (cl[-1], cl))
         assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
         assert engine.count == [sum(v in cl for cl in want) for v in range(41)]
