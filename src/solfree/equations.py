@@ -251,6 +251,12 @@ def _dilated_mask(members, k: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+# the widest c-mask that avoids builds, in bits per pair of members: past it
+# the pair scan costs less time and bounded memory.  The benchmark's calls
+# (report-sweep, deep-solve and verify-fuzz, seeds 1-10) reach 18 at most
+_PAIR_BITS = 64
+
+
 def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     """True iff no triple from A solves the equation.
 
@@ -268,7 +274,10 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     ~460 ms with C over all of A.  Likewise b*y <= c*z - a for the largest
     such z, so B holds only the members y that meet that bound, and a huge b
     builds no mask wider than C (x+100000000y=3z over [1, 5]: no bit at all,
-    where B over all of A took 62 MB).
+    where B over all of A took 62 MB).  A huge c still widens C itself, so
+    once C would take more than ``_PAIR_BITS`` bits per pair of members the
+    check scans the pairs instead (see ``_avoids_by_pairs``), with the same
+    answer: 100000000x+y=100000002z over [1, 5] peaked at 153 MB with C.
     """
     members = A.members
     if eq.b == 0:
@@ -282,6 +291,8 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     a, b, c = eq.a, eq.b, eq.c
     reach = (a + b) * members[-1] // c if members else 0  # the largest z any solution can use
     zs = members[:bisect_right(members, reach)]
+    if zs and c * zs[-1] > _PAIR_BITS * len(members) ** 2:
+        return _avoids_by_pairs(eq, A)
     cmask = _dilated_mask(zs, c)
     # b*y = c*z - a*x <= c*max(zs) - a: no larger y is in any solution
     bmask = _dilated_mask(members[:bisect_right(members, (c * zs[-1] - a) // b)] if zs else (), b)
@@ -290,6 +301,24 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
         if hits:
             by = (hits & -hits).bit_length() - 1
             return AvoidanceCheck(False, Solution(x, by // b, (a * x + by) // c))
+    return AvoidanceCheck(True, None)
+
+
+def _avoids_by_pairs(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
+    """:func:`avoids` for b >= 1 by a scan over the pairs (x, y) of A, x
+    ascending and then y ascending, so that the first pair with
+    (a*x + b*y)/c in A gives the lexicographically first violation.  It
+    takes O(|A|^2) steps and O(|A|) memory, however large the coefficients."""
+    a, b, c = eq.a, eq.b, eq.c
+    members, mset = A.members, A.member_set
+    top = c * members[-1] if members else 0  # no solution has a*x + b*y above c*max(A)
+    for x in members:
+        for y in members:
+            t = a * x + b * y
+            if t > top:
+                break
+            if t % c == 0 and t // c in mset:
+                return AvoidanceCheck(False, Solution(x, y, t // c))
     return AvoidanceCheck(True, None)
 
 

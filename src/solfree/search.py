@@ -40,8 +40,9 @@ in the congruence instances, form the forced mask at the root.
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-Five tests, in this order, can answer at the root, where the prefix costs
-one node:
+Six tests, in this order, can answer it.  The first four run at the root,
+where the prefix costs one node; the last two run once the search has
+spent nodes enough to pay for them:
   * the cheap yes: wit[m - 1] plus m avoids the equation, that is no clique
     whose largest member is m has its other members in wit[m - 1];
   * the warm packing: k pairwise disjoint cliques in [1, m] each need one
@@ -80,8 +81,27 @@ one node:
     steps of growing to m and the search's nodes make one per clique: at
     the root when there are no more cliques than elements.  The packings
     settle most stall prefixes in the paper's Family I regime, where
-    m - r(m) disjoint solutions exist.
+    m - r(m) disjoint solutions exist;
+  * the fractional test of the integer engines, where the packing is still
+    at most two cliques short: weights on the cliques in place of a
+    packing (below).
 Otherwise the DFS looks for such a set and ends at its first leaf.
+
+The fractional test: a fractional clique packing, weights
+y_C >= 0 with total weight at most 1 on each element, proves
+r(m) <= m - sum y: an avoiding set leaves out a member of each clique, so
+elements of total weight at least sum y.  A revised simplex, started from
+the packing (see ``_fractional_stall``), pivots until sum y passes
+m - r(m - 1) - 1, and m is a stall once the integer counts
+floor(y * 2^20) prove it, sum cnt > (m - r(m - 1) - 1) * L with L their
+largest load, recomputed from the cliques' members (``_counts_settle``).
+Floats only propose.  It settles stalls that no integer packing can, as
+in the Family II equation x+y=4z: at m = 52 the fractional packing number
+is 21.5 where 22 disjoint cliques would be needed, and x+y=4z at n = 54
+takes 14 039 nodes with the test and 69 427 without.  The test keeps no state
+on the engine: a settled prefix keeps wit[m - 1], as a packing settle
+does, and only node counts move.  The congruence engines run none, as they
+run no trades.
 
 A trade is one step of t-for-(t + 1) local search for set packing
 (Hurkens and Schrijver, SIAM J. Discrete Math. 2, 1989): it gives up one
@@ -421,6 +441,122 @@ def _trade(groups: dict[int, list[int]]) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
+_SCALE = 1 << 20  # a fractional packing's weights become the counts floor(y * _SCALE)
+
+
+def _counts_settle(cliques: list[tuple[int, ...]], weights: list[float], need: int) -> bool:
+    """Whether the integer counts cnt_C = floor(y_C * 2^20) of the weights y
+    on ``cliques`` (0 for y_C <= 0) prove that fewer than m - need elements
+    of [1, m] avoid the cliques: sum cnt > need * L, with L the largest load
+    sum over C containing v of cnt_C, over the clique members.
+
+    cnt / L is a fractional packing (every load is at most 1), and an
+    avoiding set leaves out members of total load at least sum cnt / L, so
+    r(m) <= m - sum cnt / L < m - need.  Only integers decide; the weights
+    may be any floats."""
+    counts = [int(y * _SCALE) if y > 0 else 0 for y in weights]
+    load: dict[int, int] = {}
+    for cl, k in zip(cliques, counts):
+        for v in cl:
+            load[v] = load.get(v, 0) + k
+    return sum(counts) > need * max(load.values(), default=0)
+
+
+_EPS = 1e-9  # the simplex's zero: smaller reduced costs and column entries do not count
+
+
+def _fractional_stall(cliques: list[tuple[int, ...]], packing: list[tuple[int, ...]], need: int):
+    """Pivots of a revised simplex for a fractional clique packing y, sum
+    over C containing v of y_C <= 1 at every v, with sum y > ``need``: a
+    generator that yields once per pivot, True once ``_counts_settle``
+    certifies such a y from the basis and None otherwise, and ends after
+    True or once the simplex is at its optimum without one.
+
+    The simplex maximises sum y with B^-1 dense, Dantzig's pricing and the
+    largest pivot among tied ratios.  Its basis starts from ``packing``,
+    pairwise disjoint members of ``cliques``: each clique is basic at 1 in
+    its smallest member's row, the other members' slacks are basic at 0,
+    and every other row's slack at 1.  A vertex v is row v; row 0 stands
+    in for a pair's or a singleton's missing members, with price 0 and no
+    entry in B^-1.  The set-up runs at the first pivot, and nothing is
+    built before."""
+    if not cliques:
+        return
+    index = {cl: j for j, cl in enumerate(cliques)}
+    cols = [(cl + (0, 0))[:3] for cl in cliques]
+    top = max(cl[-1] for cl in cliques) + 1
+    on: list[list[int]] = [[] for _ in range(top)]  # the cliques of each vertex
+    for j, cl in enumerate(cliques):
+        for v in cl:
+            on[v].append(j)
+    inv = [[0.0] * top for _ in range(top)]
+    for i in range(1, top):
+        inv[i][i] = 1.0
+    basis = [~i for i in range(top)]  # basis[i]: clique j >= 0, or ~v for v's slack
+    x = [0.0] + [1.0] * (top - 1)  # the basic values, row by row
+    price = [0.0] * top  # the duals c_B B^-1
+    sums = [0.0] * len(cliques)  # each clique's price, kept as the prices move
+    for cl in packing:
+        r = cl[0]
+        basis[r] = index[cl]
+        price[r] = 1.0
+        for j in on[r]:
+            sums[j] += 1.0
+        for u in cl[1:]:
+            inv[u][r] = -1.0
+            x[u] = 0.0
+    z = float(len(packing))
+    while True:
+        low, slack = min(sums), min(price)
+        gain, q = 1.0 - low, sums.index(low)
+        if -slack > gain:
+            gain, q = -slack, ~price.index(slack)
+        if gain <= _EPS:
+            return
+        if q >= 0:
+            u, v, w = cols[q]
+            d = [row[u] + row[v] + row[w] for row in inv]
+        else:
+            d = [row[~q] for row in inv]
+        hit = [i for i in range(1, top) if d[i]]
+        r, theta = 0, math.inf
+        for i in hit:
+            if d[i] > _EPS:
+                t = x[i] / d[i]
+                if t < theta - _EPS or t < theta + _EPS and d[i] > d[r]:
+                    r, theta = i, t
+        if not r:
+            return
+        for i in hit:
+            x[i] -= theta * d[i]
+        x[r] = theta
+        z += theta * gain
+        # row r of B^-1 is sparse: its entries move the prices and, times d,
+        # the rows that d hits
+        f = gain / d[r]
+        pivot = [(v, b) for v, b in enumerate(inv[r]) if b]
+        for v, b in pivot:
+            step = f * b
+            price[v] += step
+            for j in on[v]:
+                sums[j] += step
+        pivot = [(v, b / d[r]) for v, b in pivot]
+        for i in hit:
+            row, di = inv[i], d[i]
+            if i == r:
+                for v, b in pivot:
+                    row[v] = b
+            else:
+                for v, b in pivot:
+                    row[v] -= di * b
+        basis[r] = q
+        if z > need and _counts_settle([cliques[j] for j in basis if j >= 0],
+                                       [y for j, y in zip(basis, x) if j >= 0], need):
+            yield True
+            return
+        yield None
+
+
 class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
@@ -687,8 +823,8 @@ class _Core:
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
         avoiding set that large, and r(m - 1) otherwise.  The engine must be
-        grown to exactly m, as the root tests and the degree packing read
-        the cliques in [1, m].
+        grown to exactly m, as the root tests, the degree packing and the
+        fractional test read the cliques in [1, m].
 
         The first search an integer engine needs ends its pair-only phase:
         the catch-up takes in every triple up to m, and then ``kept`` is
@@ -741,13 +877,20 @@ class _Core:
         deadline = state.deadline
         # A prefix settled above costs one node: its root's bound is its size.
         # Otherwise the search looks for prev + 1 elements and ends at its first
-        # leaf, or right after the degree packing when k disjoint cliques give
-        # r(m) <= m - k <= prev.  The packing sorts every clique, so a prefix
-        # tries it at most once.  Growing the engine to m took m steps, so the
-        # try comes once the search has spent clique_count - m nodes, on its
-        # first node when there are no more cliques than elements.  The first
-        # node count above ``limit`` is that trigger or the one past the node
-        # budget, whichever is first.
+        # leaf, or right after a stall test settles the prefix.  The degree
+        # packing sorts every clique, so a prefix tries it at most once.
+        # Growing the engine to m took m steps, so the try comes once the
+        # search has spent clique_count - m nodes, on its first node when there
+        # are no more cliques than elements.  In an integer engine whose
+        # packing is then at most two cliques short, the fractional test comes
+        # next, once the search has spent two nodes a clique, and again each
+        # time its nodes double.  A pivot costs about as much as one to three
+        # nodes a row (Python 3.11), so the simplex gets one pivot per 2m nodes
+        # the search has spent, all its tries together, and a test that fails
+        # costs about as much as the search before it; the simplex keeps its
+        # basis from one try to the next.  The first node count above ``limit``
+        # is the next trigger or the one past the node budget, whichever is
+        # first.
         limit = node_cap if root == best_size else min(node_cap, state.nodes + self.clique_count - m)
 
         # Bounds at a node deciding e (undecided region [1, e]):
@@ -765,7 +908,8 @@ class _Core:
         # node, so ``state`` holds it whenever a node raises.
         stack = []
         e, inc, forced = m, 0, self.banned
-        nodes = state.nodes
+        nodes = start = state.nodes
+        lp, pivots = None, 0  # the fractional test, once gated in, and its pivots
         while True:
             nodes += 1
             state.nodes = nodes
@@ -773,8 +917,23 @@ class _Core:
                 if nodes > node_cap:
                     raise state.exceeded(f"{self.where}prefix {m}")
                 limit = node_cap
-                if m - len(self.degree_packing(m - prev)) <= prev:
-                    break
+                if lp is None:  # the first trigger: a later one comes only with lp
+                    if m - len(self.degree_packing(m - prev)) <= prev:
+                        break
+                    if self.eq is not None and m - prev - len(self.packing) <= 2:
+                        lp = _fractional_stall(self.cliques, self.packing, m - prev - 1)
+                        limit = min(node_cap, start + 2 * self.clique_count)
+                else:
+                    settled = None
+                    while settled is None and pivots < (nodes - start) // (2 * m):
+                        if time.monotonic() > deadline:
+                            raise state.exceeded(f"{self.where}prefix {m}")
+                        settled = next(lp, False)  # False: the simplex is at its optimum
+                        pivots += 1
+                    if settled:
+                        break
+                    if settled is None:
+                        limit = min(node_cap, start + 2 * (nodes - start))
             if nodes & 4095 == 1 and time.monotonic() > deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:

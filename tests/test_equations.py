@@ -1,12 +1,15 @@
 """Equation parsing, solution enumeration, and the avoidance checker."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from solfree import equations
 from solfree.equations import (
     Family,
     IntSet,
@@ -173,6 +176,34 @@ class TestAvoids:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_huge_c_builds_no_wide_mask(self):
+        # the c-mask would hold bit c*4 for z = 4, 400 000 008 bits for five
+        # members (it peaked at 153 MB), so the pairs are scanned instead
+        eq = ThreeVarEquation(10**8, 1, 10**8 + 2)
+        A = IntSet(5, (1, 2, 3, 4, 5))
+        tracemalloc.start()
+        try:
+            check = avoids(eq, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert check == (False, (1, 2, 1)) == brute_avoids(eq, A)
+
+    @settings(max_examples=200)
+    @given(eq=valid_equations(), wide=valid_equations(wide=True), data=st.data())
+    def test_pair_scan_matches_the_masks(self, eq, wide, data):
+        # the pair scan that avoids falls back on gives the masks' answer,
+        # the lexicographically first violation included
+        n = data.draw(st.integers(1, 300))
+        picked = data.draw(st.sets(st.integers(1, n), max_size=40))
+        A = IntSet.of(n, picked if data.draw(st.booleans()) else set(range(1, n + 1)) - picked)
+        with mock.patch.object(equations, "_PAIR_BITS", math.inf):  # the masks however wide
+            masks = [avoids(form, A) for form in (eq, wide)]
+        for form, check in zip((eq, wide), masks):
+            if form.b:
+                assert equations._avoids_by_pairs(form, A) == check
 
     @given(eq=valid_equations(), repeat=st.sampled_from(["x=y", "y=z", "x=z"]), k=st.integers(1, 10))
     def test_solutions_with_a_repeated_value(self, eq, repeat, k):

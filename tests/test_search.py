@@ -246,7 +246,9 @@ class TestMaxAvoiding:
     # m - k <= r(m - 1), or whose pair graph has no independent set above
     # r(m - 1), costs one node, and so does one whose warm packing is one
     # clique short (m - k = r(m - 1) + 1) when the search's first path has
-    # r(m - 1) + 1 elements or one trade makes the packing large enough.
+    # r(m - 1) + 1 elements or one trade makes the packing large enough.  A
+    # search whose packing is at most two cliques short may also stop once
+    # the fractional test settles the prefix.
     # Equal to the sum over a 1..n sweep.
     # The cap makes a weaker bound or a lost certificate fail fast instead of
     # running for long.
@@ -263,7 +265,7 @@ class TestMaxAvoiding:
         ("2x+y=4z", 300, 300),
         ("2x=z", 200, 200),  # every root the seed misses is settled by P, exact with b = 0
         ("x+2y=5z", 31, 4437),  # 4 457 without the one-short root, 4 460 without the warm packing too
-        ("x+y=4z", 54, 69427),  # 69 738 without trades and the dive, 70 122 without the pair test too
+        ("x+y=4z", 54, 14039),  # 69 427 without the fractional test, 69 738 without trades and the dive too
     ]
 
     @pytest.mark.parametrize("text,n,nodes", PINNED_NODES, ids=[f"{t}@{n}" for t, n, _ in PINNED_NODES])
@@ -561,8 +563,10 @@ class TestEngine:
         assert engine.grown <= len(engine.r) < 50_000
 
     def test_time_budget_stops_a_prefix_mid_search(self, monkeypatch):
-        # prefix 96 of x+2y=13z alone takes ~12 M nodes: only the clock read
-        # every 4096 nodes inside the search stops it near the deadline
+        # without the fractional test, which settles it, prefix 96 of
+        # x+2y=13z alone takes ~12 M nodes: only the clock read every 4096
+        # nodes inside the search stops it near the deadline
+        monkeypatch.setattr(search, "_fractional_stall", lambda *args: iter(()))
         eq = EQS["family1"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 95, canonical=False)
@@ -604,6 +608,52 @@ class TestEngine:
         monkeypatch.setattr(search, "_RunState", plain)
         for n in range(1, 15):
             assert max_avoiding(eq, n).size == exhaustive_max(eq, n)[0]
+
+        # the fractional test first runs at prefix 30 of x+y=4z, after the
+        # degree packing, and settles it in four pivots; an exception after
+        # two leaves r, wit and the packing as a cold engine has them
+        eq = parse_equation("x+y=4z")
+        engine = fresh_engine(monkeypatch, eq)
+        stall, pivots = search._fractional_stall, []
+
+        def failing(*args):
+            for settled in stall(*args):
+                if len(pivots) == 2:
+                    raise exc("injected")
+                pivots.append(settled)
+                yield settled
+
+        monkeypatch.setattr(search, "_fractional_stall", failing)
+        with pytest.raises(exc):
+            max_avoiding(eq, 40, canonical=False)
+        assert pivots == [None, None] and len(engine.r) == 30
+        monkeypatch.setattr(search, "_fractional_stall", stall)
+        again = max_avoiding(eq, 40, canonical=False)
+        cold = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 40, canonical=False)
+        assert again.witness == want.witness
+        assert (engine.r, engine.wit, engine.packing) == (cold.r, cold.wit, cold.packing)
+
+    def test_time_cap_bounds_the_fractional_test(self, monkeypatch):
+        # a fractional test that never ends, at 0.2 s a pivot, stops at its
+        # first pivot past the deadline: the pivot loop reads the clock
+        # before each pivot.  Its first try, at prefix 30 of x+y=4z, may
+        # take four pivots, and without the clock they would take 0.8 s
+        pivots = []
+
+        def endless(cliques, packing, need):
+            while True:
+                time.sleep(0.2)
+                pivots.append(need)
+                yield None
+
+        monkeypatch.setattr(search, "_fractional_stall", endless)
+        eq = parse_equation("x+y=4z")
+        engine = fresh_engine(monkeypatch, eq)
+        t0 = time.monotonic()
+        res = max_avoiding(eq, 54, time_cap=0.1)
+        assert time.monotonic() - t0 < 0.6
+        assert not res.optimal and pivots == [12] and len(engine.r) == 30
 
     def test_deep_canonical_pass_is_lex_least(self, monkeypatch):
         eq = parse_equation("2x=z")
@@ -1024,6 +1074,93 @@ class TestPrefixRoots:
             assert res.canonical and res.witness == search._mask_to_set(n, engine.lex_least(n, search._RunState()))
             shortcuts += search._greedy_mask(eq, n, range(1, n + 1)).bit_count() == res.size
         assert shortcuts == {7: 62, 19: 44, 33: 44}[n]
+
+
+def stall_verdict(cliques, packing, need, cap: int = 3000) -> bool | None:
+    """The fractional test's verdict within ``cap`` pivots: True once it
+    settles, False once the simplex is at its optimum, None past the cap."""
+    for pivots, settled in enumerate(search._fractional_stall(cliques, packing, need), 1):
+        if settled:
+            return True
+        if pivots == cap:
+            return None
+    return False
+
+
+class TestFractionalStall:
+    """The fractional clique-packing test: the simplex proposes, integers decide."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_settle_is_sound(self, data):
+        # whenever the test settles (cliques of [1, m], need), no avoiding
+        # set of [1, m] has m - need elements: over the integer cliques of
+        # every regime (b = 0 included) and the congruence cliques with their
+        # singletons, from the greedy packing or from none, with need up to
+        # m - r(m), which no packing can prove
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        if data.draw(st.booleans()):
+            m = data.draw(st.integers(1, 14))
+            cliques, r = oracle_cliques(eq, m), exhaustive_max(eq, m)[0]
+        else:
+            q = data.draw(st.integers(1, 12))
+            m = data.draw(st.integers(1, q))
+            cliques = sorted(cl for cl in brute_congruence_cliques(eq, q) if cl[-1] <= m)
+            r = brute_clique_free_max(cliques, m)
+        need = data.draw(st.integers(max(0, m - r - 3), m - r))
+        packing = greedy_suffix_packing(cliques) if data.draw(st.booleans()) else []
+        if stall_verdict(cliques, packing, need):
+            assert r <= m - need - 1, (str(eq), m, need)
+
+    @pytest.mark.parametrize("text,m,need,want", [
+        ("x+y=4z", 52, 21, True),  # nu* = 21.5 > 21, and no integer packing has 22 cliques
+        ("x+y=3z", 50, 24, False),  # nu* = 22.0: the simplex ends at its optimum
+    ])
+    def test_pinned_verdicts(self, text, m, need, want):
+        # from the packing the engine keeps after its degree packing at m
+        eq = parse_equation(text)
+        engine = search._integer_engine(eq)
+        engine.solve_to(m - 1, search._RunState())
+        engine.grow()
+        engine.need_triples(m, search._RunState())
+        assert m - engine.r[m - 1] - 1 == need
+        packing = engine.degree_packing(need + 1)
+        assert len(packing) <= need and engine.cliques == [cl for k in range(1, m + 1) for cl in cliques_for(eq, k)]
+        assert stall_verdict(engine.cliques, engine.packing, need) is want
+
+    @pytest.mark.parametrize("cliques", [
+        [(1, 2, 3), (1, 4, 5)],  # meet at their smallest members
+        [(1, 3, 5), (2, 3, 4)],  # at their middle members
+        [(1, 2, 5), (3, 4, 5)],  # at their largest members
+        [(1, 2, 3), (3, 4, 5)],  # at the largest of one and the smallest of the other
+        [(1, 4), (2, 3, 4)],  # a pair and a triple
+        [(2,), (1, 2)],  # a singleton and a pair
+    ])
+    def test_meeting_cliques_do_not_settle(self, cliques):
+        # weight 1 on two cliques that meet is no packing: the load at their
+        # common member is 2, so the counts prove only r(m) <= m - 1
+        assert not search._counts_settle(cliques, [1.0, 1.0], 1)
+        assert search._counts_settle(cliques, [1.0, 1.0], 0)
+
+    @pytest.mark.parametrize("cliques", [
+        [(1, 2), (2, 3), (1, 3)],  # a triangle of pairs: nu* = 3/2
+        [(1, 2, 4), (2, 3, 5), (1, 3, 6)],  # a triangle of triples
+    ])
+    def test_half_weights_on_a_triangle_settle(self, cliques):
+        # weight 1/2 each: every load is at most 1 and the sum is 3/2 > 1,
+        # though no two of the cliques are disjoint.  The largest load
+        # divides out, so weights of any scale prove as much
+        assert search._counts_settle(cliques, [0.5] * 3, 1)
+        assert not search._counts_settle(cliques, [0.5] * 3, 2)
+        assert search._counts_settle(cliques, [3.0] * 3, 1)
+        assert not search._counts_settle(cliques, [3.0, 3.0, 0.0], 1)  # two cliques that meet
+
+    def test_weights_at_or_below_zero_count_nothing(self):
+        assert not search._counts_settle([(1, 2), (3, 4)], [1.0, -1.0], 1)
+        assert not search._counts_settle([(1, 2), (3, 4)], [0.0, 0.0], 0)
+        assert search._counts_settle([(1, 2), (3, 4)], [1.0, 1.0], 1)
 
 
 class TestAllExtremal:
