@@ -123,6 +123,9 @@ def injection_certificate(b: int, B: IntSet, n: int | None = None) -> InjectionC
 
     B must avoid the equation: one that contains a solution raises
     :class:`~solfree.errors.AvoidanceCheckFailed` naming B and the solution.
+    Every B is gated, but A_b comes from :func:`ab_set`, which keeps its
+    last few results, so many sets certified at one (b, n) build and gate
+    A_b once.
     The mapping follows the case rules for b = 2 and b = 3 exactly; totality,
     injectivity and the codomain are then checked, and any divergence raises
     :class:`InvariantViolation` naming the check that failed (release tests

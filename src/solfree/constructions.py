@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, filterfalse
 from math import gcd
 
@@ -228,9 +229,13 @@ def two_var_extremal(a: int, b: int, n: int) -> tuple[int, IntSet]:
     return A.size, A
 
 
+@lru_cache(maxsize=8)
 def ab_set(b: int, n: int) -> tuple[IntSet, Fraction]:
     """The set {u * b^(3i) : b does not divide u} inside [1, n], together with
-    its asymptotic density b^2 / (b^2 + b + 1).  Avoids x + b y = b^2 z."""
+    its asymptotic density b^2 / (b^2 + b + 1).  Avoids x + b y = b^2 z.
+
+    The last few results are kept, gated once, so that certifying many sets
+    at one (b, n) builds and checks A_b once (see ``injection_certificate``)."""
     A = _ab_members(b, n)
     require_avoiding(ThreeVarEquation(1, b, b * b), A, f"ab_set({b}, {n})")
     return A, Fraction(b * b, b * b + b + 1)

@@ -269,15 +269,20 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     such y, and z = (a*x + b*y)/c is then determined, so that triple is the
     lexicographic first.  Every solution has c*z = a*x + b*y <= (a+b)*max(A),
     so C holds only the members z that meet that bound: each test then
-    costs about (a+b)*max(A) bits however large c is.  The top interval of
-    x+2y=13z at n = 30 000 (23 077 members) passes in ~7 ms, against
-    ~460 ms with C over all of A.  Likewise b*y <= c*z - a for the largest
-    such z, so B holds only the members y that meet that bound, and a huge b
-    builds no mask wider than C (x+100000000y=3z over [1, 5]: no bit at all,
-    where B over all of A took 62 MB).  A huge c still widens C itself, so
-    once C would take more than ``_PAIR_BITS`` bits per pair of members the
-    check scans the pairs instead (see ``_avoids_by_pairs``), with the same
-    answer: 100000000x+y=100000002z over [1, 5] peaked at 153 MB with C.
+    costs about (a+b)*max(A) bits however large c is (the top interval of
+    x+2y=13z at n = 30 000, 23 077 members, took ~460 ms with C over all
+    of A).  Likewise b*y <= c*z - a for the largest such z, so B holds only
+    the members y that meet that bound, and a huge b builds no mask wider
+    than C (x+100000000y=3z over [1, 5]: no bit at all, where B over all of
+    A took 62 MB).  And a*x <= c*z - b, so the tests stop at the last
+    member x that meets that bound for the largest such z: past it
+    ``C >> a*x`` misses B.  On multi-interval sets and Family I candidates
+    that skips part of A, and where c > a + b a top interval has no z at
+    all: that of x+2y=13z at n = 30 000 passes in ~1 us, where the tests of
+    all its x took ~1 ms.  A huge c still widens C itself, so once C would take more
+    than ``_PAIR_BITS`` bits per pair of members the check scans the pairs
+    instead (see ``_avoids_by_pairs``), with the same answer:
+    100000000x+y=100000002z over [1, 5] peaked at 153 MB with C.
     """
     members = A.members
     if eq.b == 0:
@@ -291,12 +296,16 @@ def avoids(eq: ThreeVarEquation, A: IntSet) -> AvoidanceCheck:
     a, b, c = eq.a, eq.b, eq.c
     reach = (a + b) * members[-1] // c if members else 0  # the largest z any solution can use
     zs = members[:bisect_right(members, reach)]
-    if zs and c * zs[-1] > _PAIR_BITS * len(members) ** 2:
+    if not zs:
+        return AvoidanceCheck(True, None)
+    top = c * zs[-1]
+    if top > _PAIR_BITS * len(members) ** 2:
         return _avoids_by_pairs(eq, A)
     cmask = _dilated_mask(zs, c)
     # b*y = c*z - a*x <= c*max(zs) - a: no larger y is in any solution
-    bmask = _dilated_mask(members[:bisect_right(members, (c * zs[-1] - a) // b)] if zs else (), b)
-    for x in members:
+    bmask = _dilated_mask(members[:bisect_right(members, (top - a) // b)], b)
+    # likewise a*x <= c*max(zs) - b: past that x the shifted c-mask misses B
+    for x in members[:bisect_right(members, (top - b) // a)]:
         hits = (cmask >> a * x) & bmask
         if hits:
             by = (hits & -hits).bit_length() - 1

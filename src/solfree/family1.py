@@ -171,8 +171,9 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
     The window [max(1, S - c), S + 2] is deliberately wider than the location
     estimate needs, and that costs: at n = 50 000, b = 2, c = 13 the call
     builds 46 candidates, :func:`avoids` rejects 44 of them, and the call
-    takes ~2.1 s (Python 3.11.7, 2 cores).  Every emitted candidate has been
-    checked to avoid the equation and to match its own membership labels.
+    takes ~0.9 s (Python 3.11.7, 2 cores), most of it in :func:`avoids`.
+    Every emitted candidate has been checked to avoid the equation and to
+    match its own membership labels.
     """
     stats = min_element_stats(n, b, c)
     eq = ThreeVarEquation(1, b, c)

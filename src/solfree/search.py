@@ -398,7 +398,7 @@ def _suffix_packing(eq: ThreeVarEquation, m: int, tables) -> list[tuple[int, ...
     return packing
 
 
-def _trade(groups: dict[int, list[int]]) -> tuple[int, tuple[int, ...]] | None:
+def _trade(groups: dict[int, list[int]], state: _RunState, where: str) -> tuple[int, tuple[int, ...]] | None:
     """One trade that makes a clique packing larger, from ``groups``: the
     masks of the cliques, none of the packing's own, by the packing
     cliques each meets, as bit i for packing clique i; every key with one
@@ -414,15 +414,23 @@ def _trade(groups: dict[int, list[int]]) -> tuple[int, tuple[int, ...]] | None:
     group of j and the later cliques of its own group, never two from the
     group of i or two from that of j.  A packing that is not maximal has
     cliques that meet none of it, under key 0, and two disjoint ones are a
-    trade that gives up nothing."""
+    trade that gives up nothing.
+
+    The clock is read before each group is scanned, in both passes: past
+    the deadline of ``state`` it raises its budget error, naming ``where``."""
+    deadline = state.deadline
     for hit, group in groups.items():
         if hit & (hit - 1) == 0:
+            if time.monotonic() > deadline:
+                raise state.exceeded(where)
             for k, x in enumerate(group):
                 for y in group[k + 1:]:
                     if not x & y:
                         return hit, (x, y)
     for hit, group in groups.items():
         if hit & (hit - 1):
+            if time.monotonic() > deadline:
+                raise state.exceeded(where)
             low = hit & -hit
             for k, x in enumerate(group):
                 # the cliques that miss x; two that meet only i, or only j,
@@ -762,15 +770,15 @@ class _Core:
                     count[v] += 1
         self.pending.clear()
 
-    def degree_packing(self, need: int) -> list[tuple[int, ...]]:
+    def degree_packing(self, need: int, state: _RunState) -> list[tuple[int, ...]]:
         """Pairwise disjoint cliques from every clique whose triples are
         taken in: one greedy pass over them in ascending order of the sum of
         their members' occurrence counts (arrival order breaks ties), so
         cliques of rarely used elements, which block few others, come first.
         The clique list and the counts take in the pending records first.
         In an integer engine a pass one clique short of ``need`` tries one
-        trade (see :meth:`_swap`).  A packing larger than the warm one
-        replaces it."""
+        trade (see :meth:`_swap`), within the deadline of ``state``.  A
+        packing larger than the warm one replaces it."""
         self._list_cliques()
         weight = self.count.__getitem__
         packing = []
@@ -780,7 +788,7 @@ class _Core:
                 used.update(cl)
                 packing.append(cl)
         if len(packing) == need - 1 and self.eq is not None:
-            packing = self._swap(packing) or packing
+            packing = self._swap(packing, state) or packing
         self._keep(packing)
         return packing
 
@@ -790,13 +798,14 @@ class _Core:
             self.packing = packing
             self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
 
-    def _swap(self, packing: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+    def _swap(self, packing: list[tuple[int, ...]], state: _RunState) -> list[tuple[int, ...]] | None:
         """A larger packing than ``packing``, whose cliques must be in the
-        clique list, by one trade (see ``_trade``), or None.  The cliques
-        go to ``_trade`` as masks, grouped by the mask of the packing
-        cliques they meet (bit i for packing clique i): a clique that meets
-        three is of no use, and those of ``packing`` are left out, as each
-        meets every other clique of its group."""
+        clique list, by one trade (see ``_trade``) within the deadline of
+        ``state``, or None.  The cliques go to ``_trade`` as masks, grouped
+        by the mask of the packing cliques they meet (bit i for packing
+        clique i): a clique that meets three is of no use, and those of
+        ``packing`` are left out, as each meets every other clique of its
+        group."""
         own = [0] * (self.tripled + 1)  # bit i if v is in packing clique i
         for i, cl in enumerate(packing):
             for v in cl:
@@ -812,7 +821,7 @@ class _Core:
                 group.append(1 << (u - 1) | 1 << (v - 1) | 1 << (w - 1))
         for i, cl in enumerate(packing):
             groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
-        trade = _trade(groups)
+        trade = _trade(groups, state, f"{self.where}prefix {self.tripled}")
         if trade is None:
             return None
         hit, new = trade
@@ -865,7 +874,7 @@ class _Core:
                     best, best_size = dive, root
                 else:
                     self._list_cliques()
-                    swapped = self._swap(self.packing)
+                    swapped = self._swap(self.packing, state)
                     if swapped:
                         self._keep(swapped)
                         root = prev
@@ -918,7 +927,7 @@ class _Core:
                     raise state.exceeded(f"{self.where}prefix {m}")
                 limit = node_cap
                 if lp is None:  # the first trigger: a later one comes only with lp
-                    if m - len(self.degree_packing(m - prev)) <= prev:
+                    if m - len(self.degree_packing(m - prev, state)) <= prev:
                         break
                     if self.eq is not None and m - prev - len(self.packing) <= 2:
                         lp = _fractional_stall(self.cliques, self.packing, m - prev - 1)
@@ -1275,20 +1284,26 @@ class _Kept:
     a new element e avoids the equation is a few shifts and ands.
 
     The masks hold bits a*v, b*v and c*v and bits b*Y - b*v for v in K, so
-    that each role of e is one shift and one and; as z, with
-    d = b*Y - c*e, a*x + b*y = c*e reads a*x + d = b*Y - b*y.  Each test
-    runs with e already in the masks, which catches solutions that repeat e
-    (such as x = y = e), so testing an element already in K gives the same
-    answer again.  Every solution has c*z = a*x + b*y <= (a+b)*n, so the
-    c-mask keeps only the v up to the largest such z, Z.  Then
-    a*x <= c*Z - b and b*y <= c*Z - a, so the a- and b-masks keep only the v
-    up to the largest such x and up to Y, the largest such y but at most n.
-    No mask is then wider than c*Z <= min(c, a+b)*n bits, so one huge
-    coefficient alone widens none (see ``_narrow``).  With b = 0 the
-    b-masks are bit 0 alone, and the same tests cover a*x = c*z.
+    that each role of e against two members of K is one shift and one and;
+    as z, with d = b*Y - c*e, a*x + b*y = c*e reads a*x + d = b*Y - b*y.
+    The tests run before e enters the masks, and e enters them only if it
+    is kept.  A solution that uses e twice and a member v of K once fixes e
+    by v: e = c*v/(a+b) for x = y = e, e = b*v/(c-a) for x = z = e and
+    e = a*v/(c-b) for y = z = e.  So each v kept puts those e, where they
+    are integers, in the set ``banned``, and e is tested against it first,
+    one lookup; no solution uses e three times, as a + b != c.  Every
+    solution has c*z = a*x + b*y <= (a+b)*n, so the c-mask keeps only the v
+    up to the largest such z, Z.  Then a*x <= c*Z - b and b*y <= c*Z - a, so
+    the a- and b-masks keep only the v up to the largest such x and up to Y,
+    the largest such y but at most n.  No mask is then wider than
+    c*Z <= min(c, a+b)*n bits, so one huge coefficient alone widens none
+    (see ``_narrow``).  With b = 0 the b-masks are bit 0 alone, the tests
+    of e as x and as z cover a*x = c*z, and nothing is banned; e as y is
+    not tested, as it would test K alone (3x=2z ascending over [1, 20 000]
+    took 93 ms with that test and takes 27 ms).
     """
 
-    __slots__ = ("eq", "n", "reach", "xr", "yr", "am", "bm", "cm", "brev")
+    __slots__ = ("eq", "n", "reach", "xr", "yr", "am", "bm", "cm", "brev", "bans", "banned")
 
     def __init__(self, eq: ThreeVarEquation, n: int):
         a, b, c = eq.a, eq.b, eq.c
@@ -1298,6 +1313,12 @@ class _Kept:
         self.xr = (c * self.reach - b) // a
         self.yr = min(n, (c * self.reach - a) // b) if b else n
         self.am = self.bm = self.cm = self.brev = 0
+        # a kept v bans v/q*p for these (p, q) in lowest terms, where q
+        # divides v: x = y = e, x = z = e and y = z = e in turn.  (0, 1)
+        # stands for none, as for q <= 0 or b = 0: it bans 0, no element
+        self.bans = tuple((p // math.gcd(p, q), q // math.gcd(p, q)) if q > 0 and b else (0, 1)
+                          for p, q in ((c, a + b), (b, c - a), (a, c - b)))
+        self.banned: set[int] = set()
 
     def extend(self, order) -> int:
         """Keep each element of ``order`` in turn iff it completes no solution
@@ -1305,19 +1326,32 @@ class _Kept:
         a, b, c = self.eq.a, self.eq.b, self.eq.c
         reach, xr, yr = self.reach, self.xr, self.yr
         am, bm, cm, brev = self.am, self.bm, self.cm, self.brev
+        banned = self.banned
+        (p1, q1), (p2, q2), (p3, q3) = self.bans
         kept = 0
         for e in order:
-            am2 = am | 1 << a * e if e <= xr else am
-            bm2, brev2 = (bm | 1 << b * e, brev | 1 << b * (yr - e)) if e <= yr else (bm, brev)
-            cm2 = cm | 1 << c * e if e <= reach else cm
+            if e in banned:
+                continue
             d = b * yr - c * e
             if (
-                (cm2 >> a * e) & bm2  # e as x: a*e + b*y = c*z
-                or (cm2 >> b * e) & am2  # e as y: a*x + b*e = c*z
-                or ((brev2 >> d) & am2 if d >= 0 else (am2 >> -d) & brev2)  # e as z: a*x + b*y = c*e
+                (cm >> a * e) & bm  # e as x: a*e + b*y = c*z
+                or b and (cm >> b * e) & am  # e as y: a*x + b*e = c*z
+                or ((brev >> d) & am if d >= 0 else (am >> -d) & brev)  # e as z: a*x + b*y = c*e
             ):
                 continue
-            am, bm, cm, brev = am2, bm2, cm2, brev2
+            if e <= xr:
+                am |= 1 << a * e
+            if e <= yr:
+                bm |= 1 << b * e
+                brev |= 1 << b * (yr - e)
+            if e <= reach:
+                cm |= 1 << c * e
+            if e % q1 == 0:
+                banned.add(e // q1 * p1)
+            if e % q2 == 0:
+                banned.add(e // q2 * p2)
+            if e % q3 == 0:
+                banned.add(e // q3 * p3)
             kept |= 1 << (e - 1)
         self.am, self.bm, self.cm, self.brev = am, bm, cm, brev
         return kept
@@ -1339,7 +1373,10 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
 
     An element is kept iff it completes no solution with the elements kept so
     far (see ``_Kept``); in ascending order that is the first leaf of the
-    engine's lex-least pass, but with no clique built.
+    engine's lex-least pass, but with no clique built.  Where ``_narrow`` is
+    false the masks would be wide, and each element is tested by
+    ``_completes`` instead: O(|K|) lookups in a set of the kept elements,
+    and memory linear in their count however large the coefficients.
 
     Past ``deadline`` (a ``time.monotonic()`` value) it stops and returns the
     elements kept so far, which avoid the equation too.  The clock is read
@@ -1349,7 +1386,34 @@ def _greedy_mask(eq: ThreeVarEquation, n: int, order, deadline: float | None = N
     """
     if deadline is not None:
         order = takewhile(lambda _: time.monotonic() <= deadline, order)
-    return _Kept(eq, n).extend(order)
+    if _narrow(eq):
+        return _Kept(eq, n).extend(order)
+    members: set[int] = set()
+    kept = 0
+    for e in order:
+        members.add(e)
+        if _completes(eq, e, members):
+            members.discard(e)
+        else:
+            kept |= 1 << (e - 1)
+    return kept
+
+
+def _completes(eq: ThreeVarEquation, e: int, members: set[int]) -> bool:
+    """Whether ``members``, which holds e, has a solution that uses e: for
+    each member v, e as x or y with v as the other, and e as z with v as x,
+    the third variable looked up in the set."""
+    a, b, c = eq.a, eq.b, eq.c
+    if not b:  # a*e = c*z or a*x = c*e
+        return a * e % c == 0 and a * e // c in members or c * e % a == 0 and c * e // a in members
+    for v in members:
+        for t in (a * e + b * v, a * v + b * e):
+            if t % c == 0 and t // c in members:
+                return True
+        t = c * e - a * v
+        if t > 0 and t % b == 0 and t // b in members:
+            return True
+    return False
 
 
 def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0) -> list[IntSet]:

@@ -237,6 +237,26 @@ class TestAbSet:
             A, _ = ab_set(b, 200)
             assert avoids(ThreeVarEquation(1, b, b * b), A).ok
 
+    @pytest.mark.parametrize("first,then", [(3, 2), (2, 3)])
+    def test_kept_sets_are_told_apart_by_b(self, first, then):
+        # the kept results are keyed by (b, n), not by n alone
+        ab_set.cache_clear()
+        ab_set(first, 40)
+        A, d = ab_set(then, 40)
+        assert A == _ab_members(then, 40) and d == Fraction(then * then, then * then + then + 1)
+
+    def test_a_kept_set_is_gated_once(self, monkeypatch):
+        checker, seen = equations.avoids, []
+
+        def recording(eq, A):
+            seen.append(A)
+            return checker(eq, A)
+
+        monkeypatch.setattr(equations, "avoids", recording)
+        ab_set.cache_clear()
+        first, again = ab_set(2, 41), ab_set(2, 41)
+        assert again is first and seen == [first[0]]
+
     def test_density_converges(self):
         # counting identity: |A_b ^ [1,n]| = sum_i floor(n/b^{3i}) - floor(n/b^{3i+1})
         n = 10 ** 6
@@ -345,6 +365,7 @@ class TestAvoidanceGate:
             return AvoidanceCheck(False, Solution(1, 1, 1))
 
         monkeypatch.setattr(equations, "avoids", planted)
+        ab_set.cache_clear()  # a kept A_b was gated when it was built, and is not gated again
         with pytest.raises(AvoidanceCheckFailed, match=r"\(1, 1, 1\)"):
             GATED[name]()
         if name in GATED_FORMS:  # a form constructor gates on the form's own equation

@@ -159,6 +159,7 @@ class TestAvoids:
         ((3, 13), (13, 13, 3)),  # c*z = 39 = (a+b)*max(A): the window's last bit
         ((6, 18, 30), (18, 30, 6)),  # z = 6 = (a+b)*max(A) // c, below the last bit
         ((1, 6), (1, 6, 1)),  # b*y = 12 = c*max(z) - a: the b-mask's last member
+        ((1, 11), (11, 1, 1)),  # a*x = 11 = c*max(z) - b: the last x tested
     ])
     def test_window_keeps_the_largest_reachable_z(self, members, violation):
         eq = parse_equation("x+2y=13z")

@@ -12,7 +12,7 @@ from itertools import accumulate
 from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import solfree
 from solfree import search
@@ -411,7 +411,7 @@ class TestEngine:
         engine = search._Core(partial(search._integer_records, eq))
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
             engine.grow()
-            packing = engine.degree_packing(m - engine.r[m - 1])
+            packing = engine.degree_packing(m - engine.r[m - 1], search._RunState())
             assert_disjoint_real_cliques(packing, oracle_cliques(eq, m))
             engine.advance(search._RunState())
             assert engine.r[m] <= m - len(packing)
@@ -423,7 +423,7 @@ class TestEngine:
         if eq is None:
             return
         m = data.draw(st.integers(1, 12))
-        packing = congruence_engine(eq, m).degree_packing(m)
+        packing = congruence_engine(eq, m).degree_packing(m, search._RunState())
         assert_disjoint_real_cliques(packing, brute_congruence_cliques(eq, m))
         assert brute_rho_numerator(eq, m)[0] <= m - len(packing)
 
@@ -448,14 +448,41 @@ class TestEngine:
         seed=st.integers(0, 2**32 - 1),
     )
     # 3 is kept before 13, which as both x and y completes 13 + 2*13 = 13*3:
-    # z = 3 sits at the last bit of the c-mask window, c*z = (a+b)*n
+    # z = 3 sits at the last bit of the c-mask window, c*z = (a+b)*n.  Only
+    # that solution, with x = y = e, rejects 13
     @example(eq=ThreeVarEquation(1, 2, 13), n=13, order="ascending", seed=0)
+    # 3 is kept, and only (2, 3, 2), with x = z = e, rejects 2
+    @example(eq=ThreeVarEquation(1, 2, 4), n=3, order="descending", seed=0)
+    # 2 is kept, and only (2, 1, 1), with y = z = e, rejects 1
+    @example(eq=ThreeVarEquation(1, 2, 4), n=2, order="descending", seed=0)
     def test_greedy_matches_the_brute_greedy(self, eq, n, order, seed):
         elements = list(range(1, n + 1))
         if order == "descending":
             elements.reverse()
         elif order == "shuffled":
             random.Random(seed).shuffle(elements)
+        assert search._greedy_mask(eq, n, elements) == brute_greedy(eq, n, elements)
+
+    @given(
+        low=st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6)),
+        high=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+        n=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wide_greedy_matches_the_brute_greedy(self, low, high, n, seed):
+        # coefficients t*high + low with t = 10^8, where min(c, a + b) > t:
+        # the masks would be wide, so the greedy probes the kept set
+        # instead.  A solution in [1, n] solves both the high and the low
+        # equation, so some sets hold one
+        t = 10**8
+        a, b, c = (t * h + v for h, v in zip(high, low))
+        try:
+            eq = ThreeVarEquation(a, b, c)
+        except InvariantViolation:
+            return
+        assume(not search._narrow(eq))
+        elements = list(range(1, n + 1))
+        random.Random(seed).shuffle(elements)
         assert search._greedy_mask(eq, n, elements) == brute_greedy(eq, n, elements)
 
     @given(data=st.data())
@@ -755,6 +782,35 @@ class TestPairTest:
         assert engine.P == [0] and not engine.comp and late.nodes == 0
         assert engine.pair_alpha(200, search._RunState()) == 115
 
+    def test_spent_deadline_stops_a_trade(self, monkeypatch):
+        # the root of prefix 15 of 2x+2y=5z is one clique short and its
+        # first path is no rise, so it trades once the pair test, solved
+        # ahead here, leaves it open.  The trade reads the clock before each
+        # group of cliques: a spent deadline stops it before the packing
+        # changes and before the search's first node, and the retry spends
+        # the nodes of a solve that never stopped
+        eq = EQS["family2"]
+        trades = []
+        trade = search._trade
+        monkeypatch.setattr(search, "_trade", lambda *args: trades.append(args[0]) or trade(*args))
+        engine = fresh_engine(monkeypatch, eq)
+        engine.solve_to(14, search._RunState())
+        engine.grow()
+        assert engine.pair_alpha(15, search._RunState()) > engine.r[14]
+        packing = list(engine.packing)
+        trades.clear()
+        late = search._RunState(time_cap=-1)
+        with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 15$"):
+            engine.advance(late)
+        assert len(trades) == 1 and engine.packing == packing and late.nodes == 0 and len(engine.r) == 15
+        again = max_avoiding(eq, 60, canonical=False)
+        cold = search._integer_engine(eq)
+        cold.solve_to(14, search._RunState())
+        monkeypatch.setitem(search._SOLVERS, eq, cold)
+        want = max_avoiding(eq, 60, canonical=False)
+        assert (again.nodes, again.witness) == (want.nodes, want.witness)
+        assert (engine.r, engine.wit, engine.packing) == (cold.r, cold.wit, cold.packing)
+
     def test_time_budget_bounds_a_large_solve(self, monkeypatch):
         # the pair test settles every prefix of x+2y=4z at its root, so the
         # deadline is met between prefixes, in the DFS and in the pair test
@@ -895,7 +951,7 @@ class TestPrefixRoots:
          (3, (bits(1, 4), bits(2, 5), bits(3, 6)))),
     ])
     def test_trade(self, groups, want):
-        assert search._trade(groups) == want
+        assert search._trade(groups, search._RunState(), "") == want
 
     def test_pair_partners_are_the_two_member_cliques(self):
         # the O(1) formula against the solution enumeration, on the 290
@@ -963,7 +1019,7 @@ class TestPrefixRoots:
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
         engine.need_triples(engine.grown, search._RunState())
-        engine.degree_packing(40 - engine.r[39])
+        engine.degree_packing(40 - engine.r[39], search._RunState())
         want = sorted(oracle_cliques(eq, 40), key=lambda cl: (cl[-1], cl))
         assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
         assert engine.count == [sum(v in cl for cl in want) for v in range(41)]
@@ -1126,7 +1182,7 @@ class TestFractionalStall:
         engine.grow()
         engine.need_triples(m, search._RunState())
         assert m - engine.r[m - 1] - 1 == need
-        packing = engine.degree_packing(need + 1)
+        packing = engine.degree_packing(need + 1, search._RunState())
         assert len(packing) <= need and engine.cliques == [cl for k in range(1, m + 1) for cl in cliques_for(eq, k)]
         assert stall_verdict(engine.cliques, engine.packing, need) is want
 
@@ -1454,6 +1510,26 @@ class TestRandomAvoidingSets:
             tracemalloc.stop()
         assert [s.members for s in sets] == [(1, 2, 3, 4, 5)] * 2
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("t", [10**8, 10**12])
+    def test_huge_coefficients_build_no_wide_mask(self, t):
+        # min(c, a + b) is huge, so the masks would be too: with them, at
+        # t = 10^8, the random greedy peaked at 293 MB and the descending one
+        # at 320 MB.  The kept set is probed instead.  In [1, 5] the
+        # solutions are (z, 2z, z) for any such t
+        eq = ThreeVarEquation(t, 1, t + 2)
+        tracemalloc.start()
+        try:
+            sets = random_avoiding_sets(eq, 5, 1)
+            random_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            mask = search._greedy_mask(eq, 5, range(5, 0, -1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert random_peak < 1 << 20 and peak < 1 << 20
+        assert mask == brute_greedy(eq, 5, range(5, 0, -1)) == 0b11101
+        assert [s.members for s in sets] == [(2, 3, 5)]
 
     def test_sets_are_rechecked(self, monkeypatch):
         monkeypatch.setattr(search, "_greedy_mask", lambda eq, n, order: 0b11111)
