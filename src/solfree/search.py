@@ -18,24 +18,31 @@ Element m comes in as records, not clique tuples: whether {m} is a clique
 (a banned residue), the mask of its pair partners, and a map from each
 middle member v of a triple {u, v, m} to the mask of its smallest members
 u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
-tuples.  An integer engine takes in only the pairs, O(1) per element, until
-a prefix first needs a search (the DFS or the degree packing); then it takes
-in every triple up to there, in arrival order, and from then on each
-element's triples with it.  A lex-least pass over [1, m] takes in the
-triples up to m only and leaves the engine taking in pairs.  While an
-engine takes in pairs only its cheap yes (below) reads four shift masks of
-wit[m - 1], as ``_greedy_mask`` does, instead of the trigger tables.
-x+2y=4z never needs its triples.
+tuples.  One step, the take-in of an element's triples, files all its
+records in the trigger tables (below), and no other step writes them.  An
+integer engine reads only the pairs, O(1) per element, until a prefix
+first needs a search (the DFS or the degree packing); then it takes in the
+triples of every element up to there, in arrival order, and from then on
+each element's with it.  A lex-least pass over [1, m] takes in the triples
+up to m only and leaves the engine reading pairs.  Until its triples come
+in, an element's pairs feed only the warm packing: an engine that reads
+pairs only holds no trigger table, and its cheap yes (below) reads four
+shift masks of wit[m - 1], as ``_greedy_mask`` does, instead.  x+2y=4z
+never needs its triples, so the witness table is all its O(n^2) memory.
 
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
 bits as the other members come in: a pair forces its partner by one mask
 per element, and the triples of a middle member v and a top w force the
-mask of their smallest members by one bit test.  So deciding whether e may
-be included is one bit test, and the count of forced elements is also a
-bound (a forced element is dead; the lex-least pass counts them in one mask
-with the elements it has left out).  Singleton cliques, which ban a residue
-in the congruence instances, form the forced mask at the root.
+mask of their smallest members by one bit test.  Each pair is stored once,
+in the mask of its larger member's partners below it, as the DFS reads
+it; the lex-least pass, which decides elements in ascending order, builds
+the masks of partners above from those when it starts, one step per pair
+in [1, m].  So deciding whether e may be included is one bit test, and the
+count of forced elements is also a bound (a forced element is dead; the
+lex-least pass counts them in one mask with the elements it has left
+out).  Singleton cliques, which ban a residue in the congruence
+instances, form the forced mask at the root.
 
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
@@ -569,16 +576,17 @@ class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
     ``source(m)`` gives the records of the cliques whose largest member is
-    m (see ``_records``).  Only :meth:`grow` and :meth:`need_triples` write
-    the trigger tables; a search keeps its state on its own stack, and the
-    root tests and the lex-least pass only read them.  With ``eq`` the
-    engine is an integer engine over eq: it settles a prefix by the pair
-    graph's independence number (see :meth:`pair_alpha`), and while the
-    masks of ``_Kept`` stay narrow it takes in only pairs until a search
-    first needs the triples (see :meth:`advance`).  The congruence engines
-    run without either, and so do the parts: the engines that
-    :meth:`pair_alpha` keeps, one per component of the pair graph on the
-    R-smooth numbers, each over its component's members by rank.
+    m (see ``_records``).  Only :meth:`_take_triples`, which :meth:`grow`
+    and :meth:`need_triples` call, writes the trigger tables; a search
+    keeps its state on its own stack, and the root tests and the lex-least
+    pass only read them.  With ``eq`` the engine is an integer engine over
+    eq: it settles a prefix by the pair graph's independence number (see
+    :meth:`pair_alpha`), and while the masks of ``_Kept`` stay narrow it
+    takes in only pairs until a search first needs the triples (see
+    :meth:`advance`).  The congruence engines run without either, and so
+    do the parts: the engines that :meth:`pair_alpha` keeps, one per
+    component of the pair graph on the R-smooth numbers, each over its
+    component's members by rank.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -589,19 +597,20 @@ class _Core:
         self.eq = eq
         self.grown = 0  # elements taken in; may run one past the solved prefix
         self.tripled = 0  # elements whose triples are taken in
-        # forced-exclusion triggers: once every member of a clique except the
-        # smallest (resp. largest) is included, that last member is dead.  The
-        # DFS (resp. lex-least pass) decides elements in descending (resp.
-        # ascending) order, so these set the bit of every element that would
-        # complete a clique: its forced mask is the legality test.  A pair
-        # {u, v} fires as soon as its other member is included, so pair_down[v]
-        # (resp. pair_up[u]) is the mask of the partners it forces.  The
-        # triples u < v < w of one v and w fire at v, and force[v] holds one
-        # (bit of w, mask of their u) entry for them: the DFS tests the bit
-        # and forces the mask, the lex-least pass tests the mask and forces
-        # the bit.  Both pair masks together are the adjacency of the pair graph.
+        # forced-exclusion triggers, one entry per element in [1, tripled]:
+        # once every member of a clique except the smallest (resp. largest)
+        # is included, that last member is dead.  The DFS (resp. lex-least
+        # pass) decides elements in descending (resp. ascending) order, so
+        # these set the bit of every element that would complete a clique:
+        # its forced mask is the legality test.  A pair {u, v}, u < v, fires
+        # as soon as its other member is included, and pair_down[v] is the
+        # mask of the partners u that v forces: it holds the pair graph's
+        # adjacency, each edge once, and the lex-least pass builds the
+        # masks that each u forces from it.  The triples u < v < w of one v
+        # and w fire at v, and force[v] holds one (bit of w, mask of their
+        # u) entry for them: the DFS tests the bit and forces the mask, the
+        # lex-least pass tests the mask and forces the bit.
         self.pair_down: list[int] = [0]
-        self.pair_up: list[int] = [0]
         self.force: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques: no trigger, forced from the root
         # the middle -> lows map of element tripled, the last whose triples
@@ -634,23 +643,16 @@ class _Core:
         self.comp: dict[int, _Core] = {}
 
     def grow(self) -> None:
-        """Take in the next element m: its pairs, and its triples too once a
-        search has ended the pair-only phase (see :meth:`advance`).  The
-        warm packing gains the first clique of m, in arrival order, that
-        misses it; every clique whose largest member is m holds m, so at
-        most one can be added."""
+        """Take in the next element m: its pairs, which alone feed the warm
+        packing in the pair-only phase, and once a search has ended that
+        phase (see :meth:`advance`) its triples too, with every record
+        filed by :meth:`_take_triples`.  The warm packing gains the first
+        clique of m, in arrival order, that misses it; every clique whose
+        largest member is m holds m, so at most one can be added."""
         m = self.grown + 1
         top = 1 << (m - 1)
         eager = self.kept is None
         banned, pairs, triples = self.source(m) if eager else (False, _pair_partners(self.eq, m), {})
-        self.force.append([])
-        self.pair_up.append(0)
-        self.pair_down.append(pairs)
-        rest = pairs
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            self.pair_up[bit.bit_length()] |= top
         if eager:
             self._take_triples(m, banned, pairs, triples)
         # the first clique is the least (u, second member) over the free
@@ -675,8 +677,12 @@ class _Core:
 
     def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
         """Take in element k's triples, from its records, after those of
-        every element below k; its pairs are in already."""
+        every element below k: the one writer of the trigger tables, it
+        files k's pair mask, its force entry and its banned bit, and adds
+        k's cliques to the count and the pending records."""
         top = 1 << (k - 1)
+        self.pair_down.append(pairs)
+        self.force.append([])
         for mid, lows in triples.items():
             self.force[mid].append((top, lows))
         if banned:
@@ -689,8 +695,11 @@ class _Core:
 
     def need_triples(self, m: int, state: _RunState) -> None:
         """Take in the triples of the elements in (tripled, m], m <= grown, in
-        arrival order, reading the clock before each element.  An exception
-        leaves the elements not yet done for the next call."""
+        arrival order, reading the clock before each element.  Each
+        element's records are read from ``source`` again, as the pair-only
+        phase filed none of them.  An exception leaves the elements not yet
+        done for the next call, and the trigger tables one entry per
+        element in [1, tripled]."""
         for k in range(self.tripled + 1, m + 1):
             if time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
@@ -836,10 +845,11 @@ class _Core:
         fractional test read the cliques in [1, m].
 
         The first search an integer engine needs ends its pair-only phase:
-        the catch-up takes in every triple up to m, and then ``kept`` is
-        None, so from then on ``grow`` takes each element's triples in with
-        its pairs and the cheap yes reads ``last_triples``.  The switch is
-        one-way, and only here.  An exception in the catch-up leaves
+        the catch-up takes in every triple up to m, filing the trigger
+        tables of [1, m], and then ``kept`` is None, so from then on
+        ``grow`` takes each element's triples in with its pairs and the
+        cheap yes reads ``pair_down[m]`` and ``last_triples``.  The switch
+        is one-way, and only here.  An exception in the catch-up leaves
         ``kept`` live, as its masks track ``wit`` and not the triples."""
         m = len(self.r)
         prev = self.r[m - 1]
@@ -1000,10 +1010,17 @@ class _Core:
         ends the search there; a generator dropped early leaves nothing to
         repair, as the pass only reads the trigger tables.  It reads the
         triggers of [1, m] only, so it takes in the triples up to m and no
-        further.
+        further.  It builds its upward pair masks from ``pair_down`` when
+        it starts, one step per pair in [1, m], where the pass's first
+        path alone is m + 1 nodes.
         """
         self.need_triples(m, state)
-        pair_up = self.pair_up
+        up = [0] * (m + 1)  # up[u]: the mask of u's pair partners above u in [1, m]
+        for v, rest in enumerate(self.pair_down[:m + 1]):
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                up[bit.bit_length()] |= 1 << (v - 1)
         force = self.force
         inside = (1 << m) - 1  # the engine may be grown past m: triggers above m never fire
         slack = m - target  # the most elements of [1, m] a leaf of target elements leaves out
@@ -1028,7 +1045,7 @@ class _Core:
             bit = 1 << (e - 1)
             stack.append((e + 1, inc, dead | bit))
             if not dead & bit:  # e completes no clique whose largest member it is
-                d2 = dead | pair_up[e]
+                d2 = dead | up[e]
                 for top, lows in force[e]:
                     if lows & inc:
                         d2 |= top

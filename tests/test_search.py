@@ -96,7 +96,7 @@ def grid_equations(a_max: int, b_max: int, c_max: int) -> list[ThreeVarEquation]
 
 
 def clique_tables(engine: search._Core) -> tuple:
-    return engine.pair_down, engine.pair_up, engine.force
+    return engine.pair_down, engine.force
 
 
 def pair_tables(engine: search._Core) -> tuple:
@@ -991,7 +991,8 @@ class TestPrefixRoots:
         engine = fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 5000)
         assert res.optimal and res.canonical and (res.size, res.nodes) == (2858, 5000)
-        assert engine.tripled == 0 and not any(engine.force) and engine.kept is not None
+        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pair_down == [0] and engine.force == [[]]  # no trigger table while pair-only
 
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends
@@ -1047,6 +1048,7 @@ class TestPrefixRoots:
             max_avoiding(eq, 30, canonical=False)
         assert calls == list(range(1, fail_at + 1)) and len(engine.r) == 5
         assert engine.tripled == fail_at - 1 and engine.kept is not None
+        assert len(engine.pair_down) == len(engine.force) == engine.tripled + 1
         engine.source = source
         again = max_avoiding(eq, 30, canonical=False)
         assert engine.tripled == engine.grown == 30 and engine.kept is None
@@ -1080,6 +1082,7 @@ class TestPrefixRoots:
         with pytest.raises(RuntimeError):
             all_extremal(eq, 40, cap=3)
         assert engine.tripled == fail_at - 1 and engine.kept is not None
+        assert len(engine.pair_down) == len(engine.force) == engine.tripled + 1
         engine.source = source
         again = max_avoiding(eq, 50, canonical=False)
         assert engine.tripled == fail_at - 1 and engine.kept is not None
