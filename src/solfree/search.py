@@ -47,58 +47,19 @@ instances, form the forced mask at the root.
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-Six tests, in this order, can answer it.  The first four run at the root,
-where the prefix costs one node; the last two run once the search has
-spent nodes enough to pay for them:
-  * the cheap yes: wit[m - 1] plus m avoids the equation, that is no clique
-    whose largest member is m has its other members in wit[m - 1];
-  * the warm packing: k pairwise disjoint cliques in [1, m] each need one
-    member left out, so r(m) <= m - k, and m - k <= r(m - 1) makes m a stall
-    (r(m) = r(m - 1)), whose witness is wit[m - 1].  The engine keeps one
-    such packing for ever (a clique inside [1, m'] stays inside [1, m]):
-    each element adds the first of its cliques, in arrival order, that
-    misses the packing's members, and a larger packing from a trade or the
-    degree packing (below) replaces it;
-  * P, the cheap no of the integer engines: the cliques of two members
-    (solutions with two equal variables) form the pair graph, and r(m) <=
-    P(m), its independence number on [1, m], so P(m) <= r(m - 1) makes m a
-    stall.  Each pair edge multiplies v by a ratio p/q of the equation, so
-    with R the product of those p and q, the pair graph on [1, m] is the
-    disjoint union, over the t <= m coprime to R, of t times the graph G
-    on the R-smooth numbers up to m / t.  So P(m) = P(m - 1) + delta(s),
-    with s the R-smooth part of m and delta(s), 0 or 1, the rise of G's
-    independence number at s, solved once per smooth s by an engine of
-    this kind over s's component of G.  As P never falls, the test does no
-    work while the last P computed is above r(m - 1).  With the warm
-    packing it settles every stall of x+2y=4z up to m = 20 000, and with
-    b = 0, where every clique is a pair, P(m) is r(m) itself;
-  * the one-short root of the integer engines, when the warm packing is
-    one clique short (m - k = r(m - 1) + 1): the search's first path, the
-    descending greedy set over the trigger tables, is walked outside the
-    search.  If it reaches r(m - 1) + 1 elements it is the search's first
-    leaf, as no bound prunes a path to a leaf that large, and m is a rise
-    with that witness.  Otherwise one trade (below) may make the warm
-    packing large enough, and then m is a stall.  The walk keeps the trade
-    off most rises, where it can only fail;
-  * the degree packing: one greedy pass over every clique in [1, m] in
-    ascending order of its members' occurrence counts, tried against
-    m - k <= r(m - 1) as the warm packing is, with one trade in the
-    integer engines when it is one clique short.  It costs a sort of all
-    cliques, so it is built at most once per prefix, and only once the m
-    steps of growing to m and the search's nodes make one per clique: at
-    the root when there are no more cliques than elements.  The packings
-    settle most stall prefixes in the paper's Family I regime, where
-    m - r(m) disjoint solutions exist;
-  * the fractional test of the integer engines, where the packing is still
-    at most two cliques short: weights on the cliques in place of a
-    packing (below).
-Otherwise the DFS looks for such a set and ends at its first leaf.
+A ladder of tests answers it, in this order.  At the root, where the prefix
+costs one node (``_Core._root``): the cheap yes, the warm packing, P, the
+triple catch-up and the one-short root, which walks the search's first path
+and then trades.  Once the search has spent nodes enough to pay for them
+(``_Core._stall_tests``): the degree packing, with its own trade, and the
+fractional test.  Otherwise the DFS looks for such a set and ends at its
+first leaf.
 
 The fractional test: a fractional clique packing, weights
 y_C >= 0 with total weight at most 1 on each element, proves
 r(m) <= m - sum y: an avoiding set leaves out a member of each clique, so
 elements of total weight at least sum y.  A revised simplex, started from
-the packing (see ``_fractional_stall``), pivots until sum y passes
+the warm packing (see ``_fractional_stall``), pivots until sum y passes
 m - r(m - 1) - 1, and m is a stall once the integer counts
 floor(y * 2^20) prove it, sum cnt > (m - r(m - 1) - 1) * L with L their
 largest load, recomputed from the cliques' members (``_counts_settle``).
@@ -583,7 +544,7 @@ class _Core:
     eq: it settles a prefix by the pair graph's independence number (see
     :meth:`pair_alpha`), and while the masks of ``_Kept`` stay narrow it
     takes in only pairs until a search first needs the triples (see
-    :meth:`advance`).  The congruence engines run without either, and so
+    :meth:`_root`).  The congruence engines run without either, and so
     do the parts: the engines that :meth:`pair_alpha` keeps, one per
     component of the pair graph on the R-smooth numbers, each over its
     component's members by rank.
@@ -620,8 +581,9 @@ class _Core:
         self.last_triples: dict[int, int] = {}
         self.clique_count = 0  # cliques whose triples are taken in, pairs and singletons included
         # every such clique in arrival order, by largest member and then
-        # tuple, with its members' occurrence counts: the degree packing
-        # fills them from the records in pending when it runs (see ``advance``)
+        # tuple, with its members' occurrence counts: the degree packing and
+        # the trades fill them from the records in pending when they run
+        # (see :meth:`_list_cliques`)
         self.cliques: list[tuple[int, ...]] = []
         self.count: list[int] = [0]
         self.pending: list[tuple] = []
@@ -645,7 +607,7 @@ class _Core:
     def grow(self) -> None:
         """Take in the next element m: its pairs, which alone feed the warm
         packing in the pair-only phase, and once a search has ended that
-        phase (see :meth:`advance`) its triples too, with every record
+        phase (see :meth:`_root`) its triples too, with every record
         filed by :meth:`_take_triples`.  The warm packing gains the first
         clique of m, in arrival order, that misses it; every clique whose
         largest member is m holds m, so at most one can be added."""
@@ -786,8 +748,9 @@ class _Core:
         cliques of rarely used elements, which block few others, come first.
         The clique list and the counts take in the pending records first.
         In an integer engine a pass one clique short of ``need`` tries one
-        trade (see :meth:`_swap`), within the deadline of ``state``.  A
-        packing larger than the warm one replaces it."""
+        trade on its own packing, not the warm one (see :meth:`_swap`),
+        within the deadline of ``state``.  A packing larger than the warm
+        one replaces it."""
         self._list_cliques()
         weight = self.count.__getitem__
         packing = []
@@ -797,7 +760,7 @@ class _Core:
                 used.update(cl)
                 packing.append(cl)
         if len(packing) == need - 1 and self.eq is not None:
-            packing = self._swap(packing, state) or packing
+            packing = self._swap(packing, state)
         self._keep(packing)
         return packing
 
@@ -807,14 +770,16 @@ class _Core:
             self.packing = packing
             self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
 
-    def _swap(self, packing: list[tuple[int, ...]], state: _RunState) -> list[tuple[int, ...]] | None:
-        """A larger packing than ``packing``, whose cliques must be in the
-        clique list, by one trade (see ``_trade``) within the deadline of
-        ``state``, or None.  The cliques go to ``_trade`` as masks, grouped
-        by the mask of the packing cliques they meet (bit i for packing
-        clique i): a clique that meets three is of no use, and those of
-        ``packing`` are left out, as each meets every other clique of its
-        group."""
+    def _swap(self, packing: list[tuple[int, ...]], state: _RunState) -> list[tuple[int, ...]]:
+        """``packing``, cliques whose triples are taken in, made larger by one
+        trade (see ``_trade``) within the deadline of ``state``, or
+        ``packing`` itself when no trade exists: the one entry point for
+        trades.  The clique list takes in the pending records first.  The
+        cliques go to ``_trade`` as masks, grouped by the mask of the
+        packing cliques they meet (bit i for packing clique i): a clique
+        that meets three is of no use, and those of ``packing`` are left
+        out, as each meets every other clique of its group."""
+        self._list_cliques()
         own = [0] * (self.tripled + 1)  # bit i if v is in packing clique i
         for i, cl in enumerate(packing):
             for v in cl:
@@ -832,26 +797,56 @@ class _Core:
             groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
         trade = _trade(groups, state, f"{self.where}prefix {self.tripled}")
         if trade is None:
-            return None
+            return packing
         hit, new = trade
         return [cl for i, cl in enumerate(packing) if not hit >> i & 1] + [tuple(_members(x)) for x in new]
 
     # -- exact solve of the next prefix -------------------------------------
 
-    def advance(self, state: _RunState) -> None:
-        """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
-        avoiding set that large, and r(m - 1) otherwise.  The engine must be
-        grown to exactly m, as the root tests, the degree packing and the
-        fractional test read the cliques in [1, m].
-
-        The first search an integer engine needs ends its pair-only phase:
-        the catch-up takes in every triple up to m, filing the trigger
-        tables of [1, m], and then ``kept`` is None, so from then on
-        ``grow`` takes each element's triples in with its pairs and the
-        cheap yes reads ``pair_down[m]`` and ``last_triples``.  The switch
-        is one-way, and only here.  An exception in the catch-up leaves
-        ``kept`` live, as its masks track ``wit`` and not the triples."""
-        m = len(self.r)
+    def _root(self, m: int, state: _RunState) -> int | None:
+        """The root ladder of prefix m: the witness of prefix m, as a mask,
+        when one of these tests settles m, in this order, and None when the
+        search must.  The engine must be grown to exactly m.
+          * The cheap yes: wit[m - 1] plus m avoids the equation, that is no
+            clique whose largest member is m has its other members in
+            wit[m - 1].  An engine that reads pairs only asks its ``kept``
+            masks, and the others ``pair_down[m]`` and ``last_triples``.
+          * The warm packing: k pairwise disjoint cliques in [1, m] each
+            need one member left out, so r(m) <= m - k, and m - k <= r(m - 1)
+            makes m a stall (r(m) = r(m - 1)), whose witness is wit[m - 1].
+            The engine keeps one such packing for ever (a clique inside
+            [1, m'] stays inside [1, m]): each element adds the first of its
+            cliques, in arrival order, that misses the packing's members,
+            and a larger packing from a trade or the degree packing
+            replaces it.
+          * P, the cheap no of the integer engines: the cliques of two
+            members (solutions with two equal variables) form the pair
+            graph, and r(m) <= P(m), its independence number on [1, m], so
+            P(m) <= r(m - 1) makes m a stall.  Each pair edge multiplies v
+            by a ratio p/q of the equation, so with R the product of those
+            p and q, the pair graph on [1, m] is the disjoint union, over
+            the t <= m coprime to R, of t times the graph G on the R-smooth
+            numbers up to m / t.  So P(m) = P(m - 1) + delta(s), with s the
+            R-smooth part of m and delta(s), 0 or 1, the rise of G's
+            independence number at s (see :meth:`pair_alpha`).  As P never
+            falls, the test does no work while the last P computed is above
+            r(m - 1).  With the warm packing it settles every stall of
+            x+2y=4z up to m = 20 000, and with b = 0, where every clique is
+            a pair, P(m) is r(m) itself.
+          * The triple catch-up: the first search an integer engine needs
+            ends its pair-only phase.  It takes in every triple up to m,
+            filing the trigger tables of [1, m], and then ``kept`` is None,
+            so from then on ``grow`` takes each element's triples in with
+            its pairs.  The switch is one-way, and only here.  An exception
+            in the catch-up leaves ``kept`` live, as its masks track ``wit``
+            and not the triples.
+          * The one-short root of the integer engines, when the warm packing
+            is one clique short (m - k = r(m - 1) + 1): the search's first
+            path (see :meth:`_dive`) is walked outside the search, and with
+            r(m - 1) + 1 elements m is a rise with that witness.  Otherwise
+            one trade may make the warm packing large enough, and then m is
+            a stall.  The walk keeps the trade off most rises, where it can
+            only fail."""
         prev = self.r[m - 1]
         best = self.wit[m - 1]
         kept = self.kept
@@ -863,54 +858,88 @@ class _Core:
                 kept = self.kept = _Kept(self.eq, 2 * m)
                 kept.extend(_members(best))
             extends = kept.extend((m,))  # m stays in the masks iff wit[m] will be wit[m - 1] plus m
-        if extends:  # the cheap yes: wit[m - 1] plus m avoids
-            best |= 1 << (m - 1)
-        best_size = best.bit_count()
-        # The root's bound is prev + 1, or prev when the warm packing or the
-        # pair graph's independence number P says so.  P never falls, so P(m)
-        # is not computed while the last P computed is above prev.
-        root = prev + 1
-        if best_size == prev and (m - len(self.packing) <= prev or self.eq is not None and self.P[-1] <= prev
-                                  and self.pair_alpha(m, state) <= prev):
-            root = prev
-        if root > best_size:  # the search needs the triples
-            self.need_triples(m, state)
-            self.kept = None
-            if self.eq is not None and m - len(self.packing) == root:
-                # the one-short root (see the module docstring): the search's
-                # first path shows most rises, and a trade may settle a stall
-                dive = self._dive(m)
-                if dive.bit_count() == root:
-                    best, best_size = dive, root
-                else:
-                    self._list_cliques()
-                    swapped = self._swap(self.packing, state)
-                    if swapped:
-                        self._keep(swapped)
-                        root = prev
+        if extends:
+            return best | 1 << (m - 1)
+        # P never falls, so P(m) is not computed while the last P computed is above prev
+        if m - len(self.packing) <= prev or (self.eq is not None and self.P[-1] <= prev
+                                             and self.pair_alpha(m, state) <= prev):
+            return best
+        self.need_triples(m, state)
+        self.kept = None
+        if self.eq is not None and m - len(self.packing) == prev + 1:  # the one-short root
+            dive = self._dive(m)
+            if dive.bit_count() > prev:
+                return dive
+            self._keep(self._swap(self.packing, state))
+        return best if m - len(self.packing) <= prev else None
 
-        rt = self.r + [root]  # index m is the root
+    def _stall_tests(self, m: int, state: _RunState):
+        """The node-triggered stall tests of prefix m, whose root is left
+        open: a generator that the search asks each time its node count
+        passes the last value yielded.  It yields the node count after
+        which its next try comes, or 0 once a test settles m as a stall
+        (whose witness is wit[m - 1]), and it ends when no try is left.
+          * The degree packing (see :meth:`degree_packing`), tried against
+            m - k <= r(m - 1) as the warm packing is, with one trade in the
+            integer engines when it is one clique short.  It costs a sort of
+            all cliques, so it is built at most once per prefix, and only
+            once the m steps of growing to m and the search's nodes make one
+            per clique: the try comes once the search has spent
+            clique_count - m nodes, on its first node when there are no
+            more cliques than elements.  The packings settle most stall
+            prefixes in the paper's Family I regime, where m - r(m) disjoint
+            solutions exist.
+          * The fractional test (see the module docstring), in an integer
+            engine whose warm packing is then at most two cliques short:
+            once the search has spent two nodes a clique, and again each
+            time its nodes double.  A pivot costs about as much as one to
+            three nodes a row (Python 3.11), so the simplex gets one pivot
+            per 2m nodes the search has spent, all its tries together, and
+            a test that fails costs about as much as the search before it;
+            the simplex keeps its basis from one try to the next, and the
+            clock is read before each pivot.  Once the simplex is at its
+            optimum no try is left."""
+        prev, start = self.r[m - 1], state.nodes
+        yield start + self.clique_count - m
+        if m - len(self.degree_packing(m - prev, state)) <= prev:
+            yield 0
+        if self.eq is None or m - prev - len(self.packing) > 2:
+            return
+        lp = _fractional_stall(self.cliques, self.packing, m - prev - 1)
+        pivots, spent = 0, self.clique_count
+        while True:
+            yield start + 2 * spent
+            spent = state.nodes - start
+            while pivots < spent // (2 * m):
+                if time.monotonic() > state.deadline:
+                    raise state.exceeded(f"{self.where}prefix {m}")
+                settled = next(lp, False)  # False: the simplex is at its optimum
+                pivots += 1
+                if settled:
+                    yield 0
+                if settled is not None:
+                    return
+
+    def advance(self, state: _RunState) -> None:
+        """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
+        avoiding set that large, and r(m - 1) otherwise.  The engine must be
+        grown to exactly m, as the tests read the cliques in [1, m].
+
+        A prefix that the root ladder (:meth:`_root`) settles costs one node
+        of the search's loop: its root's bound is its size.  Otherwise the
+        search looks for r(m - 1) + 1 elements and ends at its first leaf,
+        or right after a test of :meth:`_stall_tests` settles m as a stall.
+        The first node count above ``limit`` is that schedule's next try or
+        the one past the node budget, whichever is first."""
+        m = len(self.r)
+        settled = self._root(m, state)
+        best = self.wit[m - 1] if settled is None else settled
+        best_size = best.bit_count()
+        rt = self.r + [best_size + (settled is None)]  # index m is the root
         pair_down = self.pair_down
         force = self.force
-        node_cap = state.node_cap
-        deadline = state.deadline
-        # A prefix settled above costs one node: its root's bound is its size.
-        # Otherwise the search looks for prev + 1 elements and ends at its first
-        # leaf, or right after a stall test settles the prefix.  The degree
-        # packing sorts every clique, so a prefix tries it at most once.
-        # Growing the engine to m took m steps, so the try comes once the
-        # search has spent clique_count - m nodes, on its first node when there
-        # are no more cliques than elements.  In an integer engine whose
-        # packing is then at most two cliques short, the fractional test comes
-        # next, once the search has spent two nodes a clique, and again each
-        # time its nodes double.  A pivot costs about as much as one to three
-        # nodes a row (Python 3.11), so the simplex gets one pivot per 2m nodes
-        # the search has spent, all its tries together, and a test that fails
-        # costs about as much as the search before it; the simplex keeps its
-        # basis from one try to the next.  The first node count above ``limit``
-        # is the next trigger or the one past the node budget, whichever is
-        # first.
-        limit = node_cap if root == best_size else min(node_cap, state.nodes + self.clique_count - m)
+        tests = self._stall_tests(m, state)
+        limit = state.node_cap if settled is not None else min(state.node_cap, next(tests))
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -927,33 +956,17 @@ class _Core:
         # node, so ``state`` holds it whenever a node raises.
         stack = []
         e, inc, forced = m, 0, self.banned
-        nodes = start = state.nodes
-        lp, pivots = None, 0  # the fractional test, once gated in, and its pivots
+        nodes = state.nodes
         while True:
             nodes += 1
             state.nodes = nodes
             if nodes > limit:
-                if nodes > node_cap:
+                if nodes > state.node_cap:
                     raise state.exceeded(f"{self.where}prefix {m}")
-                limit = node_cap
-                if lp is None:  # the first trigger: a later one comes only with lp
-                    if m - len(self.degree_packing(m - prev, state)) <= prev:
-                        break
-                    if self.eq is not None and m - prev - len(self.packing) <= 2:
-                        lp = _fractional_stall(self.cliques, self.packing, m - prev - 1)
-                        limit = min(node_cap, start + 2 * self.clique_count)
-                else:
-                    settled = None
-                    while settled is None and pivots < (nodes - start) // (2 * m):
-                        if time.monotonic() > deadline:
-                            raise state.exceeded(f"{self.where}prefix {m}")
-                        settled = next(lp, False)  # False: the simplex is at its optimum
-                        pivots += 1
-                    if settled:
-                        break
-                    if settled is None:
-                        limit = min(node_cap, start + 2 * (nodes - start))
-            if nodes & 4095 == 1 and time.monotonic() > deadline:
+                limit = min(state.node_cap, next(tests, sys.maxsize))
+                if not limit:  # a stall test settled m
+                    break
+            if nodes & 4095 == 1 and time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
                 j = (forced & -forced).bit_length() - 1
@@ -1061,11 +1074,6 @@ class _Core:
             raise InvariantViolation(f"{self.where}no avoiding set of size r({m}) = {self.r[m]} in [1, {m}]")
         return masks
 
-    def lex_least(self, m: int, state: _RunState) -> int:
-        """The lexicographically least maximum set of the solved prefix [1, m],
-        as a mask (see :meth:`maximum_sets`)."""
-        return self.maximum_sets(m, 1, state)[0]
-
 
 # one engine per integer equation, grown as far as any call has needed
 _SOLVERS: dict[ThreeVarEquation, _Core] = {}
@@ -1167,7 +1175,7 @@ def max_avoiding(
             # _CANONICAL_NODE_CAP nodes more than the search spent
             state.node_cap = min(state.node_cap, state.nodes + _CANONICAL_NODE_CAP)
             try:
-                mask, lex_least = engine.lex_least(n, state), True
+                mask, lex_least = engine.maximum_sets(n, 1, state)[0], True
             except BudgetExceeded:
                 pass  # keep the search's witness; size is certified either way
     witness = _checked_witness(eq, n, mask)
@@ -1251,7 +1259,7 @@ def _density(eq: ThreeVarEquation, engine: _Core, state: _RunState) -> ModularDe
     the first leaf of the lex-least pass, as the witness, within the budget
     of ``state``."""
     m = len(engine.r) - 1
-    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, engine.lex_least(m, state)))
+    return ModularDensity(m, Fraction(engine.r[m], m), _checked_residues(eq, m, engine.maximum_sets(m, 1, state)[0]))
 
 
 def rho_m(

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from solfree import search
-from solfree.equations import parse_equation
+from solfree.equations import avoids, parse_equation
 from solfree.search import max_avoiding
 
 import test_search
@@ -45,7 +45,7 @@ def record(text: str, n: int) -> dict:
     lex = []
     for m in [*range(1, min(n, LEX_TOP) + 1), n]:
         state = search._RunState()
-        mask = engine.lex_least(m, state)
+        mask = engine.maximum_sets(m, 1, state)[0]
         lex.append([state.nodes, search._mask_to_set(m, mask).to_text()])
     return {
         "eq": text,
@@ -66,6 +66,32 @@ def test_prefix_nodes_are_pinned(monkeypatch):
         got = record(rec["eq"], rec["n"])
         moved = [m for m, (a, b) in enumerate(zip(got["nodes"], rec["nodes"]), 1) if a != b]
         assert got == rec, f"{rec['eq']}@{rec['n']}: nodes moved at prefixes {moved[:5]}"
+
+
+def test_root_ladder_spends_no_node(monkeypatch):
+    # at every prefix of each pinned instance the root tests spend no node,
+    # and a witness they return has the pinned r(m) members, avoids the
+    # equation, and settles the prefix in the one node pinned for it
+    root, verdicts = search._Core._root, []
+
+    def recording(self, m, state):
+        nodes = state.nodes
+        witness = root(self, m, state)
+        assert state.nodes == nodes, m
+        verdicts.append((self, m, witness))
+        return witness
+
+    monkeypatch.setattr(search._Core, "_root", recording)
+    for rec in map(json.loads, DATA.read_text().splitlines()):
+        eq = parse_equation(rec["eq"])
+        engine = search._integer_engine(eq)
+        engine.solve_to(rec["n"], search._RunState())
+        settled = [(m, witness) for core, m, witness in verdicts if core is engine and witness is not None]
+        assert settled, rec["eq"]
+        for m, witness in settled:
+            assert witness.bit_count() == rec["r"][m - 1] and rec["nodes"][m - 1] == 1, (rec["eq"], m)
+            assert avoids(eq, search._mask_to_set(m, witness)).ok, (rec["eq"], m)
+        verdicts.clear()
 
 
 if __name__ == "__main__":

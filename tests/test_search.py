@@ -346,7 +346,7 @@ class TestMaxAvoiding:
         engine = fresh_engine(monkeypatch, eq)
         search_nodes = max_avoiding(eq, 80, canonical=False).nodes
         state = search._RunState(node_cap=81)
-        mask = engine.lex_least(80, state)
+        mask = engine.maximum_sets(80, 1, state)[0]
         assert state.nodes == 81 and mask == search._greedy_mask(eq, 80, range(1, 81))
         fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 80, node_cap=search_nodes)
@@ -1130,7 +1130,8 @@ class TestPrefixRoots:
         for eq in grid_equations(3, 3, 9):
             engine = fresh_engine(monkeypatch, eq)
             res = max_avoiding(eq, n)
-            assert res.canonical and res.witness == search._mask_to_set(n, engine.lex_least(n, search._RunState()))
+            lex = engine.maximum_sets(n, 1, search._RunState())[0]
+            assert res.canonical and res.witness == search._mask_to_set(n, lex)
             shortcuts += search._greedy_mask(eq, n, range(1, n + 1)).bit_count() == res.size
         assert shortcuts == {7: 62, 19: 44, 33: 44}[n]
 
