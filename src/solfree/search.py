@@ -47,10 +47,12 @@ instances, form the forced mask at the root.
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-A ladder of tests answers it, in this order.  At the root, where the prefix
-costs one node (``_Core._root``): the cheap yes, the warm packing, P, the
-triple catch-up and the one-short root, which walks the search's first path
-and then trades.  Once the search has spent nodes enough to pay for them
+A ladder of tests answers it, in this order.  At the root (``_Core._root``):
+the cheap yes, the warm packing, P, the triple catch-up and the one-short
+root, which walks the search's first path and then trades.  A prefix they
+settle costs one node and sets up no search: a sweep that settles every
+prefix at its root, as x+2y=4z does, copies no prefix table.  Once the
+search (``_Core._search``) has spent nodes enough to pay for them
 (``_Core._stall_tests``): the degree packing, with its own trade, and the
 fractional test.  Otherwise the DFS looks for such a set and ends at its
 first leaf.
@@ -714,7 +716,7 @@ class _Core:
     def _dive(self, m: int) -> int:
         """The descending greedy set of [1, m] over the trigger tables, as a
         mask: each element in turn is kept unless it is forced.  That is the
-        search's first path (see :meth:`advance`), and with r(m - 1) + 1
+        search's first path (see :meth:`_search`), and with r(m - 1) + 1
         elements its first leaf, as no bound prunes a path to a leaf that
         large."""
         inc, forced = 0, self.banned
@@ -925,21 +927,33 @@ class _Core:
         avoiding set that large, and r(m - 1) otherwise.  The engine must be
         grown to exactly m, as the tests read the cliques in [1, m].
 
-        A prefix that the root ladder (:meth:`_root`) settles costs one node
-        of the search's loop: its root's bound is its size.  Otherwise the
-        search looks for r(m - 1) + 1 elements and ends at its first leaf,
-        or right after a test of :meth:`_stall_tests` settles m as a stall.
-        The first node count above ``limit`` is that schedule's next try or
-        the one past the node budget, whichever is first."""
+        The root ladder (:meth:`_root`) settles the prefix or leaves it to
+        the search (:meth:`_search`).  A settled prefix costs one node, which
+        the node budget counts as it counts the search's."""
         m = len(self.r)
-        settled = self._root(m, state)
-        best = self.wit[m - 1] if settled is None else settled
-        best_size = best.bit_count()
-        rt = self.r + [best_size + (settled is None)]  # index m is the root
+        best = self._root(m, state)
+        if best is None:
+            best = self._search(m, state)
+        else:
+            state.nodes += 1
+            if state.nodes > state.node_cap:
+                raise state.exceeded(f"{self.where}prefix {m}")
+        self.r.append(best.bit_count())
+        self.wit.append(best)
+
+    def _search(self, m: int, state: _RunState) -> int:
+        """The witness of prefix m, whose root :meth:`_root` left open, as a
+        mask: the search looks for r(m - 1) + 1 elements and ends at its
+        first leaf, or right after a test of :meth:`_stall_tests` settles m
+        as a stall, which keeps wit[m - 1].  The first node count above
+        ``limit`` is that schedule's next try or the one past the node
+        budget, whichever is first."""
+        prev = self.r[m - 1]
+        rt = self.r + [prev + 1]  # index m is the root
         pair_down = self.pair_down
         force = self.force
         tests = self._stall_tests(m, state)
-        limit = state.node_cap if settled is not None else min(state.node_cap, next(tests))
+        limit = min(state.node_cap, next(tests))
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -950,10 +964,10 @@ class _Core:
         # explicit stack, so the include branch is searched first,
         # depth-first; a node whose element is forced goes straight on to its
         # exclude child.
-        # The clock is read on a call's first node and every 4096th after it;
-        # the first read lets a spent budget stop a short search on a warm engine.
-        # The node count lives in a local and is stored to ``state`` on every
-        # node, so ``state`` holds it whenever a node raises.
+        # The clock is read on the call's nodes 1, 4097, ...; ``solve_to``
+        # reads it before each prefix, so a spent budget stops a short search
+        # too.  The node count lives in a local and is stored to ``state`` on
+        # every node, so ``state`` holds it whenever a node raises.
         stack = []
         e, inc, forced = m, 0, self.banned
         nodes = state.nodes
@@ -965,7 +979,7 @@ class _Core:
                     raise state.exceeded(f"{self.where}prefix {m}")
                 limit = min(state.node_cap, next(tests, sys.maxsize))
                 if not limit:  # a stall test settled m
-                    break
+                    return self.wit[m - 1]
             if nodes & 4095 == 1 and time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {m}")
             if forced:
@@ -974,10 +988,9 @@ class _Core:
                 bound = rt[e] if rt[e] < split else split
             else:
                 bound = rt[e]
-            if inc.bit_count() + bound > best_size:
+            if inc.bit_count() + bound > prev:
                 if e == 0:  # a set of prev + 1 elements
-                    best = inc
-                    break
+                    return inc
                 bit = 1 << (e - 1)
                 if forced & bit:  # e completes a clique whose smallest member it is
                     forced ^= bit  # decided now, not pending
@@ -992,9 +1005,7 @@ class _Core:
             elif stack:
                 e, inc, forced = stack.pop()
             else:
-                break
-        self.r.append(best.bit_count())
-        self.wit.append(best)
+                return self.wit[m - 1]
 
     def solve_to(self, n: int, state: _RunState, low: list[int] | None = None) -> bool:
         """Solve every prefix up to n, checking the deadline before each one.
@@ -1042,7 +1053,7 @@ class _Core:
         start = state.nodes  # the clock is read on this pass's first node and every 4096th after it
         # A node (e, inc, dead) has decided [1, e - 1]; dead holds the elements
         # of [1, m] left out so far and the undecided ones that are forced.  As
-        # in ``advance``, the include child is searched first.  The engine may
+        # in ``_search``, the include child is searched first.  The engine may
         # be grown past m, so the root keeps only the banned elements in [1, m].
         stack = [(1, 0, self.banned & inside)]
         while stack:
@@ -1199,6 +1210,8 @@ def all_extremal(
     solution raises :class:`AvoidanceCheckFailed`.  A budget hit raises
     :class:`BudgetExceeded`.
     """
+    if n < 1:
+        raise InvariantViolation(f"n must be positive, got {n}")
     if cap < 1:
         raise InvariantViolation(f"cap must be positive, got {cap}")
     engine = _engine_for(eq)

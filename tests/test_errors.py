@@ -74,6 +74,12 @@ GUARDS = {
     "verify_cube_set_extremal budget": (lambda: verify_cube_set_extremal(2, 30, node_cap=0), BudgetExceeded,
                                         "exact search for b=2, n=30 exceeded its budget"),
     "all_extremal cap": (lambda: all_extremal(EQ, 5, 0), InvariantViolation, "cap must be positive, got 0"),
+    "all_extremal n": (lambda: all_extremal(EQ, 0), InvariantViolation, "n must be positive, got 0"),
+    "all_extremal negative n": (lambda: all_extremal(EQ, -1), InvariantViolation, "n must be positive, got -1"),
+    # x+2y=4z settles every prefix at its root, so the budget runs out on a
+    # prefix that costs one node and no search
+    "all_extremal node_cap": (lambda: all_extremal(parse_equation("x+2y=4z"), 50, node_cap=10), BudgetExceeded,
+                              "node budget 10 exceeded at prefix 11"),
     "max_avoiding time_cap": (lambda: max_avoiding(EQ, 10, time_cap=math.nan), InvariantViolation,
                               "time budget must be a number, got nan"),
     "rho_m m": (lambda: rho_m(EQ, 0), InvariantViolation, "m must be positive, got 0"),

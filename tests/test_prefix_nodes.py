@@ -71,8 +71,10 @@ def test_prefix_nodes_are_pinned(monkeypatch):
 def test_root_ladder_spends_no_node(monkeypatch):
     # at every prefix of each pinned instance the root tests spend no node,
     # and a witness they return has the pinned r(m) members, avoids the
-    # equation, and settles the prefix in the one node pinned for it
-    root, verdicts = search._Core._root, []
+    # equation, and settles the prefix in the one node pinned for it; the
+    # search's stall tests are set up once for each prefix, of the engine
+    # or of a part, that the root leaves open, and never for a settled one
+    root, stall_tests, verdicts, searched = search._Core._root, search._Core._stall_tests, [], []
 
     def recording(self, m, state):
         nodes = state.nodes
@@ -81,7 +83,12 @@ def test_root_ladder_spends_no_node(monkeypatch):
         verdicts.append((self, m, witness))
         return witness
 
+    def scheduling(self, m, state):
+        searched.append((self, m))
+        return stall_tests(self, m, state)
+
     monkeypatch.setattr(search._Core, "_root", recording)
+    monkeypatch.setattr(search._Core, "_stall_tests", scheduling)
     for rec in map(json.loads, DATA.read_text().splitlines()):
         eq = parse_equation(rec["eq"])
         engine = search._integer_engine(eq)
@@ -91,7 +98,9 @@ def test_root_ladder_spends_no_node(monkeypatch):
         for m, witness in settled:
             assert witness.bit_count() == rec["r"][m - 1] and rec["nodes"][m - 1] == 1, (rec["eq"], m)
             assert avoids(eq, search._mask_to_set(m, witness)).ok, (rec["eq"], m)
+        assert searched == [(core, m) for core, m, witness in verdicts if witness is None], rec["eq"]
         verdicts.clear()
+        searched.clear()
 
 
 if __name__ == "__main__":
