@@ -7,28 +7,30 @@ is available; besides being the natural warm start, the prefix table is a
 strong admissible bound, because any avoiding subset of [1, n] restricted to
 [1, m] is an avoiding subset of [1, m].
 
-The engine grows with the sweep.  Before it solves prefix m it takes in the
-cliques (member sets of solutions) whose largest member is m, and that is
-the only way a clique ever enters it: the tables for prefix m are those for
-m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One engine
-per equation lives for the whole process, so a later call resumes from the
-prefixes already solved.
+The engine grows with the sweep.  Before it searches prefix m it takes in
+the cliques (member sets of solutions) whose largest member is m, and that
+is the only way a clique ever enters it: the tables for prefix m are those
+for m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One
+engine per equation lives for the whole process, so a later call resumes
+from the prefixes already solved.
 
 Element m comes in as records, not clique tuples: whether {m} is a clique
 (a banned residue), the mask of its pair partners, and a map from each
 middle member v of a triple {u, v, m} to the mask of its smallest members
 u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
-tuples.  One step, the take-in of an element's triples, files all its
-records in the trigger tables (below), and no other step writes them.  An
-integer engine reads only the pairs, O(1) per element, until a prefix
-first needs a search (the DFS or the degree packing); then it takes in the
-triples of every element up to there, in arrival order, and from then on
-each element's with it.  A lex-least pass over [1, m] takes in the triples
-up to m only and leaves the engine reading pairs.  Until its triples come
-in, an element's pairs feed only the warm packing: an engine that reads
-pairs only holds no trigger table, and its cheap yes (below) reads four
-shift masks of wit[m - 1], as ``_greedy_mask`` does, instead.  x+2y=4z
-never needs its triples, so the witness table is all its O(n^2) memory.
+tuples.  One step, the take-in of an element, files all its records in
+the trigger tables (below) and gives the warm packing its first free
+clique, and no other step writes them.  An integer engine is pair-only
+until a prefix first needs a search (the DFS or the degree packing): it
+takes in no element, its cheap yes (below) reads four shift masks of
+wit[m - 1], as ``_greedy_mask`` does, and the pair graph's independence
+number P decides its stalls.  It keeps no warm packing then, as k
+disjoint pairs in [1, m] prove only r(m) <= m - k, and P(m) <= m - k
+already.  The first search takes in every element up to its prefix, in
+arrival order, and from then on each prefix takes in its own.  A
+lex-least pass over [1, m] takes in the elements up to m only and leaves
+the engine pair-only.  x+2y=4z never needs its triples, so the witness
+table is all its O(n^2) memory.
 
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
@@ -539,17 +541,19 @@ class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
     ``source(m)`` gives the records of the cliques whose largest member is
-    m (see ``_records``).  Only :meth:`_take_triples`, which :meth:`grow`
-    and :meth:`need_triples` call, writes the trigger tables; a search
+    m (see ``_records``).  An element enters only by :meth:`need_triples`,
+    and only :meth:`_take_triples`, which it calls, writes the trigger
+    tables and adds an element's clique to the warm packing; a search
     keeps its state on its own stack, and the root tests and the lex-least
-    pass only read them.  With ``eq`` the engine is an integer engine over
-    eq: it settles a prefix by the pair graph's independence number (see
+    pass only read the tables.
+    With ``eq`` the engine is an integer engine over eq: it settles a
+    prefix by the pair graph's independence number (see
     :meth:`pair_alpha`), and while the masks of ``_Kept`` stay narrow it
-    takes in only pairs until a search first needs the triples (see
-    :meth:`_root`).  The congruence engines run without either, and so
-    do the parts: the engines that :meth:`pair_alpha` keeps, one per
-    component of the pair graph on the R-smooth numbers, each over its
-    component's members by rank.
+    is pair-only, taking in no element for its sweep, until a search first
+    needs the triples (see :meth:`_root`).  The congruence engines run
+    without either, and so do the parts: the engines that
+    :meth:`pair_alpha` keeps, one per component of the pair graph on the
+    R-smooth numbers, each over its component's members by rank.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -558,8 +562,7 @@ class _Core:
     def __init__(self, source, eq: ThreeVarEquation | None = None):
         self.source = source
         self.eq = eq
-        self.grown = 0  # elements taken in; may run one past the solved prefix
-        self.tripled = 0  # elements whose triples are taken in
+        self.tripled = 0  # elements taken in; at most one past the solved prefix
         # forced-exclusion triggers, one entry per element in [1, tripled]:
         # once every member of a clique except the smallest (resp. largest)
         # is included, that last member is dead.  The DFS (resp. lex-least
@@ -589,15 +592,15 @@ class _Core:
         self.cliques: list[tuple[int, ...]] = []
         self.count: list[int] = [0]
         self.pending: list[tuple] = []
-        # the warm packing: pairwise disjoint cliques inside [1, grown], and
+        # the warm packing: pairwise disjoint cliques inside [1, tripled], and
         # the mask of their members
         self.packing: list[tuple[int, ...]] = []
         self.packed = 0
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
-        # while the engine takes in only pairs, the cheap yes reads wit[m - 1]
-        # as the masks of a _Kept over [1, kept.n], and tripled <= grown; None
-        # once a search has needed the triples, and then tripled == grown
+        # while the sweep takes in no element, the cheap yes reads wit[m - 1]
+        # as the masks of a _Kept over [1, kept.n]; None once a search has
+        # needed the triples, and then each prefix takes its element in
         self.kept = _Kept(eq, 0) if eq is not None and _narrow(eq) else None
         # the pair graph's independence number, kept by pair_alpha: P[m] up
         # to m = len(P) - 1, and comp[s] for each R-smooth s up to there, the
@@ -606,44 +609,13 @@ class _Core:
         self.P: list[int] = [0]
         self.comp: dict[int, _Core] = {}
 
-    def grow(self) -> None:
-        """Take in the next element m: its pairs, which alone feed the warm
-        packing in the pair-only phase, and once a search has ended that
-        phase (see :meth:`_root`) its triples too, with every record
-        filed by :meth:`_take_triples`.  The warm packing gains the first
-        clique of m, in arrival order, that misses it; every clique whose
-        largest member is m holds m, so at most one can be added."""
-        m = self.grown + 1
-        top = 1 << (m - 1)
-        eager = self.kept is None
-        banned, pairs, triples = self.source(m) if eager else (False, _pair_partners(self.eq, m), {})
-        if eager:
-            self._take_triples(m, banned, pairs, triples)
-        # the first clique is the least (u, second member) over the free
-        # pairs (u, m) and the free triples (u, mid, m), and {m} after them
-        free = ~self.packed
-        rest = pairs & free
-        first = ((rest & -rest).bit_length(), m) if rest else None
-        for mid, lows in triples.items():
-            lows &= free
-            if lows and free >> (mid - 1) & 1:
-                low = ((lows & -lows).bit_length(), mid)
-                if first is None or low < first:
-                    first = low
-        if first:
-            u, v = first
-            self.packing.append((u, m) if v == m else (u, v, m))
-            self.packed |= top | 1 << (u - 1) | 1 << (v - 1)
-        elif banned:
-            self.packing.append((m,))
-            self.packed |= top
-        self.grown = m
-
     def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
-        """Take in element k's triples, from its records, after those of
-        every element below k: the one writer of the trigger tables, it
-        files k's pair mask, its force entry and its banned bit, and adds
-        k's cliques to the count and the pending records."""
+        """Take in element k, from its records, after every element below k:
+        the one writer of the trigger tables, it files k's pair mask, its
+        force entry and its banned bit, and adds k's cliques to the count and
+        the pending records.  The warm packing gains the first clique of k,
+        in arrival order, that misses it; every clique whose largest member
+        is k holds k, so at most one can be added."""
         top = 1 << (k - 1)
         self.pair_down.append(pairs)
         self.force.append([])
@@ -655,14 +627,31 @@ class _Core:
         if banned or pairs or triples:
             self.clique_count += banned + pairs.bit_count() + sum(map(int.bit_count, triples.values()))
             self.pending.append((k, banned, pairs, triples))
+        # the first clique is the least (u, second member) over the free
+        # pairs (u, k) and the free triples (u, mid, k), and {k} after them
+        free = ~self.packed
+        rest = pairs & free
+        first = ((rest & -rest).bit_length(), k) if rest else None
+        for mid, lows in triples.items():
+            lows &= free
+            if lows and free >> (mid - 1) & 1:
+                low = ((lows & -lows).bit_length(), mid)
+                if first is None or low < first:
+                    first = low
+        if first:
+            u, v = first
+            self.packing.append((u, k) if v == k else (u, v, k))
+            self.packed |= top | 1 << (u - 1) | 1 << (v - 1)
+        elif banned:
+            self.packing.append((k,))
+            self.packed |= top
         self.tripled = k
 
     def need_triples(self, m: int, state: _RunState) -> None:
-        """Take in the triples of the elements in (tripled, m], m <= grown, in
-        arrival order, reading the clock before each element.  Each
-        element's records are read from ``source`` again, as the pair-only
-        phase filed none of them.  An exception leaves the elements not yet
-        done for the next call, and the trigger tables one entry per
+        """Take in the elements in (tripled, m], in arrival order, reading the
+        clock before each one.  It is the one reader of ``source``, so each
+        element's records are read once.  An exception leaves the elements
+        not yet done for the next call, and the trigger tables one entry per
         element in [1, tripled]."""
         for k in range(self.tripled + 1, m + 1):
             if time.monotonic() > state.deadline:
@@ -808,19 +797,23 @@ class _Core:
     def _root(self, m: int, state: _RunState) -> int | None:
         """The root ladder of prefix m: the witness of prefix m, as a mask,
         when one of these tests settles m, in this order, and None when the
-        search must.  The engine must be grown to exactly m.
+        search must.  An engine that reads triples (``kept`` is None) first
+        takes in element m, so its tables hold the cliques in [1, m].
           * The cheap yes: wit[m - 1] plus m avoids the equation, that is no
             clique whose largest member is m has its other members in
-            wit[m - 1].  An engine that reads pairs only asks its ``kept``
-            masks, and the others ``pair_down[m]`` and ``last_triples``.
+            wit[m - 1].  A pair-only engine asks its ``kept`` masks, and the
+            others ``pair_down[m]`` and ``last_triples``.
           * The warm packing: k pairwise disjoint cliques in [1, m] each
             need one member left out, so r(m) <= m - k, and m - k <= r(m - 1)
             makes m a stall (r(m) = r(m - 1)), whose witness is wit[m - 1].
             The engine keeps one such packing for ever (a clique inside
-            [1, m'] stays inside [1, m]): each element adds the first of its
-            cliques, in arrival order, that misses the packing's members,
-            and a larger packing from a trade or the degree packing
-            replaces it.
+            [1, m'] stays inside [1, m]): each element taken in adds the
+            first of its cliques, in arrival order, that misses the
+            packing's members, and a larger packing from a trade or the
+            degree packing replaces it.  A pair-only engine holds none, and
+            needs none: k disjoint pairs in [1, m] leave the pair graph an
+            independence number P(m) <= m - k, so P settles every stall
+            that such a packing does.
           * P, the cheap no of the integer engines: the cliques of two
             members (solutions with two equal variables) form the pair
             graph, and r(m) <= P(m), its independence number on [1, m], so
@@ -832,16 +825,16 @@ class _Core:
             R-smooth part of m and delta(s), 0 or 1, the rise of G's
             independence number at s (see :meth:`pair_alpha`).  As P never
             falls, the test does no work while the last P computed is above
-            r(m - 1).  With the warm packing it settles every stall of
-            x+2y=4z up to m = 20 000, and with b = 0, where every clique is
-            a pair, P(m) is r(m) itself.
+            r(m - 1).  It settles every stall of x+2y=4z up to
+            m = 100 000, and with b = 0, where every clique is a pair, P(m)
+            is r(m) itself.
           * The triple catch-up: the first search an integer engine needs
-            ends its pair-only phase.  It takes in every triple up to m,
-            filing the trigger tables of [1, m], and then ``kept`` is None,
-            so from then on ``grow`` takes each element's triples in with
-            its pairs.  The switch is one-way, and only here.  An exception
-            in the catch-up leaves ``kept`` live, as its masks track ``wit``
-            and not the triples.
+            ends its pair-only phase.  It takes in every element up to m,
+            filing the trigger tables of [1, m] and building the warm
+            packing, and then ``kept`` is None, so from then on each prefix
+            takes its element in first.  The switch is one-way, and only
+            here.  An exception in the catch-up leaves ``kept`` live, as its
+            masks track ``wit`` and not the triples.
           * The one-short root of the integer engines, when the warm packing
             is one clique short (m - k = r(m - 1) + 1): the search's first
             path (see :meth:`_dive`) is walked outside the search, and with
@@ -852,7 +845,8 @@ class _Core:
         prev = self.r[m - 1]
         best = self.wit[m - 1]
         kept = self.kept
-        if kept is None:  # tripled == grown == m: the tables hold m's cliques
+        if kept is None:
+            self.need_triples(m, state)  # then tripled == m: the tables hold m's cliques
             extends = not (self.banned >> (m - 1) & 1 or self.pair_down[m] & best
                            or any(lows & best and best >> (mid - 1) & 1 for mid, lows in self.last_triples.items()))
         else:
@@ -885,8 +879,8 @@ class _Core:
             m - k <= r(m - 1) as the warm packing is, with one trade in the
             integer engines when it is one clique short.  It costs a sort of
             all cliques, so it is built at most once per prefix, and only
-            once the m steps of growing to m and the search's nodes make one
-            per clique: the try comes once the search has spent
+            once the m steps of taking in element m and the search's nodes
+            make one per clique: the try comes once the search has spent
             clique_count - m nodes, on its first node when there are no
             more cliques than elements.  The packings settle most stall
             prefixes in the paper's Family I regime, where m - r(m) disjoint
@@ -924,8 +918,7 @@ class _Core:
 
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
-        avoiding set that large, and r(m - 1) otherwise.  The engine must be
-        grown to exactly m, as the tests read the cliques in [1, m].
+        avoiding set that large, and r(m - 1) otherwise.
 
         The root ladder (:meth:`_root`) settles the prefix or leaves it to
         the search (:meth:`_search`).  A settled prefix costs one node, which
@@ -1018,8 +1011,6 @@ class _Core:
                 return True
             if time.monotonic() > state.deadline:
                 raise state.exceeded(f"{self.where}prefix {len(self.r)}")
-            if self.grown < len(self.r):
-                self.grow()
             self.advance(state)
         return False
 
@@ -1046,7 +1037,7 @@ class _Core:
                 rest ^= bit
                 up[bit.bit_length()] |= 1 << (v - 1)
         force = self.force
-        inside = (1 << m) - 1  # the engine may be grown past m: triggers above m never fire
+        inside = (1 << m) - 1  # the engine may hold elements past m: triggers above m never fire
         slack = m - target  # the most elements of [1, m] a leaf of target elements leaves out
         node_cap = state.node_cap
         deadline = state.deadline
@@ -1054,7 +1045,8 @@ class _Core:
         # A node (e, inc, dead) has decided [1, e - 1]; dead holds the elements
         # of [1, m] left out so far and the undecided ones that are forced.  As
         # in ``_search``, the include child is searched first.  The engine may
-        # be grown past m, so the root keeps only the banned elements in [1, m].
+        # hold elements past m, so the root keeps only the banned elements in
+        # [1, m].
         stack = [(1, 0, self.banned & inside)]
         while stack:
             e, inc, dead = stack.pop()
@@ -1086,7 +1078,7 @@ class _Core:
         return masks
 
 
-# one engine per integer equation, grown as far as any call has needed
+# one engine per integer equation, solved as far as any call has needed
 _SOLVERS: dict[ThreeVarEquation, _Core] = {}
 
 
@@ -1226,25 +1218,25 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
     budget of ``state``, if r(m) >= ``need``; None once that is ruled out.
     A budget hit raises BudgetExceeded.
 
-    The set-up is the residue tables and one suffix packing, which bounds
-    r(m) <= r(k) + (m - k) - rest[k] at every solved prefix k, with rest[k]
-    the packed cliques inside (k, m].  So the sweep stops, before any
-    search when m - rest[0] < need, as soon as that bound is below need.
-    The engine reads the cliques whose largest member is k from the tables
-    only when the sweep reaches prefix k."""
+    The set-up is the residue tables and, when ``need`` is positive, one
+    suffix packing, which bounds r(m) <= r(k) + (m - k) - rest[k] at every
+    solved prefix k, with rest[k] the packed cliques inside (k, m].  So the
+    sweep stops, before any search when m - rest[0] < need, as soon as that
+    bound is below need.  With need 0 the bound could never stop it, as
+    rest[k] <= m - k, and no packing is built.  The engine reads the
+    cliques whose largest member is k from the tables only when the sweep
+    reaches prefix k."""
     if time.monotonic() > state.deadline:
         raise state.exceeded(f"modulus {m}")  # before the set-up
     tables = _residue_tables(eq, m)
-    rest = [0] * (m + 1)
-    for cl in _suffix_packing(eq, m, tables):
-        rest[cl[0] - 1] += 1
-    for k in range(m - 1, -1, -1):  # rest[k]: packed cliques with smallest member above k
-        rest[k] += rest[k + 1]
+    low = None
+    if need:
+        # the packed cliques' smallest members: rest[k] of them are above k
+        lows = sorted(cl[0] for cl in _suffix_packing(eq, m, tables))
+        low = [need - (m - k) + len(lows) - bisect_left(lows, k + 1) for k in range(m + 1)]
     engine = _Core(partial(_congruence_records, eq, m, tables=tables))
     engine.where = f"modulus {m}, "
-    if engine.solve_to(m, state, [need - (m - k) + rest[k] for k in range(m + 1)]):
-        return engine
-    return None
+    return engine if engine.solve_to(m, state, low) else None
 
 
 def _residue_cap(eq: ThreeVarEquation, m: int) -> int:
@@ -1458,6 +1450,10 @@ def random_avoiding_sets(eq: ThreeVarEquation, n: int, count: int, seed: int = 0
     """``count`` randomized-greedy avoiding subsets of [1, n] (shuffled element
     orders).  Each is re-verified by the avoidance checker, and a set that
     contains a solution raises :class:`AvoidanceCheckFailed`."""
+    if n < 1:
+        raise InvariantViolation(f"n must be positive, got {n}")
+    if count < 0:
+        raise InvariantViolation(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

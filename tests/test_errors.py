@@ -24,7 +24,7 @@ from solfree.equations import IntSet, ThreeVarEquation, enumerate_solutions, par
 from solfree.errors import BudgetExceeded, InvariantViolation, MalformedEquation
 from solfree.family1 import eligible, interval_compression, min_element_stats, solution_window_deficiency
 from solfree.family2 import family2_extremal
-from solfree.search import all_extremal, max_avoiding, rho_best, rho_m
+from solfree.search import all_extremal, max_avoiding, random_avoiding_sets, rho_best, rho_m
 
 EQ = parse_equation("x+2y=13z")
 FORM = EQ.linear_form()
@@ -84,6 +84,12 @@ GUARDS = {
                               "time budget must be a number, got nan"),
     "rho_m m": (lambda: rho_m(EQ, 0), InvariantViolation, "m must be positive, got 0"),
     "rho_best m_max": (lambda: rho_best(EQ, 0), InvariantViolation, "m_max must be positive, got 0"),
+    "random_avoiding_sets n": (lambda: random_avoiding_sets(EQ, 0, 1), InvariantViolation,
+                               "n must be positive, got 0"),
+    "random_avoiding_sets negative n": (lambda: random_avoiding_sets(EQ, -3, 1), InvariantViolation,
+                                        "n must be positive, got -3"),
+    "random_avoiding_sets count": (lambda: random_avoiding_sets(EQ, 10, -1), InvariantViolation,
+                                   "count must be nonnegative, got -1"),
 }
 
 

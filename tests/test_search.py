@@ -112,10 +112,10 @@ def trigger_count(engine: search._Core) -> int:
 
 
 def congruence_engine(eq: ThreeVarEquation, m: int, top: int | None = None) -> search._Core:
-    """An engine over the congruence cliques modulo m, grown to ``top`` (m by default)."""
+    """An engine over the congruence cliques modulo m, with the elements up
+    to ``top`` (m by default) taken in."""
     engine = search._Core(partial(search._congruence_records, eq, m, tables=search._residue_tables(eq, m)))
-    for _ in range(m if top is None else top):
-        engine.grow()
+    engine.need_triples(m if top is None else top, search._RunState())
     return engine
 
 
@@ -410,7 +410,7 @@ class TestEngine:
             return
         engine = search._Core(partial(search._integer_records, eq))
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
-            engine.grow()
+            engine.need_triples(m, search._RunState())
             packing = engine.degree_packing(m - engine.r[m - 1], search._RunState())
             assert_disjoint_real_cliques(packing, oracle_cliques(eq, m))
             engine.advance(search._RunState())
@@ -438,7 +438,6 @@ class TestEngine:
         top = data.draw(st.integers(1, 60))
         engine = search._Core(partial(search._integer_records, eq))
         for m in range(1, top + 1):
-            engine.grow()
             assert search._greedy_mask(eq, m, range(1, m + 1)) == next(engine.enumerate_at(m, 0, search._RunState()))
 
     @given(
@@ -512,8 +511,7 @@ class TestEngine:
 
     def test_enumeration_ignores_banned_elements_past_m(self):
         engine = search._Core(lambda k: (k == 3, 0, {}))  # 3 is banned
-        for _ in range(3):
-            engine.grow()
+        engine.need_triples(3, search._RunState())
         assert list(engine.enumerate_at(2, 2, search._RunState())) == [0b11]
 
     def test_budget_hit_then_resume(self, monkeypatch):
@@ -525,9 +523,9 @@ class TestEngine:
         # prefix 30 alone takes 93 nodes: a smaller cap would never get past it
         while not (res := max_avoiding(eq, 30, node_cap=120, canonical=False)).optimal:
             hits += 1
-            assert engine.grown <= len(engine.r)  # at most one prefix past the solved one
+            assert engine.tripled <= len(engine.r)  # at most one prefix past the solved one
             # each clique adds one descending trigger: none was taken in twice
-            assert trigger_count(engine) == len(oracle_cliques(eq, engine.grown))
+            assert trigger_count(engine) == len(oracle_cliques(eq, engine.tripled))
         assert hits > 1
         assert (res.size, res.witness) == (want.size, want.witness)
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
@@ -587,7 +585,7 @@ class TestEngine:
         engine = fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 50_000, time_cap=0.2)
         assert not res.optimal and avoids(eq, res.witness).ok
-        assert engine.grown <= len(engine.r) < 50_000
+        assert engine.tripled <= len(engine.r) < 50_000
 
     def test_time_budget_stops_a_prefix_mid_search(self, monkeypatch):
         # without the fractional test, which settles it, prefix 96 of
@@ -795,7 +793,7 @@ class TestPairTest:
         monkeypatch.setattr(search, "_trade", lambda *args: trades.append(args[0]) or trade(*args))
         engine = fresh_engine(monkeypatch, eq)
         engine.solve_to(14, search._RunState())
-        engine.grow()
+        engine.need_triples(15, search._RunState())
         assert engine.pair_alpha(15, search._RunState()) > engine.r[14]
         packing = list(engine.packing)
         trades.clear()
@@ -813,14 +811,16 @@ class TestPairTest:
 
     def test_time_budget_bounds_a_large_solve(self, monkeypatch):
         # the pair test settles every prefix of x+2y=4z at its root, so the
-        # deadline is met between prefixes, in the DFS and in the pair test
+        # deadline is met between prefixes, in the DFS and in the pair test.
+        # The whole solve takes about 1 s (Python 3.11, 2 cores), well past
+        # the cap
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         t0 = time.monotonic()
-        res = max_avoiding(eq, 20_000, time_cap=0.3)
+        res = max_avoiding(eq, 50_000, time_cap=0.3)
         assert time.monotonic() - t0 < 1.5
         assert not res.optimal and avoids(eq, res.witness).ok
-        assert engine.grown <= len(engine.r) < 20_000
+        assert engine.tripled <= len(engine.r) < 50_000
 
     def test_cube_set_law_at_20000(self, monkeypatch):
         # r(n) = |A_2 in [1, n]| for x+2y=4z, the proved cube-set law for
@@ -896,7 +896,6 @@ class TestPrefixRoots:
             engine, real = congruence_engine(eq, q, 0), sorted(brute_congruence_cliques(eq, q))
         state = search._RunState()
         for m in range(1, n + 1):
-            engine.grow()
             engine.advance(state)
             inside = [cl for cl in real if cl[-1] <= m]
             assert_disjoint_real_cliques(engine.packing, inside)
@@ -926,7 +925,6 @@ class TestPrefixRoots:
         engine = search._integer_engine(eq)
         state = search._RunState()
         for m in range(1, n + 1):
-            engine.grow()
             engine.advance(state)
             members = [v for cl in engine.packing for v in cl]
             assert len(members) == len(set(members)), (str(eq), m)
@@ -974,7 +972,6 @@ class TestPrefixRoots:
         engine = search._integer_engine(eq)
         state = search._RunState()
         for m in range(1, data.draw(st.integers(1, 60)) + 1):
-            engine.grow()
             W = engine.wit[m - 1]
             banned, pairs, triples = search._integer_records(eq, m)
             closed = banned or pairs & W or any(W >> (mid - 1) & 1 and lows & W for mid, lows in triples.items())
@@ -994,6 +991,21 @@ class TestPrefixRoots:
         assert engine.tripled == 0 and engine.kept is not None
         assert engine.pair_down == [0] and engine.force == [[]]  # no trigger table while pair-only
 
+    def test_pair_only_engine_keeps_no_packing(self, monkeypatch):
+        # a sweep that needs no search takes in no element, so it builds no
+        # warm packing: P settles every stall a packing of pairs would.  A
+        # lex-least pass takes in [1, 40], and the packing it builds from
+        # the full records is pairwise disjoint solutions inside [1, 40]
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 300, canonical=False)
+        assert engine.packing == [] and engine.packed == 0 and engine.tripled == 0
+        all_extremal(eq, 40)
+        assert engine.tripled == 40 and engine.packing
+        real = {tuple(sorted({s.x, s.y, s.z})) for s in brute_solutions(eq, 40)}
+        assert_disjoint_real_cliques(engine.packing, real)
+        assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
+
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends
         # wit[m - 1], before its first node spends a zero budget; m is tested
@@ -1002,7 +1014,6 @@ class TestPrefixRoots:
         eq = EQS["square"]
         engine = search._integer_engine(eq)
         for _ in range(60):
-            engine.grow()
             with pytest.raises(BudgetExceeded):
                 engine.advance(search._RunState(node_cap=0))
             engine.advance(search._RunState())
@@ -1019,7 +1030,7 @@ class TestPrefixRoots:
         eq = parse_equation(text)
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
-        engine.need_triples(engine.grown, search._RunState())
+        engine.need_triples(40, search._RunState())
         engine.degree_packing(40 - engine.r[39], search._RunState())
         want = sorted(oracle_cliques(eq, 40), key=lambda cl: (cl[-1], cl))
         assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
@@ -1051,7 +1062,7 @@ class TestPrefixRoots:
         assert len(engine.pair_down) == len(engine.force) == engine.tripled + 1
         engine.source = source
         again = max_avoiding(eq, 30, canonical=False)
-        assert engine.tripled == engine.grown == 30 and engine.kept is None
+        assert engine.tripled == 30 and engine.kept is None
         cold = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 4, canonical=False)
         want = max_avoiding(eq, 30, canonical=False)
@@ -1087,7 +1098,7 @@ class TestPrefixRoots:
         again = max_avoiding(eq, 50, canonical=False)
         assert engine.tripled == fail_at - 1 and engine.kept is not None
         sets = all_extremal(eq, 50, cap=3)
-        assert engine.tripled == engine.grown == 50 and engine.kept is not None
+        assert engine.tripled == 50 and engine.kept is not None
         cold = fresh_engine(monkeypatch, eq)
         want = max_avoiding(eq, 50, canonical=False)
         assert all_extremal(eq, 50, cap=3) == sets and cold.tripled == 50
@@ -1183,7 +1194,6 @@ class TestFractionalStall:
         eq = parse_equation(text)
         engine = search._integer_engine(eq)
         engine.solve_to(m - 1, search._RunState())
-        engine.grow()
         engine.need_triples(m, search._RunState())
         assert m - engine.r[m - 1] - 1 == need
         packing = engine.degree_packing(need + 1, search._RunState())
@@ -1333,6 +1343,16 @@ class TestModularDensity:
         eq = ThreeVarEquation(a, b, c)
         want = max((rho_m(eq, m) for m in range(1, 25)), key=lambda d: d.rho)  # max keeps the first
         assert rho_best(eq, 24) == want
+
+    def test_rho_m_builds_no_suffix_packing(self, monkeypatch):
+        # with need 0 the suffix packing's bound never stops the sweep, as
+        # rest[k] <= m - k, so rho_m builds none
+        calls = []
+        suffix_packing = search._suffix_packing
+        monkeypatch.setattr(search, "_suffix_packing", lambda *args: calls.append(args) or suffix_packing(*args))
+        want = rho_m(parse_equation("x+y=4z"), 19)
+        assert calls == []
+        assert rho_best(parse_equation("x+y=4z"), 19).rho >= want.rho and calls
 
     def test_rho_best_stops_moduli_that_cannot_win(self, monkeypatch):
         # 820 = 1 + 2 + ... + 40 advance calls with every modulus solved in full
