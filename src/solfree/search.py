@@ -62,18 +62,22 @@ first leaf.
 The fractional test: a fractional clique packing, weights
 y_C >= 0 with total weight at most 1 on each element, proves
 r(m) <= m - sum y: an avoiding set leaves out a member of each clique, so
-elements of total weight at least sum y.  A revised simplex, started from
-the warm packing (see ``_fractional_stall``), pivots until sum y passes
-m - r(m - 1) - 1, and m is a stall once the integer counts
-floor(y * 2^20) prove it, sum cnt > (m - r(m - 1) - 1) * L with L their
-largest load, recomputed from the cliques' members (``_counts_settle``).
-Floats only propose.  It settles stalls that no integer packing can, as
-in the Family II equation x+y=4z: at m = 52 the fractional packing number
-is 21.5 where 22 disjoint cliques would be needed, and x+y=4z at n = 54
-takes 14 039 nodes with the test and 69 427 without.  The test keeps no state
-on the engine: a settled prefix keeps wit[m - 1], as a packing settle
-does, and only node counts move.  The congruence engines run none, as they
-run no trades.
+elements of total weight at least sum y.  A revised simplex (``_Simplex``)
+pivots until sum y passes m - r(m - 1) - 1, and m is a stall once the
+integer counts floor(y * 2^20) prove it, sum cnt > (m - r(m - 1) - 1) * L
+with L their largest load, recomputed from the cliques' members
+(``_counts_settle``).  Floats only propose.  It settles stalls that no
+integer packing can, as in the Family II equation x+y=4z: at m = 52 the
+fractional packing number is 21.5 where 22 disjoint cliques would be
+needed.  An integer engine keeps one simplex, built from the warm packing
+at the first pivot any prefix needs, and carries it from stall to stall:
+each later try takes in the cliques and the elements that came since, and
+asks the basis the last stall left before it pivots, so a stall may
+settle with no pivot at all.  x+y=4z at n = 54 takes 6 831 nodes with the
+carried simplex, 14 039 with one rebuilt from the packing at every prefix
+and 69 427 without the test.  A settled prefix keeps wit[m - 1], as a
+packing settle does, so only node counts move.  The congruence engines
+run none, as they run no trades.
 
 A trade is one step of t-for-(t + 1) local search for set packing
 (Hurkens and Schrijver, SIAM J. Discrete Math. 2, 1989): it gives up one
@@ -234,16 +238,16 @@ def _ratios(eq: ThreeVarEquation) -> list[tuple[int, int]]:
     return [(p, q) for p, q in (((a, c),) if b == 0 else ((a + b, c), (a, c - b), (b, c - a))) if q > 0]
 
 
-def _pair_partners(eq: ThreeVarEquation, m: int) -> int:
-    """The mask of m's pair partners: the u < m with {u, m} the members of a
-    solution, which then has two equal variables.  With (p, q) from
-    ``_ratios``, u = min(p, q)*m/max(p, q) when that divides, and the cost
-    is O(1)."""
-    mask = 0
+def _pair_partners(eq: ThreeVarEquation, m: int) -> list[int]:
+    """m's pair partners: the u < m with {u, m} the members of a solution,
+    which then has two equal variables.  With (p, q) from ``_ratios``,
+    u = min(p, q)*m/max(p, q) when that divides; two ratios give the same u
+    when a = b, and it is listed once.  The cost is O(1)."""
+    partners = []
     for p, q in _ratios(eq):
-        if min(p, q) * m % max(p, q) == 0:
-            mask |= 1 << (min(p, q) * m // max(p, q) - 1)
-    return mask
+        if min(p, q) * m % max(p, q) == 0 and (u := min(p, q) * m // max(p, q)) not in partners:
+            partners.append(u)
+    return partners
 
 
 def _part_records(eq: ThreeVarEquation, members: list[int], k: int) -> tuple[bool, int, dict[int, int]]:
@@ -251,7 +255,7 @@ def _part_records(eq: ThreeVarEquation, members: list[int], k: int) -> tuple[boo
     pair graph on ``members``, ascending and holding every smaller pair
     partner of each member: element k stands for members[k - 1], and its
     only cliques are its pairs, with the partners' ranks."""
-    return False, sum(1 << bisect_left(members, u) for u in _members(_pair_partners(eq, members[k - 1]))), {}
+    return False, sum(1 << bisect_left(members, u) for u in _pair_partners(eq, members[k - 1])), {}
 
 
 def _integer_records(eq: ThreeVarEquation, m: int) -> tuple[bool, int, dict[int, int]]:
@@ -262,7 +266,7 @@ def _integer_records(eq: ThreeVarEquation, m: int) -> tuple[bool, int, dict[int,
     a pair, read from ``_pair_partners``."""
     a, b, c = eq.a, eq.b, eq.c
     if b == 0:
-        return False, _pair_partners(eq, m), {}
+        return False, sum(1 << (u - 1) for u in _pair_partners(eq, m)), {}
     others = [(v, z) for v in _progression(b, -a * m, c, m) if (z := (a * m + b * v) // c) <= m]  # m as x, v as y
     others += [(v, z) for v in _progression(a, -b * m, c, m) if (z := (a * v + b * m) // c) <= m]  # m as y, v as x
     others += [(v, y) for v in _progression(a, c * m, b, m) if 1 <= (y := (c * m - a * v) // b) <= m]  # m as z
@@ -445,60 +449,96 @@ def _counts_settle(cliques: list[tuple[int, ...]], weights: list[float], need: i
 _EPS = 1e-9  # the simplex's zero: smaller reduced costs and column entries do not count
 
 
-def _fractional_stall(cliques: list[tuple[int, ...]], packing: list[tuple[int, ...]], need: int):
-    """Pivots of a revised simplex for a fractional clique packing y, sum
-    over C containing v of y_C <= 1 at every v, with sum y > ``need``: a
-    generator that yields once per pivot, True once ``_counts_settle``
-    certifies such a y from the basis and None otherwise, and ends after
-    True or once the simplex is at its optimum without one.
+class _Simplex:
+    """A revised simplex for a fractional clique packing y, sum over C
+    containing v of y_C <= 1 at every v, that maximises sum y: the one that
+    an integer engine carries from stall to stall (see
+    :meth:`_Core._stall_tests`).
 
-    The simplex maximises sum y with B^-1 dense, Dantzig's pricing and the
-    largest pivot among tied ratios.  Its basis starts from ``packing``,
-    pairwise disjoint members of ``cliques``: each clique is basic at 1 in
-    its smallest member's row, the other members' slacks are basic at 0,
-    and every other row's slack at 1.  A vertex v is row v; row 0 stands
-    in for a pair's or a singleton's missing members, with price 0 and no
-    entry in B^-1.  The set-up runs at the first pivot, and nothing is
-    built before."""
-    if not cliques:
-        return
-    index = {cl: j for j, cl in enumerate(cliques)}
-    cols = [(cl + (0, 0))[:3] for cl in cliques]
-    top = max(cl[-1] for cl in cliques) + 1
-    on: list[list[int]] = [[] for _ in range(top)]  # the cliques of each vertex
-    for j, cl in enumerate(cliques):
-        for v in cl:
-            on[v].append(j)
-    inv = [[0.0] * top for _ in range(top)]
-    for i in range(1, top):
-        inv[i][i] = 1.0
-    basis = [~i for i in range(top)]  # basis[i]: clique j >= 0, or ~v for v's slack
-    x = [0.0] + [1.0] * (top - 1)  # the basic values, row by row
-    price = [0.0] * top  # the duals c_B B^-1
-    sums = [0.0] * len(cliques)  # each clique's price, kept as the prices move
-    for cl in packing:
-        r = cl[0]
-        basis[r] = index[cl]
-        price[r] = 1.0
-        for j in on[r]:
-            sums[j] += 1.0
-        for u in cl[1:]:
-            inv[u][r] = -1.0
-            x[u] = 0.0
-    z = float(len(packing))
-    while True:
-        low, slack = min(sums), min(price)
-        gain, q = 1.0 - low, sums.index(low)
-        if -slack > gain:
-            gain, q = -slack, ~price.index(slack)
-        if gain <= _EPS:
+    Its columns are the first len(sums) cliques of ``cliques``, the engine's
+    append-only clique list, and its rows the vertices up to their largest
+    member.  B^-1 is dense, the pricing Dantzig's, and the largest pivot wins
+    among tied ratios.  A vertex v is row v; row 0 stands in for a pair's or
+    a singleton's missing members, with price 0 and no entry in B^-1.  The
+    basis starts from ``packing``, pairwise disjoint cliques of the list:
+    each is basic at 1 in its smallest member's row, the other members'
+    slacks are basic at 0, and every other row's slack at 1."""
+
+    __slots__ = ("cliques", "on", "inv", "basis", "x", "price", "sums", "z")
+
+    def __init__(self, cliques: list[tuple[int, ...]], packing: list[tuple[int, ...]]):
+        self.cliques = cliques
+        self.on: list[list[int]] = [[]]  # the columns of each vertex
+        self.inv = [[0.0]]
+        self.basis = [~0]  # basis[i]: clique j >= 0, or ~v for v's slack
+        self.x = [0.0]  # the basic values, row by row
+        self.price = [0.0]  # the duals c_B B^-1
+        self.sums: list[float] = []  # each column's price, kept as the prices move
+        self.extend()
+        index = {cl: j for j, cl in enumerate(cliques)}
+        for cl in packing:
+            r = cl[0]
+            self.basis[r] = index[cl]
+            self.price[r] = 1.0
+            for j in self.on[r]:
+                self.sums[j] += 1.0
+            for u in cl[1:]:
+                self.inv[u][r] = -1.0
+                self.x[u] = 0.0
+        self.z = float(len(packing))  # sum y
+
+    def extend(self) -> None:
+        """Take in the cliques that the list has gained as nonbasic columns,
+        each priced at the sum of its members' prices, and the rows of their
+        new members, with their slacks basic at 1 and priced 0.  No old
+        column has an entry in a new row, so B^-1 grows block-diagonally, by
+        the identity, and sum y, x and the old prices stay as they were."""
+        cliques, inv, price, sums, on = self.cliques, self.inv, self.price, self.sums, self.on
+        gained = cliques[len(sums):]
+        if not gained:
             return
-        if q >= 0:
-            u, v, w = cols[q]
+        top = len(on)
+        new = max(top, max(cl[-1] for cl in gained) + 1)
+        for row in inv:
+            row += [0.0] * (new - top)
+        for v in range(top, new):
+            inv.append([0.0] * new)
+            inv[v][v] = 1.0
+            on.append([])
+        self.basis += range(~top, ~new, -1)
+        self.x += [1.0] * (new - top)
+        price += [0.0] * (new - top)
+        for j, cl in enumerate(gained, len(sums)):
+            y = 0.0
+            for v in cl:
+                on[v].append(j)
+                y += price[v]
+            sums.append(y)
+
+    def settles(self, need: int) -> bool:
+        """Whether sum y passes ``need`` and ``_counts_settle`` certifies the
+        basic weights."""
+        return self.z > need and _counts_settle([self.cliques[j] for j in self.basis if j >= 0],
+                                                [y for j, y in zip(self.basis, self.x) if j >= 0], need)
+
+    def pivot(self, need: int) -> bool | None:
+        """One pivot, and then whether the basis settles ``need`` (see
+        :meth:`settles`): True if so, None if not, and False, with no pivot
+        made, once the simplex is at its optimum.  An exception leaves it
+        half-updated."""
+        inv, x, price, sums, on = self.inv, self.x, self.price, self.sums, self.on
+        low, slack = min(sums, default=1.0), min(price)
+        gain = max(1.0 - low, -slack)
+        if gain <= _EPS:
+            return False
+        if 1.0 - low >= -slack:
+            q = sums.index(low)
+            u, v, w = (self.cliques[q] + (0, 0))[:3]
             d = [row[u] + row[v] + row[w] for row in inv]
         else:
+            q = ~price.index(slack)
             d = [row[~q] for row in inv]
-        hit = [i for i in range(1, top) if d[i]]
+        hit = [i for i in range(1, len(d)) if d[i]]
         r, theta = 0, math.inf
         for i in hit:
             if d[i] > _EPS:
@@ -506,11 +546,11 @@ def _fractional_stall(cliques: list[tuple[int, ...]], packing: list[tuple[int, .
                 if t < theta - _EPS or t < theta + _EPS and d[i] > d[r]:
                     r, theta = i, t
         if not r:
-            return
+            return False
         for i in hit:
             x[i] -= theta * d[i]
         x[r] = theta
-        z += theta * gain
+        self.z += theta * gain
         # row r of B^-1 is sparse: its entries move the prices and, times d,
         # the rows that d hits
         f = gain / d[r]
@@ -529,12 +569,8 @@ def _fractional_stall(cliques: list[tuple[int, ...]], packing: list[tuple[int, .
             else:
                 for v, b in pivot:
                     row[v] -= di * b
-        basis[r] = q
-        if z > need and _counts_settle([cliques[j] for j in basis if j >= 0],
-                                       [y for j, y in zip(basis, x) if j >= 0], need):
-            yield True
-            return
-        yield None
+        self.basis[r] = q
+        return self.settles(need) or None
 
 
 class _Core:
@@ -553,7 +589,9 @@ class _Core:
     needs the triples (see :meth:`_root`).  The congruence engines run
     without either, and so do the parts: the engines that
     :meth:`pair_alpha` keeps, one per component of the pair graph on the
-    R-smooth numbers, each over its component's members by rank.
+    R-smooth numbers, each over its component's members by rank.  An
+    integer engine also carries one simplex for the fractional stall test
+    from stall to stall (see :meth:`_stall_tests`).
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -608,6 +646,12 @@ class _Core:
         # on those s.  Only integer engines run the pair test.
         self.P: list[int] = [0]
         self.comp: dict[int, _Core] = {}
+        # the fractional test's simplex, built at the first pivot any prefix
+        # needs and carried from stall to stall (see _stall_tests); None
+        # before, and after an exception in a pivot.  Its B^-1 holds
+        # (m + 1)^2 floats, m the largest member of the cliques it has taken
+        # in, for the life of the engine.
+        self.lp: _Simplex | None = None
 
     def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
         """Take in element k, from its records, after every element below k:
@@ -686,7 +730,7 @@ class _Core:
                 if s < k:  # delta(s) was solved at k = s
                     P.append(P[-1] + P[s] - P[s - 1])
                     continue
-                near = {self.comp[u] for u in _members(_pair_partners(self.eq, k))}
+                near = {self.comp[u] for u in _pair_partners(self.eq, k)}
                 if len(near) == 1:
                     part = near.pop()
                     if part.members[-1] < k:  # else a solve cut short has taken k in
@@ -886,22 +930,36 @@ class _Core:
             prefixes in the paper's Family I regime, where m - r(m) disjoint
             solutions exist.
           * The fractional test (see the module docstring), in an integer
-            engine whose warm packing is then at most two cliques short:
-            once the search has spent two nodes a clique, and again each
-            time its nodes double.  A pivot costs about as much as one to
-            three nodes a row (Python 3.11), so the simplex gets one pivot
-            per 2m nodes the search has spent, all its tries together, and
-            a test that fails costs about as much as the search before it;
-            the simplex keeps its basis from one try to the next, and the
+            engine whose warm packing is then at most two cliques short.  It
+            carries the engine's one simplex (``lp``) from the last prefix
+            that ran the test: the simplex takes in the cliques and the
+            elements that came since, and its basis may settle m before any
+            pivot.  The test rebuilds it from the warm packing instead when
+            that packing is more than one clique larger than its sum y, as a
+            trade or the degree packing can make it (x+2y=8z at n = 48 takes
+            7 987 nodes when it is never rebuilt, 2 919 with the rule).
+            Then it pivots once the search has spent two nodes a clique, and
+            again each time its nodes double.  A pivot costs about as much
+            as one to three nodes a row (Python 3.11), so the simplex gets
+            one pivot per 2m nodes the search has spent on m, and a test
+            that fails costs about as much as the search before it; the
             clock is read before each pivot.  Once the simplex is at its
-            optimum no try is left."""
+            optimum no pivot is left for m, though a later prefix's cliques
+            may move it off.  The engine drops the simplex while it changes,
+            and takes it back after, so an exception in a pivot leaves none,
+            and the next test rebuilds it."""
         prev, start = self.r[m - 1], state.nodes
         yield start + self.clique_count - m
         if m - len(self.degree_packing(m - prev, state)) <= prev:
             yield 0
         if self.eq is None or m - prev - len(self.packing) > 2:
             return
-        lp = _fractional_stall(self.cliques, self.packing, m - prev - 1)
+        need, lp, self.lp = m - prev - 1, self.lp, None  # detached while it changes
+        if lp is not None and len(self.packing) <= lp.z + 1:  # else it is rebuilt from the packing
+            lp.extend()
+            self.lp = lp
+            if lp.settles(need):
+                yield 0
         pivots, spent = 0, self.clique_count
         while True:
             yield start + 2 * spent
@@ -909,7 +967,9 @@ class _Core:
             while pivots < spent // (2 * m):
                 if time.monotonic() > state.deadline:
                     raise state.exceeded(f"{self.where}prefix {m}")
-                settled = next(lp, False)  # False: the simplex is at its optimum
+                lp, self.lp = self.lp or _Simplex(self.cliques, self.packing), None
+                settled = lp.pivot(need)  # False: the simplex is at its optimum
+                self.lp = lp
                 pivots += 1
                 if settled:
                     yield 0

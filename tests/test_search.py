@@ -265,7 +265,7 @@ class TestMaxAvoiding:
         ("2x+y=4z", 300, 300),
         ("2x=z", 200, 200),  # every root the seed misses is settled by P, exact with b = 0
         ("x+2y=5z", 31, 4437),  # 4 457 without the one-short root, 4 460 without the warm packing too
-        ("x+y=4z", 54, 14039),  # 69 427 without the fractional test, 69 738 without trades and the dive too
+        ("x+y=4z", 54, 6831),  # 14 039 with a simplex rebuilt at every try, 69 427 without the fractional test
     ]
 
     @pytest.mark.parametrize("text,n,nodes", PINNED_NODES, ids=[f"{t}@{n}" for t, n, _ in PINNED_NODES])
@@ -591,7 +591,7 @@ class TestEngine:
         # without the fractional test, which settles it, prefix 96 of
         # x+2y=13z alone takes ~12 M nodes: only the clock read every 4096
         # nodes inside the search stops it near the deadline
-        monkeypatch.setattr(search, "_fractional_stall", lambda *args: iter(()))
+        monkeypatch.setattr(search._Simplex, "pivot", lambda self, need: False)  # always at its optimum
         eq = EQS["family1"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 95, canonical=False)
@@ -635,28 +635,30 @@ class TestEngine:
             assert max_avoiding(eq, n).size == exhaustive_max(eq, n)[0]
 
         # the fractional test first runs at prefix 30 of x+y=4z, after the
-        # degree packing, and settles it in four pivots; an exception after
-        # two leaves r, wit and the packing as a cold engine has them
+        # degree packing, and settles it in four pivots; an exception inside
+        # the third drops the half-updated simplex, and leaves r, wit and the
+        # packing as a cold engine has them
         eq = parse_equation("x+y=4z")
         engine = fresh_engine(monkeypatch, eq)
-        stall, pivots = search._fractional_stall, []
+        pivot, pivots = search._Simplex.pivot, []
 
-        def failing(*args):
-            for settled in stall(*args):
-                if len(pivots) == 2:
-                    raise exc("injected")
-                pivots.append(settled)
-                yield settled
+        def failing(self, need):
+            if len(pivots) == 2:
+                self.x[1] = float("nan")  # half-updated
+                raise exc("injected")
+            pivots.append(pivot(self, need))
+            return pivots[-1]
 
-        monkeypatch.setattr(search, "_fractional_stall", failing)
+        monkeypatch.setattr(search._Simplex, "pivot", failing)
         with pytest.raises(exc):
             max_avoiding(eq, 40, canonical=False)
-        assert pivots == [None, None] and len(engine.r) == 30
-        monkeypatch.setattr(search, "_fractional_stall", stall)
+        assert pivots == [None, None] and len(engine.r) == 30 and engine.lp is None
+        monkeypatch.setattr(search._Simplex, "pivot", pivot)
         again = max_avoiding(eq, 40, canonical=False)
         cold = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 29, canonical=False)
         want = max_avoiding(eq, 40, canonical=False)
-        assert again.witness == want.witness
+        assert (again.witness, again.nodes) == (want.witness, want.nodes)
         assert (engine.r, engine.wit, engine.packing) == (cold.r, cold.wit, cold.packing)
 
     def test_time_cap_bounds_the_fractional_test(self, monkeypatch):
@@ -666,13 +668,11 @@ class TestEngine:
         # take four pivots, and without the clock they would take 0.8 s
         pivots = []
 
-        def endless(cliques, packing, need):
-            while True:
-                time.sleep(0.2)
-                pivots.append(need)
-                yield None
+        def endless(self, need):
+            time.sleep(0.2)
+            pivots.append(need)
 
-        monkeypatch.setattr(search, "_fractional_stall", endless)
+        monkeypatch.setattr(search._Simplex, "pivot", endless)
         eq = parse_equation("x+y=4z")
         engine = fresh_engine(monkeypatch, eq)
         t0 = time.monotonic()
@@ -953,13 +953,14 @@ class TestPrefixRoots:
 
     def test_pair_partners_are_the_two_member_cliques(self):
         # the O(1) formula against the solution enumeration, on the 290
-        # equations a <= 6, 0 <= b <= 6, c <= 9, for m < 120
+        # equations a <= 6, 0 <= b <= 6, c <= 9, for m < 120: each partner
+        # once, though two ratios give the same one when a = b
         for eq in grid_equations(6, 6, 9):
-            want = [0] * 120
+            want: list[list[int]] = [[] for _ in range(120)]
             for cl in oracle_cliques(eq, 119):
                 if len(cl) == 2:
-                    want[cl[1]] |= 1 << (cl[0] - 1)
-            assert [search._pair_partners(eq, m) for m in range(1, 120)] == want[1:], str(eq)
+                    want[cl[1]].append(cl[0])
+            assert [sorted(search._pair_partners(eq, m)) for m in range(1, 120)] == want[1:], str(eq)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -1148,14 +1149,45 @@ class TestPrefixRoots:
 
 
 def stall_verdict(cliques, packing, need, cap: int = 3000) -> bool | None:
-    """The fractional test's verdict within ``cap`` pivots: True once it
-    settles, False once the simplex is at its optimum, None past the cap."""
-    for pivots, settled in enumerate(search._fractional_stall(cliques, packing, need), 1):
-        if settled:
-            return True
-        if pivots == cap:
-            return None
-    return False
+    """The fractional test's verdict within ``cap`` pivots of a simplex
+    started from ``packing``: True once it settles, False once it is at its
+    optimum, None past the cap."""
+    return carried_verdict(search._Simplex(cliques, packing), need, cap)
+
+
+def carried_verdict(lp: search._Simplex, need: int, cap: int) -> bool | None:
+    """The verdict of ``lp`` as it stands, asked before its first pivot as
+    the engine asks a carried simplex, and then within ``cap`` pivots."""
+    if lp.settles(need):
+        return True
+    for _ in range(cap):
+        settled = lp.pivot(need)
+        if settled is not None:
+            return settled
+    return None
+
+
+def assert_basis(lp: search._Simplex) -> None:
+    """``lp`` is a basis of its columns, cliques[:len(sums)], over the rows
+    up to their largest member: B^-1 inverts the basic columns, x is
+    B^-1 times the all-ones bound and sums to z over the basic cliques, the
+    prices are c_B B^-1, and each column's price is its members' sum."""
+    cols = lp.cliques[:len(lp.sums)]
+    top = max(cl[-1] for cl in cols) + 1
+    assert len(lp.x) == len(lp.inv) == len(lp.basis) == len(lp.price) == top
+    assert lp.on == [[j for j, cl in enumerate(cols) if v in cl] for v in range(top)]
+    basic = [set(cols[j]) if j >= 0 else {~j} for j in lp.basis]  # the rows of each basic column
+    for i, row in enumerate(lp.inv):
+        assert len(row) == top
+        want = [float(i == k) if i else 0.0 for k in range(top)]
+        got = [0.0] + [sum(row[v] for v in basic[k]) for k in range(1, top)]
+        assert got == pytest.approx(want, abs=1e-6), i
+        assert lp.x[i] == pytest.approx(sum(row[1:]), abs=1e-6), i
+        assert lp.x[i] >= -1e-6
+    assert lp.z == pytest.approx(sum(y for j, y in zip(lp.basis, lp.x) if j >= 0), abs=1e-6)
+    duals = [sum(row[v] for row, j in zip(lp.inv, lp.basis) if j >= 0) for v in range(top)]
+    assert lp.price == pytest.approx(duals, abs=1e-6)
+    assert lp.sums == pytest.approx([sum(duals[v] for v in cl) for cl in cols], abs=1e-6)
 
 
 class TestFractionalStall:
@@ -1184,6 +1216,108 @@ class TestFractionalStall:
         packing = greedy_suffix_packing(cliques) if data.draw(st.booleans()) else []
         if stall_verdict(cliques, packing, need):
             assert r <= m - need - 1, (str(eq), m, need)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_carried_simplex_never_settles_a_rise(self, data):
+        # one simplex carried over the growing clique list of an equation,
+        # b = 0 included, as an engine carries it: built from the greedy
+        # packing at some prefix, then extended at each later prefix, asked
+        # and pivoted a few times.  It stays a basis of its cliques, and no
+        # prefix m that it settles against r(m - 1) is a rise
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        cliques: list[tuple[int, ...]] = []
+        lp, prev = None, 0
+        for m in range(1, data.draw(st.integers(1, 14)) + 1):
+            cliques += cliques_for(eq, m)
+            r = exhaustive_max(eq, m)[0]
+            if lp is not None:
+                lp.extend()
+            elif cliques and data.draw(st.booleans()):
+                lp = search._Simplex(cliques, greedy_suffix_packing(cliques))
+            if lp is not None:
+                assert len(lp.sums) == len(cliques)
+                assert_basis(lp)
+                if carried_verdict(lp, m - prev - 1, data.draw(st.integers(0, 6))):
+                    assert r == prev, (str(eq), m)
+                assert_basis(lp)
+            prev = r
+
+    @pytest.mark.parametrize("text,n", [("x+y=4z", 54), ("x+2y=8z", 48), ("4x+4y=3z", 48)])
+    def test_the_engine_carries_one_basis(self, monkeypatch, text, n):
+        # the engine's simplex after a sweep is a basis of the cliques it
+        # took in at its last try, and extending it over the rest keeps it one
+        eq = parse_equation(text)
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, n, canonical=False)
+        lp = engine.lp
+        assert lp is not None and lp.cliques is engine.cliques
+        assert_basis(lp)
+        lp.extend()
+        assert len(lp.sums) == len(engine.cliques)
+        assert_basis(lp)
+
+    @pytest.mark.parametrize("text,n,nodes,builds,pivots", [
+        ("x+y=4z", 54, 6831, [30], 46),  # 14 039 nodes and 110 pivots with a simplex built at every try
+        ("4x+4y=3z", 48, 14608, [20, 28, 40], 56),  # 86 pivots with one built at every try
+        ("x+2y=8z", 48, 2919, [27, 32, 48], 23),  # 7 987 nodes without the rebuild rule, 3 219 with a build at every try
+    ])
+    def test_one_simplex_serves_the_later_stalls(self, monkeypatch, text, n, nodes, builds, pivots):
+        # the prefixes where a cold sweep builds its simplex: the first
+        # try, and a try whose warm packing has outgrown the simplex's sum y
+        # by more than one clique; every other try carries the last one
+        eq = parse_equation(text)
+        engine = fresh_engine(monkeypatch, eq)
+        init, pivot, built, made = search._Simplex.__init__, search._Simplex.pivot, [], []
+
+        def building(self, cliques, packing):
+            built.append(len(engine.r))
+            init(self, cliques, packing)
+
+        def counting(self, need):
+            made.append(pivot(self, need))
+            return made[-1]
+
+        monkeypatch.setattr(search._Simplex, "__init__", building)
+        monkeypatch.setattr(search._Simplex, "pivot", counting)
+        assert max_avoiding(eq, n, canonical=False).nodes == nodes
+        assert built == builds and len(made) - made.count(False) == pivots
+
+    def test_a_carried_basis_is_asked_before_a_pivot(self, monkeypatch):
+        # a carried simplex whose basis already settles prefix 30 of x+y=4z
+        # is extended and asked as the try starts, right after the degree
+        # packing, and the search ends there with no pivot
+        eq = parse_equation("x+y=4z")
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 29, canonical=False)
+        asked = []
+
+        class Settling:
+            z = float("inf")
+
+            def extend(self):
+                asked.append("extend")
+
+            def settles(self, need):
+                asked.append(need)
+                return True
+
+            def pivot(self, need):
+                raise AssertionError("a pivot")
+
+        engine.lp = Settling()
+        res = max_avoiding(eq, 30, canonical=False)
+        assert asked == ["extend", 12] and res.size == engine.r[29]
+        assert res.nodes == engine.clique_count - 30 + 1 < 241  # 241 when the try pivots
+
+    def test_rows_reach_the_largest_member_of_any_column(self):
+        # cliques sorted as tuples, as the oracles list them, and not by
+        # largest member as the engine does: row 5 is still there
+        lp = search._Simplex([(1, 5), (2, 3)], [])
+        assert len(lp.x) == 6 and carried_verdict(lp, 1, 10) is True
+        assert_basis(lp)
 
     @pytest.mark.parametrize("text,m,need,want", [
         ("x+y=4z", 52, 21, True),  # nu* = 21.5 > 21, and no integer packing has 22 cliques
