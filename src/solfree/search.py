@@ -19,18 +19,22 @@ Element m comes in as records, not clique tuples: whether {m} is a clique
 middle member v of a triple {u, v, m} to the mask of its smallest members
 u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
 tuples.  One step, the take-in of an element, files all its records in
-the trigger tables (below) and gives the warm packing its first free
-clique, and no other step writes them.  An integer engine is pair-only
-until a prefix first needs a search (the DFS or the degree packing): it
-takes in no element, its cheap yes (below) reads four shift masks of
-wit[m - 1], as ``_greedy_mask`` does, and the pair graph's independence
-number P decides its stalls.  It keeps no warm packing then, as k
-disjoint pairs in [1, m] prove only r(m) <= m - k, and P(m) <= m - k
-already.  The first search takes in every element up to its prefix, in
-arrival order, and from then on each prefix takes in its own.  A
-lex-least pass over [1, m] takes in the elements up to m only and leaves
-the engine pair-only.  x+2y=4z never needs its triples, so the witness
-table is all its O(n^2) memory.
+the trigger tables (below) and, in an integer engine, gives the warm
+packing its first free clique, and no other step writes them.  An engine
+with no equation (a congruence engine, or a part that ``_Core.pair_alpha``
+solves) takes in its trigger tables and nothing else, and runs the cheap
+yes and the DFS alone: it keeps no clique list and no packing and runs no
+stall test, as those cost such engines more time than the nodes they
+saved.  An integer engine is pair-only until a prefix first needs a
+search (the DFS or the degree packing): it takes in no element, its cheap
+yes (below) reads four shift masks of wit[m - 1], as ``_greedy_mask``
+does, and the pair graph's independence number P decides its stalls.  It
+keeps no warm packing then, as k disjoint pairs in [1, m] prove only
+r(m) <= m - k, and P(m) <= m - k already.  The first search takes in
+every element up to its prefix, in arrival order, and from then on each
+prefix takes in its own.  A lex-least pass over [1, m] takes in the
+elements up to m only and leaves the engine pair-only.  x+2y=4z never
+needs its triples, so the witness table is all its O(n^2) memory.
 
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
@@ -55,9 +59,9 @@ root, which walks the search's first path and then trades.  A prefix they
 settle costs one node and sets up no search: a sweep that settles every
 prefix at its root, as x+2y=4z does, copies no prefix table.  Once the
 search (``_Core._search``) has spent nodes enough to pay for them
-(``_Core._stall_tests``): the degree packing, with its own trade, and the
-fractional test.  Otherwise the DFS looks for such a set and ends at its
-first leaf.
+(``_Core._stall_tests``, in an integer engine only): the degree packing,
+with its own trade, and the fractional test.  Otherwise the DFS looks for
+such a set and ends at its first leaf.
 
 The fractional test: a fractional clique packing, weights
 y_C >= 0 with total weight at most 1 on each element, proves
@@ -76,17 +80,14 @@ asks the basis the last stall left before it pivots, so a stall may
 settle with no pivot at all.  x+y=4z at n = 54 takes 6 831 nodes with the
 carried simplex, 14 039 with one rebuilt from the packing at every prefix
 and 69 427 without the test.  A settled prefix keeps wit[m - 1], as a
-packing settle does, so only node counts move.  The congruence engines
-run none, as they run no trades.
+packing settle does, so only node counts move.
 
 A trade is one step of t-for-(t + 1) local search for set packing
 (Hurkens and Schrijver, SIAM J. Discrete Math. 2, 1989): it gives up one
 packing clique for two disjoint cliques that meet only it, or, failing
 that, two for three that meet only those two.  It is one pass over the
-flat clique list and a search on int masks (see ``_trade``).  The
-congruence engines run no trades: trades in their degree packings slowed
-``rho_best(x+y=4z, 40)`` from 11.2 to 13.8 ms (best of 15 calls, Python
-3.11.7).
+flat clique list and a search on int masks (see ``_trade``).  Only
+integer engines trade, as only they pack cliques.
 
 The lex-least pass decides elements in ascending order, include first, so
 its first leaf of size r(m) is the lexicographically least maximum set and
@@ -107,13 +108,14 @@ unless its aS + bS has a nontrivial period, and then it lifts from a
 proper divisor of m, whose density is at most the best by the time m
 comes up.  So a modulus whose cap is too low is skipped before any
 set-up; with b = 0 the cap m * g_a*g_c / (g_a + g_c) holds on its own.
-Otherwise the sweep can stop early: a second greedy packing, one clique
+Otherwise the sweep can stop early: a greedy suffix packing, one clique
 per smallest member in descending order, packs every suffix (k, m] at
 once, and r(m) <= r(k) + (m - k) - rest[k] at each solved prefix k, with
 rest[k] the packed cliques inside (k, m].  Once that falls below the
 residues the modulus needs, its sweep ends.  A modulus builds no clique
-list: from residue tables the packing is built top-down, and the engine
-reads the cliques of each prefix the sweep reaches, as for integers.
+list: from residue tables the suffix packing is built top-down, and the
+engine files the records of each prefix the sweep reaches in its trigger
+tables, as for integers.
 """
 from __future__ import annotations
 
@@ -458,8 +460,9 @@ class _Simplex:
     Its columns are the first len(sums) cliques of ``cliques``, the engine's
     append-only clique list, and its rows the vertices up to their largest
     member.  B^-1 is dense, the pricing Dantzig's, and the largest pivot wins
-    among tied ratios.  A vertex v is row v; row 0 stands in for a pair's or
-    a singleton's missing members, with price 0 and no entry in B^-1.  The
+    among tied ratios.  A vertex v is row v; row 0 stands in for a pair's
+    missing member, with price 0 and no entry in B^-1 (an integer engine's
+    list holds no singleton; one given here takes row 0 for both).  The
     basis starts from ``packing``, pairwise disjoint cliques of the list:
     each is basic at 1 in its smallest member's row, the other members'
     slacks are basic at 0, and every other row's slack at 1."""
@@ -586,12 +589,16 @@ class _Core:
     prefix by the pair graph's independence number (see
     :meth:`pair_alpha`), and while the masks of ``_Kept`` stay narrow it
     is pair-only, taking in no element for its sweep, until a search first
-    needs the triples (see :meth:`_root`).  The congruence engines run
-    without either, and so do the parts: the engines that
-    :meth:`pair_alpha` keeps, one per component of the pair graph on the
-    R-smooth numbers, each over its component's members by rank.  An
-    integer engine also carries one simplex for the fractional stall test
-    from stall to stall (see :meth:`_stall_tests`).
+    needs the triples (see :meth:`_root`).  It alone packs cliques: the
+    warm packing, the clique list and the degree packing, with their
+    trades, and one simplex for the fractional stall test, carried from
+    stall to stall (see :meth:`_stall_tests`).
+    Without ``eq`` the engine takes in its trigger tables and nothing
+    else, and its prefixes get the cheap yes and the DFS alone.  Such are
+    the congruence engines (see ``_congruence_engine``) and the parts: the
+    engines that :meth:`pair_alpha` keeps, one per component of the pair
+    graph on the R-smooth numbers, each over its component's members by
+    rank.
     """
 
     where = ""  # what a budget-hit message names before the prefix
@@ -616,22 +623,23 @@ class _Core:
         # lex-least pass tests the mask and forces the bit.
         self.pair_down: list[int] = [0]
         self.force: list[list[tuple[int, int]]] = [[]]
-        self.banned = 0  # singleton cliques: no trigger, forced from the root
+        self.banned = 0  # singleton cliques, congruence only: no trigger, forced from the root
         # the middle -> lows map of element tripled, the last whose triples
         # came in: it extends an avoiding set W of smaller elements iff its
         # banned bit is clear, W misses pair_down[tripled], and no middle
         # member in W has a smallest member in W
         self.last_triples: dict[int, int] = {}
-        self.clique_count = 0  # cliques whose triples are taken in, pairs and singletons included
-        # every such clique in arrival order, by largest member and then
-        # tuple, with its members' occurrence counts: the degree packing and
-        # the trades fill them from the records in pending when they run
-        # (see :meth:`_list_cliques`)
+        # an integer engine's clique count, pairs included, and every clique
+        # in arrival order, by largest member and then tuple, with its
+        # members' occurrence counts: the degree packing and the trades fill
+        # them from the records in pending when they run (see
+        # :meth:`_list_cliques`).  An engine without eq keeps them empty
+        self.clique_count = 0
         self.cliques: list[tuple[int, ...]] = []
         self.count: list[int] = [0]
         self.pending: list[tuple] = []
         # the warm packing: pairwise disjoint cliques inside [1, tripled], and
-        # the mask of their members
+        # the mask of their members; empty in an engine without eq
         self.packing: list[tuple[int, ...]] = []
         self.packed = 0
         self.r: list[int] = [0]  # r[m] once solved
@@ -656,23 +664,27 @@ class _Core:
     def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
         """Take in element k, from its records, after every element below k:
         the one writer of the trigger tables, it files k's pair mask, its
-        force entry and its banned bit, and adds k's cliques to the count and
-        the pending records.  The warm packing gains the first clique of k,
+        force entry and its banned bit.  An engine without ``eq`` stops
+        there.  An integer engine adds k's cliques to the count and the
+        pending records, and its warm packing gains the first clique of k,
         in arrival order, that misses it; every clique whose largest member
-        is k holds k, so at most one can be added."""
+        is k holds k, so at most one can be added.  No integer clique is a
+        singleton, as a + b != c."""
         top = 1 << (k - 1)
         self.pair_down.append(pairs)
         self.force.append([])
         for mid, lows in triples.items():
             self.force[mid].append((top, lows))
-        if banned:
-            self.banned |= top
+        self.banned |= banned << (k - 1)
         self.last_triples = triples
-        if banned or pairs or triples:
-            self.clique_count += banned + pairs.bit_count() + sum(map(int.bit_count, triples.values()))
+        self.tripled = k
+        if self.eq is None:
+            return
+        if pairs or triples:
+            self.clique_count += pairs.bit_count() + sum(map(int.bit_count, triples.values()))
             self.pending.append((k, banned, pairs, triples))
         # the first clique is the least (u, second member) over the free
-        # pairs (u, k) and the free triples (u, mid, k), and {k} after them
+        # pairs (u, k) and the free triples (u, mid, k)
         free = ~self.packed
         rest = pairs & free
         first = ((rest & -rest).bit_length(), k) if rest else None
@@ -686,10 +698,6 @@ class _Core:
             u, v = first
             self.packing.append((u, k) if v == k else (u, v, k))
             self.packed |= top | 1 << (u - 1) | 1 << (v - 1)
-        elif banned:
-            self.packing.append((k,))
-            self.packed |= top
-        self.tripled = k
 
     def need_triples(self, m: int, state: _RunState) -> None:
         """Take in the elements in (tripled, m], in arrival order, reading the
@@ -777,13 +785,13 @@ class _Core:
         self.pending.clear()
 
     def degree_packing(self, need: int, state: _RunState) -> list[tuple[int, ...]]:
-        """Pairwise disjoint cliques from every clique whose triples are
-        taken in: one greedy pass over them in ascending order of the sum of
-        their members' occurrence counts (arrival order breaks ties), so
-        cliques of rarely used elements, which block few others, come first.
-        The clique list and the counts take in the pending records first.
-        In an integer engine a pass one clique short of ``need`` tries one
-        trade on its own packing, not the warm one (see :meth:`_swap`),
+        """Pairwise disjoint cliques from every clique of an integer engine
+        whose triples are taken in: one greedy pass over them in ascending
+        order of the sum of their members' occurrence counts (arrival order
+        breaks ties), so cliques of rarely used elements, which block few
+        others, come first.  The clique list and the counts take in the
+        pending records first.  A pass one clique short of ``need`` tries
+        one trade on its own packing, not the warm one (see :meth:`_swap`),
         within the deadline of ``state``.  A packing larger than the warm
         one replaces it."""
         self._list_cliques()
@@ -794,7 +802,7 @@ class _Core:
             if used.isdisjoint(cl):
                 used.update(cl)
                 packing.append(cl)
-        if len(packing) == need - 1 and self.eq is not None:
+        if len(packing) == need - 1:
             packing = self._swap(packing, state)
         self._keep(packing)
         return packing
@@ -857,7 +865,8 @@ class _Core:
             degree packing replaces it.  A pair-only engine holds none, and
             needs none: k disjoint pairs in [1, m] leave the pair graph an
             independence number P(m) <= m - k, so P settles every stall
-            that such a packing does.
+            that such a packing does.  An engine without ``eq`` holds none
+            either, and this test never settles its prefixes.
           * P, the cheap no of the integer engines: the cliques of two
             members (solutions with two equal variables) form the pair
             graph, and r(m) <= P(m), its independence number on [1, m], so
@@ -918,41 +927,44 @@ class _Core:
         open: a generator that the search asks each time its node count
         passes the last value yielded.  It yields the node count after
         which its next try comes, or 0 once a test settles m as a stall
-        (whose witness is wit[m - 1]), and it ends when no try is left.
+        (whose witness is wit[m - 1]), and it ends when no try is left.  An
+        engine without ``eq`` has none, so it ends at once, and its search
+        runs to its first leaf or to the end of its stack.
           * The degree packing (see :meth:`degree_packing`), tried against
-            m - k <= r(m - 1) as the warm packing is, with one trade in the
-            integer engines when it is one clique short.  It costs a sort of
-            all cliques, so it is built at most once per prefix, and only
-            once the m steps of taking in element m and the search's nodes
-            make one per clique: the try comes once the search has spent
-            clique_count - m nodes, on its first node when there are no
-            more cliques than elements.  The packings settle most stall
-            prefixes in the paper's Family I regime, where m - r(m) disjoint
-            solutions exist.
-          * The fractional test (see the module docstring), in an integer
-            engine whose warm packing is then at most two cliques short.  It
-            carries the engine's one simplex (``lp``) from the last prefix
-            that ran the test: the simplex takes in the cliques and the
-            elements that came since, and its basis may settle m before any
-            pivot.  The test rebuilds it from the warm packing instead when
-            that packing is more than one clique larger than its sum y, as a
-            trade or the degree packing can make it (x+2y=8z at n = 48 takes
-            7 987 nodes when it is never rebuilt, 2 919 with the rule).
-            Then it pivots once the search has spent two nodes a clique, and
-            again each time its nodes double.  A pivot costs about as much
-            as one to three nodes a row (Python 3.11), so the simplex gets
-            one pivot per 2m nodes the search has spent on m, and a test
-            that fails costs about as much as the search before it; the
-            clock is read before each pivot.  Once the simplex is at its
-            optimum no pivot is left for m, though a later prefix's cliques
-            may move it off.  The engine drops the simplex while it changes,
-            and takes it back after, so an exception in a pivot leaves none,
-            and the next test rebuilds it."""
+            m - k <= r(m - 1) as the warm packing is, with one trade when it
+            is one clique short.  It costs a sort of all cliques, so it is
+            built at most once per prefix, and only once the m steps of
+            taking in element m and the search's nodes make one per clique:
+            the try comes once the search has spent clique_count - m nodes,
+            on its first node when there are no more cliques than elements.
+            The packings settle most stall prefixes in the paper's Family I
+            regime, where m - r(m) disjoint solutions exist.
+          * The fractional test (see the module docstring), when the warm
+            packing is then at most two cliques short.  It carries the
+            engine's one simplex (``lp``) from the last prefix that ran the
+            test: the simplex takes in the cliques and the elements that
+            came since, and its basis may settle m before any pivot.  The
+            test rebuilds it from the warm packing instead when that packing
+            is more than one clique larger than its sum y, as a trade or the
+            degree packing can make it (x+2y=8z at n = 48 takes 7 987 nodes
+            when it is never rebuilt, 2 919 with the rule).  Then it pivots
+            once the search has spent two nodes a clique, and again each
+            time its nodes double.  A pivot costs about as much as one to
+            three nodes a row (Python 3.11), so the simplex gets one pivot
+            per 2m nodes the search has spent on m, and a test that fails
+            costs about as much as the search before it; the clock is read
+            before each pivot.  Once the simplex is at its optimum no pivot
+            is left for m, though a later prefix's cliques may move it off.
+            The engine drops the simplex while it changes, and takes it back
+            after, so an exception in a pivot leaves none, and the next test
+            rebuilds it."""
+        if self.eq is None:
+            return
         prev, start = self.r[m - 1], state.nodes
         yield start + self.clique_count - m
         if m - len(self.degree_packing(m - prev, state)) <= prev:
             yield 0
-        if self.eq is None or m - prev - len(self.packing) > 2:
+        if m - prev - len(self.packing) > 2:
             return
         need, lp, self.lp = m - prev - 1, self.lp, None  # detached while it changes
         if lp is not None and len(self.packing) <= lp.z + 1:  # else it is rebuilt from the packing
@@ -1006,7 +1018,7 @@ class _Core:
         pair_down = self.pair_down
         force = self.force
         tests = self._stall_tests(m, state)
-        limit = min(state.node_cap, next(tests))
+        limit = min(state.node_cap, next(tests, sys.maxsize))
 
         # Bounds at a node deciding e (undecided region [1, e]):
         #  * prefix table: at most rt[e] more elements;
@@ -1285,7 +1297,9 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
     bound is below need.  With need 0 the bound could never stop it, as
     rest[k] <= m - k, and no packing is built.  The engine reads the
     cliques whose largest member is k from the tables only when the sweep
-    reaches prefix k."""
+    reaches prefix k, and files them in its trigger tables alone: it has no
+    ``eq``, so the suffix packing is the only packing a modulus builds, and
+    the cheap yes and the DFS settle its prefixes (see ``_Core``)."""
     if time.monotonic() > state.deadline:
         raise state.exceeded(f"modulus {m}")  # before the set-up
     tables = _residue_tables(eq, m)

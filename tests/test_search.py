@@ -408,24 +408,13 @@ class TestEngine:
         eq = draw_equation(data, 12)
         if eq is None:
             return
-        engine = search._Core(partial(search._integer_records, eq))
+        engine = search._integer_engine(eq)
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
             engine.need_triples(m, search._RunState())
             packing = engine.degree_packing(m - engine.r[m - 1], search._RunState())
             assert_disjoint_real_cliques(packing, oracle_cliques(eq, m))
             engine.advance(search._RunState())
             assert engine.r[m] <= m - len(packing)
-
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_congruence_degree_packing_is_disjoint_real_solutions(self, data):
-        eq = draw_equation(data, 9)
-        if eq is None:
-            return
-        m = data.draw(st.integers(1, 12))
-        packing = congruence_engine(eq, m).degree_packing(m, search._RunState())
-        assert_disjoint_real_cliques(packing, brute_congruence_cliques(eq, m))
-        assert brute_rho_numerator(eq, m)[0] <= m - len(packing)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -880,14 +869,16 @@ class TestPrefixRoots:
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_warm_packing_is_disjoint_real_cliques(self, data):
-        # at every prefix m of an integer engine (b = 0 included) or of a
-        # congruence engine, the warm packing is k pairwise disjoint real
-        # cliques inside [1, m], its mask is their union, and m - k bounds
-        # the largest clique-free subset of [1, m] from above
+        # at every prefix m of an integer engine (b = 0 included), the warm
+        # packing is k pairwise disjoint real cliques inside [1, m], its mask
+        # is their union, and m - k bounds the largest clique-free subset of
+        # [1, m] from above.  A congruence engine keeps no packing, and its
+        # r(m) is that largest subset all the same
         eq = draw_equation(data, 9)
         if eq is None:
             return
-        if data.draw(st.booleans()):
+        integer = data.draw(st.booleans())
+        if integer:
             n = data.draw(st.integers(1, 14))
             engine, real = search._integer_engine(eq), oracle_cliques(eq, n)
         else:
@@ -898,6 +889,7 @@ class TestPrefixRoots:
         for m in range(1, n + 1):
             engine.advance(state)
             inside = [cl for cl in real if cl[-1] <= m]
+            assert integer or (engine.packing, engine.packed) == ([], 0)
             assert_disjoint_real_cliques(engine.packing, inside)
             assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
             assert m - len(engine.packing) >= brute_clique_free_max(inside, m) == engine.r[m], (str(eq), m)
@@ -1006,6 +998,42 @@ class TestPrefixRoots:
         real = {tuple(sorted({s.x, s.y, s.z})) for s in brute_solutions(eq, 40)}
         assert_disjoint_real_cliques(engine.packing, real)
         assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
+
+    def test_engines_without_an_equation_pack_no_cliques(self, monkeypatch):
+        # the congruence engines of rho_best and the parts of pair_alpha run
+        # the cheap yes and the DFS alone: after their sweeps they hold no
+        # packing, clique list, pending record or clique count, and no
+        # degree packing or simplex was ever built for them.  Every engine
+        # is kept as it is built, a modulus ruled out mid-sweep included
+        built, packed, simplexes = [], [], []
+        init, degree_packing, simplex = search._Core.__init__, search._Core.degree_packing, search._Simplex.__init__
+
+        def building(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        def packing(self, need, state):
+            packed.append(self)
+            return degree_packing(self, need, state)
+
+        def simplexing(self, cliques, packing):
+            simplexes.append(cliques)
+            simplex(self, cliques, packing)
+
+        monkeypatch.setattr(search._Core, "__init__", building)
+        monkeypatch.setattr(search._Core, "degree_packing", packing)
+        monkeypatch.setattr(search._Simplex, "__init__", simplexing)
+        rho_best(parse_equation("x+y=4z"), 40)
+        moduli = list(built)
+        eq = parse_equation("x+2y=13z")
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 95, canonical=False)
+        parts = set(engine.comp.values())
+        assert len(moduli) > 10 and parts and packed  # the integer engine packs
+        for core in moduli + list(parts):
+            assert core.eq is None
+            assert (core.packing, core.cliques, core.pending, core.clique_count) == ([], [], [], 0)
+            assert core not in packed and not any(cliques is core.cliques for cliques in simplexes)
 
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends
@@ -1463,7 +1491,7 @@ class TestModularDensity:
         monkeypatch.setattr(search, "_congruence_engine", counted)
         rho_best(eq, 20)
         # each modulus's share of the call fits in 200 nodes, all ten
-        # together (229) do not; the Kneser cap rules out the other ten moduli
+        # together (259) do not; the Kneser cap rules out the other ten moduli
         assert len(shares) == 10 and max(shares) <= 200 < sum(shares)
         monkeypatch.setattr(search, "_congruence_engine", congruence_engine)
         with pytest.raises(BudgetExceeded):
