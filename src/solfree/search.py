@@ -20,21 +20,24 @@ middle member v of a triple {u, v, m} to the mask of its smallest members
 u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
 tuples.  One step, the take-in of an element, files all its records in
 the trigger tables (below) and, in an integer engine, gives the warm
-packing its first free clique, and no other step writes them.  An engine
-with no equation (a congruence engine, or a part that ``_Core.pair_alpha``
-solves) takes in its trigger tables and nothing else, and runs the cheap
-yes and the DFS alone: it keeps no clique list and no packing and runs no
-stall test, as those cost such engines more time than the nodes they
-saved.  An integer engine is pair-only until a prefix first needs a
-search (the DFS or the degree packing): it takes in no element, its cheap
-yes (below) reads four shift masks of wit[m - 1], as ``_greedy_mask``
-does, and the pair graph's independence number P decides its stalls.  It
-keeps no warm packing then, as k disjoint pairs in [1, m] prove only
-r(m) <= m - k, and P(m) <= m - k already.  The first search takes in
-every element up to its prefix, in arrival order, and from then on each
-prefix takes in its own.  A lex-least pass over [1, m] takes in the
-elements up to m only and leaves the engine pair-only.  x+2y=4z never
-needs its triples, so the witness table is all its O(n^2) memory.
+packing its first free clique, and no other step writes them.
+
+There are two engine kinds.  A ``_Core`` (a congruence engine, or a part
+that ``_IntegerEngine.pair_alpha`` solves) takes in its trigger tables and
+nothing else, and runs the cheap yes and the DFS alone: it keeps no clique
+list and no packing and runs no stall test, as those cost such engines
+more time than the nodes they saved.  An ``_IntegerEngine``, the engine
+of an equation over the integers, runs the whole ladder below.  It is
+pair-only until a prefix first needs a search (the DFS or the degree
+packing): it takes in no element, its cheap yes (below) reads four shift
+masks of wit[m - 1], as ``_greedy_mask`` does, and the pair graph's
+independence number P decides its stalls.  It keeps no warm packing
+then, as k disjoint pairs in [1, m] prove only r(m) <= m - k, and
+P(m) <= m - k already.  The first search takes in every element up to its
+prefix, in arrival order, and from then on each prefix takes in its own.
+A lex-least pass over [1, m] takes in the elements up to m only and leaves
+the engine pair-only.  x+2y=4z never needs its triples, so the witness
+table is all its O(n^2) memory.
 
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
@@ -53,15 +56,16 @@ instances, form the forced mask at the root.
 Below the root the prefix table and the forced count are the only bounds.
 One more element raises the maximum by at most one, so prefix m asks one
 yes/no question: does [1, m] hold an avoiding set of r(m - 1) + 1 elements?
-A ladder of tests answers it, in this order.  At the root (``_Core._root``):
-the cheap yes, the warm packing, P, the triple catch-up and the one-short
-root, which walks the search's first path and then trades.  A prefix they
-settle costs one node and sets up no search: a sweep that settles every
-prefix at its root, as x+2y=4z does, copies no prefix table.  Once the
-search (``_Core._search``) has spent nodes enough to pay for them
-(``_Core._stall_tests``, in an integer engine only): the degree packing,
+A ladder of tests answers it, in this order.  At the root
+(``_IntegerEngine._root``): the cheap yes, the warm packing, P, the triple
+catch-up and the one-short root, which walks the search's first path and
+then trades.  A prefix they settle costs one node and sets up no search: a
+sweep that settles every prefix at its root, as x+2y=4z does, copies no
+prefix table.  Once the search (``_Core._search``) has spent nodes enough
+to pay for them (``_IntegerEngine._stall_tests``): the degree packing,
 with its own trade, and the fractional test.  Otherwise the DFS looks for
-such a set and ends at its first leaf.
+such a set and ends at its first leaf.  A ``_Core`` runs the cheap yes
+(``_Core._root``) and the DFS alone.
 
 The fractional test: a fractional clique packing, weights
 y_C >= 0 with total weight at most 1 on each element, proves
@@ -186,6 +190,14 @@ class _RunState:
         if self.nodes > self.node_cap:
             return BudgetExceeded(f"node budget {self.node_cap} exceeded at {where}")
         return BudgetExceeded(f"time budget exceeded at {where}")
+
+    def check(self, where: str, prefix: int | None = None) -> None:
+        """Raise the budget error for ``where`` (see :meth:`exceeded`), or for
+        ``where`` followed by "prefix ``prefix``" when one is given, once the
+        clock is past the deadline.  The message is built only then: the
+        engine reads the clock once or twice a prefix."""
+        if time.monotonic() > self.deadline:
+            raise self.exceeded(where if prefix is None else f"{where}prefix {prefix}")
 
 
 def _progression(coef: int, rhs: int, mod: int, top: int) -> range:
@@ -396,19 +408,16 @@ def _trade(groups: dict[int, list[int]], state: _RunState, where: str) -> tuple[
 
     The clock is read before each group is scanned, in both passes: past
     the deadline of ``state`` it raises its budget error, naming ``where``."""
-    deadline = state.deadline
     for hit, group in groups.items():
         if hit & (hit - 1) == 0:
-            if time.monotonic() > deadline:
-                raise state.exceeded(where)
+            state.check(where)
             for k, x in enumerate(group):
                 for y in group[k + 1:]:
                     if not x & y:
                         return hit, (x, y)
     for hit, group in groups.items():
         if hit & (hit - 1):
-            if time.monotonic() > deadline:
-                raise state.exceeded(where)
+            state.check(where)
             low = hit & -hit
             for k, x in enumerate(group):
                 # the cliques that miss x; two that meet only i, or only j,
@@ -455,7 +464,7 @@ class _Simplex:
     """A revised simplex for a fractional clique packing y, sum over C
     containing v of y_C <= 1 at every v, that maximises sum y: the one that
     an integer engine carries from stall to stall (see
-    :meth:`_Core._stall_tests`).
+    :meth:`_IntegerEngine._stall_tests`).
 
     Its columns are the first len(sums) cliques of ``cliques``, the engine's
     append-only clique list, and its rows the vertices up to their largest
@@ -582,21 +591,12 @@ class _Core:
     ``source(m)`` gives the records of the cliques whose largest member is
     m (see ``_records``).  An element enters only by :meth:`need_triples`,
     and only :meth:`_take_triples`, which it calls, writes the trigger
-    tables and adds an element's clique to the warm packing; a search
-    keeps its state on its own stack, and the root tests and the lex-least
-    pass only read the tables.
-    With ``eq`` the engine is an integer engine over eq: it settles a
-    prefix by the pair graph's independence number (see
-    :meth:`pair_alpha`), and while the masks of ``_Kept`` stay narrow it
-    is pair-only, taking in no element for its sweep, until a search first
-    needs the triples (see :meth:`_root`).  It alone packs cliques: the
-    warm packing, the clique list and the degree packing, with their
-    trades, and one simplex for the fractional stall test, carried from
-    stall to stall (see :meth:`_stall_tests`).
-    Without ``eq`` the engine takes in its trigger tables and nothing
-    else, and its prefixes get the cheap yes and the DFS alone.  Such are
-    the congruence engines (see ``_congruence_engine``) and the parts: the
-    engines that :meth:`pair_alpha` keeps, one per component of the pair
+    tables; a search keeps its state on its own stack, and the root tests
+    and the lex-least pass only read the tables.
+    A plain ``_Core`` takes in its trigger tables and nothing else, and its
+    prefixes get the cheap yes and the DFS alone.  Such are the congruence
+    engines (see ``_congruence_engine``) and the parts: the engines that
+    :meth:`_IntegerEngine.pair_alpha` keeps, one per component of the pair
     graph on the R-smooth numbers, each over its component's members by
     rank.
     """
@@ -604,9 +604,8 @@ class _Core:
     where = ""  # what a budget-hit message names before the prefix
     members: list[int]  # a part's values, ascending: its element k is members[k - 1]
 
-    def __init__(self, source, eq: ThreeVarEquation | None = None):
+    def __init__(self, source):
         self.source = source
-        self.eq = eq
         self.tripled = 0  # elements taken in; at most one past the solved prefix
         # forced-exclusion triggers, one entry per element in [1, tripled]:
         # once every member of a clique except the smallest (resp. largest)
@@ -629,47 +628,13 @@ class _Core:
         # banned bit is clear, W misses pair_down[tripled], and no middle
         # member in W has a smallest member in W
         self.last_triples: dict[int, int] = {}
-        # an integer engine's clique count, pairs included, and every clique
-        # in arrival order, by largest member and then tuple, with its
-        # members' occurrence counts: the degree packing and the trades fill
-        # them from the records in pending when they run (see
-        # :meth:`_list_cliques`).  An engine without eq keeps them empty
-        self.clique_count = 0
-        self.cliques: list[tuple[int, ...]] = []
-        self.count: list[int] = [0]
-        self.pending: list[tuple] = []
-        # the warm packing: pairwise disjoint cliques inside [1, tripled], and
-        # the mask of their members; empty in an engine without eq
-        self.packing: list[tuple[int, ...]] = []
-        self.packed = 0
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
-        # while the sweep takes in no element, the cheap yes reads wit[m - 1]
-        # as the masks of a _Kept over [1, kept.n]; None once a search has
-        # needed the triples, and then each prefix takes its element in
-        self.kept = _Kept(eq, 0) if eq is not None and _narrow(eq) else None
-        # the pair graph's independence number, kept by pair_alpha: P[m] up
-        # to m = len(P) - 1, and comp[s] for each R-smooth s up to there, the
-        # part (see the class docstring) of s's component of the pair graph
-        # on those s.  Only integer engines run the pair test.
-        self.P: list[int] = [0]
-        self.comp: dict[int, _Core] = {}
-        # the fractional test's simplex, built at the first pivot any prefix
-        # needs and carried from stall to stall (see _stall_tests); None
-        # before, and after an exception in a pivot.  Its B^-1 holds
-        # (m + 1)^2 floats, m the largest member of the cliques it has taken
-        # in, for the life of the engine.
-        self.lp: _Simplex | None = None
 
     def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
         """Take in element k, from its records, after every element below k:
         the one writer of the trigger tables, it files k's pair mask, its
-        force entry and its banned bit.  An engine without ``eq`` stops
-        there.  An integer engine adds k's cliques to the count and the
-        pending records, and its warm packing gains the first clique of k,
-        in arrival order, that misses it; every clique whose largest member
-        is k holds k, so at most one can be added.  No integer clique is a
-        singleton, as a + b != c."""
+        force entry and its banned bit."""
         top = 1 << (k - 1)
         self.pair_down.append(pairs)
         self.force.append([])
@@ -678,26 +643,6 @@ class _Core:
         self.banned |= banned << (k - 1)
         self.last_triples = triples
         self.tripled = k
-        if self.eq is None:
-            return
-        if pairs or triples:
-            self.clique_count += pairs.bit_count() + sum(map(int.bit_count, triples.values()))
-            self.pending.append((k, banned, pairs, triples))
-        # the first clique is the least (u, second member) over the free
-        # pairs (u, k) and the free triples (u, mid, k)
-        free = ~self.packed
-        rest = pairs & free
-        first = ((rest & -rest).bit_length(), k) if rest else None
-        for mid, lows in triples.items():
-            lows &= free
-            if lows and free >> (mid - 1) & 1:
-                low = ((lows & -lows).bit_length(), mid)
-                if first is None or low < first:
-                    first = low
-        if first:
-            u, v = first
-            self.packing.append((u, k) if v == k else (u, v, k))
-            self.packed |= top | 1 << (u - 1) | 1 << (v - 1)
 
     def need_triples(self, m: int, state: _RunState) -> None:
         """Take in the elements in (tripled, m], in arrival order, reading the
@@ -706,287 +651,36 @@ class _Core:
         not yet done for the next call, and the trigger tables one entry per
         element in [1, tripled]."""
         for k in range(self.tripled + 1, m + 1):
-            if time.monotonic() > state.deadline:
-                raise state.exceeded(f"{self.where}prefix {m}")
+            state.check(self.where, m)
             self._take_triples(k, *self.source(k))
-
-    # -- the pair graph ------------------------------------------------------
-
-    def pair_alpha(self, m: int, state: _RunState) -> int:
-        """P(m), the pair graph's independence number on [1, m], so that
-        r(m) <= P(m): P(k) = P(k - 1) + delta(s(k)) for k up to m, with s(k)
-        the R-smooth part of k (see the module docstring).
-
-        delta(s) is solved once, when k = s, by the part of s's component
-        in the pair graph G on the smooth numbers up to s, and read later as
-        P(s) - P(s - 1).  s extends one component: that part grows by s, its
-        largest member.  Or s joins several components, or none: a cold part
-        over their union and s.  Either way delta(s) is that part's
-        r[-1] - r[-2], and only then do comp and P take it in, so an
-        exception leaves them as they were (a part stopped while growing by
-        s keeps s in its members, for the retry).  The parts' solves add no
-        nodes to ``state`` but stop at its deadline."""
-        R = math.prod(p * q for p, q in _ratios(self.eq))  # its primes are those of the pair edges' ratios
-        nested = _RunState()
-        nested.deadline = state.deadline
-        P = self.P
-        try:
-            for k in range(len(P), m + 1):
-                s = 1  # the R-smooth part of k
-                while (g := math.gcd(k // s, R)) > 1:
-                    s *= g
-                if s < k:  # delta(s) was solved at k = s
-                    P.append(P[-1] + P[s] - P[s - 1])
-                    continue
-                near = {self.comp[u] for u in _pair_partners(self.eq, k)}
-                if len(near) == 1:
-                    part = near.pop()
-                    if part.members[-1] < k:  # else a solve cut short has taken k in
-                        part.members.append(k)
-                else:
-                    members = sorted(u for other in near for u in other.members) + [k]
-                    part = _Core(partial(_part_records, self.eq, members))
-                    part.members = members
-                part.solve_to(len(part.members), nested)
-                self.comp.update(dict.fromkeys(part.members, part))
-                P.append(P[-1] + part.r[-1] - part.r[-2])
-        except BudgetExceeded:
-            raise state.exceeded(f"{self.where}prefix {m}") from None
-        return P[m]
-
-    def _dive(self, m: int) -> int:
-        """The descending greedy set of [1, m] over the trigger tables, as a
-        mask: each element in turn is kept unless it is forced.  That is the
-        search's first path (see :meth:`_search`), and with r(m - 1) + 1
-        elements its first leaf, as no bound prunes a path to a leaf that
-        large."""
-        inc, forced = 0, self.banned
-        pair_down, force = self.pair_down, self.force
-        for e in range(m, 0, -1):
-            bit = 1 << (e - 1)
-            if forced & bit:
-                continue
-            inc |= bit
-            forced |= pair_down[e]
-            for top, lows in force[e]:
-                if top & inc:
-                    forced |= lows
-        return inc
-
-    def _list_cliques(self) -> None:
-        """Take the pending records into the flat clique list and the counts."""
-        count = self.count
-        count += [0] * (self.tripled + 1 - len(count))
-        for record in self.pending:
-            for cl in _cliques_of(*record):
-                self.cliques.append(cl)
-                for v in cl:
-                    count[v] += 1
-        self.pending.clear()
-
-    def degree_packing(self, need: int, state: _RunState) -> list[tuple[int, ...]]:
-        """Pairwise disjoint cliques from every clique of an integer engine
-        whose triples are taken in: one greedy pass over them in ascending
-        order of the sum of their members' occurrence counts (arrival order
-        breaks ties), so cliques of rarely used elements, which block few
-        others, come first.  The clique list and the counts take in the
-        pending records first.  A pass one clique short of ``need`` tries
-        one trade on its own packing, not the warm one (see :meth:`_swap`),
-        within the deadline of ``state``.  A packing larger than the warm
-        one replaces it."""
-        self._list_cliques()
-        weight = self.count.__getitem__
-        packing = []
-        used: set[int] = set()
-        for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
-            if used.isdisjoint(cl):
-                used.update(cl)
-                packing.append(cl)
-        if len(packing) == need - 1:
-            packing = self._swap(packing, state)
-        self._keep(packing)
-        return packing
-
-    def _keep(self, packing: list[tuple[int, ...]]) -> None:
-        """Make ``packing`` the warm packing if it is larger."""
-        if len(packing) > len(self.packing):
-            self.packing = packing
-            self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
-
-    def _swap(self, packing: list[tuple[int, ...]], state: _RunState) -> list[tuple[int, ...]]:
-        """``packing``, cliques whose triples are taken in, made larger by one
-        trade (see ``_trade``) within the deadline of ``state``, or
-        ``packing`` itself when no trade exists: the one entry point for
-        trades.  The clique list takes in the pending records first.  The
-        cliques go to ``_trade`` as masks, grouped by the mask of the
-        packing cliques they meet (bit i for packing clique i): a clique
-        that meets three is of no use, and those of ``packing`` are left
-        out, as each meets every other clique of its group."""
-        self._list_cliques()
-        own = [0] * (self.tripled + 1)  # bit i if v is in packing clique i
-        for i, cl in enumerate(packing):
-            for v in cl:
-                own[v] = 1 << i
-        groups: dict[int, list[int]] = {}
-        for cl in self.cliques:
-            u, v, w = cl if len(cl) == 3 else (cl[0], cl[-1], cl[-1])
-            hit = own[u] | own[v] | own[w]
-            if hit.bit_count() < 3:
-                group = groups.get(hit)
-                if group is None:  # no empty list built for each clique
-                    group = groups[hit] = []
-                group.append(1 << (u - 1) | 1 << (v - 1) | 1 << (w - 1))
-        for i, cl in enumerate(packing):
-            groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
-        trade = _trade(groups, state, f"{self.where}prefix {self.tripled}")
-        if trade is None:
-            return packing
-        hit, new = trade
-        return [cl for i, cl in enumerate(packing) if not hit >> i & 1] + [tuple(_members(x)) for x in new]
 
     # -- exact solve of the next prefix -------------------------------------
 
     def _root(self, m: int, state: _RunState) -> int | None:
         """The root ladder of prefix m: the witness of prefix m, as a mask,
-        when one of these tests settles m, in this order, and None when the
-        search must.  An engine that reads triples (``kept`` is None) first
-        takes in element m, so its tables hold the cliques in [1, m].
-          * The cheap yes: wit[m - 1] plus m avoids the equation, that is no
-            clique whose largest member is m has its other members in
-            wit[m - 1].  A pair-only engine asks its ``kept`` masks, and the
-            others ``pair_down[m]`` and ``last_triples``.
-          * The warm packing: k pairwise disjoint cliques in [1, m] each
-            need one member left out, so r(m) <= m - k, and m - k <= r(m - 1)
-            makes m a stall (r(m) = r(m - 1)), whose witness is wit[m - 1].
-            The engine keeps one such packing for ever (a clique inside
-            [1, m'] stays inside [1, m]): each element taken in adds the
-            first of its cliques, in arrival order, that misses the
-            packing's members, and a larger packing from a trade or the
-            degree packing replaces it.  A pair-only engine holds none, and
-            needs none: k disjoint pairs in [1, m] leave the pair graph an
-            independence number P(m) <= m - k, so P settles every stall
-            that such a packing does.  An engine without ``eq`` holds none
-            either, and this test never settles its prefixes.
-          * P, the cheap no of the integer engines: the cliques of two
-            members (solutions with two equal variables) form the pair
-            graph, and r(m) <= P(m), its independence number on [1, m], so
-            P(m) <= r(m - 1) makes m a stall.  Each pair edge multiplies v
-            by a ratio p/q of the equation, so with R the product of those
-            p and q, the pair graph on [1, m] is the disjoint union, over
-            the t <= m coprime to R, of t times the graph G on the R-smooth
-            numbers up to m / t.  So P(m) = P(m - 1) + delta(s), with s the
-            R-smooth part of m and delta(s), 0 or 1, the rise of G's
-            independence number at s (see :meth:`pair_alpha`).  As P never
-            falls, the test does no work while the last P computed is above
-            r(m - 1).  It settles every stall of x+2y=4z up to
-            m = 100 000, and with b = 0, where every clique is a pair, P(m)
-            is r(m) itself.
-          * The triple catch-up: the first search an integer engine needs
-            ends its pair-only phase.  It takes in every element up to m,
-            filing the trigger tables of [1, m] and building the warm
-            packing, and then ``kept`` is None, so from then on each prefix
-            takes its element in first.  The switch is one-way, and only
-            here.  An exception in the catch-up leaves ``kept`` live, as its
-            masks track ``wit`` and not the triples.
-          * The one-short root of the integer engines, when the warm packing
-            is one clique short (m - k = r(m - 1) + 1): the search's first
-            path (see :meth:`_dive`) is walked outside the search, and with
-            r(m - 1) + 1 elements m is a rise with that witness.  Otherwise
-            one trade may make the warm packing large enough, and then m is
-            a stall.  The walk keeps the trade off most rises, where it can
-            only fail."""
-        prev = self.r[m - 1]
+        when one of its tests settles m, and None when the search must.
+        Here it is the cheap yes alone: the engine first takes in element
+        m, so its tables hold the cliques in [1, m], and wit[m - 1] plus m
+        avoids the equation iff no clique whose largest member is m has its
+        other members in wit[m - 1]: m is not banned, and wit[m - 1] misses
+        ``pair_down[m]`` and every triple of ``last_triples``."""
+        self.need_triples(m, state)  # then tripled == m: the tables hold m's cliques
         best = self.wit[m - 1]
-        kept = self.kept
-        if kept is None:
-            self.need_triples(m, state)  # then tripled == m: the tables hold m's cliques
-            extends = not (self.banned >> (m - 1) & 1 or self.pair_down[m] & best
-                           or any(lows & best and best >> (mid - 1) & 1 for mid, lows in self.last_triples.items()))
-        else:
-            if m > kept.n:  # the masks' widths are bounded for [1, kept.n]
-                kept = self.kept = _Kept(self.eq, 2 * m)
-                kept.extend(_members(best))
-            extends = kept.extend((m,))  # m stays in the masks iff wit[m] will be wit[m - 1] plus m
-        if extends:
-            return best | 1 << (m - 1)
-        # P never falls, so P(m) is not computed while the last P computed is above prev
-        if m - len(self.packing) <= prev or (self.eq is not None and self.P[-1] <= prev
-                                             and self.pair_alpha(m, state) <= prev):
-            return best
-        self.need_triples(m, state)
-        self.kept = None
-        if self.eq is not None and m - len(self.packing) == prev + 1:  # the one-short root
-            dive = self._dive(m)
-            if dive.bit_count() > prev:
-                return dive
-            self._keep(self._swap(self.packing, state))
-        return best if m - len(self.packing) <= prev else None
+        if (self.banned >> (m - 1) & 1 or self.pair_down[m] & best
+                or any(lows & best and best >> (mid - 1) & 1 for mid, lows in self.last_triples.items())):
+            return None
+        return best | 1 << (m - 1)
 
     def _stall_tests(self, m: int, state: _RunState):
         """The node-triggered stall tests of prefix m, whose root is left
-        open: a generator that the search asks each time its node count
+        open: an iterator that the search asks each time its node count
         passes the last value yielded.  It yields the node count after
         which its next try comes, or 0 once a test settles m as a stall
-        (whose witness is wit[m - 1]), and it ends when no try is left.  An
-        engine without ``eq`` has none, so it ends at once, and its search
-        runs to its first leaf or to the end of its stack.
-          * The degree packing (see :meth:`degree_packing`), tried against
-            m - k <= r(m - 1) as the warm packing is, with one trade when it
-            is one clique short.  It costs a sort of all cliques, so it is
-            built at most once per prefix, and only once the m steps of
-            taking in element m and the search's nodes make one per clique:
-            the try comes once the search has spent clique_count - m nodes,
-            on its first node when there are no more cliques than elements.
-            The packings settle most stall prefixes in the paper's Family I
-            regime, where m - r(m) disjoint solutions exist.
-          * The fractional test (see the module docstring), when the warm
-            packing is then at most two cliques short.  It carries the
-            engine's one simplex (``lp``) from the last prefix that ran the
-            test: the simplex takes in the cliques and the elements that
-            came since, and its basis may settle m before any pivot.  The
-            test rebuilds it from the warm packing instead when that packing
-            is more than one clique larger than its sum y, as a trade or the
-            degree packing can make it (x+2y=8z at n = 48 takes 7 987 nodes
-            when it is never rebuilt, 2 919 with the rule).  Then it pivots
-            once the search has spent two nodes a clique, and again each
-            time its nodes double.  A pivot costs about as much as one to
-            three nodes a row (Python 3.11), so the simplex gets one pivot
-            per 2m nodes the search has spent on m, and a test that fails
-            costs about as much as the search before it; the clock is read
-            before each pivot.  Once the simplex is at its optimum no pivot
-            is left for m, though a later prefix's cliques may move it off.
-            The engine drops the simplex while it changes, and takes it back
-            after, so an exception in a pivot leaves none, and the next test
-            rebuilds it."""
-        if self.eq is None:
-            return
-        prev, start = self.r[m - 1], state.nodes
-        yield start + self.clique_count - m
-        if m - len(self.degree_packing(m - prev, state)) <= prev:
-            yield 0
-        if m - prev - len(self.packing) > 2:
-            return
-        need, lp, self.lp = m - prev - 1, self.lp, None  # detached while it changes
-        if lp is not None and len(self.packing) <= lp.z + 1:  # else it is rebuilt from the packing
-            lp.extend()
-            self.lp = lp
-            if lp.settles(need):
-                yield 0
-        pivots, spent = 0, self.clique_count
-        while True:
-            yield start + 2 * spent
-            spent = state.nodes - start
-            while pivots < spent // (2 * m):
-                if time.monotonic() > state.deadline:
-                    raise state.exceeded(f"{self.where}prefix {m}")
-                lp, self.lp = self.lp or _Simplex(self.cliques, self.packing), None
-                settled = lp.pivot(need)  # False: the simplex is at its optimum
-                self.lp = lp
-                pivots += 1
-                if settled:
-                    yield 0
-                if settled is not None:
-                    return
+        (whose witness is wit[m - 1]), and it ends when no try is left.  A
+        plain ``_Core`` has none, so its search runs to its first leaf or to
+        the end of its stack; :meth:`_IntegerEngine._stall_tests` has the
+        packings' tries."""
+        return iter(())
 
     def advance(self, state: _RunState) -> None:
         """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
@@ -1081,8 +775,7 @@ class _Core:
         while low is None or self.r[-1] >= low[len(self.r) - 1]:
             if len(self.r) > n:
                 return True
-            if time.monotonic() > state.deadline:
-                raise state.exceeded(f"{self.where}prefix {len(self.r)}")
+            state.check(self.where, len(self.r))
             self.advance(state)
         return False
 
@@ -1150,19 +843,351 @@ class _Core:
         return masks
 
 
+class _IntegerEngine(_Core):
+    """The engine over the integer cliques of ``eq``: the one that
+    ``_engine_for`` keeps for each equation.
+
+    Its prefixes get the whole root ladder (see :meth:`_root`).  It settles
+    a prefix by the pair graph's independence number (see
+    :meth:`pair_alpha`), and while the masks of ``_Kept`` stay narrow it is
+    pair-only, taking in no element for its sweep, until a search first
+    needs the triples.  It packs cliques: the warm packing, the clique list
+    and the degree packing, with their trades, and one simplex for the
+    fractional stall test, carried from stall to stall (see
+    :meth:`_stall_tests`).
+    """
+
+    def __init__(self, eq: ThreeVarEquation):
+        super().__init__(partial(_integer_records, eq))
+        self.eq = eq
+        # the clique count, pairs included, and every clique in arrival
+        # order, by largest member and then tuple, with its members'
+        # occurrence counts: the degree packing and the trades fill them
+        # from the records in pending when they run (see _list_cliques)
+        self.clique_count = 0
+        self.cliques: list[tuple[int, ...]] = []
+        self.count: list[int] = [0]
+        self.pending: list[tuple] = []
+        # the warm packing: pairwise disjoint cliques inside [1, tripled], and
+        # the mask of their members
+        self.packing: list[tuple[int, ...]] = []
+        self.packed = 0
+        # while the sweep takes in no element, the cheap yes reads wit[m - 1]
+        # as the masks of a _Kept over [1, kept.n]; None once a search has
+        # needed the triples, and then each prefix takes its element in
+        self.kept = _Kept(eq, 0) if _narrow(eq) else None
+        # the pair graph's independence number, kept by pair_alpha: P[m] up
+        # to m = len(P) - 1, and comp[s] for each R-smooth s up to there, the
+        # part (see _Core) of s's component of the pair graph on those s
+        self.P: list[int] = [0]
+        self.comp: dict[int, _Core] = {}
+        # the fractional test's simplex, built at the first pivot any prefix
+        # needs and carried from stall to stall (see _stall_tests); None
+        # before, and after an exception in a pivot.  Its B^-1 holds
+        # (m + 1)^2 floats, m the largest member of the cliques it has taken
+        # in, for the life of the engine.
+        self.lp: _Simplex | None = None
+
+    def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
+        """Take in element k as :meth:`_Core._take_triples` does, then add
+        k's cliques to the count and the pending records.  The warm packing
+        gains the first clique of k, in arrival order, that misses it;
+        every clique whose largest member is k holds k, so at most one can
+        be added.  No integer clique is a singleton, as a + b != c."""
+        super()._take_triples(k, banned, pairs, triples)
+        if pairs or triples:
+            self.clique_count += pairs.bit_count() + sum(map(int.bit_count, triples.values()))
+            self.pending.append((k, banned, pairs, triples))
+        # the first clique is the least (u, second member) over the free
+        # pairs (u, k) and the free triples (u, mid, k)
+        free = ~self.packed
+        rest = pairs & free
+        first = ((rest & -rest).bit_length(), k) if rest else None
+        for mid, lows in triples.items():
+            lows &= free
+            if lows and free >> (mid - 1) & 1:
+                low = ((lows & -lows).bit_length(), mid)
+                if first is None or low < first:
+                    first = low
+        if first:
+            u, v = first
+            self.packing.append((u, k) if v == k else (u, v, k))
+            self.packed |= 1 << (k - 1) | 1 << (u - 1) | 1 << (v - 1)
+
+    # -- the pair graph ------------------------------------------------------
+
+    def pair_alpha(self, m: int, state: _RunState) -> int:
+        """P(m), the pair graph's independence number on [1, m], so that
+        r(m) <= P(m): P(k) = P(k - 1) + delta(s(k)) for k up to m, with s(k)
+        the R-smooth part of k (see the module docstring).
+
+        delta(s) is solved once, when k = s, by the part of s's component
+        in the pair graph G on the smooth numbers up to s, and read later as
+        P(s) - P(s - 1).  s extends one component: that part grows by s, its
+        largest member.  Or s joins several components, or none: a cold part
+        over their union and s.  Either way delta(s) is that part's
+        r[-1] - r[-2], and only then do comp and P take it in, so an
+        exception leaves them as they were (a part stopped while growing by
+        s keeps s in its members, for the retry).  The parts' solves add no
+        nodes to ``state`` but stop at its deadline."""
+        R = math.prod(p * q for p, q in _ratios(self.eq))  # its primes are those of the pair edges' ratios
+        nested = _RunState()
+        nested.deadline = state.deadline
+        P = self.P
+        try:
+            for k in range(len(P), m + 1):
+                s = 1  # the R-smooth part of k
+                while (g := math.gcd(k // s, R)) > 1:
+                    s *= g
+                if s < k:  # delta(s) was solved at k = s
+                    P.append(P[-1] + P[s] - P[s - 1])
+                    continue
+                near = {self.comp[u] for u in _pair_partners(self.eq, k)}
+                if len(near) == 1:
+                    part = near.pop()
+                    if part.members[-1] < k:  # else a solve cut short has taken k in
+                        part.members.append(k)
+                else:
+                    members = sorted(u for other in near for u in other.members) + [k]
+                    part = _Core(partial(_part_records, self.eq, members))
+                    part.members = members
+                part.solve_to(len(part.members), nested)
+                self.comp.update(dict.fromkeys(part.members, part))
+                P.append(P[-1] + part.r[-1] - part.r[-2])
+        except BudgetExceeded:
+            raise state.exceeded(f"{self.where}prefix {m}") from None
+        return P[m]
+
+    # -- clique packings and trades ------------------------------------------
+
+    def _dive(self, m: int) -> int:
+        """The descending greedy set of [1, m] over the trigger tables, as a
+        mask: each element in turn is kept unless it is forced.  That is the
+        search's first path (see :meth:`_search`), and with r(m - 1) + 1
+        elements its first leaf, as no bound prunes a path to a leaf that
+        large."""
+        inc, forced = 0, self.banned
+        pair_down, force = self.pair_down, self.force
+        for e in range(m, 0, -1):
+            bit = 1 << (e - 1)
+            if forced & bit:
+                continue
+            inc |= bit
+            forced |= pair_down[e]
+            for top, lows in force[e]:
+                if top & inc:
+                    forced |= lows
+        return inc
+
+    def _list_cliques(self) -> None:
+        """Take the pending records into the flat clique list and the counts."""
+        count = self.count
+        count += [0] * (self.tripled + 1 - len(count))
+        for record in self.pending:
+            for cl in _cliques_of(*record):
+                self.cliques.append(cl)
+                for v in cl:
+                    count[v] += 1
+        self.pending.clear()
+
+    def degree_packing(self, need: int, state: _RunState) -> list[tuple[int, ...]]:
+        """Pairwise disjoint cliques from every clique taken in: one greedy
+        pass over them in ascending order of the sum of their members'
+        occurrence counts (arrival order breaks ties), so cliques of rarely
+        used elements, which block few others, come first.  The clique list and the counts take in the
+        pending records first.  A pass one clique short of ``need`` tries
+        one trade on its own packing, not the warm one (see :meth:`_swap`),
+        within the deadline of ``state``.  A packing larger than the warm
+        one replaces it."""
+        self._list_cliques()
+        weight = self.count.__getitem__
+        packing = []
+        used: set[int] = set()
+        for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
+            if used.isdisjoint(cl):
+                used.update(cl)
+                packing.append(cl)
+        if len(packing) == need - 1:
+            packing = self._swap(packing, state)
+        self._keep(packing)
+        return packing
+
+    def _keep(self, packing: list[tuple[int, ...]]) -> None:
+        """Make ``packing`` the warm packing if it is larger."""
+        if len(packing) > len(self.packing):
+            self.packing = packing
+            self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
+
+    def _swap(self, packing: list[tuple[int, ...]], state: _RunState) -> list[tuple[int, ...]]:
+        """``packing``, cliques whose triples are taken in, made larger by one
+        trade (see ``_trade``) within the deadline of ``state``, or
+        ``packing`` itself when no trade exists: the one entry point for
+        trades.  The clique list takes in the pending records first.  The
+        cliques go to ``_trade`` as masks, grouped by the mask of the
+        packing cliques they meet (bit i for packing clique i): a clique
+        that meets three is of no use, and those of ``packing`` are left
+        out, as each meets every other clique of its group."""
+        self._list_cliques()
+        own = [0] * (self.tripled + 1)  # bit i if v is in packing clique i
+        for i, cl in enumerate(packing):
+            for v in cl:
+                own[v] = 1 << i
+        groups: dict[int, list[int]] = {}
+        for cl in self.cliques:
+            u, v, w = cl if len(cl) == 3 else (cl[0], cl[-1], cl[-1])
+            hit = own[u] | own[v] | own[w]
+            if hit.bit_count() < 3:
+                group = groups.get(hit)
+                if group is None:  # no empty list built for each clique
+                    group = groups[hit] = []
+                group.append(1 << (u - 1) | 1 << (v - 1) | 1 << (w - 1))
+        for i, cl in enumerate(packing):
+            groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
+        trade = _trade(groups, state, f"{self.where}prefix {self.tripled}")
+        if trade is None:
+            return packing
+        hit, new = trade
+        return [cl for i, cl in enumerate(packing) if not hit >> i & 1] + [tuple(_members(x)) for x in new]
+
+    # -- the root ladder and the stall tests --------------------------------
+
+    def _root(self, m: int, state: _RunState) -> int | None:
+        """The root ladder of prefix m: the witness of prefix m, as a mask,
+        when one of these tests settles m, in this order, and None when the
+        search must.
+          * The cheap yes: wit[m - 1] plus m avoids the equation.  A
+            pair-only engine asks its ``kept`` masks, and the others
+            :meth:`_Core._root`, which first takes in element m.
+          * The warm packing: k pairwise disjoint cliques in [1, m] each
+            need one member left out, so r(m) <= m - k, and m - k <= r(m - 1)
+            makes m a stall (r(m) = r(m - 1)), whose witness is wit[m - 1].
+            The engine keeps one such packing for ever (a clique inside
+            [1, m'] stays inside [1, m]): each element taken in adds the
+            first of its cliques, in arrival order, that misses the
+            packing's members, and a larger packing from a trade or the
+            degree packing replaces it.  A pair-only engine holds none, and
+            needs none: k disjoint pairs in [1, m] leave the pair graph an
+            independence number P(m) <= m - k, so P settles every stall
+            that such a packing does.
+          * P, the cheap no: the cliques of two members (solutions with two
+            equal variables) form the pair graph, and r(m) <= P(m), its
+            independence number on [1, m], so P(m) <= r(m - 1) makes m a
+            stall.  Each pair edge multiplies v by a ratio p/q of the
+            equation, so with R the product of those p and q, the pair
+            graph on [1, m] is the disjoint union, over the t <= m coprime
+            to R, of t times the graph G on the R-smooth numbers up to
+            m / t.  So P(m) = P(m - 1) + delta(s), with s the R-smooth part
+            of m and delta(s), 0 or 1, the rise of G's independence number
+            at s (see :meth:`pair_alpha`).  As P never falls, the test does
+            no work while the last P computed is above r(m - 1).  It settles
+            every stall of x+2y=4z up to m = 100 000, and with b = 0, where
+            every clique is a pair, P(m) is r(m) itself.
+          * The triple catch-up: the first search the engine needs ends its
+            pair-only phase.  It takes in every element up to m, filing the
+            trigger tables of [1, m] and building the warm packing, and then
+            ``kept`` is None, so from then on each prefix takes its element
+            in first.  The switch is one-way, and only here.  An exception
+            in the catch-up leaves ``kept`` live, as its masks track ``wit``
+            and not the triples.
+          * The one-short root, when the warm packing is one clique short
+            (m - k = r(m - 1) + 1): the search's first path (see
+            :meth:`_dive`) is walked outside the search, and with
+            r(m - 1) + 1 elements m is a rise with that witness.  Otherwise
+            one trade may make the warm packing large enough, and then m is
+            a stall.  The walk keeps the trade off most rises, where it can
+            only fail."""
+        prev = self.r[m - 1]
+        best = self.wit[m - 1]
+        kept = self.kept
+        if kept is None:
+            witness = super()._root(m, state)
+        else:
+            if m > kept.n:  # the masks' widths are bounded for [1, kept.n]
+                kept = self.kept = _Kept(self.eq, 2 * m)
+                kept.extend(_members(best))
+            # m stays in the masks iff wit[m] will be wit[m - 1] plus m
+            witness = best | 1 << (m - 1) if kept.extend((m,)) else None
+        if witness is not None:
+            return witness
+        # P never falls, so P(m) is not computed while the last P computed is above prev
+        if m - len(self.packing) <= prev or self.P[-1] <= prev and self.pair_alpha(m, state) <= prev:
+            return best
+        self.need_triples(m, state)
+        self.kept = None
+        if m - len(self.packing) == prev + 1:  # the one-short root
+            dive = self._dive(m)
+            if dive.bit_count() > prev:
+                return dive
+            self._keep(self._swap(self.packing, state))
+        return best if m - len(self.packing) <= prev else None
+
+    def _stall_tests(self, m: int, state: _RunState):
+        """The node-triggered stall tests of prefix m, whose root is left
+        open, as a generator (see :meth:`_Core._stall_tests`):
+          * The degree packing (see :meth:`degree_packing`), tried against
+            m - k <= r(m - 1) as the warm packing is, with one trade when it
+            is one clique short.  It costs a sort of all cliques, so it is
+            built at most once per prefix, and only once the m steps of
+            taking in element m and the search's nodes make one per clique:
+            the try comes once the search has spent clique_count - m nodes,
+            on its first node when there are no more cliques than elements.
+            The packings settle most stall prefixes in the paper's Family I
+            regime, where m - r(m) disjoint solutions exist.
+          * The fractional test (see the module docstring), when the warm
+            packing is then at most two cliques short.  It carries the
+            engine's one simplex (``lp``) from the last prefix that ran the
+            test: the simplex takes in the cliques and the elements that
+            came since, and its basis may settle m before any pivot.  The
+            test rebuilds it from the warm packing instead when that packing
+            is more than one clique larger than its sum y, as a trade or the
+            degree packing can make it (x+2y=8z at n = 48 takes 7 987 nodes
+            when it is never rebuilt, 2 919 with the rule).  Then it pivots
+            once the search has spent two nodes a clique, and again each
+            time its nodes double.  A pivot costs about as much as one to
+            three nodes a row (Python 3.11), so the simplex gets one pivot
+            per 2m nodes the search has spent on m, and a test that fails
+            costs about as much as the search before it; the clock is read
+            before each pivot.  Once the simplex is at its optimum no pivot
+            is left for m, though a later prefix's cliques may move it off.
+            The engine drops the simplex while it changes, and takes it back
+            after, so an exception in a pivot leaves none, and the next test
+            rebuilds it."""
+        prev, start = self.r[m - 1], state.nodes
+        yield start + self.clique_count - m
+        if m - len(self.degree_packing(m - prev, state)) <= prev:
+            yield 0
+        if m - prev - len(self.packing) > 2:
+            return
+        need, lp, self.lp = m - prev - 1, self.lp, None  # detached while it changes
+        if lp is not None and len(self.packing) <= lp.z + 1:  # else it is rebuilt from the packing
+            lp.extend()
+            self.lp = lp
+            if lp.settles(need):
+                yield 0
+        pivots, spent = 0, self.clique_count
+        while True:
+            yield start + 2 * spent
+            spent = state.nodes - start
+            while pivots < spent // (2 * m):
+                state.check(self.where, m)
+                lp, self.lp = self.lp or _Simplex(self.cliques, self.packing), None
+                settled = lp.pivot(need)  # False: the simplex is at its optimum
+                self.lp = lp
+                pivots += 1
+                if settled:
+                    yield 0
+                if settled is not None:
+                    return
+
+
 # one engine per integer equation, solved as far as any call has needed
-_SOLVERS: dict[ThreeVarEquation, _Core] = {}
+_SOLVERS: dict[ThreeVarEquation, _IntegerEngine] = {}
 
 
-def _integer_engine(eq: ThreeVarEquation) -> _Core:
-    """A cold engine over the integer cliques of eq, with the pair test."""
-    return _Core(partial(_integer_records, eq), eq)
-
-
-def _engine_for(eq: ThreeVarEquation) -> _Core:
+def _engine_for(eq: ThreeVarEquation) -> _IntegerEngine:
     engine = _SOLVERS.get(eq)
     if engine is None:
-        engine = _SOLVERS[eq] = _integer_engine(eq)
+        engine = _SOLVERS[eq] = _IntegerEngine(eq)
     return engine
 
 
@@ -1297,11 +1322,10 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
     bound is below need.  With need 0 the bound could never stop it, as
     rest[k] <= m - k, and no packing is built.  The engine reads the
     cliques whose largest member is k from the tables only when the sweep
-    reaches prefix k, and files them in its trigger tables alone: it has no
-    ``eq``, so the suffix packing is the only packing a modulus builds, and
-    the cheap yes and the DFS settle its prefixes (see ``_Core``)."""
-    if time.monotonic() > state.deadline:
-        raise state.exceeded(f"modulus {m}")  # before the set-up
+    reaches prefix k, and files them in its trigger tables alone: it is a
+    plain ``_Core``, so the suffix packing is the only packing a modulus
+    builds, and the cheap yes and the DFS settle its prefixes."""
+    state.check(f"modulus {m}")  # before the set-up
     tables = _residue_tables(eq, m)
     low = None
     if need:

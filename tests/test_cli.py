@@ -379,7 +379,7 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
         eq = parse_equation("x+y=3z")
-        monkeypatch.setitem(search._SOLVERS, eq, search._integer_engine(eq))
+        monkeypatch.setitem(search._SOLVERS, eq, search._IntegerEngine(eq))
         want = [search.max_avoiding(eq, n, canonical=False).nodes for n in range(4, 23, 3)]
         assert [r["nodes"] for r in rows] == want
 

@@ -80,6 +80,15 @@ GUARDS = {
     # prefix that costs one node and no search
     "all_extremal node_cap": (lambda: all_extremal(parse_equation("x+2y=4z"), 50, node_cap=10), BudgetExceeded,
                               "node budget 10 exceeded at prefix 11"),
+    # the clock reads before a modulus's set-up, before each prefix and
+    # before each element taken in; the node budget is named when it is spent
+    "all_extremal time_cap": (lambda: all_extremal(EQ, 10, time_cap=0), BudgetExceeded,
+                              "time budget exceeded at prefix 1"),
+    "all_extremal search node_cap": (lambda: all_extremal(parse_equation("x+y=4z"), 40, node_cap=100),
+                                     BudgetExceeded, "node budget 100 exceeded at prefix 19"),
+    "rho_m time_cap": (lambda: rho_m(EQ, 10, time_cap=0), BudgetExceeded, "time budget exceeded at modulus 10"),
+    "rho_best node_cap": (lambda: rho_best(EQ, 10, node_cap=0), BudgetExceeded,
+                          "node budget 0 exceeded at modulus 1, prefix 1"),
     "max_avoiding time_cap": (lambda: max_avoiding(EQ, 10, time_cap=math.nan), InvariantViolation,
                               "time budget must be a number, got nan"),
     "rho_m m": (lambda: rho_m(EQ, 0), InvariantViolation, "m must be positive, got 0"),

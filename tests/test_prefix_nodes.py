@@ -39,7 +39,7 @@ def instances() -> list[tuple[str, int]]:
 def record(text: str, n: int) -> dict:
     """The pinned record of one instance, computed on a cold engine."""
     eq = parse_equation(text)
-    engine = search._SOLVERS[eq] = search._integer_engine(eq)
+    engine = search._SOLVERS[eq] = search._IntegerEngine(eq)
     sweep = [max_avoiding(eq, m, canonical=False) for m in range(1, n + 1)]
     assert all(res.optimal for res in sweep), f"{text}: a prefix up to {n} hit a budget"
     lex = []
@@ -68,33 +68,55 @@ def test_prefix_nodes_are_pinned(monkeypatch):
         assert got == rec, f"{rec['eq']}@{rec['n']}: nodes moved at prefixes {moved[:5]}"
 
 
+def patch_outermost(monkeypatch, name: str, wrap) -> None:
+    """Patch method ``name`` of both engine classes with ``wrap(original)``,
+    called for the outermost call of an engine only: the one that
+    ``type(self)`` resolves to, not a ``super()`` call inside it."""
+    for cls in (search._Core, search._IntegerEngine):
+        original, wrapped = vars(cls)[name], wrap(vars(cls)[name])
+
+        def outermost(self, *args, cls=cls, original=original, wrapped=wrapped):
+            owner = next(k for k in type(self).__mro__ if name in vars(k))
+            return (wrapped if owner is cls else original)(self, *args)
+
+        monkeypatch.setattr(cls, name, outermost)
+
+
 def test_root_ladder_spends_no_node(monkeypatch):
     # at every prefix of each pinned instance the root tests spend no node,
     # and a witness they return has the pinned r(m) members, avoids the
     # equation, and settles the prefix in the one node pinned for it; the
     # search's stall tests are set up once for each prefix, of the engine
-    # or of a part, that the root leaves open, and never for a settled one
-    root, stall_tests, verdicts, searched = search._Core._root, search._Core._stall_tests, [], []
+    # or of a part, that the root leaves open, and never for a settled one.
+    # One verdict is recorded per engine and prefix, the whole ladder's:
+    # the integer engine's ladder asks the plain engine's cheap yes, unrecorded
+    verdicts, searched = [], []
 
-    def recording(self, m, state):
-        nodes = state.nodes
-        witness = root(self, m, state)
-        assert state.nodes == nodes, m
-        verdicts.append((self, m, witness))
-        return witness
+    def recording(root):
+        def recorded(self, m, state):
+            nodes = state.nodes
+            witness = root(self, m, state)
+            assert state.nodes == nodes, m
+            verdicts.append((self, m, witness))
+            return witness
+        return recorded
 
-    def scheduling(self, m, state):
-        searched.append((self, m))
-        return stall_tests(self, m, state)
+    def scheduling(stall_tests):
+        def scheduled(self, m, state):
+            searched.append((self, m))
+            return stall_tests(self, m, state)
+        return scheduled
 
-    monkeypatch.setattr(search._Core, "_root", recording)
-    monkeypatch.setattr(search._Core, "_stall_tests", scheduling)
+    patch_outermost(monkeypatch, "_root", recording)
+    patch_outermost(monkeypatch, "_stall_tests", scheduling)
     for rec in map(json.loads, DATA.read_text().splitlines()):
         eq = parse_equation(rec["eq"])
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         engine.solve_to(rec["n"], search._RunState())
         settled = [(m, witness) for core, m, witness in verdicts if core is engine and witness is not None]
         assert settled, rec["eq"]
+        assert len({(id(core), m) for core, m, _ in verdicts}) == len(verdicts), rec["eq"]
+        assert [m for core, m, _ in verdicts if core is engine] == list(range(1, rec["n"] + 1)), rec["eq"]
         for m, witness in settled:
             assert witness.bit_count() == rec["r"][m - 1] and rec["nodes"][m - 1] == 1, (rec["eq"], m)
             assert avoids(eq, search._mask_to_set(m, witness)).ok, (rec["eq"], m)

@@ -51,10 +51,10 @@ EQS = {
 }
 
 
-def fresh_engine(monkeypatch, eq: ThreeVarEquation) -> search._Core:
+def fresh_engine(monkeypatch, eq: ThreeVarEquation) -> search._IntegerEngine:
     """A cold engine for eq in the solver cache, built as the solver builds
     it, the cached one restored afterwards."""
-    engine = search._integer_engine(eq)
+    engine = search._IntegerEngine(eq)
     monkeypatch.setitem(search._SOLVERS, eq, engine)
     return engine
 
@@ -408,7 +408,7 @@ class TestEngine:
         eq = draw_equation(data, 12)
         if eq is None:
             return
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
             engine.need_triples(m, search._RunState())
             packing = engine.degree_packing(m - engine.r[m - 1], search._RunState())
@@ -701,7 +701,7 @@ class TestPairTest:
             return
         n = data.draw(st.integers(1, 40))
         asked = data.draw(st.sets(st.integers(1, n))) | {n}
-        every, some = search._integer_engine(eq), search._integer_engine(eq)
+        every, some = search._IntegerEngine(eq), search._IntegerEngine(eq)
         state = search._RunState()
         for m in range(1, n + 1):
             p = every.pair_alpha(m, state)
@@ -718,16 +718,19 @@ class TestPairTest:
                                       "x+5y=8z", "5x+y=7z", "2x+3y=4z"])
     def test_pair_alpha_in_each_regime(self, text):
         eq = parse_equation(text)
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         for m in range(1, 41):
             assert engine.pair_alpha(m, search._RunState()) == brute_pair_alpha(eq, m), m
 
     def test_pair_test_runs_on_integer_engines_only(self, monkeypatch):
-        # the congruence engines of rho_m and rho_best never ask for P
-        monkeypatch.setattr(search._Core, "pair_alpha", lambda *args: pytest.fail("pair test ran"))
+        # the congruence engines of rho_m and rho_best never ask for P: they
+        # are plain engines, which have no pair test, and the solver's
+        # engine of an equation is an integer engine, which has
+        monkeypatch.setattr(search._IntegerEngine, "pair_alpha", lambda *args: pytest.fail("pair test ran"))
         rho_best(EQS["square"], 24)
         rho_m(EQS["family2"], 20)
-        assert search._engine_for(EQS["square"]).eq is not None
+        assert not hasattr(search._Core, "pair_alpha")
+        assert type(search._engine_for(EQS["square"])) is search._IntegerEngine
 
     def test_gate_skips_the_test_while_the_last_p_is_above_prev(self, monkeypatch):
         # P never falls, so once it is above r(m - 1) no work is done until
@@ -735,13 +738,13 @@ class TestPairTest:
         eq = parse_equation("x+y=3z")
         engine = fresh_engine(monkeypatch, eq)
         asked = []
-        pair_alpha = search._Core.pair_alpha
+        pair_alpha = search._IntegerEngine.pair_alpha
 
         def recorded(self, m, state):
             asked.append((len(self.r), self.r[-1], self.P[-1]))
             return pair_alpha(self, m, state)
 
-        monkeypatch.setattr(search._Core, "pair_alpha", recorded)
+        monkeypatch.setattr(search._IntegerEngine, "pair_alpha", recorded)
         max_avoiding(eq, 50, canonical=False)
         assert asked and all(bound <= prev for _, prev, bound in asked)
         assert len(asked) < sum(engine.r[m] == engine.r[m - 1] for m in range(1, 51))
@@ -762,7 +765,7 @@ class TestPairTest:
         # the parts' solves read the caller's deadline, and the budget hit
         # names the caller's prefix; nothing is taken in, for the next call
         eq = EQS["square"]
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         late = search._RunState(time_cap=-1)
         with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 200$"):
             engine.pair_alpha(200, late)
@@ -791,7 +794,7 @@ class TestPairTest:
             engine.advance(late)
         assert len(trades) == 1 and engine.packing == packing and late.nodes == 0 and len(engine.r) == 15
         again = max_avoiding(eq, 60, canonical=False)
-        cold = search._integer_engine(eq)
+        cold = search._IntegerEngine(eq)
         cold.solve_to(14, search._RunState())
         monkeypatch.setitem(search._SOLVERS, eq, cold)
         want = max_avoiding(eq, 60, canonical=False)
@@ -840,7 +843,7 @@ class TestPairTest:
             calls = []
 
             def failing(self, state):
-                if self.eq is None:  # a part
+                if type(self) is search._Core:  # a part
                     calls.append(self)
                     if len(calls) == fail_at:
                         raise RuntimeError("injected")
@@ -872,7 +875,7 @@ class TestPrefixRoots:
         # at every prefix m of an integer engine (b = 0 included), the warm
         # packing is k pairwise disjoint real cliques inside [1, m], its mask
         # is their union, and m - k bounds the largest clique-free subset of
-        # [1, m] from above.  A congruence engine keeps no packing, and its
+        # [1, m] from above.  A congruence engine has no packing, and its
         # r(m) is that largest subset all the same
         eq = draw_equation(data, 9)
         if eq is None:
@@ -880,7 +883,7 @@ class TestPrefixRoots:
         integer = data.draw(st.booleans())
         if integer:
             n = data.draw(st.integers(1, 14))
-            engine, real = search._integer_engine(eq), oracle_cliques(eq, n)
+            engine, real = search._IntegerEngine(eq), oracle_cliques(eq, n)
         else:
             q = data.draw(st.integers(1, 12))
             n = data.draw(st.integers(1, q))
@@ -889,10 +892,11 @@ class TestPrefixRoots:
         for m in range(1, n + 1):
             engine.advance(state)
             inside = [cl for cl in real if cl[-1] <= m]
-            assert integer or (engine.packing, engine.packed) == ([], 0)
-            assert_disjoint_real_cliques(engine.packing, inside)
-            assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
-            assert m - len(engine.packing) >= brute_clique_free_max(inside, m) == engine.r[m], (str(eq), m)
+            packing = engine.packing if integer else []
+            assert integer or not hasattr(engine, "packing") and not hasattr(engine, "packed")
+            assert_disjoint_real_cliques(packing, inside)
+            assert not integer or engine.packed == sum(1 << (v - 1) for cl in packing for v in cl)
+            assert m - len(packing) >= brute_clique_free_max(inside, m) == engine.r[m], (str(eq), m)
 
     @given(a=st.integers(1, 12), b=st.integers(0, 12), c=st.integers(1, 12), n=st.integers(1, 14))
     @settings(max_examples=50, deadline=None)
@@ -914,7 +918,7 @@ class TestPrefixRoots:
                 top[S.bit_length()] = max(top[S.bit_length()], S.bit_count())
         r = list(accumulate(top, max))
         real = {tuple(sorted({s.x, s.y, s.z} - {0})) for s in brute_solutions(eq, n)}
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         state = search._RunState()
         for m in range(1, n + 1):
             engine.advance(state)
@@ -962,7 +966,7 @@ class TestPrefixRoots:
         eq = draw_equation(data, 12)  # b = 0 included
         if eq is None:
             return
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         state = search._RunState()
         for m in range(1, data.draw(st.integers(1, 60)) + 1):
             W = engine.wit[m - 1]
@@ -1000,13 +1004,14 @@ class TestPrefixRoots:
         assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
 
     def test_engines_without_an_equation_pack_no_cliques(self, monkeypatch):
-        # the congruence engines of rho_best and the parts of pair_alpha run
-        # the cheap yes and the DFS alone: after their sweeps they hold no
-        # packing, clique list, pending record or clique count, and no
-        # degree packing or simplex was ever built for them.  Every engine
+        # the congruence engines of rho_best and the parts of pair_alpha are
+        # plain engines, which run the cheap yes and the DFS alone: they
+        # hold none of an integer engine's attributes, and every degree
+        # packing and simplex built is the integer engine's.  Every engine
         # is kept as it is built, a modulus ruled out mid-sweep included
         built, packed, simplexes = [], [], []
-        init, degree_packing, simplex = search._Core.__init__, search._Core.degree_packing, search._Simplex.__init__
+        init = search._Core.__init__
+        degree_packing, simplex = search._IntegerEngine.degree_packing, search._Simplex.__init__
 
         def building(self, *args):
             init(self, *args)
@@ -1021,7 +1026,7 @@ class TestPrefixRoots:
             simplex(self, cliques, packing)
 
         monkeypatch.setattr(search._Core, "__init__", building)
-        monkeypatch.setattr(search._Core, "degree_packing", packing)
+        monkeypatch.setattr(search._IntegerEngine, "degree_packing", packing)
         monkeypatch.setattr(search._Simplex, "__init__", simplexing)
         rho_best(parse_equation("x+y=4z"), 40)
         moduli = list(built)
@@ -1030,10 +1035,13 @@ class TestPrefixRoots:
         max_avoiding(eq, 95, canonical=False)
         parts = set(engine.comp.values())
         assert len(moduli) > 10 and parts and packed  # the integer engine packs
+        integer_only = ("eq", "kept", "P", "comp", "packing", "packed", "cliques", "count", "pending",
+                        "clique_count", "lp")
         for core in moduli + list(parts):
-            assert core.eq is None
-            assert (core.packing, core.cliques, core.pending, core.clique_count) == ([], [], [], 0)
-            assert core not in packed and not any(cliques is core.cliques for cliques in simplexes)
+            assert type(core) is search._Core
+            assert not [name for name in integer_only if hasattr(core, name)]
+        assert all(core is engine for core in packed)
+        assert all(cliques is engine.cliques for cliques in simplexes)
 
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends
@@ -1041,12 +1049,12 @@ class TestPrefixRoots:
         # again on the retry with the same answer, so the tables equal a cold
         # engine's, across the masks' rebuilds at m = 1, 3, 7, 15, 31
         eq = EQS["square"]
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         for _ in range(60):
             with pytest.raises(BudgetExceeded):
                 engine.advance(search._RunState(node_cap=0))
             engine.advance(search._RunState())
-        cold = search._integer_engine(eq)
+        cold = search._IntegerEngine(eq)
         cold.solve_to(60, search._RunState())
         assert engine.kept is not None and engine.kept.n == 62
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
@@ -1354,7 +1362,7 @@ class TestFractionalStall:
     def test_pinned_verdicts(self, text, m, need, want):
         # from the packing the engine keeps after its degree packing at m
         eq = parse_equation(text)
-        engine = search._integer_engine(eq)
+        engine = search._IntegerEngine(eq)
         engine.solve_to(m - 1, search._RunState())
         engine.need_triples(m, search._RunState())
         assert m - engine.r[m - 1] - 1 == need
