@@ -79,12 +79,13 @@ integer packing can, as in the Family II equation x+y=4z: at m = 52 the
 fractional packing number is 21.5 where 22 disjoint cliques would be
 needed.  An integer engine keeps one simplex, built from the warm packing
 at the first pivot any prefix needs, and carries it from stall to stall:
-each later try takes in the cliques and the elements that came since, and
-asks the basis the last stall left before it pivots, so a stall may
-settle with no pivot at all.  x+y=4z at n = 54 takes 6 831 nodes with the
-carried simplex, 14 039 with one rebuilt from the packing at every prefix
-and 69 427 without the test.  A settled prefix keeps wit[m - 1], as a
-packing settle does, so only node counts move.
+each pivot first takes in the cliques and the elements that came since,
+and one that finds the simplex at its optimum answers for the basis as it
+stands, so a stall may settle on a basis the last one left.  x+y=4z at
+n = 54 takes 6 831 nodes with the carried simplex, 14 039 with one rebuilt
+from the packing at every prefix and 69 427 without the test.  A settled
+prefix keeps wit[m - 1], as a packing settle does, so only node counts
+move.
 
 A trade is one step of t-for-(t + 1) local search for set packing
 (Hurkens and Schrijver, SIAM J. Discrete Math. 2, 1989): it gives up one
@@ -195,7 +196,8 @@ class _RunState:
         """Raise the budget error for ``where`` (see :meth:`exceeded`), or for
         ``where`` followed by "prefix ``prefix``" when one is given, once the
         clock is past the deadline.  The message is built only then: the
-        engine reads the clock once or twice a prefix."""
+        engine reads the clock once a prefix, and between the elements of a
+        catch-up and before each pivot."""
         if time.monotonic() > self.deadline:
             raise self.exceeded(where if prefix is None else f"{where}prefix {prefix}")
 
@@ -464,15 +466,16 @@ class _Simplex:
     """A revised simplex for a fractional clique packing y, sum over C
     containing v of y_C <= 1 at every v, that maximises sum y: the one that
     an integer engine carries from stall to stall (see
-    :meth:`_IntegerEngine._stall_tests`).
+    :meth:`_IntegerEngine._stall_tests`), whose one entry is :meth:`pivot`.
 
     Its columns are the first len(sums) cliques of ``cliques``, the engine's
     append-only clique list, and its rows the vertices up to their largest
-    member.  B^-1 is dense, the pricing Dantzig's, and the largest pivot wins
-    among tied ratios.  A vertex v is row v; row 0 stands in for a pair's
-    missing member, with price 0 and no entry in B^-1 (an integer engine's
-    list holds no singleton; one given here takes row 0 for both).  The
-    basis starts from ``packing``, pairwise disjoint cliques of the list:
+    member; each pivot first takes in the cliques the list has gained.
+    B^-1 is dense, the pricing Dantzig's, and the largest pivot wins among
+    tied ratios.  A vertex v is row v; row 0 stands in for a pair's missing
+    member, with price 0 and no entry in B^-1 (an integer engine's list
+    holds no singleton; one given here takes row 0 for both).  The basis
+    starts from ``packing``, pairwise disjoint cliques of the list:
     each is basic at 1 in its smallest member's row, the other members'
     slacks are basic at 0, and every other row's slack at 1."""
 
@@ -502,9 +505,10 @@ class _Simplex:
     def extend(self) -> None:
         """Take in the cliques that the list has gained as nonbasic columns,
         each priced at the sum of its members' prices, and the rows of their
-        new members, with their slacks basic at 1 and priced 0.  No old
-        column has an entry in a new row, so B^-1 grows block-diagonally, by
-        the identity, and sum y, x and the old prices stay as they were."""
+        new members, with their slacks basic at 1 and priced 0: the set-up
+        and each pivot call it first.  No old column has an entry in a new
+        row, so B^-1 grows block-diagonally, by the identity, and sum y, x
+        and the old prices stay as they were."""
         cliques, inv, price, sums, on = self.cliques, self.inv, self.price, self.sums, self.on
         gained = cliques[len(sums):]
         if not gained:
@@ -534,15 +538,19 @@ class _Simplex:
                                                 [y for j, y in zip(self.basis, self.x) if j >= 0], need)
 
     def pivot(self, need: int) -> bool | None:
-        """One pivot, and then whether the basis settles ``need`` (see
-        :meth:`settles`): True if so, None if not, and False, with no pivot
-        made, once the simplex is at its optimum.  An exception leaves it
-        half-updated."""
+        """Take in what the list has gained (see :meth:`extend`), make one
+        pivot, and then say whether the basis settles ``need`` (see
+        :meth:`settles`): True if so, None if not.  At its optimum, or with
+        no ratio row, it makes no pivot and says whether the basis as it
+        stands settles ``need``: True or False, so a basis that an earlier
+        stall left at its optimum may settle a later one.  An exception
+        leaves it half-updated."""
+        self.extend()
         inv, x, price, sums, on = self.inv, self.x, self.price, self.sums, self.on
         low, slack = min(sums, default=1.0), min(price)
         gain = max(1.0 - low, -slack)
         if gain <= _EPS:
-            return False
+            return self.settles(need)
         if 1.0 - low >= -slack:
             q = sums.index(low)
             u, v, w = (self.cliques[q] + (0, 0))[:3]
@@ -558,7 +566,7 @@ class _Simplex:
                 if t < theta - _EPS or t < theta + _EPS and d[i] > d[r]:
                     r, theta = i, t
         if not r:
-            return False
+            return self.settles(need)
         for i in hit:
             x[i] -= theta * d[i]
         x[r] = theta
@@ -646,13 +654,15 @@ class _Core:
 
     def need_triples(self, m: int, state: _RunState) -> None:
         """Take in the elements in (tripled, m], in arrival order, reading the
-        clock before each one.  It is the one reader of ``source``, so each
-        element's records are read once.  An exception leaves the elements
-        not yet done for the next call, and the trigger tables one entry per
-        element in [1, tripled]."""
+        clock between each one and the next: its callers read it before the
+        first, as ``solve_to`` does before each prefix.  It is the one reader
+        of ``source``, so each element's records are read once.  An
+        exception leaves the elements not yet done for the next call, and
+        the trigger tables one entry per element in [1, tripled]."""
         for k in range(self.tripled + 1, m + 1):
-            state.check(self.where, m)
             self._take_triples(k, *self.source(k))
+            if k < m:
+                state.check(self.where, m)
 
     # -- exact solve of the next prefix -------------------------------------
 
@@ -766,18 +776,11 @@ class _Core:
             else:
                 return self.wit[m - 1]
 
-    def solve_to(self, n: int, state: _RunState, low: list[int] | None = None) -> bool:
-        """Solve every prefix up to n, checking the deadline before each one.
-
-        ``low[k]`` is the least r(k) that leaves r(n) >= low[n] possible: the
-        sweep stops at the first solved prefix k (0 included) with
-        r(k) < low[k] and returns False.  Otherwise it returns True."""
-        while low is None or self.r[-1] >= low[len(self.r) - 1]:
-            if len(self.r) > n:
-                return True
+    def solve_to(self, n: int, state: _RunState) -> None:
+        """Solve every prefix up to n, checking the deadline before each one."""
+        while len(self.r) <= n:
             state.check(self.where, len(self.r))
             self.advance(state)
-        return False
 
     # -- lexicographic enumeration of maximum sets --------------------------
 
@@ -1136,42 +1139,40 @@ class _IntegerEngine(_Core):
           * The fractional test (see the module docstring), when the warm
             packing is then at most two cliques short.  It carries the
             engine's one simplex (``lp``) from the last prefix that ran the
-            test: the simplex takes in the cliques and the elements that
-            came since, and its basis may settle m before any pivot.  The
-            test rebuilds it from the warm packing instead when that packing
-            is more than one clique larger than its sum y, as a trade or the
-            degree packing can make it (x+2y=8z at n = 48 takes 7 987 nodes
-            when it is never rebuilt, 2 919 with the rule).  Then it pivots
-            once the search has spent two nodes a clique, and again each
-            time its nodes double.  A pivot costs about as much as one to
-            three nodes a row (Python 3.11), so the simplex gets one pivot
-            per 2m nodes the search has spent on m, and a test that fails
-            costs about as much as the search before it; the clock is read
-            before each pivot.  Once the simplex is at its optimum no pivot
-            is left for m, though a later prefix's cliques may move it off.
-            The engine drops the simplex while it changes, and takes it back
-            after, so an exception in a pivot leaves none, and the next test
-            rebuilds it."""
+            test, and drops it to be rebuilt from the warm packing when that
+            packing is more than one clique larger than its sum y, as a
+            trade or the degree packing can make it (x+2y=8z at n = 48
+            takes 7 987 nodes when it is never rebuilt, 2 919 with the
+            rule).  Then it pivots once the search has spent two nodes a
+            clique, and again each time its nodes double.  A pivot costs
+            about as much as one to three nodes a row (Python 3.11), so the
+            simplex gets one pivot per 2m nodes the search has spent on m,
+            and a test that fails costs about as much as the search before
+            it; the clock is read before each pivot.  Each pivot call takes
+            in the cliques and the elements that came since, and the first
+            that finds the simplex at its optimum answers for m: its basis,
+            perhaps as an earlier stall left it, settles m or no pivot is
+            left for m, though a later prefix's cliques may move it off.
+            The engine drops the simplex while a pivot call changes it, and
+            takes it back after, so an exception there leaves none, and the
+            next test rebuilds it."""
         prev, start = self.r[m - 1], state.nodes
         yield start + self.clique_count - m
         if m - len(self.degree_packing(m - prev, state)) <= prev:
             yield 0
         if m - prev - len(self.packing) > 2:
             return
-        need, lp, self.lp = m - prev - 1, self.lp, None  # detached while it changes
-        if lp is not None and len(self.packing) <= lp.z + 1:  # else it is rebuilt from the packing
-            lp.extend()
-            self.lp = lp
-            if lp.settles(need):
-                yield 0
-        pivots, spent = 0, self.clique_count
+        if self.lp is not None and len(self.packing) > self.lp.z + 1:
+            self.lp = None  # rebuilt from the packing at the next pivot
+        need, pivots, spent = m - prev - 1, 0, self.clique_count
         while True:
             yield start + 2 * spent
             spent = state.nodes - start
             while pivots < spent // (2 * m):
                 state.check(self.where, m)
+                # detached while the call changes it
                 lp, self.lp = self.lp or _Simplex(self.cliques, self.packing), None
-                settled = lp.pivot(need)  # False: the simplex is at its optimum
+                settled = lp.pivot(need)  # False: at its optimum, unsettled
                 self.lp = lp
                 pivots += 1
                 if settled:
@@ -1327,14 +1328,15 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
     builds, and the cheap yes and the DFS settle its prefixes."""
     state.check(f"modulus {m}")  # before the set-up
     tables = _residue_tables(eq, m)
-    low = None
-    if need:
-        # the packed cliques' smallest members: rest[k] of them are above k
-        lows = sorted(cl[0] for cl in _suffix_packing(eq, m, tables))
-        low = [need - (m - k) + len(lows) - bisect_left(lows, k + 1) for k in range(m + 1)]
+    # the packed cliques' smallest members: rest[k] of them are above k
+    lows = sorted(cl[0] for cl in _suffix_packing(eq, m, tables)) if need else []
     engine = _Core(partial(_congruence_records, eq, m, tables=tables))
     engine.where = f"modulus {m}, "
-    return engine if engine.solve_to(m, state, low) else None
+    for k in range(m + 1):
+        engine.solve_to(k, state)
+        if engine.r[k] < need - (m - k) + len(lows) - bisect_left(lows, k + 1):
+            return None
+    return engine
 
 
 def _residue_cap(eq: ThreeVarEquation, m: int) -> int:

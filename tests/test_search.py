@@ -1187,15 +1187,15 @@ class TestPrefixRoots:
 def stall_verdict(cliques, packing, need, cap: int = 3000) -> bool | None:
     """The fractional test's verdict within ``cap`` pivots of a simplex
     started from ``packing``: True once it settles, False once it is at its
-    optimum, None past the cap."""
+    optimum unsettled, None past the cap."""
     return carried_verdict(search._Simplex(cliques, packing), need, cap)
 
 
 def carried_verdict(lp: search._Simplex, need: int, cap: int) -> bool | None:
-    """The verdict of ``lp`` as it stands, asked before its first pivot as
-    the engine asks a carried simplex, and then within ``cap`` pivots."""
-    if lp.settles(need):
-        return True
+    """The verdict of ``lp`` within ``cap`` calls of ``pivot``, as the
+    engine pivots a carried simplex: the first call takes in the cliques
+    that its list has gained, and one at the optimum answers for the basis
+    as it stands."""
     for _ in range(cap):
         settled = lp.pivot(need)
         if settled is not None:
@@ -1258,9 +1258,10 @@ class TestFractionalStall:
     def test_a_carried_simplex_never_settles_a_rise(self, data):
         # one simplex carried over the growing clique list of an equation,
         # b = 0 included, as an engine carries it: built from the greedy
-        # packing at some prefix, then extended at each later prefix, asked
-        # and pivoted a few times.  It stays a basis of its cliques, and no
-        # prefix m that it settles against r(m - 1) is a rise
+        # packing at some prefix, then pivoted a few times at each prefix,
+        # its first pivot call taking in the cliques that came since.  It
+        # stays a basis of its cliques, and no prefix m that it settles
+        # against r(m - 1) is a rise
         eq = draw_equation(data, 12)
         if eq is None:
             return
@@ -1269,22 +1270,20 @@ class TestFractionalStall:
         for m in range(1, data.draw(st.integers(1, 14)) + 1):
             cliques += cliques_for(eq, m)
             r = exhaustive_max(eq, m)[0]
-            if lp is not None:
-                lp.extend()
-            elif cliques and data.draw(st.booleans()):
+            if lp is None and cliques and data.draw(st.booleans()):
                 lp = search._Simplex(cliques, greedy_suffix_packing(cliques))
             if lp is not None:
-                assert len(lp.sums) == len(cliques)
                 assert_basis(lp)
-                if carried_verdict(lp, m - prev - 1, data.draw(st.integers(0, 6))):
+                if carried_verdict(lp, m - prev - 1, data.draw(st.integers(1, 6))):
                     assert r == prev, (str(eq), m)
+                assert len(lp.sums) == len(cliques)
                 assert_basis(lp)
             prev = r
 
     @pytest.mark.parametrize("text,n", [("x+y=4z", 54), ("x+2y=8z", 48), ("4x+4y=3z", 48)])
     def test_the_engine_carries_one_basis(self, monkeypatch, text, n):
         # the engine's simplex after a sweep is a basis of the cliques it
-        # took in at its last try, and extending it over the rest keeps it one
+        # took in at its last pivot, and extending it over the rest keeps it one
         eq = parse_equation(text)
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, n, canonical=False)
@@ -1321,32 +1320,22 @@ class TestFractionalStall:
         assert max_avoiding(eq, n, canonical=False).nodes == nodes
         assert built == builds and len(made) - made.count(False) == pivots
 
-    def test_a_carried_basis_is_asked_before_a_pivot(self, monkeypatch):
-        # a carried simplex whose basis already settles prefix 30 of x+y=4z
-        # is extended and asked as the try starts, right after the degree
-        # packing, and the search ends there with no pivot
-        eq = parse_equation("x+y=4z")
-        engine = fresh_engine(monkeypatch, eq)
-        max_avoiding(eq, 29, canonical=False)
-        asked = []
-
-        class Settling:
-            z = float("inf")
-
-            def extend(self):
-                asked.append("extend")
-
-            def settles(self, need):
-                asked.append(need)
-                return True
-
-            def pivot(self, need):
-                raise AssertionError("a pivot")
-
-        engine.lp = Settling()
-        res = max_avoiding(eq, 30, canonical=False)
-        assert asked == ["extend", 12] and res.size == engine.r[29]
-        assert res.nodes == engine.clique_count - 30 + 1 < 241  # 241 when the try pivots
+    def test_a_pivot_at_the_optimum_answers_for_the_basis(self):
+        # a triangle of pairs has nu* = 3/2: pivoted to its optimum against a
+        # need it cannot pass, the simplex then settles a lower need with no
+        # pivot made, as a carried basis settles a later stall, and still
+        # cannot settle the first; a clique appended to its list is taken in
+        # by the next pivot call, which settles the first need
+        lp = search._Simplex([(1, 2), (2, 3), (1, 3)], [])
+        assert carried_verdict(lp, 2, 10) is False and lp.z == 1.5
+        at = (list(lp.basis), list(lp.x), [list(row) for row in lp.inv], lp.z)
+        assert lp.pivot(1) is True
+        assert lp.pivot(2) is False
+        assert (lp.basis, lp.x, lp.inv, lp.z) == at
+        lp.cliques.append((4, 5))
+        assert lp.pivot(2) is True and lp.z == 2.5
+        assert len(lp.sums) == len(lp.cliques) == 4
+        assert_basis(lp)
 
     def test_rows_reach_the_largest_member_of_any_column(self):
         # cliques sorted as tuples, as the oracles list them, and not by
@@ -1513,6 +1502,15 @@ class TestModularDensity:
         eq = ThreeVarEquation(a, b, c)
         want = max((rho_m(eq, m) for m in range(1, 25)), key=lambda d: d.rho)  # max keeps the first
         assert rho_best(eq, 24) == want
+
+    def test_rho_m_reads_the_clock_once_a_prefix(self, monkeypatch):
+        # one read before the set-up, then one a prefix, before it is solved:
+        # the take-in of element m reads none of its own
+        reads = []
+        check = search._RunState.check
+        monkeypatch.setattr(search._RunState, "check", lambda *args: reads.append(args[1:]) or check(*args))
+        rho_m(parse_equation("x+y=4z"), 19)
+        assert reads == [("modulus 19",)] + [("modulus 19, ", k) for k in range(1, 20)]
 
     def test_rho_m_builds_no_suffix_packing(self, monkeypatch):
         # with need 0 the suffix packing's bound never stops the sweep, as
