@@ -109,7 +109,7 @@ def solve(timing: bool, eq: ThreeVarEquation, n: int, all_sets: bool, cap: int, 
     }
     if all_sets and result.optimal:
         left = None if time_budget is None else max(0.0, time_budget - (time.monotonic() - start))
-        spare = None if node_budget is None else node_budget - result.nodes
+        spare = None if node_budget is None else max(0, node_budget - result.nodes)
         family = search.all_extremal(eq, n, cap, node_cap=spare, time_cap=left)
         row["all_sets"] = [s.to_text() for s in family.sets]
         row["truncated"] = family.truncated

@@ -35,9 +35,15 @@ independence number P decides its stalls.  It keeps no warm packing
 then, as k disjoint pairs in [1, m] prove only r(m) <= m - k, and
 P(m) <= m - k already.  The first search takes in every element up to its
 prefix, in arrival order, and from then on each prefix takes in its own.
-A lex-least pass over [1, m] takes in the elements up to m only and leaves
-the engine pair-only.  x+2y=4z never needs its triples, so the witness
-table is all its O(n^2) memory.
+x+2y=4z never needs its triples, so the witness table is all its O(n^2)
+memory.
+
+A lex-least pass over [1, m] reads the trigger tables of exactly [1, m]
+and never writes to its engine: the engine's own tables when it has taken
+in exactly the elements up to m, and otherwise those of a plain engine over
+the same records that takes in [1, m] for the pass and is dropped with it.
+So an engine's state depends only on the prefixes it has solved, and a
+pair-only engine stays pair-only whatever passes run on it.
 
 Each search carries a forced mask: the undecided elements that would
 complete a clique whose other members are all included.  Triggers set
@@ -600,7 +606,10 @@ class _Core:
     m (see ``_records``).  An element enters only by :meth:`need_triples`,
     and only :meth:`_take_triples`, which it calls, writes the trigger
     tables; a search keeps its state on its own stack, and the root tests
-    and the lex-least pass only read the tables.
+    only read the tables.  The lex-least pass never writes to the engine
+    (see :meth:`enumerate_at`).  ``where``, given at construction, is what
+    a budget-hit message names before the prefix: "modulus m, " for a
+    congruence engine, and nothing for the others.
     A plain ``_Core`` takes in its trigger tables and nothing else, and its
     prefixes get the cheap yes and the DFS alone.  Such are the congruence
     engines (see ``_congruence_engine``) and the parts: the engines that
@@ -609,11 +618,11 @@ class _Core:
     rank.
     """
 
-    where = ""  # what a budget-hit message names before the prefix
     members: list[int]  # a part's values, ascending: its element k is members[k - 1]
 
-    def __init__(self, source):
+    def __init__(self, source, where: str = ""):
         self.source = source
+        self.where = where
         self.tripled = 0  # elements taken in; at most one past the solved prefix
         # forced-exclusion triggers, one entry per element in [1, tripled]:
         # once every member of a clique except the smallest (resp. largest)
@@ -789,33 +798,34 @@ class _Core:
         a mask, deciding elements in ascending order, include first; with
         ``target`` = r(m) these are the maximum sets in lexicographic order.
 
-        Each mask is yielded at its leaf, so a caller that takes the first one
-        ends the search there; a generator dropped early leaves nothing to
-        repair, as the pass only reads the trigger tables.  It reads the
-        triggers of [1, m] only, so it takes in the triples up to m and no
-        further.  It builds its upward pair masks from ``pair_down`` when
-        it starts, one step per pair in [1, m], where the pass's first
-        path alone is m + 1 nodes.
+        It reads the trigger tables of exactly [1, m]: the engine's own
+        when it has taken in exactly the elements up to m (``tripled`` is
+        m), and otherwise those of a new plain ``_Core`` over the same
+        ``source``, which takes in [1, m] within the budget of ``state``
+        and is dropped when the pass ends.  So the pass never writes to the
+        engine, and a generator dropped early or unwound by an exception
+        leaves it as it was.  Each mask is yielded at its leaf, so a caller
+        that takes the first one ends the search there.  It builds its
+        upward pair masks from ``pair_down`` when it starts, one step per
+        pair in [1, m], where the pass's first path alone is m + 1 nodes.
         """
-        self.need_triples(m, state)
+        tables = self if self.tripled == m else _Core(self.source, self.where)
+        tables.need_triples(m, state)
         up = [0] * (m + 1)  # up[u]: the mask of u's pair partners above u in [1, m]
-        for v, rest in enumerate(self.pair_down[:m + 1]):
+        for v, rest in enumerate(tables.pair_down):
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 up[bit.bit_length()] |= 1 << (v - 1)
-        force = self.force
-        inside = (1 << m) - 1  # the engine may hold elements past m: triggers above m never fire
+        force = tables.force
         slack = m - target  # the most elements of [1, m] a leaf of target elements leaves out
         node_cap = state.node_cap
         deadline = state.deadline
         start = state.nodes  # the clock is read on this pass's first node and every 4096th after it
         # A node (e, inc, dead) has decided [1, e - 1]; dead holds the elements
         # of [1, m] left out so far and the undecided ones that are forced.  As
-        # in ``_search``, the include child is searched first.  The engine may
-        # hold elements past m, so the root keeps only the banned elements in
-        # [1, m].
-        stack = [(1, 0, self.banned & inside)]
+        # in ``_search``, the include child is searched first.
+        stack = [(1, 0, tables.banned)]
         while stack:
             e, inc, dead = stack.pop()
             state.nodes += 1
@@ -833,7 +843,7 @@ class _Core:
                 for top, lows in force[e]:
                     if lows & inc:
                         d2 |= top
-                stack.append((e + 1, inc | bit, d2 & inside))
+                stack.append((e + 1, inc | bit, d2))
 
     def maximum_sets(self, m: int, cap: int, state: _RunState) -> list[int]:
         """The first ``cap`` maximum sets of the solved prefix [1, m] in
@@ -1330,8 +1340,7 @@ def _congruence_engine(eq: ThreeVarEquation, m: int, state: _RunState, need: int
     tables = _residue_tables(eq, m)
     # the packed cliques' smallest members: rest[k] of them are above k
     lows = sorted(cl[0] for cl in _suffix_packing(eq, m, tables)) if need else []
-    engine = _Core(partial(_congruence_records, eq, m, tables=tables))
-    engine.where = f"modulus {m}, "
+    engine = _Core(partial(_congruence_records, eq, m, tables=tables), f"modulus {m}, ")
     for k in range(m + 1):
         engine.solve_to(k, state)
         if engine.r[k] < need - (m - k) + len(lows) - bisect_left(lows, k + 1):

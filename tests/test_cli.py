@@ -110,6 +110,15 @@ class TestSolve:
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 
+    def test_all_sets_get_no_negative_node_budget(self):
+        # max_avoiding counts the node that trips its cap, so its canonical
+        # pass, cut there, leaves a result of 1 001 nodes: all_extremal gets
+        # what is left of the budget, clamped at 0
+        proc = run_process("solve", "--eq", "2x+2y=5z", "--n", "60", "--all-sets", "--node-budget", "1000")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": "BudgetExceeded",
+                                           "message": "node budget 0 exceeded at prefix 60"}
+
     def test_invariant_equation_exit_2(self):
         proc = run_process("solve", "--eq", "x+y=2z", "--n", "5")
         assert proc.returncode == 2

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from solfree import search
 from solfree.equations import avoids, parse_equation
+from solfree.errors import BudgetExceeded
 from solfree.search import max_avoiding
 
 import test_search
@@ -66,6 +68,36 @@ def test_prefix_nodes_are_pinned(monkeypatch):
         got = record(rec["eq"], rec["n"])
         moved = [m for m, (a, b) in enumerate(zip(got["nodes"], rec["nodes"]), 1) if a != b]
         assert got == rec, f"{rec['eq']}@{rec['n']}: nodes moved at prefixes {moved[:5]}"
+
+
+def first_leaves(engine: search._Core, n: int, node_cap: int) -> tuple[list[int], int]:
+    """The first three leaves of the lex-least pass at n, or those it
+    reaches within ``node_cap`` nodes, and the nodes it spent."""
+    leaves, state = [], search._RunState(node_cap)
+    try:
+        leaves += islice(engine.enumerate_at(n, engine.r[n], state), 3)
+    except BudgetExceeded:
+        pass
+    return leaves, state.nodes
+
+
+def test_passes_on_engines_solved_past_n():
+    # an engine solved 10 prefixes past n holds triggers above every pinned
+    # m, and its passes read tables of exactly [1, m]: at each m they spend
+    # the pinned nodes and end at the pinned witness, and at n they reach
+    # the leaves of the engine solved to n alone in as many nodes
+    for rec in map(json.loads, DATA.read_text().splitlines()):
+        eq, n = parse_equation(rec["eq"]), rec["n"]
+        engine = search._IntegerEngine(eq)
+        engine.solve_to(n + 10, search._RunState())
+        cold = search._IntegerEngine(eq)
+        cold.solve_to(n, search._RunState())
+        for m, (nodes, witness) in zip([*range(1, min(n, LEX_TOP) + 1), n], rec["lex"] + [rec["deep"]]):
+            state = search._RunState()
+            mask = engine.maximum_sets(m, 1, state)[0]
+            assert [state.nodes, search._mask_to_set(m, mask).to_text()] == [nodes, witness], (rec["eq"], m)
+        node_cap = rec["deep"][0] + 20_000
+        assert first_leaves(engine, n, node_cap) == first_leaves(cold, n, node_cap), rec["eq"]
 
 
 def patch_outermost(monkeypatch, name: str, wrap) -> None:

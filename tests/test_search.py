@@ -111,6 +111,23 @@ def trigger_count(engine: search._Core) -> int:
             + sum(mask.bit_count() for mask in engine.pair_down))
 
 
+def engine_state(obj):
+    """Every attribute of an engine, copied deep enough to compare with a
+    later copy: the tables, ``tripled``, ``last_triples``, ``r``, ``wit``,
+    the pending records, the clique list and counts, the packing, ``kept``,
+    ``P``, ``comp`` and ``lp``.  A ``_Kept`` and a ``_Simplex`` are copied by
+    their slots, and each part in ``comp`` by its own attributes."""
+    if isinstance(obj, search._Core):
+        return {name: engine_state(value) for name, value in vars(obj).items()}
+    if isinstance(obj, (search._Kept, search._Simplex)):
+        return {name: engine_state(getattr(obj, name)) for name in type(obj).__slots__}
+    if isinstance(obj, dict):
+        return {key: engine_state(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return type(obj)(map(engine_state, obj))
+    return obj
+
+
 def congruence_engine(eq: ThreeVarEquation, m: int, top: int | None = None) -> search._Core:
     """An engine over the congruence cliques modulo m, with the elements up
     to ``top`` (m by default) taken in."""
@@ -991,17 +1008,16 @@ class TestPrefixRoots:
     def test_pair_only_engine_keeps_no_packing(self, monkeypatch):
         # a sweep that needs no search takes in no element, so it builds no
         # warm packing: P settles every stall a packing of pairs would.  A
-        # lex-least pass takes in [1, 40], and the packing it builds from
-        # the full records is pairwise disjoint solutions inside [1, 40]
+        # lex-least pass over [1, 40] files the triples in tables of its
+        # own, so the engine keeps no trigger table, record or packing
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 300, canonical=False)
         assert engine.packing == [] and engine.packed == 0 and engine.tripled == 0
         all_extremal(eq, 40)
-        assert engine.tripled == 40 and engine.packing
-        real = {tuple(sorted({s.x, s.y, s.z})) for s in brute_solutions(eq, 40)}
-        assert_disjoint_real_cliques(engine.packing, real)
-        assert engine.packed == sum(1 << (v - 1) for cl in engine.packing for v in cl)
+        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pending == [] and engine.packing == [] and engine.packed == 0
+        assert engine.pair_down == [0] and engine.force == [[]]
 
     def test_engines_without_an_equation_pack_no_cliques(self, monkeypatch):
         # the congruence engines of rho_best and the parts of pair_alpha are
@@ -1110,14 +1126,15 @@ class TestPrefixRoots:
 
     @pytest.mark.parametrize("fail_at", [1, 25, 40])
     def test_exception_in_the_catch_up_leaves_the_cache_consistent(self, monkeypatch, fail_at):
-        # x+2y=4z takes in no triple while it solves; all_extremal needs them
-        # all up to its n, and an exception cuts the catch-up after
-        # fail_at - 1 elements.  The masks stay live and answer the prefixes
-        # that need no search; the elements left are taken in by the next
-        # call that needs them, which leaves the masks live too.
+        # x+2y=4z takes in no triple while it solves; all_extremal's pass
+        # needs them all up to its n, and files them in tables of its own,
+        # read from the engine's source.  An exception there cuts that
+        # catch-up after fail_at - 1 elements and leaves the engine as it
+        # was, pair-only; the next calls answer as on a cold engine.
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
+        before = engine_state(engine)
         source, calls = engine.source, []
 
         def failing(k):
@@ -1129,43 +1146,46 @@ class TestPrefixRoots:
         engine.source = failing
         with pytest.raises(RuntimeError):
             all_extremal(eq, 40, cap=3)
-        assert engine.tripled == fail_at - 1 and engine.kept is not None
-        assert len(engine.pair_down) == len(engine.force) == engine.tripled + 1
         engine.source = source
+        assert calls == list(range(1, fail_at + 1))
+        assert engine_state(engine) == before and engine.tripled == 0
+        sets = all_extremal(eq, 40, cap=3)
         again = max_avoiding(eq, 50, canonical=False)
-        assert engine.tripled == fail_at - 1 and engine.kept is not None
-        sets = all_extremal(eq, 50, cap=3)
-        assert engine.tripled == 50 and engine.kept is not None
+        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pending == [] and engine.packing == []
         cold = fresh_engine(monkeypatch, eq)
+        assert all_extremal(eq, 40, cap=3) == sets
         want = max_avoiding(eq, 50, canonical=False)
-        assert all_extremal(eq, 50, cap=3) == sets and cold.tripled == 50
         assert (engine.r, engine.wit) == (cold.r, cold.wit) and again.witness == want.witness
-        assert clique_tables(engine) == clique_tables(cold)
-        assert trigger_count(engine) == len(oracle_cliques(eq, 50))
+        assert pair_tables(engine) == pair_tables(cold)
 
     def test_pass_before_a_solve_leaves_it_pair_only(self, monkeypatch):
-        # a lex-least pass over [1, 20] takes in the triples up to 20 and no
-        # further: the solve to 600 after it takes in pairs only, and its
-        # tables and nodes per prefix are a cold engine's
+        # a lex-least pass over [1, 20] files its triples in tables of its
+        # own: the engine stays pair-only, the solve to 600 after it takes
+        # in pairs only, and its tables and nodes per prefix are a cold
+        # engine's
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         all_extremal(eq, 20, cap=1)
-        assert engine.tripled == 20 and engine.kept is not None
+        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pending == [] and engine.packing == []
         nodes = [max_avoiding(eq, m, canonical=False).nodes for m in range(21, 601)]
-        assert engine.tripled == 20 and engine.kept is not None
+        assert engine.tripled == 0 and engine.kept is not None
         cold = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 20, canonical=False)
         assert nodes == [max_avoiding(eq, m, canonical=False).nodes for m in range(21, 601)]
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
 
-    def test_pass_after_a_solve_takes_in_triples_up_to_its_m(self, monkeypatch):
-        # after a solve to 600, all_extremal at 20 takes in the triples of
-        # [1, 20] only, and the engine still takes in pairs only
+    def test_pass_after_a_solve_takes_in_no_triple(self, monkeypatch):
+        # after a solve to 600, all_extremal at 20 files the triples of
+        # [1, 20] in tables of its own: the engine still holds no triple,
+        # record or packing, and the sets are a cold engine's
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 600, canonical=False)
         sets = all_extremal(eq, 20)
-        assert engine.tripled == 20 and engine.kept is not None
+        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pending == [] and engine.packing == []
         fresh_engine(monkeypatch, eq)
         assert all_extremal(eq, 20) == sets
 
@@ -1452,6 +1472,65 @@ class TestAllExtremal:
             assert [s.members for s in fam.sets] == sorted(
                 tuple(mask_to_set(n, m).members) for m in masks
             )
+
+
+class TestLexLeastPass:
+    """A pass reads the trigger tables of exactly [1, m] and never writes to its engine."""
+
+    @pytest.mark.parametrize("shape", ["narrow", "wide", "b = 0", "x+2y=4z", "congruence"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_pass_never_changes_its_engine(self, shape, data):
+        # integer engines of narrow, wide and b = 0 equations, solved to n
+        # or past it, pair-only ones among them (b = 0 and x+2y=4z settle
+        # every prefix at the root), and congruence engines: passes at
+        # m <= n through maximum_sets, all_extremal and canonical
+        # max_avoiding, some cut by a node cap or a spent clock, leave every
+        # attribute of the engine as it was
+        if shape == "wide":
+            t = 10**8  # min(c, a + b) > t, as in test_wide_greedy_matches_the_brute_greedy
+            low = data.draw(st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6)))
+            high = data.draw(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3)))
+            try:
+                eq = ThreeVarEquation(*(t * h + v for h, v in zip(high, low)))
+            except InvariantViolation:
+                return
+        elif shape == "x+2y=4z":
+            eq = EQS["square"]
+        else:
+            eq = draw_congruence_equation(data, "b = 0" if shape == "b = 0" else "any")
+            if eq is None or shape == "narrow" and not eq.b:
+                return
+        if shape == "congruence":
+            n = data.draw(st.integers(1, 16))
+            engine = search._congruence_engine(eq, n, search._RunState())
+            kinds = ["sets", "density"]
+        else:
+            n = data.draw(st.integers(1, 24))
+            engine = search._IntegerEngine(eq)
+            engine.solve_to(n + data.draw(st.sampled_from([0, 1, 10])), search._RunState())
+            kinds = ["sets", "all", "canonical"]
+            if shape in ("b = 0", "x+2y=4z"):
+                assert engine.tripled == 0 and engine.kept is not None  # pair-only
+        before = engine_state(engine)
+        ops = st.tuples(st.sampled_from(kinds), st.one_of(st.just(n), st.integers(1, n)),
+                        st.sampled_from([None, None, 0, 5, 50]), st.sampled_from([None, None, 0]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(search._SOLVERS, eq, engine)
+            for kind, m, node_cap, time_cap in data.draw(st.lists(ops, min_size=1, max_size=3)):
+                state = search._RunState(node_cap, time_cap)
+                try:
+                    if kind == "sets":
+                        engine.maximum_sets(m, 3, state)
+                    elif kind == "density":
+                        search._density(eq, engine, state)
+                    elif kind == "all":
+                        all_extremal(eq, m, 3, node_cap=node_cap, time_cap=time_cap)
+                    else:
+                        max_avoiding(eq, m, node_cap=node_cap, time_cap=time_cap)
+                except BudgetExceeded:
+                    pass
+                assert engine_state(engine) == before, (str(eq), kind, m)
 
 
 class TestModularDensity:
