@@ -2,9 +2,10 @@
 
 The solver answers r(n) = max  |A| over A subset of [1, n] avoiding the
 equation, by depth-first branch and bound over elements in descending order.
-Solving proceeds as a sweep m = 1, 2, ..., n so that every prefix value r(m)
-is available; besides being the natural warm start, the prefix table is a
-strong admissible bound, because any avoiding subset of [1, n] restricted to
+Solving proceeds as a sweep m = 1, 2, ..., n, one loop over the prefixes
+(``_Core.solve_to``), so that every prefix value r(m) is available;
+besides being the natural warm start, the prefix table is a strong
+admissible bound, because any avoiding subset of [1, n] restricted to
 [1, m] is an avoiding subset of [1, m].
 
 The engine grows with the sweep.  Before it searches prefix m it takes in
@@ -18,9 +19,10 @@ Element m comes in as records, not clique tuples: whether {m} is a clique
 (a banned residue), the mask of its pair partners, and a map from each
 middle member v of a triple {u, v, m} to the mask of its smallest members
 u.  ``cliques_for`` and ``congruence_cliques`` list the same records as
-tuples.  One step, the take-in of an element, files all its records in
-the trigger tables (below) and, in an integer engine, gives the warm
-packing its first free clique, and no other step writes them.
+tuples.  One step, the take-in of an element (``_Core.take_in``), files
+all its records in the trigger tables (below) and, in an integer engine,
+gives the warm packing its first free clique, and no other step writes
+them.
 
 There are two engine kinds.  A ``_Core`` (a congruence engine, or a part
 that ``_IntegerEngine.pair_alpha`` solves) takes in its trigger tables and
@@ -603,12 +605,13 @@ class _Core:
     """Branch-and-bound engine over forbidden cliques, grown one element at a time.
 
     ``source(m)`` gives the records of the cliques whose largest member is
-    m (see ``_records``).  An element enters only by :meth:`need_triples`,
-    and only :meth:`_take_triples`, which it calls, writes the trigger
-    tables; a search keeps its state on its own stack, and the root tests
-    only read the tables.  The lex-least pass never writes to the engine
-    (see :meth:`enumerate_at`).  ``where``, given at construction, is what
-    a budget-hit message names before the prefix: "modulus m, " for a
+    m (see ``_records``).  An element enters only by :meth:`take_in`, and
+    only :meth:`_take_in`, which it calls, writes the trigger tables; the
+    elements taken in are those in [1, len(pair_down) - 1].  A search keeps
+    its state on its own stack, and the root tests only read the tables.
+    The lex-least pass never writes to the engine (see
+    :meth:`enumerate_at`).  ``where``, given at construction, is what a
+    budget-hit message names before the prefix: "modulus m, " for a
     congruence engine, and nothing for the others.
     A plain ``_Core`` takes in its trigger tables and nothing else, and its
     prefixes get the cheap yes and the DFS alone.  Such are the congruence
@@ -623,10 +626,10 @@ class _Core:
     def __init__(self, source, where: str = ""):
         self.source = source
         self.where = where
-        self.tripled = 0  # elements taken in; at most one past the solved prefix
-        # forced-exclusion triggers, one entry per element in [1, tripled]:
-        # once every member of a clique except the smallest (resp. largest)
-        # is included, that last member is dead.  The DFS (resp. lex-least
+        # forced-exclusion triggers, one entry per element taken in (at most
+        # one past the solved prefix), so len(pair_down) - 1 elements: once
+        # every member of a clique except the smallest (resp. largest) is
+        # included, that last member is dead.  The DFS (resp. lex-least
         # pass) decides elements in descending (resp. ascending) order, so
         # these set the bit of every element that would complete a clique:
         # its forced mask is the legality test.  A pair {u, v}, u < v, fires
@@ -640,15 +643,15 @@ class _Core:
         self.pair_down: list[int] = [0]
         self.force: list[list[tuple[int, int]]] = [[]]
         self.banned = 0  # singleton cliques, congruence only: no trigger, forced from the root
-        # the middle -> lows map of element tripled, the last whose triples
-        # came in: it extends an avoiding set W of smaller elements iff its
-        # banned bit is clear, W misses pair_down[tripled], and no middle
-        # member in W has a smallest member in W
+        # the middle -> lows map of the last element taken in, k: it extends
+        # an avoiding set W of smaller elements iff its banned bit is clear,
+        # W misses pair_down[k], and no middle member in W has a smallest
+        # member in W
         self.last_triples: dict[int, int] = {}
         self.r: list[int] = [0]  # r[m] once solved
         self.wit: list[int] = [0]  # witness masks
 
-    def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
+    def _take_in(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
         """Take in element k, from its records, after every element below k:
         the one writer of the trigger tables, it files k's pair mask, its
         force entry and its banned bit."""
@@ -659,17 +662,16 @@ class _Core:
             self.force[mid].append((top, lows))
         self.banned |= banned << (k - 1)
         self.last_triples = triples
-        self.tripled = k
 
-    def need_triples(self, m: int, state: _RunState) -> None:
-        """Take in the elements in (tripled, m], in arrival order, reading the
-        clock between each one and the next: its callers read it before the
-        first, as ``solve_to`` does before each prefix.  It is the one reader
-        of ``source``, so each element's records are read once.  An
-        exception leaves the elements not yet done for the next call, and
-        the trigger tables one entry per element in [1, tripled]."""
-        for k in range(self.tripled + 1, m + 1):
-            self._take_triples(k, *self.source(k))
+    def take_in(self, m: int, state: _RunState) -> None:
+        """Take in the elements in [len(pair_down), m], in arrival order,
+        reading the clock between each one and the next: its callers read it
+        before the first, as ``solve_to`` does before each prefix.  It is
+        the one reader of ``source``, so each element's records are read
+        once.  An exception leaves the elements not yet done for the next
+        call, and the trigger tables one entry per element taken in."""
+        for k in range(len(self.pair_down), m + 1):
+            self._take_in(k, *self.source(k))
             if k < m:
                 state.check(self.where, m)
 
@@ -683,7 +685,7 @@ class _Core:
         avoids the equation iff no clique whose largest member is m has its
         other members in wit[m - 1]: m is not banned, and wit[m - 1] misses
         ``pair_down[m]`` and every triple of ``last_triples``."""
-        self.need_triples(m, state)  # then tripled == m: the tables hold m's cliques
+        self.take_in(m, state)  # then the tables hold the cliques in [1, m]
         best = self.wit[m - 1]
         if (self.banned >> (m - 1) & 1 or self.pair_down[m] & best
                 or any(lows & best and best >> (mid - 1) & 1 for mid, lows in self.last_triples.items())):
@@ -700,24 +702,6 @@ class _Core:
         the end of its stack; :meth:`_IntegerEngine._stall_tests` has the
         packings' tries."""
         return iter(())
-
-    def advance(self, state: _RunState) -> None:
-        """Solve prefix m = len(r): r(m) is r(m - 1) + 1 iff [1, m] holds an
-        avoiding set that large, and r(m - 1) otherwise.
-
-        The root ladder (:meth:`_root`) settles the prefix or leaves it to
-        the search (:meth:`_search`).  A settled prefix costs one node, which
-        the node budget counts as it counts the search's."""
-        m = len(self.r)
-        best = self._root(m, state)
-        if best is None:
-            best = self._search(m, state)
-        else:
-            state.nodes += 1
-            if state.nodes > state.node_cap:
-                raise state.exceeded(f"{self.where}prefix {m}")
-        self.r.append(best.bit_count())
-        self.wit.append(best)
 
     def _search(self, m: int, state: _RunState) -> int:
         """The witness of prefix m, whose root :meth:`_root` left open, as a
@@ -786,10 +770,24 @@ class _Core:
                 return self.wit[m - 1]
 
     def solve_to(self, n: int, state: _RunState) -> None:
-        """Solve every prefix up to n, checking the deadline before each one."""
-        while len(self.r) <= n:
-            state.check(self.where, len(self.r))
-            self.advance(state)
+        """Solve every prefix m = len(r), ..., n in turn: r(m) is r(m - 1) + 1
+        iff [1, m] holds an avoiding set that large, and r(m - 1) otherwise.
+
+        Each prefix first reads the clock, and then the root ladder
+        (:meth:`_root`) settles it or leaves it to the search
+        (:meth:`_search`).  A settled prefix costs one node, which the node
+        budget counts as it counts the search's."""
+        for m in range(len(self.r), n + 1):
+            state.check(self.where, m)
+            best = self._root(m, state)
+            if best is None:
+                best = self._search(m, state)
+            else:
+                state.nodes += 1
+                if state.nodes > state.node_cap:
+                    raise state.exceeded(f"{self.where}prefix {m}")
+            self.r.append(best.bit_count())
+            self.wit.append(best)
 
     # -- lexicographic enumeration of maximum sets --------------------------
 
@@ -799,18 +797,18 @@ class _Core:
         ``target`` = r(m) these are the maximum sets in lexicographic order.
 
         It reads the trigger tables of exactly [1, m]: the engine's own
-        when it has taken in exactly the elements up to m (``tripled`` is
-        m), and otherwise those of a new plain ``_Core`` over the same
-        ``source``, which takes in [1, m] within the budget of ``state``
-        and is dropped when the pass ends.  So the pass never writes to the
+        when it has taken in exactly the elements up to m (``pair_down``
+        has m + 1 entries), and otherwise those of a new plain ``_Core``
+        over the same ``source``, which takes in [1, m] within the budget
+        of ``state`` and is dropped when the pass ends.  So the pass never writes to the
         engine, and a generator dropped early or unwound by an exception
         leaves it as it was.  Each mask is yielded at its leaf, so a caller
         that takes the first one ends the search there.  It builds its
         upward pair masks from ``pair_down`` when it starts, one step per
         pair in [1, m], where the pass's first path alone is m + 1 nodes.
         """
-        tables = self if self.tripled == m else _Core(self.source, self.where)
-        tables.need_triples(m, state)
+        tables = self if len(self.pair_down) == m + 1 else _Core(self.source, self.where)
+        tables.take_in(m, state)
         up = [0] * (m + 1)  # up[u]: the mask of u's pair partners above u in [1, m]
         for v, rest in enumerate(tables.pair_down):
             while rest:
@@ -881,8 +879,8 @@ class _IntegerEngine(_Core):
         self.cliques: list[tuple[int, ...]] = []
         self.count: list[int] = [0]
         self.pending: list[tuple] = []
-        # the warm packing: pairwise disjoint cliques inside [1, tripled], and
-        # the mask of their members
+        # the warm packing: pairwise disjoint cliques among those of the
+        # elements taken in, and the mask of their members
         self.packing: list[tuple[int, ...]] = []
         self.packed = 0
         # while the sweep takes in no element, the cheap yes reads wit[m - 1]
@@ -901,13 +899,13 @@ class _IntegerEngine(_Core):
         # in, for the life of the engine.
         self.lp: _Simplex | None = None
 
-    def _take_triples(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
-        """Take in element k as :meth:`_Core._take_triples` does, then add
+    def _take_in(self, k: int, banned: bool, pairs: int, triples: dict[int, int]) -> None:
+        """Take in element k as :meth:`_Core._take_in` does, then add
         k's cliques to the count and the pending records.  The warm packing
         gains the first clique of k, in arrival order, that misses it;
         every clique whose largest member is k holds k, so at most one can
         be added.  No integer clique is a singleton, as a + b != c."""
-        super()._take_triples(k, banned, pairs, triples)
+        super()._take_in(k, banned, pairs, triples)
         if pairs or triples:
             self.clique_count += pairs.bit_count() + sum(map(int.bit_count, triples.values()))
             self.pending.append((k, banned, pairs, triples))
@@ -995,7 +993,7 @@ class _IntegerEngine(_Core):
     def _list_cliques(self) -> None:
         """Take the pending records into the flat clique list and the counts."""
         count = self.count
-        count += [0] * (self.tripled + 1 - len(count))
+        count += [0] * (len(self.pair_down) - len(count))
         for record in self.pending:
             for cl in _cliques_of(*record):
                 self.cliques.append(cl)
@@ -1041,7 +1039,7 @@ class _IntegerEngine(_Core):
         that meets three is of no use, and those of ``packing`` are left
         out, as each meets every other clique of its group."""
         self._list_cliques()
-        own = [0] * (self.tripled + 1)  # bit i if v is in packing clique i
+        own = [0] * len(self.pair_down)  # bit i if v is in packing clique i
         for i, cl in enumerate(packing):
             for v in cl:
                 own[v] = 1 << i
@@ -1056,7 +1054,7 @@ class _IntegerEngine(_Core):
                 group.append(1 << (u - 1) | 1 << (v - 1) | 1 << (w - 1))
         for i, cl in enumerate(packing):
             groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
-        trade = _trade(groups, state, f"{self.where}prefix {self.tripled}")
+        trade = _trade(groups, state, f"{self.where}prefix {len(self.pair_down) - 1}")
         if trade is None:
             return packing
         hit, new = trade
@@ -1125,7 +1123,7 @@ class _IntegerEngine(_Core):
         # P never falls, so P(m) is not computed while the last P computed is above prev
         if m - len(self.packing) <= prev or self.P[-1] <= prev and self.pair_alpha(m, state) <= prev:
             return best
-        self.need_triples(m, state)
+        self.take_in(m, state)
         self.kept = None
         if m - len(self.packing) == prev + 1:  # the one-short root
             dive = self._dive(m)

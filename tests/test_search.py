@@ -113,7 +113,7 @@ def trigger_count(engine: search._Core) -> int:
 
 def engine_state(obj):
     """Every attribute of an engine, copied deep enough to compare with a
-    later copy: the tables, ``tripled``, ``last_triples``, ``r``, ``wit``,
+    later copy: the tables, ``last_triples``, ``r``, ``wit``,
     the pending records, the clique list and counts, the packing, ``kept``,
     ``P``, ``comp`` and ``lp``.  A ``_Kept`` and a ``_Simplex`` are copied by
     their slots, and each part in ``comp`` by its own attributes."""
@@ -132,7 +132,7 @@ def congruence_engine(eq: ThreeVarEquation, m: int, top: int | None = None) -> s
     """An engine over the congruence cliques modulo m, with the elements up
     to ``top`` (m by default) taken in."""
     engine = search._Core(partial(search._congruence_records, eq, m, tables=search._residue_tables(eq, m)))
-    engine.need_triples(m if top is None else top, search._RunState())
+    engine.take_in(m if top is None else top, search._RunState())
     return engine
 
 
@@ -427,10 +427,10 @@ class TestEngine:
             return
         engine = search._IntegerEngine(eq)
         for m in range(1, data.draw(st.integers(1, 40)) + 1):
-            engine.need_triples(m, search._RunState())
+            engine.take_in(m, search._RunState())
             packing = engine.degree_packing(m - engine.r[m - 1], search._RunState())
             assert_disjoint_real_cliques(packing, oracle_cliques(eq, m))
-            engine.advance(search._RunState())
+            engine.solve_to(m, search._RunState())
             assert engine.r[m] <= m - len(packing)
 
     @given(data=st.data())
@@ -490,12 +490,23 @@ class TestEngine:
         random.Random(seed).shuffle(elements)
         assert search._greedy_mask(eq, n, elements) == brute_greedy(eq, n, elements)
 
+    @pytest.mark.parametrize("order", [(1025, 1026, 2050, 2052), (1026, 1025, 2052, 2050)], ids=["x", "z"])
+    def test_wide_two_variable_greedy_matches_the_brute_greedy(self, order):
+        # b = 0 with a, c > 1024: the greedy probes the kept set.  The
+        # solutions of 1025x = 1026z, x = 1026t and z = 1025t, lie beyond
+        # the n of the test above.  The first and third elements are kept
+        # and the other two rejected: as x when 1025t comes first, and as z
+        # otherwise
+        eq = ThreeVarEquation(1025, 0, 1026)
+        assert not search._narrow(eq)
+        assert search._greedy_mask(eq, 2052, order) == brute_greedy(eq, 2052, order) == bits(order[0], order[2])
+
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_congruence_seed_matches_the_cliques(self, data):
         # modulo q, prefix m extends a set W in [1, m - 1] exactly when no
         # clique whose largest member is m, the singleton {m} included, lies
-        # inside W plus m; the table given to advance has W at prefix m - 1
+        # inside W plus m; the table given to solve_to has W at prefix m - 1
         eq = draw_equation(data, 9)
         if eq is None:
             return
@@ -507,7 +518,7 @@ class TestEngine:
         engine = congruence_engine(eq, q, m)
         engine.r, engine.wit = list(range(m - 1)) + [W.bit_count()], [0] * (m - 1) + [W]
         state = search._RunState()
-        engine.advance(state)
+        engine.solve_to(m, state)
         assert (engine.wit[m] == W | 1 << (m - 1)) != closed
         assert closed or state.nodes == 1
 
@@ -517,7 +528,7 @@ class TestEngine:
 
     def test_enumeration_ignores_banned_elements_past_m(self):
         engine = search._Core(lambda k: (k == 3, 0, {}))  # 3 is banned
-        engine.need_triples(3, search._RunState())
+        engine.take_in(3, search._RunState())
         assert list(engine.enumerate_at(2, 2, search._RunState())) == [0b11]
 
     def test_budget_hit_then_resume(self, monkeypatch):
@@ -529,9 +540,9 @@ class TestEngine:
         # prefix 30 alone takes 93 nodes: a smaller cap would never get past it
         while not (res := max_avoiding(eq, 30, node_cap=120, canonical=False)).optimal:
             hits += 1
-            assert engine.tripled <= len(engine.r)  # at most one prefix past the solved one
+            assert len(engine.pair_down) - 1 <= len(engine.r)  # at most one prefix past the solved one
             # each clique adds one descending trigger: none was taken in twice
-            assert trigger_count(engine) == len(oracle_cliques(eq, engine.tripled))
+            assert trigger_count(engine) == len(oracle_cliques(eq, len(engine.pair_down) - 1))
         assert hits > 1
         assert (res.size, res.witness) == (want.size, want.witness)
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
@@ -585,13 +596,26 @@ class TestEngine:
         res = max_avoiding(eq, 30, time_cap=0)
         assert not res.optimal and avoids(eq, res.witness).ok
 
+    @pytest.mark.parametrize("eq", [EQS["square"], ThreeVarEquation(10**8 + 1, 1, 10**8 + 3)],
+                             ids=["narrow", "wide"])
+    def test_zero_time_budget_stops_before_the_first_root(self, monkeypatch, eq):
+        # solve_to reads the clock before a prefix's root, so a spent budget
+        # leaves a cold engine as it was built: the pair-only x+2y=4z
+        # builds no masks, and the wide equation, whose engine takes in
+        # each element at its root, takes in none
+        engine = fresh_engine(monkeypatch, eq)
+        before = engine_state(engine)
+        res = max_avoiding(eq, 10, time_cap=0)
+        assert not res.optimal and res.nodes == 0
+        assert engine_state(engine) == before
+
     def test_time_budget_grows_no_further_than_needed(self, monkeypatch):
         # x+2y=4z solves n = 5 000 inside the cap; 50 000 takes seconds
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 50_000, time_cap=0.2)
         assert not res.optimal and avoids(eq, res.witness).ok
-        assert engine.tripled <= len(engine.r) < 50_000
+        assert len(engine.pair_down) - 1 <= len(engine.r) < 50_000
 
     def test_time_budget_stops_a_prefix_mid_search(self, monkeypatch):
         # without the fractional test, which settles it, prefix 96 of
@@ -795,20 +819,21 @@ class TestPairTest:
         # ahead here, leaves it open.  The trade reads the clock before each
         # group of cliques: a spent deadline stops it before the packing
         # changes and before the search's first node, and the retry spends
-        # the nodes of a solve that never stopped
+        # the nodes of a solve that never stopped.  The root is asked
+        # directly, as solve_to's own clock read before it would stop first
         eq = EQS["family2"]
         trades = []
         trade = search._trade
         monkeypatch.setattr(search, "_trade", lambda *args: trades.append(args[0]) or trade(*args))
         engine = fresh_engine(monkeypatch, eq)
         engine.solve_to(14, search._RunState())
-        engine.need_triples(15, search._RunState())
+        engine.take_in(15, search._RunState())
         assert engine.pair_alpha(15, search._RunState()) > engine.r[14]
         packing = list(engine.packing)
         trades.clear()
         late = search._RunState(time_cap=-1)
         with pytest.raises(BudgetExceeded, match=r"^time budget exceeded at prefix 15$"):
-            engine.advance(late)
+            engine._root(15, late)
         assert len(trades) == 1 and engine.packing == packing and late.nodes == 0 and len(engine.r) == 15
         again = max_avoiding(eq, 60, canonical=False)
         cold = search._IntegerEngine(eq)
@@ -829,7 +854,7 @@ class TestPairTest:
         res = max_avoiding(eq, 50_000, time_cap=0.3)
         assert time.monotonic() - t0 < 1.5
         assert not res.optimal and avoids(eq, res.witness).ok
-        assert engine.tripled <= len(engine.r) < 50_000
+        assert len(engine.pair_down) - 1 <= len(engine.r) < 50_000
 
     def test_cube_set_law_at_20000(self, monkeypatch):
         # r(n) = |A_2 in [1, n]| for x+2y=4z, the proved cube-set law for
@@ -841,13 +866,13 @@ class TestPairTest:
 
     @pytest.mark.parametrize("fail_at", [1, 7, 40])
     def test_exception_in_the_pair_test_leaves_the_cache_consistent(self, monkeypatch, fail_at):
-        # an exception in the fail_at-th advance of a part leaves P and the
+        # an exception in the fail_at-th root of a part leaves P and the
         # components as they were: comp holds the smooth numbers below
         # len(P), those whose primes all divide R, and each part is solved
         # over exactly the ones comp gives it.  After a retry the tables
         # equal a cold engine's.  x+2y=4z's parts grow one smooth number at
         # a time, in a solve; 2x+2y=5z's also merge, in the pair test alone.
-        advance = search._Core.advance
+        root = search._Core._root
 
         def run(eq):
             if eq == EQS["square"]:
@@ -859,17 +884,17 @@ class TestPairTest:
             engine = fresh_engine(monkeypatch, eq)
             calls = []
 
-            def failing(self, state):
+            def failing(self, m, state):
                 if type(self) is search._Core:  # a part
                     calls.append(self)
                     if len(calls) == fail_at:
                         raise RuntimeError("injected")
-                return advance(self, state)
+                return root(self, m, state)
 
-            monkeypatch.setattr(search._Core, "advance", failing)
+            monkeypatch.setattr(search._Core, "_root", failing)
             with pytest.raises(RuntimeError):
                 run(eq)
-            monkeypatch.setattr(search._Core, "advance", advance)
+            monkeypatch.setattr(search._Core, "_root", root)
             assert len(calls) == fail_at
             R = prod(p * q for p, q in search._ratios(eq))
             # k divides R^k iff every prime of k divides R
@@ -907,7 +932,7 @@ class TestPrefixRoots:
             engine, real = congruence_engine(eq, q, 0), sorted(brute_congruence_cliques(eq, q))
         state = search._RunState()
         for m in range(1, n + 1):
-            engine.advance(state)
+            engine.solve_to(m, state)
             inside = [cl for cl in real if cl[-1] <= m]
             packing = engine.packing if integer else []
             assert integer or not hasattr(engine, "packing") and not hasattr(engine, "packed")
@@ -920,8 +945,8 @@ class TestPrefixRoots:
     @example(a=1, b=5, c=4, n=8)  # the degree packing of prefix 8 trades (3, 5) for (1, 2, 3) and (5, 7, 8)
     @example(a=3, b=8, c=4, n=12)  # root trades: one for two at prefix 8, two for three at 12
     @example(a=1, b=10, c=3, n=15)  # root trades: one for two at prefix 8, two for three at 15
-    def test_packing_after_advance_is_disjoint_brute_cliques(self, a, b, c, n):
-        # after each advance of an integer engine, its packing, a traded one
+    def test_packing_after_each_prefix_is_disjoint_brute_cliques(self, a, b, c, n):
+        # after each prefix an integer engine solves, its packing, a traded one
         # included, is pairwise disjoint member sets of solutions in [1, m],
         # re-derived by brute force, and m - k bounds the exhaustive r(m)
         try:
@@ -938,7 +963,7 @@ class TestPrefixRoots:
         engine = search._IntegerEngine(eq)
         state = search._RunState()
         for m in range(1, n + 1):
-            engine.advance(state)
+            engine.solve_to(m, state)
             members = [v for cl in engine.packing for v in cl]
             assert len(members) == len(set(members)), (str(eq), m)
             assert all(cl in real and cl[-1] <= m for cl in engine.packing), (str(eq), m)
@@ -992,7 +1017,7 @@ class TestPrefixRoots:
             kept = search._Kept(eq, m)
             assert kept.extend(search._members(W)) == W
             assert bool(kept.extend((m,))) != bool(closed), (str(eq), m)
-            engine.advance(state)
+            engine.solve_to(m, state)
             assert (engine.wit[m] == W | 1 << (m - 1)) != bool(closed), (str(eq), m)
 
     def test_square_takes_in_pairs_only(self, monkeypatch):
@@ -1002,7 +1027,7 @@ class TestPrefixRoots:
         engine = fresh_engine(monkeypatch, eq)
         res = max_avoiding(eq, 5000)
         assert res.optimal and res.canonical and (res.size, res.nodes) == (2858, 5000)
-        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.kept is not None
         assert engine.pair_down == [0] and engine.force == [[]]  # no trigger table while pair-only
 
     def test_pair_only_engine_keeps_no_packing(self, monkeypatch):
@@ -1013,9 +1038,9 @@ class TestPrefixRoots:
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 300, canonical=False)
-        assert engine.packing == [] and engine.packed == 0 and engine.tripled == 0
+        assert engine.packing == [] and engine.packed == 0 and engine.pair_down == [0]
         all_extremal(eq, 40)
-        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.kept is not None
         assert engine.pending == [] and engine.packing == [] and engine.packed == 0
         assert engine.pair_down == [0] and engine.force == [[]]
 
@@ -1068,8 +1093,8 @@ class TestPrefixRoots:
         engine = search._IntegerEngine(eq)
         for _ in range(60):
             with pytest.raises(BudgetExceeded):
-                engine.advance(search._RunState(node_cap=0))
-            engine.advance(search._RunState())
+                engine.solve_to(len(engine.r), search._RunState(node_cap=0))
+            engine.solve_to(len(engine.r), search._RunState())
         cold = search._IntegerEngine(eq)
         cold.solve_to(60, search._RunState())
         assert engine.kept is not None and engine.kept.n == 62
@@ -1083,7 +1108,7 @@ class TestPrefixRoots:
         eq = parse_equation(text)
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 40, canonical=False)
-        engine.need_triples(40, search._RunState())
+        engine.take_in(40, search._RunState())
         engine.degree_packing(40 - engine.r[39], search._RunState())
         want = sorted(oracle_cliques(eq, 40), key=lambda cl: (cl[-1], cl))
         assert engine.cliques == want and engine.clique_count == len(want) and not engine.pending
@@ -1111,11 +1136,10 @@ class TestPrefixRoots:
         with pytest.raises(RuntimeError):
             max_avoiding(eq, 30, canonical=False)
         assert calls == list(range(1, fail_at + 1)) and len(engine.r) == 5
-        assert engine.tripled == fail_at - 1 and engine.kept is not None
-        assert len(engine.pair_down) == len(engine.force) == engine.tripled + 1
+        assert len(engine.pair_down) == len(engine.force) == fail_at and engine.kept is not None
         engine.source = source
         again = max_avoiding(eq, 30, canonical=False)
-        assert engine.tripled == 30 and engine.kept is None
+        assert len(engine.pair_down) == 31 and engine.kept is None
         cold = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 4, canonical=False)
         want = max_avoiding(eq, 30, canonical=False)
@@ -1148,10 +1172,10 @@ class TestPrefixRoots:
             all_extremal(eq, 40, cap=3)
         engine.source = source
         assert calls == list(range(1, fail_at + 1))
-        assert engine_state(engine) == before and engine.tripled == 0
+        assert engine_state(engine) == before and engine.pair_down == [0]
         sets = all_extremal(eq, 40, cap=3)
         again = max_avoiding(eq, 50, canonical=False)
-        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pair_down == [0] and engine.kept is not None
         assert engine.pending == [] and engine.packing == []
         cold = fresh_engine(monkeypatch, eq)
         assert all_extremal(eq, 40, cap=3) == sets
@@ -1167,10 +1191,10 @@ class TestPrefixRoots:
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         all_extremal(eq, 20, cap=1)
-        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pair_down == [0] and engine.kept is not None
         assert engine.pending == [] and engine.packing == []
         nodes = [max_avoiding(eq, m, canonical=False).nodes for m in range(21, 601)]
-        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pair_down == [0] and engine.kept is not None
         cold = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 20, canonical=False)
         assert nodes == [max_avoiding(eq, m, canonical=False).nodes for m in range(21, 601)]
@@ -1184,7 +1208,7 @@ class TestPrefixRoots:
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 600, canonical=False)
         sets = all_extremal(eq, 20)
-        assert engine.tripled == 0 and engine.kept is not None
+        assert engine.pair_down == [0] and engine.kept is not None
         assert engine.pending == [] and engine.packing == []
         fresh_engine(monkeypatch, eq)
         assert all_extremal(eq, 20) == sets
@@ -1373,7 +1397,7 @@ class TestFractionalStall:
         eq = parse_equation(text)
         engine = search._IntegerEngine(eq)
         engine.solve_to(m - 1, search._RunState())
-        engine.need_triples(m, search._RunState())
+        engine.take_in(m, search._RunState())
         assert m - engine.r[m - 1] - 1 == need
         packing = engine.degree_packing(need + 1, search._RunState())
         assert len(packing) <= need and engine.cliques == [cl for k in range(1, m + 1) for cl in cliques_for(eq, k)]
@@ -1511,7 +1535,7 @@ class TestLexLeastPass:
             engine.solve_to(n + data.draw(st.sampled_from([0, 1, 10])), search._RunState())
             kinds = ["sets", "all", "canonical"]
             if shape in ("b = 0", "x+2y=4z"):
-                assert engine.tripled == 0 and engine.kept is not None  # pair-only
+                assert engine.pair_down == [0] and engine.kept is not None  # pair-only
         before = engine_state(engine)
         ops = st.tuples(st.sampled_from(kinds), st.one_of(st.just(n), st.integers(1, n)),
                         st.sampled_from([None, None, 0, 5, 50]), st.sampled_from([None, None, 0]))
@@ -1602,10 +1626,11 @@ class TestModularDensity:
         assert rho_best(parse_equation("x+y=4z"), 19).rho >= want.rho and calls
 
     def test_rho_best_stops_moduli_that_cannot_win(self, monkeypatch):
-        # 820 = 1 + 2 + ... + 40 advance calls with every modulus solved in full
+        # prefixes solved, one root each: 820 = 1 + 2 + ... + 40 with every
+        # modulus solved in full
         calls = []
-        advance = search._Core.advance
-        monkeypatch.setattr(search._Core, "advance", lambda *args: calls.append(1) or advance(*args))
+        root = search._Core._root
+        monkeypatch.setattr(search._Core, "_root", lambda *args: calls.append(1) or root(*args))
         assert rho_best(parse_equation("x+y=3z"), 40).rho == Fraction(1, 2)
         assert len(calls) == 3  # the Kneser cap rules out every m > 2
         calls.clear()
