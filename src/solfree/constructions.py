@@ -176,16 +176,14 @@ def best_multi_interval(form: LinearForm, n: int, k_max: int) -> tuple[int, Stru
     set goes through the avoidance gate."""
     if k_max < 1:
         raise InvariantViolation(f"k_max must be positive, got {k_max}")
-    best: tuple[int, StructuredSet] | None = None
-    for k in range(1, k_max + 1):
+    best = (1, _multi_interval(form, n, 1))  # k = 1 is feasible at every n >= 1
+    for k in range(2, k_max + 1):
         try:
             cand = _multi_interval(form, n, k)
         except Infeasible:
             continue  # larger k only shrinks the tail further; keep scanning anyway
-        if best is None or cand.size > best[1].size:
+        if cand.size > best[1].size:
             best = (k, cand)
-    if best is None:  # k = 1 is always feasible
-        raise Infeasible(f"no feasible k in 1..{k_max}")  # pragma: no cover
     k, out = best
     require_avoiding(form.eq, out.materialize(), f"best_multi_interval(n={n}, k={k})")
     return best

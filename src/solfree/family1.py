@@ -115,7 +115,6 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
     l_seq: list[int] = []
     stages = [A]
     current = set(A.members)
-    t = 0
     while True:
         r_i = r_seq[-1]
         l_i = (b + 1) * r_i // c
@@ -126,15 +125,14 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
         current.update(range(max(l_i + 1, s), r_i + 1))
         stage = IntSet.of(n, current)
         stages.append(stage)
-        t += 1
         if r_next < s:
             break
-        if t > n + 1:  # pragma: no cover - cannot happen for c > b+1
+        if len(l_seq) > n + 1:  # pragma: no cover - cannot happen for c > b+1
             raise InvariantViolation("compression failed to terminate")
     for i, stage in enumerate(stages[1:], 1):
         require_avoiding(eq, stage, f"compression stage {i}")
     alpha = max(l_seq[-1] + 1, s)
-    return CompressionTrace(n, s, tuple(r_seq), tuple(l_seq), t, tuple(stages), alpha)
+    return CompressionTrace(n, s, tuple(r_seq), tuple(l_seq), len(l_seq), tuple(stages), alpha)
 
 
 @dataclass(frozen=True)
@@ -166,22 +164,31 @@ class TwoIntervalCandidate:
 
 
 def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
-    """All consistent two-interval candidates over the smallest-element window.
+    """All consistent two-interval candidates whose least element s lies in
+    [max(1, s' - 1), S + 2], with S = ``predicted`` and s' = ``crossover``
+    from :func:`min_element_stats`.
 
-    The window [max(1, S - c), S + 2] is deliberately wider than the location
-    estimate needs, and that costs: at n = 50 000, b = 2, c = 13 the call
-    builds 46 candidates, :func:`avoids` rejects 44 of them, and the call
-    takes ~0.9 s (Python 3.11.7, 2 cores), most of it in :func:`avoids`.
-    Every emitted candidate has been checked to avoid the equation and to
-    match its own membership labels.
+    No candidate below that window avoids the equation.  For
+    1 <= s <= s' - 2, l2(s+1) >= s+1 and r2(s+1) <= r2(s) + 1 (as b < c) give
+    (b+1) r2 >= c s + c - b - 1, so c s has at least floor((c - 2b - 2)/b) >= 3
+    representations x + b y with x, y in [s, r2 - 1]: the trimmed block, which
+    holds s, holds a solution.  The puncture r2 - xi1 is not s and spoils at
+    most two of them, so the punctured block holds one too.  An empty low
+    block leaves s to the high block, so s is l1 or l1 + 1, and s' <= l1 + 1.
+
+    The same bounds keep the blocks apart: a nonempty low block ends at or
+    below r2 + 1 < l1, so l1 is a member exactly for the closed high
+    variants, and where l1 <= 1 a nonempty low block leaves no high variant.
+    The top label r2 + 1 and :func:`avoids` are the only filters, so every
+    emitted candidate avoids the equation and matches its own labels.
     """
     stats = min_element_stats(n, b, c)
     eq = ThreeVarEquation(1, b, c)
     l1 = (b + 1) * n // c
     xi2 = (b + 1) * n - c * l1  # the closed high interval drops n - xi2; free of s
-    high_closes = l1 >= 1 and 0 <= xi2 <= n and l1 < n - xi2 <= n
+    high_closes = 1 <= l1 < n - xi2
     out: list[TwoIntervalCandidate] = []
-    for s in range(max(1, stats.predicted - c), stats.predicted + 3):
+    for s in range(max(1, stats.crossover - 1), stats.predicted + 3):
         if s > n:
             break
         r2 = (l1 + b * s) // c
@@ -193,7 +200,7 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
         else:
             low_variants.append(("trimmed", Interval(s, r2 - 1), (), {}))
             xi1 = (b + 1) * r2 - c * l2
-            if 1 <= xi1 <= b and s <= r2 - xi1 <= r2:
+            if 1 <= xi1 <= b and s <= r2 - xi1:
                 low_variants.append(("punctured", Interval(s, r2), (r2 - xi1,), {"xi1": xi1}))
         for low_variant, low, low_removed, low_xi in low_variants:
             has_top = low.length > 0 and low.hi == r2 + 1
@@ -204,7 +211,7 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
                     high_variants.append(("closed", Interval(l1, n), (n - xi2,), {"xi2": xi2}))
             else:
                 xi3 = c * (r2 + 1) - b * s - l1
-                if 1 <= xi3 <= n and l1 + xi3 <= n:
+                if 1 <= xi3 <= n - l1:
                     high_variants.append(("open-punctured", Interval(l1 + 1, n), (l1 + xi3,), {"xi3": xi3}))
                 # labelled xi4 and xi5 in the output, these are the values of xi3 and xi2
                 if high_closes and 1 <= xi3 <= b - 1:
@@ -217,14 +224,10 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
                 # high block, whose punctures lie above its first member
                 if not low.length and high.first != s:
                     continue
-                if low.length and low.hi >= high.first:
-                    continue  # the blocks overlap
-                # the labels are read from the blocks, so a candidate they
-                # reject is never materialised
+                # the top label is read from the blocks, so a candidate it
+                # rejects is never materialised
                 blocks = StructuredSet(n, (low, high), low_removed + high_removed)
                 if ((r2 + 1) in blocks) != has_top:
-                    continue
-                if (l1 in blocks) != (high_variant in ("closed", "closed-punctured")):
                     continue
                 A = blocks.materialize()
                 if not avoids(eq, A).ok:
@@ -235,10 +238,7 @@ def extremal_candidates(n: int, b: int, c: int) -> list[TwoIntervalCandidate]:
 
 
 def best_candidate(n: int, b: int, c: int) -> TwoIntervalCandidate | None:
-    cands = extremal_candidates(n, b, c)
-    if not cands:
-        return None
-    return max(cands, key=lambda cand: (cand.size, -cand.s))
+    return max(extremal_candidates(n, b, c), key=lambda cand: (cand.size, -cand.s), default=None)
 
 
 def solution_window_deficiency(eq: ThreeVarEquation, A: IntSet, z: int, d: int) -> int:

@@ -573,7 +573,7 @@ class _Simplex:
                 t = x[i] / d[i]
                 if t < theta - _EPS or t < theta + _EPS and d[i] > d[r]:
                     r, theta = i, t
-        if not r:
+        if not r:  # the packing LP is bounded, so only float round-off leaves no ratio row
             return self.settles(need)
         for i in hit:
             x[i] -= theta * d[i]

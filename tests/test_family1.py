@@ -186,6 +186,55 @@ class TestCandidates:
             for cand in extremal_candidates(n, 2, 17):
                 assert [x for x in range(n + 2) if x in cand.blocks] == list(cand.members.members)
 
+    def test_no_candidate_below_the_window_avoids(self):
+        # the lemma behind the window's start: for 1 <= s <= crossover - 2 the
+        # trimmed block [s, r2 - 1] and the punctured block [s, r2] - {r2 - xi1}
+        # each hold a solution x + b*y = c*s; n runs to where predicted is about
+        # 30, so the old window's start predicted - c is reached for small c
+        def holds_solution(block, b, c, s):
+            return any(c * s - b * y in block for y in block)
+
+        checks = 0
+        for b in range(2, 5):
+            for c in range(1, 61):
+                if not eligible(b, c):
+                    continue
+                top = 30 * c * (c * c - b * (b + 1)) // ((b + 1) * (b + 1))
+                for n in range(1, top, top // 30 + 1):
+                    stats = min_element_stats(n, b, c)
+                    l1 = (b + 1) * n // c
+                    for s in range(max(1, stats.predicted - c), stats.crossover - 1):
+                        r2 = (l1 + b * s) // c
+                        l2 = (b + 1) * r2 // c
+                        xi1 = (b + 1) * r2 - c * l2
+                        assert holds_solution(set(range(s, r2)), b, c, s), (b, c, n, s)
+                        if 1 <= xi1 <= b:
+                            punctured = set(range(s, r2 + 1)) - {r2 - xi1}
+                            assert holds_solution(punctured, b, c, s), (b, c, n, s)
+                        checks += 1
+        assert checks == 47688
+
+    def test_blocks_stay_apart_and_match_their_labels(self):
+        # what the preconditions guarantee, so extremal_candidates does not
+        # filter on it: a nonempty low block ends below l1, l1 is a member
+        # exactly for the closed high variants, and r2 + 1 exactly when the
+        # low block reaches it
+        pairs = [(b, c) for b in range(2, 5) for c in range(1, 61) if eligible(b, c)]
+        seen = 0
+        for b, c in pairs:
+            for n in (*range(1, 401, 13), 643, 2048):
+                l1 = (b + 1) * n // c
+                for cand in extremal_candidates(n, b, c):
+                    low, _ = cand.blocks.intervals
+                    r2 = (l1 + b * cand.s) // c
+                    has_top = low.length > 0 and low.hi == r2 + 1
+                    if low.length:
+                        assert low.hi < l1
+                    assert (l1 in cand.blocks) == (cand.high_variant in ("closed", "closed-punctured"))
+                    assert ((r2 + 1) in cand.blocks) == has_top
+                    seen += 1
+        assert seen == 4585
+
     def test_best_candidate_is_compression_fixed_point(self):
         cand = best_candidate(60, 2, 13)
         trace = interval_compression(EQ, cand.members)
