@@ -186,18 +186,16 @@ _EQ_RE = re.compile(
 
 
 def _coef(tok: str) -> int:
-    if tok == "":
-        return 1
-    if tok == "-":
-        return -1
-    return int(tok)
+    """A coefficient's digits as an int, "" reading 1 and "-" reading -1."""
+    return int(tok + "1" if tok in ("", "-") else tok)
 
 
 def parse_equation(text: str) -> ThreeVarEquation:
     """Parse ``[k]x + [k]y = [k]z``, each coefficient defaulting to 1.
 
     A missing middle term, as in ``3x=2z``, yields the degenerate
-    two-variable equation (b = 0).  Syntax errors raise
+    two-variable equation (b = 0).  Syntax errors, and a coefficient of
+    more digits than ``int()`` converts, raise
     :class:`MalformedEquation`; structurally valid text with a coefficient
     below 1 raises :class:`InvariantViolation`.
     """
@@ -210,7 +208,10 @@ def parse_equation(text: str) -> ThreeVarEquation:
             raise MalformedEquation(f"repeated variable in {text!r}")
     elif (v1, v2, v3) != ("x", "y", "z"):
         raise MalformedEquation(f"expected variables in x, y, z order in {text!r}")
-    a, *b, c = (_coef(tok) for tok in (c1, c2, c3) if tok is not None)  # b == [] without a y term
+    try:
+        a, *b, c = (_coef(tok) for tok in (c1, c2, c3) if tok is not None)  # b == [] without a y term
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits())
+        raise MalformedEquation(f"coefficient too long in {text!r}") from None
     if min(a, *b, c) < 1:
         raise InvariantViolation(f"nonpositive coefficient in {text!r}")
     return ThreeVarEquation(a, b[0] if b else 0, c)

@@ -35,10 +35,14 @@ packing): it takes in no element, its cheap yes (below) reads four shift
 masks of wit[m - 1], as ``_greedy_mask`` does, and the pair graph's
 independence number P decides its stalls.  It keeps no warm packing
 then, as k disjoint pairs in [1, m] prove only r(m) <= m - k, and
-P(m) <= m - k already.  The first search takes in every element up to its
-prefix, in arrival order, and from then on each prefix takes in its own.
-x+2y=4z never needs its triples, so the witness table is all its O(n^2)
-memory.
+P(m) <= m - k already.  In that phase the cheap yes is exactly the
+ascending greedy's test of m against the set it has kept, and P settles
+every other prefix, so wit[m] is the ascending greedy set of [1, m], the
+lex-least maximum set that ``max_avoiding`` returns as it stands.  The
+first search takes in every element up to its prefix, in arrival order,
+and from then on each prefix takes in its own.  x+2y=4z and every narrow
+b = 0 equation never need a search, so the witness table is all their
+O(n^2) memory.
 
 A lex-least pass over [1, m] reads the trigger tables of exactly [1, m]
 and never writes to its engine: the engine's own tables when it has taken
@@ -1025,9 +1029,8 @@ class _IntegerEngine(_Core):
 
     def _keep(self, packing: list[tuple[int, ...]]) -> None:
         """Make ``packing`` the warm packing if it is larger."""
-        if len(packing) > len(self.packing):
-            self.packing = packing
-            self.packed = sum(1 << (v - 1) for cl in packing for v in cl)
+        if len(packing) > len(self.packing):  # packed is summed before either changes
+            self.packing, self.packed = packing, sum(1 << (v - 1) for cl in packing for v in cl)
 
     def _swap(self, packing: list[tuple[int, ...]], state: _RunState) -> list[tuple[int, ...]]:
         """``packing``, cliques whose triples are taken in, made larger by one
@@ -1068,7 +1071,11 @@ class _IntegerEngine(_Core):
         search must.
           * The cheap yes: wit[m - 1] plus m avoids the equation.  A
             pair-only engine asks its ``kept`` masks, and the others
-            :meth:`_Core._root`, which first takes in element m.
+            :meth:`_Core._root`, which first takes in element m.  In the
+            pair-only phase the cheap yes is exactly the ascending
+            greedy's test of m, and P settles every other prefix, so wit[m]
+            is that greedy's set on [1, m]: ``max_avoiding`` returns it as
+            the lex-least witness and builds it no second time.
           * The warm packing: k pairwise disjoint cliques in [1, m] each
             need one member left out, so r(m) <= m - k, and m - k <= r(m - 1)
             makes m a stall (r(m) = r(m - 1)), whose witness is wit[m - 1].
@@ -1114,8 +1121,9 @@ class _IntegerEngine(_Core):
             witness = super()._root(m, state)
         else:
             if m > kept.n:  # the masks' widths are bounded for [1, kept.n]
-                kept = self.kept = _Kept(self.eq, 2 * m)
+                kept = _Kept(self.eq, 2 * m)
                 kept.extend(_members(best))
+                self.kept = kept  # only once full: a cut fill leaves the old masks
             # m stays in the masks iff wit[m] will be wit[m - 1] plus m
             witness = best | 1 << (m - 1) if kept.extend((m,)) else None
         if witness is not None:
@@ -1244,18 +1252,23 @@ def max_avoiding(
     prefix again from its root, so calls with the same ``node_cap`` never
     get past a prefix that needs more nodes than the cap (x+y=3z at n = 50
     with ``node_cap=1500`` stops with prefix 45 solved from the third call
-    on, because prefix 46 alone takes 1673 nodes).  With ``canonical``
-    the witness is re-derived as the lexicographically least maximum set,
-    budget permitting.  That is the ascending greedy set, run within
-    ``time_cap``, if it has r(n) elements, as nothing prunes the lex-least
-    pass's path to it.  Otherwise the pass ends at its first leaf of size
-    r(n), and it gets the nodes the search left of ``node_cap``, at most
-    ``_CANONICAL_NODE_CAP``, and the time left of ``time_cap``.  The
-    result's ``canonical`` says whether either reached that set; if not,
-    the witness is the search's, and it is still a maximum set.  Either way
-    the witness is re-verified by the avoidance checker before it is
-    returned, and a set that contains a solution raises
-    :class:`AvoidanceCheckFailed`.
+    on, because prefix 46 alone takes 1673 nodes).  A pair-only engine
+    keeps the wider masks it builds as n grows only once they are filled,
+    so an exception there (a ``MemoryError`` at large n, say) leaves the
+    cached engine as it was.  With ``canonical`` the witness is
+    re-derived as the lexicographically least maximum set, budget
+    permitting.  That is the ascending greedy set if it has r(n) elements,
+    as nothing prunes the lex-least pass's path to it.  A pair-only engine
+    (see ``_IntegerEngine._root``) holds that set as its own witness, which
+    is returned as canonical whatever the budget; other engines run the
+    greedy within ``time_cap``.  If that set is short, the pass ends at
+    its first leaf of size r(n), and it gets the nodes the search left of
+    ``node_cap``, at most ``_CANONICAL_NODE_CAP``, and the time left of
+    ``time_cap``.  The result's ``canonical`` says whether either reached
+    that set; if not, the witness is the search's, and it is still a
+    maximum set.  Either way the witness is re-verified by the avoidance
+    checker before it is returned, and a set that contains a solution
+    raises :class:`AvoidanceCheckFailed`.
     """
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
@@ -1275,8 +1288,10 @@ def max_avoiding(
         optimal, mask = True, engine.wit[n]
     if optimal and canonical:
         # the ascending greedy is the pass's first leaf if no bound prunes
-        # its path, that is if it has r(n) elements
-        greedy = _greedy_mask(eq, n, range(1, n + 1), state.deadline) if _narrow(eq) else 0
+        # its path, that is if it has r(n) elements; a pair-only engine's
+        # wit[n] is that greedy set (see _IntegerEngine._root)
+        greedy = mask if engine.kept is not None else (
+            _greedy_mask(eq, n, range(1, n + 1), state.deadline) if _narrow(eq) else 0)
         if greedy.bit_count() == engine.r[n]:
             mask, lex_least = greedy, True
         else:

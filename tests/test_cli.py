@@ -163,6 +163,17 @@ class TestSolve:
         proc = run_process("solve", "--eq", "nonsense", "--n", "5")
         assert proc.returncode == 2
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts digit strings of any length to int")
+    def test_overlong_coefficient_exit_2(self):
+        # past int()'s digit limit the text is malformed: exit 2 and the
+        # JSON error, not a ValueError traceback and exit 1
+        ones = "1" * max(5000, sys.get_int_max_str_digits() + 1)
+        proc = run_process("solve", "--eq", ones + "x+y=3z", "--n", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"] == "MalformedEquation" and err["message"].startswith("coefficient too long in ")
+
     def test_text_format(self):
         out = invoke("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "text")
         assert out.output.startswith("r(2x+2y=5z, 10) = 6")

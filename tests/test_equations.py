@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from math import gcd
 from unittest import mock
@@ -73,6 +74,17 @@ class TestParse:
     def test_garbage_rejected(self):
         for text in ("", "x+2y", "x+2y=4w", "hello", "x+2y=4z+1", "1,2,4"):
             with pytest.raises(MalformedEquation):
+                parse_equation(text)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts digit strings of any length to int")
+    def test_overlong_coefficient_is_malformed(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4 300
+        # by default) with a ValueError, which the parser reports as
+        # malformed text; leading zeros count too
+        digits = sys.get_int_max_str_digits() + 1
+        for text in ("1" * digits + "x+y=3z", "x+y=" + "0" * digits + "3z", "-" + "1" * digits + "x=2z"):
+            with pytest.raises(MalformedEquation, match=r"^coefficient too long in '"):
                 parse_equation(text)
 
     def test_other_family(self):

@@ -577,11 +577,22 @@ class TestEngine:
         assert res.optimal and not res.canonical and res.nodes == search_nodes + 1
 
     def test_zero_time_budget_stops_the_canonical_pass_on_a_warm_engine(self, monkeypatch):
-        eq = EQS["square"]
-        fresh_engine(monkeypatch, eq)
-        max_avoiding(eq, 30)
+        # x+2y=13z at 30 has a short ascending greedy set, so the pass runs,
+        # and a spent budget stops it: the search's witness comes back
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        search_witness = max_avoiding(eq, 30, canonical=False).witness
+        assert engine.kept is None and max_avoiding(eq, 30).canonical
         res = max_avoiding(eq, 30, time_cap=0)
-        assert res.optimal and not res.canonical and res.size == 17
+        assert res.optimal and not res.canonical and res.size == 24 and res.witness == search_witness
+        # a pair-only engine's witness is the ascending greedy set, so no
+        # budget stops it from being returned as canonical
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 30)
+        res = max_avoiding(eq, 30, time_cap=0)
+        assert engine.kept is not None and want.canonical
+        assert res.optimal and res.canonical and res.nodes == 0 and res.witness == want.witness
 
     def test_zero_time_budget_stops_all_extremal_on_a_warm_engine(self, monkeypatch):
         eq = EQS["square"]
@@ -1084,6 +1095,25 @@ class TestPrefixRoots:
         assert all(core is engine for core in packed)
         assert all(cliques is engine.cliques for cliques in simplexes)
 
+    def test_a_cut_packing_swap_keeps_the_packing_and_its_mask(self, monkeypatch):
+        # _keep sums a larger packing's members before it replaces the warm
+        # packing, so an exception in that sum leaves the packing and its
+        # member mask as they were, a consistent pair
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 40, canonical=False)
+        before = (list(engine.packing), engine.packed)
+        assert before[0] and before[1] == sum(1 << (v - 1) for cl in before[0] for v in cl)
+        larger = engine.packing + [(41, 42)]
+
+        def cut_sum(values):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "sum", cut_sum, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            engine._keep(larger)
+        assert (engine.packing, engine.packed) == before
+
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends
         # wit[m - 1], before its first node spends a zero budget; m is tested
@@ -1555,6 +1585,109 @@ class TestLexLeastPass:
                 except BudgetExceeded:
                     pass
                 assert engine_state(engine) == before, (str(eq), kind, m)
+
+
+class TestPairOnlyWitness:
+    """While an integer engine is pair-only (``kept`` live), wit[m] is the
+    ascending greedy set of [1, m]: ``max_avoiding`` returns it as the
+    lex-least witness and builds no second greedy, and a cut rebuild of the
+    masks behind the cheap yes leaves them as they were."""
+
+    @given(eq=valid_equations(max_coef=12), n=st.integers(1, 80))
+    @example(eq=ThreeVarEquation(1, 2, 4), n=300)
+    @example(eq=ThreeVarEquation(3, 0, 2), n=300)
+    @settings(max_examples=60, deadline=None)
+    def test_a_pair_only_witness_is_the_ascending_greedy_set(self, eq, n):
+        # each prefix of the phase is settled by the greedy's own test of m
+        # (a rise) or by P (a stall), so wit[k] is the greedy set at every
+        # solved k; only a triple ever needs a search, so a b = 0 engine
+        # never leaves the phase
+        assert search._narrow(eq)
+        engine = search._IntegerEngine(eq)
+        for k in range(1, n + 1):
+            engine.solve_to(k, search._RunState())
+            if engine.kept is None:
+                assert eq.b, str(eq)
+                break
+            assert engine.wit[k] == search._greedy_mask(eq, k, range(1, k + 1)), (str(eq), k)
+
+    @pytest.mark.parametrize("text", ["x+2y=4z", "3x=2z"])
+    def test_a_canonical_call_builds_no_second_greedy(self, monkeypatch, text):
+        # a pair-only engine's canonical witness is its own wit[n]: no
+        # _greedy_mask, and no _Kept but the engine's own masks, widened at
+        # m = 1, 3, 7, ..., 255; a spent budget does not stop it either
+        eq = parse_equation(text)
+        greedy = search._greedy_mask(eq, 300, range(1, 301))
+        engine = fresh_engine(monkeypatch, eq)
+        init, built = search._Kept.__init__, []
+
+        def recorded(self, eq, n):
+            built.append(self)
+            init(self, eq, n)
+
+        def no_greedy(*args):
+            raise AssertionError("a second greedy")
+
+        monkeypatch.setattr(search._Kept, "__init__", recorded)
+        monkeypatch.setattr(search, "_greedy_mask", no_greedy)
+        res = max_avoiding(eq, 300)
+        assert res.canonical and res.nodes == 300 and res.witness == search._mask_to_set(300, greedy)
+        assert [kept.n for kept in built] == [2, 6, 14, 30, 62, 126, 254, 510] and built[-1] is engine.kept
+        warm = max_avoiding(eq, 120, time_cap=0)
+        assert warm.optimal and warm.canonical and warm.nodes == 0 and len(built) == 8
+        assert warm.witness == search._mask_to_set(120, greedy & ((1 << 120) - 1))
+
+    def test_an_engine_past_the_phase_still_runs_the_greedy(self, monkeypatch):
+        # x+2y=13z needs a search from m = 5 on, so its canonical call runs
+        # the ascending greedy over [1, 30], finds it short and runs the pass
+        eq = EQS["family1"]
+        engine = fresh_engine(monkeypatch, eq)
+        greedy, calls = search._greedy_mask, []
+
+        def counted(eq, n, order, deadline=None):
+            calls.append(n)
+            return greedy(eq, n, order, deadline)
+
+        monkeypatch.setattr(search, "_greedy_mask", counted)
+        res = max_avoiding(eq, 30)
+        assert engine.kept is None and search._narrow(eq) and calls == [30]
+        assert res.canonical and res.size == 24 and res.witness.members[:2] == (1, 7)
+
+    @pytest.mark.parametrize("cut, exc", [(0, MemoryError), (40, KeyboardInterrupt)], ids=["entry", "partway"])
+    def test_a_cut_mask_rebuild_leaves_the_cache_consistent(self, monkeypatch, cut, exc):
+        # x+2y=4z solved to 126 holds masks over [1, 126], and prefix 127
+        # fills wider ones with wit[126]'s members.  An exception at that
+        # fill's entry, or after cut of its 72 members, leaves the engine as
+        # it was, and the next call answers as a cold engine does.  An
+        # engine that kept the cut masks took 128 in beside 64 at prefix 128
+        eq = EQS["square"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 126, canonical=False)
+        assert engine.kept.n == 126 and engine.r[126] == 72
+        before = engine_state(engine)
+        extend, fired = search._Kept.extend, []
+
+        def cut_fill(self, order):
+            if self.n == 254 and not fired:  # the fill at prefix 127
+                fired.append(self)
+                members = list(order)
+
+                def cut_short():
+                    yield from members[:cut]
+                    raise exc
+
+                return extend(self, cut_short())
+            return extend(self, order)
+
+        monkeypatch.setattr(search._Kept, "extend", cut_fill)
+        with pytest.raises(exc):
+            max_avoiding(eq, 400, canonical=False)
+        assert fired and engine_state(engine) == before
+        again = max_avoiding(eq, 400, canonical=False)
+        cold = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 400, canonical=False)
+        assert again.size == want.size == 228 and again.witness == want.witness
+        assert (engine.r, engine.wit) == (cold.r, cold.wit) and engine.kept is not None
 
 
 class TestModularDensity:
