@@ -10,8 +10,8 @@ assuming it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constructions import ab_set
 from .equations import IntSet, ThreeVarEquation, require_avoiding
@@ -38,8 +38,7 @@ def counterexample_gap(b: int) -> tuple[Fraction, Fraction]:
     return d_ab, d_intervals
 
 
-@dataclass(frozen=True)
-class CubeSetReport:
+class CubeSetReport(NamedTuple):
     b: int
     n: int
     ab_size: int
@@ -78,8 +77,7 @@ def _valuation(x: int, b: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class InjectionCertificate:
+class InjectionCertificate(NamedTuple):
     """A verified injection from B \\ A_b into A_b \\ B, certifying |B| <= |A_b|."""
 
     b: int

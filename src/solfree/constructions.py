@@ -10,20 +10,19 @@ divides s, raises :class:`~solfree.errors.InvariantViolation`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, filterfalse
 from math import gcd
+from typing import NamedTuple
 
-from .equations import IntSet, LinearForm, ThreeVarEquation, require_avoiding
+from .equations import IntSet, LinearForm, ThreeVarEquation, Value, require_avoiding
 from .errors import Infeasible, InvariantViolation
 
 _FIXED_POINT_CAP = 1000  # downward iteration shrinks xi every step, so this is generous
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Integer interval with inclusive right end; ``closed_lo`` picks [lo, hi] vs (lo, hi]."""
 
     lo: int
@@ -45,29 +44,28 @@ class Interval:
         return {"lo": self.lo, "hi": self.hi, "closed_lo": self.closed_lo}
 
 
-@dataclass(frozen=True)
-class StructuredSet:
+class StructuredSet(Value):
     """Symbolic union of disjoint intervals minus removed singletons."""
 
-    n: int
-    intervals: tuple[Interval, ...]
-    removed: tuple[int, ...] = ()
+    __slots__ = ("n", "intervals", "removed")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.intervals, key=lambda iv: iv.first))
-        object.__setattr__(self, "intervals", ordered)
-        object.__setattr__(self, "removed", tuple(sorted(set(self.removed))))
+    def __init__(self, n: int, intervals: tuple[Interval, ...], removed: tuple[int, ...] = ()) -> None:
+        ordered = tuple(sorted(intervals, key=lambda iv: iv.first))
+        removed = tuple(sorted(set(removed)))
         spans = [iv for iv in ordered if iv.length]
         end = 0  # the largest member of the intervals checked so far
         for iv in spans:
-            if iv.first < 1 or iv.hi > self.n:
-                raise InvariantViolation(f"interval {iv} escapes [1, {self.n}]")
+            if iv.first < 1 or iv.hi > n:
+                raise InvariantViolation(f"interval {iv} escapes [1, {n}]")
             if iv.first <= end:
                 raise InvariantViolation("intervals must be pairwise disjoint")
             end = iv.hi
-        inside = sum(bisect_right(self.removed, iv.hi) - bisect_left(self.removed, iv.first) for iv in spans)
-        if inside != len(self.removed):
+        inside = sum(bisect_right(removed, iv.hi) - bisect_left(removed, iv.first) for iv in spans)
+        if inside != len(removed):
             raise InvariantViolation("removed singletons must lie inside the intervals")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "intervals", ordered)
+        object.__setattr__(self, "removed", removed)
 
     def __contains__(self, x: int) -> bool:
         return x not in self.removed and any(iv.first <= x <= iv.hi for iv in self.intervals)

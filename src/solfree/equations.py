@@ -21,7 +21,6 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
@@ -48,8 +47,50 @@ class Solution(NamedTuple):
     z: int
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class Value:
+    """Base of the validated value types: immutable ``__slots__`` objects,
+    not tuples, whose fields are the ``__slots__`` of their classes other
+    than ``__dict__``, base classes first.
+
+    A value equals only a value of the same class with equal fields,
+    hashes as the tuple of its fields, prints as ``Name(field=value, ...)``
+    and raises :class:`AttributeError` when any attribute is assigned or
+    deleted.  Pickle and :mod:`copy` rebuild it through the constructor, so
+    a copy is validated again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(name for name in vars(cls).get("__slots__", ()) if name != "__dict__")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class LinearForm(Value):
     """The linear-form view of an equation, built by :meth:`ThreeVarEquation.linear_form`.
 
     ``coeffs`` is (a, b, -c), the zero dropped when b = 0, negated if need be
@@ -57,7 +98,10 @@ class LinearForm:
     |a + b - c| > 0.
     """
 
-    eq: ThreeVarEquation
+    __slots__ = ("eq", "__dict__")  # __dict__ holds the cached coeffs
+
+    def __init__(self, eq: ThreeVarEquation) -> None:
+        object.__setattr__(self, "eq", eq)
 
     @cached_property
     def coeffs(self) -> tuple[int, ...]:
@@ -83,24 +127,23 @@ class LinearForm:
         return min(-c for c in self.coeffs if c < 0)
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(Value):
     """A finite subset of [1, n] with canonical ascending serialization."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "members", "__dict__")  # __dict__ holds the cached member_set
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvariantViolation(f"bound must be positive, got {self.n}")
-        ms = tuple(self.members)
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        if n < 1:
+            raise InvariantViolation(f"bound must be positive, got {n}")
+        ms = tuple(members)
         ascending = all(map(operator.lt, ms, islice(ms, 1, None)))
         # the range is checked first: a sorted set has its bounds at its ends,
         # and an unsorted one, which raises either way, is scanned for them
-        if ms and ((ms[0] if ascending else min(ms)) < 1 or (ms[-1] if ascending else max(ms)) > self.n):
-            raise InvariantViolation(f"members must lie in [1, {self.n}]")
+        if ms and ((ms[0] if ascending else min(ms)) < 1 or (ms[-1] if ascending else max(ms)) > n):
+            raise InvariantViolation(f"members must lie in [1, {n}]")
         if not ascending:
             raise InvariantViolation("members must be strictly ascending")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", ms)
 
     @classmethod
@@ -136,25 +179,35 @@ class IntSet:
         return self.members[0]
 
 
-@dataclass(frozen=True)
-class ThreeVarEquation:
+class ThreeVarEquation(Value):
     """The equation a*x + b*y = c*z with positive a, c and nonnegative b.
 
     b = 0 encodes the degenerate two-variable equation a*x = c*z.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, a: int, b: int, c: int) -> None:
+        # set before the checks: the last message prints the equation
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         if a < 1 or b < 0 or c < 1:
             raise InvariantViolation("coefficients must be positive")
         if gcd(gcd(a, b), c) != 1:
             raise InvariantViolation(f"gcd({a},{b},{c}) must be 1")
         if a + b == c:
             raise InvariantViolation(f"{self} is translation-invariant (a+b=c)")
+
+    # the base's __eq__ and __hash__ spelled out, at a quarter of their cost:
+    # an equation keys the solver cache, which every solve looks up
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b and self.c == other.c
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
 
     @property
     def family(self) -> Family:

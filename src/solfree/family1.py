@@ -13,8 +13,8 @@ For c large enough (the eligibility bound), the extremal avoiding subsets of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constructions import Interval, StructuredSet
 from .equations import Family, IntSet, ThreeVarEquation, avoids, require_avoiding
@@ -45,8 +45,7 @@ def _family1_params(eq: ThreeVarEquation) -> tuple[int, int]:
     return eq.b, eq.c
 
 
-@dataclass(frozen=True)
-class MinElementStats:
+class MinElementStats(NamedTuple):
     """Scale estimate and scan crossover for the smallest element of an
     extremal set; the crossover always lands in [predicted, predicted + 1]."""
 
@@ -69,8 +68,7 @@ def min_element_stats(n: int, b: int, c: int) -> MinElementStats:
     raise InvariantViolation(f"no crossover for n={n}, b={b}, c={c}")
 
 
-@dataclass(frozen=True)
-class CompressionTrace:
+class CompressionTrace(NamedTuple):
     """Stages of the interval-compression transform.
 
     r_seq holds r_1..r_{t+1} and l_seq holds l_1..l_t; stages are A_0..A_t.
@@ -135,8 +133,7 @@ def interval_compression(eq: ThreeVarEquation, A: IntSet) -> CompressionTrace:
     return CompressionTrace(n, s, tuple(r_seq), tuple(l_seq), len(l_seq), tuple(stages), alpha)
 
 
-@dataclass(frozen=True)
-class TwoIntervalCandidate:
+class TwoIntervalCandidate(NamedTuple):
     """One candidate extremal set: a low block near s and a high block near n,
     held as two closed intervals with their punctures removed."""
 

@@ -9,16 +9,15 @@ Three regimes, exhaustive because coprimality rules out c = b and c = 2b:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .constructions import Interval, StructuredSet
 from .equations import ThreeVarEquation, require_avoiding
 from .errors import InvariantViolation
 
 
-@dataclass(frozen=True)
-class Family2Extremal:
+class Family2Extremal(NamedTuple):
     b: int
     c: int
     n: int

@@ -141,10 +141,10 @@ import random
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, takewhile
+from typing import NamedTuple
 
 from .equations import IntSet, ThreeVarEquation, require_avoiding
 from .errors import AvoidanceCheckFailed, BudgetExceeded, InvariantViolation
@@ -152,8 +152,7 @@ from .errors import AvoidanceCheckFailed, BudgetExceeded, InvariantViolation
 _CANONICAL_NODE_CAP = 250_000  # budget for the optional lex-least witness pass
 
 
-@dataclass
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     """Outcome of one exact solve; ``optimal`` is False only when a budget was hit.
 
     ``canonical`` is True iff the witness is certified to be the
@@ -170,8 +169,7 @@ class ExtremalResult:
     canonical: bool = False
 
 
-@dataclass(frozen=True)
-class ModularDensity:
+class ModularDensity(NamedTuple):
     """Maximum density of residues in [1, m] with no solutions modulo m."""
 
     m: int
@@ -179,8 +177,7 @@ class ModularDensity:
     witness: IntSet  # residues, with m standing in for the zero class
 
 
-@dataclass
-class AllExtremal:
+class AllExtremal(NamedTuple):
     n: int
     size: int
     sets: list[IntSet]

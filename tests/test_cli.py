@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -435,7 +434,7 @@ class TestTiming:
     def test_millis_is_the_solves_only_with_timing(self, monkeypatch, flags, millis):
         solve = search.max_avoiding
         monkeypatch.setattr(search, "max_avoiding",
-                            lambda *args, **kwargs: dataclasses.replace(solve(*args, **kwargs), millis=4321))
+                            lambda *args, **kwargs: solve(*args, **kwargs)._replace(millis=4321))
         row = json.loads(invoke(*flags, "solve", "--eq", "2x+2y=5z", "--n", "10").output)
         assert row["millis"] == millis
         sweep = ("report", "--eq", "2x+2y=5z", "--n-from", "5", "--n-to", "8")
