@@ -2,21 +2,23 @@
 
 Reports are emitted as one JSON object per line (or CSV rows with a fixed
 column schema for sweeps).  Exact rationals are serialized as "num/den"
-strings, never floats.  Exit codes: 0 success, 2 invariant violation,
-3 budget exceeded.  In the default deterministic mode the millis column is
-reported as 0 so that identical configurations produce byte-identical
-reports; pass --timing for wall-clock numbers.
+strings, never floats.  Exit codes: 0 success, 1 when the reader closes
+stdout before the output ends, 2 a usage error or a package error (the
+JSON error on stderr), 3 budget exceeded, 130 interrupted (Ctrl-C).  In
+the default deterministic mode the millis column is reported as 0 so that
+identical configurations produce byte-identical reports; pass --timing for
+wall-clock numbers.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
-
-import click
 
 from . import constructions, conjectures, family1, family2, search
 from .equations import Family, IntSet, ThreeVarEquation, parse_equation
@@ -65,34 +67,108 @@ def _csv_line(values) -> str:
     return line.getvalue()
 
 
-_eq = click.option("--eq", required=True, callback=lambda ctx, param, text: parse_equation(text),
-                   help='Equation text, e.g. "x+2y=4z".')
+class UsageError(Exception):
+    """A command line the CLI cannot run, such as an unknown option or a
+    missing one: exit 2, with the command's usage on stderr."""
+
+    exit_code = 2
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+        super().__init__(message)
+        self.parser = parser  # the command whose usage goes with the message
 
 
-def _budgets(fn):
-    """The exact search's node and wall-time caps, in that order in --help."""
-    fn = click.option("--time-budget", type=click.FloatRange(min=0), default=None,
-                      help="Wall-time cap in seconds.")(fn)
-    return click.option("--node-budget", type=click.IntRange(min=0), default=None,
-                        help="Node cap for the exact search.")(fn)
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated options and raises its errors, so
+    that main decides how a failed command line ends.  Help is --help
+    alone: -h is no option of this CLI."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise UsageError(message, self)
 
 
-@click.group()
-@click.option("--timing/--no-timing", default=False, help="Report wall-clock millis (breaks byte-identical output).")
-@click.pass_context
-def main(ctx: click.Context, timing: bool) -> None:
-    """Exact and constructive search for sets avoiding ax+by=cz."""
-    ctx.obj = timing  # the subcommands' only shared setting
+def _option(flag: str, **kwargs) -> tuple[str, dict]:
+    """One option of a command: its flag and its ``add_argument`` keywords."""
+    return flag, kwargs
 
 
-@main.command()
-@_eq
-@click.option("--n", type=int, required=True)
-@click.option("--all-sets", is_flag=True, help="Enumerate every maximum set (up to --cap).")
-@click.option("--cap", type=click.IntRange(min=1), default=64, show_default=True)
-@click.option("--fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
-@_budgets
-@click.pass_obj
+def _ints(*flags: str) -> tuple[tuple[str, dict], ...]:
+    return tuple(_option(flag, type=int, required=True) for flag in flags)
+
+
+def _at_least(kind: type, low: int):
+    """``kind`` of the option's text, rejected below ``low`` (NaN passes, as
+    it compares below nothing: the library rejects a NaN time budget)."""
+    def convert(text: str):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not in the range x>={low}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return convert
+
+
+_EQ = _option("--eq", type=parse_equation, required=True, help='Equation text, e.g. "x+2y=4z".')
+# the exact search's node and wall-time caps
+_BUDGETS = (_option("--node-budget", type=_at_least(int, 0), help="Node cap for the exact search."),
+            _option("--time-budget", type=_at_least(float, 0), help="Wall-time cap in seconds."))
+
+_PARSER = _Parser(prog="solfree", description="Exact and constructive search for sets avoiding ax+by=cz.")
+_PARSER.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
+                     help="Report wall-clock millis (breaks byte-identical output).")
+# the flags of every option that takes a value, for _joined
+_VALUED: set[str] = set()
+
+
+def _commands(parser: argparse.ArgumentParser):
+    return parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _group(commands, name: str, doc: str):
+    """The commands of group ``name``, itself a command of ``commands``."""
+    return _commands(commands.add_parser(name, help=doc, description=doc))
+
+
+def _command(commands, name: str, *options: tuple[str, dict], timing: bool = False):
+    """Register the decorated function as command ``name`` of ``commands``.
+
+    Each option reaches the function as the keyword its dest names; with
+    ``timing`` the top-level --timing setting comes first, positionally."""
+    def register(body):
+        parser = commands.add_parser(name, help=body.__doc__.splitlines()[0], description=body.__doc__)
+        actions = [parser.add_argument(flag, **kwargs) for flag, kwargs in options]
+        _VALUED.update(flag for action in actions if action.nargs is None for flag in action.option_strings)
+
+        def call(ns: argparse.Namespace) -> None:
+            values = {action.dest: getattr(ns, action.dest) for action in actions}
+            try:
+                if timing:
+                    body(ns.timing, **values)
+                else:
+                    body(**values)
+            except UsageError as exc:
+                exc.parser = parser  # a check in the body is a usage error of this command
+                raise
+
+        parser.set_defaults(call=call)
+        return body
+
+    return register
+
+
+_TOP = _commands(_PARSER)
+
+
+@_command(_TOP, "solve", _EQ, *_ints("--n"),
+          _option("--all-sets", action="store_true", help="Enumerate every maximum set (up to --cap)."),
+          _option("--cap", type=_at_least(int, 1), default=64, help="(default: %(default)s)"),
+          _option("--fmt", choices=["json", "text"], default="json", help="(default: %(default)s)"),
+          *_BUDGETS, timing=True)
 def solve(timing: bool, eq: ThreeVarEquation, n: int, all_sets: bool, cap: int, fmt: str,
           node_budget: int | None, time_budget: float | None) -> None:
     """Exact maximum avoiding subset of [1, n]."""
@@ -124,15 +200,10 @@ def solve(timing: bool, eq: ThreeVarEquation, n: int, all_sets: bool, cap: int, 
         raise BudgetExceeded(f"search budget exceeded at n={n}; best found has size {result.size}")
 
 
-@main.group()
-def construct() -> None:
-    """Constructive avoiding sets (verified by the checker)."""
+_CONSTRUCT = _group(_TOP, "construct", "Constructive avoiding sets (verified by the checker).")
 
 
-@construct.command("residue")
-@_eq
-@click.option("--q", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@_command(_CONSTRUCT, "residue", _EQ, *_ints("--q", "--n"))
 def construct_residue(eq: ThreeVarEquation, q: int, n: int) -> None:
     """The class x = 1 mod q."""
     A = constructions.residue_set(eq.linear_form(), q, n)
@@ -140,9 +211,7 @@ def construct_residue(eq: ThreeVarEquation, q: int, n: int) -> None:
            "size": A.size, "set": A.to_text()})
 
 
-@construct.command("top")
-@_eq
-@click.option("--n", type=int, required=True)
+@_command(_CONSTRUCT, "top", _EQ, *_ints("--n"))
 def construct_top(eq: ThreeVarEquation, n: int) -> None:
     """The top interval (s_minus/s_plus * n, n]."""
     A = constructions.top_interval(eq.linear_form(), n)
@@ -150,11 +219,8 @@ def construct_top(eq: ThreeVarEquation, n: int) -> None:
            "size": A.size, "set": A.to_text()})
 
 
-@construct.command("multi")
-@_eq
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--xi", type=int, default=None, help="Tail start; canonical fixed point when omitted.")
+@_command(_CONSTRUCT, "multi", _EQ, *_ints("--n", "--k"),
+          _option("--xi", type=int, help="Tail start; canonical fixed point when omitted."))
 def construct_multi(eq: ThreeVarEquation, n: int, k: int, xi: int | None) -> None:
     """Union of k shrinking intervals."""
     S = constructions.multi_interval(eq.linear_form(), n, k, xi)
@@ -162,10 +228,7 @@ def construct_multi(eq: ThreeVarEquation, n: int, k: int, xi: int | None) -> Non
            **S.to_json_dict(), "set": S.materialize().to_text()})
 
 
-@construct.command("best-multi")
-@_eq
-@click.option("--n", type=int, required=True)
-@click.option("--k-max", type=int, required=True)
+@_command(_CONSTRUCT, "best-multi", _EQ, *_ints("--n", "--k-max"))
 def construct_best_multi(eq: ThreeVarEquation, n: int, k_max: int) -> None:
     """Best multi-interval set over 1 <= k <= k_max."""
     k, S = constructions.best_multi_interval(eq.linear_form(), n, k_max)
@@ -173,10 +236,7 @@ def construct_best_multi(eq: ThreeVarEquation, n: int, k_max: int) -> None:
            **S.to_json_dict(), "set": S.materialize().to_text()})
 
 
-@construct.command("two-var")
-@click.option("--a", type=int, required=True)
-@click.option("--b", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@_command(_CONSTRUCT, "two-var", *_ints("--a", "--b", "--n"))
 def construct_two_var(a: int, b: int, n: int) -> None:
     """Greedy extremal set for the two-variable equation ax = by."""
     size, A = constructions.two_var_extremal(a, b, n)
@@ -184,9 +244,7 @@ def construct_two_var(a: int, b: int, n: int) -> None:
            "size": size, "set": A.to_text()})
 
 
-@construct.command("ab")
-@click.option("--b", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@_command(_CONSTRUCT, "ab", *_ints("--b", "--n"))
 def construct_ab(b: int, n: int) -> None:
     """The cube-valuation set {u * b^(3i) : b does not divide u}."""
     A, density = constructions.ab_set(b, n)
@@ -194,15 +252,10 @@ def construct_ab(b: int, n: int) -> None:
            "size": A.size, "set": A.to_text()})
 
 
-@main.group("family1")
-def family1_group() -> None:
-    """Structure theory for x + b*y = c*z with b > 1."""
+_FAMILY1 = _group(_TOP, "family1", "Structure theory for x + b*y = c*z with b > 1.")
 
 
-@family1_group.command("quantities")
-@click.option("--n", type=int, required=True)
-@click.option("--b", type=int, required=True)
-@click.option("--c", type=int, required=True)
+@_command(_FAMILY1, "quantities", *_ints("--n", "--b", "--c"))
 def family1_quantities(n: int, b: int, c: int) -> None:
     """Smallest-element estimates S and s'."""
     stats = family1.min_element_stats(n, b, c)
@@ -210,20 +263,15 @@ def family1_quantities(n: int, b: int, c: int) -> None:
            "density": _frac(family1.interval_density(b, c))})
 
 
-@family1_group.command("candidates")
-@click.option("--n", type=int, required=True)
-@click.option("--b", type=int, required=True)
-@click.option("--c", type=int, required=True)
+@_command(_FAMILY1, "candidates", *_ints("--n", "--b", "--c"))
 def family1_candidates(n: int, b: int, c: int) -> None:
     """Two-interval extremal candidates, one JSON line each."""
     for cand in family1.extremal_candidates(n, b, c):
         _emit(cand.to_json_dict())
 
 
-@family1_group.command("def1")
-@_eq
-@click.option("--n", type=int, required=True)
-@click.option("--set", "set_text", required=True, help="Ascending comma-separated members.")
+@_command(_FAMILY1, "def1", _EQ, *_ints("--n"),
+          _option("--set", dest="set_text", required=True, help="Ascending comma-separated members."))
 def family1_def1(eq: ThreeVarEquation, n: int, set_text: str) -> None:
     """Interval-compression trace of an avoiding set."""
     trace = family1.interval_compression(eq, IntSet.from_text(set_text, n))
@@ -233,22 +281,15 @@ def family1_def1(eq: ThreeVarEquation, n: int, set_text: str) -> None:
            "final": trace.stages[-1].to_text()})
 
 
-@family1_group.command("lemma26")
-@_eq
-@click.option("--n", type=int, required=True)
-@click.option("--set", "set_text", required=True)
-@click.option("--z", type=int, required=True)
-@click.option("--d", type=int, default=0, show_default=True)
+@_command(_FAMILY1, "lemma26", _EQ, *_ints("--n"), _option("--set", dest="set_text", required=True),
+          *_ints("--z"), _option("--d", type=int, default=0, help="(default: %(default)s)"))
 def family1_window(eq: ThreeVarEquation, n: int, set_text: str, z: int, d: int) -> None:
     """Deficiency of the solution window around c*z/(b+1)."""
     count = family1.solution_window_deficiency(eq, IntSet.from_text(set_text, n), z, d)
     _emit({"equation": str(eq), "n": n, "z": z, "d": d, "missing": count})
 
 
-@main.command("family2")
-@click.option("--b", type=int, required=True)
-@click.option("--c", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@_command(_TOP, "family2", *_ints("--b", "--c", "--n"))
 def family2_cmd(b: int, c: int, n: int) -> None:
     """Closed-form extremal set for b(x+y) = cz."""
     result = family2.family2_extremal(b, c, n)
@@ -256,16 +297,13 @@ def family2_cmd(b: int, c: int, n: int) -> None:
            "set": result.structured.materialize().to_text()})
 
 
-@main.command()
-@_eq
-@click.option("--m", type=int, default=None, help="Single modulus.")
-@click.option("--m-max", type=int, default=None, help="Best density over m <= m_max.")
-@_budgets
+@_command(_TOP, "rho", _EQ, _option("--m", type=int, help="Single modulus."),
+          _option("--m-max", type=int, help="Best density over m <= m_max."), *_BUDGETS)
 def rho(eq: ThreeVarEquation, m: int | None, m_max: int | None,
         node_budget: int | None, time_budget: float | None) -> None:
     """Maximum density of residues with no solutions modulo m."""
     if (m is None) == (m_max is None):
-        raise click.UsageError("pass exactly one of --m / --m-max")
+        raise UsageError("pass exactly one of --m / --m-max")
     if m is not None:
         d = search.rho_m(eq, m, node_cap=node_budget, time_cap=time_budget)
     else:
@@ -274,23 +312,17 @@ def rho(eq: ThreeVarEquation, m: int | None, m_max: int | None,
            "witness": d.witness.to_text()})
 
 
-@main.group()
-def conjecture() -> None:
-    """The c = b*b counterexample apparatus."""
+_CONJECTURE = _group(_TOP, "conjecture", "The c = b*b counterexample apparatus.")
 
 
-@conjecture.command("gap")
-@click.option("--b", type=int, required=True)
+@_command(_CONJECTURE, "gap", *_ints("--b"))
 def conjecture_gap(b: int) -> None:
     """Exact densities: the cube-valuation set versus the two-interval family."""
     d_ab, d_intervals = conjectures.counterexample_gap(b)
     _emit({"b": b, "dAb": _frac(d_ab), "D": _frac(d_intervals)})
 
 
-@conjecture.command("verify27")
-@click.option("--b", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@_budgets
+@_command(_CONJECTURE, "verify27", *_ints("--b", "--n"), *_BUDGETS)
 def conjecture_verify(b: int, n: int, node_budget: int | None, time_budget: float | None) -> None:
     """Compare |A_b intersect [1,n]| with the exact maximum."""
     report = conjectures.verify_cube_set_extremal(b, n, node_cap=node_budget, time_cap=time_budget)
@@ -298,10 +330,8 @@ def conjecture_verify(b: int, n: int, node_budget: int | None, time_budget: floa
            "equal": report.equal})
 
 
-@conjecture.command("inject")
-@click.option("--b", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--set", "set_text", required=True, help="An avoiding set B.")
+@_command(_CONJECTURE, "inject", *_ints("--b", "--n"),
+          _option("--set", dest="set_text", required=True, help="An avoiding set B."))
 def conjecture_inject(b: int, n: int, set_text: str) -> None:
     """Injection certificate B \\ A -> A \\ B."""
     B = IntSet.from_text(set_text, n)
@@ -309,24 +339,19 @@ def conjecture_inject(b: int, n: int, set_text: str) -> None:
     _emit(cert.to_json_dict())
 
 
-@main.command()
-@_eq
-@click.option("--n-from", type=int, required=True)
-@click.option("--n-to", type=int, required=True)
-@click.option("--step", type=int, default=1, show_default=True)
-@click.option("--fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--output", type=str, default=None, help="Write the report to a file as well.")
-@_budgets
-@click.pass_obj
+@_command(_TOP, "report", _EQ, *_ints("--n-from", "--n-to"),
+          _option("--step", type=int, default=1, help="(default: %(default)s)"),
+          _option("--fmt", choices=["csv", "json"], default="csv", help="(default: %(default)s)"),
+          _option("--output", help="Write the report to a file as well."), *_BUDGETS, timing=True)
 def report(timing: bool, eq: ThreeVarEquation, n_from: int, n_to: int, step: int, fmt: str,
            output: str | None, node_budget: int | None, time_budget: float | None) -> None:
     """Ratio-table sweep r(n)/n over a range of n."""
     if step < 1 or n_from < 1 or n_to < n_from:
-        raise click.UsageError("need 1 <= n-from <= n-to and step >= 1")
+        raise UsageError("need 1 <= n-from <= n-to and step >= 1")
     try:  # newline="" keeps csv's \r\n, so the file gets stdout's bytes
         sink = open(output, "w", encoding="utf-8", newline="") if output else None
     except OSError as exc:
-        raise click.UsageError(f"cannot open --output {output}: {exc.strerror}") from None
+        raise UsageError(f"cannot open --output {output}: {exc.strerror}") from None
     # sys.stdout is read per call, since a caller may swap it before calling main
     outs = [sys.stdout] + ([sink] if sink else [])
     try:
@@ -358,25 +383,57 @@ def report(timing: bool, eq: ThreeVarEquation, n_from: int, n_to: int, step: int
         if sink:
             sink.close()
 
+
 def _error_payload(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def run() -> None:
-    """Console entry point with the documented exit codes."""
+def _joined(args: list[str]) -> list[str]:
+    """``args`` with each option that takes a value joined to the token after
+    it, as ``--opt=value``: a value that starts with "-", as in
+    ``--eq -x+y=3z``, then reaches its option instead of reading as one."""
+    out, tokens = [], iter(args)
+    for arg in tokens:
+        value = next(tokens, None) if arg in _VALUED else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
+    """Run one command line, ``args`` or else ``sys.argv[1:]``.
+
+    In standalone mode a failure ends the process with the exit code the
+    module docstring lists: a usage error prints the command's usage and
+    the error, a package error its JSON object, both on stderr.  Otherwise
+    the exception reaches the caller.  The usage text names the program
+    ``solfree`` whatever ``prog_name`` says.
+    """
+    if not standalone_mode:
+        ns = _PARSER.parse_args(_joined(sys.argv[1:] if args is None else args))
+        ns.call(ns)
+        return
     try:
-        main(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
+        main(args, prog_name, standalone_mode=False)
+    except UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
         sys.exit(exc.exit_code)
-    except click.Abort:
-        sys.exit(130)
-    except BudgetExceeded as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        sys.exit(3)
     except SolfreeError as exc:
         print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        sys.exit(2)
+        sys.exit(3 if isinstance(exc, BudgetExceeded) else 2)
+    except KeyboardInterrupt:
+        sys.stderr.write("\n")  # the shell's next prompt starts after the ^C
+        sys.exit(130)
+    except BrokenPipeError:
+        # the reader has gone: what stdout still buffers goes to devnull, so
+        # the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+def run() -> None:
+    """Console entry point with the documented exit codes."""
+    main()
 
 
 if __name__ == "__main__":

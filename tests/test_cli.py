@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON/CSV schemas, exit codes, determinism."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,14 +12,13 @@ import shlex
 import subprocess
 import sys
 import time
+from typing import NamedTuple
 
-import click
 import pytest
-from click.testing import CliRunner
 
 import solfree
 from solfree import errors, search
-from solfree.cli import CSV_COLUMNS, main
+from solfree.cli import CSV_COLUMNS, UsageError, main, run
 from solfree.equations import parse_equation
 
 from oracles import lex_least_two_var
@@ -27,15 +27,31 @@ from oracles import lex_least_two_var
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(solfree.__file__)))
 
 
-def invoke(*args: str):
-    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+class Invocation(NamedTuple):
+    output: str
+    exit_code: int
+
+
+def invoke(*args: str) -> Invocation:
+    """``main`` on ``args`` in this process: its stdout and its exit code."""
+    out, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(out):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return Invocation(out.getvalue(), code)
+
+
+def child_env() -> dict:
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_process(*args: str, text: bool = True, cwd=None):
-    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "solfree.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True,
         text=text,
         timeout=300,
@@ -153,7 +169,7 @@ class TestSolve:
             raise AssertionError("solved before --cap was checked")
 
         monkeypatch.setattr(search, "max_avoiding", no_solve)
-        with pytest.raises(click.BadParameter) as info:
+        with pytest.raises(UsageError) as info:
             main(["solve", "--eq", "x+2y=4z", "--n", "10", "--cap", "0", *extra], standalone_mode=False)
         assert info.value.exit_code == 2
         assert capsys.readouterr().out == ""
@@ -409,6 +425,7 @@ class TestReport:
         csv_row = run_process("solve", "--eq", "2x+2y=5z", "--n", "10", "--fmt", "csv")
         assert jobs.returncode == seed.returncode == csv_row.returncode == 2
         assert jobs.stdout == seed.stdout == csv_row.stdout == ""
+        assert not any("Traceback" in proc.stderr for proc in (jobs, seed, csv_row))
 
     @pytest.mark.parametrize("fmt,header", [("csv", 1), ("json", 0)])
     def test_rows_go_out_as_they_are_solved(self, monkeypatch, fmt, header):
@@ -443,6 +460,90 @@ class TestTiming:
         assert all(r["millis"] == str(millis) for r in rows)
         rows = [json.loads(line) for line in invoke(*flags, *sweep, "--fmt", "json").output.splitlines()]
         assert len(rows) == 4 and all(r["millis"] == millis for r in rows)
+
+
+class TestCommandLine:
+    """What a parser swap can break: how tokens reach options, and the exit codes."""
+
+    # every command's options, and each group's commands, as --help must name them
+    HELP = {
+        (): ("--help", "--timing", "--no-timing",
+             "solve", "construct", "family1", "family2", "rho", "conjecture", "report"),
+        ("solve",): ("--help", "--eq", "--n", "--all-sets", "--cap", "--fmt", "--node-budget", "--time-budget"),
+        ("construct",): ("--help", "residue", "top", "multi", "best-multi", "two-var", "ab"),
+        ("construct", "residue"): ("--help", "--eq", "--q", "--n"),
+        ("construct", "top"): ("--help", "--eq", "--n"),
+        ("construct", "multi"): ("--help", "--eq", "--n", "--k", "--xi"),
+        ("construct", "best-multi"): ("--help", "--eq", "--n", "--k-max"),
+        ("construct", "two-var"): ("--help", "--a", "--b", "--n"),
+        ("construct", "ab"): ("--help", "--b", "--n"),
+        ("family1",): ("--help", "quantities", "candidates", "def1", "lemma26"),
+        ("family1", "quantities"): ("--help", "--n", "--b", "--c"),
+        ("family1", "candidates"): ("--help", "--n", "--b", "--c"),
+        ("family1", "def1"): ("--help", "--eq", "--n", "--set"),
+        ("family1", "lemma26"): ("--help", "--eq", "--n", "--set", "--z", "--d"),
+        ("family2",): ("--help", "--b", "--c", "--n"),
+        ("rho",): ("--help", "--eq", "--m", "--m-max", "--node-budget", "--time-budget"),
+        ("conjecture",): ("--help", "gap", "verify27", "inject"),
+        ("conjecture", "gap"): ("--help", "--b"),
+        ("conjecture", "verify27"): ("--help", "--b", "--n", "--node-budget", "--time-budget"),
+        ("conjecture", "inject"): ("--help", "--b", "--n", "--set"),
+        ("report",): ("--help", "--eq", "--n-from", "--n-to", "--step", "--fmt", "--output",
+                      "--node-budget", "--time-budget"),
+    }
+
+    @pytest.mark.parametrize("command", HELP, ids=[" ".join(c) or "solfree" for c in HELP])
+    def test_help_names_every_option(self, command):
+        out = invoke(*command, "--help")
+        assert out.exit_code == 0
+        for name in self.HELP[command]:
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out.output), name
+
+    @pytest.mark.parametrize("args,message", [
+        (("solve", "--eq", "-x+y=3z", "--n", "5"), "nonpositive coefficient in '-x+y=3z'"),
+        (("conjecture", "inject", "--b", "2", "--n", "8", "--set", "-1,2"), "members must lie in [1, 8]"),
+    ], ids=["eq", "set"])
+    def test_value_starting_with_a_dash_reaches_the_library(self, args, message):
+        proc = run_process(*args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": "InvariantViolation", "message": message}
+
+    @pytest.mark.parametrize("args", [
+        ("report", "--eq", "x+y=3z", "--n-f", "5", "--n-to", "6"),
+        ("solve", "--eq", "x+y=3z", "--n", "5", "--node", "5"),
+        ("solve", "--eq", "x+y=3z", "--n", "5", "-h"),  # help is --help alone
+    ], ids=["n-f", "node", "h"])
+    def test_abbreviated_or_unknown_option_is_a_usage_error(self, args):
+        proc = run_process(*args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr and "Traceback" not in proc.stderr
+
+    def test_ctrl_c_exits_130(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "max_avoiding", interrupted)
+        monkeypatch.setattr(sys, "argv", ["solfree", "solve", "--eq", "x+y=3z", "--n", "5"])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 130
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # the sweep writes far more than the pipe holds, so its writes meet
+        # the closed pipe while rows are still to come
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "solfree.cli", "report", "--eq", "x+2y=4z", "--n-from", "1", "--n-to", "20000"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"equation,n,method,size,ratio_num,ratio_den,optimal,nodes,millis\r\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=300)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1 and err == b""
 
 
 class TestReadme:

@@ -48,10 +48,10 @@ class TestImportCost:
         assert "solfree.search" in added
         assert not {"dataclasses", "inspect"} & added
 
-    def test_import_cli_loads_no_dataclasses(self):
+    def test_import_cli_loads_no_click_inspect_or_dataclasses(self):
         added = added_modules("import solfree.cli")
         assert "solfree.cli" in added
-        assert "dataclasses" not in added
+        assert not {"click", "inspect", "dataclasses"} & added
 
 
 def samples() -> dict[str, object]:
