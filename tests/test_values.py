@@ -4,11 +4,13 @@ Result records are ``typing.NamedTuple``s.  The validated value types
 (``ThreeVarEquation``, ``IntSet``, ``LinearForm`` and ``StructuredSet``)
 are ``__slots__`` objects on one base, ``solfree.equations.Value``.  Neither
 kind uses ``dataclasses``, whose import alone pulls in ``inspect``, ``ast``,
-``dis`` and ``tokenize``.
+``dis`` and ``tokenize``.  ``import solfree`` and the engine's commands load
+the engine alone; the names of the other modules load on first use.
 """
 from __future__ import annotations
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -28,18 +30,32 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(solfree.__file__
 VALUE_TYPES = (ThreeVarEquation, IntSet, LinearForm, StructuredSet)
 
 
+def fresh_output(code: str) -> str:
+    """What a fresh interpreter prints running ``code`` with ``-c`` and this
+    package on the path."""
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
 def added_modules(statement: str) -> set[str]:
     """The modules a fresh interpreter holds after ``statement`` and not
-    after ``pass``, each run with ``-c`` and this package on the path."""
-    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-
+    after ``pass``."""
     def loaded(code: str) -> set[str]:
-        proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules, sep='\\n')"],
-                              env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-                              timeout=60, check=True)
-        return set(proc.stdout.split())
+        return set(fresh_output(f"{code}\nimport sys\nprint(*sys.modules, sep='\\n')").split())
 
     return loaded(statement) - loaded("pass")
+
+
+# the modules that load on first use of one of their names
+DEFERRED = {"solfree.constructions", "solfree.family1", "solfree.family2", "solfree.conjectures"}
+
+
+def cli_run(*args: str) -> str:
+    """A statement that runs ``solfree`` with ``args``, its output discarded."""
+    return ("import contextlib, io\nfrom solfree import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({list(args)!r})")
 
 
 class TestImportCost:
@@ -47,11 +63,70 @@ class TestImportCost:
         added = added_modules("import solfree")
         assert "solfree.search" in added
         assert not {"dataclasses", "inspect"} & added
+        assert not DEFERRED & added
 
     def test_import_cli_loads_no_click_inspect_or_dataclasses(self):
         added = added_modules("import solfree.cli")
         assert "solfree.cli" in added
         assert not {"click", "inspect", "dataclasses"} & added
+        assert not DEFERRED & added
+
+    def test_a_csv_report_loads_the_engine_alone(self):
+        added = added_modules(cli_run("report", "--eq", "x+y=3z", "--n-from", "1", "--n-to", "5"))
+        assert "solfree.search" in added
+        assert not DEFERRED & added
+
+    def test_a_construction_loads_its_module(self):
+        added = added_modules(cli_run("construct", "top", "--eq", "x+y=3z", "--n", "5"))
+        assert DEFERRED & added == {"solfree.constructions"}
+
+    def test_a_json_report_loads_the_constructions_it_sizes(self):
+        added = added_modules(cli_run("report", "--eq", "x+y=3z", "--n-from", "1", "--n-to", "5",
+                                      "--fmt", "json"))
+        assert DEFERRED & added == {"solfree.constructions", "solfree.family1", "solfree.family2"}
+
+
+# every public name, by the module that defines it
+PUBLIC = {
+    "errors": (),
+    "equations": ("AvoidanceCheck", "Family", "IntSet", "LinearForm", "Solution", "ThreeVarEquation",
+                  "avoids", "enumerate_solutions", "parse_equation"),
+    "search": ("AllExtremal", "ExtremalResult", "ModularDensity", "all_extremal", "max_avoiding",
+               "random_avoiding_sets", "rho_best", "rho_m"),
+    "constructions": ("Interval", "StructuredSet", "ab_set", "best_multi_interval", "multi_interval",
+                      "residue_set", "top_interval", "two_var_extremal"),
+    "family1": ("CompressionTrace", "MinElementStats", "TwoIntervalCandidate", "best_candidate", "eligible",
+                "extremal_candidates", "interval_compression", "interval_density", "min_element_stats",
+                "solution_window_deficiency"),
+    "family2": ("Family2Extremal", "closed_form_size", "family2_extremal"),
+    "conjectures": ("CubeSetReport", "InjectionCertificate", "counterexample_equation", "counterexample_gap",
+                    "injection_certificate", "verify_cube_set_extremal"),
+}
+
+
+class TestPublicSurface:
+    def test_all_names_every_public_name(self):
+        assert sorted(solfree.__all__) == sorted([*PUBLIC, *(name for names in PUBLIC.values() for name in names)])
+        assert len(solfree.__all__) == 51
+
+    @pytest.mark.parametrize("module", sorted(PUBLIC))
+    def test_each_name_is_its_modules_object(self, module):
+        home = importlib.import_module(f"solfree.{module}")
+        assert getattr(solfree, module) is home
+        for name in PUBLIC[module]:
+            assert getattr(solfree, name) is getattr(home, name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(solfree.__all__) <= set(dir(solfree))
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'solfree' has no attribute 'nothing'"):
+            solfree.nothing  # noqa: B018
+
+    def test_star_import_binds_every_name(self):
+        unbound = fresh_output("from solfree import *\nimport solfree\nprint(*(name for name in solfree.__all__"
+                               " if globals().get(name) is not getattr(solfree, name)))")
+        assert unbound.split() == []
 
 
 def samples() -> dict[str, object]:
