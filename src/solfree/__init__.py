@@ -5,11 +5,13 @@ equations ax + by = cz: exact search, constructions, and cross-verification.
 ``search``, all that ``solve``, ``rho`` and a CSV ``report`` use.  The names of
 ``constructions``, ``family1``, ``family2`` and ``conjectures`` are in the
 package all the same, and each of those modules loads the first time one
-of its names is read (``__getattr__`` below, PEP 562).  Without a bytecode
-cache, as in the benchmark's children, a process compiles every module it
-imports from source: the four took 7.4 ms of the 28 ms of ``import
-solfree`` when it loaded them all (``-X importtime``, Python 3.11.7,
-medians of 21), for commands that never call them.
+of its names is read (``__getattr__`` below, PEP 562).  ``_DEFERRED`` alone
+decides which modules load late: ``solfree.cli`` reads their names from the
+package as well, and each command loads only the modules it calls.  Without
+a bytecode cache, as in the benchmark's children, a process compiles every
+module it imports from source: the four took 7.4 ms of the 28 ms of
+``import solfree`` when it loaded them all (``-X importtime``, Python
+3.11.7, medians of 21), for commands that never call them.
 """
 
 from . import errors

@@ -20,9 +20,8 @@ import sys
 import time
 from fractions import Fraction
 
-# solve, rho and a CSV report need the engine alone: the code that calls
-# constructions, family1, family2 or conjectures imports them in its body, so
-# the engine's commands never load them (see the package docstring)
+import solfree
+
 from . import search
 from .equations import Family, IntSet, ThreeVarEquation, parse_equation
 from .errors import BudgetExceeded, SolfreeError
@@ -45,23 +44,21 @@ def _emit(obj: dict) -> None:
 def _construction_sizes(eq: ThreeVarEquation, n: int) -> dict:
     """Sizes of the parameter-free constructions that apply to eq at n, each a
     lower bound on r(n); only the JSON rows of ``report`` carry them."""
-    from . import constructions, family1, family2
-
     form = eq.linear_form()
     q = next(q for q in range(2, form.s + 2) if form.s % q)  # s + 1 never divides s
     sizes = {
-        "top": constructions.top_interval(form, n).size,
-        "multi": constructions.best_multi_interval(form, n, 6)[1].size,
-        "residue": constructions.residue_set(form, q, n).size,
+        "top": solfree.top_interval(form, n).size,
+        "multi": solfree.best_multi_interval(form, n, 6)[1].size,
+        "residue": solfree.residue_set(form, q, n).size,
     }
-    if eq.family is Family.FAMILY_I and family1.eligible(eq.b, eq.c):
-        best = family1.best_candidate(n, eq.b, eq.c)
+    if eq.family is Family.FAMILY_I and solfree.eligible(eq.b, eq.c):
+        best = solfree.best_candidate(n, eq.b, eq.c)
         if best is not None:
             sizes["family1"] = best.size
     if eq.family is Family.FAMILY_II and eq.a > 1:
-        sizes["family2"] = family2.family2_extremal(eq.a, eq.c, n).size
+        sizes["family2"] = solfree.family2_extremal(eq.a, eq.c, n).size
     if eq.family is Family.FAMILY_I and eq.c == eq.b * eq.b:
-        sizes["ab"] = constructions.ab_set(eq.b, n)[0].size
+        sizes["ab"] = solfree.ab_set(eq.b, n)[0].size
     return sizes
 
 
@@ -211,9 +208,7 @@ _CONSTRUCT = _group(_TOP, "construct", "Constructive avoiding sets (verified by 
 @_command(_CONSTRUCT, "residue", _EQ, *_ints("--q", "--n"))
 def construct_residue(eq: ThreeVarEquation, q: int, n: int) -> None:
     """The class x = 1 mod q."""
-    from . import constructions
-
-    A = constructions.residue_set(eq.linear_form(), q, n)
+    A = solfree.residue_set(eq.linear_form(), q, n)
     _emit({"construction": "residue", "equation": str(eq), "q": q, "n": n,
            "size": A.size, "set": A.to_text()})
 
@@ -221,9 +216,7 @@ def construct_residue(eq: ThreeVarEquation, q: int, n: int) -> None:
 @_command(_CONSTRUCT, "top", _EQ, *_ints("--n"))
 def construct_top(eq: ThreeVarEquation, n: int) -> None:
     """The top interval (s_minus/s_plus * n, n]."""
-    from . import constructions
-
-    A = constructions.top_interval(eq.linear_form(), n)
+    A = solfree.top_interval(eq.linear_form(), n)
     _emit({"construction": "top", "equation": str(eq), "n": n,
            "size": A.size, "set": A.to_text()})
 
@@ -232,9 +225,7 @@ def construct_top(eq: ThreeVarEquation, n: int) -> None:
           _option("--xi", type=int, help="Tail start; canonical fixed point when omitted."))
 def construct_multi(eq: ThreeVarEquation, n: int, k: int, xi: int | None) -> None:
     """Union of k shrinking intervals."""
-    from . import constructions
-
-    S = constructions.multi_interval(eq.linear_form(), n, k, xi)
+    S = solfree.multi_interval(eq.linear_form(), n, k, xi)
     _emit({"construction": "multi", "equation": str(eq), "n": n, "k": k,
            **S.to_json_dict(), "set": S.materialize().to_text()})
 
@@ -242,9 +233,7 @@ def construct_multi(eq: ThreeVarEquation, n: int, k: int, xi: int | None) -> Non
 @_command(_CONSTRUCT, "best-multi", _EQ, *_ints("--n", "--k-max"))
 def construct_best_multi(eq: ThreeVarEquation, n: int, k_max: int) -> None:
     """Best multi-interval set over 1 <= k <= k_max."""
-    from . import constructions
-
-    k, S = constructions.best_multi_interval(eq.linear_form(), n, k_max)
+    k, S = solfree.best_multi_interval(eq.linear_form(), n, k_max)
     _emit({"construction": "best-multi", "equation": str(eq), "n": n, "k": k,
            **S.to_json_dict(), "set": S.materialize().to_text()})
 
@@ -252,9 +241,7 @@ def construct_best_multi(eq: ThreeVarEquation, n: int, k_max: int) -> None:
 @_command(_CONSTRUCT, "two-var", *_ints("--a", "--b", "--n"))
 def construct_two_var(a: int, b: int, n: int) -> None:
     """Greedy extremal set for the two-variable equation ax = by."""
-    from . import constructions
-
-    size, A = constructions.two_var_extremal(a, b, n)
+    size, A = solfree.two_var_extremal(a, b, n)
     _emit({"construction": "two-var", "a": a, "b": b, "n": n,
            "size": size, "set": A.to_text()})
 
@@ -262,9 +249,7 @@ def construct_two_var(a: int, b: int, n: int) -> None:
 @_command(_CONSTRUCT, "ab", *_ints("--b", "--n"))
 def construct_ab(b: int, n: int) -> None:
     """The cube-valuation set {u * b^(3i) : b does not divide u}."""
-    from . import constructions
-
-    A, density = constructions.ab_set(b, n)
+    A, density = solfree.ab_set(b, n)
     _emit({"construction": "ab", "b": b, "n": n, "density": _frac(density),
            "size": A.size, "set": A.to_text()})
 
@@ -275,19 +260,15 @@ _FAMILY1 = _group(_TOP, "family1", "Structure theory for x + b*y = c*z with b > 
 @_command(_FAMILY1, "quantities", *_ints("--n", "--b", "--c"))
 def family1_quantities(n: int, b: int, c: int) -> None:
     """Smallest-element estimates S and s'."""
-    from . import family1
-
-    stats = family1.min_element_stats(n, b, c)
+    stats = solfree.min_element_stats(n, b, c)
     _emit({"n": n, "b": b, "c": c, "S": stats.predicted, "s_prime": stats.crossover,
-           "density": _frac(family1.interval_density(b, c))})
+           "density": _frac(solfree.interval_density(b, c))})
 
 
 @_command(_FAMILY1, "candidates", *_ints("--n", "--b", "--c"))
 def family1_candidates(n: int, b: int, c: int) -> None:
     """Two-interval extremal candidates, one JSON line each."""
-    from . import family1
-
-    for cand in family1.extremal_candidates(n, b, c):
+    for cand in solfree.extremal_candidates(n, b, c):
         _emit(cand.to_json_dict())
 
 
@@ -295,9 +276,7 @@ def family1_candidates(n: int, b: int, c: int) -> None:
           _option("--set", dest="set_text", required=True, help="Ascending comma-separated members."))
 def family1_def1(eq: ThreeVarEquation, n: int, set_text: str) -> None:
     """Interval-compression trace of an avoiding set."""
-    from . import family1
-
-    trace = family1.interval_compression(eq, IntSet.from_text(set_text, n))
+    trace = solfree.interval_compression(eq, IntSet.from_text(set_text, n))
     _emit({"equation": str(eq), "n": n, "s": trace.s, "t": trace.t, "alpha": trace.alpha,
            "r": list(trace.r_seq), "l": list(trace.l_seq),
            "sizes": list(trace.sizes),
@@ -308,18 +287,14 @@ def family1_def1(eq: ThreeVarEquation, n: int, set_text: str) -> None:
           *_ints("--z"), _option("--d", type=int, default=0, help="(default: %(default)s)"))
 def family1_window(eq: ThreeVarEquation, n: int, set_text: str, z: int, d: int) -> None:
     """Deficiency of the solution window around c*z/(b+1)."""
-    from . import family1
-
-    count = family1.solution_window_deficiency(eq, IntSet.from_text(set_text, n), z, d)
+    count = solfree.solution_window_deficiency(eq, IntSet.from_text(set_text, n), z, d)
     _emit({"equation": str(eq), "n": n, "z": z, "d": d, "missing": count})
 
 
 @_command(_TOP, "family2", *_ints("--b", "--c", "--n"))
 def family2_cmd(b: int, c: int, n: int) -> None:
     """Closed-form extremal set for b(x+y) = cz."""
-    from . import family2
-
-    result = family2.family2_extremal(b, c, n)
+    result = solfree.family2_extremal(b, c, n)
     _emit({"b": b, "c": c, "n": n, "case": result.case, **result.structured.to_json_dict(),
            "set": result.structured.materialize().to_text()})
 
@@ -345,18 +320,14 @@ _CONJECTURE = _group(_TOP, "conjecture", "The c = b*b counterexample apparatus."
 @_command(_CONJECTURE, "gap", *_ints("--b"))
 def conjecture_gap(b: int) -> None:
     """Exact densities: the cube-valuation set versus the two-interval family."""
-    from . import conjectures
-
-    d_ab, d_intervals = conjectures.counterexample_gap(b)
+    d_ab, d_intervals = solfree.counterexample_gap(b)
     _emit({"b": b, "dAb": _frac(d_ab), "D": _frac(d_intervals)})
 
 
 @_command(_CONJECTURE, "verify27", *_ints("--b", "--n"), *_BUDGETS)
 def conjecture_verify(b: int, n: int, node_budget: int | None, time_budget: float | None) -> None:
     """Compare |A_b intersect [1,n]| with the exact maximum."""
-    from . import conjectures
-
-    report = conjectures.verify_cube_set_extremal(b, n, node_cap=node_budget, time_cap=time_budget)
+    report = solfree.verify_cube_set_extremal(b, n, node_cap=node_budget, time_cap=time_budget)
     _emit({"b": b, "n": n, "ab_size": report.ab_size, "exact_size": report.exact_size,
            "equal": report.equal})
 
@@ -365,10 +336,8 @@ def conjecture_verify(b: int, n: int, node_budget: int | None, time_budget: floa
           _option("--set", dest="set_text", required=True, help="An avoiding set B."))
 def conjecture_inject(b: int, n: int, set_text: str) -> None:
     """Injection certificate B \\ A -> A \\ B."""
-    from . import conjectures
-
     B = IntSet.from_text(set_text, n)
-    cert = conjectures.injection_certificate(b, B, n)
+    cert = solfree.injection_certificate(b, B, n)
     _emit(cert.to_json_dict())
 
 

@@ -34,7 +34,9 @@ class Family(Enum):
     """Coarse classification of ax+by=cz used to route the structure theory."""
 
     FAMILY_I = "I"  # a = 1 < b
-    FAMILY_II = "II"  # a = b with gcd(b, c) = 1
+    # a = b with gcd(b, c) = 1.  That takes in x + y = cz (a = b = 1), which
+    # no Family II construction serves: solfree.family2 needs b >= 2
+    FAMILY_II = "II"
     TWO_VAR = "two-var"  # degenerate pair constraint a*x = c*z
     OTHER = "other"
 
@@ -211,6 +213,8 @@ class ThreeVarEquation(Value):
 
     @property
     def family(self) -> Family:
+        """The equation's family.  x + y = cz (a = b = 1) is classified as
+        FAMILY_II, but no Family II construction serves it: those need b >= 2."""
         if self.b == 0:
             return Family.TWO_VAR
         if self.a == 1 and self.b > 1:

@@ -345,6 +345,17 @@ class TestReport:
         assert [r["n"] for r in rows] == [5, 6, 7]
         assert [r["size"] for r in rows] == [3, 4, 5]
 
+    def test_a_swapped_stdout_gets_the_rows(self, monkeypatch):
+        # the benchmark's call: prog_name given, errors raised, rows on
+        # whatever sys.stdout is when main runs
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        main(args=["report", "--eq", "x+y=3z", "--n-from", "1", "--n-to", "5"], prog_name="solfree",
+             standalone_mode=False)
+        lines = out.getvalue().split("\r\n")
+        assert lines[0] == ",".join(CSV_COLUMNS) and lines[-1] == ""
+        assert [line.split(",")[:3] for line in lines[1:-1]] == [["x+y=3z", str(n), "exact"] for n in range(1, 6)]
+
     def test_output_file(self, tmp_path):
         # the file holds stdout's bytes, csv's \r\n line ends included, also
         # when the sweep stops at the budget (row n = 28 needs 44 nodes)

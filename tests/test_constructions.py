@@ -21,7 +21,7 @@ from solfree.constructions import (
 from solfree import equations
 from solfree.equations import AvoidanceCheck, IntSet, Solution, ThreeVarEquation, avoids, parse_equation
 from solfree.errors import AvoidanceCheckFailed, Infeasible, InvariantViolation
-from solfree.family1 import interval_compression
+from solfree.family1 import extremal_candidates, interval_compression
 from solfree.family2 import family2_extremal
 from solfree.search import max_avoiding
 
@@ -89,6 +89,28 @@ class TestStructuredSet:
         s = StructuredSet(n, tuple(intervals), tuple(removed))
         assert s.materialize() == IntSet(n, tuple(sorted(union - set(removed))))
         assert s.size == s.materialize().size
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_membership_matches_the_materialized_set(self, data):
+        # built sets with removed members: Family II (case ii removes every
+        # b-th), the multi-interval sets and the Family I candidates' blocks
+        n = data.draw(st.integers(1, 120), label="n")
+        b = data.draw(st.integers(2, 6), label="b")
+        kind = data.draw(st.sampled_from(["family2", "multi", "family1"]), label="kind")
+        if kind == "family2":
+            c = data.draw(st.integers(1, 4 * b + 3).filter(lambda c: gcd(b, c) == 1), label="c")
+            sets = [family2_extremal(b, c, n).structured]
+        elif kind == "multi":
+            form = data.draw(st.sampled_from(sorted(FORMS)).map(FORMS.get), label="form")
+            sets = [best_multi_interval(form, n, data.draw(st.integers(1, 5), label="k"))[1]]
+        else:
+            least = (b + 1) * b * b // (b - 1) + 1  # the least c that family1.eligible takes
+            c = data.draw(st.integers(least, least + 30), label="c")
+            sets = [cand.blocks for cand in extremal_candidates(n, b, c)]
+        for S in sets:
+            members = S.materialize()
+            assert [x for x in range(n + 2) if x in S] == [x for x in range(n + 2) if x in members]
 
     def test_json_schema(self):
         s = StructuredSet(10, (Interval(6, 10, closed_lo=False),), removed=(9,))

@@ -9,6 +9,7 @@ the engine alone; the names of the other modules load on first use.
 """
 from __future__ import annotations
 
+import ast
 import copy
 import importlib
 import os
@@ -52,6 +53,13 @@ def added_modules(statement: str) -> set[str]:
 DEFERRED = {"solfree.constructions", "solfree.family1", "solfree.family2", "solfree.conjectures"}
 
 
+def module_tree(module: str) -> ast.Module:
+    """The syntax tree of ``solfree.<module>``'s source file."""
+    path = os.path.join(os.path.dirname(os.path.abspath(solfree.__file__)), f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
 def cli_run(*args: str) -> str:
     """A statement that runs ``solfree`` with ``args``, its output discarded."""
     return ("import contextlib, io\nfrom solfree import cli\n"
@@ -81,9 +89,30 @@ class TestImportCost:
         assert DEFERRED & added == {"solfree.constructions"}
 
     def test_a_json_report_loads_the_constructions_it_sizes(self):
-        added = added_modules(cli_run("report", "--eq", "x+y=3z", "--n-from", "1", "--n-to", "5",
-                                      "--fmt", "json"))
-        assert DEFERRED & added == {"solfree.constructions", "solfree.family1", "solfree.family2"}
+        # one equation per branch of cli._construction_sizes: family1 sizes only
+        # Family I, family2 only Family II with a > 1
+        for text, modules in [("x+y=3z", {"constructions"}), ("x+2y=13z", {"constructions", "family1"}),
+                              ("2x+2y=5z", {"constructions", "family2"})]:
+            added = added_modules(cli_run("report", "--eq", text, "--n-from", "1", "--n-to", "5", "--fmt", "json"))
+            assert DEFERRED & added == {f"solfree.{module}" for module in modules}, text
+
+    def test_a_conjecture_loads_its_module_and_what_it_imports(self):
+        added = added_modules(cli_run("conjecture", "inject", "--b", "2", "--n", "8", "--set", "2"))
+        imported = {f"solfree.{node.module}" for node in module_tree("conjectures").body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert DEFERRED & added == DEFERRED & ({"solfree.conjectures"} | imported)
+
+    def test_the_cli_imports_at_module_level_alone(self):
+        in_functions = [f"{node.name}:{inner.lineno}" for node in ast.walk(module_tree("cli"))
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+        assert in_functions == []
+
+    def test_the_cli_reads_public_names_of_solfree(self):
+        read = {node.attr for node in ast.walk(module_tree("cli"))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "solfree"}
+        assert read and read <= set(solfree.__all__), read - set(solfree.__all__)
 
 
 # every public name, by the module that defines it
