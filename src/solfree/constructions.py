@@ -68,8 +68,7 @@ class StructuredSet(Value):
         object.__setattr__(self, "removed", removed)
 
     def __contains__(self, x: int) -> bool:
-        i = bisect_left(self.removed, x)  # removed is sorted
-        return self.removed[i:i + 1] != (x,) and any(iv.first <= x <= iv.hi for iv in self.intervals)
+        return x not in self.removed and any(iv.first <= x <= iv.hi for iv in self.intervals)
 
     def materialize(self) -> IntSet:
         members = chain.from_iterable(iv.members() for iv in self.intervals)

@@ -345,17 +345,6 @@ class TestReport:
         assert [r["n"] for r in rows] == [5, 6, 7]
         assert [r["size"] for r in rows] == [3, 4, 5]
 
-    def test_a_swapped_stdout_gets_the_rows(self, monkeypatch):
-        # the benchmark's call: prog_name given, errors raised, rows on
-        # whatever sys.stdout is when main runs
-        out = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", out)
-        main(args=["report", "--eq", "x+y=3z", "--n-from", "1", "--n-to", "5"], prog_name="solfree",
-             standalone_mode=False)
-        lines = out.getvalue().split("\r\n")
-        assert lines[0] == ",".join(CSV_COLUMNS) and lines[-1] == ""
-        assert [line.split(",")[:3] for line in lines[1:-1]] == [["x+y=3z", str(n), "exact"] for n in range(1, 6)]
-
     def test_output_file(self, tmp_path):
         # the file holds stdout's bytes, csv's \r\n line ends included, also
         # when the sweep stops at the budget (row n = 28 needs 44 nodes)
@@ -441,7 +430,8 @@ class TestReport:
     @pytest.mark.parametrize("fmt,header", [("csv", 1), ("json", 0)])
     def test_rows_go_out_as_they_are_solved(self, monkeypatch, fmt, header):
         # row n is on the sys.stdout of the call before row n + 1's solve
-        # starts, so a sweep stopped by a budget or by hand keeps its rows
+        # starts, so a sweep stopped by a budget or by hand keeps its rows;
+        # prog_name is passed as the benchmark's child (bench/child.py) does
         out, lines_at_solve = io.StringIO(), []
         solve = search.max_avoiding
 
@@ -452,7 +442,7 @@ class TestReport:
         monkeypatch.setattr(search, "max_avoiding", recording)
         monkeypatch.setattr(sys, "stdout", out)
         main(["report", "--eq", "x+y=3z", "--n-from", "3", "--n-to", "12", "--step", "3", "--fmt", fmt],
-             standalone_mode=False)
+             prog_name="solfree", standalone_mode=False)
         assert lines_at_solve == [header + i for i in range(4)]
         assert out.getvalue().count("\n") == header + 4
 
