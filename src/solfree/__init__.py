@@ -23,6 +23,7 @@ from .equations import (
     Solution,
     ThreeVarEquation,
     avoids,
+    eligible,
     enumerate_solutions,
     parse_equation,
 )
@@ -45,8 +46,8 @@ _DEFERRED = {
         "constructions": ("Interval", "StructuredSet", "ab_set", "best_multi_interval", "multi_interval",
                           "residue_set", "top_interval", "two_var_extremal"),
         "family1": ("CompressionTrace", "MinElementStats", "TwoIntervalCandidate", "best_candidate",
-                    "eligible", "extremal_candidates", "interval_compression", "interval_density",
-                    "min_element_stats", "solution_window_deficiency"),
+                    "extremal_candidates", "interval_compression", "interval_density", "min_element_stats",
+                    "solution_window_deficiency"),
         "family2": ("Family2Extremal", "closed_form_size", "family2_extremal"),
         "conjectures": ("CubeSetReport", "InjectionCertificate", "counterexample_equation",
                         "counterexample_gap", "injection_certificate", "verify_cube_set_extremal"),
@@ -57,7 +58,7 @@ _DEFERRED = {
 __all__ = [
     "errors", "equations", "search",
     "AvoidanceCheck", "Family", "IntSet", "LinearForm", "Solution", "ThreeVarEquation", "avoids",
-    "enumerate_solutions", "parse_equation",
+    "eligible", "enumerate_solutions", "parse_equation",
     "AllExtremal", "ExtremalResult", "ModularDensity", "all_extremal", "max_avoiding",
     "random_avoiding_sets", "rho_best", "rho_m",
     *_DEFERRED,

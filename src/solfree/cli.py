@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import os
 import sys
 import time
@@ -62,11 +62,17 @@ def _construction_sizes(eq: ThreeVarEquation, n: int) -> dict:
     return sizes
 
 
-def _csv_line(values) -> str:
-    """One row exactly as csv.writer writes it, \\r\\n included."""
-    line = io.StringIO()
-    csv.writer(line).writerow(("true" if v else "false") if isinstance(v, bool) else v for v in values)
-    return line.getvalue()
+class _Tee:
+    """A text sink that writes each string to every one of ``outs``, so one
+    rendering of a report line goes to stdout and to the --output file
+    alike, and the file holds stdout's bytes."""
+
+    def __init__(self, outs: list):
+        self.outs = outs
+
+    def write(self, text: str) -> None:
+        for out in self.outs:
+            out.write(text)
 
 
 class UsageError(Exception):
@@ -347,7 +353,10 @@ def conjecture_inject(b: int, n: int, set_text: str) -> None:
           _option("--output", help="Write the report to a file as well."), *_BUDGETS, timing=True)
 def report(timing: bool, eq: ThreeVarEquation, n_from: int, n_to: int, step: int, fmt: str,
            output: str | None, node_budget: int | None, time_budget: float | None) -> None:
-    """Ratio-table sweep r(n)/n over a range of n."""
+    """Ratio-table sweep r(n)/n over a range of n.
+
+    One line per n, with r(n)/n in lowest terms.  CSV lines end in \\r\\n,
+    as the csv module writes them, and --output gets stdout's bytes."""
     if step < 1 or n_from < 1 or n_to < n_from:
         raise UsageError("need 1 <= n-from <= n-to and step >= 1")
     try:  # newline="" keeps csv's \r\n, so the file gets stdout's bytes
@@ -355,30 +364,26 @@ def report(timing: bool, eq: ThreeVarEquation, n_from: int, n_to: int, step: int
     except OSError as exc:
         raise UsageError(f"cannot open --output {output}: {exc.strerror}") from None
     # sys.stdout is read per call, since a caller may swap it before calling main
-    outs = [sys.stdout] + ([sink] if sink else [])
+    tee = _Tee([sys.stdout] + ([sink] if sink else []))
+    rows = csv.writer(tee)  # one writer renders the header and every CSV row
+    text = str(eq)
     try:
         if fmt == "csv":
-            for out in outs:
-                out.write(_csv_line(CSV_COLUMNS))
+            rows.writerow(CSV_COLUMNS)
         # the rows print no witness, so no lex-least pass; each row's nodes are
         # the DFS nodes of the prefixes it solved, the earlier ones being warm
         for n in range(n_from, n_to + 1, step):
             result = search.max_avoiding(eq, n, node_cap=node_budget, time_cap=time_budget,
                                          canonical=False)
-            ratio = Fraction(result.size, n)
-            row = {
-                "equation": str(eq), "n": n, "method": "exact", "size": result.size,
-                "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
-                "optimal": result.optimal, "nodes": result.nodes,
-                "millis": result.millis if timing else 0,
-            }
-            if fmt == "json":
-                row["constructions"] = _construction_sizes(eq, n)
-                line = _json_line(row)
-            else:
-                line = _csv_line(row[col] for col in CSV_COLUMNS)
-            for out in outs:  # one rendering, so the file holds stdout's bytes
-                out.write(line)
+            size = result.size
+            g = math.gcd(size, n)
+            row = [text, n, "exact", size, size // g, n // g, "true" if result.optimal else "false",
+                   result.nodes, result.millis if timing else 0]
+            if fmt == "csv":
+                rows.writerow(row)
+            else:  # optimal stays a JSON boolean, in its column's place
+                tee.write(_json_line(dict(zip(CSV_COLUMNS, row), optimal=result.optimal,
+                                          constructions=_construction_sizes(eq, n))))
             if not result.optimal:
                 raise BudgetExceeded("sweep stopped at the search budget; completed rows were flushed")
     finally:

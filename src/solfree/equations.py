@@ -41,6 +41,18 @@ class Family(Enum):
     OTHER = "other"
 
 
+def eligible(b: int, c: int) -> bool:
+    """True iff c*(b-1) > (b+1)*b^2, the regime of x + b*y = c*z (Family I)
+    where the two-interval classification of ``solfree.family1`` applies.
+    It lives here, beside ``Family``, so that a caller can ask it without
+    loading ``family1``, which imports it from here."""
+    if b < 2:
+        raise InvariantViolation(f"b must be at least 2, got {b}")
+    if c < 1:
+        raise InvariantViolation(f"c must be positive, got {c}")
+    return c * (b - 1) > (b + 1) * b * b
+
+
 class Solution(NamedTuple):
     """One solution triple; y = 0 marks the unused slot of a two-variable equation."""
 

@@ -3,7 +3,8 @@
 For c large enough (the eligibility bound), the extremal avoiding subsets of
 [1, n] collapse onto two intervals.  This module provides:
 
-* the eligibility test and the exact two-interval density,
+* the exact two-interval density, for the eligible (b, c) of
+  ``equations.eligible``, which this module re-exports,
 * the interval-compression transform that pushes an avoiding set into
   canonical interval form, every stage still avoiding; that no stage
   shrinks is the paper's claim for eligible (b, c) only, and is not checked,
@@ -17,18 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .constructions import Interval, StructuredSet
-from .equations import Family, IntSet, ThreeVarEquation, avoids, require_avoiding
+from .equations import Family, IntSet, ThreeVarEquation, avoids, eligible, require_avoiding
 from .errors import InvariantViolation
-
-
-def eligible(b: int, c: int) -> bool:
-    """True iff c*(b-1) > (b+1)*b^2, the regime where the two-interval
-    classification applies."""
-    if b < 2:
-        raise InvariantViolation(f"b must be at least 2, got {b}")
-    if c < 1:
-        raise InvariantViolation(f"c must be positive, got {c}")
-    return c * (b - 1) > (b + 1) * b * b
 
 
 def interval_density(b: int, c: int) -> Fraction:

@@ -246,9 +246,20 @@ def _records(k: int, others) -> tuple[bool, int, dict[int, int]]:
 
 
 def _cliques_of(k: int, banned: bool, pairs: int, triples: dict[int, int]) -> list[tuple[int, ...]]:
-    """The cliques of one element's records, as ascending tuples in ascending order."""
-    out = [(u, mid, k) for mid, lows in triples.items() for u in _members(lows)]
-    out += [(u, k) for u in _members(pairs)]
+    """The cliques of one element's records, as ascending tuples in ascending
+    order.  The smallest members are read off each mask of ``triples`` and
+    ``pairs`` one set bit at a time, by ``x & -x`` steps, so the cost is
+    one step per clique, not one per bit of the mask."""
+    out = []
+    for mid, lows in triples.items():
+        while lows:
+            low = lows & -lows
+            out.append((low.bit_length(), mid, k))
+            lows ^= low
+    while pairs:
+        low = pairs & -pairs
+        out.append((low.bit_length(), k))
+        pairs ^= low
     out.sort()
     if banned:
         out.append((k,))
@@ -873,11 +884,13 @@ class _IntegerEngine(_Core):
         super().__init__(partial(_integer_records, eq))
         self.eq = eq
         # the clique count, pairs included, and every clique in arrival
-        # order, by largest member and then tuple, with its members'
-        # occurrence counts: the degree packing and the trades fill them
-        # from the records in pending when they run (see _list_cliques)
+        # order, by largest member and then tuple, with the mask of its
+        # members (masks[j] for cliques[j]) and the members' occurrence
+        # counts: the degree packing and the trades fill them from the
+        # records in pending when they run (see _list_cliques)
         self.clique_count = 0
         self.cliques: list[tuple[int, ...]] = []
+        self.masks: list[int] = []
         self.count: list[int] = [0]
         self.pending: list[tuple] = []
         # the warm packing: pairwise disjoint cliques among those of the
@@ -992,33 +1005,48 @@ class _IntegerEngine(_Core):
         return inc
 
     def _list_cliques(self) -> None:
-        """Take the pending records into the flat clique list and the counts."""
-        count = self.count
-        count += [0] * (len(self.pair_down) - len(count))
-        for record in self.pending:
-            for cl in _cliques_of(*record):
-                self.cliques.append(cl)
-                for v in cl:
-                    count[v] += 1
+        """Take the pending records into the flat clique list, the clique
+        masks and the counts.  The new cliques, their masks and the new
+        counts are built aside and committed together, with ``pending``
+        emptied in the same step, so an exception while they are built
+        leaves all four as they were, and the next call lists each pending
+        record once.  The clique list grows in place, as the simplex reads
+        it."""
+        cliques = [cl for record in self.pending for cl in _cliques_of(*record)]
+        count = self.count + [0] * (len(self.pair_down) - len(self.count))
+        masks = []
+        for cl in cliques:
+            mask = 0
+            for v in cl:
+                count[v] += 1
+                mask |= 1 << (v - 1)
+            masks.append(mask)
+        self.cliques += cliques
+        self.masks += masks
+        self.count = count
         self.pending.clear()
 
     def degree_packing(self, need: int, state: _RunState) -> list[tuple[int, ...]]:
         """Pairwise disjoint cliques from every clique taken in: one greedy
         pass over them in ascending order of the sum of their members'
         occurrence counts (arrival order breaks ties), so cliques of rarely
-        used elements, which block few others, come first.  The clique list and the counts take in the
-        pending records first.  A pass one clique short of ``need`` tries
-        one trade on its own packing, not the warm one (see :meth:`_swap`),
-        within the deadline of ``state``.  A packing larger than the warm
-        one replaces it."""
+        used elements, which block few others, come first.  The clique list
+        and the counts take in the pending records first.  The pass visits
+        the clique indices in a stable sort on one list of those sums, the
+        order of ``sorted(cliques, key=sum of counts)``, and tests each
+        clique's stored mask against the mask of the members packed so far.
+        A pass one clique short of ``need`` tries one trade on its own
+        packing, not the warm one (see :meth:`_swap`), within the deadline
+        of ``state``.  A packing larger than the warm one replaces it."""
         self._list_cliques()
-        weight = self.count.__getitem__
-        packing = []
-        used: set[int] = set()
-        for cl in sorted(self.cliques, key=lambda cl: sum(map(weight, cl))):
-            if used.isdisjoint(cl):
-                used.update(cl)
-                packing.append(cl)
+        cliques, masks, weight = self.cliques, self.masks, self.count.__getitem__
+        keys = [sum(map(weight, cl)) for cl in cliques]
+        packing, used = [], 0
+        for j in sorted(range(len(keys)), key=keys.__getitem__):
+            mask = masks[j]
+            if not used & mask:
+                used |= mask
+                packing.append(cliques[j])
         if len(packing) == need - 1:
             packing = self._swap(packing, state)
         self._keep(packing)
@@ -1034,24 +1062,23 @@ class _IntegerEngine(_Core):
         trade (see ``_trade``) within the deadline of ``state``, or
         ``packing`` itself when no trade exists: the one entry point for
         trades.  The clique list takes in the pending records first.  The
-        cliques go to ``_trade`` as masks, grouped by the mask of the
-        packing cliques they meet (bit i for packing clique i): a clique
-        that meets three is of no use, and those of ``packing`` are left
-        out, as each meets every other clique of its group."""
+        cliques go to ``_trade`` as their stored masks, grouped by the mask
+        of the packing cliques they meet (bit i for packing clique i): a
+        clique that meets three is of no use, and those of ``packing`` are
+        left out, as each meets every other clique of its group."""
         self._list_cliques()
         own = [0] * len(self.pair_down)  # bit i if v is in packing clique i
         for i, cl in enumerate(packing):
             for v in cl:
                 own[v] = 1 << i
         groups: dict[int, list[int]] = {}
-        for cl in self.cliques:
-            u, v, w = cl if len(cl) == 3 else (cl[0], cl[-1], cl[-1])
-            hit = own[u] | own[v] | own[w]
+        for cl, mask in zip(self.cliques, self.masks):
+            hit = own[cl[0]] | own[cl[1]] | own[cl[-1]]  # a pair's cl[1] is its cl[-1]
             if hit.bit_count() < 3:
                 group = groups.get(hit)
                 if group is None:  # no empty list built for each clique
                     group = groups[hit] = []
-                group.append(1 << (u - 1) | 1 << (v - 1) | 1 << (w - 1))
+                group.append(mask)
         for i, cl in enumerate(packing):
             groups[1 << i].remove(sum(1 << (v - 1) for v in cl))
         trade = _trade(groups, state, f"{self.where}prefix {len(self.pair_down) - 1}")

@@ -48,6 +48,23 @@ def greedy_suffix_packing(cliques) -> list[tuple[int, ...]]:
     return packing
 
 
+def count_sorted_packing(cliques) -> list[tuple[int, ...]]:
+    """Pairwise disjoint cliques from one greedy pass over ``cliques`` in
+    ascending order of the sum of their members' occurrence counts in
+    ``cliques``, ties kept in the given order: a clique is taken iff it
+    shares no member with one taken before it."""
+    count: dict[int, int] = {}
+    for cl in cliques:
+        for v in cl:
+            count[v] = count.get(v, 0) + 1
+    packing, used = [], set()
+    for cl in sorted(cliques, key=lambda cl: sum(count[v] for v in cl)):
+        if used.isdisjoint(cl):
+            used.update(cl)
+            packing.append(cl)
+    return packing
+
+
 def brute_pair_alpha(eq: ThreeVarEquation, n: int) -> int:
     """The independence number of the pair graph on [1, n], whose edges are
     the 2-member sets of the solutions (those with two equal variables): the

@@ -37,6 +37,7 @@ from oracles import (
     brute_pair_alpha,
     brute_rho_numerator,
     brute_solutions,
+    count_sorted_packing,
     exhaustive_max,
     greedy_suffix_packing,
     lex_least_two_var,
@@ -1087,7 +1088,7 @@ class TestPrefixRoots:
         max_avoiding(eq, 95, canonical=False)
         parts = set(engine.comp.values())
         assert len(moduli) > 10 and parts and packed  # the integer engine packs
-        integer_only = ("eq", "kept", "P", "comp", "packing", "packed", "cliques", "count", "pending",
+        integer_only = ("eq", "kept", "P", "comp", "packing", "packed", "cliques", "masks", "count", "pending",
                         "clique_count", "lp")
         for core in moduli + list(parts):
             assert type(core) is search._Core
@@ -1113,6 +1114,79 @@ class TestPrefixRoots:
         with pytest.raises(KeyboardInterrupt):
             engine._keep(larger)
         assert (engine.packing, engine.packed) == before
+
+    def test_a_cut_listing_lists_each_clique_once(self, monkeypatch):
+        # _list_cliques builds the new cliques, their masks and the counts
+        # aside and commits them with pending, so an interrupt in its third
+        # _cliques_of call leaves the engine as it was, and the retry lists
+        # every pending record once: the engine then matches a cold one, and
+        # so does its next solve, node for node
+        eq = parse_equation("x+y=4z")
+
+        def listed_at_40(engine):
+            engine.solve_to(30, search._RunState())
+            engine.take_in(40, search._RunState())
+            return engine
+
+        engine = listed_at_40(search._IntegerEngine(eq))
+        assert len(engine.pending) > 3
+        before = engine_state(engine)
+        cliques_of, calls = search._cliques_of, []
+
+        def cut_third(*record):
+            calls.append(record)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return cliques_of(*record)
+
+        monkeypatch.setattr(search, "_cliques_of", cut_third)
+        with pytest.raises(KeyboardInterrupt):
+            engine._list_cliques()
+        assert engine_state(engine) == before
+        monkeypatch.setattr(search, "_cliques_of", cliques_of)
+        engine._list_cliques()
+        cold = listed_at_40(search._IntegerEngine(eq))
+        cold._list_cliques()
+        assert len(set(engine.cliques)) == len(engine.cliques) == cold.clique_count
+        assert (engine.cliques, engine.masks, engine.count) == (cold.cliques, cold.masks, cold.count)
+        assert (engine.pending, engine.packing, engine.packed) == (cold.pending, cold.packing, cold.packed)
+        nodes = []
+        for each in (engine, cold):
+            state = search._RunState()
+            each.solve_to(54, state)
+            nodes.append(state.nodes)
+        assert nodes[0] == nodes[1] and engine.r == cold.r and engine.wit == cold.wit
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_stored_mask_is_its_cliques_mask(self, data):
+        # the degree packing and the trades read masks[j] for cliques[j]:
+        # after a sweep, each listed clique's mask is the mask of its members
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        engine = search._IntegerEngine(eq)
+        for n in sorted(data.draw(st.lists(st.integers(1, 45), min_size=1, max_size=3))):
+            engine.solve_to(n, search._RunState())
+            assert len(engine.masks) == len(engine.cliques)
+            engine._list_cliques()
+            assert not engine.pending and len(engine.masks) == len(engine.cliques)
+            assert engine.masks == [bits(*cl) for cl in engine.cliques]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_degree_packing_is_the_count_sorted_greedy(self, data):
+        # the greedy over index-sorted masks packs what the greedy over
+        # sorted(cliques, key=sum of counts) packed, read from the solution
+        # enumeration in arrival order; need = 0 asks for no trade
+        eq = draw_equation(data, 12)
+        if eq is None:
+            return
+        m = data.draw(st.integers(1, 45))
+        engine = search._IntegerEngine(eq)
+        engine.take_in(m, search._RunState())
+        arrival = sorted(oracle_cliques(eq, m), key=lambda cl: (cl[-1], cl))
+        assert engine.degree_packing(0, search._RunState()) == count_sorted_packing(arrival)
 
     def test_budget_hit_after_the_mask_test_leaves_the_masks_consistent(self):
         # every prefix's root tests run, the masks taking m in when it extends

@@ -90,9 +90,10 @@ class TestImportCost:
 
     def test_a_json_report_loads_the_constructions_it_sizes(self):
         # one equation per branch of cli._construction_sizes: family1 sizes only
-        # Family I, family2 only Family II with a > 1
+        # eligible Family I, family2 only Family II with a > 1; x+2y=4z is
+        # Family I but not eligible, which equations.eligible answers alone
         for text, modules in [("x+y=3z", {"constructions"}), ("x+2y=13z", {"constructions", "family1"}),
-                              ("2x+2y=5z", {"constructions", "family2"})]:
+                              ("2x+2y=5z", {"constructions", "family2"}), ("x+2y=4z", {"constructions"})]:
             added = added_modules(cli_run("report", "--eq", text, "--n-from", "1", "--n-to", "5", "--fmt", "json"))
             assert DEFERRED & added == {f"solfree.{module}" for module in modules}, text
 
@@ -118,12 +119,12 @@ class TestImportCost:
 PUBLIC = {
     "errors": (),
     "equations": ("AvoidanceCheck", "Family", "IntSet", "LinearForm", "Solution", "ThreeVarEquation",
-                  "avoids", "enumerate_solutions", "parse_equation"),
+                  "avoids", "eligible", "enumerate_solutions", "parse_equation"),
     "search": ("AllExtremal", "ExtremalResult", "ModularDensity", "all_extremal", "max_avoiding",
                "random_avoiding_sets", "rho_best", "rho_m"),
     "constructions": ("Interval", "StructuredSet", "ab_set", "best_multi_interval", "multi_interval",
                       "residue_set", "top_interval", "two_var_extremal"),
-    "family1": ("CompressionTrace", "MinElementStats", "TwoIntervalCandidate", "best_candidate", "eligible",
+    "family1": ("CompressionTrace", "MinElementStats", "TwoIntervalCandidate", "best_candidate",
                 "extremal_candidates", "interval_compression", "interval_density", "min_element_stats",
                 "solution_window_deficiency"),
     "family2": ("Family2Extremal", "closed_form_size", "family2_extremal"),
@@ -143,6 +144,9 @@ class TestPublicSurface:
         assert getattr(solfree, module) is home
         for name in PUBLIC[module]:
             assert getattr(solfree, name) is getattr(home, name)
+
+    def test_family1_reexports_the_eligibility_test(self):
+        assert solfree.family1.eligible is solfree.eligible is solfree.equations.eligible
 
     def test_dir_lists_every_public_name(self):
         assert set(solfree.__all__) <= set(dir(solfree))
