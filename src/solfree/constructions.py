@@ -171,7 +171,18 @@ def _multi_interval(form: LinearForm, n: int, k: int, xi: int | None = None) -> 
 
 def best_multi_interval(form: LinearForm, n: int, k_max: int) -> tuple[int, StructuredSet]:
     """Largest canonical-xi multi-interval set over 1 <= k <= k_max; only that
-    set goes through the avoidance gate."""
+    set goes through the avoidance gate.
+
+    It is also the candidate of the row x + y = kz (k >= 4), which
+    ``ThreeVarEquation.family`` files under Family II although no Family II
+    construction serves it; for k = 3 the candidate is the odd numbers,
+    ``residue_set(form, 2, n)``.  The row is the related work that the
+    paper refines: Chung and Goldwasser (Electron. J. Combin. 3, 1996; The
+    Mathematics of Paul Erdős I, 1997) and Baltz, Hegarty, Knape, Larsson
+    and Schoen (Electron. J. Combin. 12, 2005).  As recalled here, not read,
+    they conjecture the density k(k - 2)/(k^2 - 2) for k >= 4: a claim to
+    test, which the tests do only for small n, where r(n) is the larger of
+    these two sets' sizes for k = 3..8."""
     if k_max < 1:
         raise InvariantViolation(f"k_max must be positive, got {k_max}")
     best = (1, _multi_interval(form, n, 1))  # k = 1 is feasible at every n >= 1

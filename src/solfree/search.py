@@ -13,7 +13,15 @@ the cliques (member sets of solutions) whose largest member is m, and that
 is the only way a clique ever enters it: the tables for prefix m are those
 for m - 1 plus O(m) new entries, and nothing is rebuilt when n grows.  One
 engine per equation lives for the whole process, so a later call resumes
-from the prefixes already solved.
+from the prefixes already solved.  A call takes its equation's engine out of
+that cache for the sweep and puts it back when the sweep ends or a budget
+stops it.  The engine reads its budgets only where its tables are whole:
+at the top of a prefix, at each node it counts (a search node's top, or a
+prefix settled at its root), between the elements of a take-in, before a
+trade's group scan or a pivot, and inside a part of the pair test, whose
+tables take the part in only after its solve.  So a budget hit keeps every
+prefix solved, and any other exception (Ctrl-C, a ``MemoryError``, a bug)
+leaves the engine out: the next call starts cold.
 
 Element m comes in as records, not clique tuples: whether {m} is a clique
 (a banned residue), the mask of its pair partners, and a map from each
@@ -563,8 +571,8 @@ class _Simplex:
         :meth:`settles`): True if so, None if not.  At its optimum, or with
         no ratio row, it makes no pivot and says whether the basis as it
         stands settles ``need``: True or False, so a basis that an earlier
-        stall left at its optimum may settle a later one.  An exception
-        leaves it half-updated."""
+        stall left at its optimum may settle a later one.  It reads no
+        clock, and an exception leaves it half-updated."""
         self.extend()
         inv, x, price, sums, on = self.inv, self.x, self.price, self.sums, self.on
         low, slack = min(sums, default=1.0), min(price)
@@ -680,8 +688,9 @@ class _Core:
         reading the clock between each one and the next: its callers read it
         before the first, as ``solve_to`` does before each prefix.  It is
         the one reader of ``source``, so each element's records are read
-        once.  An exception leaves the elements not yet done for the next
-        call, and the trigger tables one entry per element taken in."""
+        once.  A budget hit, which comes only between two elements, leaves
+        the elements not yet done for the next call, and the trigger tables
+        one entry per element taken in."""
         for k in range(len(self.pair_down), m + 1):
             self._take_in(k, *self.source(k))
             if k < m:
@@ -868,7 +877,7 @@ class _Core:
 
 class _IntegerEngine(_Core):
     """The engine over the integer cliques of ``eq``: the one that
-    ``_engine_for`` keeps for each equation.
+    ``_SOLVERS`` keeps for each equation (see ``max_avoiding``).
 
     Its prefixes get the whole root ladder (see :meth:`_root`).  It settles
     a prefix by the pair graph's independence number (see
@@ -908,7 +917,7 @@ class _IntegerEngine(_Core):
         self.comp: dict[int, _Core] = {}
         # the fractional test's simplex, built at the first pivot any prefix
         # needs and carried from stall to stall (see _stall_tests); None
-        # before, and after an exception in a pivot.  Its B^-1 holds
+        # before, and once the warm packing has outgrown it.  Its B^-1 holds
         # (m + 1)^2 floats, m the largest member of the cliques it has taken
         # in, for the life of the engine.
         self.lp: _Simplex | None = None
@@ -951,9 +960,9 @@ class _IntegerEngine(_Core):
         P(s) - P(s - 1).  s extends one component: that part grows by s, its
         largest member.  Or s joins several components, or none: a cold part
         over their union and s.  Either way delta(s) is that part's
-        r[-1] - r[-2], and only then do comp and P take it in, so an
-        exception leaves them as they were (a part stopped while growing by
-        s keeps s in its members, for the retry).  The parts' solves add no
+        r[-1] - r[-2], and only then do comp and P take it in, so a budget
+        hit leaves them as they were (a part stopped while growing by s
+        keeps s in its members, for the retry).  The parts' solves add no
         nodes to ``state`` but stop at its deadline."""
         R = math.prod(p * q for p, q in _ratios(self.eq))  # its primes are those of the pair edges' ratios
         nested = _RunState()
@@ -1006,24 +1015,19 @@ class _IntegerEngine(_Core):
 
     def _list_cliques(self) -> None:
         """Take the pending records into the flat clique list, the clique
-        masks and the counts.  The new cliques, their masks and the new
-        counts are built aside and committed together, with ``pending``
-        emptied in the same step, so an exception while they are built
-        leaves all four as they were, and the next call lists each pending
-        record once.  The clique list grows in place, as the simplex reads
-        it."""
-        cliques = [cl for record in self.pending for cl in _cliques_of(*record)]
-        count = self.count + [0] * (len(self.pair_down) - len(self.count))
-        masks = []
-        for cl in cliques:
-            mask = 0
-            for v in cl:
-                count[v] += 1
-                mask |= 1 << (v - 1)
-            masks.append(mask)
-        self.cliques += cliques
-        self.masks += masks
-        self.count = count
+        masks and the counts, and empty ``pending``.  All four grow in
+        place, the clique list as the simplex reads it.  It reads no clock,
+        so no budget hit leaves a record half listed."""
+        count = self.count
+        count += [0] * (len(self.pair_down) - len(count))
+        for record in self.pending:
+            for cl in _cliques_of(*record):
+                mask = 0
+                for v in cl:
+                    count[v] += 1
+                    mask |= 1 << (v - 1)
+                self.cliques.append(cl)
+                self.masks.append(mask)
         self.pending.clear()
 
     def degree_packing(self, need: int, state: _RunState) -> list[tuple[int, ...]]:
@@ -1128,9 +1132,10 @@ class _IntegerEngine(_Core):
             pair-only phase.  It takes in every element up to m, filing the
             trigger tables of [1, m] and building the warm packing, and then
             ``kept`` is None, so from then on each prefix takes its element
-            in first.  The switch is one-way, and only here.  An exception
-            in the catch-up leaves ``kept`` live, as its masks track ``wit``
-            and not the triples.
+            in first.  The switch is one-way, and only here, after the
+            take-in: a budget hit between the catch-up's elements leaves
+            ``kept`` live, as its masks track ``wit`` and not the triples,
+            and the next call resumes the catch-up.
           * The one-short root, when the warm packing is one clique short
             (m - k = r(m - 1) + 1): the search's first path (see
             :meth:`_dive`) is walked outside the search, and with
@@ -1145,9 +1150,8 @@ class _IntegerEngine(_Core):
             witness = super()._root(m, state)
         else:
             if m > kept.n:  # the masks' widths are bounded for [1, kept.n]
-                kept = _Kept(self.eq, 2 * m)
+                kept = self.kept = _Kept(self.eq, 2 * m)
                 kept.extend(_members(best))
-                self.kept = kept  # only once full: a cut fill leaves the old masks
             # m stays in the masks iff wit[m] will be wit[m - 1] plus m
             witness = best | 1 << (m - 1) if kept.extend((m,)) else None
         if witness is not None:
@@ -1193,9 +1197,8 @@ class _IntegerEngine(_Core):
             that finds the simplex at its optimum answers for m: its basis,
             perhaps as an earlier stall left it, settles m or no pivot is
             left for m, though a later prefix's cliques may move it off.
-            The engine drops the simplex while a pivot call changes it, and
-            takes it back after, so an exception there leaves none, and the
-            next test rebuilds it."""
+            The clock is read between pivots, never inside one, so a budget
+            hit leaves the simplex whole for the next test."""
         prev, start = self.r[m - 1], state.nodes
         yield start + self.clique_count - m
         if m - len(self.degree_packing(m - prev, state)) <= prev:
@@ -1210,10 +1213,8 @@ class _IntegerEngine(_Core):
             spent = state.nodes - start
             while pivots < spent // (2 * m):
                 state.check(self.where, m)
-                # detached while the call changes it
-                lp, self.lp = self.lp or _Simplex(self.cliques, self.packing), None
-                settled = lp.pivot(need)  # False: at its optimum, unsettled
-                self.lp = lp
+                self.lp = self.lp or _Simplex(self.cliques, self.packing)
+                settled = self.lp.pivot(need)  # False: at its optimum, unsettled
                 pivots += 1
                 if settled:
                     yield 0
@@ -1221,15 +1222,9 @@ class _IntegerEngine(_Core):
                     return
 
 
-# one engine per integer equation, solved as far as any call has needed
+# one engine per integer equation, solved as far as any call has needed;
+# only max_avoiding and all_extremal take one out and put it back
 _SOLVERS: dict[ThreeVarEquation, _IntegerEngine] = {}
-
-
-def _engine_for(eq: ThreeVarEquation) -> _IntegerEngine:
-    engine = _SOLVERS.get(eq)
-    if engine is None:
-        engine = _SOLVERS[eq] = _IntegerEngine(eq)
-    return engine
 
 
 def _mask_to_set(n: int, mask: int) -> IntSet:
@@ -1276,10 +1271,12 @@ def max_avoiding(
     prefix again from its root, so calls with the same ``node_cap`` never
     get past a prefix that needs more nodes than the cap (x+y=3z at n = 50
     with ``node_cap=1500`` stops with prefix 45 solved from the third call
-    on, because prefix 46 alone takes 1673 nodes).  A pair-only engine
-    keeps the wider masks it builds as n grows only once they are filled,
-    so an exception there (a ``MemoryError`` at large n, say) leaves the
-    cached engine as it was.  With ``canonical`` the witness is
+    on, because prefix 46 alone takes 1673 nodes).  The equation's engine
+    is out of the process's cache while it sweeps, and goes back when the
+    sweep ends or a budget stops it.  Any other exception (Ctrl-C, a
+    ``MemoryError`` at large n) leaves it out, so the next call answers as
+    a cold one: stop a long solve by ``time_cap`` or ``node_cap``, which
+    keep its solved prefixes, not by Ctrl-C.  With ``canonical`` the witness is
     re-derived as the lexicographically least maximum set, budget
     permitting.  That is the ascending greedy set if it has r(n) elements,
     as nothing prunes the lex-least pass's path to it.  A pair-only engine
@@ -1297,18 +1294,20 @@ def max_avoiding(
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     t0 = time.perf_counter()
-    engine = _engine_for(eq)
-    state = _RunState(node_cap, time_cap)
+    state = _RunState(node_cap, time_cap)  # a bad budget raises before the engine leaves the cache
+    engine = _SOLVERS.pop(eq, None) or _IntegerEngine(eq)
     optimal = lex_least = False
     try:
         engine.solve_to(n, state)
     except BudgetExceeded:
+        _SOLVERS[eq] = engine
         mask = engine.wit[-1]
         for order in (range(n, 0, -1), range(1, n + 1)):
             g = _greedy_mask(eq, n, order, state.deadline)
             if g.bit_count() > mask.bit_count():
                 mask = g
     else:
+        _SOLVERS[eq] = engine
         optimal, mask = True, engine.wit[n]
     if optimal and canonical:
         # the ascending greedy is the pass's first leaf if no bound prunes
@@ -1345,15 +1344,21 @@ def all_extremal(
     are fewer, so ``truncated`` says whether a set past the cap exists.
     Every set is re-verified by the avoidance checker; one that contains a
     solution raises :class:`AvoidanceCheckFailed`.  A budget hit raises
-    :class:`BudgetExceeded`.
+    :class:`BudgetExceeded`.  The engine goes back to the cache as in
+    :func:`max_avoiding`.
     """
     if n < 1:
         raise InvariantViolation(f"n must be positive, got {n}")
     if cap < 1:
         raise InvariantViolation(f"cap must be positive, got {cap}")
-    engine = _engine_for(eq)
     state = _RunState(node_cap, time_cap)
-    engine.solve_to(n, state)
+    engine = _SOLVERS.pop(eq, None) or _IntegerEngine(eq)
+    try:
+        engine.solve_to(n, state)
+    except BudgetExceeded:
+        _SOLVERS[eq] = engine
+        raise
+    _SOLVERS[eq] = engine
     masks = engine.maximum_sets(n, cap + 1, state)
     return AllExtremal(n, engine.r[n], [_checked_witness(eq, n, mk) for mk in masks[:cap]], len(masks) > cap)
 

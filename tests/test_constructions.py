@@ -307,6 +307,21 @@ class TestSolverDominates:
                 if abs(form.s) % q:
                     assert residue_set(form, q, n).size <= exact
 
+    @pytest.mark.parametrize("k, top", [(3, 60), (4, 60), (5, 90), (6, 90), (7, 90), (8, 90)])
+    def test_the_x_plus_y_kz_row_meets_its_constructions(self, k, top):
+        # x + y = kz is classified as Family II, but no Family II
+        # construction serves it: its candidates are the residue set (the
+        # odd numbers for k = 3) and the multi-interval set (k >= 4), and
+        # the larger of the two is r(n) at every n up to top, with q the
+        # modulus that report's JSON rows use, the least q >= 2 not dividing
+        # k - 2
+        eq = parse_equation(f"x+y={k}z")
+        form = eq.linear_form()
+        q = next(q for q in range(2, k + 1) if (k - 2) % q)
+        for n in range(1, top + 1):
+            named = max(best_multi_interval(form, n, 6)[1].size, residue_set(form, q, n).size)
+            assert max_avoiding(eq, n, canonical=False).size == named, n
+
 
 class TestFuzzGuards:
     @given(data=st.data())

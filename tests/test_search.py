@@ -1,15 +1,20 @@
 """Exact solver, enumeration of extremal sets, and modular densities."""
 from __future__ import annotations
 
+import ast
+import inspect
+import math
 import random
 import re
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from functools import partial
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -58,6 +63,63 @@ def fresh_engine(monkeypatch, eq: ThreeVarEquation) -> search._IntegerEngine:
     engine = search._IntegerEngine(eq)
     monkeypatch.setitem(search._SOLVERS, eq, engine)
     return engine
+
+
+@contextmanager
+def at_line(func, text: str, act, when=lambda frame: True, hit: int = 1):
+    """Call ``act(frame)`` once, in a frame of ``func``, just before the
+    ``hit``-th run of ``func``'s one line that holds ``text`` among the
+    frames that ``when`` accepts: an exception that ``act`` raises comes
+    from that line, between two of ``func``'s statements, as a Ctrl-C or a
+    ``MemoryError`` can.  Yields the list of frames acted in.  Only frames
+    of ``func`` are traced, and the trace function before is restored."""
+    lines, start = inspect.getsourcelines(func)
+    [line] = [start + i for i, source in enumerate(lines) if text in source]
+    seen, acted = 0, []
+
+    def local(frame, event, arg):
+        nonlocal seen
+        if event == "line" and frame.f_lineno == line and not acted and when(frame):
+            seen += 1
+            if seen == hit:
+                acted.append(frame)
+                act(frame)
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        yield acted
+    finally:
+        sys.settrace(before)
+
+
+def raising(exc):
+    """An ``act`` for :func:`at_line` that raises ``exc``."""
+    def act(frame):
+        raise exc("injected")
+    return act
+
+
+def spend_deadline(frame) -> None:
+    """An ``act`` for :func:`at_line` that puts the deadline of the frame's
+    ``state`` in the past, so that its next clock read is a budget hit."""
+    frame.f_locals["state"].deadline = -math.inf
+
+
+def of(kind):
+    """A ``when`` for :func:`at_line`: frames whose ``self`` is of exactly ``kind``."""
+    return lambda frame: type(frame.f_locals["self"]) is kind
+
+
+def at_element(k: int):
+    """A ``when`` for :func:`at_line`: an integer engine's frames whose ``k`` is k."""
+    return lambda frame: of(search._IntegerEngine)(frame) and frame.f_locals["k"] == k
+
+
+def sweep(eq: ThreeVarEquation, n: int) -> list[tuple]:
+    """Size, witness and nodes of max_avoiding(eq, m), canonical=False, for m = 1..n in turn."""
+    return [(res.size, res.witness, res.nodes) for res in (max_avoiding(eq, m, canonical=False) for m in range(1, n + 1))]
 
 
 def draw_equation(data, top: int) -> ThreeVarEquation | None:
@@ -644,8 +706,10 @@ class TestEngine:
 
     @pytest.mark.parametrize("exc", [RuntimeError, RecursionError])
     def test_exception_mid_search_leaves_engine_clean(self, monkeypatch, exc):
+        # an exception that is no budget hit leaves no engine cached, so the
+        # next calls answer from a clean one
         eq = parse_equation("x+y=3z")  # prefix 9 takes 29 nodes
-        engine = fresh_engine(monkeypatch, eq)
+        fresh_engine(monkeypatch, eq)
         raised = []
 
         class Failing(search._RunState):
@@ -671,17 +735,17 @@ class TestEngine:
         monkeypatch.setattr(search, "_RunState", Failing)
         with pytest.raises(exc):  # a RecursionError is not taken for a budget hit
             max_avoiding(eq, 14, canonical=False)
-        assert raised == [21] and len(engine.r) == 9
+        assert raised == [21] and eq not in search._SOLVERS
         monkeypatch.setattr(search, "_RunState", plain)
         for n in range(1, 15):
             assert max_avoiding(eq, n).size == exhaustive_max(eq, n)[0]
 
         # the fractional test first runs at prefix 30 of x+y=4z, after the
         # degree packing, and settles it in four pivots; an exception inside
-        # the third drops the half-updated simplex, and leaves r, wit and the
-        # packing as a cold engine has them
+        # the third leaves the simplex half-updated, and its engine is not
+        # cached: the next call's witness and nodes are a cold engine's
         eq = parse_equation("x+y=4z")
-        engine = fresh_engine(monkeypatch, eq)
+        fresh_engine(monkeypatch, eq)
         pivot, pivots = search._Simplex.pivot, []
 
         def failing(self, need):
@@ -694,11 +758,11 @@ class TestEngine:
         monkeypatch.setattr(search._Simplex, "pivot", failing)
         with pytest.raises(exc):
             max_avoiding(eq, 40, canonical=False)
-        assert pivots == [None, None] and len(engine.r) == 30 and engine.lp is None
+        assert pivots == [None, None] and eq not in search._SOLVERS
         monkeypatch.setattr(search._Simplex, "pivot", pivot)
         again = max_avoiding(eq, 40, canonical=False)
+        engine = search._SOLVERS[eq]
         cold = fresh_engine(monkeypatch, eq)
-        max_avoiding(eq, 29, canonical=False)
         want = max_avoiding(eq, 40, canonical=False)
         assert (again.witness, again.nodes) == (want.witness, want.nodes)
         assert (engine.r, engine.wit, engine.packing) == (cold.r, cold.wit, cold.packing)
@@ -783,7 +847,8 @@ class TestPairTest:
         rho_best(EQS["square"], 24)
         rho_m(EQS["family2"], 20)
         assert not hasattr(search._Core, "pair_alpha")
-        assert type(search._engine_for(EQS["square"])) is search._IntegerEngine
+        max_avoiding(EQS["square"], 1)  # settled by the cheap yes, before any pair test
+        assert type(search._SOLVERS[EQS["square"]]) is search._IntegerEngine
 
     def test_gate_skips_the_test_while_the_last_p_is_above_prev(self, monkeypatch):
         # P never falls, so once it is above r(m - 1) no work is done until
@@ -878,34 +943,57 @@ class TestPairTest:
 
     @pytest.mark.parametrize("fail_at", [1, 7, 40])
     def test_exception_in_the_pair_test_leaves_the_cache_consistent(self, monkeypatch, fail_at):
-        # an exception in the fail_at-th root of a part leaves P and the
-        # components as they were: comp holds the smooth numbers below
-        # len(P), those whose primes all divide R, and each part is solved
-        # over exactly the ones comp gives it.  After a retry the tables
-        # equal a cold engine's.  x+2y=4z's parts grow one smooth number at
-        # a time, in a solve; 2x+2y=5z's also merge, in the pair test alone.
+        # x+2y=4z's parts grow one smooth number at a time, in a solve;
+        # 2x+2y=5z's also merge, in the pair test alone.  A RuntimeError at
+        # the fail_at-th root of a part leaves no engine cached.  A budget
+        # hit there keeps the engine, with P and the components as they
+        # were: comp holds the smooth numbers below len(P), those whose
+        # primes all divide R, and each part is solved over exactly the ones
+        # comp gives it.  Either way, after a retry the cached engine's
+        # tables equal a cold engine's.
         root = search._Core._root
 
-        def run(eq):
-            if eq == EQS["square"]:
-                max_avoiding(eq, 2000, canonical=False)
-            else:
-                search._engine_for(eq).pair_alpha(200, search._RunState())
-
-        for eq in (EQS["square"], EQS["family2"]):
-            engine = fresh_engine(monkeypatch, eq)
-            calls = []
-
+        def fail(exc, calls):
             def failing(self, m, state):
                 if type(self) is search._Core:  # a part
                     calls.append(self)
                     if len(calls) == fail_at:
-                        raise RuntimeError("injected")
+                        raise exc("injected")
                 return root(self, m, state)
+            return failing
 
-            monkeypatch.setattr(search._Core, "_root", failing)
-            with pytest.raises(RuntimeError):
-                run(eq)
+        eq = EQS["square"]
+        fresh_engine(monkeypatch, eq)
+        calls = []
+        monkeypatch.setattr(search._Core, "_root", fail(RuntimeError, calls))
+        with pytest.raises(RuntimeError):
+            max_avoiding(eq, 2000, canonical=False)
+        monkeypatch.setattr(search._Core, "_root", root)
+        assert len(calls) == fail_at and eq not in search._SOLVERS
+        again = max_avoiding(eq, 2000, canonical=False)
+        engine = search._SOLVERS[eq]
+        cold = fresh_engine(monkeypatch, eq)
+        want = max_avoiding(eq, 2000, canonical=False)
+        assert (again.witness, again.nodes) == (want.witness, want.nodes)
+        assert pair_tables(engine) == pair_tables(cold)
+
+        def run(engine):
+            if engine.eq == EQS["square"]:
+                max_avoiding(engine.eq, 2000, canonical=False)
+                assert search._SOLVERS[engine.eq] is engine
+            else:
+                engine.pair_alpha(200, search._RunState())
+
+        for eq in (EQS["square"], EQS["family2"]):
+            engine = fresh_engine(monkeypatch, eq)
+            calls = []
+            monkeypatch.setattr(search._Core, "_root", fail(BudgetExceeded, calls))
+            if eq == EQS["square"]:
+                assert not max_avoiding(eq, 2000, canonical=False).optimal
+                assert search._SOLVERS[eq] is engine
+            else:
+                with pytest.raises(BudgetExceeded):
+                    engine.pair_alpha(200, search._RunState())
             monkeypatch.setattr(search._Core, "_root", root)
             assert len(calls) == fail_at
             R = prod(p * q for p, q in search._ratios(eq))
@@ -913,9 +1001,9 @@ class TestPairTest:
             assert sorted(engine.comp) == [k for k in range(1, len(engine.P)) if pow(R, k, k) == 0]
             for part in engine.comp.values():
                 assert part.members[:len(part.r) - 1] == [v for v, other in engine.comp.items() if other is part]
-            run(eq)
+            run(engine)
             cold = fresh_engine(monkeypatch, eq)
-            run(eq)
+            run(cold)
             assert (engine.r, engine.wit) == (cold.r, cold.wit)
             assert pair_tables(engine) == pair_tables(cold)
 
@@ -1116,21 +1204,17 @@ class TestPrefixRoots:
         assert (engine.packing, engine.packed) == before
 
     def test_a_cut_listing_lists_each_clique_once(self, monkeypatch):
-        # _list_cliques builds the new cliques, their masks and the counts
-        # aside and commits them with pending, so an interrupt in its third
-        # _cliques_of call leaves the engine as it was, and the retry lists
-        # every pending record once: the engine then matches a cold one, and
-        # so does its next solve, node for node
+        # _list_cliques grows the clique list, the masks and the counts in
+        # place and empties pending at its end, so an interrupt in its third
+        # _cliques_of call, in a sweep of x+y=4z, leaves an engine with
+        # records both listed and pending.  That engine is not cached: the
+        # next sweep lists every clique once, and its clique list, masks,
+        # counts and nodes are a cold engine's
         eq = parse_equation("x+y=4z")
-
-        def listed_at_40(engine):
-            engine.solve_to(30, search._RunState())
-            engine.take_in(40, search._RunState())
-            return engine
-
-        engine = listed_at_40(search._IntegerEngine(eq))
-        assert len(engine.pending) > 3
-        before = engine_state(engine)
+        monkeypatch.setattr(search, "_SOLVERS", {})
+        want = sweep(eq, 54)
+        cold = search._SOLVERS.pop(eq)
+        cut = fresh_engine(monkeypatch, eq)
         cliques_of, calls = search._cliques_of, []
 
         def cut_third(*record):
@@ -1141,21 +1225,17 @@ class TestPrefixRoots:
 
         monkeypatch.setattr(search, "_cliques_of", cut_third)
         with pytest.raises(KeyboardInterrupt):
-            engine._list_cliques()
-        assert engine_state(engine) == before
+            sweep(eq, 54)
+        assert len(calls) == 3 and eq not in search._SOLVERS
+        assert cut.cliques and calls[0] == cut.pending[0]  # listed and still pending
         monkeypatch.setattr(search, "_cliques_of", cliques_of)
-        engine._list_cliques()
-        cold = listed_at_40(search._IntegerEngine(eq))
-        cold._list_cliques()
+        assert sweep(eq, 54) == want
+        engine = search._SOLVERS[eq]
+        for each in (engine, cold):
+            each._list_cliques()
         assert len(set(engine.cliques)) == len(engine.cliques) == cold.clique_count
         assert (engine.cliques, engine.masks, engine.count) == (cold.cliques, cold.masks, cold.count)
         assert (engine.pending, engine.packing, engine.packed) == (cold.pending, cold.packing, cold.packed)
-        nodes = []
-        for each in (engine, cold):
-            state = search._RunState()
-            each.solve_to(54, state)
-            nodes.append(state.nodes)
-        assert nodes[0] == nodes[1] and engine.r == cold.r and engine.wit == cold.wit
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -1221,31 +1301,27 @@ class TestPrefixRoots:
     @pytest.mark.parametrize("fail_at", [1, 3, 5])
     def test_search_resumes_a_cut_catch_up(self, monkeypatch, fail_at):
         # x+2y=13z first needs a search at prefix 5, whose catch-up takes in
-        # the triples of elements 1..5; an exception cuts it after fail_at - 1
-        # of them, even after the last, and leaves the masks live.  The retry
-        # of prefix 5 resumes the catch-up, and every later prefix costs the
-        # nodes it costs on a cold engine.
+        # the triples of elements 1..5; a deadline spent while element
+        # fail_at comes in stops the call at the next clock read: after
+        # that element, or, after the last, at the top of prefix 6, as the
+        # root settles prefix 5.  The engine stays cached, and its masks
+        # stay live until the catch-up ends.  The retry resumes the
+        # catch-up, and every later prefix costs the nodes it costs on a
+        # cold engine.
         eq = EQS["family1"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 4, canonical=False)
-        source, calls = engine.source, []
-
-        def failing(k):
-            calls.append(k)
-            if len(calls) == fail_at:
-                raise RuntimeError("injected")
-            return source(k)
-
-        engine.source = failing
-        with pytest.raises(RuntimeError):
-            max_avoiding(eq, 30, canonical=False)
-        assert calls == list(range(1, fail_at + 1)) and len(engine.r) == 5
-        assert len(engine.pair_down) == len(engine.force) == fail_at and engine.kept is not None
-        engine.source = source
+        with at_line(search._Core.take_in, "self._take_in(k, *self.source(k))", spend_deadline,
+                     at_element(fail_at)) as acted:
+            assert not max_avoiding(eq, 30, canonical=False).optimal
+        solved = len(engine.r) - 1
+        assert acted and search._SOLVERS[eq] is engine and solved == (4 if fail_at < 5 else 5)
+        assert len(engine.pair_down) == len(engine.force) == fail_at + 1
+        assert (engine.kept is None) == (fail_at == 5)
         again = max_avoiding(eq, 30, canonical=False)
         assert len(engine.pair_down) == 31 and engine.kept is None
         cold = fresh_engine(monkeypatch, eq)
-        max_avoiding(eq, 4, canonical=False)
+        max_avoiding(eq, solved, canonical=False)
         want = max_avoiding(eq, 30, canonical=False)
         assert (again.nodes, again.witness) == (want.nodes, want.witness)
         assert (engine.r, engine.wit) == (cold.r, cold.wit)
@@ -1731,14 +1807,13 @@ class TestPairOnlyWitness:
     def test_a_cut_mask_rebuild_leaves_the_cache_consistent(self, monkeypatch, cut, exc):
         # x+2y=4z solved to 126 holds masks over [1, 126], and prefix 127
         # fills wider ones with wit[126]'s members.  An exception at that
-        # fill's entry, or after cut of its 72 members, leaves the engine as
-        # it was, and the next call answers as a cold engine does.  An
+        # fill's entry, or after cut of its 72 members, leaves no engine
+        # cached, and the next call answers as a cold engine does.  An
         # engine that kept the cut masks took 128 in beside 64 at prefix 128
         eq = EQS["square"]
         engine = fresh_engine(monkeypatch, eq)
         max_avoiding(eq, 126, canonical=False)
         assert engine.kept.n == 126 and engine.r[126] == 72
-        before = engine_state(engine)
         extend, fired = search._Kept.extend, []
 
         def cut_fill(self, order):
@@ -1756,12 +1831,124 @@ class TestPairOnlyWitness:
         monkeypatch.setattr(search._Kept, "extend", cut_fill)
         with pytest.raises(exc):
             max_avoiding(eq, 400, canonical=False)
-        assert fired and engine_state(engine) == before
+        assert fired and eq not in search._SOLVERS
         again = max_avoiding(eq, 400, canonical=False)
+        engine = search._SOLVERS[eq]
         cold = fresh_engine(monkeypatch, eq)
         want = max_avoiding(eq, 400, canonical=False)
         assert again.size == want.size == 228 and again.witness == want.witness
         assert (engine.r, engine.wit) == (cold.r, cold.wit) and engine.kept is not None
+
+
+class TestSolverCache:
+    """An engine goes back to ``search._SOLVERS`` only when its sweep ends or
+    a budget stops it; any other exception leaves it out."""
+
+    # (equation, n, function, line text, frames, hit): one cut at each place
+    # that writes an engine's tables, each between two of its writes
+    WRITE_SITES = {
+        # the trigger tables: pair_down has element 68, force has not; an
+        # engine cached after this cut put (67, 68, 54) in its witness at 69
+        "core-take-in-68": ("2x+2y=5z", 70, search._Core._take_in, "self.force.append([])",
+                            at_element(68), 1),
+        "core-take-in-40": ("x+2y=13z", 60, search._Core._take_in, "self.force.append([])",
+                            at_element(40), 1),
+        # the warm packing gains 68's clique and packed does not; an engine
+        # cached after this cut answered r(69) = 41, marked optimal, where
+        # r(69) = 42
+        "packing-68": ("2x+2y=5z", 70, search._IntegerEngine._take_in, "self.packed |= ", at_element(68), 1),
+        "listing": ("x+y=4z", 54, search._IntegerEngine._list_cliques, "mask |= 1 << (v - 1)", of(search._IntegerEngine), 100),
+        "pivot": ("x+y=4z", 54, search._Simplex.pivot, "self.basis[r] = q", of(search._Simplex), 3),
+        # 40 of the 72 members of wit[126] are in the wider masks of prefix 127
+        "kept-refill": ("x+2y=4z", 140, search._Kept.extend, "kept |= 1 << (e - 1)",
+                        lambda frame: frame.f_locals["self"].n == 254, 40),
+        "part-take-in": ("2x+2y=5z", 70, search._Core._take_in, "self.force.append([])", of(search._Core), 20),
+        "r-then-wit": ("x+y=3z", 55, search._Core.solve_to, "self.wit.append(best)", of(search._IntegerEngine), 40),
+    }
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, MemoryError])
+    @pytest.mark.parametrize("site", list(WRITE_SITES))
+    def test_an_exception_at_a_write_site_leaves_the_engine_out(self, monkeypatch, site, exc):
+        # the sweep stops with the exception, the half-written engine is not
+        # cached, and the same sweep again answers as a cold one: sizes,
+        # witnesses and nodes
+        text, n, func, line, when, hit = self.WRITE_SITES[site]
+        eq = parse_equation(text)
+        monkeypatch.setattr(search, "_SOLVERS", {})
+        want = sweep(eq, n)
+        search._SOLVERS.clear()
+        with at_line(func, line, raising(exc), when, hit) as acted, pytest.raises(exc):
+            sweep(eq, n)
+        assert acted and eq not in search._SOLVERS
+        assert sweep(eq, n) == want
+
+    # (equation, n, function, line text, frames, hit) of a spent deadline
+    BUDGET_SITES = {
+        # the catch-up of x+2y=13z's prefix 5 stops after element 3 of 5
+        "catch-up": ("x+2y=13z", 30, search._Core.take_in, "self._take_in(k, *self.source(k))",
+                     at_element(3), 1),
+        # a part's own clock read, at the top of one of its prefixes
+        "pair-test-part": ("2x+2y=5z", 70, search._Core.solve_to, "state.check(self.where, m)", of(search._Core), 20),
+        "before-a-pivot": ("x+y=4z", 54, search._IntegerEngine._stall_tests, "state.check(self.where, m)",
+                           of(search._IntegerEngine), 3),
+    }
+
+    @pytest.mark.parametrize("site", ["dfs-node"] + list(BUDGET_SITES))
+    def test_a_budget_hit_keeps_the_engine(self, monkeypatch, site):
+        # a budget hit at each kind of clock or node-count read leaves the
+        # same engine cached, and the next call resumes to the answers and
+        # the prefix tables of a cold engine
+        monkeypatch.setattr(search, "_SOLVERS", {})
+        if site == "dfs-node":
+            # x+y=3z spends 1 500 nodes in prefix 38's search
+            eq, n = parse_equation("x+y=3z"), 50
+            with pytest.raises(BudgetExceeded, match=r"^node budget 1500 exceeded at prefix 38$") as caught:
+                search._IntegerEngine(eq).solve_to(n, search._RunState(node_cap=1500))
+            assert caught.traceback[-1].name == "_search"
+        else:
+            text, n, func, line, when, hit = self.BUDGET_SITES[site]
+            eq = parse_equation(text)
+        want = max_avoiding(eq, n, canonical=False)
+        cold = search._SOLVERS.pop(eq)
+        max_avoiding(eq, 1, canonical=False)
+        engine = search._SOLVERS[eq]
+        if site == "dfs-node":
+            res = max_avoiding(eq, n, canonical=False, node_cap=1500)
+        else:
+            with at_line(func, line, spend_deadline, when, hit) as acted:
+                res = max_avoiding(eq, n, canonical=False)
+            assert acted
+        assert not res.optimal and search._SOLVERS[eq] is engine and len(engine.r) <= n
+        again = max_avoiding(eq, n, canonical=False)
+        assert again.optimal and (again.size, again.witness) == (want.size, want.witness)
+        assert search._SOLVERS[eq] is engine and (engine.r, engine.wit) == (cold.r, cold.wit)
+
+    @pytest.mark.parametrize("call", [
+        lambda eq: max_avoiding(eq, 0),
+        lambda eq: max_avoiding(eq, 20, time_cap=float("nan")),
+        lambda eq: all_extremal(eq, 0),
+        lambda eq: all_extremal(eq, 20, cap=0),
+        lambda eq: all_extremal(eq, 20, time_cap=float("nan")),
+    ], ids=["n", "nan-budget", "all-n", "all-cap", "all-nan-budget"])
+    def test_an_argument_error_leaves_a_warm_engine_cached(self, monkeypatch, call):
+        eq = EQS["family2"]
+        engine = fresh_engine(monkeypatch, eq)
+        max_avoiding(eq, 20, canonical=False)
+        with pytest.raises(InvariantViolation):
+            call(eq)
+        assert search._SOLVERS[eq] is engine and len(engine.r) == 21
+
+    def test_only_the_two_solvers_touch_the_cache(self):
+        # every read or write of _SOLVERS in the package is in max_avoiding
+        # or all_extremal, besides its one definition
+        users = []
+        for path in sorted(Path(search.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for top in tree.body:
+                names = [node for node in ast.walk(top) if isinstance(node, ast.Name) and node.id == "_SOLVERS"]
+                if names:
+                    users.append((path.name, getattr(top, "name", type(top).__name__)))
+        assert users == [("search.py", "AnnAssign"), ("search.py", "max_avoiding"), ("search.py", "all_extremal")]
 
 
 class TestModularDensity:

@@ -263,12 +263,16 @@ class TestValueSemantics:
         assert StructuredSet(n=5, intervals=[Interval(2, 4)]).removed == ()
 
     def test_an_equal_equation_finds_the_cached_engine(self):
+        # a second, equal equation resumes the first one's engine: prefix 21
+        # of x+2y=4z is one node more; an unequal one gets an engine of its own
         with mock.patch.dict(search._SOLVERS, clear=True):
             solfree.max_avoiding(ThreeVarEquation(1, 2, 4), 20)
-            engine = search._engine_for(ThreeVarEquation(1, 2, 4))
+            [engine] = search._SOLVERS.values()
+            assert solfree.max_avoiding(ThreeVarEquation(1, 2, 4), 21).nodes == 1
             assert list(search._SOLVERS) == [ThreeVarEquation(1, 2, 4)]
             assert search._SOLVERS[ThreeVarEquation(1, 2, 4)] is engine
-            assert search._engine_for(ThreeVarEquation(1, 2, 5)) is not engine
+            solfree.max_avoiding(ThreeVarEquation(1, 2, 5), 5)
+            assert search._SOLVERS[ThreeVarEquation(1, 2, 5)] is not engine
 
     @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
     def test_never_equal_to_another_class_or_a_tuple(self, cls):
